@@ -75,7 +75,16 @@ class AnchorSpec:
 
 @dataclass(frozen=True, eq=False)
 class LevelAnchors:
-    """All anchors of one pyramid level with per-anchor provenance."""
+    """All anchors of one pyramid level with per-anchor provenance.
+
+    Rows are laid out cell by cell, row-major over the feature map (y
+    outer, x inner), with the same ``count // (fmap_w * fmap_h)`` combos
+    in the same order in every cell; the anchor of combo c in cell
+    (i, j) is row ``(j * fmap_w + i) * n_combo + c`` and is centred at
+    the centre of cell (0, 0) plus ``(i, j) * stride``.
+    ``match_anchors`` relies on this layout to find the anchors near a
+    box without scanning them all.
+    """
 
     level: int
     stride: int
@@ -353,6 +362,49 @@ class MatchReport:
         }
 
 
+def _gt_overlaps(anchors: AnchorSet, anchor_boxes: np.ndarray, insts: Sequence[Instance]):
+    """Yield ``(indices, ious)`` for each instance's candidate anchors.
+
+    An anchor can overlap a box only if its centre lies within its
+    half-extents of the box. On each level the candidates are the cells
+    whose centres lie within the level's largest anchor half-extents,
+    padded by one cell on each side against rounding, found from the
+    grid layout ``LevelAnchors`` documents; every other anchor has IoU 0
+    with the box. Indices ascend into ``anchor_boxes``
+    (``anchors.all_boxes()``), and the IoUs come from ``iou_matrix`` on
+    those stored boxes, so they equal the entries of the dense
+    anchors-by-GT matrix bit for bit.
+    """
+    if not insts:
+        return
+    boxes = np.array([i.bbox.as_tuple() for i in insts], dtype=np.float64)
+    if not np.isfinite(boxes).all():
+        raise ValidationError("ground-truth boxes must have finite coordinates")
+    levels = []  # per level: first anchor index of each cell row, cell ranges
+    start = 0
+    for lv in anchors.levels:
+        n_combo = lv.count // (lv.fmap_w * lv.fmap_h)
+        cell0 = lv.boxes[:n_combo]
+        centre = (cell0[0, :2] + cell0[0, 2:]) / 2.0
+        half = (cell0[:, 2:] - cell0[:, :2]).max(axis=0) / 2.0
+        dims = np.array([lv.fmap_w, lv.fmap_h])
+        # cells [lo, hi) per axis, one cell of padding beyond the exact bounds
+        lo = np.floor((boxes[:, :2] - half - centre) / lv.stride) - 1
+        hi = np.ceil((boxes[:, 2:] + half - centre) / lv.stride) + 2
+        lo = np.clip(lo, 0, dims).astype(np.int64)
+        hi = np.clip(hi, lo, dims).astype(np.int64)
+        row_start = start + np.arange(lv.fmap_h) * (lv.fmap_w * n_combo)
+        # a row of cells is one contiguous run of anchor indices
+        levels.append((row_start, lo[:, 0] * n_combo, hi[:, 0] * n_combo, lo[:, 1], hi[:, 1]))
+        start += lv.count
+    for g in range(len(insts)):
+        idx = np.concatenate([
+            (row_start[y0[g]:y1[g], None] + np.arange(x0[g], x1[g])).ravel()
+            for row_start, x0, x1, y0, y1 in levels
+        ])
+        yield idx, iou_matrix(anchor_boxes[idx], boxes[g])[:, 0]
+
+
 def match_anchors(
     anchors: AnchorSet,
     gts: Sequence[Instance],
@@ -376,6 +428,11 @@ def match_anchors(
     positive anchor reaches ``pos_iou`` with it (or claims it via
     force matching); ignore-flagged GTs never enter the recall
     denominator.
+
+    IoU is computed only between each GT and the anchors of the grid
+    cells it can reach, so memory per image is O(A + candidates) for A
+    anchors rather than O(A * G), and the result is identical to
+    scoring the dense anchors-by-GT IoU matrix.
     """
     if not 0.0 <= neg_iou <= pos_iou <= 1.0:
         raise ValidationError(
@@ -399,29 +456,31 @@ def match_anchors(
         live = [i for i in insts if not i.ignore]
         ignored_insts = [i for i in insts if i.ignore]
 
-        if live:
-            gt_arr = np.array([i.bbox.as_tuple() for i in live])
-            iou = iou_matrix(anchor_boxes, gt_arr)  # (A, G)
-            max_iou = iou.max(axis=1)
-        else:
-            iou = np.zeros((n_per_image, 0))
-            max_iou = np.zeros(n_per_image)
+        max_iou = np.zeros(n_per_image)
+        matched_counts = np.zeros(len(live), dtype=np.int64)
+        best_anchor = []  # per live GT: (anchor index, IoU), ties to the lowest index
+        for g, (idx, vals) in enumerate(_gt_overlaps(anchors, anchor_boxes, live)):
+            np.maximum.at(max_iou, idx, vals)
+            matched_counts[g] = np.count_nonzero(vals >= pos_iou)
+            a = int(np.argmax(vals)) if vals.size else -1
+            # a GT that overlaps no anchor claims anchor 0, as argmax over zeros does
+            best_anchor.append((int(idx[a]), vals[a]) if a >= 0 and vals[a] > 0 else (0, 0.0))
+        if pos_iou == 0.0:
+            # anchors outside the candidate set have IoU 0 and match as well
+            matched_counts[:] = n_per_image
 
         positive = max_iou >= pos_iou
-        matched_counts = (iou >= pos_iou).sum(axis=0) if live else np.zeros(0, dtype=int)
-
-        if force_match and live:
-            for g in range(len(live)):
-                a = int(np.argmax(iou[:, g]))
-                if not positive[a]:
-                    positive[a] = True
-                if iou[a, g] < pos_iou:
+        if force_match:
+            for g, (a, v) in enumerate(best_anchor):
+                positive[a] = True
+                if v < pos_iou:
                     matched_counts[g] += 1
 
         negative = ~positive & (max_iou < neg_iou)
         if ignored_insts and negative.any():
-            ign_arr = np.array([i.bbox.as_tuple() for i in ignored_insts])
-            ign_max = iou_matrix(anchor_boxes, ign_arr).max(axis=1)
+            ign_max = np.zeros(n_per_image)
+            for idx, vals in _gt_overlaps(anchors, anchor_boxes, ignored_insts):
+                np.maximum.at(ign_max, idx, vals)
             negative &= ign_max < neg_iou
 
         n_positive += int(positive.sum())

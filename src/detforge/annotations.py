@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -151,6 +152,22 @@ def _require(record: Mapping, key: str, where: str):
     return record[key]
 
 
+def parse_xywh(value, where: str) -> Tuple[float, float, float, float]:
+    """A JSON ``[x, y, w, h]`` box as four floats.
+
+    Anything other than four finite numbers raises ValidationError: a
+    NaN or infinite coordinate has no place on the image or anchor grid.
+    """
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 4
+        # int-to-float comparison is exact, so huge integers fail here too
+        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value)
+    ):
+        raise ValidationError(f"{where} must be [x, y, w, h] of four finite numbers")
+    return tuple(float(v) for v in value)
+
+
 def load_dataset(path) -> Dataset:
     """Load and validate a COCO-style annotation file.
 
@@ -196,7 +213,7 @@ def load_dataset(path) -> Dataset:
         ann_id = int(_require(rec, "id", where))
         image_id = int(_require(rec, "image_id", where))
         category_id = int(_require(rec, "category_id", where))
-        x, y, w, h = (float(v) for v in _require(rec, "bbox", where))
+        x, y, w, h = parse_xywh(_require(rec, "bbox", where), f"{where}.bbox")
         if w < 0 or h < 0:
             raise NegativeExtent(ann_id, w, h)
         box = geometry.from_xywh(x, y, w, h)

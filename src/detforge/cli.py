@@ -297,7 +297,7 @@ def _check_type(path: str, type_tag: str, value):
         "list": lambda v: isinstance(v, list),
     }[type_tag](value)
     if not ok:
-        raise ConfigTypeError(path, type_tag, type(value).__name__)
+        raise ConfigTypeError(path, type_tag, value)
     return float(value) if type_tag == "float" else value
 
 
@@ -309,7 +309,7 @@ def _apply_file_config(config, provenance, file_config):
                 raise UnknownConfigKey(path)
             if isinstance(schema[key], dict):
                 if not isinstance(value, dict):
-                    raise ConfigTypeError(path, "object", type(value).__name__)
+                    raise ConfigTypeError(path, "object", value)
                 walk(value, schema[key], target[key], path)
             else:
                 if value is None:

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .annotations import Dataset, MEDIUM_AREA_MAX, SMALL_AREA_MAX
+from .annotations import Dataset, MEDIUM_AREA_MAX, SMALL_AREA_MAX, parse_xywh
 from .errors import DanglingReference, MissingKey, ValidationError
 from .geometry import BBox, from_xywh, iou
 
@@ -76,14 +76,11 @@ def load_detections(path) -> List[Detection]:
         for key in ("image_id", "category_id", "bbox", "score"):
             if key not in entry:
                 raise MissingKey(f"detections[{i}].{key}")
-        bbox = entry["bbox"]
-        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-            raise ValidationError(f"detections[{i}].bbox must be [x, y, w, h]")
         out.append(
             Detection(
                 image_id=entry["image_id"],
                 category_id=entry["category_id"],
-                bbox=from_xywh(*(float(v) for v in bbox)),
+                bbox=from_xywh(*parse_xywh(entry["bbox"], f"detections[{i}].bbox")),
                 score=float(entry["score"]),
                 source_index=i,
             )

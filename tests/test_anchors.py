@@ -1,11 +1,15 @@
+import itertools
 import json
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from detforge.anchors import (
     AnchorSpec,
+    MatchReport,
     cluster_anchor_sizes,
     generate_anchors,
     match_anchors,
@@ -238,6 +242,91 @@ class TestSweep:
             sweep_k([BoxWH(4, 4)], [])
 
 
+def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=False):
+    """The original matcher: one dense (A, G) IoU matrix per image.
+
+    Reference for ``match_anchors``, whose output must equal this one's
+    exactly; it needs O(A * G) memory, so only small fixtures can use it.
+    """
+    anchor_boxes = anchors.all_boxes()
+    n_per_image = anchor_boxes.shape[0]
+
+    groups = {}
+    for inst in gts:
+        groups.setdefault(inst.image_id, []).append(inst)
+
+    n_positive = n_negative = n_ignored = 0
+    recalled_by_class = Counter()
+    total_by_class = Counter()
+    per_gt_counts = []
+    unmatched = []
+
+    for image_id in sorted(groups) if groups else [None]:
+        insts = groups.get(image_id, [])
+        live = [i for i in insts if not i.ignore]
+        ignored_insts = [i for i in insts if i.ignore]
+
+        if live:
+            gt_arr = np.array([i.bbox.as_tuple() for i in live])
+            iou = iou_matrix(anchor_boxes, gt_arr)  # (A, G)
+            max_iou = iou.max(axis=1)
+        else:
+            iou = np.zeros((n_per_image, 0))
+            max_iou = np.zeros(n_per_image)
+
+        positive = max_iou >= pos_iou
+        matched_counts = (iou >= pos_iou).sum(axis=0) if live else np.zeros(0, dtype=int)
+
+        if force_match and live:
+            for g in range(len(live)):
+                a = int(np.argmax(iou[:, g]))
+                if not positive[a]:
+                    positive[a] = True
+                if iou[a, g] < pos_iou:
+                    matched_counts[g] += 1
+
+        negative = ~positive & (max_iou < neg_iou)
+        if ignored_insts and negative.any():
+            ign_arr = np.array([i.bbox.as_tuple() for i in ignored_insts])
+            ign_max = iou_matrix(anchor_boxes, ign_arr).max(axis=1)
+            negative &= ign_max < neg_iou
+
+        n_positive += int(positive.sum())
+        n_negative += int(negative.sum())
+        n_ignored += n_per_image - int(positive.sum()) - int(negative.sum())
+
+        for inst, count in zip(live, matched_counts):
+            per_gt_counts.append(int(count))
+            total_by_class[inst.category_id] += 1
+            if count >= 1:
+                recalled_by_class[inst.category_id] += 1
+            else:
+                unmatched.append(inst.id)
+
+    n_gt = sum(total_by_class.values())
+    zero_denom = n_gt == 0
+    recall = 1.0 if zero_denom else sum(recalled_by_class.values()) / n_gt
+    per_class_recall = {
+        c: recalled_by_class[c] / total_by_class[c] for c in sorted(total_by_class)
+    }
+    n_images = max(1, len(groups))
+    return MatchReport(
+        pos_iou=pos_iou,
+        neg_iou=neg_iou,
+        force_match=force_match,
+        n_anchors=n_per_image * n_images,
+        n_positive=n_positive,
+        n_negative=n_negative,
+        n_ignored=n_ignored,
+        n_gt=n_gt,
+        recall=recall,
+        per_class_recall=per_class_recall,
+        matched_per_gt=dict(sorted(Counter(per_gt_counts).items())),
+        unmatched_gt_ids=tuple(sorted(unmatched)),
+        zero_gt_denominator=zero_denom,
+    )
+
+
 def small_grid(size=16, stride=4, fmap=(4, 4)):
     spec = AnchorSpec(sizes=(size,), aspect_ratios=(1.0,), angles=(0.0,), strides=(stride,))
     return generate_anchors(spec, [fmap])
@@ -387,3 +476,110 @@ class TestMatching:
         assert blob["n_anchors"] == anchors.total
         assert all(isinstance(k, str) for k in blob["per_class_recall"])
         assert all(isinstance(k, str) for k in blob["matched_per_gt"])
+
+
+def _image_dims(spec, width, height, scale=1.0):
+    """Feature-map sizes for an image; ``scale`` < 1 leaves its far side uncovered."""
+    return [
+        (max(1, math.ceil(scale * width / s)), max(1, math.ceil(scale * height / s)))
+        for s in spec.strides
+    ]
+
+
+def _random_gts(rng, width, height, n_images):
+    """Boxes of many sizes, some on the border, some zero-area, some ignored,
+    and one per image far from every anchor."""
+    gts = []
+    for image_id in range(1, n_images + 1):
+        for _ in range(int(rng.integers(1, 12))):
+            w, h = rng.uniform(1, 0.6 * width), rng.uniform(1, 0.6 * height)
+            x0, y0 = rng.uniform(-0.1 * width, width), rng.uniform(-0.1 * height, height)
+            kind = rng.random()
+            if kind < 0.15:  # touches the border
+                x0, y0 = 0.0, height - h
+            elif kind < 0.25:
+                w = 0.0
+            elif kind < 0.3:
+                h = 0.0
+            x0, y0 = min(max(x0, 0.0), width), min(max(y0, 0.0), height)
+            x1, y1 = min(x0 + w, width), min(y0 + h, height)
+            gts.append(gt(len(gts) + 1, image_id, int(rng.integers(1, 4)), x0, y0, x1, y1,
+                          ignore=bool(rng.random() < 0.2)))
+        gts.append(gt(len(gts) + 1, image_id, 1, -5000, -5000, -4990, -4990))
+    return gts
+
+
+class TestMatchingAgainstDenseOracle:
+    # (0.02, 0.01) makes anchors that barely touch a GT decide the labels
+    THRESHOLDS = ((0.7, 0.3), (0.5, 0.4), (0.0, 0.0), (0.3, 0.0), (1.0, 0.5), (0.02, 0.01))
+
+    @pytest.mark.parametrize(
+        "spec, scale",
+        [
+            (AnchorSpec(), 1.0),
+            (AnchorSpec(shared_sizes=True, sizes=(12, 40)), 1.0),
+            (AnchorSpec(offset=0.0, angles=(0.0,), strides=(5, 11, 23, 40, 70)), 1.0),
+            (AnchorSpec(offset=0.25, aspect_ratios=(0.2, 1.0, 3.0)), 0.6),
+        ],
+        ids=["default", "shared_sizes", "offset_0_odd_strides", "offset_0.25_partial_fmaps"],
+    )
+    def test_reports_equal_the_dense_path(self, spec, scale):
+        rng = np.random.default_rng(spec.strides[0] + int(100 * scale) + len(spec.sizes))
+        width, height = 160, 120
+        anchors = generate_anchors(spec, _image_dims(spec, width, height, scale))
+        for _ in range(3):
+            gts = _random_gts(rng, width, height, n_images=int(rng.integers(1, 4)))
+            for (pos, neg), force in itertools.product(self.THRESHOLDS, (False, True)):
+                got = match_anchors(anchors, gts, pos, neg, force_match=force)
+                want = dense_match_anchors(anchors, gts, pos, neg, force_match=force)
+                assert got.to_dict() == want.to_dict(), (force, pos, neg)
+
+    def test_gt_overlapping_no_anchor_claims_anchor_zero(self):
+        anchors = small_grid()
+        far = gt(1, 1, 1, 500, 500, 510, 510)
+        on_anchor_zero = gt(2, 1, 1, -6, -6, 10, 10)
+        for gts in ([far], [far, on_anchor_zero]):
+            for pos in (0.0, 0.5, 1.0):
+                got = match_anchors(anchors, gts, pos, 0.0, force_match=True)
+                want = dense_match_anchors(anchors, gts, pos, 0.0, force_match=True)
+                assert got.to_dict() == want.to_dict()
+        # anchor 0 is already positive, so the far GT's claim adds no anchor
+        assert match_anchors(anchors, [far, on_anchor_zero], 1.0, 0.0,
+                             force_match=True).n_positive == 1
+
+    def test_non_finite_boxes_rejected(self):
+        anchors = small_grid()
+        bad = Instance(1, 1, 1, BBox(0.0, 0.0, float("nan"), 4.0), 0.0, False)
+        with pytest.raises(ValidationError):
+            match_anchors(anchors, [bad])
+
+
+def test_memory_is_bounded_without_a_dense_matrix():
+    # One aerial scene with 1,000 small objects on the default 1024^2 grid
+    # (A = 523,776 anchors). Dense matching needs a float64 (A, G) matrix,
+    # ~4.2 GB, plus temporaries of the same shape, ~27 GB in all. In units
+    # of A * 8 bytes the matcher holds: the (A, 4) copy of all anchor boxes
+    # (4), max-IoU over live GTs and over ignore GTs (1 each) and the two
+    # boolean label masks (1/4); one GT's candidates are a few thousand
+    # anchors, far below one unit. That is ~6.3 units, so a bound of 8
+    # leaves allocator slack, yet dense matching of even one GT (about 11
+    # units: the box copy plus seven (A, 1) temporaries) exceeds it.
+    spec = AnchorSpec()
+    anchors = generate_anchors(spec, _image_dims(spec, 1024, 1024))
+    n_anchors = anchors.total
+    rng = np.random.default_rng(7)
+    xy = rng.uniform(0, 1000, size=(1000, 2))
+    wh = rng.uniform(6, 48, size=(1000, 2))
+    gts = [
+        gt(i + 1, 1, 1, x, y, min(x + w, 1024), min(y + h, 1024), ignore=i % 10 == 0)
+        for i, ((x, y), (w, h)) in enumerate(zip(xy, wh))
+    ]
+    tracemalloc.start()
+    try:
+        report = match_anchors(anchors, gts, pos_iou=0.5, neg_iou=0.3, force_match=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_gt == 900
+    assert peak < 8 * n_anchors * 8, f"peak {peak / 2**20:.1f} MiB"
+

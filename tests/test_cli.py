@@ -106,6 +106,13 @@ class TestConfigResolution:
         assert rc == 1
         assert "cluster.k" in err
 
+    def test_wrong_type_names_the_actual_type(self, capsys, tiny_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cluster": {"k": [1]}}))
+        rc, _, err = run(capsys, "cluster", "--config", str(cfg), "--ann", tiny_path)
+        assert rc == 1
+        assert "'cluster.k' expects int, got list" in err
+
     def test_threads_env_fallback(self, capsys, tiny_path, monkeypatch):
         monkeypatch.setenv("DETFORGE_THREADS", "4")
         report = run_json(capsys, "stats", "--ann", tiny_path)
@@ -147,6 +154,27 @@ class TestExitCodes:
     def test_invalid_flag_value(self, capsys, tiny_path):
         rc, _, _ = run(capsys, "cluster", "--ann", tiny_path, "--k", "0")
         assert rc == 1
+
+    @pytest.mark.parametrize("bbox", [[0, 0, 5], [0, 0, float("nan"), 5],
+                                      [0, float("inf"), 5, 5], [0, 0, 10**400, 5],
+                                      [0, 0, "5", 5]])
+    def test_bad_bbox_rejected_at_load(self, capsys, tmp_path, data_dir, bbox):
+        ann = json.loads((data_dir / "tiny.json").read_text())
+        ann["annotations"][2]["bbox"] = bbox
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        dets = [{"image_id": 1, "category_id": 1, "bbox": bbox, "score": 0.5}]
+        dets_path = tmp_path / "dets.json"
+        dets_path.write_text(json.dumps(dets))
+        for argv, where in (
+            (("match", "--ann", str(ann_path)), "annotations[2].bbox"),
+            (("eval", "--ann", str(data_dir / "tiny.json"), "--dets", str(dets_path)),
+             "detections[0].bbox"),
+        ):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 1
+            assert out == ""
+            assert err.count("\n") == 1 and where in err
 
     def test_version(self, capsys):
         rc, out, _ = run(capsys, "--version")
