@@ -16,7 +16,6 @@ import copy
 import hashlib
 import json
 import math
-import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,96 +43,6 @@ from .losses import (
     weighted_cross_entropy,
 )
 from .synthetic import synthetic_aerial_corpus
-
-# Leaves are (type_tag, default); None defaults mean "unset".
-_SCHEMA = {
-    "paths": {
-        "annotations": ("str", None),
-        "detections": ("str", None),
-        "records": ("str", None),
-        "records_out": ("str", None),
-        "export_annotations": ("str", None),
-        "output": ("str", None),
-    },
-    "anchors": {
-        "sizes": ("list", [16.0, 32.0, 64.0, 128.0, 256.0]),
-        "aspect_ratios": ("list", [0.5, 1.0, 2.0]),
-        "angles": ("list", [-90.0, 0.0, 90.0]),
-        "strides": ("list", [4, 8, 16, 32, 64]),
-        "offset": ("float", 0.5),
-        "shared_sizes": ("bool", False),
-        "fmap_dims": ("list", None),
-        "image_size": ("list", [800, 800]),
-    },
-    "cluster": {
-        "k": ("int", 4),
-        "k_range": ("list", None),
-        "seed": ("int", 0),
-        "restarts": ("int", 10),
-        "max_iters": ("int", 100),
-        "init": ("str", "kmeans++"),
-        "synthetic": ("int", None),
-    },
-    "match": {
-        "pos_iou": ("float", 0.7),
-        "neg_iou": ("float", 0.3),
-        "force_match": ("bool", False),
-    },
-    "augment": {
-        "aug_id": ("int", 1),
-        "seed": ("int", 0),
-    },
-    "eval": {
-        "max_dets": ("int", 100),
-        "iou_thresholds": ("list", None),
-    },
-    "tile": {
-        "tile_size": ("int", 800),
-        "overlap": ("int", 200),
-        "min_visibility": ("float", 0.25),
-    },
-    "threads": ("int", 1),
-}
-
-# argparse dest -> config key path
-_FLAG_MAP = {
-    "ann": ("paths", "annotations"),
-    "dets": ("paths", "detections"),
-    "records": ("paths", "records"),
-    "records_out": ("paths", "records_out"),
-    "export_ann": ("paths", "export_annotations"),
-    "out": ("paths", "output"),
-    "sizes": ("anchors", "sizes"),
-    "ratios": ("anchors", "aspect_ratios"),
-    "angles": ("anchors", "angles"),
-    "strides": ("anchors", "strides"),
-    "offset": ("anchors", "offset"),
-    "shared_sizes": ("anchors", "shared_sizes"),
-    "fmap": ("anchors", "fmap_dims"),
-    "image_size": ("anchors", "image_size"),
-    "k": ("cluster", "k"),
-    "k_range": ("cluster", "k_range"),
-    "seed": ("cluster", "seed"),
-    "restarts": ("cluster", "restarts"),
-    "max_iters": ("cluster", "max_iters"),
-    "init": ("cluster", "init"),
-    "synthetic": ("cluster", "synthetic"),
-    "pos_iou": ("match", "pos_iou"),
-    "neg_iou": ("match", "neg_iou"),
-    "force_match": ("match", "force_match"),
-    "aug_id": ("augment", "aug_id"),
-    "aug_seed": ("augment", "seed"),
-    "max_dets": ("eval", "max_dets"),
-    "iou_thresholds": ("eval", "iou_thresholds"),
-    "tile_size": ("tile", "tile_size"),
-    "overlap": ("tile", "overlap"),
-    "min_visibility": ("tile", "min_visibility"),
-    "gamma": ("loss", "gamma"),
-    "loss_seed": ("loss", "seed"),
-    "threads": ("threads",),
-}
-
-_LOSS_SCHEMA = {"gamma": ("float", 2.0), "seed": ("int", 0)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,185 +85,161 @@ def _k_range(text):
     return list(range(lo, hi + 1))
 
 
+# argparse kwargs implied by each type tag. "pair" is two ints such as a
+# W H image size; "pairs" is a list of pairs.
+_TAG_KWARGS = {
+    "str": {},
+    "int": {"type": int},
+    "float": {"type": float},
+    "bool": {"action": "store_const", "const": True},
+    "floats": {"type": _comma_list(float)},
+    "ints": {"type": _comma_list(int)},
+    "pair": {"type": int, "nargs": 2, "metavar": ("W", "H")},
+    "pairs": {"type": _fmap_list, "metavar": "WxH,WxH,..."},
+}
+
+_ANN = ("stats", "tile", "cluster", "match", "eval", "augment-replay")
+_ANCHORS = ("anchors", "match")
+
+# One row per setting: config path, type tag, default (None means unset),
+# flag, the subcommands that take the flag (None: all of them), and argparse
+# kwargs beyond those the tag implies. The config path is the argparse dest,
+# so one flag can set a different key in each subcommand.
+_OPTIONS = (
+    ("paths.annotations", "str", None, "--ann", _ANN, {"help": "annotations JSON"}),
+    ("paths.detections", "str", None, "--dets", ("eval",), {}),
+    ("paths.records", "str", None, "--records", ("augment-replay",),
+     {"help": "replay this records file instead of sampling"}),
+    ("paths.records_out", "str", None, "--records-out", ("augment-replay",),
+     {"help": "write sampled records here (JSON lines)"}),
+    ("paths.export_annotations", "str", None, "--export-ann", ("tile",),
+     {"help": "write the tiled annotations here"}),
+    ("paths.output", "str", None, "--out", None,
+     {"help": "write the report here instead of stdout"}),
+    ("anchors.sizes", "floats", [16.0, 32.0, 64.0, 128.0, 256.0], "--sizes", _ANCHORS, {}),
+    ("anchors.aspect_ratios", "floats", [0.5, 1.0, 2.0], "--ratios", _ANCHORS, {}),
+    ("anchors.angles", "floats", [-90.0, 0.0, 90.0], "--angles", _ANCHORS, {}),
+    ("anchors.strides", "ints", [4, 8, 16, 32, 64], "--strides", _ANCHORS, {}),
+    ("anchors.offset", "float", 0.5, "--offset", _ANCHORS, {}),
+    ("anchors.shared_sizes", "bool", False, "--shared-sizes", _ANCHORS, {}),
+    ("anchors.fmap_dims", "pairs", None, "--fmap", _ANCHORS, {}),
+    ("anchors.image_size", "pair", [800, 800], "--image-size", _ANCHORS, {}),
+    ("cluster.k", "int", 4, "--k", ("cluster",), {}),
+    ("cluster.k_range", "ints", None, "--k-range", ("cluster",),
+     {"type": _k_range, "metavar": "LO:HI"}),
+    ("cluster.seed", "int", 0, "--seed", ("cluster",), {}),
+    ("cluster.restarts", "int", 10, "--restarts", ("cluster",), {}),
+    ("cluster.max_iters", "int", 100, "--max-iters", ("cluster",), {}),
+    ("cluster.init", "str", "kmeans++", "--init", ("cluster",),
+     {"choices": ["kmeans++", "random"]}),
+    ("cluster.synthetic", "int", None, "--synthetic", ("cluster",),
+     {"metavar": "N", "help": "use the bundled synthetic corpus of N boxes instead of --ann"}),
+    ("match.pos_iou", "float", 0.7, "--pos-iou", ("match",), {}),
+    ("match.neg_iou", "float", 0.3, "--neg-iou", ("match",), {}),
+    ("match.force_match", "bool", False, "--force-match", ("match",), {}),
+    ("augment.aug_id", "int", 1, "--aug-id", ("augment-replay",), {"choices": [1, 2, 3]}),
+    ("augment.seed", "int", 0, "--seed", ("augment-replay",), {}),
+    ("eval.max_dets", "int", 100, "--max-dets", ("eval",), {}),
+    ("eval.iou_thresholds", "floats", None, "--iou-thresholds", ("eval",), {}),
+    ("tile.tile_size", "int", 800, "--tile-size", ("tile",), {}),
+    ("tile.overlap", "int", 200, "--overlap", ("tile",), {}),
+    ("tile.min_visibility", "float", 0.25, "--min-visibility", ("tile",), {}),
+    ("loss.gamma", "float", 2.0, "--gamma", ("loss-check",), {}),
+    ("loss.seed", "int", 0, "--seed", ("loss-check",), {}),
+)
+_TAGS = {path: tag for path, tag, *_ in _OPTIONS}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="detforge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"detforge {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text, add_help=True)
+    for name, runner in _RUNNERS.items():
+        p = sub.add_parser(name, help=runner.__doc__)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--pretty", action="store_true", help="render a plain-text table")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count; DETFORGE_THREADS as fallback (results identical)")
-        return p
-
-    p = add("stats", "dataset imbalance and size statistics")
-    p.add_argument("--ann", help="annotations JSON")
-
-    p = add("tile", "split images into overlapping patches")
-    p.add_argument("--ann")
-    p.add_argument("--tile-size", type=int, default=None)
-    p.add_argument("--overlap", type=int, default=None)
-    p.add_argument("--min-visibility", type=float, default=None)
-    p.add_argument("--export-ann", default=None, help="write the tiled annotations here")
-
-    p = add("cluster", "k-means anchor sizing over GT boxes")
-    p.add_argument("--ann")
-    p.add_argument("--synthetic", type=int, default=None, metavar="N",
-                   help="use the bundled synthetic corpus of N boxes instead of --ann")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--k-range", type=_k_range, default=None, metavar="LO:HI")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--init", choices=["kmeans++", "random"], default=None)
-
-    def anchor_flags(p):
-        p.add_argument("--sizes", type=_comma_list(float), default=None)
-        p.add_argument("--ratios", type=_comma_list(float), default=None)
-        p.add_argument("--angles", type=_comma_list(float), default=None)
-        p.add_argument("--strides", type=_comma_list(int), default=None)
-        p.add_argument("--offset", type=float, default=None)
-        p.add_argument("--shared-sizes", action="store_const", const=True, default=None)
-        p.add_argument("--fmap", type=_fmap_list, default=None, metavar="WxH,WxH,...")
-        p.add_argument("--image-size", type=int, nargs=2, default=None, metavar=("W", "H"))
-
-    p = add("anchors", "generate the anchor grid and report counts")
-    anchor_flags(p)
-
-    p = add("match", "simulate anchor-to-GT matching on a dataset")
-    p.add_argument("--ann")
-    anchor_flags(p)
-    p.add_argument("--pos-iou", type=float, default=None)
-    p.add_argument("--neg-iou", type=float, default=None)
-    p.add_argument("--force-match", action="store_const", const=True, default=None)
-
-    p = add("eval", "COCO-protocol AP over a detections file")
-    p.add_argument("--ann")
-    p.add_argument("--dets")
-    p.add_argument("--max-dets", type=int, default=None)
-    p.add_argument("--iou-thresholds", type=_comma_list(float), default=None)
-
-    p = add("augment-replay", "sample augmentations per image, or replay records")
-    p.add_argument("--ann")
-    p.add_argument("--aug-id", type=int, default=None, choices=[1, 2, 3])
-    p.add_argument("--seed", dest="aug_seed", type=int, default=None)
-    p.add_argument("--records", default=None, help="replay this records file instead of sampling")
-    p.add_argument("--records-out", default=None, help="write sampled records here (JSON lines)")
-
-    p = add("loss-check", "gradient-check every loss on a seeded batch")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--seed", dest="loss_seed", type=int, default=None)
-
+        for path, tag, _, flag, commands, extra in _OPTIONS:
+            if commands is not None and name not in commands:
+                continue
+            kwargs = {**_TAG_KWARGS[tag], **extra}
+            if tag != "bool" and "choices" not in kwargs:
+                kwargs.setdefault("metavar", flag[2:].upper().replace("-", "_"))
+            p.add_argument(flag, dest=path, default=None, **kwargs)
     return parser
 
 
 def _default_config() -> dict:
-    def walk(node):
-        if isinstance(node, dict):
-            return {k: walk(v) for k, v in node.items()}
-        return copy.deepcopy(node[1])
-
-    config = walk(_SCHEMA)
-    config["loss"] = {k: v[1] for k, v in _LOSS_SCHEMA.items()}
+    config = {}
+    for path, _, default, *_ in _OPTIONS:
+        block, key = path.split(".")
+        config.setdefault(block, {})[key] = copy.deepcopy(default)
     return config
 
 
-def _default_provenance() -> dict:
-    out = {}
-
-    def walk(node, prefix):
-        for key, value in node.items():
-            path = f"{prefix}.{key}" if prefix else key
-            if isinstance(value, dict):
-                walk(value, path)
-            else:
-                out[path] = "default"
-
-    walk(_SCHEMA, "")
-    for key in _LOSS_SCHEMA:
-        out[f"loss.{key}"] = "default"
-    return out
+_SCALAR_CHECKS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+}
+# list tag -> (element tag, required length or None)
+_LIST_TAGS = {"floats": ("float", None), "ints": ("int", None),
+              "pair": ("int", 2), "pairs": ("pair", None)}
 
 
-def _schema_leaf(path: Tuple[str, ...]):
-    node = {**_SCHEMA, "loss": _LOSS_SCHEMA}
-    for part in path:
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return None if isinstance(node, dict) else node
+def _check(path: str, tag: str, value):
+    """Type-check one setting, element by element for lists.
 
-
-def _check_type(path: str, type_tag: str, value):
-    ok = {
-        "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "str": lambda v: isinstance(v, str),
-        "bool": lambda v: isinstance(v, bool),
-        "list": lambda v: isinstance(v, list),
-    }[type_tag](value)
-    if not ok:
-        raise ConfigTypeError(path, type_tag, value)
-    return float(value) if type_tag == "float" else value
-
-
-def _apply_file_config(config, provenance, file_config):
-    def walk(node, schema, target, prefix):
-        for key, value in node.items():
-            path = f"{prefix}.{key}" if prefix else key
-            if not isinstance(schema, dict) or key not in schema:
-                raise UnknownConfigKey(path)
-            if isinstance(schema[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigTypeError(path, "object", value)
-                walk(value, schema[key], target[key], path)
-            else:
-                if value is None:
-                    continue
-                target[key] = _check_type(path, schema[key][0], value)
-                provenance[path] = "file"
-
-    walk(file_config, {**_SCHEMA, "loss": _LOSS_SCHEMA}, config, "")
-
-
-def _apply_flags(config, provenance, args):
-    for dest, path in _FLAG_MAP.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        leaf = _schema_leaf(path)
-        node = config
-        for part in path[:-1]:
-            node = node[part]
-        if isinstance(value, tuple):
-            value = list(value)
-        if leaf is not None:
-            value = _check_type(".".join(path), leaf[0], value) if not isinstance(value, list) else value
-        node[path[-1]] = value
-        provenance[".".join(path)] = "flag"
+    Values under a float tag come back as floats, so an integer in a
+    config file echoes the same as the flag that parses it.
+    """
+    if tag in _LIST_TAGS:
+        element_tag, length = _LIST_TAGS[tag]
+        if not isinstance(value, list):
+            raise ConfigTypeError(path, "list", value)
+        if length is not None and len(value) != length:
+            raise ValidationError(
+                f"config key {path!r} expects {length} entries, got {len(value)}"
+            )
+        return [_check(f"{path}[{i}]", element_tag, v) for i, v in enumerate(value)]
+    if not _SCALAR_CHECKS[tag](value):
+        raise ConfigTypeError(path, tag, value)
+    if tag == "float":
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"config key {path!r} is out of float range")
+    return value
 
 
 def resolve_config(args) -> Tuple[dict, dict, Optional[str]]:
     """Merge defaults, config file, and flags; track per-field provenance."""
     config = _default_config()
-    provenance = _default_provenance()
+    provenance = dict.fromkeys(_TAGS, "default")
+    settings = []
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             file_config = json.load(fh)
         if not isinstance(file_config, dict):
             raise ValidationError("config file must hold a JSON object")
-        _apply_file_config(config, provenance, file_config)
-    _apply_flags(config, provenance, args)
-    if provenance["threads"] == "default" and os.environ.get("DETFORGE_THREADS"):
-        try:
-            config["threads"] = int(os.environ["DETFORGE_THREADS"])
-            provenance["threads"] = "env"
-        except ValueError:
-            raise ValidationError("DETFORGE_THREADS must be an integer")
+        for block, node in file_config.items():
+            if block not in config:
+                raise UnknownConfigKey(block)
+            if not isinstance(node, dict):
+                raise ConfigTypeError(block, "object", node)
+            for key, value in node.items():
+                path = f"{block}.{key}"
+                if path not in _TAGS:
+                    raise UnknownConfigKey(path)
+                settings.append((path, value, "file"))
+    settings += [(path, getattr(args, path, None), "flag") for path in _TAGS]
+    for path, value, source in settings:
+        if value is None:
+            continue
+        block, key = path.split(".")
+        config[block][key] = _check(path, _TAGS[path], value)
+        provenance[path] = source
     return config, provenance, config_path
 
 
@@ -384,7 +269,7 @@ def _anchor_pieces(config):
         shared_sizes=a["shared_sizes"],
     )
     if a["fmap_dims"] is not None:
-        fmap_dims = [(int(w), int(h)) for w, h in a["fmap_dims"]]
+        fmap_dims = [(w, h) for w, h in a["fmap_dims"]]
     else:
         iw, ih = a["image_size"]
         fmap_dims = [
@@ -394,6 +279,7 @@ def _anchor_pieces(config):
 
 
 def _run_stats(config, inputs):
+    """dataset imbalance and size statistics"""
     path = _require(config, "paths", "annotations", "--ann")
     inputs["annotations"] = path
     ds = load_dataset(path)
@@ -401,6 +287,7 @@ def _run_stats(config, inputs):
 
 
 def _run_tile(config, inputs):
+    """split images into overlapping patches"""
     path = _require(config, "paths", "annotations", "--ann")
     inputs["annotations"] = path
     ds = load_dataset(path)
@@ -424,6 +311,7 @@ def _run_tile(config, inputs):
 
 
 def _run_cluster(config, inputs):
+    """k-means anchor sizing over GT boxes"""
     c = config["cluster"]
     if c["synthetic"] is not None:
         boxes = synthetic_aerial_corpus(n=c["synthetic"])
@@ -452,6 +340,7 @@ def _run_cluster(config, inputs):
 
 
 def _run_anchors(config, inputs):
+    """generate the anchor grid and report counts"""
     spec, fmap_dims = _anchor_pieces(config)
     anchor_set = generate_anchors(spec, fmap_dims)
     return {
@@ -471,6 +360,7 @@ def _run_anchors(config, inputs):
 
 
 def _run_match(config, inputs):
+    """simulate anchor-to-GT matching on a dataset"""
     path = _require(config, "paths", "annotations", "--ann")
     inputs["annotations"] = path
     ds = load_dataset(path)
@@ -488,6 +378,7 @@ def _run_match(config, inputs):
 
 
 def _run_eval(config, inputs):
+    """COCO-protocol AP over a detections file"""
     ann_path = _require(config, "paths", "annotations", "--ann")
     det_path = _require(config, "paths", "detections", "--dets")
     inputs["annotations"] = ann_path
@@ -501,7 +392,34 @@ def _run_eval(config, inputs):
     return result.to_dict()
 
 
+# what a records entry of the wrong shape raises while it is read or replayed
+_RECORD_ERRORS = (KeyError, TypeError, ValueError, ArithmeticError)
+
+
+def _bad_records_line(path, lineno, exc) -> ValidationError:
+    return ValidationError(
+        f"{path} line {lineno}: malformed records entry ({type(exc).__name__}: {exc})"
+    )
+
+
+def _read_records(path) -> dict:
+    """Map image id -> (line number, records) for a JSON-lines records file."""
+    per_image = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            entry = json.loads(line)
+            try:
+                records = [TransformRecord.from_dict(d) for d in entry["records"]]
+                per_image[entry["image_id"]] = (lineno, records)
+            except _RECORD_ERRORS as exc:
+                raise _bad_records_line(path, lineno, exc)
+    return per_image
+
+
 def _run_augment_replay(config, inputs):
+    """sample augmentations per image, or replay records"""
     path = _require(config, "paths", "annotations", "--ann")
     inputs["annotations"] = path
     ds = load_dataset(path)
@@ -509,9 +427,7 @@ def _run_augment_replay(config, inputs):
     rows = []
     if records_path:
         inputs["records"] = records_path
-        with open(records_path, "r", encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        per_image = {entry["image_id"]: entry["records"] for entry in lines}
+        per_image = _read_records(records_path)
         mode = "replay"
     else:
         per_image = None
@@ -523,8 +439,11 @@ def _run_augment_replay(config, inputs):
         boxes = [inst.bbox for inst in ds.instances_by_image.get(image.id, [])]
         geom = ImageGeom(image.width, image.height)
         if per_image is not None:
-            records = [TransformRecord.from_dict(d) for d in per_image.get(image.id, [])]
-            new_boxes, new_geom = replay(records, boxes, geom)
+            lineno, records = per_image.get(image.id, (None, []))
+            try:
+                new_boxes, new_geom = replay(records, boxes, geom)
+            except _RECORD_ERRORS as exc:
+                raise _bad_records_line(records_path, lineno, exc)
         else:
             new_boxes, new_geom, records = pipe.apply(boxes, geom)
         record_dicts = [r.to_dict() for r in records]
@@ -553,6 +472,7 @@ def _run_augment_replay(config, inputs):
 
 
 def _run_loss_check(config, inputs):
+    """gradient-check every loss on a seeded batch"""
     gamma = config["loss"]["gamma"]
     seed = config["loss"]["seed"]
     rng = np.random.default_rng(seed)
@@ -638,11 +558,9 @@ def dispatch(args) -> int:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        if args.pretty:
-            sys.stdout.write("\n".join(_pretty_lines(result)) + "\n")
-    elif args.pretty:
+    if args.pretty:
         sys.stdout.write("\n".join(_pretty_lines(result)) + "\n")
-    else:
+    elif not out_path:
         sys.stdout.write(text)
     if isinstance(result, dict) and result.get("passed") is False:
         return 1

@@ -184,6 +184,10 @@ def coco_map(
     )
     if not thresholds:
         raise ValidationError("at least one IoU threshold required")
+    if not all(math.isfinite(t) and 0.0 <= t <= 1.0 for t in thresholds):
+        raise ValidationError(
+            f"IoU thresholds must be finite and in [0, 1], got {list(thresholds)}"
+        )
     for d in dets:
         if d.image_id not in ds.image_by_id:
             raise DanglingReference(f"detection {d.source_index}", "image", d.image_id)

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from detforge.cli import main
+from detforge.cli import _OPTIONS, _RUNNERS, build_parser, main, resolve_config
 
 
 def run(capsys, *argv):
@@ -18,6 +19,15 @@ def run_json(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0, err
     return json.loads(out)
+
+
+def run_rejected(capsys, *argv):
+    """Run a command that must fail validation; return its one-line stderr."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 @pytest.fixture
@@ -113,17 +123,80 @@ class TestConfigResolution:
         assert rc == 1
         assert "'cluster.k' expects int, got list" in err
 
-    def test_threads_env_fallback(self, capsys, tiny_path, monkeypatch):
-        monkeypatch.setenv("DETFORGE_THREADS", "4")
-        report = run_json(capsys, "stats", "--ann", tiny_path)
-        assert report["config"]["threads"] == 4
-        assert report["provenance"]["threads"] == "env"
+    def test_there_is_no_threads_setting(self, capsys, tiny_path, tmp_path):
+        rc, _, _ = run(capsys, "stats", "--ann", tiny_path, "--threads", "2")
+        assert rc == 64
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": 1}))
+        err = run_rejected(capsys, "stats", "--config", str(cfg), "--ann", tiny_path)
+        assert "'threads'" in err
 
-    def test_threads_flag_beats_env(self, capsys, tiny_path, monkeypatch):
-        monkeypatch.setenv("DETFORGE_THREADS", "4")
-        report = run_json(capsys, "stats", "--ann", tiny_path, "--threads", "2")
-        assert report["config"]["threads"] == 2
-        assert report["provenance"]["threads"] == "flag"
+    @pytest.mark.parametrize("file_config,key", [
+        ({"anchors": {"sizes": ["a"]}}, "anchors.sizes[0]"),
+        ({"anchors": {"sizes": [16, None]}}, "anchors.sizes[1]"),
+        ({"anchors": {"sizes": [10**400]}}, "anchors.sizes[0]"),
+        ({"anchors": {"image_size": [800]}}, "anchors.image_size"),
+        ({"anchors": {"fmap_dims": [[1]]}}, "anchors.fmap_dims[0]"),
+        ({"anchors": {"strides": [4.5, 8, 16, 32, 64]}}, "anchors.strides[0]"),
+        ({"eval": {"iou_thresholds": ["x"]}}, "eval.iou_thresholds[0]"),
+        ({"cluster": {"k_range": ["x"]}}, "cluster.k_range[0]"),
+    ])
+    def test_bad_list_element_is_named(self, capsys, tmp_path, file_config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_config))
+        err = run_rejected(capsys, "anchors", "--config", str(cfg))
+        assert f"'{key}'" in err
+
+
+def _sample(tag, extra, path):
+    """A non-default value for one option: (flag tokens, the same value in JSON)."""
+    if path == "cluster.k_range":
+        return ["3:5"], [3, 4, 5]
+    if "choices" in extra:
+        return [str(extra["choices"][-1])], extra["choices"][-1]
+    return {
+        "str": (["x.json"], "x.json"),
+        "int": (["3"], 3),
+        "float": (["0.125"], 0.125),
+        "bool": ([], True),
+        # the file's integer 2 must echo as 2.0, as the flag's does
+        "floats": (["1.5,2"], [1.5, 2]),
+        "ints": (["3,5"], [3, 5]),
+        "pair": (["640", "480"], [640, 480]),
+        "pairs": (["10x20,5x6"], [[10, 20], [5, 6]]),
+    }[tag]
+
+
+class TestOptionsTable:
+    @pytest.mark.parametrize("path,tag,default,flag,command,extra", [
+        pytest.param(path, tag, default, flag, command, extra, id=f"{command} {flag}")
+        for path, tag, default, flag, commands, extra in _OPTIONS
+        for command in (commands or _RUNNERS)
+    ])
+    def test_flag_and_file_set_the_same_value(
+        self, tmp_path, path, tag, default, flag, command, extra
+    ):
+        tokens, value = _sample(tag, extra, path)
+        block, key = path.split(".")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({block: {key: value}}))
+        parser = build_parser()
+        by_flag = resolve_config(parser.parse_args([command, flag, *tokens]))
+        by_file = resolve_config(parser.parse_args([command, "--config", str(cfg)]))
+        assert by_flag[0][block][key] == value != default
+        assert json.dumps(by_flag[0], sort_keys=True) == json.dumps(by_file[0], sort_keys=True)
+        for (_, provenance, _), source in ((by_flag, "flag"), (by_file, "file")):
+            assert provenance == {**dict.fromkeys(provenance, "default"), path: source}
+
+    @pytest.mark.parametrize("command", list(_RUNNERS))
+    def test_help_lists_every_flag(self, capsys, command):
+        rc, out, _ = run(capsys, command, "--help")
+        assert rc == 0
+        expected = {"--help", "--config", "--pretty"} | {
+            flag for _, _, _, flag, commands, _ in _OPTIONS
+            if commands is None or command in commands
+        }
+        assert set(re.findall(r"--[\w-]+", out)) == expected
 
 
 class TestExitCodes:
@@ -175,6 +248,31 @@ class TestExitCodes:
             assert rc == 1
             assert out == ""
             assert err.count("\n") == 1 and where in err
+
+    @pytest.mark.parametrize("thresholds", ["nan", "2.0", "-1", "0.5,inf"])
+    def test_iou_thresholds_outside_unit_interval(self, capsys, tiny_path, data_dir,
+                                                  thresholds):
+        err = run_rejected(capsys, "eval", "--ann", tiny_path,
+                           "--dets", str(data_dir / "tiny_perfect_dets.json"),
+                           f"--iou-thresholds={thresholds}")
+        assert "IoU thresholds" in err
+
+    @pytest.mark.parametrize("bad_line", [
+        [1, 2],
+        {"image_id": 1},
+        {"image_id": 1, "records": 5},
+        {"image_id": [1], "records": []},
+        {"image_id": 2, "records": [{"kind": "resize", "params": {}}]},
+        {"image_id": 2, "records": [{"kind": "crop_resize", "params": {
+            "crop_x": 0, "crop_y": 0, "crop_size": 0, "out_size": 8, "min_visibility": 0.5}}]},
+    ])
+    def test_malformed_records_line_is_named(self, capsys, tiny_path, tmp_path, bad_line):
+        good = {"image_id": 1, "records": [{"kind": "flip", "params": {}}]}
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(good) + "\n\n" + json.dumps(bad_line) + "\n")
+        err = run_rejected(capsys, "augment-replay", "--ann", tiny_path,
+                           "--records", str(records))
+        assert f"{records} line 3: " in err
 
     def test_version(self, capsys):
         rc, out, _ = run(capsys, "--version")

@@ -229,6 +229,15 @@ class TestCocoMap:
         with pytest.raises(DanglingReference):
             coco_map([det(1, 99, 0, 0, 10, 10, 0.9)], mixed_dataset)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.0, -1.0])
+    def test_thresholds_must_be_finite_and_in_unit_interval(
+        self, mixed_dataset, mixed_detections, bad
+    ):
+        with pytest.raises(ValidationError, match="IoU thresholds"):
+            coco_map(mixed_detections, mixed_dataset, iou_thresholds=[0.5, bad])
+        # the interval is closed: both ends are legal thresholds
+        coco_map(mixed_detections, mixed_dataset, iou_thresholds=[0.0, 1.0])
+
     def test_max_dets_keeps_top_scores_per_image(self, mixed_dataset):
         dets = [
             det(1, 1, 0, 0, 10, 10, 0.9, src=0),         # true hit
