@@ -55,7 +55,6 @@ from .evaluation import (
     EvalResult,
     average_precision,
     coco_map,
-    greedy_match,
     load_detections,
 )
 from .geometry import (

@@ -224,14 +224,17 @@ def load_dataset(path) -> Dataset:
         if clamped != box:
             n_clipped += 1
             box = clamped
-        area = float(rec["area"]) if "area" in rec else box.area
+        area = rec.get("area", box.area)
+        # a NaN area would fall out of every size slice without a word
+        if not (type(area) in (int, float) and 0 <= area <= sys.float_info.max):
+            raise ValidationError(f"{where}.area must be a finite non-negative number")
         instances.append(
             Instance(
                 id=ann_id,
                 image_id=image_id,
                 category_id=category_id,
                 bbox=box,
-                area=area,
+                area=float(area),
                 ignore=bool(rec.get("iscrowd", 0)),
             )
         )

@@ -402,19 +402,35 @@ def _bad_records_line(path, lineno, exc) -> ValidationError:
     )
 
 
-def _read_records(path) -> dict:
-    """Map image id -> (line number, records) for a JSON-lines records file."""
+def _read_records(path, image_ids) -> dict:
+    """Map image id -> (line number, records) for a JSON-lines records file.
+
+    Every line must name one of ``image_ids`` by its integer id.
+    """
     per_image = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+        text = fh.read()
+    start = 0
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line_start, start = start, start + len(line) + 1
+        if not line.strip():
+            continue
+        try:
             entry = json.loads(line)
-            try:
-                records = [TransformRecord.from_dict(d) for d in entry["records"]]
-                per_image[entry["image_id"]] = (lineno, records)
-            except _RECORD_ERRORS as exc:
-                raise _bad_records_line(path, lineno, exc)
+        except json.JSONDecodeError as exc:
+            # re-raised against the whole file, so it names the file's line
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", text, line_start + exc.pos) from None
+        try:
+            image_id = entry["image_id"]
+            records = [TransformRecord.from_dict(d) for d in entry["records"]]
+        except _RECORD_ERRORS as exc:
+            raise _bad_records_line(path, lineno, exc)
+        if type(image_id) is not int or image_id not in image_ids:
+            raise ValidationError(
+                f"{path} line {lineno}: image_id {image_id!r} is not the id of an image "
+                "in the dataset"
+            )
+        per_image[image_id] = (lineno, records)
     return per_image
 
 
@@ -427,7 +443,7 @@ def _run_augment_replay(config, inputs):
     rows = []
     if records_path:
         inputs["records"] = records_path
-        per_image = _read_records(records_path)
+        per_image = _read_records(records_path, ds.image_by_id)
         mode = "replay"
     else:
         per_image = None

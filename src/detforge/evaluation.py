@@ -20,7 +20,7 @@ import numpy as np
 
 from .annotations import Dataset, MEDIUM_AREA_MAX, SMALL_AREA_MAX, parse_xywh
 from .errors import DanglingReference, MissingKey, ValidationError
-from .geometry import BBox, from_xywh, iou
+from .geometry import BBox, from_xywh, iou_matrix
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 MAX_DETS_PER_IMAGE = 100
@@ -76,6 +76,15 @@ def load_detections(path) -> List[Detection]:
         for key in ("image_id", "category_id", "bbox", "score"):
             if key not in entry:
                 raise MissingKey(f"detections[{i}].{key}")
+        for key, kind, types in (
+            ("image_id", "an integer", (int,)),
+            ("category_id", "an integer", (int,)),
+            ("score", "a number", (int, float)),
+        ):
+            if type(entry[key]) not in types:
+                raise ValidationError(
+                    f"detections[{i}].{key} must be {kind}, got {type(entry[key]).__name__}"
+                )
         out.append(
             Detection(
                 image_id=entry["image_id"],
@@ -86,47 +95,6 @@ def load_detections(path) -> List[Detection]:
             )
         )
     return out
-
-
-def greedy_match(
-    det_boxes: Sequence[BBox],
-    gt_boxes: Sequence[BBox],
-    gt_ignore: Optional[Sequence[bool]],
-    iou_thr: float,
-) -> np.ndarray:
-    """Flags per detection: 1 TP, 0 FP, -1 excluded by an ignore GT.
-
-    Detections must already be sorted by descending score (ties by
-    ascending source index). Each detection takes the unmatched
-    non-ignore GT with the highest IoU at or above the threshold, ties
-    to the lowest GT index. A detection with no such match that still
-    reaches the threshold against some ignore-flagged GT is excluded
-    from scoring; ignore GTs can absorb any number of detections.
-    """
-    if gt_ignore is None:
-        gt_ignore = [False] * len(gt_boxes)
-    flags = np.zeros(len(det_boxes), dtype=np.int8)
-    matched = [False] * len(gt_boxes)
-    for i, db in enumerate(det_boxes):
-        best_j = -1
-        best_v = -1.0
-        for j, gb in enumerate(gt_boxes):
-            if gt_ignore[j] or matched[j]:
-                continue
-            v = iou(db, gb)
-            if v >= iou_thr and v > best_v:
-                best_v = v
-                best_j = j
-        if best_j >= 0:
-            flags[i] = 1
-            matched[best_j] = True
-            continue
-        absorbed = any(
-            gt_ignore[j] and iou(db, gb) >= iou_thr
-            for j, gb in enumerate(gt_boxes)
-        )
-        flags[i] = -1 if absorbed else 0
-    return flags
 
 
 def average_precision(flags, scores, n_gt: int) -> float:
@@ -168,6 +136,72 @@ _SLICES = (
 )
 
 
+# Bounds on one lock-step chunk: the (image, class) groups it holds and
+# the cells of its padded (groups, dets, GTs) IoU block. A group bigger
+# than the cell bound is matched alone.
+_CHUNK_GROUPS = 128
+_CHUNK_CELLS = 1 << 16
+
+
+def _corners(boxes: Sequence[BBox]) -> np.ndarray:
+    """(N, 4) corner-form array of boxes, without a list of tuples."""
+    coords = (v for b in boxes for v in b.as_tuple())
+    return np.fromiter(coords, dtype=np.float64, count=4 * len(boxes)).reshape(-1, 4)
+
+
+def _chunks(n_dets: np.ndarray, n_gts: np.ndarray):
+    """Group indices by descending det count, cut into bounded chunks."""
+    chunk, g_max = [], 1
+    for i in np.argsort(-n_dets, kind="stable").tolist():
+        g = max(g_max, int(n_gts[i]))
+        # the chunk's first group has its most dets
+        if chunk and (
+            len(chunk) == _CHUNK_GROUPS
+            or (len(chunk) + 1) * int(n_dets[chunk[0]]) * g > _CHUNK_CELLS
+        ):
+            yield chunk
+            chunk, g = [], max(int(n_gts[i]), 1)
+        chunk.append(i)
+        g_max = g
+    if chunk:
+        yield chunk
+
+
+def _lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.ndarray:
+    """Greedy-match flags for a chunk of groups, every slice and threshold.
+
+    ``ious`` is the (N, D, G) IoU block of N groups sorted by descending
+    det count ``n_dets``, each padded at the tail of both axes. Per slice,
+    ``in_slice`` (S, N, D) marks the dets that take part, ``live``
+    (S, N, G) the GTs a det may match and ``absorbing`` (S, N, G) the
+    ignore GTs (crowd or out of the slice). Returns (S, T, N, D) flags:
+    1 TP, 0 FP, -1 excluded (absorbed, out of the slice, or padding).
+
+    Step k matches the k-th det of every group at once; each takes the
+    unmatched live GT with the highest IoU at or above the threshold,
+    ties to the lowest GT index, or failing that is absorbed if it
+    reaches the threshold against an ignore GT. Only the groups with
+    more than k dets, a prefix, take part in step k.
+    """
+    n_slices, n_groups, d_max = in_slice.shape
+    thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
+    flags = np.full((n_slices, len(thr), n_groups, d_max), -1, dtype=np.int8)
+    matched = np.zeros((n_slices, len(thr), n_groups, ious.shape[2]), dtype=bool)
+    for k in range(d_max):
+        n = int(np.count_nonzero(n_dets > k))
+        v = ious[:n, k]
+        reach = v >= thr
+        cand = reach & live[:, None, :n] & ~matched[:, :, :n]
+        best = np.where(cand, v, -1.0).argmax(axis=-1)
+        here = in_slice[:, None, :n, k]
+        hit = cand.any(axis=-1) & here
+        s, t, g = np.nonzero(hit)
+        matched[s, t, g, best[hit]] = True
+        absorbed = (reach & absorbing[:, None, :n]).any(axis=-1)
+        flags[:, :, :n, k] = np.where(hit, 1, np.where(absorbed | ~here, -1, 0))
+    return flags
+
+
 def coco_map(
     dets: Sequence[Detection],
     ds: Dataset,
@@ -178,6 +212,8 @@ def coco_map(
 
     Size slices turn out-of-slice GTs into ignore entries and drop
     out-of-slice detections by their own box area before matching.
+    Each (image, class) group gets one IoU matrix, and the greedy match
+    of every slice and threshold runs on it in lock step.
     """
     thresholds = (
         IOU_THRESHOLDS if iou_thresholds is None else tuple(float(t) for t in iou_thresholds)
@@ -209,43 +245,82 @@ def coco_map(
     for inst in ds.instances:
         gt_groups[(inst.image_id, inst.category_id)].append(inst)
     class_ids = sorted(ds.category_by_id)
-    image_ids = sorted(ds.image_by_id)
 
-    def class_threshold_aps(cat: int, lo: float, hi: float):
-        """Per-threshold AP list for one class and slice, or None if no GT."""
-        n_gt = sum(
-            1
-            for image_id in image_ids
-            for g in gt_groups.get((image_id, cat), [])
-            if not g.ignore and lo <= g.area < hi
+    # Flat det and GT arrays in (image, class) group order, dets ranked
+    # within their group; only groups with dets are matched.
+    keys = sorted(det_groups)
+    group_dets = [det_groups[key] for key in keys]
+    group_gts = [gt_groups.get(key, []) for key in keys]
+    flat_dets = [d for group in group_dets for d in group]
+    flat_gts = [g for group in group_gts for g in group]
+    det_boxes = _corners([d.bbox for d in flat_dets])
+    gt_boxes = _corners([g.bbox for g in flat_gts])
+    scores = np.array([d.score for d in flat_dets], dtype=np.float64)
+    n_det = np.array([len(group) for group in group_dets], dtype=np.int64)
+    n_gt = np.array([len(group) for group in group_gts], dtype=np.int64)
+    det_start = np.concatenate(([0], np.cumsum(n_det)))
+    gt_start = np.concatenate(([0], np.cumsum(n_gt)))
+
+    lo = np.array([sl[1] for sl in _SLICES])[:, None]
+    hi = np.array([sl[2] for sl in _SLICES])[:, None]
+    det_area = (det_boxes[:, 2] - det_boxes[:, 0]) * (det_boxes[:, 3] - det_boxes[:, 1])
+    det_in = (lo <= det_area) & (det_area < hi)
+    gt_area = np.array([g.area for g in flat_gts], dtype=np.float64)
+    gt_crowd = np.array([g.ignore for g in flat_gts], dtype=bool)
+    # one trailing False column stands in for the GT padding of a chunk
+    gt_live = np.zeros((len(_SLICES), len(flat_gts) + 1), dtype=bool)
+    gt_live[:, :-1] = ~gt_crowd & (lo <= gt_area) & (gt_area < hi)
+
+    flags = np.full((len(_SLICES), len(thresholds), len(flat_dets)), -1, dtype=np.int8)
+    for chunk in _chunks(n_det, n_gt):
+        rows = np.array(chunk)
+        d_max = int(n_det[rows].max())
+        g_max = max(int(n_gt[rows].max()), 1)
+        d_valid = np.arange(d_max) < n_det[rows, None]
+        g_valid = np.arange(g_max) < n_gt[rows, None]
+        d_idx = np.where(d_valid, det_start[rows, None] + np.arange(d_max), 0)
+        g_idx = np.where(g_valid, gt_start[rows, None] + np.arange(g_max), len(flat_gts))
+        ious = np.zeros((len(chunk), d_max, g_max))
+        for r, i in enumerate(chunk):
+            if n_gt[i]:
+                ious[r, : n_det[i], : n_gt[i]] = iou_matrix(
+                    det_boxes[det_start[i] : det_start[i + 1]],
+                    gt_boxes[gt_start[i] : gt_start[i + 1]],
+                )
+        chunk_flags = _lockstep_flags(
+            ious,
+            n_det[rows],
+            det_in[:, d_idx] & d_valid,
+            gt_live[:, g_idx],
+            ~gt_live[:, g_idx] & g_valid,
+            thresholds,
         )
-        if n_gt == 0:
+        flags[:, :, d_idx[d_valid]] = chunk_flags[:, :, d_valid]
+
+    # Pool per class in one (-score, source index) order; a stable sort
+    # keeps image order, then rank order, between equal keys.
+    order = np.lexsort(
+        (np.array([d.source_index for d in flat_dets], dtype=np.int64), -scores)
+    )
+    det_class = np.array([d.category_id for d in flat_dets], dtype=np.int64)
+    class_order = {c: order[det_class[order] == c] for c in class_ids}
+    inst_area = np.array([g.area for g in ds.instances], dtype=np.float64)
+    inst_class = np.array([g.category_id for g in ds.instances], dtype=np.int64)
+    inst_live = np.array([not g.ignore for g in ds.instances], dtype=bool) & (
+        (lo <= inst_area) & (inst_area < hi)
+    )
+
+    def class_threshold_aps(cat: int, s: int):
+        """Per-threshold AP list for one class and slice, or None if no GT."""
+        n_gt_cat = int(np.count_nonzero(inst_live[s] & (inst_class == cat)))
+        if n_gt_cat == 0:
             return None
+        idx = class_order[cat]
         aps = []
-        for thr in thresholds:
-            pooled = []
-            for image_id in image_ids:
-                dts = [
-                    d
-                    for d in det_groups.get((image_id, cat), [])
-                    if lo <= d.bbox.area < hi
-                ]
-                gts = gt_groups.get((image_id, cat), [])
-                gt_ignore = [g.ignore or not (lo <= g.area < hi) for g in gts]
-                flags = greedy_match(
-                    [d.bbox for d in dts], [g.bbox for g in gts], gt_ignore, thr
-                )
-                pooled.extend(
-                    (d.score, d.source_index, int(f))
-                    for d, f in zip(dts, flags)
-                    if f >= 0
-                )
-            pooled.sort(key=lambda p: (-p[0], p[1]))
-            aps.append(
-                average_precision(
-                    [p[2] for p in pooled], [p[0] for p in pooled], n_gt
-                )
-            )
+        for t in range(len(thresholds)):
+            f = flags[s, t, idx]
+            keep = f >= 0
+            aps.append(average_precision(f[keep], scores[idx][keep], n_gt_cat))
         return aps
 
     def mean_or_sentinel(values):
@@ -255,8 +330,8 @@ def coco_map(
     slice_ap = {}
     per_class_all = {}
     ap50 = ap75 = -1.0
-    for name, lo, hi in _SLICES:
-        per_class = {c: class_threshold_aps(c, lo, hi) for c in class_ids}
+    for s, (name, _, _) in enumerate(_SLICES):
+        per_class = {c: class_threshold_aps(c, s) for c in class_ids}
         slice_ap[name] = mean_or_sentinel(
             [float(np.mean(aps)) if aps is not None else None for aps in per_class.values()]
         )

@@ -274,6 +274,53 @@ class TestExitCodes:
                            "--records", str(records))
         assert f"{records} line 3: " in err
 
+    @pytest.mark.parametrize("area", [float("nan"), float("inf"), -1, "100", None])
+    def test_bad_area_rejected_at_load(self, capsys, tmp_path, data_dir, area):
+        ann = json.loads((data_dir / "eval_mixed_ann.json").read_text())
+        ann["annotations"][1]["area"] = area
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        err = run_rejected(capsys, "eval", "--ann", str(ann_path),
+                           "--dets", str(data_dir / "eval_mixed_dets.json"))
+        assert "annotations[1].area" in err
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("category_id", "1", "an integer"), ("image_id", 1.0, "an integer"),
+        ("image_id", True, "an integer"), ("category_id", None, "an integer"),
+        ("score", "high", "a number"), ("score", True, "a number"),
+    ])
+    def test_detection_fields_must_have_json_number_types(self, capsys, tmp_path, data_dir,
+                                                          key, value, kind):
+        dets = json.loads((data_dir / "eval_mixed_dets.json").read_text())
+        dets[2][key] = value
+        dets_path = tmp_path / "dets.json"
+        dets_path.write_text(json.dumps(dets))
+        err = run_rejected(capsys, "eval", "--ann", str(data_dir / "eval_mixed_ann.json"),
+                           "--dets", str(dets_path))
+        assert f"detections[2].{key} must be {kind}" in err
+
+    @pytest.mark.parametrize("image_id", ["1", 999, 1.0])
+    def test_records_line_must_name_a_dataset_image(self, capsys, tiny_path, tmp_path,
+                                                    image_id):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            json.dumps({"image_id": 2, "records": []}) + "\n"
+            + json.dumps({"image_id": image_id, "records": [{"kind": "flip", "params": {}}]})
+            + "\n"
+        )
+        err = run_rejected(capsys, "augment-replay", "--ann", tiny_path,
+                           "--records", str(records))
+        assert f"{records} line 2: image_id {image_id!r} is not the id of an image" in err
+
+    def test_non_json_records_line_names_its_file_line(self, capsys, tiny_path, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"image_id": 1, "records": []}) + "\n\n{bad\n")
+        rc, out, err = run(capsys, "augment-replay", "--ann", tiny_path,
+                           "--records", str(records))
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(records) in err and "line 3 column 2" in err
+
     def test_version(self, capsys):
         rc, out, _ = run(capsys, "--version")
         assert rc == 0

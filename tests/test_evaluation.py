@@ -1,17 +1,30 @@
 import json
+import math
+import tracemalloc
+from collections import defaultdict
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
-from detforge.annotations import load_dataset
+from detforge import evaluation
+from detforge.annotations import (
+    MEDIUM_AREA_MAX,
+    SMALL_AREA_MAX,
+    Category,
+    Dataset,
+    ImageRecord,
+    Instance,
+    load_dataset,
+)
 from detforge.errors import DanglingReference, MissingKey, ValidationError
 from detforge.evaluation import (
     IOU_THRESHOLDS,
     MAX_DETS_PER_IMAGE,
     Detection,
+    EvalResult,
     average_precision,
     coco_map,
-    greedy_match,
     load_detections,
 )
 from detforge.geometry import BBox, from_xywh, iou
@@ -23,6 +36,164 @@ def det(image_id, cat, x, y, w, h, score, src=0):
 
 def box(x0, y0, x1, y1):
     return BBox(float(x0), float(y0), float(x1), float(y1))
+
+
+# ------------------------------------------------------------------ oracle
+# The scalar evaluator that coco_map replaced: per (class, slice,
+# threshold) it walks every image and greedy-matches with scalar IoU.
+# coco_map must agree with it exactly.
+
+
+def greedy_match(
+    det_boxes: Sequence[BBox],
+    gt_boxes: Sequence[BBox],
+    gt_ignore: Optional[Sequence[bool]],
+    iou_thr: float,
+) -> np.ndarray:
+    """Flags per detection: 1 TP, 0 FP, -1 excluded by an ignore GT.
+
+    Detections must already be sorted by descending score (ties by
+    ascending source index). Each detection takes the unmatched
+    non-ignore GT with the highest IoU at or above the threshold, ties
+    to the lowest GT index. A detection with no such match that still
+    reaches the threshold against some ignore-flagged GT is excluded
+    from scoring; ignore GTs can absorb any number of detections.
+    """
+    if gt_ignore is None:
+        gt_ignore = [False] * len(gt_boxes)
+    flags = np.zeros(len(det_boxes), dtype=np.int8)
+    matched = [False] * len(gt_boxes)
+    for i, db in enumerate(det_boxes):
+        best_j = -1
+        best_v = -1.0
+        for j, gb in enumerate(gt_boxes):
+            if gt_ignore[j] or matched[j]:
+                continue
+            v = iou(db, gb)
+            if v >= iou_thr and v > best_v:
+                best_v = v
+                best_j = j
+        if best_j >= 0:
+            flags[i] = 1
+            matched[best_j] = True
+            continue
+        absorbed = any(
+            gt_ignore[j] and iou(db, gb) >= iou_thr
+            for j, gb in enumerate(gt_boxes)
+        )
+        flags[i] = -1 if absorbed else 0
+    return flags
+
+
+def scalar_coco_map(
+    dets: Sequence[Detection],
+    ds: Dataset,
+    max_dets: int = MAX_DETS_PER_IMAGE,
+    iou_thresholds: Optional[Sequence[float]] = None,
+) -> EvalResult:
+    thresholds = (
+        IOU_THRESHOLDS if iou_thresholds is None else tuple(float(t) for t in iou_thresholds)
+    )
+    by_image = defaultdict(list)
+    for d in dets:
+        by_image[d.image_id].append(d)
+    det_groups = defaultdict(list)
+    n_detections = 0
+    for image_id in sorted(by_image):
+        ranked = sorted(by_image[image_id], key=lambda d: (-d.score, d.source_index))
+        for d in ranked[: max_dets if max_dets > 0 else None]:
+            det_groups[(d.image_id, d.category_id)].append(d)
+            n_detections += 1
+
+    gt_groups = defaultdict(list)
+    for inst in ds.instances:
+        gt_groups[(inst.image_id, inst.category_id)].append(inst)
+    class_ids = sorted(ds.category_by_id)
+    image_ids = sorted(ds.image_by_id)
+
+    def class_threshold_aps(cat: int, lo: float, hi: float):
+        n_gt = sum(
+            1
+            for image_id in image_ids
+            for g in gt_groups.get((image_id, cat), [])
+            if not g.ignore and lo <= g.area < hi
+        )
+        if n_gt == 0:
+            return None
+        aps = []
+        for thr in thresholds:
+            pooled = []
+            for image_id in image_ids:
+                dts = [
+                    d
+                    for d in det_groups.get((image_id, cat), [])
+                    if lo <= d.bbox.area < hi
+                ]
+                gts = gt_groups.get((image_id, cat), [])
+                gt_ignore = [g.ignore or not (lo <= g.area < hi) for g in gts]
+                flags = greedy_match(
+                    [d.bbox for d in dts], [g.bbox for g in gts], gt_ignore, thr
+                )
+                pooled.extend(
+                    (d.score, d.source_index, int(f))
+                    for d, f in zip(dts, flags)
+                    if f >= 0
+                )
+            pooled.sort(key=lambda p: (-p[0], p[1]))
+            aps.append(
+                average_precision(
+                    [p[2] for p in pooled], [p[0] for p in pooled], n_gt
+                )
+            )
+        return aps
+
+    def mean_or_sentinel(values):
+        values = [v for v in values if v is not None]
+        return float(np.mean(values)) if values else -1.0
+
+    slice_ap = {}
+    per_class_all = {}
+    ap50 = ap75 = -1.0
+    for name, lo, hi in (
+        ("all", 0.0, math.inf),
+        ("small", 0.0, SMALL_AREA_MAX),
+        ("medium", SMALL_AREA_MAX, MEDIUM_AREA_MAX),
+        ("large", MEDIUM_AREA_MAX, math.inf),
+    ):
+        per_class = {c: class_threshold_aps(c, lo, hi) for c in class_ids}
+        slice_ap[name] = mean_or_sentinel(
+            [float(np.mean(aps)) if aps is not None else None for aps in per_class.values()]
+        )
+        if name == "all":
+            per_class_all = {
+                c: (float(np.mean(aps)) if aps is not None else -1.0)
+                for c, aps in per_class.items()
+            }
+            for target, attr_value in ((0.5, "ap50"), (0.75, "ap75")):
+                if target in thresholds:
+                    t_idx = thresholds.index(target)
+                    value = mean_or_sentinel(
+                        [
+                            aps[t_idx] if aps is not None else None
+                            for aps in per_class.values()
+                        ]
+                    )
+                    if attr_value == "ap50":
+                        ap50 = value
+                    else:
+                        ap75 = value
+
+    return EvalResult(
+        ap=slice_ap["all"],
+        ap50=ap50,
+        ap75=ap75,
+        ap_small=slice_ap["small"],
+        ap_medium=slice_ap["medium"],
+        ap_large=slice_ap["large"],
+        per_class_ap=per_class_all,
+        n_gt=sum(1 for inst in ds.instances if not inst.ignore),
+        n_detections=n_detections,
+    )
 
 
 class TestDetection:
@@ -289,3 +460,206 @@ class TestCocoMap:
     def test_result_serializes_with_string_class_keys(self, mixed_dataset, mixed_detections):
         blob = coco_map(mixed_detections, mixed_dataset).to_dict()
         assert set(blob["per_class_ap"]) == {"1", "2"}
+
+
+def random_case(rng, n_images, n_classes, max_gts, max_dets):
+    """A small dataset and detections that hit the matcher's edge cases.
+
+    Boxes sit on a coarse grid, so equal IoUs (also between two GTs) and
+    exact slice-boundary areas (32^2, 96^2) are common; extents include
+    zero. Scores come from a short list, so ties are common too. GTs are
+    sometimes crowd, sometimes duplicated, and sometimes carry an
+    ``area`` that is not their box area.
+    """
+    extents = (0, 1, 8, 16, 32, 33, 64, 96, 97)
+    corners = (0, 8, 16, 32)
+
+    def rand_box():
+        x, y = rng.choice(corners, 2)
+        w, h = rng.choice(extents, 2)
+        return from_xywh(float(x), float(y), float(w), float(h))
+
+    images = tuple(ImageRecord(i, 200, 200, f"{i}.png") for i in range(1, n_images + 1))
+    categories = tuple(Category(c, f"c{c}") for c in range(1, n_classes + 1))
+    instances = []
+    for image in images:
+        for _ in range(int(rng.integers(0, max_gts + 1))):
+            b = rand_box()
+            if instances and instances[-1].image_id == image.id and rng.random() < 0.3:
+                # a twin of the last GT, or its transpose about the same
+                # corner: a square det on that corner ties between them
+                t = instances[-1].bbox
+                b = t if rng.random() < 0.5 else from_xywh(t.x_min, t.y_min, t.height, t.width)
+            area = float(rng.choice([b.area, b.area, SMALL_AREA_MAX, MEDIUM_AREA_MAX,
+                                     rng.uniform(0, 12000), math.nan]))
+            instances.append(Instance(len(instances) + 1, image.id,
+                                      int(rng.integers(1, n_classes + 1)), b, area,
+                                      ignore=bool(rng.random() < 0.25)))
+    dets = []
+    for image in images:
+        mine = [g for g in instances if g.image_id == image.id]
+        for _ in range(int(rng.integers(0, max_dets + 1))):
+            if mine and rng.random() < 0.6:  # near a GT, often on a crowd one
+                g = mine[int(rng.integers(len(mine)))]
+                if rng.random() < 0.3:
+                    side = min(g.bbox.width, g.bbox.height)
+                    b = from_xywh(g.bbox.x_min, g.bbox.y_min, side, side)
+                else:
+                    b = g.bbox.shifted(*rng.choice([0.0, 0.0, 1.0, 8.0], 2))
+                cat = g.category_id if rng.random() < 0.8 else int(rng.integers(1, n_classes + 1))
+            else:
+                b, cat = rand_box(), int(rng.integers(1, n_classes + 1))
+            score = float(rng.choice([0.0, 0.3, 0.5, 0.5, 0.9, 1.0]))
+            dets.append(Detection(image.id, cat, b, score, len(dets)))
+    order = rng.permutation(len(dets))  # source order need not follow images
+    dets = [dets[i] for i in order]
+    return Dataset(images, tuple(instances), categories), dets
+
+
+class TestCocoMapAgainstScalarOracle:
+    @pytest.mark.parametrize("max_dets", [0, 1, 2, MAX_DETS_PER_IMAGE])
+    @pytest.mark.parametrize("thresholds", [None, (0.0,), (1.0,), (0.5, 0.75)])
+    def test_randomized_cases_match_exactly(self, max_dets, thresholds):
+        rng = np.random.default_rng(1000 + 10 * max_dets + len(thresholds or ()))
+        for trial in range(25):
+            ds, dets = random_case(rng, n_images=int(rng.integers(1, 5)),
+                                   n_classes=int(rng.integers(1, 4)), max_gts=6, max_dets=8)
+            want = scalar_coco_map(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
+            got = coco_map(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
+            assert got.to_dict() == want.to_dict(), f"trial {trial}"
+
+    def test_iou_tie_goes_to_the_lowest_gt_index(self, mixed_dataset):
+        tall, wide = box(0, 0, 10, 20), box(0, 0, 20, 10)
+        ds = Dataset(mixed_dataset.images[:1],
+                     (Instance(1, 1, 1, tall, tall.area), Instance(2, 1, 1, wide, wide.area)),
+                     mixed_dataset.categories)
+        # the square ties at IoU 0.5 and takes the tall GT, so the tall det
+        # that follows is left with the wide one (IoU 1/3): a miss at 0.5
+        dets = [Detection(1, 1, box(0, 0, 10, 10), 0.9, 0), Detection(1, 1, tall, 0.8, 1)]
+        result = coco_map(dets, ds, iou_thresholds=[0.5])
+        assert result.ap == pytest.approx(51.0 / 101.0, abs=1e-15)
+        assert result.to_dict() == scalar_coco_map(dets, ds, iou_thresholds=[0.5]).to_dict()
+
+    def test_repeated_source_indices_keep_the_scalar_tie_order(self):
+        rng = np.random.default_rng(7)
+        for trial in range(25):
+            ds, dets = random_case(rng, 3, 2, 5, 8)
+            dets = [Detection(d.image_id, d.category_id, d.bbox, d.score, i % 3)
+                    for i, d in enumerate(dets)]
+            assert coco_map(dets, ds).to_dict() == scalar_coco_map(dets, ds).to_dict()
+
+    @pytest.mark.parametrize("groups, cells", [(1, 1 << 16), (3, 1 << 16), (128, 40)])
+    def test_chunk_boundaries_change_nothing(self, monkeypatch, groups, cells):
+        monkeypatch.setattr(evaluation, "_CHUNK_GROUPS", groups)
+        monkeypatch.setattr(evaluation, "_CHUNK_CELLS", cells)
+        rng = np.random.default_rng(groups + cells)
+        ds, dets = random_case(rng, n_images=12, n_classes=3, max_gts=8, max_dets=12)
+        assert coco_map(dets, ds).to_dict() == scalar_coco_map(dets, ds).to_dict()
+
+    def test_fixtures_match(self, mixed_dataset, mixed_detections, tiny_dataset, data_dir):
+        tiny_dets = load_detections(data_dir / "tiny_perfect_dets.json")
+        for dets, ds in ((mixed_detections, mixed_dataset), (tiny_dets, tiny_dataset),
+                         ([], mixed_dataset)):
+            for max_dets in (0, 2):
+                for thresholds in (None, (0.0, 1.0), (0.5,)):
+                    got = coco_map(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
+                    want = scalar_coco_map(dets, ds, max_dets=max_dets,
+                                           iou_thresholds=thresholds)
+                    assert got.to_dict() == want.to_dict()
+
+
+def test_memory_is_bounded_without_a_whole_dataset_batch():
+    # 200 images x 20 GTs x 100 dets over 2 classes: 400 groups of about
+    # 50 dets and 10 GTs. Matching all of them in one batch would hold a
+    # (slices, thresholds, groups, dets, GTs) mask of 4*10*400*50*10 bytes
+    # = 8 MB on top of everything else, so a peak under 8 MB rules that
+    # out. What coco_map must keep is O(dets): a (4, 10, 20000) int8 flag
+    # array (0.8 MB), a few arrays and reference lists of 20,000 entries
+    # (0.16 MB each), plus one chunk of at most 2^16 padded IoU cells
+    # (0.5 MB) and its masks; it measures about 4.5 MB.
+    rng = np.random.default_rng(3)
+    images = tuple(ImageRecord(i, 1000, 1000, f"{i}.png") for i in range(1, 201))
+    instances, dets = [], []
+    for image in images:
+        xy = rng.uniform(0, 900, (20, 2))
+        wh = rng.uniform(4, 100, (20, 2))
+        for x, y, w, h in np.hstack([xy, wh]):
+            b = from_xywh(x, y, w, h)
+            instances.append(Instance(len(instances) + 1, image.id,
+                                      int(rng.integers(1, 3)), b, b.area))
+        for j in range(100):
+            g = instances[-20 + j % 20]
+            jitter = rng.normal(0, 3, 4)
+            b = from_xywh(g.bbox.x_min + jitter[0], g.bbox.y_min + jitter[1],
+                          abs(g.bbox.width + jitter[2]), abs(g.bbox.height + jitter[3]))
+            dets.append(Detection(image.id, g.category_id, b, float(rng.random()), len(dets)))
+    ds = Dataset(images, tuple(instances), (Category(1, "a"), Category(2, "b")))
+    tracemalloc.start()
+    try:
+        result = coco_map(dets, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_detections == 20000 and 0.0 < result.ap < 1.0
+    assert peak < 8_000_000, peak
+
+
+class TestDeviationsFromCocoEval:
+    """Where coco_map knowingly differs from pycocotools' COCOeval.
+
+    Each fixture is traced by hand and pins today's value; the comment
+    gives what COCOeval would report instead.
+    """
+
+    def dataset(self, *gts):
+        """One 800x800 image, classes 1 and 2; each GT is (cat, box, area, crowd)."""
+        return Dataset(
+            (ImageRecord(1, 800, 800, "a.png"),),
+            tuple(Instance(i + 1, 1, cat, b, area, crowd)
+                  for i, (cat, b, area, crowd) in enumerate(gts)),
+            (Category(1, "car"), Category(2, "truck")),
+        )
+
+    def test_a_max_dets_caps_per_image_across_classes(self):
+        car, truck = box(0, 0, 20, 20), box(100, 100, 140, 140)
+        ds = self.dataset((1, car, car.area, False), (2, truck, truck.area, False))
+        dets = [Detection(1, 2, truck, 0.9, 0), Detection(1, 1, car, 0.8, 1)]
+        result = coco_map(dets, ds, max_dets=1)
+        # the cap keeps only the truck; COCOeval caps per (image, class)
+        # and would keep the car too, for per_class_ap {1: 1.0, 2: 1.0}
+        assert result.n_detections == 1
+        assert result.per_class_ap == {1: 0.0, 2: 1.0}
+        assert result.ap == 0.5
+
+    def test_b_out_of_slice_dets_are_dropped_before_matching(self):
+        gt = box(0, 0, 30, 30)  # area 900: small
+        ds = self.dataset((1, gt, gt.area, False))
+        dets = [Detection(1, 1, box(0, 0, 40, 40), 0.9, 0)]  # area 1600, IoU 0.5625
+        result = coco_map(dets, ds, iou_thresholds=[0.5])
+        # the medium det never meets the small GT in the small slice;
+        # COCOeval matches it there and would report ap_small 1.0
+        assert result.ap == 1.0
+        assert result.ap_small == 0.0
+        assert result.ap_medium == -1.0
+
+    def test_c_crowd_gt_is_scored_by_plain_iou(self):
+        crowd, car = box(0, 0, 100, 100), box(200, 200, 220, 220)
+        ds = self.dataset((1, crowd, crowd.area, True), (1, car, car.area, False))
+        dets = [Detection(1, 1, box(10, 10, 30, 30), 0.9, 0),  # IoU 0.04 with the crowd
+                Detection(1, 1, car, 0.8, 1)]
+        result = coco_map(dets, ds, iou_thresholds=[0.5])
+        # the det inside the crowd region is a false positive ranked above
+        # the hit; COCOeval scores a crowd GT by intersection over det
+        # area (here 1.0), would ignore that det and report ap 1.0
+        assert result.ap == 0.5
+        assert result.n_gt == 1
+
+    def test_d_slice_bounds_are_half_open(self):
+        gt = box(0, 0, 32, 32)  # area exactly 32^2
+        ds = self.dataset((1, gt, gt.area, False))
+        result = coco_map([Detection(1, 1, gt, 0.9, 0)], ds)
+        # [lo, hi) puts the GT in medium only; COCOeval's bounds are
+        # inclusive, so it is small and medium there and ap_small is 1.0
+        assert result.ap_small == -1.0
+        assert result.ap_medium == 1.0
+        assert result.ap == 1.0
