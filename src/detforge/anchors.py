@@ -75,13 +75,16 @@ class AnchorSpec:
 
 @dataclass(frozen=True, eq=False)
 class LevelAnchors:
-    """All anchors of one pyramid level with per-anchor provenance.
+    """The anchors of one pyramid level: rows ``start`` onward of the set.
 
     Rows are laid out cell by cell, row-major over the feature map (y
-    outer, x inner), with the same ``count // (fmap_w * fmap_h)`` combos
-    in the same order in every cell; the anchor of combo c in cell
-    (i, j) is row ``(j * fmap_w + i) * n_combo + c`` and is centred at
-    the centre of cell (0, 0) plus ``(i, j) * stride``.
+    outer, x inner), with the same ``n_combo`` combos in the same order
+    in every cell; the anchor of combo c in cell (i, j) is level row
+    ``(j * fmap_w + i) * n_combo + c`` and is centred at the centre of
+    cell (0, 0) plus ``(i, j) * stride``. Combos run size-major, then
+    ratio, then angle: with R aspect ratios and E effective angles,
+    combo c has size ``sizes_at(level)[c // (R * E)]``, ratio
+    ``aspect_ratios[c // E % R]`` and angle ``effective_angles[c % E]``.
     ``match_anchors`` relies on this layout to find the anchors near a
     box without scanning them all.
     """
@@ -90,27 +93,28 @@ class LevelAnchors:
     stride: int
     fmap_w: int
     fmap_h: int
-    boxes: np.ndarray  # (n, 4) corner form
-    cells: np.ndarray  # (n, 2) cell (i, j)
-    sizes: np.ndarray
-    ratios: np.ndarray
-    angles: np.ndarray
+    start: int  # first row in AnchorSet.all_boxes()
+    n_combo: int  # anchors per cell
+    boxes: np.ndarray  # (count, 4) corner form, a read-only view
 
     @property
     def count(self) -> int:
-        return self.boxes.shape[0]
+        return self.fmap_w * self.fmap_h * self.n_combo
 
 
 @dataclass(frozen=True, eq=False)
 class AnchorSet:
+    """Every anchor in one read-only (A, 4) corner array, level by level."""
+
     levels: tuple
+    boxes: np.ndarray
 
     @property
     def total(self) -> int:
-        return sum(lv.count for lv in self.levels)
+        return self.boxes.shape[0]
 
     def all_boxes(self) -> np.ndarray:
-        return np.concatenate([lv.boxes for lv in self.levels], axis=0)
+        return self.boxes
 
 
 def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
@@ -118,52 +122,46 @@ def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
 
     ``fmap_dims`` is one (width, height) pair per stride. The anchor for
     size s and ratio r has h = s*sqrt(r), w = s/sqrt(r), so its area is
-    s^2 and h/w = r; a 90-degree angle swaps the two. Cells are walked
-    row-major (y outer), combinations size-major within each cell.
+    s^2 and h/w = r; a 90-degree angle swaps the two. Rows follow the
+    layout ``LevelAnchors`` documents, and all levels share one array.
     """
     if len(fmap_dims) != len(spec.strides):
         raise ValidationError(
             f"{len(fmap_dims)} feature maps for {len(spec.strides)} strides"
         )
-    eff_angles = spec.effective_angles
-    levels = []
-    for level, (stride, (fw, fh)) in enumerate(zip(spec.strides, fmap_dims)):
-        fw, fh = int(fw), int(fh)
+    dims = [(int(fw), int(fh)) for fw, fh in fmap_dims]
+    for level, (fw, fh) in enumerate(dims):
         if fw <= 0 or fh <= 0:
             raise ValidationError(f"feature map {fw}x{fh} at level {level}")
-        combos = [
-            (
-                (s / np.sqrt(r), s * np.sqrt(r)) if a == 0.0 else (s * np.sqrt(r), s / np.sqrt(r)),
-                s,
-                r,
-                a,
-            )
+    eff_angles = spec.effective_angles
+    halves = [  # per level, the (n_combo, 2) half-extents of one cell's anchors
+        np.array([
+            (s / np.sqrt(r), s * np.sqrt(r)) if a == 0.0 else (s * np.sqrt(r), s / np.sqrt(r))
             for s in spec.sizes_at(level)
             for r in spec.aspect_ratios
             for a in eff_angles
-        ]
-        n_combo = len(combos)
-        half_wh = np.array([c[0] for c in combos], dtype=np.float64) / 2.0
-        ix, iy = np.meshgrid(np.arange(fw), np.arange(fh))  # row-major: y outer
-        cells = np.stack([ix.ravel(), iy.ravel()], axis=1)
-        centers = (cells + spec.offset) * stride
-        centers = np.repeat(centers, n_combo, axis=0)
-        half = np.tile(half_wh, (fw * fh, 1))
-        boxes = np.concatenate([centers - half, centers + half], axis=1)
-        levels.append(
-            LevelAnchors(
-                level=level,
-                stride=stride,
-                fmap_w=fw,
-                fmap_h=fh,
-                boxes=boxes,
-                cells=np.repeat(cells, n_combo, axis=0),
-                sizes=np.tile(np.array([c[1] for c in combos]), fw * fh),
-                ratios=np.tile(np.array([c[2] for c in combos]), fw * fh),
-                angles=np.tile(np.array([c[3] for c in combos]), fw * fh),
-            )
-        )
-    return AnchorSet(levels=tuple(levels))
+        ]) / 2.0
+        for level in range(len(dims))
+    ]
+    boxes = np.empty((sum(fw * fh * len(h) for (fw, fh), h in zip(dims, halves)), 4))
+    frozen = boxes.view()  # the level views; the fill below writes through ``boxes``
+    frozen.flags.writeable = False
+    levels = []
+    start = 0
+    for level, (stride, (fw, fh), half) in enumerate(zip(spec.strides, dims, halves)):
+        stop = start + fw * fh * len(half)
+        grid = boxes[start:stop].reshape(fh, fw, len(half), 4)
+        cx = ((np.arange(fw) + spec.offset) * stride)[None, :, None]
+        cy = ((np.arange(fh) + spec.offset) * stride)[:, None, None]
+        grid[..., 0] = cx - half[:, 0]
+        grid[..., 1] = cy - half[:, 1]
+        grid[..., 2] = cx + half[:, 0]
+        grid[..., 3] = cy + half[:, 1]
+        levels.append(LevelAnchors(level=level, stride=stride, fmap_w=fw, fmap_h=fh, start=start,
+                                   n_combo=len(half), boxes=frozen[start:stop]))
+        start = stop
+    boxes.flags.writeable = False
+    return AnchorSet(levels=tuple(levels), boxes=boxes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,7 +360,7 @@ class MatchReport:
         }
 
 
-def _gt_overlaps(anchors: AnchorSet, anchor_boxes: np.ndarray, insts: Sequence[Instance]):
+def _gt_overlaps(anchors: AnchorSet, insts: Sequence[Instance]):
     """Yield ``(indices, ious)`` for each instance's candidate anchors.
 
     An anchor can overlap a box only if its centre lies within its
@@ -370,10 +368,9 @@ def _gt_overlaps(anchors: AnchorSet, anchor_boxes: np.ndarray, insts: Sequence[I
     whose centres lie within the level's largest anchor half-extents,
     padded by one cell on each side against rounding, found from the
     grid layout ``LevelAnchors`` documents; every other anchor has IoU 0
-    with the box. Indices ascend into ``anchor_boxes``
-    (``anchors.all_boxes()``), and the IoUs come from ``iou_matrix`` on
-    those stored boxes, so they equal the entries of the dense
-    anchors-by-GT matrix bit for bit.
+    with the box. Indices ascend into ``anchors.all_boxes()``, and the
+    IoUs come from ``iou_matrix`` on those stored boxes, so they equal
+    the entries of the dense anchors-by-GT matrix bit for bit.
     """
     if not insts:
         return
@@ -381,10 +378,8 @@ def _gt_overlaps(anchors: AnchorSet, anchor_boxes: np.ndarray, insts: Sequence[I
     if not np.isfinite(boxes).all():
         raise ValidationError("ground-truth boxes must have finite coordinates")
     levels = []  # per level: first anchor index of each cell row, cell ranges
-    start = 0
     for lv in anchors.levels:
-        n_combo = lv.count // (lv.fmap_w * lv.fmap_h)
-        cell0 = lv.boxes[:n_combo]
+        cell0 = lv.boxes[:lv.n_combo]
         centre = (cell0[0, :2] + cell0[0, 2:]) / 2.0
         half = (cell0[:, 2:] - cell0[:, :2]).max(axis=0) / 2.0
         dims = np.array([lv.fmap_w, lv.fmap_h])
@@ -393,10 +388,10 @@ def _gt_overlaps(anchors: AnchorSet, anchor_boxes: np.ndarray, insts: Sequence[I
         hi = np.ceil((boxes[:, 2:] + half - centre) / lv.stride) + 2
         lo = np.clip(lo, 0, dims).astype(np.int64)
         hi = np.clip(hi, lo, dims).astype(np.int64)
-        row_start = start + np.arange(lv.fmap_h) * (lv.fmap_w * n_combo)
+        row_start = lv.start + np.arange(lv.fmap_h) * (lv.fmap_w * lv.n_combo)
         # a row of cells is one contiguous run of anchor indices
-        levels.append((row_start, lo[:, 0] * n_combo, hi[:, 0] * n_combo, lo[:, 1], hi[:, 1]))
-        start += lv.count
+        levels.append((row_start, lo[:, 0] * lv.n_combo, hi[:, 0] * lv.n_combo, lo[:, 1], hi[:, 1]))
+    anchor_boxes = anchors.all_boxes()
     for g in range(len(insts)):
         idx = np.concatenate([
             (row_start[y0[g]:y1[g], None] + np.arange(x0[g], x1[g])).ravel()
@@ -438,8 +433,7 @@ def match_anchors(
         raise ValidationError(
             f"need 0 <= neg_iou <= pos_iou <= 1, got {neg_iou}, {pos_iou}"
         )
-    anchor_boxes = anchors.all_boxes()
-    n_per_image = anchor_boxes.shape[0]
+    n_per_image = anchors.total
 
     groups = {}
     for inst in gts:
@@ -459,7 +453,7 @@ def match_anchors(
         max_iou = np.zeros(n_per_image)
         matched_counts = np.zeros(len(live), dtype=np.int64)
         best_anchor = []  # per live GT: (anchor index, IoU), ties to the lowest index
-        for g, (idx, vals) in enumerate(_gt_overlaps(anchors, anchor_boxes, live)):
+        for g, (idx, vals) in enumerate(_gt_overlaps(anchors, live)):
             np.maximum.at(max_iou, idx, vals)
             matched_counts[g] = np.count_nonzero(vals >= pos_iou)
             a = int(np.argmax(vals)) if vals.size else -1
@@ -479,7 +473,7 @@ def match_anchors(
         negative = ~positive & (max_iou < neg_iou)
         if ignored_insts and negative.any():
             ign_max = np.zeros(n_per_image)
-            for idx, vals in _gt_overlaps(anchors, anchor_boxes, ignored_insts):
+            for idx, vals in _gt_overlaps(anchors, ignored_insts):
                 np.maximum.at(ign_max, idx, vals)
             negative &= ign_max < neg_iou
 

@@ -10,7 +10,6 @@ segmentation polygons, if present, are parsed and ignored.
 from __future__ import annotations
 
 import json
-import logging
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,8 +25,6 @@ from .errors import (
     ValidationError,
 )
 from .geometry import BBox
-
-logger = logging.getLogger(__name__)
 
 # COCO size-bucket area thresholds (px^2), matching the APs/APm/APl split.
 SMALL_AREA_MAX = 32.0**2
@@ -126,6 +123,7 @@ class StatsReport:
     per_category_size_buckets: Dict[int, Dict[str, int]]
     per_image_histogram: Dict[int, int]
     total_instances: int
+    clipped_instances: int
 
     def to_dict(self) -> dict:
         return {
@@ -135,6 +133,7 @@ class StatsReport:
             },
             "per_image_histogram": {str(k): v for k, v in sorted(self.per_image_histogram.items())},
             "total_instances": self.total_instances,
+            "clipped_instances": self.clipped_instances,
         }
 
 
@@ -150,6 +149,14 @@ def _require(record: Mapping, key: str, where: str):
     if key not in record:
         raise MissingKey(f"{where}.{key}")
     return record[key]
+
+
+def _require_int(record: Mapping, key: str, where: str) -> int:
+    """A required JSON integer; a bool, float or string is no id or size."""
+    value = _require(record, key, where)
+    if type(value) is not int:
+        raise ValidationError(f"{where}.{key} must be an integer, got {type(value).__name__}")
+    return value
 
 
 def parse_xywh(value, where: str) -> Tuple[float, float, float, float]:
@@ -171,9 +178,11 @@ def parse_xywh(value, where: str) -> Tuple[float, float, float, float]:
 def load_dataset(path) -> Dataset:
     """Load and validate a COCO-style annotation file.
 
-    Boxes are converted from ``[x, y, w, h]`` to corner form and clamped
-    to their image bounds; the number of instances whose box had to be
-    clipped is recorded on the returned dataset and logged.
+    Ids, references and image sizes must be JSON integers and
+    ``iscrowd`` 0 or 1. Boxes are converted from ``[x, y, w, h]`` to
+    corner form and clamped to their image bounds; the number of
+    instances whose box had to be clipped is recorded on the returned
+    dataset.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -188,9 +197,9 @@ def load_dataset(path) -> Dataset:
         where = f"images[{i}]"
         images.append(
             ImageRecord(
-                id=int(_require(rec, "id", where)),
-                width=int(_require(rec, "width", where)),
-                height=int(_require(rec, "height", where)),
+                id=_require_int(rec, "id", where),
+                width=_require_int(rec, "width", where),
+                height=_require_int(rec, "height", where),
                 file_name=str(_require(rec, "file_name", where)),
             )
         )
@@ -200,7 +209,7 @@ def load_dataset(path) -> Dataset:
         where = f"categories[{i}]"
         categories.append(
             Category(
-                id=int(_require(rec, "id", where)),
+                id=_require_int(rec, "id", where),
                 name=str(_require(rec, "name", where)),
             )
         )
@@ -210,9 +219,9 @@ def load_dataset(path) -> Dataset:
     n_clipped = 0
     for i, rec in enumerate(raw["annotations"]):
         where = f"annotations[{i}]"
-        ann_id = int(_require(rec, "id", where))
-        image_id = int(_require(rec, "image_id", where))
-        category_id = int(_require(rec, "category_id", where))
+        ann_id = _require_int(rec, "id", where)
+        image_id = _require_int(rec, "image_id", where)
+        category_id = _require_int(rec, "category_id", where)
         x, y, w, h = parse_xywh(_require(rec, "bbox", where), f"{where}.bbox")
         if w < 0 or h < 0:
             raise NegativeExtent(ann_id, w, h)
@@ -228,6 +237,9 @@ def load_dataset(path) -> Dataset:
         # a NaN area would fall out of every size slice without a word
         if not (type(area) in (int, float) and 0 <= area <= sys.float_info.max):
             raise ValidationError(f"{where}.area must be a finite non-negative number")
+        crowd = rec.get("iscrowd", 0)
+        if type(crowd) is not int or crowd not in (0, 1):
+            raise ValidationError(f"{where}.iscrowd must be 0 or 1, got {crowd!r}")
         instances.append(
             Instance(
                 id=ann_id,
@@ -235,11 +247,9 @@ def load_dataset(path) -> Dataset:
                 category_id=category_id,
                 bbox=box,
                 area=float(area),
-                ignore=bool(rec.get("iscrowd", 0)),
+                ignore=crowd == 1,
             )
         )
-    if n_clipped:
-        logger.warning("%s: clipped %d out-of-bounds boxes", path, n_clipped)
 
     return Dataset(
         images=tuple(images),
@@ -281,6 +291,7 @@ def compute_stats(
         per_category_size_buckets=buckets,
         per_image_histogram=histogram,
         total_instances=len(ds.instances),
+        clipped_instances=ds.clipped_instance_count,
     )
 
 

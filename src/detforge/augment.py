@@ -8,7 +8,6 @@ so any augmented result can be reproduced exactly from its records.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -51,19 +50,6 @@ class TransformRecord:
     @staticmethod
     def from_dict(d: dict) -> "TransformRecord":
         return TransformRecord(kind=d["kind"], params=dict(d["params"]))
-
-
-def dump_records(records: Sequence[TransformRecord]) -> str:
-    """One JSON object per line, in application order."""
-    return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records)
-
-
-def load_records(text: str) -> List[TransformRecord]:
-    return [
-        TransformRecord.from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
 
 
 def hflip(boxes: Sequence[BBox], geom: ImageGeom) -> List[BBox]:

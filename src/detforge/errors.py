@@ -23,11 +23,12 @@ class MissingKey(ValidationError):
 
 
 class DanglingReference(ValidationError):
-    """An annotation references an image or category id that does not exist."""
+    """An annotation or detection references an image or category id that does not exist."""
 
-    def __init__(self, record_id: int, ref_kind: str, ref_id: int):
+    def __init__(self, record_id: int, ref_kind: str, ref_id: int,
+                 record_kind: str = "annotation"):
         super().__init__(
-            f"annotation {record_id} references unknown {ref_kind} id {ref_id}"
+            f"{record_kind} {record_id} references unknown {ref_kind} id {ref_id}"
         )
         self.record_id = record_id
         self.ref_kind = ref_kind

@@ -226,9 +226,9 @@ def coco_map(
         )
     for d in dets:
         if d.image_id not in ds.image_by_id:
-            raise DanglingReference(f"detection {d.source_index}", "image", d.image_id)
+            raise DanglingReference(d.source_index, "image", d.image_id, "detection")
         if d.category_id not in ds.category_by_id:
-            raise DanglingReference(f"detection {d.source_index}", "category", d.category_id)
+            raise DanglingReference(d.source_index, "category", d.category_id, "detection")
 
     by_image = defaultdict(list)
     for d in dets:

@@ -52,6 +52,20 @@ class TestAnchorSpec:
             AnchorSpec(sizes=(16, 32), strides=(4, 8, 16))
 
 
+def row_layout(spec, level):
+    """Each row's cell (i, j), size, ratio and angle, as ``LevelAnchors`` documents them."""
+    sizes, ratios, angles = spec.sizes_at(level.level), spec.aspect_ratios, spec.effective_angles
+    n_ratio, n_angle = len(ratios), len(angles)
+    assert level.n_combo == len(sizes) * n_ratio * n_angle
+    cell, combo = np.divmod(np.arange(level.count), level.n_combo)
+    return (
+        np.stack([cell % level.fmap_w, cell // level.fmap_w], axis=1),
+        np.array(sizes)[combo // (n_ratio * n_angle)],
+        np.array(ratios)[combo // n_angle % n_ratio],
+        np.array(angles)[combo % n_angle],
+    )
+
+
 class TestGenerateAnchors:
     def test_two_by_two_grid(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(1.0,), angles=(0.0,), strides=(4,))
@@ -60,7 +74,8 @@ class TestGenerateAnchors:
         assert out.total == 4
         np.testing.assert_array_equal(level.boxes[0], [-6.0, -6.0, 10.0, 10.0])
         # row-major walk, y outer
-        assert level.cells.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+        cells = row_layout(spec, level)[0]
+        assert cells.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
         centers = (level.boxes[:, :2] + level.boxes[:, 2:]) / 2.0
         assert centers.tolist() == [[2, 2], [6, 2], [2, 6], [6, 6]]
 
@@ -99,16 +114,23 @@ class TestGenerateAnchors:
         out = generate_anchors(spec, [(4, 4)] * 5)
         assert out.levels[0].count == 4 * 4 * 5 * 3 * 2
 
-    def test_size_and_ratio_hold_for_every_anchor(self):
-        spec = AnchorSpec()
+    @pytest.mark.parametrize(
+        "spec",
+        [AnchorSpec(), AnchorSpec(shared_sizes=True, offset=0.25)],
+        ids=["default", "shared_sizes"],
+    )
+    def test_size_and_ratio_hold_for_every_anchor(self, spec):
         dims = [(math.ceil(192 / s), math.ceil(160 / s)) for s in spec.strides]
         out = generate_anchors(spec, dims)
         for level in out.levels:
+            cells, sizes, ratios, angles = row_layout(spec, level)
             w = level.boxes[:, 2] - level.boxes[:, 0]
             h = level.boxes[:, 3] - level.boxes[:, 1]
-            np.testing.assert_allclose(w * h, level.sizes**2, rtol=1e-6)
-            measured = np.where(level.angles == 0.0, h / w, w / h)
-            np.testing.assert_allclose(measured, level.ratios, rtol=1e-9)
+            np.testing.assert_allclose(w * h, sizes**2, rtol=1e-6)
+            measured = np.where(angles == 0.0, h / w, w / h)
+            np.testing.assert_allclose(measured, ratios, rtol=1e-9)
+            centers = (level.boxes[:, :2] + level.boxes[:, 2:]) / 2.0
+            np.testing.assert_allclose(centers, (cells + spec.offset) * level.stride)
 
     def test_offset_moves_the_center(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(1.0,), angles=(0.0,), strides=(4,), offset=0.0)
@@ -126,6 +148,24 @@ class TestGenerateAnchors:
         spec = AnchorSpec(sizes=(16, 32), aspect_ratios=(1.0,), angles=(0.0,), strides=(4, 8))
         out = generate_anchors(spec, [(2, 2), (1, 1)])
         assert out.all_boxes().shape == (5, 4)
+
+    def test_levels_are_read_only_views_of_one_array(self):
+        spec = AnchorSpec()
+        out = generate_anchors(spec, _image_dims(spec, 100, 60))
+        boxes = out.all_boxes()
+        assert out.all_boxes() is boxes  # no copy per call
+        for level in out.levels:
+            assert np.shares_memory(boxes, level.boxes)
+            np.testing.assert_array_equal(
+                level.boxes, boxes[level.start:level.start + level.count]
+            )
+            with pytest.raises(ValueError):
+                level.boxes[-1] = 0.0
+        assert [lv.start for lv in out.levels] == list(
+            np.cumsum([0] + [lv.count for lv in out.levels[:-1]])
+        )
+        with pytest.raises(ValueError):
+            boxes[0, 0] = 1.0
 
 
 class TestClustering:
@@ -558,12 +598,12 @@ def test_memory_is_bounded_without_a_dense_matrix():
     # One aerial scene with 1,000 small objects on the default 1024^2 grid
     # (A = 523,776 anchors). Dense matching needs a float64 (A, G) matrix,
     # ~4.2 GB, plus temporaries of the same shape, ~27 GB in all. In units
-    # of A * 8 bytes the matcher holds: the (A, 4) copy of all anchor boxes
-    # (4), max-IoU over live GTs and over ignore GTs (1 each) and the two
-    # boolean label masks (1/4); one GT's candidates are a few thousand
-    # anchors, far below one unit. That is ~6.3 units, so a bound of 8
-    # leaves allocator slack, yet dense matching of even one GT (about 11
-    # units: the box copy plus seven (A, 1) temporaries) exceeds it.
+    # of A * 8 bytes the matcher holds: max-IoU over live GTs and over
+    # ignore GTs (1 each) and the two boolean label masks (1/4); it reads
+    # the anchor boxes in place, and one GT's candidates are a few thousand
+    # anchors, far below one unit. That is ~2.3 units, so a bound of 4
+    # leaves allocator slack, yet a copy of all anchor boxes (4 units) or
+    # dense matching of even one GT (seven (A, 1) temporaries) exceeds it.
     spec = AnchorSpec()
     anchors = generate_anchors(spec, _image_dims(spec, 1024, 1024))
     n_anchors = anchors.total
@@ -581,5 +621,25 @@ def test_memory_is_bounded_without_a_dense_matrix():
     finally:
         tracemalloc.stop()
     assert report.n_gt == 900
-    assert peak < 8 * n_anchors * 8, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 4 * n_anchors * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_generate_anchors_allocates_one_box_array():
+    # The default 1024^2 grid (A = 523,776 anchors). In units of A * 8 bytes
+    # the anchor set is its (A, 4) corner array (4); each level is filled in
+    # place from O(fmap_w + fmap_h) centre rows, so temporaries stay far
+    # below one unit. A bound of 6 leaves allocator slack, yet a second copy
+    # of the boxes (4 more units) or per-anchor cell, size, ratio and angle
+    # arrays (5 more units) exceed it.
+    spec = AnchorSpec()
+    dims = _image_dims(spec, 1024, 1024)
+    tracemalloc.start()
+    try:
+        anchors = generate_anchors(spec, dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_anchors = anchors.total
+    assert n_anchors == 523_776
+    assert peak < 6 * n_anchors * 8, f"peak {peak / 2**20:.1f} MiB"
 

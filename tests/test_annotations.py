@@ -56,13 +56,6 @@ class TestLoading:
         assert inst.area == 200.0
         assert tiny_dataset.clipped_instance_count == 1
 
-    def test_clamp_logs_a_warning(self, data_dir, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="detforge.annotations"):
-            load_dataset(data_dir / "tiny.json")
-        assert any("clipped 1" in r.getMessage() for r in caplog.records)
-
     def test_crowd_flag_becomes_ignore(self, tiny_dataset):
         flags = {i.id: i.ignore for i in tiny_dataset.instances}
         assert flags[6] is True

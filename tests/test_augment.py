@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,8 @@ from detforge.augment import (
     AugmentationPipeline,
     ImageGeom,
     TransformRecord,
-    dump_records,
     fixed_resize,
     hflip,
-    load_records,
     pipeline,
     random_crop_resize,
     replay,
@@ -21,6 +21,12 @@ from detforge.augment import (
 )
 from detforge.errors import ValidationError
 from detforge.geometry import BBox, iou_matrix
+
+
+def round_trip(records):
+    """Records through JSON text and back, as the CLI stores them."""
+    text = json.dumps([r.to_dict() for r in records])
+    return [TransformRecord.from_dict(d) for d in json.loads(text)]
 
 
 FIXTURE = [
@@ -296,17 +302,17 @@ class TestReplay:
 
     def test_replay_survives_serialization(self):
         out, geom, records = pipeline(3, seed=21).apply(FIXTURE, GEOM)
-        loaded = load_records(dump_records(records))
+        loaded = round_trip(records)
         again, geom2 = replay(loaded, FIXTURE, GEOM)
         assert again == out
         assert geom2 == geom
 
-    def test_jsonl_round_trip_preserves_records(self):
+    def test_json_round_trip_preserves_records(self):
         records = [
             TransformRecord("flip", {"width": 800}),
             TransformRecord("resize", {"target_short_edge": 736}),
         ]
-        loaded = load_records(dump_records(records))
+        loaded = round_trip(records)
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
 
     def test_unknown_kind_rejected(self):

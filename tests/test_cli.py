@@ -83,6 +83,14 @@ class TestReports:
         assert not out.lstrip().startswith("{")
         assert "total_instances: 7" in out
 
+    def test_stats_reports_clipped_instances(self, capsys, tiny_path):
+        # one tiny.json box pokes past its image's right edge and is clamped
+        rc, out, err = run(capsys, "stats", "--ann", tiny_path, "--pretty")
+        assert rc == 0 and err == ""
+        assert "clipped_instances: 1" in out.splitlines()
+        report = run_json(capsys, "stats", "--ann", tiny_path)
+        assert report["result"]["clipped_instances"] == 1
+
 
 class TestConfigResolution:
     def test_flag_beats_file(self, capsys, tiny_path, tmp_path):
@@ -320,6 +328,54 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert str(records) in err and "line 3 column 2" in err
+
+    def test_error_is_one_stderr_line_after_clipping(self, tiny_path, tmp_path):
+        # a fresh process, so nothing captures log records: tiny.json has a
+        # clipped box, and loading it must add nothing to stderr
+        records = tmp_path / "records.jsonl"
+        records.write_text("[1, 2]\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "detforge.cli", "augment-replay", "--ann", tiny_path,
+             "--records", str(records)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert f"{records} line 1: " in proc.stderr
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("annotations", "image_id", "abc"), ("annotations", "image_id", None),
+        ("annotations", "image_id", 1.7), ("annotations", "image_id", True),
+        ("annotations", "category_id", "1"), ("annotations", "id", 2.0),
+        ("images", "id", "1"), ("images", "width", None), ("images", "height", 1024.5),
+        ("categories", "id", False),
+    ])
+    def test_dataset_ids_and_sizes_must_be_json_integers(self, capsys, tmp_path, data_dir,
+                                                         section, key, value):
+        ann = json.loads((data_dir / "tiny.json").read_text())
+        ann[section][0][key] = value
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        err = run_rejected(capsys, "stats", "--ann", str(ann_path))
+        assert f"{section}[0].{key} must be an integer, got {type(value).__name__}" in err
+
+    @pytest.mark.parametrize("crowd", ["no", 2, -1, True, 1.0, None])
+    def test_iscrowd_must_be_zero_or_one(self, capsys, tmp_path, data_dir, crowd):
+        ann = json.loads((data_dir / "tiny.json").read_text())
+        ann["annotations"][3]["iscrowd"] = crowd
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        err = run_rejected(capsys, "stats", "--ann", str(ann_path))
+        assert f"annotations[3].iscrowd must be 0 or 1, got {crowd!r}" in err
+
+    def test_dangling_detection_is_named(self, capsys, tmp_path, data_dir):
+        dets = json.loads((data_dir / "eval_mixed_dets.json").read_text())
+        dets[2]["image_id"] = 999
+        dets_path = tmp_path / "dets.json"
+        dets_path.write_text(json.dumps(dets))
+        err = run_rejected(capsys, "eval", "--ann", str(data_dir / "eval_mixed_ann.json"),
+                           "--dets", str(dets_path))
+        assert err == "detforge: detection 2 references unknown image id 999\n"
 
     def test_version(self, capsys):
         rc, out, _ = run(capsys, "--version")
