@@ -197,6 +197,8 @@ def _as_wh_array(boxes) -> np.ndarray:
             wh = np.asarray(boxes, dtype=np.float64)
     if wh.ndim != 2 or wh.shape[1] != 2:
         raise ValidationError(f"expected (n, 2) width/height data, got {wh.shape}")
+    if not np.isfinite(wh).all():
+        raise ValidationError("widths and heights must be finite")
     if wh.size and wh.min() <= 0:
         raise ValidationError("widths and heights must be positive")
     return wh
@@ -225,13 +227,14 @@ def _lloyd(wh: np.ndarray, centroids: np.ndarray, max_iters: int):
     assignment = np.argmax(wh_iou_matrix(wh, centroids), axis=1)
     iterations = 1
     for _ in range(max_iters):
-        for c in range(k):
-            mask = assignment == c
-            if mask.any():
-                centroids[c] = wh[mask].mean(axis=0)
+        # bincount sums each cluster in box order, as the row-wise mean does
+        counts = np.bincount(assignment, minlength=k)
+        occupied = counts > 0
+        for j in (0, 1):
+            sums = np.bincount(assignment, weights=wh[:, j], minlength=k)
+            centroids[occupied, j] = sums[occupied] / counts[occupied]
         # re-seed empty clusters to the currently worst-fit boxes
         iou = wh_iou_matrix(wh, centroids)
-        occupied = np.bincount(assignment, minlength=k) > 0
         if not occupied.all():
             dist = 1.0 - iou[np.arange(len(wh)), assignment]
             for c in np.flatnonzero(~occupied):

@@ -146,17 +146,28 @@ def _check_unique(ids: Sequence[int], kind: str) -> None:
 
 
 def _require(record: Mapping, key: str, where: str):
+    if not isinstance(record, dict):
+        raise ValidationError(f"{where} must be an object, got {type(record).__name__}")
     if key not in record:
         raise MissingKey(f"{where}.{key}")
     return record[key]
 
 
-def _require_int(record: Mapping, key: str, where: str) -> int:
-    """A required JSON integer; a bool, float or string is no id or size."""
+_TYPE_NAMES = {int: "an integer", str: "a string"}
+
+
+def _require_typed(record: Mapping, key: str, where: str, kind: type):
+    """A required value of exactly JSON type ``kind``: a bool is no id, 5 no name."""
     value = _require(record, key, where)
-    if type(value) is not int:
-        raise ValidationError(f"{where}.{key} must be an integer, got {type(value).__name__}")
+    if type(value) is not kind:
+        raise ValidationError(
+            f"{where}.{key} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}"
+        )
     return value
+
+
+_NUMBER = (int, float)
+_FLOAT_MAX = sys.float_info.max
 
 
 def parse_xywh(value, where: str) -> Tuple[float, float, float, float]:
@@ -165,14 +176,17 @@ def parse_xywh(value, where: str) -> Tuple[float, float, float, float]:
     Anything other than four finite numbers raises ValidationError: a
     NaN or infinite coordinate has no place on the image or anchor grid.
     """
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 4
+    if isinstance(value, (list, tuple)) and len(value) == 4:
+        x, y, w, h = value
         # int-to-float comparison is exact, so huge integers fail here too
-        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value)
-    ):
-        raise ValidationError(f"{where} must be [x, y, w, h] of four finite numbers")
-    return tuple(float(v) for v in value)
+        if (
+            type(x) in _NUMBER and type(y) in _NUMBER
+            and type(w) in _NUMBER and type(h) in _NUMBER
+            and -_FLOAT_MAX <= x <= _FLOAT_MAX and -_FLOAT_MAX <= y <= _FLOAT_MAX
+            and -_FLOAT_MAX <= w <= _FLOAT_MAX and -_FLOAT_MAX <= h <= _FLOAT_MAX
+        ):
+            return (float(x), float(y), float(w), float(h))
+    raise ValidationError(f"{where} must be [x, y, w, h] of four finite numbers")
 
 
 def load_dataset(path) -> Dataset:
@@ -188,19 +202,23 @@ def load_dataset(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
 
+    if not isinstance(raw, dict):
+        raise ValidationError(f"annotation file must hold a JSON object, got {type(raw).__name__}")
     for key in ("images", "annotations", "categories"):
         if key not in raw:
             raise MissingKey(key)
+        if not isinstance(raw[key], list):
+            raise ValidationError(f"{key} must be an array, got {type(raw[key]).__name__}")
 
     images = []
     for i, rec in enumerate(raw["images"]):
         where = f"images[{i}]"
         images.append(
             ImageRecord(
-                id=_require_int(rec, "id", where),
-                width=_require_int(rec, "width", where),
-                height=_require_int(rec, "height", where),
-                file_name=str(_require(rec, "file_name", where)),
+                id=_require_typed(rec, "id", where, int),
+                width=_require_typed(rec, "width", where, int),
+                height=_require_typed(rec, "height", where, int),
+                file_name=_require_typed(rec, "file_name", where, str),
             )
         )
 
@@ -209,8 +227,8 @@ def load_dataset(path) -> Dataset:
         where = f"categories[{i}]"
         categories.append(
             Category(
-                id=_require_int(rec, "id", where),
-                name=str(_require(rec, "name", where)),
+                id=_require_typed(rec, "id", where, int),
+                name=_require_typed(rec, "name", where, str),
             )
         )
     image_by_id = {im.id: im for im in images}
@@ -219,9 +237,9 @@ def load_dataset(path) -> Dataset:
     n_clipped = 0
     for i, rec in enumerate(raw["annotations"]):
         where = f"annotations[{i}]"
-        ann_id = _require_int(rec, "id", where)
-        image_id = _require_int(rec, "image_id", where)
-        category_id = _require_int(rec, "category_id", where)
+        ann_id = _require_typed(rec, "id", where, int)
+        image_id = _require_typed(rec, "image_id", where, int)
+        category_id = _require_typed(rec, "category_id", where, int)
         x, y, w, h = parse_xywh(_require(rec, "bbox", where), f"{where}.bbox")
         if w < 0 or h < 0:
             raise NegativeExtent(ann_id, w, h)

@@ -73,6 +73,8 @@ def load_detections(path) -> List[Detection]:
         raise ValidationError("detections file must hold a JSON array")
     out = []
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"detections[{i}] must be an object, got {type(entry).__name__}")
         for key in ("image_id", "category_id", "bbox", "score"):
             if key not in entry:
                 raise MissingKey(f"detections[{i}].{key}")

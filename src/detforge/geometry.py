@@ -169,5 +169,7 @@ def wh_iou_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
     """Pairwise dimension-only IoU between (N, 2) and (M, 2) extent arrays."""
     wh1 = np.asarray(wh1, dtype=np.float64).reshape(-1, 2)
     wh2 = np.asarray(wh2, dtype=np.float64).reshape(-1, 2)
-    inter = np.minimum(wh1[:, None, :], wh2[None, :, :]).prod(axis=2)
-    return inter / (wh1.prod(axis=1)[:, None] + wh2.prod(axis=1) - inter)
+    w1, h1 = wh1[:, 0], wh1[:, 1]
+    w2, h2 = wh2[:, 0], wh2[:, 1]
+    inter = np.minimum(w1[:, None], w2) * np.minimum(h1[:, None], h2)
+    return inter / ((w1 * h1)[:, None] + w2 * h2 - inter)

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from detforge import anchors as anchors_module
 from detforge.anchors import (
     AnchorSpec,
     MatchReport,
@@ -280,6 +281,164 @@ class TestSweep:
     def test_empty_range_rejected(self):
         with pytest.raises(ValidationError):
             sweep_k([BoxWH(4, 4)], [])
+
+
+def oracle_wh_iou_matrix(wh1, wh2):
+    """The original wh-IoU body: one (N, M, 2) broadcast and a product."""
+    wh1 = np.asarray(wh1, dtype=np.float64).reshape(-1, 2)
+    wh2 = np.asarray(wh2, dtype=np.float64).reshape(-1, 2)
+    inter = np.minimum(wh1[:, None, :], wh2[None, :, :]).prod(axis=2)
+    return inter / (wh1.prod(axis=1)[:, None] + wh2.prod(axis=1) - inter)
+
+
+def oracle_lloyd(wh, centroids, max_iters):
+    """The original Lloyd loop: one mask and row mean per cluster.
+
+    Reference for ``anchors._lloyd``, whose output must equal this one's
+    bit for bit.
+    """
+    k = centroids.shape[0]
+    assignment = np.argmax(oracle_wh_iou_matrix(wh, centroids), axis=1)
+    iterations = 1
+    for _ in range(max_iters):
+        for c in range(k):
+            mask = assignment == c
+            if mask.any():
+                centroids[c] = wh[mask].mean(axis=0)
+        iou = oracle_wh_iou_matrix(wh, centroids)
+        occupied = np.bincount(assignment, minlength=k) > 0
+        if not occupied.all():
+            dist = 1.0 - iou[np.arange(len(wh)), assignment]
+            for c in np.flatnonzero(~occupied):
+                worst = int(np.argmax(dist))
+                centroids[c] = wh[worst]
+                dist[worst] = -1.0
+            iou = oracle_wh_iou_matrix(wh, centroids)
+        new_assignment = np.argmax(iou, axis=1)
+        iterations += 1
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    return centroids, assignment, iterations
+
+
+@pytest.fixture()
+def oracle_clustering(monkeypatch):
+    """Swap the original Lloyd loop and wh-IoU body into the anchors module."""
+    def patch():
+        monkeypatch.setattr(anchors_module, "_lloyd", oracle_lloyd)
+        monkeypatch.setattr(anchors_module, "wh_iou_matrix", oracle_wh_iou_matrix)
+    return patch
+
+
+def _random_wh(rng, n):
+    """Aerial-like extents; some rounded to whole pixels so sizes repeat."""
+    wh = rng.lognormal(mean=3.0, sigma=0.9, size=(n, 2))
+    rounded = rng.random(n) < 0.5
+    wh[rounded] = np.maximum(np.round(wh[rounded]), 1.0)
+    return wh
+
+
+class TestVectorizedClusteringMatchesOracle:
+    def test_wh_iou_matrix_is_bit_identical(self):
+        rng = np.random.default_rng(30)
+        extreme = np.array([
+            [1e-6, 1e6], [1e6, 1e-6], [1e-300, 1e300], [3.0, 3.0], [3.0, 3.0],
+            [5e-324, 1.0], [1.0, 1e300], [0.1, 0.2], [0.2, 0.1], [7.0, 1.0],
+        ])
+        for wh1, wh2 in [
+            (extreme, extreme),
+            (rng.lognormal(3.0, 2.0, size=(200, 2)), rng.lognormal(3.0, 2.0, size=(9, 2))),
+            (np.round(rng.uniform(1, 6, size=(50, 2))), np.round(rng.uniform(1, 6, size=(7, 2)))),
+            (rng.uniform(1, 50, size=(1, 2)), rng.uniform(1, 50, size=(40, 2))),
+            (np.array([4.0, 9.0]), np.array([[4.0, 9.0], [9.0, 4.0]])),
+            ([[2, 8]], [[2, 8], [8, 2]]),
+        ]:
+            np.testing.assert_array_equal(wh_iou_matrix(wh1, wh2), oracle_wh_iou_matrix(wh1, wh2))
+
+    @pytest.mark.parametrize("init", ["kmeans++", "random"])
+    @pytest.mark.parametrize("max_iters", [0, 1, 100])
+    def test_cluster_reports_equal_the_oracle(self, oracle_clustering, init, max_iters):
+        rng = np.random.default_rng(31 + max_iters + len(init))
+        cases = []
+        for _ in range(12):
+            n = int(rng.integers(2, 300))
+            k = int(rng.integers(1, min(n, 9) + 1))
+            cases.append((_random_wh(rng, n), k, int(rng.integers(0, 1000)),
+                          int(rng.integers(1, 4))))
+        got = [cluster_anchor_sizes(wh, k, seed=seed, max_iters=max_iters, restarts=r,
+                                    init=init).to_dict()
+               for wh, k, seed, r in cases]
+        oracle_clustering()
+        want = [cluster_anchor_sizes(wh, k, seed=seed, max_iters=max_iters, restarts=r,
+                                     init=init).to_dict()
+                for wh, k, seed, r in cases]
+        assert got == want
+
+    def test_sweep_equals_the_oracle(self, oracle_clustering):
+        corpus = synthetic_aerial_corpus(n=400, seed=15)
+        got = sweep_k(corpus, range(1, 8), seed=2, restarts=3)
+        oracle_clustering()
+        assert sweep_k(corpus, range(1, 8), seed=2, restarts=3) == got
+
+    @pytest.mark.parametrize("init", ["kmeans++", "random"])
+    def test_empty_cluster_reseed_equals_the_oracle(self, oracle_clustering, monkeypatch, init):
+        # 3 distinct sizes for k=6: seeding must repeat a size, and a repeated
+        # centroid loses every tie to its twin, so its cluster starts empty
+        wh = np.array([[4.0, 4.0], [4.0, 9.0], [20.0, 11.0]] * 7)
+        got = cluster_anchor_sizes(wh, 6, seed=1, restarts=4, init=init).to_dict()
+
+        starts = []
+        for r in range(4):  # the restarts above, run one by one
+            rng = np.random.default_rng([1, r])
+            if init == "kmeans++":
+                starts.append(anchors_module._plus_plus_init(wh, 6, rng))
+            else:
+                starts.append(wh[rng.choice(len(wh), size=6, replace=False)].copy())
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return wh_iou_matrix(a, b)
+
+        monkeypatch.setattr(anchors_module, "wh_iou_matrix", counting)
+        reseeds = []
+        for start in starts:
+            calls.clear()
+            out = anchors_module._lloyd(wh, start.copy(), 100)
+            want = oracle_lloyd(wh, start.copy(), 100)
+            for a, b in zip(out, want):
+                np.testing.assert_array_equal(a, b)
+            # one IoU matrix per iteration, plus one per iteration that re-seeds
+            reseeds.append(len(calls) - out[2])
+        assert min(reseeds) >= 1
+
+        oracle_clustering()
+        assert cluster_anchor_sizes(wh, 6, seed=1, restarts=4, init=init).to_dict() == got
+
+    def test_anchor_design_sized_input_equals_the_oracle(self, oracle_clustering):
+        corpus = synthetic_aerial_corpus(n=3000, seed=16)
+        got = cluster_anchor_sizes(corpus, 9, seed=0, restarts=2).to_dict()
+        oracle_clustering()
+        assert cluster_anchor_sizes(corpus, 9, seed=0, restarts=2).to_dict() == got
+
+
+class TestNonFiniteExtents:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_before_clustering(self, bad):
+        wh = np.array([[bad, 3.0], [4.0, 5.0], [6.0, 7.0]])
+        with pytest.raises(ValidationError, match="widths and heights must be finite"):
+            cluster_anchor_sizes(wh, k=2)
+        with pytest.raises(ValidationError, match="must be finite"):
+            cluster_anchor_sizes(wh[:, ::-1], k=2)
+
+    def test_infinite_boxwh_rejected(self):
+        with pytest.raises(ValidationError, match="must be finite"):
+            cluster_anchor_sizes([BoxWH(math.inf, 3.0), BoxWH(4.0, 5.0)], k=1)
+
+    def test_sweep_rejects_nan(self):
+        with pytest.raises(ValidationError, match="must be finite"):
+            sweep_k([[math.nan, 3.0], [4.0, 5.0]], [1])
 
 
 def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=False):

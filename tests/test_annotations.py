@@ -1,4 +1,6 @@
+import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from detforge.annotations import (
     dataset_to_coco,
     export_dataset,
     load_dataset,
+    parse_xywh,
     tile,
 )
 from detforge.errors import (
@@ -348,3 +351,42 @@ class TestRoundTrip:
     def test_export_to_directory_raises_oserror(self, tiny_dataset, tmp_path):
         with pytest.raises(OSError):
             export_dataset(tiny_dataset, tmp_path)
+
+
+def oracle_parse_xywh(value, where):
+    """The original box check: one generator over the four values."""
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 4
+        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value)
+    ):
+        raise ValidationError(f"{where} must be [x, y, w, h] of four finite numbers")
+    return tuple(float(v) for v in value)
+
+
+class TestParseXywhMatchesOracle:
+    EDGE = [0, -3, 2.5, -0.0, 1e308, -sys.float_info.max, sys.float_info.max,
+            int(sys.float_info.max), int(sys.float_info.max) + 1, -(10**400),
+            float("nan"), float("inf"), float("-inf"), True, False, "5", None, [1]]
+
+    @staticmethod
+    def outcome(fn, value):
+        try:
+            return ("ok", fn(value, "box"))
+        except ValidationError as exc:
+            return ("error", str(exc))
+
+    def test_every_edge_value_in_every_slot(self):
+        for slot, v in itertools.product(range(4), self.EDGE):
+            box = [1.0, 2, 3.0, 4]
+            box[slot] = v
+            for value in (box, tuple(box)):
+                got, want = self.outcome(parse_xywh, value), self.outcome(oracle_parse_xywh, value)
+                assert got == want, value
+                if got[0] == "ok":
+                    assert all(type(c) is float for c in got[1])
+
+    @pytest.mark.parametrize("value", [None, 5, "0 0 1 1", {"x": 0}, [], [1, 2, 3],
+                                       [1, 2, 3, 4, 5], np.zeros(4), range(4)])
+    def test_non_sequences_and_wrong_lengths(self, value):
+        assert self.outcome(parse_xywh, value) == self.outcome(oracle_parse_xywh, value)

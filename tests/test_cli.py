@@ -377,6 +377,55 @@ class TestExitCodes:
                            "--dets", str(dets_path))
         assert err == "detforge: detection 2 references unknown image id 999\n"
 
+    @pytest.mark.parametrize("section, index, entry", [
+        ("images", 0, 1), ("images", 1, [2, 640, 480]), ("annotations", 3, "box"),
+        ("annotations", 0, None), ("categories", 2, 3.0),
+    ])
+    def test_dataset_entries_must_be_objects(self, capsys, tmp_path, data_dir,
+                                             section, index, entry):
+        ann = json.loads((data_dir / "tiny.json").read_text())
+        ann[section][index] = entry
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        err = run_rejected(capsys, "stats", "--ann", str(ann_path))
+        assert f"{section}[{index}] must be an object, got {type(entry).__name__}" in err
+
+    @pytest.mark.parametrize("raw, message", [
+        ([], "annotation file must hold a JSON object, got list"),
+        (7, "annotation file must hold a JSON object, got int"),
+        ({"images": 1, "annotations": [], "categories": []}, "images must be an array, got int"),
+        ({"images": [], "annotations": {}, "categories": []},
+         "annotations must be an array, got dict"),
+    ])
+    def test_dataset_top_level_shape(self, capsys, tmp_path, raw, message):
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(raw))
+        err = run_rejected(capsys, "stats", "--ann", str(ann_path))
+        assert message in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("images", "file_name", 5), ("images", "file_name", None),
+        ("images", "file_name", ["a.png"]), ("categories", "name", 1),
+        ("categories", "name", True),
+    ])
+    def test_dataset_names_must_be_strings(self, capsys, tmp_path, data_dir, section, key, value):
+        ann = json.loads((data_dir / "tiny.json").read_text())
+        ann[section][0][key] = value
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        err = run_rejected(capsys, "stats", "--ann", str(ann_path))
+        assert f"{section}[0].{key} must be a string, got {type(value).__name__}" in err
+
+    @pytest.mark.parametrize("entry", [3, "det", None, [1, 1, [0, 0, 1, 1], 0.5]])
+    def test_detection_entries_must_be_objects(self, capsys, tmp_path, data_dir, entry):
+        dets = json.loads((data_dir / "eval_mixed_dets.json").read_text())
+        dets[1] = entry
+        dets_path = tmp_path / "dets.json"
+        dets_path.write_text(json.dumps(dets))
+        err = run_rejected(capsys, "eval", "--ann", str(data_dir / "eval_mixed_ann.json"),
+                           "--dets", str(dets_path))
+        assert err == f"detforge: detections[1] must be an object, got {type(entry).__name__}\n"
+
     def test_version(self, capsys):
         rc, out, _ = run(capsys, "--version")
         assert rc == 0
