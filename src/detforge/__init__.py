@@ -11,6 +11,7 @@ from .annotations import (
     Dataset,
     ImageRecord,
     Instance,
+    InstanceColumns,
     StatsReport,
     compute_stats,
     dataset_to_coco,

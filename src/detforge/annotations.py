@@ -5,18 +5,26 @@ The on-disk schema is the COCO detection layout: top-level ``images``,
 ``[x, y, w, h]``, and ``iscrowd`` mapping to the ignore flag. Boxes are
 converted to corner form on load and clipped into their image bounds;
 segmentation polygons, if present, are parsed and ignored.
+
+A :class:`Dataset` holds its instances as NumPy columns
+(:class:`InstanceColumns`); loading, statistics, tiling and export work
+on the columns, and :class:`Instance` objects are built only when a
+caller asks for ``Dataset.instances``.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import geometry
+import numpy as np
+
 from .errors import (
     DanglingReference,
     InvalidOverlap,
@@ -51,10 +59,6 @@ class ImageRecord:
                 f"({self.width}x{self.height})"
             )
 
-    @property
-    def bounds(self) -> BBox:
-        return BBox(0.0, 0.0, float(self.width), float(self.height))
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -66,38 +70,141 @@ class Instance:
     ignore: bool = False
 
 
+_COLUMN_DTYPES = (
+    ("id", np.int64),
+    ("image_id", np.int64),
+    ("category_id", np.int64),
+    ("boxes", np.float64),
+    ("area", np.float64),
+    ("ignore", bool),
+)
+
+
 @dataclass(frozen=True, eq=False)
+class InstanceColumns:
+    """Instance fields as read-only NumPy columns, one row per instance.
+
+    ``id``, ``image_id`` and ``category_id`` are int64, ``boxes`` is the
+    (N, 4) float64 corner-form array, ``area`` float64 and ``ignore``
+    bool. Each field is copied into a read-only array of its dtype.
+    """
+
+    id: np.ndarray
+    image_id: np.ndarray
+    category_id: np.ndarray
+    boxes: np.ndarray
+    area: np.ndarray
+    ignore: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _COLUMN_DTYPES:
+            column = np.array(getattr(self, name), dtype=dtype)
+            if name == "boxes":
+                column = column.reshape(-1, 4)
+            if column.shape[:1] != (len(self.id),):
+                raise ValidationError(f"instance column {name!r} has {len(column)} rows")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InstanceColumns):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name, _ in _COLUMN_DTYPES
+        )
+
+    @classmethod
+    def of(cls, instances: Sequence[Instance]) -> "InstanceColumns":
+        return cls(
+            id=[i.id for i in instances],
+            image_id=[i.image_id for i in instances],
+            category_id=[i.category_id for i in instances],
+            boxes=[i.bbox.as_tuple() for i in instances],
+            area=[i.area for i in instances],
+            ignore=[i.ignore for i in instances],
+        )
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
     """Immutable annotated image collection.
+
+    Images and categories are records; the instances are the read-only
+    ``columns``. ``instances`` and ``instances_by_image`` are tuples of
+    :class:`Instance` built from the columns on first use. Constructing a
+    Dataset from ``Instance`` objects converts them to columns once.
 
     Equality compares content (images, instances, categories), not the
     provenance string or load diagnostics.
     """
 
     images: Tuple[ImageRecord, ...]
-    instances: Tuple[Instance, ...]
     categories: Tuple[Category, ...]
-    provenance: str = ""
-    clipped_instance_count: int = field(default=0)
+    columns: InstanceColumns
+    provenance: str
+    clipped_instance_count: int
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        images: Sequence[ImageRecord],
+        instances: Sequence[Instance],
+        categories: Sequence[Category],
+        provenance: str = "",
+        clipped_instance_count: int = 0,
+    ):
+        instances = tuple(instances)
+        self._fill(images, categories, InstanceColumns.of(instances), provenance,
+                   clipped_instance_count)
+        self.__dict__["instances"] = instances
+
+    @classmethod
+    def from_columns(
+        cls,
+        images: Sequence[ImageRecord],
+        categories: Sequence[Category],
+        columns: InstanceColumns,
+        provenance: str = "",
+        clipped_instance_count: int = 0,
+    ) -> "Dataset":
+        ds = cls.__new__(cls)
+        ds._fill(images, categories, columns, provenance, clipped_instance_count)
+        return ds
+
+    def _fill(self, images, categories, columns, provenance, clipped_instance_count):
+        for name, value in (
+            ("images", tuple(images)),
+            ("categories", tuple(categories)),
+            ("columns", columns),
+            ("provenance", provenance),
+            ("clipped_instance_count", clipped_instance_count),
+        ):
+            object.__setattr__(self, name, value)
         _check_unique([im.id for im in self.images], "image")
         _check_unique([c.id for c in self.categories], "category")
-        _check_unique([inst.id for inst in self.instances], "instance")
-        image_ids = {im.id for im in self.images}
-        category_ids = {c.id for c in self.categories}
-        for inst in self.instances:
-            if inst.image_id not in image_ids:
-                raise DanglingReference(inst.id, "image", inst.image_id)
-            if inst.category_id not in category_ids:
-                raise DanglingReference(inst.id, "category", inst.category_id)
+        repeat = _first_repeat(columns.id)
+        if repeat is not None:
+            raise ValidationError(f"duplicate instance id: {repeat}")
+        # the first instance with a dangling reference, its image checked first
+        bad_image = _unknown(columns.image_id, self.image_by_id)
+        bad_category = _unknown(columns.category_id, self.category_by_id)
+        bad = bad_image | bad_category
+        if bad.any():
+            row = int(np.argmax(bad))
+            inst_id = int(columns.id[row])
+            if bad_image[row]:
+                raise DanglingReference(inst_id, "image", int(columns.image_id[row]))
+            raise DanglingReference(inst_id, "category", int(columns.category_id[row]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
             self.images == other.images
-            and self.instances == other.instances
+            and self.columns == other.columns
             and self.categories == other.categories
         )
 
@@ -110,11 +217,34 @@ class Dataset:
         return {c.id: c for c in self.categories}
 
     @cached_property
+    def instances(self) -> Tuple[Instance, ...]:
+        c = self.columns
+        return tuple(
+            Instance(i, image_id, category_id, BBox(*box), area, ignore)
+            for i, image_id, category_id, box, area, ignore in zip(
+                c.id.tolist(),
+                c.image_id.tolist(),
+                c.category_id.tolist(),
+                c.boxes.tolist(),
+                c.area.tolist(),
+                c.ignore.tolist(),
+            )
+        )
+
+    @cached_property
+    def rows_by_image(self) -> Mapping[int, np.ndarray]:
+        """Column rows of each image's instances, in column order."""
+        groups = group_rows(self.columns.image_id)
+        empty = np.zeros(0, dtype=np.intp)
+        return {im.id: groups.get((im.id,), empty) for im in self.images}
+
+    @cached_property
     def instances_by_image(self) -> Mapping[int, Tuple[Instance, ...]]:
-        by_image: Dict[int, List[Instance]] = {im.id: [] for im in self.images}
-        for inst in self.instances:
-            by_image[inst.image_id].append(inst)
-        return {k: tuple(v) for k, v in by_image.items()}
+        insts = self.instances
+        return {
+            image_id: tuple(insts[r] for r in rows.tolist())
+            for image_id, rows in self.rows_by_image.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -137,12 +267,47 @@ class StatsReport:
         }
 
 
+def group_rows(*columns: np.ndarray) -> Dict[tuple, np.ndarray]:
+    """Map each distinct tuple of values across ``columns`` to its rows.
+
+    The rows of a group keep their column order.
+    """
+    order = np.lexsort(columns[::-1])
+    keys = [column[order] for column in columns]
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], len(order)]
+    return {
+        group: order[start:end]
+        for group, start, end in zip(
+            zip(*(key[starts].tolist() for key in keys)), starts.tolist(), ends.tolist()
+        )
+    }
+
+
 def _check_unique(ids: Sequence[int], kind: str) -> None:
     seen = set()
     for i in ids:
         if i in seen:
             raise ValidationError(f"duplicate {kind} id: {i}")
         seen.add(i)
+
+
+def _first_repeat(ids: np.ndarray) -> Optional[int]:
+    """The first id, in column order, equal to an earlier one, or None."""
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    return int(ids[repeats.min()]) if repeats.size else None
+
+
+def _unknown(column: np.ndarray, known: Mapping[int, object]) -> np.ndarray:
+    """Mask of the entries of an id column that are not keys of ``known``."""
+    values, inverse = np.unique(column, return_inverse=True)
+    return np.array([v not in known for v in values.tolist()], dtype=bool)[inverse]
 
 
 def _require(record: Mapping, key: str, where: str):
@@ -168,6 +333,7 @@ def _require_typed(record: Mapping, key: str, where: str, kind: type):
 
 _NUMBER = (int, float)
 _FLOAT_MAX = sys.float_info.max
+_INT64 = np.iinfo(np.int64)
 
 
 def parse_xywh(value, where: str) -> Tuple[float, float, float, float]:
@@ -189,18 +355,56 @@ def parse_xywh(value, where: str) -> Tuple[float, float, float, float]:
     raise ValidationError(f"{where} must be [x, y, w, h] of four finite numbers")
 
 
-def load_dataset(path) -> Dataset:
+def read_text(path, data: Optional[bytes] = None) -> str:
+    """The text of a UTF-8 file, decoded as ``open(path, encoding="utf-8")`` does.
+
+    ``data``, when given, holds the file's bytes as the caller already
+    read them; they are decoded the same way, newline translation
+    included, so one read serves both a checksum and the parse.
+    """
+    if data is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def _clamp_corners(raw: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each coordinate clamped into [0, hi] with the scalar ``min(max(v, 0), hi)``.
+
+    ``np.where`` keeps the comparison order of Python's ``max``/``min``,
+    so a -0.0 coordinate stays -0.0 as it does in ``geometry.clamp``.
+    """
+    low = np.where(0.0 > raw, 0.0, raw)
+    return np.where(hi < low, hi, low)
+
+
+def _clamped_area(x: float, y: float, w: float, h: float, width: float, height: float) -> float:
+    """The area of box ``[x, y, w, h]`` clamped into a width x height image, as scalars."""
+    x0, x1 = (min(max(v, 0.0), width) for v in (x, x + w))
+    y0, y1 = (min(max(v, 0.0), height) for v in (y, y + h))
+    return (x1 - x0) * (y1 - y0)
+
+
+_MISSING = object()
+
+
+def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
     """Load and validate a COCO-style annotation file.
 
     Ids, references and image sizes must be JSON integers and
-    ``iscrowd`` 0 or 1. Boxes are converted from ``[x, y, w, h]`` to
-    corner form and clamped to their image bounds; the number of
+    ``iscrowd`` 0 or 1; image sizes must fit a float and instance ids
+    and references an int64. Boxes are converted from ``[x, y, w, h]``
+    to corner form and clamped to their image bounds; the number of
     instances whose box had to be clipped is recorded on the returned
-    dataset.
+    dataset. ``data``, when given, is the file's content already read by
+    the caller.
+
+    One loop checks each entry, in file order, and appends its fields to
+    column lists; conversion, clamping and the default ``area`` (the
+    clamped box's) then run on the columns.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = json.loads(read_text(path, data))
 
     if not isinstance(raw, dict):
         raise ValidationError(f"annotation file must hold a JSON object, got {type(raw).__name__}")
@@ -213,14 +417,17 @@ def load_dataset(path) -> Dataset:
     images = []
     for i, rec in enumerate(raw["images"]):
         where = f"images[{i}]"
-        images.append(
-            ImageRecord(
-                id=_require_typed(rec, "id", where, int),
-                width=_require_typed(rec, "width", where, int),
-                height=_require_typed(rec, "height", where, int),
-                file_name=_require_typed(rec, "file_name", where, str),
-            )
+        image = ImageRecord(
+            id=_require_typed(rec, "id", where, int),
+            width=_require_typed(rec, "width", where, int),
+            height=_require_typed(rec, "height", where, int),
+            file_name=_require_typed(rec, "file_name", where, str),
         )
+        for key in ("width", "height"):
+            # int-to-float comparison is exact
+            if getattr(image, key) > _FLOAT_MAX:
+                raise ValidationError(f"{where}.{key} is out of float range")
+        images.append(image)
 
     categories = []
     for i, rec in enumerate(raw["categories"]):
@@ -231,10 +438,13 @@ def load_dataset(path) -> Dataset:
                 name=_require_typed(rec, "name", where, str),
             )
         )
-    image_by_id = {im.id: im for im in images}
+    # a later image with a repeated id wins here; the duplicate fails below
+    row_of = {im.id: row for row, im in enumerate(images)}
+    sizes = [(float(im.width), float(im.height)) for im in images]
+    # images whose clamped boxes can have an area past the float range
+    overflowing = {row for row, (w, h) in enumerate(sizes) if math.isinf(w * h)}
 
-    instances = []
-    n_clipped = 0
+    ids, image_ids, category_ids, image_rows, coords, areas, crowds = ([] for _ in range(7))
     for i, rec in enumerate(raw["annotations"]):
         where = f"annotations[{i}]"
         ann_id = _require_typed(rec, "id", where, int)
@@ -243,38 +453,55 @@ def load_dataset(path) -> Dataset:
         x, y, w, h = parse_xywh(_require(rec, "bbox", where), f"{where}.bbox")
         if w < 0 or h < 0:
             raise NegativeExtent(ann_id, w, h)
-        box = geometry.from_xywh(x, y, w, h)
-        image = image_by_id.get(image_id)
-        if image is None:
+        row = row_of.get(image_id)
+        if row is None:
             raise DanglingReference(ann_id, "image", image_id)
-        clamped = geometry.clamp(box, image.bounds)
-        if clamped != box:
-            n_clipped += 1
-            box = clamped
-        area = rec.get("area", box.area)
+        area = rec.get("area", _MISSING)
+        if area is _MISSING and row in overflowing:
+            # the default area can be infinite only here; check it in file order
+            area = _clamped_area(x, y, w, h, *sizes[row])
         # a NaN area would fall out of every size slice without a word
-        if not (type(area) in (int, float) and 0 <= area <= sys.float_info.max):
+        if area is not _MISSING and not (
+            type(area) in _NUMBER and 0 <= area <= _FLOAT_MAX
+        ):
             raise ValidationError(f"{where}.area must be a finite non-negative number")
         crowd = rec.get("iscrowd", 0)
         if type(crowd) is not int or crowd not in (0, 1):
             raise ValidationError(f"{where}.iscrowd must be 0 or 1, got {crowd!r}")
-        instances.append(
-            Instance(
-                id=ann_id,
-                image_id=image_id,
-                category_id=category_id,
-                bbox=box,
-                area=float(area),
-                ignore=crowd == 1,
-            )
-        )
+        ids.append(ann_id)
+        image_ids.append(image_id)
+        category_ids.append(category_id)
+        image_rows.append(row)
+        coords.append((x, y, w, h))
+        areas.append(math.nan if area is _MISSING else float(area))
+        crowds.append(crowd == 1)
 
-    return Dataset(
-        images=tuple(images),
-        instances=tuple(instances),
-        categories=tuple(categories),
+    for key, values in (("id", ids), ("image_id", image_ids), ("category_id", category_ids)):
+        if values and not (_INT64.min <= min(values) and max(values) <= _INT64.max):
+            first = next(i for i, v in enumerate(values) if not _INT64.min <= v <= _INT64.max)
+            raise ValidationError(f"annotations[{first}].{key} is out of int64 range")
+
+    xywh = np.array(coords, dtype=np.float64).reshape(-1, 4)
+    with np.errstate(over="ignore"):
+        corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+    # each box's (width, height, width, height) upper bounds
+    limits = np.tile(np.array(sizes, dtype=np.float64).reshape(-1, 2), 2)
+    boxes = _clamp_corners(corners, limits[np.array(image_rows, dtype=np.intp)])
+    area = np.array(areas, dtype=np.float64)
+    missing = np.isnan(area)
+    area[missing] = (
+        (boxes[missing, 2] - boxes[missing, 0]) * (boxes[missing, 3] - boxes[missing, 1])
+    )
+    columns = InstanceColumns(
+        id=ids, image_id=image_ids, category_id=category_ids,
+        boxes=boxes, area=area, ignore=crowds,
+    )
+    return Dataset.from_columns(
+        images,
+        categories,
+        columns,
         provenance=str(path),
-        clipped_instance_count=n_clipped,
+        clipped_instance_count=int(np.count_nonzero((boxes != corners).any(axis=1))),
     )
 
 
@@ -288,27 +515,25 @@ def compute_stats(
     Buckets split on instance area: small < ``small_max`` <= medium <
     ``medium_max`` <= large.
     """
-    counts = {c.id: 0 for c in ds.categories}
-    buckets = {c.id: {"small": 0, "medium": 0, "large": 0} for c in ds.categories}
-    for inst in ds.instances:
-        counts[inst.category_id] += 1
-        if inst.area < small_max:
-            bucket = "small"
-        elif inst.area < medium_max:
-            bucket = "medium"
-        else:
-            bucket = "large"
-        buckets[inst.category_id][bucket] += 1
+    c = ds.columns
+    counts = {cat.id: 0 for cat in ds.categories}
+    buckets = {cat.id: {"small": 0, "medium": 0, "large": 0} for cat in ds.categories}
+    bucket = np.where(c.area < small_max, 0, np.where(c.area < medium_max, 1, 2))
+    cats, cat_row = np.unique(c.category_id, return_inverse=True)
+    tally = np.bincount(3 * cat_row + bucket, minlength=3 * len(cats)).reshape(-1, 3)
+    for cat_id, row in zip(cats.tolist(), tally.tolist()):
+        counts[cat_id] = sum(row)
+        buckets[cat_id] = dict(zip(("small", "medium", "large"), row))
 
     histogram: Dict[int, int] = {}
-    for image_id, insts in ds.instances_by_image.items():
-        histogram[len(insts)] = histogram.get(len(insts), 0) + 1
+    for rows in ds.rows_by_image.values():
+        histogram[len(rows)] = histogram.get(len(rows), 0) + 1
 
     return StatsReport(
         per_category_counts=counts,
         per_category_size_buckets=buckets,
         per_image_histogram=histogram,
-        total_instances=len(ds.instances),
+        total_instances=len(c),
         clipped_instances=ds.clipped_instance_count,
     )
 
@@ -340,67 +565,93 @@ def tile(
     is at least ``min_visibility``; boxes straddling a tile edge are
     clipped, not dropped. Output ordering is deterministic: images in id
     order, tiles row-major, instances in source-id order within a tile.
+
+    Each row of tiles is clipped against all of its image's instances at
+    once, with the comparisons and operand order of ``geometry.clip`` and
+    ``BBox.shifted``, so the boxes and areas are bit for bit the scalar
+    ones (signed zeros included).
     """
     if not (0 <= overlap < tile_size):
         raise InvalidOverlap(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
     if not (0 < min_visibility <= 1):
         raise ValidationError(f"min_visibility must be in (0, 1], got {min_visibility}")
     stride = tile_size - overlap
+    c = ds.columns
+    # an area past the float range is inf, silently, as in the scalar code
+    with np.errstate(over="ignore"):
+        box_area = (c.boxes[:, 2] - c.boxes[:, 0]) * (c.boxes[:, 3] - c.boxes[:, 1])
 
     new_images: List[ImageRecord] = []
-    new_instances: List[Instance] = []
-    next_image_id = 1
-    next_instance_id = 1
-
+    # per row of tiles: source rows, tile ids, shifted boxes, visible fractions
+    picked, tile_ids = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
+    out_boxes, visibility = [np.zeros((0, 4))], [np.zeros(0)]
     for image in sorted(ds.images, key=lambda im: im.id):
-        insts = sorted(ds.instances_by_image[image.id], key=lambda inst: inst.id)
+        rows = ds.rows_by_image[image.id]
+        rows = rows[np.argsort(c.id[rows], kind="stable")]
+        # a degenerate box has no visible fraction in any tile
+        rows = rows[box_area[rows] > 0]
+        x0, y0, x1, y1 = c.boxes[rows].T
         stem, dot, suffix = image.file_name.rpartition(".")
         if not dot:
             stem, suffix = image.file_name, ""
+        xs = _tile_origins(image.width, tile_size, stride)
+        # tile rects of one row: float(ox) .. float(ox + tw); shifts are float(-ox)
+        rx0 = np.array([float(ox) for ox in xs])[:, None]
+        rx1 = np.array([float(ox + min(tile_size, image.width - ox)) for ox in xs])[:, None]
+        dx = np.array([float(-ox) for ox in xs])[:, None]
         for oy in _tile_origins(image.height, tile_size, stride):
-            for ox in _tile_origins(image.width, tile_size, stride):
-                tw = min(tile_size, image.width - ox)
-                th = min(tile_size, image.height - oy)
-                tile_rect = BBox(float(ox), float(oy), float(ox + tw), float(oy + th))
-                tile_image = ImageRecord(
-                    id=next_image_id,
-                    width=tw,
-                    height=th,
-                    file_name=f"{stem}__x{ox}_y{oy}" + (f".{suffix}" if dot else ""),
-                )
-                next_image_id += 1
-                new_images.append(tile_image)
-                for inst in insts:
-                    if inst.bbox.area <= 0:
-                        continue
-                    clipped = geometry.clip(inst.bbox, tile_rect)
-                    if clipped is None:
-                        continue
-                    visibility = clipped.area / inst.bbox.area
-                    if visibility < min_visibility:
-                        continue
-                    new_instances.append(
-                        Instance(
-                            id=next_instance_id,
-                            image_id=tile_image.id,
-                            category_id=inst.category_id,
-                            bbox=clipped.shifted(-ox, -oy),
-                            area=inst.area * visibility,
-                            ignore=inst.ignore,
-                        )
+            th = min(tile_size, image.height - oy)
+            first_id = len(new_images) + 1
+            for ox in xs:
+                new_images.append(
+                    ImageRecord(
+                        id=len(new_images) + 1,
+                        width=min(tile_size, image.width - ox),
+                        height=th,
+                        file_name=f"{stem}__x{ox}_y{oy}" + (f".{suffix}" if dot else ""),
                     )
-                    next_instance_id += 1
+                )
+            ry0, ry1, dy = float(oy), float(oy + th), float(-oy)
+            cx0 = np.where(rx0 > x0, rx0, x0)
+            cy0 = np.where(ry0 > y0, ry0, y0)
+            cx1 = np.where(rx1 < x1, rx1, x1)
+            cy1 = np.where(ry1 < y1, ry1, y1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vis = (cx1 - cx0) * (cy1 - cy0) / box_area[rows]
+            keep = (cx1 > cx0) & (cy1 > cy0) & ~(vis < min_visibility)
+            t, n = np.nonzero(keep)
+            picked.append(rows[n])
+            tile_ids.append(first_id + t)
+            out_boxes.append(
+                np.stack(
+                    [cx0[t, n] + dx[t, 0], cy0[n] + dy, cx1[t, n] + dx[t, 0], cy1[n] + dy],
+                    axis=1,
+                )
+            )
+            visibility.append(vis[t, n])
 
-    return Dataset(
-        images=tuple(new_images),
-        instances=tuple(new_instances),
-        categories=ds.categories,
+    picked = np.concatenate(picked)
+    columns = InstanceColumns(
+        id=np.arange(1, len(picked) + 1),
+        image_id=np.concatenate(tile_ids),
+        category_id=c.category_id[picked],
+        boxes=np.concatenate(out_boxes),
+        area=c.area[picked] * np.concatenate(visibility),
+        ignore=c.ignore[picked],
+    )
+    return Dataset.from_columns(
+        new_images,
+        ds.categories,
+        columns,
         provenance=f"{ds.provenance}#tiled(size={tile_size},overlap={overlap})",
     )
 
 
 def dataset_to_coco(ds: Dataset) -> dict:
     """Dataset as a COCO-style dict (the schema read by :func:`load_dataset`)."""
+    c = ds.columns
+    b = c.boxes
+    xywh = np.stack([b[:, 0], b[:, 1], b[:, 2] - b[:, 0], b[:, 3] - b[:, 1]], axis=1)
     return {
         "images": [
             {"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
@@ -408,16 +659,23 @@ def dataset_to_coco(ds: Dataset) -> dict:
         ],
         "annotations": [
             {
-                "id": inst.id,
-                "image_id": inst.image_id,
-                "category_id": inst.category_id,
-                "bbox": list(geometry.to_xywh(inst.bbox)),
-                "area": inst.area,
-                "iscrowd": 1 if inst.ignore else 0,
+                "id": ann_id,
+                "image_id": image_id,
+                "category_id": category_id,
+                "bbox": box,
+                "area": area,
+                "iscrowd": 1 if crowd else 0,
             }
-            for inst in ds.instances
+            for ann_id, image_id, category_id, box, area, crowd in zip(
+                c.id.tolist(),
+                c.image_id.tolist(),
+                c.category_id.tolist(),
+                xywh.tolist(),
+                c.area.tolist(),
+                c.ignore.tolist(),
+            )
         ],
-        "categories": [{"id": c.id, "name": c.name} for c in ds.categories],
+        "categories": [{"id": cat.id, "name": cat.name} for cat in ds.categories],
     }
 
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .annotations import compute_stats, export_dataset, load_dataset, tile
+from .annotations import compute_stats, export_dataset, load_dataset, read_text, tile
 from .anchors import (
     AnchorSpec,
     cluster_anchor_sizes,
@@ -33,6 +33,7 @@ from .anchors import (
 from .augment import ImageGeom, TransformRecord, pipeline, replay
 from .errors import ConfigTypeError, UnknownConfigKey, ValidationError
 from .evaluation import coco_map, load_detections
+from .geometry import BBox
 from .losses import (
     LogitsBatch,
     class_weights,
@@ -212,15 +213,33 @@ def _check(path: str, tag: str, value):
     return value
 
 
-def resolve_config(args) -> Tuple[dict, dict, Optional[str]]:
-    """Merge defaults, config file, and flags; track per-field provenance."""
+def _read_input(inputs: dict, name: str, path: str) -> bytes:
+    """The bytes of one input file, read once; its sha256 goes in ``inputs``.
+
+    Hashing what was read, not the path after the command ran, keeps the
+    report right when a command overwrites its own input.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    inputs[name] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return data
+
+
+def resolve_config(args) -> Tuple[dict, dict, dict]:
+    """Merge defaults, config file, and flags; track per-field provenance.
+
+    Returns the config, the provenance of each setting and the report's
+    ``inputs`` map, which holds the config file's entry if one was read.
+    """
     config = _default_config()
     provenance = dict.fromkeys(_TAGS, "default")
     settings = []
+    inputs = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            file_config = json.load(fh)
+        file_config = json.loads(
+            read_text(config_path, _read_input(inputs, "config", config_path))
+        )
         if not isinstance(file_config, dict):
             raise ValidationError("config file must hold a JSON object")
         for block, node in file_config.items():
@@ -240,15 +259,7 @@ def resolve_config(args) -> Tuple[dict, dict, Optional[str]]:
         block, key = path.split(".")
         config[block][key] = _check(path, _TAGS[path], value)
         provenance[path] = source
-    return config, provenance, config_path
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return config, provenance, inputs
 
 
 def _require(config, block, key, flag):
@@ -278,19 +289,19 @@ def _anchor_pieces(config):
     return spec, fmap_dims
 
 
+def _load_annotations(config, inputs):
+    path = _require(config, "paths", "annotations", "--ann")
+    return load_dataset(path, _read_input(inputs, "annotations", path))
+
+
 def _run_stats(config, inputs):
     """dataset imbalance and size statistics"""
-    path = _require(config, "paths", "annotations", "--ann")
-    inputs["annotations"] = path
-    ds = load_dataset(path)
-    return compute_stats(ds).to_dict()
+    return compute_stats(_load_annotations(config, inputs)).to_dict()
 
 
 def _run_tile(config, inputs):
     """split images into overlapping patches"""
-    path = _require(config, "paths", "annotations", "--ann")
-    inputs["annotations"] = path
-    ds = load_dataset(path)
+    ds = _load_annotations(config, inputs)
     t = config["tile"]
     tiled = tile(
         ds,
@@ -304,8 +315,8 @@ def _run_tile(config, inputs):
     return {
         "n_source_images": len(ds.images),
         "n_tiles": len(tiled.images),
-        "n_source_instances": len(ds.instances),
-        "n_instances": len(tiled.instances),
+        "n_source_instances": len(ds.columns),
+        "n_instances": len(tiled.columns),
         "exported_to": export_path,
     }
 
@@ -316,12 +327,8 @@ def _run_cluster(config, inputs):
     if c["synthetic"] is not None:
         boxes = synthetic_aerial_corpus(n=c["synthetic"])
     else:
-        path = _require(config, "paths", "annotations", "--ann")
-        inputs["annotations"] = path
-        ds = load_dataset(path)
-        boxes = np.array(
-            [[inst.bbox.width, inst.bbox.height] for inst in ds.instances]
-        )
+        corners = _load_annotations(config, inputs).columns.boxes
+        boxes = corners[:, 2:] - corners[:, :2]
         if boxes.size == 0:
             raise ValidationError("no instances to cluster")
     if c["k_range"] is not None:
@@ -361,9 +368,7 @@ def _run_anchors(config, inputs):
 
 def _run_match(config, inputs):
     """simulate anchor-to-GT matching on a dataset"""
-    path = _require(config, "paths", "annotations", "--ann")
-    inputs["annotations"] = path
-    ds = load_dataset(path)
+    ds = _load_annotations(config, inputs)
     spec, fmap_dims = _anchor_pieces(config)
     anchor_set = generate_anchors(spec, fmap_dims)
     m = config["match"]
@@ -381,10 +386,8 @@ def _run_eval(config, inputs):
     """COCO-protocol AP over a detections file"""
     ann_path = _require(config, "paths", "annotations", "--ann")
     det_path = _require(config, "paths", "detections", "--dets")
-    inputs["annotations"] = ann_path
-    inputs["detections"] = det_path
-    ds = load_dataset(ann_path)
-    dets = load_detections(det_path)
+    ds = load_dataset(ann_path, _read_input(inputs, "annotations", ann_path))
+    dets = load_detections(det_path, _read_input(inputs, "detections", det_path))
     e = config["eval"]
     result = coco_map(
         dets, ds, max_dets=e["max_dets"], iou_thresholds=e["iou_thresholds"]
@@ -402,14 +405,13 @@ def _bad_records_line(path, lineno, exc) -> ValidationError:
     )
 
 
-def _read_records(path, image_ids) -> dict:
+def _read_records(path, text, image_ids) -> dict:
     """Map image id -> (line number, records) for a JSON-lines records file.
 
-    Every line must name one of ``image_ids`` by its integer id.
+    ``text`` is the file's content. Every line must name one of
+    ``image_ids`` by its integer id.
     """
     per_image = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     start = 0
     for lineno, line in enumerate(text.split("\n"), 1):
         line_start, start = start, start + len(line) + 1
@@ -436,14 +438,12 @@ def _read_records(path, image_ids) -> dict:
 
 def _run_augment_replay(config, inputs):
     """sample augmentations per image, or replay records"""
-    path = _require(config, "paths", "annotations", "--ann")
-    inputs["annotations"] = path
-    ds = load_dataset(path)
+    ds = _load_annotations(config, inputs)
     records_path = config["paths"]["records"]
     rows = []
     if records_path:
-        inputs["records"] = records_path
-        per_image = _read_records(records_path, ds.image_by_id)
+        text = read_text(records_path, _read_input(inputs, "records", records_path))
+        per_image = _read_records(records_path, text, ds.image_by_id)
         mode = "replay"
     else:
         per_image = None
@@ -451,8 +451,9 @@ def _run_augment_replay(config, inputs):
         pipe = pipeline(config["augment"]["aug_id"], config["augment"]["seed"])
 
     out_lines = []
+    corners = ds.columns.boxes
     for image in sorted(ds.images, key=lambda im: im.id):
-        boxes = [inst.bbox for inst in ds.instances_by_image.get(image.id, [])]
+        boxes = [BBox(*box) for box in corners[ds.rows_by_image[image.id]].tolist()]
         geom = ImageGeom(image.width, image.height)
         if per_image is not None:
             lineno, records = per_image.get(image.id, (None, []))
@@ -553,20 +554,14 @@ def _pretty_lines(value, indent=0) -> List[str]:
 
 
 def dispatch(args) -> int:
-    config, provenance, config_path = resolve_config(args)
-    inputs = {}
-    if config_path:
-        inputs["config"] = config_path
+    config, provenance, inputs = resolve_config(args)
     result = _RUNNERS[args.command](config, inputs)
     report = {
         "command": args.command,
         "version": __version__,
         "config": config,
         "provenance": provenance,
-        "inputs": {
-            name: {"path": path, "sha256": _sha256(path)}
-            for name, path in sorted(inputs.items())
-        },
+        "inputs": inputs,
         "result": result,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"

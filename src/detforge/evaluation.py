@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .annotations import Dataset, MEDIUM_AREA_MAX, SMALL_AREA_MAX, parse_xywh
+from .annotations import (
+    Dataset,
+    MEDIUM_AREA_MAX,
+    SMALL_AREA_MAX,
+    group_rows,
+    parse_xywh,
+    read_text,
+)
 from .errors import DanglingReference, MissingKey, ValidationError
 from .geometry import BBox, from_xywh, iou_matrix
 
@@ -65,10 +73,12 @@ class EvalResult:
         }
 
 
-def load_detections(path) -> List[Detection]:
-    """Read a results array of {image_id, category_id, bbox, score}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+def load_detections(path, data: Optional[bytes] = None) -> List[Detection]:
+    """Read a results array of {image_id, category_id, bbox, score}.
+
+    ``data``, when given, is the file's content already read by the caller.
+    """
+    raw = json.loads(read_text(path, data))
     if not isinstance(raw, list):
         raise ValidationError("detections file must hold a JSON array")
     out = []
@@ -87,6 +97,9 @@ def load_detections(path) -> List[Detection]:
                 raise ValidationError(
                     f"detections[{i}].{key} must be {kind}, got {type(entry[key]).__name__}"
                 )
+        # int-to-float comparison is exact; float() of a larger int overflows
+        if type(entry["score"]) is int and abs(entry["score"]) > sys.float_info.max:
+            raise ValidationError(f"detections[{i}].score is out of float range")
         out.append(
             Detection(
                 image_id=entry["image_id"],
@@ -243,20 +256,20 @@ def coco_map(
             det_groups[(d.image_id, d.category_id)].append(d)
             n_detections += 1
 
-    gt_groups = defaultdict(list)
-    for inst in ds.instances:
-        gt_groups[(inst.image_id, inst.category_id)].append(inst)
+    gt = ds.columns
+    gt_groups = group_rows(gt.image_id, gt.category_id)
     class_ids = sorted(ds.category_by_id)
 
     # Flat det and GT arrays in (image, class) group order, dets ranked
     # within their group; only groups with dets are matched.
     keys = sorted(det_groups)
     group_dets = [det_groups[key] for key in keys]
-    group_gts = [gt_groups.get(key, []) for key in keys]
+    no_rows = np.zeros(0, dtype=np.intp)
+    group_gts = [gt_groups.get(key, no_rows) for key in keys]
     flat_dets = [d for group in group_dets for d in group]
-    flat_gts = [g for group in group_gts for g in group]
+    flat_gts = np.concatenate([no_rows, *group_gts])
     det_boxes = _corners([d.bbox for d in flat_dets])
-    gt_boxes = _corners([g.bbox for g in flat_gts])
+    gt_boxes = gt.boxes[flat_gts]
     scores = np.array([d.score for d in flat_dets], dtype=np.float64)
     n_det = np.array([len(group) for group in group_dets], dtype=np.int64)
     n_gt = np.array([len(group) for group in group_gts], dtype=np.int64)
@@ -267,8 +280,8 @@ def coco_map(
     hi = np.array([sl[2] for sl in _SLICES])[:, None]
     det_area = (det_boxes[:, 2] - det_boxes[:, 0]) * (det_boxes[:, 3] - det_boxes[:, 1])
     det_in = (lo <= det_area) & (det_area < hi)
-    gt_area = np.array([g.area for g in flat_gts], dtype=np.float64)
-    gt_crowd = np.array([g.ignore for g in flat_gts], dtype=bool)
+    gt_area = gt.area[flat_gts]
+    gt_crowd = gt.ignore[flat_gts]
     # one trailing False column stands in for the GT padding of a chunk
     gt_live = np.zeros((len(_SLICES), len(flat_gts) + 1), dtype=bool)
     gt_live[:, :-1] = ~gt_crowd & (lo <= gt_area) & (gt_area < hi)
@@ -306,11 +319,8 @@ def coco_map(
     )
     det_class = np.array([d.category_id for d in flat_dets], dtype=np.int64)
     class_order = {c: order[det_class[order] == c] for c in class_ids}
-    inst_area = np.array([g.area for g in ds.instances], dtype=np.float64)
-    inst_class = np.array([g.category_id for g in ds.instances], dtype=np.int64)
-    inst_live = np.array([not g.ignore for g in ds.instances], dtype=bool) & (
-        (lo <= inst_area) & (inst_area < hi)
-    )
+    inst_class = gt.category_id
+    inst_live = ~gt.ignore & (lo <= gt.area) & (gt.area < hi)
 
     def class_threshold_aps(cat: int, s: int):
         """Per-threshold AP list for one class and slice, or None if no GT."""
@@ -356,7 +366,7 @@ def coco_map(
                     else:
                         ap75 = value
 
-    n_gt_total = sum(1 for inst in ds.instances if not inst.ignore)
+    n_gt_total = int(np.count_nonzero(~gt.ignore))
     return EvalResult(
         ap=slice_ap["all"],
         ap50=ap50,

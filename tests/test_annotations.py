@@ -1,17 +1,22 @@
 import itertools
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from detforge import geometry
 from detforge.annotations import (
     Category,
     Dataset,
     ImageRecord,
     Instance,
+    InstanceColumns,
     MEDIUM_AREA_MAX,
     SMALL_AREA_MAX,
+    _require,
+    _require_typed,
     _tile_origins,
     compute_stats,
     dataset_to_coco,
@@ -390,3 +395,464 @@ class TestParseXywhMatchesOracle:
                                        [1, 2, 3, 4, 5], np.zeros(4), range(4)])
     def test_non_sequences_and_wrong_lengths(self, value):
         assert self.outcome(parse_xywh, value) == self.outcome(oracle_parse_xywh, value)
+
+
+# ---------------------------------------------------------------------------
+# The object-path loader, tiler and exporter the columnar code replaced. They
+# build one BBox and one Instance per box and are kept as test oracles.
+
+
+def oracle_check_dataset(images, instances, categories):
+    """The original Dataset.__post_init__ walk over Instance objects."""
+    for ids, kind in (
+        ([im.id for im in images], "image"),
+        ([c.id for c in categories], "category"),
+        ([inst.id for inst in instances], "instance"),
+    ):
+        seen = set()
+        for i in ids:
+            if i in seen:
+                raise ValidationError(f"duplicate {kind} id: {i}")
+            seen.add(i)
+    image_ids = {im.id for im in images}
+    category_ids = {c.id for c in categories}
+    for inst in instances:
+        if inst.image_id not in image_ids:
+            raise DanglingReference(inst.id, "image", inst.image_id)
+        if inst.category_id not in category_ids:
+            raise DanglingReference(inst.id, "category", inst.category_id)
+
+
+def oracle_load_dataset(path) -> Dataset:
+    """The original loader: one BBox, one clamp and one Instance per entry."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+
+    if not isinstance(raw, dict):
+        raise ValidationError(f"annotation file must hold a JSON object, got {type(raw).__name__}")
+    for key in ("images", "annotations", "categories"):
+        if key not in raw:
+            raise MissingKey(key)
+        if not isinstance(raw[key], list):
+            raise ValidationError(f"{key} must be an array, got {type(raw[key]).__name__}")
+
+    images = []
+    for i, rec in enumerate(raw["images"]):
+        where = f"images[{i}]"
+        images.append(
+            ImageRecord(
+                id=_require_typed(rec, "id", where, int),
+                width=_require_typed(rec, "width", where, int),
+                height=_require_typed(rec, "height", where, int),
+                file_name=_require_typed(rec, "file_name", where, str),
+            )
+        )
+
+    categories = []
+    for i, rec in enumerate(raw["categories"]):
+        where = f"categories[{i}]"
+        categories.append(
+            Category(
+                id=_require_typed(rec, "id", where, int),
+                name=_require_typed(rec, "name", where, str),
+            )
+        )
+    image_by_id = {im.id: im for im in images}
+
+    instances = []
+    n_clipped = 0
+    for i, rec in enumerate(raw["annotations"]):
+        where = f"annotations[{i}]"
+        ann_id = _require_typed(rec, "id", where, int)
+        image_id = _require_typed(rec, "image_id", where, int)
+        category_id = _require_typed(rec, "category_id", where, int)
+        x, y, w, h = parse_xywh(_require(rec, "bbox", where), f"{where}.bbox")
+        if w < 0 or h < 0:
+            raise NegativeExtent(ann_id, w, h)
+        box = geometry.from_xywh(x, y, w, h)
+        image = image_by_id.get(image_id)
+        if image is None:
+            raise DanglingReference(ann_id, "image", image_id)
+        bounds = BBox(0.0, 0.0, float(image.width), float(image.height))
+        clamped = geometry.clamp(box, bounds)
+        if clamped != box:
+            n_clipped += 1
+            box = clamped
+        area = rec.get("area", box.area)
+        if not (type(area) in (int, float) and 0 <= area <= sys.float_info.max):
+            raise ValidationError(f"{where}.area must be a finite non-negative number")
+        crowd = rec.get("iscrowd", 0)
+        if type(crowd) is not int or crowd not in (0, 1):
+            raise ValidationError(f"{where}.iscrowd must be 0 or 1, got {crowd!r}")
+        instances.append(
+            Instance(
+                id=ann_id,
+                image_id=image_id,
+                category_id=category_id,
+                bbox=box,
+                area=float(area),
+                ignore=crowd == 1,
+            )
+        )
+
+    oracle_check_dataset(images, instances, categories)
+    return Dataset(
+        images=tuple(images),
+        instances=tuple(instances),
+        categories=tuple(categories),
+        provenance=str(path),
+        clipped_instance_count=n_clipped,
+    )
+
+
+def oracle_tile(ds, tile_size=800, overlap=200, min_visibility=0.25) -> Dataset:
+    """The original tiler: one scalar geometry.clip per (tile, instance) pair."""
+    if not (0 <= overlap < tile_size):
+        raise InvalidOverlap(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
+    if not (0 < min_visibility <= 1):
+        raise ValidationError(f"min_visibility must be in (0, 1], got {min_visibility}")
+    stride = tile_size - overlap
+
+    new_images = []
+    new_instances = []
+    next_image_id = 1
+    next_instance_id = 1
+
+    for image in sorted(ds.images, key=lambda im: im.id):
+        insts = sorted(ds.instances_by_image[image.id], key=lambda inst: inst.id)
+        stem, dot, suffix = image.file_name.rpartition(".")
+        if not dot:
+            stem, suffix = image.file_name, ""
+        for oy in _tile_origins(image.height, tile_size, stride):
+            for ox in _tile_origins(image.width, tile_size, stride):
+                tw = min(tile_size, image.width - ox)
+                th = min(tile_size, image.height - oy)
+                tile_rect = BBox(float(ox), float(oy), float(ox + tw), float(oy + th))
+                tile_image = ImageRecord(
+                    id=next_image_id,
+                    width=tw,
+                    height=th,
+                    file_name=f"{stem}__x{ox}_y{oy}" + (f".{suffix}" if dot else ""),
+                )
+                next_image_id += 1
+                new_images.append(tile_image)
+                for inst in insts:
+                    if inst.bbox.area <= 0:
+                        continue
+                    clipped = geometry.clip(inst.bbox, tile_rect)
+                    if clipped is None:
+                        continue
+                    visibility = clipped.area / inst.bbox.area
+                    if visibility < min_visibility:
+                        continue
+                    new_instances.append(
+                        Instance(
+                            id=next_instance_id,
+                            image_id=tile_image.id,
+                            category_id=inst.category_id,
+                            bbox=clipped.shifted(-ox, -oy),
+                            area=inst.area * visibility,
+                            ignore=inst.ignore,
+                        )
+                    )
+                    next_instance_id += 1
+
+    return Dataset(
+        images=tuple(new_images),
+        instances=tuple(new_instances),
+        categories=ds.categories,
+        provenance=f"{ds.provenance}#tiled(size={tile_size},overlap={overlap})",
+    )
+
+
+def oracle_export_bytes(ds) -> bytes:
+    """The original export: one dict per Instance object, dumped with indent=2."""
+    blob = {
+        "images": [
+            {"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
+            for im in ds.images
+        ],
+        "annotations": [
+            {
+                "id": inst.id,
+                "image_id": inst.image_id,
+                "category_id": inst.category_id,
+                "bbox": list(geometry.to_xywh(inst.bbox)),
+                "area": inst.area,
+                "iscrowd": 1 if inst.ignore else 0,
+            }
+            for inst in ds.instances
+        ],
+        "categories": [{"id": c.id, "name": c.name} for c in ds.categories],
+    }
+    return (json.dumps(blob, indent=2) + "\n").encode("utf-8")
+
+
+def oracle_stats(ds) -> dict:
+    """The original per-instance statistics loop."""
+    counts = {c.id: 0 for c in ds.categories}
+    buckets = {c.id: {"small": 0, "medium": 0, "large": 0} for c in ds.categories}
+    for inst in ds.instances:
+        counts[inst.category_id] += 1
+        if inst.area < SMALL_AREA_MAX:
+            bucket = "small"
+        elif inst.area < MEDIUM_AREA_MAX:
+            bucket = "medium"
+        else:
+            bucket = "large"
+        buckets[inst.category_id][bucket] += 1
+    histogram = {}
+    for insts in ds.instances_by_image.values():
+        histogram[len(insts)] = histogram.get(len(insts), 0) + 1
+    return {"counts": counts, "buckets": buckets, "histogram": histogram}
+
+
+def bits(values) -> list:
+    """Floats as their bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def export_bytes(ds, tmp_path) -> bytes:
+    path = tmp_path / "export.json"
+    export_dataset(ds, path)
+    return path.read_bytes()
+
+
+def assert_same_dataset(got: Dataset, want: Dataset, tmp_path):
+    """Columns bit for bit, instances field by field, and the exported bytes."""
+    assert got.images == want.images
+    assert got.categories == want.categories
+    assert got.provenance == want.provenance
+    assert got.clipped_instance_count == want.clipped_instance_count
+    g, w = got.columns, want.columns
+    for name in ("id", "image_id", "category_id", "ignore"):
+        assert getattr(g, name).dtype == getattr(w, name).dtype
+        assert getattr(g, name).tolist() == getattr(w, name).tolist(), name
+    assert bits(g.boxes) == bits(w.boxes)
+    assert bits(g.area) == bits(w.area)
+    assert got.instances == want.instances
+    # repr tells -0.0 from 0.0, and an int field from a float one
+    assert [repr(i) for i in got.instances] == [repr(i) for i in want.instances]
+    assert export_bytes(got, tmp_path) == oracle_export_bytes(want)
+    stats, oracle = compute_stats(got), oracle_stats(want)
+    assert stats.per_category_counts == oracle["counts"]
+    assert stats.per_category_size_buckets == oracle["buckets"]
+    assert stats.per_image_histogram == oracle["histogram"]
+    assert stats.total_instances == len(want.instances)
+
+
+TILINGS = [(800, 200, 0.25), (256, 64, 0.5), (100, 0, 1.0), (150, 100, 0.01)]
+
+
+def random_payload(seed: int) -> dict:
+    """A COCO payload with every box case the loader and tiler branch on.
+
+    Boxes inside, partly and fully out of bounds, zero-area and signed-zero
+    boxes; crowd entries; missing, integer and float areas; unsorted ids;
+    and images without instances.
+    """
+    rng = np.random.default_rng(seed)
+    n_images = int(rng.integers(1, 6))
+    image_ids = rng.choice(10_000, n_images, replace=False).tolist()
+    images = [
+        {"id": i, "width": int(rng.integers(40, 1300)), "height": int(rng.integers(40, 1300)),
+         "file_name": f"im{i}" + (".png" if rng.random() < 0.7 else "")}
+        for i in image_ids
+    ]
+    category_ids = rng.choice(50, int(rng.integers(1, 4)), replace=False).tolist()
+    # some images get no instances at all
+    hosts = images[: max(1, n_images - int(rng.integers(0, 2)))]
+    n_anns = int(rng.integers(0, 40))
+    ann_ids = rng.choice(100_000, n_anns, replace=False).tolist()
+    annotations = []
+    for ann_id in ann_ids:
+        im = hosts[int(rng.integers(len(hosts)))]
+        w_img, h_img = im["width"], im["height"]
+        kind = rng.choice(["inside", "partly", "outside", "zero", "signed-zero"])
+        x = float(rng.uniform(0, w_img))
+        y = float(rng.uniform(0, h_img))
+        w = float(rng.uniform(1, 300))
+        h = float(rng.uniform(1, 300))
+        if kind == "partly":
+            x = float(rng.uniform(-w, 0)) if rng.random() < 0.5 else w_img - w / 2
+        elif kind == "outside":
+            x = float(w_img + rng.uniform(0, 50)) if rng.random() < 0.5 else -w - 5.0
+        elif kind == "zero":
+            w = 0.0 if rng.random() < 0.5 else w
+            h = 0.0 if w else h
+        elif kind == "signed-zero":
+            x, y = -0.0, (-0.0 if rng.random() < 0.5 else y)
+            w = -0.0 if rng.random() < 0.2 else w
+        bbox = [x, y, w, h]
+        if rng.random() < 0.3:
+            bbox = [int(v) for v in bbox]
+        ann = {"id": ann_id, "image_id": im["id"],
+               "category_id": category_ids[int(rng.integers(len(category_ids)))], "bbox": bbox}
+        area_kind = rng.integers(3)
+        if area_kind == 1:
+            ann["area"] = int(rng.integers(0, 90_000))
+        elif area_kind == 2:
+            ann["area"] = float(rng.uniform(0, 90_000))
+        if rng.random() < 0.5:
+            ann["iscrowd"] = int(rng.random() < 0.3)
+        annotations.append(ann)
+    categories = [{"id": c, "name": f"c{c}"} for c in category_ids]
+    return {"images": images, "annotations": annotations, "categories": categories}
+
+
+def load_both(payload, tmp_path):
+    path = write_json(tmp_path / "ann.json", payload)
+    return load_dataset(path), oracle_load_dataset(path)
+
+
+class TestColumnarMatchesOracle:
+    """Load, tile, stats and export against the object-path code they replaced."""
+
+    @pytest.mark.parametrize("name", ["tiny.json", "eval_mixed_ann.json"])
+    def test_fixtures(self, data_dir, tmp_path, name):
+        got, want = load_dataset(data_dir / name), oracle_load_dataset(data_dir / name)
+        assert_same_dataset(got, want, tmp_path)
+        for size, overlap, min_vis in TILINGS:
+            assert_same_dataset(tile(got, size, overlap, min_vis),
+                                oracle_tile(want, size, overlap, min_vis), tmp_path)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_datasets(self, tmp_path, seed):
+        got, want = load_both(random_payload(seed), tmp_path)
+        assert_same_dataset(got, want, tmp_path)
+        for size, overlap, min_vis in TILINGS:
+            assert_same_dataset(tile(got, size, overlap, min_vis),
+                                oracle_tile(want, size, overlap, min_vis), tmp_path)
+
+    def test_random_datasets_cover_every_case(self, tmp_path):
+        """The seeds above do reach the branches they are meant to test."""
+        seen = set()
+        for seed in range(30):
+            got, _ = load_both(random_payload(seed), tmp_path)
+            c = got.columns
+            area = (c.boxes[:, 2] - c.boxes[:, 0]) * (c.boxes[:, 3] - c.boxes[:, 1])
+            seen |= {
+                "clipped" if got.clipped_instance_count else None,
+                "zero-area" if (area == 0).any() else None,
+                "crowd" if c.ignore.any() else None,
+                "signed-zero" if np.signbit(c.boxes[c.boxes == 0]).any() else None,
+                "unsorted" if (np.diff(c.id) < 0).any() else None,
+                "empty image" if any(len(r) == 0 for r in got.rows_by_image.values()) else None,
+            }
+        assert seen - {None} == {"clipped", "zero-area", "crowd", "signed-zero", "unsorted",
+                                 "empty image"}
+
+    def test_signed_zeros(self, tmp_path):
+        """-0.0 survives clamping as in min(max(v, 0.0), hi); x + (-0) makes it 0.0."""
+        payload = {
+            "images": [{"id": 1, "width": 1000, "height": 800, "file_name": "a.png"}],
+            "annotations": [
+                {"id": 1, "image_id": 1, "category_id": 1, "bbox": [-0.0, -0.0, 10.0, 10.0]},
+                {"id": 2, "image_id": 1, "category_id": 1, "bbox": [0.0, -0.0, 5.0, 5.0],
+                 "area": 25},
+                {"id": 3, "image_id": 1, "category_id": 1, "bbox": [-0.0, 5.0, -0.0, 3.0]},
+                {"id": 4, "image_id": 1, "category_id": 1, "bbox": [990.0, -0.0, 20.0, 5.0]},
+                {"id": 5, "image_id": 1, "category_id": 1, "bbox": [-5.0, -0.0, 300.0, 4.0]},
+            ],
+            "categories": [{"id": 1, "name": "c"}],
+        }
+        got, want = load_both(payload, tmp_path)
+        assert_same_dataset(got, want, tmp_path)
+        assert np.signbit(got.columns.boxes[0, :2]).all()  # kept, not turned into 0.0
+        assert b"-0.0" in export_bytes(got, tmp_path)
+        tiled = tile(got, 800, 200, 0.25)
+        assert_same_dataset(tiled, oracle_tile(want, 800, 200, 0.25), tmp_path)
+        assert not np.signbit(tiled.columns.boxes[tiled.columns.boxes == 0]).any()
+
+    def test_constructed_dataset(self, tmp_path):
+        """Instance objects given to the constructor tile as the loaded ones do."""
+        ds = oracle_load_dataset(write_json(tmp_path / "ann.json", random_payload(3)))
+        rebuilt = Dataset(ds.images, ds.instances, ds.categories, ds.provenance,
+                          ds.clipped_instance_count)
+        assert rebuilt.instances is ds.instances  # the caller's objects, not rebuilt ones
+        assert_same_dataset(tile(rebuilt, 256, 64, 0.5), oracle_tile(ds, 256, 64, 0.5),
+                            tmp_path)
+
+    def test_box_area_past_float_range_tiles_without_warnings(self, tmp_path):
+        ds = Dataset(
+            (ImageRecord(1, 1000, 800, "a.png"),),
+            (Instance(1, 1, 1, BBox(0.0, 0.0, 1e200, 1e200), 1.0),
+             Instance(2, 1, 1, BBox(10.0, 10.0, 30.0, 30.0), 400.0)),
+            (Category(1, "c"),),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tile(ds, 800, 200, 0.25)
+        assert_same_dataset(got, oracle_tile(ds, 800, 200, 0.25), tmp_path)
+
+    def test_default_area_overflow_is_named_in_file_order(self, tmp_path):
+        """A missing area whose clamped box area overflows fails at its own entry."""
+        big = 10**200
+        payload = {
+            "images": [{"id": 1, "width": big, "height": big, "file_name": "a.png"}],
+            "annotations": [
+                {"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1e3, 1e3]},
+                {"id": 2, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1e200, 1e200]},
+                {"id": 3, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "iscrowd": 7},
+            ],
+            "categories": [{"id": 1, "name": "c"}],
+        }
+        path = write_json(tmp_path / "ann.json", payload)
+        for loader in (load_dataset, oracle_load_dataset):
+            with pytest.raises(ValidationError, match=r"^annotations\[1\]\.area must be"):
+                loader(path)
+        del payload["annotations"][1:]
+        got, want = load_both(payload, tmp_path)
+        assert_same_dataset(got, want, tmp_path)
+
+
+class TestObjectsOnlyAtTheEdge:
+    def test_pipeline_builds_no_instance_or_box(self, data_dir, tmp_path, monkeypatch):
+        """load -> tile -> stats -> export never calls Instance or BBox __init__."""
+        calls = []
+        for cls in (Instance, BBox):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                calls.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        ds = load_dataset(data_dir / "eval_mixed_ann.json")
+        tiled = tile(ds, 256, 64, 0.25)
+        compute_stats(ds)
+        compute_stats(tiled)
+        export_dataset(tiled, tmp_path / "tiles.json")
+        assert calls == []
+        # the counter does see the objects built for an API caller
+        assert len(tiled.instances) == len(tiled.columns) > 0
+        assert calls.count("Instance") == calls.count("BBox") == len(tiled.columns)
+
+    def test_instances_are_cached(self, tiny_dataset):
+        assert tiny_dataset.instances is tiny_dataset.instances
+        assert tiny_dataset.instances_by_image[2] == tuple(
+            i for i in tiny_dataset.instances if i.image_id == 2
+        )
+
+    def test_columns_are_read_only(self, tiny_dataset):
+        c = tiny_dataset.columns
+        assert c.id.dtype == c.image_id.dtype == c.category_id.dtype == np.int64
+        assert c.boxes.shape == (7, 4) and c.boxes.dtype == np.float64
+        assert c.area.dtype == np.float64 and c.ignore.dtype == bool
+        with pytest.raises(ValueError):
+            c.boxes[0, 0] = 1.0
+
+    def test_constructor_keeps_validating(self):
+        image, cat = ImageRecord(1, 10, 10, "a.png"), Category(1, "c")
+        box = from_xywh(0, 0, 1, 1)
+        with pytest.raises(ValidationError, match="duplicate instance id: 2"):
+            Dataset((image,), [Instance(2, 1, 1, box, 1.0), Instance(3, 1, 1, box, 1.0),
+                               Instance(2, 1, 1, box, 1.0)], (cat,))
+        with pytest.raises(DanglingReference, match="annotation 4 references unknown category"):
+            Dataset((image,), [Instance(3, 1, 1, box, 1.0), Instance(4, 1, 9, box, 1.0),
+                               Instance(5, 7, 1, box, 1.0)], (cat,))
+        with pytest.raises(DanglingReference, match="annotation 5 references unknown image"):
+            Dataset((image,), [Instance(5, 7, 9, box, 1.0)], (cat,))
+
+    def test_instance_columns_from_instances(self, tiny_dataset):
+        assert InstanceColumns.of(tiny_dataset.instances) == tiny_dataset.columns

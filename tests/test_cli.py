@@ -426,10 +426,102 @@ class TestExitCodes:
                            "--dets", str(dets_path))
         assert err == f"detforge: detections[1] must be an object, got {type(entry).__name__}\n"
 
+    @pytest.mark.parametrize("key, value", [
+        ("width", 10**400), ("height", 10**309), ("width", int(sys.float_info.max) * 2),
+    ], ids=["width-1e400", "height-1e309", "width-2max"])
+    def test_image_size_past_float_range_is_named(self, capsys, tmp_path, data_dir,
+                                                  key, value):
+        ann = json.loads((data_dir / "tiny.json").read_text())
+        ann["images"][0][key] = value
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        err = run_rejected(capsys, "stats", "--ann", str(ann_path))
+        assert err == f"detforge: images[0].{key} is out of float range\n"
+
+    @pytest.mark.parametrize("score", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_detection_score_past_float_range_is_named(self, capsys, tmp_path, data_dir,
+                                                       score):
+        dets = json.loads((data_dir / "eval_mixed_dets.json").read_text())
+        dets[0]["score"] = score
+        dets_path = tmp_path / "dets.json"
+        dets_path.write_text(json.dumps(dets))
+        err = run_rejected(capsys, "eval", "--ann", str(data_dir / "eval_mixed_ann.json"),
+                           "--dets", str(dets_path))
+        assert err == "detforge: detections[0].score is out of float range\n"
+
+    @pytest.mark.parametrize("key", ["id", "category_id"])
+    def test_annotation_id_past_int64_is_named(self, capsys, tmp_path, data_dir, key):
+        ann = json.loads((data_dir / "tiny.json").read_text())
+        ann["annotations"][4][key] = 2**63
+        if key == "category_id":
+            ann["categories"][0]["id"] = 2**63
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        err = run_rejected(capsys, "stats", "--ann", str(ann_path))
+        assert err == f"detforge: annotations[4].{key} is out of int64 range\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--ann", "{bad}"),
+        ("eval", "--ann", "{tiny}", "--dets", "{bad}"),
+        ("stats", "--ann", "{tiny}", "--config", "{bad}"),
+        ("augment-replay", "--ann", "{tiny}", "--records", "{bad}"),
+    ])
+    def test_input_that_is_not_utf8_exits_2(self, capsys, tmp_path, tiny_path, argv):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        rc, out, err = run(capsys, *(a.format(bad=bad, tiny=tiny_path) for a in argv))
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and "utf-8" in err
+
     def test_version(self, capsys):
         rc, out, _ = run(capsys, "--version")
         assert rc == 0
         assert out.startswith("detforge ")
+
+
+def sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestInputHashes:
+    """The report hashes each input as the command read it."""
+
+    def test_tile_exporting_over_its_input(self, capsys, tmp_path, tiny_path):
+        ann = tmp_path / "a.json"
+        ann.write_bytes(open(tiny_path, "rb").read())
+        before = sha256_of(ann)
+        report = run_json(capsys, "tile", "--ann", str(ann), "--export-ann", str(ann))
+        assert sha256_of(ann) != before  # the file now holds the tiles
+        assert report["inputs"]["annotations"] == {"path": str(ann), "sha256": before}
+
+    def test_sampled_records_written_over_the_annotations(self, capsys, tmp_path, tiny_path):
+        ann = tmp_path / "a.json"
+        ann.write_bytes(open(tiny_path, "rb").read())
+        before = sha256_of(ann)
+        report = run_json(capsys, "augment-replay", "--ann", str(ann),
+                          "--records-out", str(ann))
+        assert sha256_of(ann) != before
+        assert report["inputs"]["annotations"]["sha256"] == before
+
+    def test_every_input_is_hashed(self, capsys, tmp_path, data_dir):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eval": {"max_dets": 50}}))
+        ann, dets = data_dir / "eval_mixed_ann.json", data_dir / "eval_mixed_dets.json"
+        report = run_json(capsys, "eval", "--ann", str(ann), "--dets", str(dets),
+                          "--config", str(cfg))
+        assert report["inputs"] == {
+            "annotations": {"path": str(ann), "sha256": sha256_of(ann)},
+            "config": {"path": str(cfg), "sha256": sha256_of(cfg)},
+            "detections": {"path": str(dets), "sha256": sha256_of(dets)},
+        }
+
+    def test_crlf_input_reads_as_before(self, capsys, tmp_path, tiny_path):
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(open(tiny_path, "rb").read().replace(b"\n", b"\r\n"))
+        report = run_json(capsys, "stats", "--ann", str(crlf))
+        assert report["result"] == run_json(capsys, "stats", "--ann", tiny_path)["result"]
+        assert report["inputs"]["annotations"]["sha256"] == sha256_of(crlf)
 
 
 class TestSubcommands:
