@@ -9,18 +9,17 @@ collapse to the same rectangle and are deduplicated.
 ``cluster_anchor_sizes`` runs k-means over ground-truth (w, h) pairs
 with distance 1 - IoU, the standard way to pick anchor sizes from data
 without training. ``match_anchors`` scores an anchor configuration by
-simulating threshold matching against annotated instances.
+simulating threshold matching against annotated instance columns.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import Instance
+from .annotations import InstanceColumns, group_rows
 from .errors import TooFewBoxes, ValidationError
 from .geometry import BoxWH, iou_matrix, wh_iou_matrix
 
@@ -363,8 +362,8 @@ class MatchReport:
         }
 
 
-def _gt_overlaps(anchors: AnchorSet, insts: Sequence[Instance]):
-    """Yield ``(indices, ious)`` for each instance's candidate anchors.
+def _gt_overlaps(anchors: AnchorSet, boxes: np.ndarray):
+    """Yield ``(indices, ious)`` for the candidate anchors of each (G, 4) box.
 
     An anchor can overlap a box only if its centre lies within its
     half-extents of the box. On each level the candidates are the cells
@@ -375,11 +374,6 @@ def _gt_overlaps(anchors: AnchorSet, insts: Sequence[Instance]):
     IoUs come from ``iou_matrix`` on those stored boxes, so they equal
     the entries of the dense anchors-by-GT matrix bit for bit.
     """
-    if not insts:
-        return
-    boxes = np.array([i.bbox.as_tuple() for i in insts], dtype=np.float64)
-    if not np.isfinite(boxes).all():
-        raise ValidationError("ground-truth boxes must have finite coordinates")
     levels = []  # per level: first anchor index of each cell row, cell ranges
     for lv in anchors.levels:
         cell0 = lv.boxes[:lv.n_combo]
@@ -395,7 +389,7 @@ def _gt_overlaps(anchors: AnchorSet, insts: Sequence[Instance]):
         # a row of cells is one contiguous run of anchor indices
         levels.append((row_start, lo[:, 0] * lv.n_combo, hi[:, 0] * lv.n_combo, lo[:, 1], hi[:, 1]))
     anchor_boxes = anchors.all_boxes()
-    for g in range(len(insts)):
+    for g in range(len(boxes)):
         idx = np.concatenate([
             (row_start[y0[g]:y1[g], None] + np.arange(x0[g], x1[g])).ravel()
             for row_start, x0, x1, y0, y1 in levels
@@ -405,19 +399,21 @@ def _gt_overlaps(anchors: AnchorSet, insts: Sequence[Instance]):
 
 def match_anchors(
     anchors: AnchorSet,
-    gts: Sequence[Instance],
+    gts: InstanceColumns,
     pos_iou: float = 0.7,
     neg_iou: float = 0.3,
     force_match: bool = False,
 ) -> MatchReport:
     """Label anchors positive/negative/ignored against ground truth.
 
-    An anchor is positive when its best IoU over non-ignore GTs reaches
-    ``pos_iou``, negative when below ``neg_iou``, ignored in between. An
-    anchor that would be negative but overlaps an ignore-flagged GT at
-    ``neg_iou`` or more is ignored instead of negative. With
-    ``force_match`` each GT claims its single best anchor (ties to the
-    lowest anchor index) as positive even below the threshold.
+    ``gts`` are instance columns; a sequence of ``Instance`` is converted
+    to columns once. An anchor is positive when its best IoU over
+    non-ignore GTs reaches ``pos_iou``, negative when below ``neg_iou``,
+    ignored in between. An anchor that would be negative but overlaps an
+    ignore-flagged GT at ``neg_iou`` or more is ignored instead of
+    negative. With ``force_match`` each GT claims its single best anchor
+    (ties to the lowest anchor index) as positive even below the
+    threshold.
 
     GTs are grouped by image id and each group is matched against the
     same anchor geometry, so the reported anchor counts total
@@ -425,7 +421,7 @@ def match_anchors(
     are no GTs at all). A GT counts as recalled when at least one
     positive anchor reaches ``pos_iou`` with it (or claims it via
     force matching); ignore-flagged GTs never enter the recall
-    denominator.
+    denominator. Every GT box, ignore-flagged or not, must be finite.
 
     IoU is computed only between each GT and the anchors of the grid
     cells it can reach, so memory per image is O(A + candidates) for A
@@ -436,47 +432,42 @@ def match_anchors(
         raise ValidationError(
             f"need 0 <= neg_iou <= pos_iou <= 1, got {neg_iou}, {pos_iou}"
         )
+    if not isinstance(gts, InstanceColumns):
+        gts = InstanceColumns.of(gts)
+    if not np.isfinite(gts.boxes).all():
+        raise ValidationError("ground-truth boxes must have finite coordinates")
     n_per_image = anchors.total
-
-    groups = {}
-    for inst in gts:
-        groups.setdefault(inst.image_id, []).append(inst)
+    groups = group_rows(gts.image_id)
 
     n_positive = n_negative = n_ignored = 0
-    recalled_by_class = Counter()
-    total_by_class = Counter()
-    per_gt_counts = []
-    unmatched = []
-
-    for image_id in sorted(groups) if groups else [None]:
-        insts = groups.get(image_id, [])
-        live = [i for i in insts if not i.ignore]
-        ignored_insts = [i for i in insts if i.ignore]
+    matched = np.zeros(len(gts), dtype=np.int64)  # per live GT row: its positive anchors
+    for rows in list(groups.values()) or [np.zeros(0, dtype=np.intp)]:
+        crowd = gts.ignore[rows]
+        live, ignored = rows[~crowd], rows[crowd]
 
         max_iou = np.zeros(n_per_image)
-        matched_counts = np.zeros(len(live), dtype=np.int64)
         best_anchor = []  # per live GT: (anchor index, IoU), ties to the lowest index
-        for g, (idx, vals) in enumerate(_gt_overlaps(anchors, live)):
+        for g, (idx, vals) in zip(live.tolist(), _gt_overlaps(anchors, gts.boxes[live])):
             np.maximum.at(max_iou, idx, vals)
-            matched_counts[g] = np.count_nonzero(vals >= pos_iou)
+            matched[g] = np.count_nonzero(vals >= pos_iou)
             a = int(np.argmax(vals)) if vals.size else -1
             # a GT that overlaps no anchor claims anchor 0, as argmax over zeros does
             best_anchor.append((int(idx[a]), vals[a]) if a >= 0 and vals[a] > 0 else (0, 0.0))
         if pos_iou == 0.0:
             # anchors outside the candidate set have IoU 0 and match as well
-            matched_counts[:] = n_per_image
+            matched[live] = n_per_image
 
         positive = max_iou >= pos_iou
         if force_match:
-            for g, (a, v) in enumerate(best_anchor):
+            for g, (a, v) in zip(live.tolist(), best_anchor):
                 positive[a] = True
                 if v < pos_iou:
-                    matched_counts[g] += 1
+                    matched[g] += 1
 
         negative = ~positive & (max_iou < neg_iou)
-        if ignored_insts and negative.any():
+        if ignored.size and negative.any():
             ign_max = np.zeros(n_per_image)
-            for idx, vals in _gt_overlaps(anchors, ignored_insts):
+            for idx, vals in _gt_overlaps(anchors, gts.boxes[ignored]):
                 np.maximum.at(ign_max, idx, vals)
             negative &= ign_max < neg_iou
 
@@ -484,33 +475,31 @@ def match_anchors(
         n_negative += int(negative.sum())
         n_ignored += n_per_image - int(positive.sum()) - int(negative.sum())
 
-        for inst, count in zip(live, matched_counts):
-            per_gt_counts.append(int(count))
-            total_by_class[inst.category_id] += 1
-            if count >= 1:
-                recalled_by_class[inst.category_id] += 1
-            else:
-                unmatched.append(inst.id)
-
-    n_gt = sum(total_by_class.values())
+    is_live = ~gts.ignore
+    counts = matched[is_live]
+    recalled = counts >= 1
+    classes, class_row = np.unique(gts.category_id[is_live], return_inverse=True)
+    total_by_class = np.bincount(class_row, minlength=len(classes))
+    recalled_by_class = np.bincount(class_row[recalled], minlength=len(classes))
+    n_gt = len(counts)
     zero_denom = n_gt == 0
-    recall = 1.0 if zero_denom else sum(recalled_by_class.values()) / n_gt
-    per_class_recall = {
-        c: recalled_by_class[c] / total_by_class[c] for c in sorted(total_by_class)
-    }
-    n_images = max(1, len(groups))
+    values, freq = np.unique(counts, return_counts=True)
     return MatchReport(
         pos_iou=pos_iou,
         neg_iou=neg_iou,
         force_match=force_match,
-        n_anchors=n_per_image * n_images,
+        n_anchors=n_per_image * max(1, len(groups)),
         n_positive=n_positive,
         n_negative=n_negative,
         n_ignored=n_ignored,
         n_gt=n_gt,
-        recall=recall,
-        per_class_recall=per_class_recall,
-        matched_per_gt=dict(sorted(Counter(per_gt_counts).items())),
-        unmatched_gt_ids=tuple(sorted(unmatched)),
+        recall=1.0 if zero_denom else int(np.count_nonzero(recalled)) / n_gt,
+        per_class_recall={
+            c: r / t for c, r, t in zip(
+                classes.tolist(), recalled_by_class.tolist(), total_by_class.tolist()
+            )
+        },
+        matched_per_gt=dict(zip(values.tolist(), freq.tolist())),
+        unmatched_gt_ids=tuple(np.sort(gts.id[is_live][~recalled]).tolist()),
         zero_gt_denominator=zero_denom,
     )

@@ -188,16 +188,7 @@ class Dataset:
         repeat = _first_repeat(columns.id)
         if repeat is not None:
             raise ValidationError(f"duplicate instance id: {repeat}")
-        # the first instance with a dangling reference, its image checked first
-        bad_image = _unknown(columns.image_id, self.image_by_id)
-        bad_category = _unknown(columns.category_id, self.category_by_id)
-        bad = bad_image | bad_category
-        if bad.any():
-            row = int(np.argmax(bad))
-            inst_id = int(columns.id[row])
-            if bad_image[row]:
-                raise DanglingReference(inst_id, "image", int(columns.image_id[row]))
-            raise DanglingReference(inst_id, "category", int(columns.category_id[row]))
+        check_references(self, columns.id, columns.image_id, columns.category_id, "annotation")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -308,6 +299,27 @@ def _unknown(column: np.ndarray, known: Mapping[int, object]) -> np.ndarray:
     """Mask of the entries of an id column that are not keys of ``known``."""
     values, inverse = np.unique(column, return_inverse=True)
     return np.array([v not in known for v in values.tolist()], dtype=bool)[inverse]
+
+
+def check_references(
+    ds: Dataset,
+    ids: np.ndarray,
+    image_ids: np.ndarray,
+    category_ids: np.ndarray,
+    record_kind: str,
+) -> None:
+    """Raise DanglingReference for the first record naming an unknown id.
+
+    Records are rows of the aligned int64 columns; ``ids`` are the ids
+    the message names. The first offender in row order is reported, and
+    within one record its image is checked before its category.
+    """
+    bad_image = _unknown(image_ids, ds.image_by_id)
+    bad = bad_image | _unknown(category_ids, ds.category_by_id)
+    if bad.any():
+        row = int(np.argmax(bad))
+        kind, refs = ("image", image_ids) if bad_image[row] else ("category", category_ids)
+        raise DanglingReference(int(ids[row]), kind, int(refs[row]), record_kind)
 
 
 def _require(record: Mapping, key: str, where: str):
@@ -505,20 +517,16 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
     )
 
 
-def compute_stats(
-    ds: Dataset,
-    small_max: float = SMALL_AREA_MAX,
-    medium_max: float = MEDIUM_AREA_MAX,
-) -> StatsReport:
+def compute_stats(ds: Dataset) -> StatsReport:
     """Instance counts per category, size buckets, and per-image histogram.
 
-    Buckets split on instance area: small < ``small_max`` <= medium <
-    ``medium_max`` <= large.
+    Buckets split on instance area: small < ``SMALL_AREA_MAX`` <= medium <
+    ``MEDIUM_AREA_MAX`` <= large.
     """
     c = ds.columns
     counts = {cat.id: 0 for cat in ds.categories}
     buckets = {cat.id: {"small": 0, "medium": 0, "large": 0} for cat in ds.categories}
-    bucket = np.where(c.area < small_max, 0, np.where(c.area < medium_max, 1, 2))
+    bucket = np.where(c.area < SMALL_AREA_MAX, 0, np.where(c.area < MEDIUM_AREA_MAX, 1, 2))
     cats, cat_row = np.unique(c.category_id, return_inverse=True)
     tally = np.bincount(3 * cat_row + bucket, minlength=3 * len(cats)).reshape(-1, 3)
     for cat_id, row in zip(cats.tolist(), tally.tolist()):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -23,15 +22,17 @@ from .annotations import (
     Dataset,
     MEDIUM_AREA_MAX,
     SMALL_AREA_MAX,
+    check_references,
     group_rows,
     parse_xywh,
     read_text,
 )
-from .errors import DanglingReference, MissingKey, ValidationError
+from .errors import MissingKey, ValidationError
 from .geometry import BBox, from_xywh, iou_matrix
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 MAX_DETS_PER_IMAGE = 100
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ class EvalResult:
 def load_detections(path, data: Optional[bytes] = None) -> List[Detection]:
     """Read a results array of {image_id, category_id, bbox, score}.
 
-    ``data``, when given, is the file's content already read by the caller.
+    Ids must be JSON integers that fit an int64. ``data``, when given,
+    is the file's content already read by the caller.
     """
     raw = json.loads(read_text(path, data))
     if not isinstance(raw, list):
@@ -97,6 +99,9 @@ def load_detections(path, data: Optional[bytes] = None) -> List[Detection]:
                 raise ValidationError(
                     f"detections[{i}].{key} must be {kind}, got {type(entry[key]).__name__}"
                 )
+        for key in ("image_id", "category_id"):
+            if not _INT64.min <= entry[key] <= _INT64.max:
+                raise ValidationError(f"detections[{i}].{key} is out of int64 range")
         # int-to-float comparison is exact; float() of a larger int overflows
         if type(entry["score"]) is int and abs(entry["score"]) > sys.float_info.max:
             raise ValidationError(f"detections[{i}].score is out of float range")
@@ -158,12 +163,6 @@ _CHUNK_GROUPS = 128
 _CHUNK_CELLS = 1 << 16
 
 
-def _corners(boxes: Sequence[BBox]) -> np.ndarray:
-    """(N, 4) corner-form array of boxes, without a list of tuples."""
-    coords = (v for b in boxes for v in b.as_tuple())
-    return np.fromiter(coords, dtype=np.float64, count=4 * len(boxes)).reshape(-1, 4)
-
-
 def _chunks(n_dets: np.ndarray, n_gts: np.ndarray):
     """Group indices by descending det count, cut into bounded chunks."""
     chunk, g_max = [], 1
@@ -217,6 +216,35 @@ def _lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.n
     return flags
 
 
+def _grouped_dets(dets: Sequence[Detection], ds: Dataset, max_dets: int):
+    """The kept detections as columns in (image, class) group order.
+
+    Each image's dets are ranked by (-score, source index) and cut to the
+    first ``max_dets`` (all when ``max_dets`` <= 0); a group keeps that
+    rank order. Returns ``(group_size, class_id, source, score, boxes)``,
+    ``group_size`` mapping each (image, class) key to its det count in
+    key order.
+    """
+    n = len(dets)
+    image_id = np.fromiter((d.image_id for d in dets), np.int64, n)
+    class_id = np.fromiter((d.category_id for d in dets), np.int64, n)
+    source = np.fromiter((d.source_index for d in dets), np.int64, n)
+    score = np.fromiter((d.score for d in dets), np.float64, n)
+    coords = (v for d in dets for v in d.bbox.as_tuple())
+    boxes = np.fromiter(coords, np.float64, 4 * n).reshape(-1, 4)
+    check_references(ds, source, image_id, class_id, "detection")
+
+    ranked = np.lexsort((source, -score, image_id))
+    if max_dets > 0:
+        # a det's rank in its image: its position less its image's first one
+        ranked_image = image_id[ranked]
+        ranked = ranked[np.arange(n) - np.searchsorted(ranked_image, ranked_image) < max_dets]
+    groups = group_rows(image_id[ranked], class_id[ranked])
+    rows = ranked[np.concatenate([np.zeros(0, dtype=np.intp), *groups.values()])]
+    group_size = {key: len(group) for key, group in groups.items()}
+    return group_size, class_id[rows], source[rows], score[rows], boxes[rows]
+
+
 def coco_map(
     dets: Sequence[Detection],
     ds: Dataset,
@@ -239,40 +267,19 @@ def coco_map(
         raise ValidationError(
             f"IoU thresholds must be finite and in [0, 1], got {list(thresholds)}"
         )
-    for d in dets:
-        if d.image_id not in ds.image_by_id:
-            raise DanglingReference(d.source_index, "image", d.image_id, "detection")
-        if d.category_id not in ds.category_by_id:
-            raise DanglingReference(d.source_index, "category", d.category_id, "detection")
-
-    by_image = defaultdict(list)
-    for d in dets:
-        by_image[d.image_id].append(d)
-    det_groups = defaultdict(list)
-    n_detections = 0
-    for image_id in sorted(by_image):
-        ranked = sorted(by_image[image_id], key=lambda d: (-d.score, d.source_index))
-        for d in ranked[: max_dets if max_dets > 0 else None]:
-            det_groups[(d.image_id, d.category_id)].append(d)
-            n_detections += 1
-
+    group_size, class_id, source, scores, det_boxes = _grouped_dets(dets, ds, max_dets)
     gt = ds.columns
     gt_groups = group_rows(gt.image_id, gt.category_id)
     class_ids = sorted(ds.category_by_id)
 
-    # Flat det and GT arrays in (image, class) group order, dets ranked
-    # within their group; only groups with dets are matched.
-    keys = sorted(det_groups)
-    group_dets = [det_groups[key] for key in keys]
+    # Flat GT rows in the dets' (image, class) group order; only groups
+    # with dets are matched.
     no_rows = np.zeros(0, dtype=np.intp)
-    group_gts = [gt_groups.get(key, no_rows) for key in keys]
-    flat_dets = [d for group in group_dets for d in group]
+    group_gts = [gt_groups.get(key, no_rows) for key in group_size]
     flat_gts = np.concatenate([no_rows, *group_gts])
-    det_boxes = _corners([d.bbox for d in flat_dets])
     gt_boxes = gt.boxes[flat_gts]
-    scores = np.array([d.score for d in flat_dets], dtype=np.float64)
-    n_det = np.array([len(group) for group in group_dets], dtype=np.int64)
-    n_gt = np.array([len(group) for group in group_gts], dtype=np.int64)
+    n_det = np.array(list(group_size.values()), dtype=np.int64)
+    n_gt = np.array([len(rows) for rows in group_gts], dtype=np.int64)
     det_start = np.concatenate(([0], np.cumsum(n_det)))
     gt_start = np.concatenate(([0], np.cumsum(n_gt)))
 
@@ -286,7 +293,7 @@ def coco_map(
     gt_live = np.zeros((len(_SLICES), len(flat_gts) + 1), dtype=bool)
     gt_live[:, :-1] = ~gt_crowd & (lo <= gt_area) & (gt_area < hi)
 
-    flags = np.full((len(_SLICES), len(thresholds), len(flat_dets)), -1, dtype=np.int8)
+    flags = np.full((len(_SLICES), len(thresholds), len(scores)), -1, dtype=np.int8)
     for chunk in _chunks(n_det, n_gt):
         rows = np.array(chunk)
         d_max = int(n_det[rows].max())
@@ -314,67 +321,42 @@ def coco_map(
 
     # Pool per class in one (-score, source index) order; a stable sort
     # keeps image order, then rank order, between equal keys.
-    order = np.lexsort(
-        (np.array([d.source_index for d in flat_dets], dtype=np.int64), -scores)
-    )
-    det_class = np.array([d.category_id for d in flat_dets], dtype=np.int64)
-    class_order = {c: order[det_class[order] == c] for c in class_ids}
-    inst_class = gt.category_id
+    order = np.lexsort((source, -scores))
+    class_order = {c: order[class_id[order] == c] for c in class_ids}
     inst_live = ~gt.ignore & (lo <= gt.area) & (gt.area < hi)
+    # per slice, each class with GT in it -> its AP at every threshold
+    table = []
+    for s in range(len(_SLICES)):
+        aps = {}
+        for c, idx in class_order.items():
+            n_gt_c = int(np.count_nonzero(inst_live[s] & (gt.category_id == c)))
+            if n_gt_c:
+                aps[c] = [
+                    average_precision(f[f >= 0], scores[idx][f >= 0], n_gt_c)
+                    for f in flags[s][:, idx]
+                ]
+        table.append(aps)
 
-    def class_threshold_aps(cat: int, s: int):
-        """Per-threshold AP list for one class and slice, or None if no GT."""
-        n_gt_cat = int(np.count_nonzero(inst_live[s] & (inst_class == cat)))
-        if n_gt_cat == 0:
-            return None
-        idx = class_order[cat]
-        aps = []
-        for t in range(len(thresholds)):
-            f = flags[s, t, idx]
-            keep = f >= 0
-            aps.append(average_precision(f[keep], scores[idx][keep], n_gt_cat))
-        return aps
-
-    def mean_or_sentinel(values):
-        values = [v for v in values if v is not None]
+    def mean(values) -> float:
+        """The mean, or the sentinel -1.0 when there is nothing to average."""
         return float(np.mean(values)) if values else -1.0
 
-    slice_ap = {}
-    per_class_all = {}
-    ap50 = ap75 = -1.0
-    for s, (name, _, _) in enumerate(_SLICES):
-        per_class = {c: class_threshold_aps(c, s) for c in class_ids}
-        slice_ap[name] = mean_or_sentinel(
-            [float(np.mean(aps)) if aps is not None else None for aps in per_class.values()]
-        )
-        if name == "all":
-            per_class_all = {
-                c: (float(np.mean(aps)) if aps is not None else -1.0)
-                for c, aps in per_class.items()
-            }
-            for target, attr_value in ((0.5, "ap50"), (0.75, "ap75")):
-                if target in thresholds:
-                    t_idx = thresholds.index(target)
-                    value = mean_or_sentinel(
-                        [
-                            aps[t_idx] if aps is not None else None
-                            for aps in per_class.values()
-                        ]
-                    )
-                    if attr_value == "ap50":
-                        ap50 = value
-                    else:
-                        ap75 = value
+    def ap_at(target: float) -> float:
+        if target not in thresholds:
+            return -1.0
+        return mean([aps[thresholds.index(target)] for aps in table[0].values()])
 
-    n_gt_total = int(np.count_nonzero(~gt.ignore))
+    ap, ap_small, ap_medium, ap_large = (
+        mean([mean(aps) for aps in per_class.values()]) for per_class in table
+    )
     return EvalResult(
-        ap=slice_ap["all"],
-        ap50=ap50,
-        ap75=ap75,
-        ap_small=slice_ap["small"],
-        ap_medium=slice_ap["medium"],
-        ap_large=slice_ap["large"],
-        per_class_ap=per_class_all,
-        n_gt=n_gt_total,
-        n_detections=n_detections,
+        ap=ap,
+        ap50=ap_at(0.5),
+        ap75=ap_at(0.75),
+        ap_small=ap_small,
+        ap_medium=ap_medium,
+        ap_large=ap_large,
+        per_class_ap={c: mean(table[0].get(c, [])) for c in class_ids},
+        n_gt=int(np.count_nonzero(~gt.ignore)),
+        n_detections=len(scores),
     )

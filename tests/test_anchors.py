@@ -16,7 +16,7 @@ from detforge.anchors import (
     match_anchors,
     sweep_k,
 )
-from detforge.annotations import Instance
+from detforge.annotations import Instance, InstanceColumns
 from detforge.errors import TooFewBoxes, ValidationError
 from detforge.geometry import BBox, BoxWH, from_xywh, iou_matrix, wh_iou_matrix
 from detforge.synthetic import synthetic_aerial_corpus
@@ -729,9 +729,10 @@ class TestMatchingAgainstDenseOracle:
         for _ in range(3):
             gts = _random_gts(rng, width, height, n_images=int(rng.integers(1, 4)))
             for (pos, neg), force in itertools.product(self.THRESHOLDS, (False, True)):
-                got = match_anchors(anchors, gts, pos, neg, force_match=force)
                 want = dense_match_anchors(anchors, gts, pos, neg, force_match=force)
-                assert got.to_dict() == want.to_dict(), (force, pos, neg)
+                for form in (gts, InstanceColumns.of(gts)):
+                    got = match_anchors(anchors, form, pos, neg, force_match=force)
+                    assert got.to_dict() == want.to_dict(), (force, pos, neg, type(form))
 
     def test_gt_overlapping_no_anchor_claims_anchor_zero(self):
         anchors = small_grid()
@@ -751,6 +752,11 @@ class TestMatchingAgainstDenseOracle:
         bad = Instance(1, 1, 1, BBox(0.0, 0.0, float("nan"), 4.0), 0.0, False)
         with pytest.raises(ValidationError):
             match_anchors(anchors, [bad])
+        # an ignore GT is checked too, even where no anchor is negative and
+        # its overlaps are never needed
+        bad_crowd = Instance(2, 1, 1, BBox(0.0, float("nan"), 4.0, 4.0), 0.0, True)
+        with pytest.raises(ValidationError, match="finite"):
+            match_anchors(anchors, [gt(1, 1, 1, 0, 0, 8, 8), bad_crowd], pos_iou=0.0, neg_iou=0.0)
 
 
 def test_memory_is_bounded_without_a_dense_matrix():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from detforge import geometry
+from detforge.anchors import AnchorSpec, generate_anchors, match_anchors
 from detforge.annotations import (
     Category,
     Dataset,
@@ -808,7 +809,7 @@ class TestColumnarMatchesOracle:
 
 class TestObjectsOnlyAtTheEdge:
     def test_pipeline_builds_no_instance_or_box(self, data_dir, tmp_path, monkeypatch):
-        """load -> tile -> stats -> export never calls Instance or BBox __init__."""
+        """load -> tile -> stats -> export -> match never calls Instance or BBox __init__."""
         calls = []
         for cls in (Instance, BBox):
             original = cls.__init__
@@ -823,6 +824,8 @@ class TestObjectsOnlyAtTheEdge:
         compute_stats(ds)
         compute_stats(tiled)
         export_dataset(tiled, tmp_path / "tiles.json")
+        anchors = generate_anchors(AnchorSpec(), [(800 // s, 800 // s) for s in (4, 8, 16, 32, 64)])
+        assert match_anchors(anchors, ds.columns).n_gt > 0
         assert calls == []
         # the counter does see the objects built for an API caller
         assert len(tiled.instances) == len(tiled.columns) > 0

@@ -449,6 +449,18 @@ class TestExitCodes:
                            "--dets", str(dets_path))
         assert err == "detforge: detections[0].score is out of float range\n"
 
+    @pytest.mark.parametrize("key, value", [
+        ("image_id", 2**63), ("image_id", 10**30), ("category_id", -(2**63) - 1),
+    ], ids=["image-2^63", "image-1e30", "category-below-min"])
+    def test_detection_id_past_int64_is_named(self, capsys, tmp_path, data_dir, key, value):
+        dets = json.loads((data_dir / "eval_mixed_dets.json").read_text())
+        dets[1][key] = value
+        dets_path = tmp_path / "dets.json"
+        dets_path.write_text(json.dumps(dets))
+        err = run_rejected(capsys, "eval", "--ann", str(data_dir / "eval_mixed_ann.json"),
+                           "--dets", str(dets_path))
+        assert err == f"detforge: detections[1].{key} is out of int64 range\n"
+
     @pytest.mark.parametrize("key", ["id", "category_id"])
     def test_annotation_id_past_int64_is_named(self, capsys, tmp_path, data_dir, key):
         ann = json.loads((data_dir / "tiny.json").read_text())

@@ -399,6 +399,17 @@ class TestCocoMap:
             coco_map([det(999, 1, 0, 0, 10, 10, 0.9)], mixed_dataset)
         with pytest.raises(DanglingReference):
             coco_map([det(1, 99, 0, 0, 10, 10, 0.9)], mixed_dataset)
+        # the first offender in list order, not score order, is named, and
+        # within one detection its image before its category
+        dets = [det(1, 1, 0, 0, 10, 10, 0.9, src=0), det(1, 99, 0, 0, 10, 10, 0.1, src=1),
+                det(999, 1, 0, 0, 10, 10, 0.95, src=2)]
+        with pytest.raises(DanglingReference,
+                           match=r"^detection 1 references unknown category id 99$"):
+            coco_map(dets, mixed_dataset)
+        dets[1] = det(998, 99, 0, 0, 10, 10, 0.1, src=1)
+        with pytest.raises(DanglingReference,
+                           match=r"^detection 1 references unknown image id 998$"):
+            coco_map(dets, mixed_dataset)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.0, -1.0])
     def test_thresholds_must_be_finite_and_in_unit_interval(
