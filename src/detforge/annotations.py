@@ -98,7 +98,12 @@ class InstanceColumns:
 
     def __post_init__(self):
         for name, dtype in _COLUMN_DTYPES:
-            column = np.array(getattr(self, name), dtype=dtype)
+            try:
+                column = np.array(getattr(self, name), dtype=dtype)
+            except OverflowError:
+                raise ValidationError(
+                    f"instance column {name!r} holds a value out of {np.dtype(dtype)} range"
+                ) from None
             if name == "boxes":
                 column = column.reshape(-1, 4)
             if column.shape[:1] != (len(self.id),):
@@ -400,6 +405,113 @@ def _clamped_area(x: float, y: float, w: float, h: float, width: float, height: 
 _MISSING = object()
 
 
+def _float_column(values: list, low: float) -> Optional[np.ndarray]:
+    """``values`` as float64 when each is an int or float in [low, FLOAT_MAX], else None.
+
+    Python's ``min`` and ``max`` compare an int with a float exactly, so
+    an int past the float range fails before the cast could round it to
+    a finite float; a NaN, which defeats ``min`` and ``max``, is caught
+    on the cast column.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    if values and not (low <= min(values) and max(values) <= _FLOAT_MAX):
+        return None
+    column = np.array(values, dtype=np.float64)
+    return None if np.isnan(column).any() else column
+
+
+def _annotation_fields(anns: list, row_of: Mapping[int, int]):
+    """The annotation fields as columns if every entry is valid, else None.
+
+    Each field is gathered with one comprehension and checked whole, with
+    the checks of :func:`_annotation_fields_by_entry` (which names the
+    first bad entry). Returns ``(ids, image_ids, category_ids,
+    image_rows, xywh, area, crowds)``; a missing ``area`` is NaN.
+    """
+    if not set(map(type, anns)) <= {dict}:
+        return None
+    ids, image_ids, category_ids = (
+        [rec.get(key) for rec in anns] for key in ("id", "image_id", "category_id")
+    )
+    for column in (ids, image_ids, category_ids):
+        if not set(map(type, column)) <= {int}:
+            return None
+        if column and not (_INT64.min <= min(column) and max(column) <= _INT64.max):
+            return None
+    image_rows = list(map(row_of.get, image_ids))
+    if None in image_rows:
+        return None
+    bboxes = [rec.get("bbox") for rec in anns]
+    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
+        return None
+    xywh = _float_column([v for box in bboxes for v in box], -_FLOAT_MAX)
+    if xywh is None:
+        return None
+    xywh = xywh.reshape(-1, 4)
+    if (xywh[:, 2:] < 0).any():
+        return None
+    areas = [rec.get("area", _MISSING) for rec in anns]
+    given = [a for a in areas if a is not _MISSING]
+    area = _float_column(given, 0)
+    if area is None:
+        return None
+    if len(given) < len(areas):
+        area, given_area = np.full(len(areas), math.nan), area
+        area[[a is not _MISSING for a in areas]] = given_area
+    crowds = [rec.get("iscrowd", 0) for rec in anns]
+    if not (set(map(type, crowds)) <= {int} and set(crowds) <= {0, 1}):
+        return None
+    return ids, image_ids, category_ids, image_rows, xywh, area, [c == 1 for c in crowds]
+
+
+def _annotation_fields_by_entry(anns: list, row_of, sizes, overflowing):
+    """The annotation fields as :func:`_annotation_fields` gives them, one entry at a time.
+
+    Each entry is checked in file order, so an invalid file fails on its
+    first bad entry with a message naming it; the ids are range-checked
+    after the loop.
+    """
+    ids, image_ids, category_ids, image_rows, coords, areas, crowds = ([] for _ in range(7))
+    for i, rec in enumerate(anns):
+        where = f"annotations[{i}]"
+        ann_id = _require_typed(rec, "id", where, int)
+        image_id = _require_typed(rec, "image_id", where, int)
+        category_id = _require_typed(rec, "category_id", where, int)
+        x, y, w, h = parse_xywh(_require(rec, "bbox", where), f"{where}.bbox")
+        if w < 0 or h < 0:
+            raise NegativeExtent(ann_id, w, h)
+        row = row_of.get(image_id)
+        if row is None:
+            raise DanglingReference(ann_id, "image", image_id)
+        area = rec.get("area", _MISSING)
+        if area is _MISSING and row in overflowing:
+            # the default area can be infinite only here; check it in file order
+            area = _clamped_area(x, y, w, h, *sizes[row])
+        # a NaN area would fall out of every size slice without a word
+        if area is not _MISSING and not (
+            type(area) in _NUMBER and 0 <= area <= _FLOAT_MAX
+        ):
+            raise ValidationError(f"{where}.area must be a finite non-negative number")
+        crowd = rec.get("iscrowd", 0)
+        if type(crowd) is not int or crowd not in (0, 1):
+            raise ValidationError(f"{where}.iscrowd must be 0 or 1, got {crowd!r}")
+        ids.append(ann_id)
+        image_ids.append(image_id)
+        category_ids.append(category_id)
+        image_rows.append(row)
+        coords.append((x, y, w, h))
+        areas.append(math.nan if area is _MISSING else float(area))
+        crowds.append(crowd == 1)
+
+    for key, values in (("id", ids), ("image_id", image_ids), ("category_id", category_ids)):
+        if values and not (_INT64.min <= min(values) and max(values) <= _INT64.max):
+            first = next(i for i, v in enumerate(values) if not _INT64.min <= v <= _INT64.max)
+            raise ValidationError(f"annotations[{first}].{key} is out of int64 range")
+    xywh = np.array(coords, dtype=np.float64).reshape(-1, 4)
+    return ids, image_ids, category_ids, image_rows, xywh, np.array(areas), crowds
+
+
 def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
     """Load and validate a COCO-style annotation file.
 
@@ -411,9 +523,11 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
     dataset. ``data``, when given, is the file's content already read by
     the caller.
 
-    One loop checks each entry, in file order, and appends its fields to
-    column lists; conversion, clamping and the default ``area`` (the
-    clamped box's) then run on the columns.
+    The annotations are checked a whole field at a time; only when a
+    check fails, or an image's width x height overflows a float, does
+    one loop check each entry in file order and name the first bad one.
+    Conversion, clamping and the default ``area`` (the clamped box's)
+    run on the columns.
     """
     path = Path(path)
     raw = json.loads(read_text(path, data))
@@ -456,50 +570,17 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
     # images whose clamped boxes can have an area past the float range
     overflowing = {row for row, (w, h) in enumerate(sizes) if math.isinf(w * h)}
 
-    ids, image_ids, category_ids, image_rows, coords, areas, crowds = ([] for _ in range(7))
-    for i, rec in enumerate(raw["annotations"]):
-        where = f"annotations[{i}]"
-        ann_id = _require_typed(rec, "id", where, int)
-        image_id = _require_typed(rec, "image_id", where, int)
-        category_id = _require_typed(rec, "category_id", where, int)
-        x, y, w, h = parse_xywh(_require(rec, "bbox", where), f"{where}.bbox")
-        if w < 0 or h < 0:
-            raise NegativeExtent(ann_id, w, h)
-        row = row_of.get(image_id)
-        if row is None:
-            raise DanglingReference(ann_id, "image", image_id)
-        area = rec.get("area", _MISSING)
-        if area is _MISSING and row in overflowing:
-            # the default area can be infinite only here; check it in file order
-            area = _clamped_area(x, y, w, h, *sizes[row])
-        # a NaN area would fall out of every size slice without a word
-        if area is not _MISSING and not (
-            type(area) in _NUMBER and 0 <= area <= _FLOAT_MAX
-        ):
-            raise ValidationError(f"{where}.area must be a finite non-negative number")
-        crowd = rec.get("iscrowd", 0)
-        if type(crowd) is not int or crowd not in (0, 1):
-            raise ValidationError(f"{where}.iscrowd must be 0 or 1, got {crowd!r}")
-        ids.append(ann_id)
-        image_ids.append(image_id)
-        category_ids.append(category_id)
-        image_rows.append(row)
-        coords.append((x, y, w, h))
-        areas.append(math.nan if area is _MISSING else float(area))
-        crowds.append(crowd == 1)
+    anns = raw["annotations"]
+    fields = None if overflowing else _annotation_fields(anns, row_of)
+    if fields is None:
+        fields = _annotation_fields_by_entry(anns, row_of, sizes, overflowing)
+    ids, image_ids, category_ids, image_rows, xywh, area, crowds = fields
 
-    for key, values in (("id", ids), ("image_id", image_ids), ("category_id", category_ids)):
-        if values and not (_INT64.min <= min(values) and max(values) <= _INT64.max):
-            first = next(i for i, v in enumerate(values) if not _INT64.min <= v <= _INT64.max)
-            raise ValidationError(f"annotations[{first}].{key} is out of int64 range")
-
-    xywh = np.array(coords, dtype=np.float64).reshape(-1, 4)
     with np.errstate(over="ignore"):
         corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
     # each box's (width, height, width, height) upper bounds
     limits = np.tile(np.array(sizes, dtype=np.float64).reshape(-1, 2), 2)
     boxes = _clamp_corners(corners, limits[np.array(image_rows, dtype=np.intp)])
-    area = np.array(areas, dtype=np.float64)
     missing = np.isnan(area)
     area[missing] = (
         (boxes[missing, 2] - boxes[missing, 0]) * (boxes[missing, 3] - boxes[missing, 1])
@@ -687,8 +768,97 @@ def dataset_to_coco(ds: Dataset) -> dict:
     }
 
 
+# Rows formatted and written at a time by export_dataset: the whole text
+# at once would cost as much memory as the file.
+_EXPORT_BLOCK_ROWS = 2048
+
+# One entry of each array as json.dump(..., indent=2) lays it out.
+_IMAGE_TEMPLATE = (
+    '    {\n      "id": %s,\n      "width": %s,\n      "height": %s,\n'
+    '      "file_name": %s\n    }'
+)
+_ANNOTATION_TEMPLATE = (
+    '    {\n      "id": %d,\n      "image_id": %d,\n      "category_id": %d,\n'
+    '      "bbox": [\n        %s,\n        %s,\n        %s,\n        %s\n      ],\n'
+    '      "area": %s,\n      "iscrowd": %d\n    }'
+)
+_CATEGORY_TEMPLATE = '    {\n      "id": %s,\n      "name": %s\n    }'
+
+
+def _json_float(value: float):
+    """json's spelling of a non-finite float; a finite one is returned as is.
+
+    ``%s`` formats a finite float with ``float.__repr__``, as json does
+    (``-0.0`` included).
+    """
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return value
+
+
+def _record_blocks(template: str, records, fields: Sequence[str]):
+    """Entries of ``records`` formatted with ``template``, one text per block.
+
+    Each field goes through ``json.dumps``, so a record holds the text
+    json gives its value whatever the value's type.
+    """
+    for start in range(0, len(records), _EXPORT_BLOCK_ROWS):
+        yield ",\n".join([
+            template % tuple(json.dumps(getattr(rec, f)) for f in fields)
+            for rec in records[start:start + _EXPORT_BLOCK_ROWS]
+        ])
+
+
+def _annotation_blocks(c: InstanceColumns):
+    """Annotation entries formatted from the columns, one text per block."""
+    for start in range(0, len(c), _EXPORT_BLOCK_ROWS):
+        rows = slice(start, start + _EXPORT_BLOCK_ROWS)
+        b = c.boxes[rows]
+        floats = np.stack([b[:, 0], b[:, 1], b[:, 2] - b[:, 0], b[:, 3] - b[:, 1], c.area[rows]])
+        values = floats.tolist()
+        if not np.isfinite(floats).all():
+            values = [[_json_float(v) for v in column] for column in values]
+        yield ",\n".join([
+            _ANNOTATION_TEMPLATE % row
+            for row in zip(
+                c.id[rows].tolist(),
+                c.image_id[rows].tolist(),
+                c.category_id[rows].tolist(),
+                *values,
+                c.ignore[rows].tolist(),
+            )
+        ])
+
+
+def _write_array(fh, blocks) -> None:
+    """A JSON array at the second indent level, from its blocks of entries."""
+    opening = "[\n"
+    for block in blocks:
+        fh.write(opening)
+        fh.write(block)
+        opening = ",\n"
+    fh.write("[]" if opening == "[\n" else "\n  ]")
+
+
 def export_dataset(ds: Dataset, path) -> None:
-    """Write the dataset back out in the COCO-style schema."""
+    """Write the dataset back out in the COCO-style schema.
+
+    The file holds exactly the text of ``json.dump(dataset_to_coco(ds),
+    fh, indent=2)`` and a newline. It is written from the records and
+    columns with one template per entry kind, ``_EXPORT_BLOCK_ROWS``
+    entries at a time, so no dict per annotation and no whole-file text
+    is built.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_coco(ds), fh, indent=2)
-        fh.write("\n")
+        fh.write('{\n  "images": ')
+        _write_array(fh, _record_blocks(
+            _IMAGE_TEMPLATE, ds.images, ("id", "width", "height", "file_name")))
+        fh.write(',\n  "annotations": ')
+        _write_array(fh, _annotation_blocks(ds.columns))
+        fh.write(',\n  "categories": ')
+        _write_array(fh, _record_blocks(_CATEGORY_TEMPLATE, ds.categories, ("id", "name")))
+        fh.write("\n}\n")

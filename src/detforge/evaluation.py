@@ -216,6 +216,14 @@ def _lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.n
     return flags
 
 
+def _int64_column(values: list, field: str) -> np.ndarray:
+    """A detection field as int64; a value past the int64 range is a ValidationError."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError(f"detection {field} is out of int64 range") from None
+
+
 def _grouped_dets(dets: Sequence[Detection], ds: Dataset, max_dets: int):
     """The kept detections as columns in (image, class) group order.
 
@@ -226,9 +234,10 @@ def _grouped_dets(dets: Sequence[Detection], ds: Dataset, max_dets: int):
     key order.
     """
     n = len(dets)
-    image_id = np.fromiter((d.image_id for d in dets), np.int64, n)
-    class_id = np.fromiter((d.category_id for d in dets), np.int64, n)
-    source = np.fromiter((d.source_index for d in dets), np.int64, n)
+    image_id, class_id, source = (
+        _int64_column([getattr(d, field) for d in dets], field)
+        for field in ("image_id", "category_id", "source_index")
+    )
     score = np.fromiter((d.score for d in dets), np.float64, n)
     coords = (v for d in dets for v in d.bbox.as_tuple())
     boxes = np.fromiter(coords, np.float64, 4 * n).reshape(-1, 4)

@@ -558,6 +558,15 @@ class TestMatching:
         report = match_anchors(anchors, gts, pos_iou=0.5, neg_iou=0.2)
         assert report.n_anchors == 2 * anchors.total
 
+    @pytest.mark.parametrize("field", ["id", "image_id", "category_id"])
+    def test_id_past_int64_is_a_one_line_error(self, field):
+        ids = {"id": 1, "image_id": 1, "category_id": 1, field: 2**63}
+        gts = [gt(2, 1, 1, 0, 0, 8, 8), gt(ids["id"], ids["image_id"], ids["category_id"],
+                                          0, 0, 16, 16)]
+        with pytest.raises(ValidationError,
+                           match=rf"^instance column '{field}' holds a value out of int64 range$"):
+            match_anchors(small_grid(), gts)
+
     def test_no_ground_truth_convention(self):
         anchors = small_grid()
         report = match_anchors(anchors, [])

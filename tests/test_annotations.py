@@ -1,12 +1,14 @@
 import itertools
 import json
+import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from detforge import geometry
+from detforge import annotations, geometry
 from detforge.anchors import AnchorSpec, generate_anchors, match_anchors
 from detforge.annotations import (
     Category,
@@ -16,6 +18,7 @@ from detforge.annotations import (
     InstanceColumns,
     MEDIUM_AREA_MAX,
     SMALL_AREA_MAX,
+    _EXPORT_BLOCK_ROWS,
     _require,
     _require_typed,
     _tile_origins,
@@ -805,6 +808,180 @@ class TestColumnarMatchesOracle:
         del payload["annotations"][1:]
         got, want = load_both(payload, tmp_path)
         assert_same_dataset(got, want, tmp_path)
+
+
+    @pytest.mark.parametrize("name", ["tiny.json", "eval_mixed_ann.json"])
+    def test_valid_files_load_on_the_column_path(self, data_dir, tmp_path, monkeypatch, name):
+        """A valid file never reaches the per-entry loop."""
+        def no_entry_loop(*args):
+            raise AssertionError("valid annotations went through the per-entry loop")
+
+        monkeypatch.setattr(annotations, "_annotation_fields_by_entry", no_entry_loop)
+        assert_same_dataset(load_dataset(data_dir / name), oracle_load_dataset(data_dir / name),
+                            tmp_path)
+        for seed in range(10):
+            got, want = load_both(random_payload(seed), tmp_path)
+            assert_same_dataset(got, want, tmp_path)
+        # an empty annotation list and one given as all-missing areas
+        payload = minimal_payload()
+        del payload["annotations"][0]["area"]
+        assert_same_dataset(*load_both(payload, tmp_path), tmp_path)
+        payload["annotations"] = []
+        assert_same_dataset(*load_both(payload, tmp_path), tmp_path)
+
+    def test_default_area_past_float_range_is_rejected_in_a_valid_file(self, tmp_path):
+        """With no other fault, an infinite default area still fails at its entry."""
+        big = 10**200
+        payload = {
+            "images": [{"id": 1, "width": 10, "height": 10, "file_name": "a.png"},
+                       {"id": 2, "width": big, "height": big, "file_name": "b.png"}],
+            "annotations": [
+                {"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1e200, 1e200]},
+                {"id": 2, "image_id": 2, "category_id": 1, "bbox": [0, 0, 1e200, 1e200]},
+            ],
+            "categories": [{"id": 1, "name": "c"}],
+        }
+        path = write_json(tmp_path / "ann.json", payload)
+        for loader in (load_dataset, oracle_load_dataset):
+            with pytest.raises(ValidationError, match=r"^annotations\[1\]\.area must be"):
+                loader(path)
+
+    def test_unknown_image_is_named_before_an_earlier_unknown_category(self, tmp_path):
+        """The load names an unknown image in file order; categories are checked after."""
+        payload = minimal_payload()
+        ann = payload["annotations"][0]
+        payload["annotations"] = [dict(ann, id=1, category_id=9), dict(ann, id=2, image_id=8)]
+        path = write_json(tmp_path / "ann.json", payload)
+        for loader in (load_dataset, oracle_load_dataset):
+            with pytest.raises(DanglingReference, match=r"^annotation 2 references unknown image"):
+                loader(path)
+        payload["images"] = []
+        path = write_json(tmp_path / "ann.json", payload)
+        for loader in (load_dataset, oracle_load_dataset):
+            with pytest.raises(DanglingReference, match=r"^annotation 1 references unknown image"):
+                loader(path)
+
+    @pytest.mark.parametrize("value", [int(sys.float_info.max) + 1,
+                                       -(int(sys.float_info.max) + 1)], ids=["above", "below"])
+    @pytest.mark.parametrize("slot", range(5))
+    def test_int_rounding_to_a_finite_float_is_rejected(self, tmp_path, value, slot):
+        """A NumPy cast rounds the int to a finite float; the load names the entry."""
+        payload = minimal_payload()
+        first = payload["annotations"][0]
+        payload["annotations"].insert(0, dict(first, id=7, bbox=list(first["bbox"])))
+        ann = payload["annotations"][1]
+        if slot < 4:
+            ann["bbox"][slot] = value
+        else:
+            ann["area"] = value
+        path = write_json(tmp_path / "ann.json", payload)
+        with pytest.raises(ValidationError) as got:
+            load_dataset(path)
+        with pytest.raises(ValidationError) as want:
+            oracle_load_dataset(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("annotations[1].")
+
+
+def export_dataset_of(n_rows: int, n_images: int = 3, seed: int = 0) -> Dataset:
+    """A dataset of ``n_rows`` random instances built from columns."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0, 500, (n_rows, 2))
+    wh = rng.uniform(0, 80, (n_rows, 2))
+    return Dataset.from_columns(
+        [ImageRecord(i + 1, 600, 600, f"scene_{i}.png") for i in range(n_images)],
+        [Category(1, "plane"), Category(2, "ship")],
+        InstanceColumns(
+            id=rng.permutation(n_rows) + 1,
+            image_id=rng.integers(1, n_images + 1, n_rows),
+            category_id=rng.integers(1, 3, n_rows),
+            boxes=np.concatenate([xy, xy + wh], axis=1),
+            area=(wh[:, 0] * wh[:, 1]).round(int(rng.integers(0, 6))),
+            ignore=rng.random(n_rows) < 0.1,
+        ),
+    )
+
+
+class TestStreamedExport:
+    """The template writer against the json.dump(indent=2) export it replaced."""
+
+    def assert_exports_as_json_does(self, ds, tmp_path):
+        data = export_bytes(ds, tmp_path)
+        assert data == oracle_export_bytes(ds)
+        return data
+
+    def test_empty_dataset_and_empty_lists(self, tmp_path):
+        empty = Dataset((), (), ())
+        assert self.assert_exports_as_json_does(empty, tmp_path) == (
+            b'{\n  "images": [],\n  "annotations": [],\n  "categories": []\n}\n'
+        )
+        image, cat = ImageRecord(1, 10, 10, "a.png"), Category(1, "c")
+        for images, cats in (((image,), ()), ((), (cat,)), ((image,), (cat,))):
+            self.assert_exports_as_json_does(Dataset(images, (), cats), tmp_path)
+
+    def test_escaped_names(self, tmp_path):
+        names = ["caf\u00e9.png", 'quo"te', "back\\slash", "ctrl\x00\x1f\n\t\r\x7f",
+                 "line\u2028sep", "\U0001f6e9 plane", "", "\ud800 lone surrogate"]
+        ds = Dataset(
+            [ImageRecord(i + 1, 32, 32, name) for i, name in enumerate(names)],
+            [Instance(1, 1, i + 1, BBox(0.0, 0.0, 4.0, 4.0), 16.0) for i in range(1)],
+            [Category(i + 1, name) for i, name in enumerate(names)],
+        )
+        data = self.assert_exports_as_json_does(ds, tmp_path)
+        assert data.isascii()
+        assert json.loads(data) == dataset_to_coco(ds)
+
+    def test_infinite_area_and_signed_zeros(self, tmp_path):
+        ds = Dataset(
+            (ImageRecord(1, 100, 100, "a.png"),),
+            (Instance(1, 1, 1, BBox(-0.0, -0.0, 0.0, -0.0), math.inf),
+             Instance(2, 1, 1, BBox(-0.0, 5.0, 10.0, 7.5), -0.0),
+             Instance(3, 1, 1, BBox(1e-310, 2.0, 1e300, 3.0), 1e308, True),
+             Instance(4, 1, 1, BBox(0.1, 0.2, 0.30000000000000004, 1.0), 0.0)),
+            (Category(1, "c"),),
+        )
+        data = self.assert_exports_as_json_does(ds, tmp_path)
+        assert b'"area": Infinity,' in data and b"-0.0" in data
+        assert json.loads(data) == dataset_to_coco(ds)
+        # json's other non-finite spellings, in a block of their own
+        odd = Dataset(ds.images, (Instance(1, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), math.nan),
+                                  Instance(2, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), -math.inf)),
+                      ds.categories)
+        data = self.assert_exports_as_json_does(odd, tmp_path)
+        assert b'"area": NaN,' in data and b'"area": -Infinity,' in data
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, _EXPORT_BLOCK_ROWS + 3])
+    def test_block_seams(self, tmp_path, offset):
+        ds = export_dataset_of(_EXPORT_BLOCK_ROWS + offset, seed=offset + 1)
+        data = self.assert_exports_as_json_does(ds, tmp_path)
+        assert json.loads(data) == dataset_to_coco(ds)
+
+    def test_small_blocks_and_many_images(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(annotations, "_EXPORT_BLOCK_ROWS", 3)
+        for n_rows in range(8):
+            ds = export_dataset_of(n_rows, n_images=n_rows + 2, seed=n_rows)
+            self.assert_exports_as_json_does(ds, tmp_path)
+        tiled = tile(load_dataset(data_dir / "eval_mixed_ann.json"), 128, 32, 0.25)
+        self.assert_exports_as_json_does(tiled, tmp_path)
+
+    def test_round_trip_of_loaded_and_tiled_fixtures(self, data_dir, tmp_path):
+        for name in ("tiny.json", "eval_mixed_ann.json"):
+            ds = load_dataset(data_dir / name)
+            for out in (ds, tile(ds, 256, 64, 0.25)):
+                data = self.assert_exports_as_json_does(out, tmp_path)
+                assert json.loads(data) == dataset_to_coco(out)
+
+    def test_memory_stays_under_half_the_file(self, tmp_path):
+        """The export holds a block of text at a time, not the file or a dict per row."""
+        ds = export_dataset_of(20_000, n_images=50)
+        path = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            export_dataset(ds, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
 
 class TestObjectsOnlyAtTheEdge:

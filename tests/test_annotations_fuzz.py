@@ -34,7 +34,9 @@ VALUES = st.one_of(
     st.booleans(),
     st.integers(-5, 2000),
     st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, -(2**63) - 1, 10**200,
-                     int(FLOAT_MAX), int(FLOAT_MAX) * 2, 10**400, -(10**400)]),
+                     int(FLOAT_MAX), int(FLOAT_MAX) * 2, 10**400, -(10**400),
+                     # a float64 cast rounds these to a finite float; parse_xywh does not
+                     int(FLOAT_MAX) + 1, -(int(FLOAT_MAX) + 1)]),
     st.floats(),
     st.sampled_from([-0.0, 0.0, 0.5, 1e308, -1e308]),
     st.text(max_size=3),

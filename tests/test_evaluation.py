@@ -411,6 +411,17 @@ class TestCocoMap:
                            match=r"^detection 1 references unknown image id 998$"):
             coco_map(dets, mixed_dataset)
 
+    @pytest.mark.parametrize("field", ["image_id", "category_id", "source_index"])
+    @pytest.mark.parametrize("value", [10**30, 2**63, -(2**63) - 1])
+    def test_id_past_int64_is_a_one_line_error(self, mixed_dataset, field, value):
+        ids = {"image_id": 1, "category_id": 1, "source_index": 0, field: value}
+        dets = [det(1, 1, 0, 0, 10, 10, 0.9, src=1),
+                Detection(ids["image_id"], ids["category_id"], box(0, 0, 1, 1), 0.5,
+                          ids["source_index"])]
+        with pytest.raises(ValidationError,
+                           match=rf"^detection {field} is out of int64 range$"):
+            coco_map(dets, mixed_dataset)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.0, -1.0])
     def test_thresholds_must_be_finite_and_in_unit_interval(
         self, mixed_dataset, mixed_detections, bad
