@@ -53,6 +53,7 @@ from .errors import (
 )
 from .evaluation import (
     Detection,
+    DetectionColumns,
     EvalResult,
     average_precision,
     coco_map,

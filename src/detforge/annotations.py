@@ -80,6 +80,31 @@ _COLUMN_DTYPES = (
 )
 
 
+def freeze_columns(record, dtypes, overflow: str, bad_rows: str) -> None:
+    """Replace each ``(name, dtype)`` field of a frozen column record by a read-only array.
+
+    Each field is copied into an array of its dtype; ``boxes`` is shaped
+    (N, 4), and every column must have the first column's N rows. A value
+    past the dtype's range raises ValidationError with ``overflow``, a
+    row-count mismatch with ``bad_rows``; both are formatted with the
+    field ``name``, ``overflow`` also with ``dtype`` and ``bad_rows``
+    with ``rows``.
+    """
+    n = None
+    for name, dtype in dtypes:
+        try:
+            column = np.array(getattr(record, name), dtype=dtype)
+        except OverflowError:
+            raise ValidationError(overflow.format(name=name, dtype=np.dtype(dtype))) from None
+        if name == "boxes":
+            column = column.reshape(-1, 4)
+        n = len(column) if n is None else n
+        if column.shape[:1] != (n,):
+            raise ValidationError(bad_rows.format(name=name, rows=len(column)))
+        column.flags.writeable = False
+        object.__setattr__(record, name, column)
+
+
 @dataclass(frozen=True, eq=False)
 class InstanceColumns:
     """Instance fields as read-only NumPy columns, one row per instance.
@@ -97,19 +122,9 @@ class InstanceColumns:
     ignore: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in _COLUMN_DTYPES:
-            try:
-                column = np.array(getattr(self, name), dtype=dtype)
-            except OverflowError:
-                raise ValidationError(
-                    f"instance column {name!r} holds a value out of {np.dtype(dtype)} range"
-                ) from None
-            if name == "boxes":
-                column = column.reshape(-1, 4)
-            if column.shape[:1] != (len(self.id),):
-                raise ValidationError(f"instance column {name!r} has {len(column)} rows")
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        freeze_columns(self, _COLUMN_DTYPES,
+                       "instance column {name!r} holds a value out of {dtype} range",
+                       "instance column {name!r} has {rows} rows")
 
     def __len__(self) -> int:
         return len(self.id)

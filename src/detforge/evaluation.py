@@ -6,6 +6,10 @@ size slices small/medium/large cut at areas 32^2 and 96^2. Classes with
 no ground truth in a slice carry the sentinel -1 and are excluded from
 means. Matching is greedy by descending score with ties broken by the
 detection's source index, so results are deterministic.
+
+Detections load into read-only NumPy columns (:class:`DetectionColumns`)
+that ``coco_map`` reads directly; :class:`Detection` objects are built
+only when a caller asks for ``DetectionColumns.detections``.
 """
 
 from __future__ import annotations
@@ -14,21 +18,25 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .annotations import (
+    _FLOAT_MAX,
+    _float_column,
     Dataset,
     MEDIUM_AREA_MAX,
     SMALL_AREA_MAX,
     check_references,
+    freeze_columns,
     group_rows,
     parse_xywh,
     read_text,
 )
 from .errors import MissingKey, ValidationError
-from .geometry import BBox, from_xywh, iou_matrix
+from .geometry import BBox, iou_matrix
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 MAX_DETS_PER_IMAGE = 100
@@ -46,6 +54,70 @@ class Detection:
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ValidationError(f"score must be in [0, 1], got {self.score}")
+
+
+_DETECTION_DTYPES = (
+    ("image_id", np.int64),
+    ("category_id", np.int64),
+    ("source_index", np.int64),
+    ("boxes", np.float64),
+    ("score", np.float64),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionColumns:
+    """Detection fields as read-only NumPy columns, one row per detection.
+
+    ``image_id``, ``category_id`` and ``source_index`` are int64,
+    ``boxes`` is the (N, 4) float64 corner-form array and ``score``
+    float64. Each field is copied into a read-only array of its dtype.
+    ``detections`` is a tuple of :class:`Detection` built from the
+    columns on first use.
+    """
+
+    image_id: np.ndarray
+    category_id: np.ndarray
+    source_index: np.ndarray
+    boxes: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        freeze_columns(self, _DETECTION_DTYPES, "detection {name} is out of {dtype} range",
+                       "detection column {name!r} has {rows} rows")
+
+    def __len__(self) -> int:
+        return len(self.image_id)
+
+    @classmethod
+    def of(cls, detections: Sequence[Detection]) -> "DetectionColumns":
+        """The columns of ``detections``, which are kept as ``.detections``."""
+        detections = tuple(detections)
+        n = len(detections)
+        columns = cls(
+            image_id=[d.image_id for d in detections],
+            category_id=[d.category_id for d in detections],
+            source_index=[d.source_index for d in detections],
+            boxes=np.fromiter(
+                (v for d in detections for v in d.bbox.as_tuple()), np.float64, 4 * n
+            ),
+            score=np.fromiter((d.score for d in detections), np.float64, n),
+        )
+        columns.__dict__["detections"] = detections
+        return columns
+
+    @cached_property
+    def detections(self) -> Tuple[Detection, ...]:
+        return tuple(
+            Detection(image_id, category_id, BBox(*box), score, source_index)
+            for image_id, category_id, box, score, source_index in zip(
+                self.image_id.tolist(),
+                self.category_id.tolist(),
+                self.boxes.tolist(),
+                self.score.tolist(),
+                self.source_index.tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -74,16 +146,48 @@ class EvalResult:
         }
 
 
-def load_detections(path, data: Optional[bytes] = None) -> List[Detection]:
-    """Read a results array of {image_id, category_id, bbox, score}.
+def _detection_fields(raw: list):
+    """The detection fields as columns if every entry is valid, else None.
 
-    Ids must be JSON integers that fit an int64. ``data``, when given,
-    is the file's content already read by the caller.
+    Each field is gathered with one comprehension and checked whole, with
+    the checks of :func:`_detection_fields_by_entry` (which names the
+    first bad entry). Returns ``(image_ids, category_ids, boxes,
+    scores)``, ``boxes`` the (N, 4) float64 corners.
     """
-    raw = json.loads(read_text(path, data))
-    if not isinstance(raw, list):
-        raise ValidationError("detections file must hold a JSON array")
-    out = []
+    if not set(map(type, raw)) <= {dict}:
+        return None
+    image_ids, category_ids = (
+        [entry.get(key) for entry in raw] for key in ("image_id", "category_id")
+    )
+    for column in (image_ids, category_ids):
+        if not set(map(type, column)) <= {int}:
+            return None
+        if column and not (_INT64.min <= min(column) and max(column) <= _INT64.max):
+            return None
+    bboxes = [entry.get("bbox") for entry in raw]
+    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
+        return None
+    xywh = _float_column([v for box in bboxes for v in box], -_FLOAT_MAX)
+    scores = _float_column([entry.get("score") for entry in raw], 0)
+    if xywh is None or scores is None or (scores > 1).any():
+        return None
+    xywh = xywh.reshape(-1, 4)
+    if (xywh[:, 2:] < 0).any():
+        return None
+    with np.errstate(over="ignore"):
+        boxes = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+    if np.isinf(boxes).any():
+        return None
+    return image_ids, category_ids, boxes, scores
+
+
+def _detection_fields_by_entry(raw: list):
+    """The detection fields as :func:`_detection_fields` gives them, one entry at a time.
+
+    Each entry is checked in file order, so an invalid file fails on its
+    first bad entry with a message naming it.
+    """
+    image_ids, category_ids, boxes, scores = [], [], [], []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ValidationError(f"detections[{i}] must be an object, got {type(entry).__name__}")
@@ -105,16 +209,49 @@ def load_detections(path, data: Optional[bytes] = None) -> List[Detection]:
         # int-to-float comparison is exact; float() of a larger int overflows
         if type(entry["score"]) is int and abs(entry["score"]) > sys.float_info.max:
             raise ValidationError(f"detections[{i}].score is out of float range")
-        out.append(
-            Detection(
-                image_id=entry["image_id"],
-                category_id=entry["category_id"],
-                bbox=from_xywh(*parse_xywh(entry["bbox"], f"detections[{i}].bbox")),
-                score=float(entry["score"]),
-                source_index=i,
-            )
-        )
-    return out
+        x, y, w, h = parse_xywh(entry["bbox"], f"detections[{i}].bbox")
+        if w < 0 or h < 0:
+            raise ValidationError(f"detections[{i}].bbox: negative extent: w={w}, h={h}")
+        box = (x, y, x + w, y + h)
+        if math.isinf(box[2]) or math.isinf(box[3]):
+            raise ValidationError(f"detections[{i}].bbox: x + w or y + h is out of float range")
+        score = float(entry["score"])
+        if not 0.0 <= score <= 1.0:
+            raise ValidationError(f"detections[{i}].score: score must be in [0, 1], got {score}")
+        image_ids.append(entry["image_id"])
+        category_ids.append(entry["category_id"])
+        boxes.append(box)
+        scores.append(score)
+    return image_ids, category_ids, boxes, scores
+
+
+def load_detections(path, data: Optional[bytes] = None) -> DetectionColumns:
+    """Read a results array of {image_id, category_id, bbox, score} into columns.
+
+    Ids must be JSON integers that fit an int64, ``bbox`` four finite
+    numbers ``[x, y, w, h]`` with ``w, h >= 0`` and finite corners
+    ``x + w``, ``y + h``, and ``score`` a number in [0, 1]. Row i's
+    ``source_index`` is i. ``data``, when given, is the file's content
+    already read by the caller.
+
+    The entries are checked a whole field at a time; only when a check
+    fails does one loop check each entry in file order and name the
+    first bad one.
+    """
+    raw = json.loads(read_text(path, data))
+    if not isinstance(raw, list):
+        raise ValidationError("detections file must hold a JSON array")
+    fields = _detection_fields(raw)
+    if fields is None:
+        fields = _detection_fields_by_entry(raw)
+    image_ids, category_ids, boxes, scores = fields
+    return DetectionColumns(
+        image_id=image_ids,
+        category_id=category_ids,
+        source_index=np.arange(len(raw)),
+        boxes=boxes,
+        score=scores,
+    )
 
 
 def average_precision(flags, scores, n_gt: int) -> float:
@@ -185,10 +322,12 @@ def _lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.n
     """Greedy-match flags for a chunk of groups, every slice and threshold.
 
     ``ious`` is the (N, D, G) IoU block of N groups sorted by descending
-    det count ``n_dets``, each padded at the tail of both axes. Per slice,
-    ``in_slice`` (S, N, D) marks the dets that take part, ``live``
-    (S, N, G) the GTs a det may match and ``absorbing`` (S, N, G) the
-    ignore GTs (crowd or out of the slice). Returns (S, T, N, D) flags:
+    det count ``n_dets``, each padded at the tail of both axes. Padded
+    cells may hold any value: no step reads a padded det, and a padded
+    GT is neither live nor absorbing. Per slice, ``in_slice`` (S, N, D)
+    marks the dets that take part, ``live`` (S, N, G) the GTs a det may
+    match and ``absorbing`` (S, N, G) the ignore GTs (crowd or out of
+    the slice). Returns (S, T, N, D) flags:
     1 TP, 0 FP, -1 excluded (absorbed, out of the slice, or padding).
 
     Step k matches the k-th det of every group at once; each takes the
@@ -216,15 +355,7 @@ def _lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.n
     return flags
 
 
-def _int64_column(values: list, field: str) -> np.ndarray:
-    """A detection field as int64; a value past the int64 range is a ValidationError."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValidationError(f"detection {field} is out of int64 range") from None
-
-
-def _grouped_dets(dets: Sequence[Detection], ds: Dataset, max_dets: int):
+def _grouped_dets(dets: DetectionColumns, ds: Dataset, max_dets: int):
     """The kept detections as columns in (image, class) group order.
 
     Each image's dets are ranked by (-score, source index) and cut to the
@@ -234,13 +365,9 @@ def _grouped_dets(dets: Sequence[Detection], ds: Dataset, max_dets: int):
     key order.
     """
     n = len(dets)
-    image_id, class_id, source = (
-        _int64_column([getattr(d, field) for d in dets], field)
-        for field in ("image_id", "category_id", "source_index")
+    image_id, class_id, source, score = (
+        dets.image_id, dets.category_id, dets.source_index, dets.score
     )
-    score = np.fromiter((d.score for d in dets), np.float64, n)
-    coords = (v for d in dets for v in d.bbox.as_tuple())
-    boxes = np.fromiter(coords, np.float64, 4 * n).reshape(-1, 4)
     check_references(ds, source, image_id, class_id, "detection")
 
     ranked = np.lexsort((source, -score, image_id))
@@ -251,21 +378,23 @@ def _grouped_dets(dets: Sequence[Detection], ds: Dataset, max_dets: int):
     groups = group_rows(image_id[ranked], class_id[ranked])
     rows = ranked[np.concatenate([np.zeros(0, dtype=np.intp), *groups.values()])]
     group_size = {key: len(group) for key, group in groups.items()}
-    return group_size, class_id[rows], source[rows], score[rows], boxes[rows]
+    return group_size, class_id[rows], source[rows], score[rows], dets.boxes[rows]
 
 
 def coco_map(
-    dets: Sequence[Detection],
+    dets: Union[DetectionColumns, Sequence[Detection]],
     ds: Dataset,
     max_dets: int = MAX_DETS_PER_IMAGE,
     iou_thresholds: Optional[Sequence[float]] = None,
 ) -> EvalResult:
     """Score detections against a dataset over thresholds, classes, slices.
 
-    Size slices turn out-of-slice GTs into ignore entries and drop
-    out-of-slice detections by their own box area before matching.
-    Each (image, class) group gets one IoU matrix, and the greedy match
-    of every slice and threshold runs on it in lock step.
+    ``dets`` are detection columns; a sequence of ``Detection`` is
+    converted once. Size slices turn out-of-slice GTs into ignore entries
+    and drop out-of-slice detections by their own box area before
+    matching. The (image, class) groups are matched a bounded chunk at a
+    time: each chunk gets one padded IoU block, and the greedy match of
+    every slice and threshold runs on it in lock step.
     """
     thresholds = (
         IOU_THRESHOLDS if iou_thresholds is None else tuple(float(t) for t in iou_thresholds)
@@ -276,6 +405,8 @@ def coco_map(
         raise ValidationError(
             f"IoU thresholds must be finite and in [0, 1], got {list(thresholds)}"
         )
+    if not isinstance(dets, DetectionColumns):
+        dets = DetectionColumns.of(dets)
     group_size, class_id, source, scores, det_boxes = _grouped_dets(dets, ds, max_dets)
     gt = ds.columns
     gt_groups = group_rows(gt.image_id, gt.category_id)
@@ -286,7 +417,8 @@ def coco_map(
     no_rows = np.zeros(0, dtype=np.intp)
     group_gts = [gt_groups.get(key, no_rows) for key in group_size]
     flat_gts = np.concatenate([no_rows, *group_gts])
-    gt_boxes = gt.boxes[flat_gts]
+    # one trailing box stands in for the GT padding of a chunk
+    gt_boxes = np.concatenate([gt.boxes[flat_gts], np.zeros((1, 4))])
     n_det = np.array(list(group_size.values()), dtype=np.int64)
     n_gt = np.array([len(rows) for rows in group_gts], dtype=np.int64)
     det_start = np.concatenate(([0], np.cumsum(n_det)))
@@ -311,15 +443,8 @@ def coco_map(
         g_valid = np.arange(g_max) < n_gt[rows, None]
         d_idx = np.where(d_valid, det_start[rows, None] + np.arange(d_max), 0)
         g_idx = np.where(g_valid, gt_start[rows, None] + np.arange(g_max), len(flat_gts))
-        ious = np.zeros((len(chunk), d_max, g_max))
-        for r, i in enumerate(chunk):
-            if n_gt[i]:
-                ious[r, : n_det[i], : n_gt[i]] = iou_matrix(
-                    det_boxes[det_start[i] : det_start[i + 1]],
-                    gt_boxes[gt_start[i] : gt_start[i + 1]],
-                )
         chunk_flags = _lockstep_flags(
-            ious,
+            iou_matrix(det_boxes[d_idx], gt_boxes[g_idx]),
             n_det[rows],
             det_in[:, d_idx] & d_valid,
             gt_live[:, g_idx],

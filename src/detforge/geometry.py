@@ -141,28 +141,40 @@ def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    boxes1 : (N, 4) array
-    boxes2 : (M, 4) array
+    boxes1 : (N, 4) array, or a stack (..., N, 4)
+    boxes2 : (M, 4) array, or a stack (..., M, 4)
 
     Returns
     -------
-    (N, M) array of IoU values; pairs with zero-area union give 0.
+    (N, M) array of IoU values, or (..., N, M) for stacks whose leading
+    axes broadcast; pairs with zero-area union give 0. Input of one or
+    two dimensions is read as a flat run of boxes.
     """
-    boxes1 = np.asarray(boxes1, dtype=np.float64).reshape(-1, 4)
-    boxes2 = np.asarray(boxes2, dtype=np.float64).reshape(-1, 4)
-    area1 = (boxes1[:, 2] - boxes1[:, 0]) * (boxes1[:, 3] - boxes1[:, 1])
-    area2 = (boxes2[:, 2] - boxes2[:, 0]) * (boxes2[:, 3] - boxes2[:, 1])
-    ix = np.minimum(boxes1[:, None, 2], boxes2[:, 2]) - np.maximum(
-        boxes1[:, None, 0], boxes2[:, 0]
-    )
-    iy = np.minimum(boxes1[:, None, 3], boxes2[:, 3]) - np.maximum(
-        boxes1[:, None, 1], boxes2[:, 1]
-    )
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    union = area1[:, None] + area2 - inter
+    boxes1 = np.asarray(boxes1, dtype=np.float64)
+    boxes2 = np.asarray(boxes2, dtype=np.float64)
+    if boxes1.ndim < 3:
+        boxes1 = boxes1.reshape(-1, 4)
+    if boxes2.ndim < 3:
+        boxes2 = boxes2.reshape(-1, 4)
+    area1 = (boxes1[..., 2] - boxes1[..., 0]) * (boxes1[..., 3] - boxes1[..., 1])
+    area2 = (boxes2[..., 2] - boxes2[..., 0]) * (boxes2[..., 3] - boxes2[..., 1])
+    # In-place steps keep at most three (..., N, M) arrays alive; each is
+    # the same elementwise operation as its out-of-place form.
+    ix = np.minimum(boxes1[..., :, None, 2], boxes2[..., None, :, 2])
+    ix -= np.maximum(boxes1[..., :, None, 0], boxes2[..., None, :, 0])
+    iy = np.minimum(boxes1[..., :, None, 3], boxes2[..., None, :, 3])
+    iy -= np.maximum(boxes1[..., :, None, 1], boxes2[..., None, :, 1])
+    inter = np.clip(ix, 0.0, None, out=ix)
+    inter *= np.clip(iy, 0.0, None, out=iy)
+    del iy
+    union = area1[..., :, None] + area2[..., None, :]
+    union -= inter
+    positive = union > 0
+    union[~positive] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
-    return out
+        inter /= union
+    inter[~positive] = 0.0
+    return inter
 
 
 def wh_iou_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:

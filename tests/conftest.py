@@ -24,4 +24,4 @@ def mixed_dataset():
 
 @pytest.fixture()
 def mixed_detections():
-    return load_detections(DATA / "eval_mixed_dets.json")
+    return list(load_detections(DATA / "eval_mixed_dets.json").detections)

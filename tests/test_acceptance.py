@@ -271,7 +271,7 @@ def test_criterion_6_evaluator_oracles_and_fp_monotonicity(data_dir):
             float(rng.uniform(0.9, 0.999)),
             1000 + trial,
         )
-        spiked = coco_map(list(dets) + [fp], ds)
+        spiked = coco_map(list(dets.detections) + [fp], ds)
         for field in metric_fields:
             b, s = getattr(base, field), getattr(spiked, field)
             if b >= 0.0:

@@ -449,6 +449,22 @@ class TestExitCodes:
                            "--dets", str(dets_path))
         assert err == "detforge: detections[0].score is out of float range\n"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("bbox", [1e20, 0, -1, 10], "detections[2].bbox: negative extent: w=-1.0, h=10.0"),
+        ("score", float("nan"), "detections[2].score: score must be in [0, 1], got nan"),
+        ("bbox", [1e308, 0, 1e308, 1],
+         "detections[2].bbox: x + w or y + h is out of float range"),
+    ], ids=["negative-extent", "nan-score", "overflowing-corner"])
+    def test_detection_box_and_score_errors_name_the_entry(self, capsys, tmp_path, data_dir,
+                                                            key, value, message):
+        dets = json.loads((data_dir / "eval_mixed_dets.json").read_text())
+        dets[2][key] = value
+        dets_path = tmp_path / "dets.json"
+        dets_path.write_text(json.dumps(dets))
+        err = run_rejected(capsys, "eval", "--ann", str(data_dir / "eval_mixed_ann.json"),
+                           "--dets", str(dets_path))
+        assert err == f"detforge: {message}\n"
+
     @pytest.mark.parametrize("key, value", [
         ("image_id", 2**63), ("image_id", 10**30), ("category_id", -(2**63) - 1),
     ], ids=["image-2^63", "image-1e30", "category-below-min"])

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from collections import defaultdict
 from typing import Optional, Sequence
@@ -7,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from detforge import evaluation
+from detforge import cli, evaluation
 from detforge.annotations import (
     MEDIUM_AREA_MAX,
     SMALL_AREA_MAX,
@@ -16,12 +17,15 @@ from detforge.annotations import (
     ImageRecord,
     Instance,
     load_dataset,
+    parse_xywh,
+    read_text,
 )
 from detforge.errors import DanglingReference, MissingKey, ValidationError
 from detforge.evaluation import (
     IOU_THRESHOLDS,
     MAX_DETS_PER_IMAGE,
     Detection,
+    DetectionColumns,
     EvalResult,
     average_precision,
     coco_map,
@@ -196,6 +200,194 @@ def scalar_coco_map(
     )
 
 
+# ------------------------------------------------------------------ loader oracle
+# The object-path loader that the columnar load_detections replaced: one
+# from_xywh box and one Detection per entry. load_detections must hold
+# the same columns bit for bit.
+
+_INT64 = np.iinfo(np.int64)
+
+
+def oracle_load_detections(path) -> list:
+    raw = json.loads(read_text(path))
+    if not isinstance(raw, list):
+        raise ValidationError("detections file must hold a JSON array")
+    out = []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"detections[{i}] must be an object, got {type(entry).__name__}")
+        for key in ("image_id", "category_id", "bbox", "score"):
+            if key not in entry:
+                raise MissingKey(f"detections[{i}].{key}")
+        for key, kind, types in (
+            ("image_id", "an integer", (int,)),
+            ("category_id", "an integer", (int,)),
+            ("score", "a number", (int, float)),
+        ):
+            if type(entry[key]) not in types:
+                raise ValidationError(
+                    f"detections[{i}].{key} must be {kind}, got {type(entry[key]).__name__}"
+                )
+        for key in ("image_id", "category_id"):
+            if not _INT64.min <= entry[key] <= _INT64.max:
+                raise ValidationError(f"detections[{i}].{key} is out of int64 range")
+        # int-to-float comparison is exact; float() of a larger int overflows
+        if type(entry["score"]) is int and abs(entry["score"]) > sys.float_info.max:
+            raise ValidationError(f"detections[{i}].score is out of float range")
+        out.append(
+            Detection(
+                image_id=entry["image_id"],
+                category_id=entry["category_id"],
+                bbox=from_xywh(*parse_xywh(entry["bbox"], f"detections[{i}].bbox")),
+                score=float(entry["score"]),
+                source_index=i,
+            )
+        )
+    return out
+
+
+def assert_same_columns(got: DetectionColumns, want: Sequence[Detection]) -> None:
+    """``got`` holds the fields of ``want`` bit for bit, so -0.0 stays -0.0."""
+    want = DetectionColumns.of(want)
+    assert len(got) == len(want)
+    for name in ("image_id", "category_id", "source_index", "boxes", "score"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def random_payload(rng, n: int) -> list:
+    """``n`` valid detection entries that mix ints, floats, -0.0 and huge values."""
+    ids = (1, 7, 0, -3, 2**63 - 1, -(2**63), 2**53 + 1)
+    corners = (0, 3, -0.0, 0.0, 0.5, -12.25, 2**53 + 1, 12345678901234567, 1e300, -1e300)
+    extents = (0, 5, -0.0, 0.0, 0.1, 33.3, 2**53 + 1, 1e300)
+    scores = (0, 1, 0.0, -0.0, 1.0, 0.5, 0.1234567890123, 5e-324)
+
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    return [
+        {"image_id": pick(ids), "category_id": pick(ids),
+         "bbox": [pick(corners), pick(corners), pick(extents), pick(extents)],
+         "score": pick(scores)}
+        for _ in range(n)
+    ]
+
+
+class TestLoaderMatchesOracle:
+    """load_detections against the object-path loader it replaced."""
+
+    def payloads(self, data_dir):
+        yield from (json.loads((data_dir / name).read_text())
+                    for name in ("eval_mixed_dets.json", "tiny_perfect_dets.json"))
+        yield []
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 5, 40, 300):
+            yield random_payload(rng, n)
+
+    @pytest.mark.parametrize("path", ["columns", "per entry"])
+    def test_columns_match_bit_for_bit(self, data_dir, tmp_path, monkeypatch, path):
+        if path == "per entry":
+            monkeypatch.setattr(evaluation, "_detection_fields", lambda raw: None)
+        file = tmp_path / "dets.json"
+        for payload in self.payloads(data_dir):
+            file.write_text(json.dumps(payload))
+            assert_same_columns(load_detections(file), oracle_load_detections(file))
+
+    def test_valid_files_never_reach_the_per_entry_loop(self, data_dir, tmp_path,
+                                                        monkeypatch):
+        def refuse(raw):
+            raise AssertionError("per-entry loop ran on a valid file")
+
+        monkeypatch.setattr(evaluation, "_detection_fields_by_entry", refuse)
+        file = tmp_path / "dets.json"
+        for payload in self.payloads(data_dir):
+            file.write_text(json.dumps(payload))
+            assert_same_columns(load_detections(file), oracle_load_detections(file))
+
+    @pytest.mark.parametrize("bbox, message", [
+        ([1e20, 0, -1, 10], "detections[1].bbox: negative extent: w=-1.0, h=10.0"),
+        ([1e308, 0, 1e308, 1], "detections[1].bbox: x + w or y + h is out of float range"),
+        ([0, -1e308, 1, -1e308], "detections[1].bbox: negative extent: w=1.0, h=-1e+308"),
+        ([0, 1.5e308, 1, 1.5e308], "detections[1].bbox: x + w or y + h is out of float range"),
+    ])
+    def test_bad_extents_and_overflowing_corners_name_the_entry(self, tmp_path, bbox,
+                                                                message):
+        file = tmp_path / "dets.json"
+        entries = random_payload(np.random.default_rng(1), 3)
+        entries[1]["bbox"] = bbox
+        entries[2]["score"] = 2.0  # a later bad entry is never reached
+        file.write_text(json.dumps(entries))
+        with pytest.raises(ValidationError) as info:
+            load_detections(file)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), 1.5, -0.5, 2])
+    def test_score_outside_unit_interval_names_the_entry(self, tmp_path, score):
+        file = tmp_path / "dets.json"
+        entries = random_payload(np.random.default_rng(2), 2)
+        entries[1]["score"] = score
+        file.write_text(json.dumps(entries))
+        with pytest.raises(ValidationError) as info:
+            load_detections(file)
+        assert str(info.value) == (
+            f"detections[1].score: score must be in [0, 1], got {float(score)}"
+        )
+
+
+class TestDetectionColumns:
+    def test_columns_are_read_only_with_fixed_dtypes(self, data_dir):
+        c = load_detections(data_dir / "eval_mixed_dets.json")
+        assert len(c) == 6
+        assert c.image_id.dtype == c.category_id.dtype == c.source_index.dtype == np.int64
+        assert c.boxes.shape == (6, 4) and c.boxes.dtype == c.score.dtype == np.float64
+        assert c.source_index.tolist() == list(range(6))
+        with pytest.raises(ValueError):
+            c.score[0] = 0.5
+
+    def test_detections_are_built_once_and_round_trip(self, mixed_detections):
+        c = DetectionColumns.of(mixed_detections)
+        assert c.detections == tuple(mixed_detections)
+        assert c.detections is c.detections
+        rebuilt = DetectionColumns(image_id=c.image_id, category_id=c.category_id,
+                                   source_index=c.source_index, boxes=c.boxes, score=c.score)
+        assert rebuilt.detections == c.detections
+
+    def test_empty(self):
+        c = DetectionColumns.of([])
+        assert len(c) == 0 and c.boxes.shape == (0, 4) and c.detections == ()
+
+    def test_ragged_columns_are_rejected(self):
+        with pytest.raises(ValidationError, match=r"^detection column 'score' has 2 rows$"):
+            DetectionColumns(image_id=[1], category_id=[1], source_index=[0],
+                             boxes=[[0, 0, 1, 1]], score=[0.5, 0.6])
+
+
+class TestDetectionObjectsOnlyAtTheEdge:
+    def test_eval_builds_no_detection_or_box(self, data_dir, monkeypatch, capsys):
+        """``detforge eval`` parses, matches and scores without one Detection or BBox."""
+        calls = []
+        for cls in (Detection, BBox):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                calls.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        dets_path = data_dir / "eval_mixed_dets.json"
+        rc = cli.main(["eval", "--ann", str(data_dir / "eval_mixed_ann.json"),
+                       "--dets", str(dets_path)])
+        assert rc == 0 and json.loads(capsys.readouterr().out)["result"]["n_detections"] == 6
+        assert calls == []
+        dets = load_detections(dets_path)
+        assert len(dets) == 6
+        assert calls == []
+        # the counter does see the objects built for an API caller
+        assert len(dets.detections) == 6
+        assert calls.count("Detection") == calls.count("BBox") == 6
+
+
 class TestDetection:
     def test_score_range_enforced(self):
         with pytest.raises(ValidationError):
@@ -206,7 +398,7 @@ class TestDetection:
 
 class TestLoadDetections:
     def test_mixed_fixture(self, data_dir):
-        dets = load_detections(data_dir / "eval_mixed_dets.json")
+        dets = load_detections(data_dir / "eval_mixed_dets.json").detections
         assert len(dets) == 6
         assert [d.source_index for d in dets] == list(range(6))
         assert dets[0].bbox == box(0, 0, 10, 10)
@@ -538,7 +730,16 @@ def random_case(rng, n_images, n_classes, max_gts, max_dets):
     return Dataset(images, tuple(instances), categories), dets
 
 
+def coco_map_both(dets, ds, **kwargs) -> EvalResult:
+    """coco_map on a Detection list, after it agrees with coco_map on its columns."""
+    result = coco_map(dets, ds, **kwargs)
+    assert coco_map(DetectionColumns.of(dets), ds, **kwargs).to_dict() == result.to_dict()
+    return result
+
+
 class TestCocoMapAgainstScalarOracle:
+    """coco_map on Detection lists and on DetectionColumns against the scalar oracle."""
+
     @pytest.mark.parametrize("max_dets", [0, 1, 2, MAX_DETS_PER_IMAGE])
     @pytest.mark.parametrize("thresholds", [None, (0.0,), (1.0,), (0.5, 0.75)])
     def test_randomized_cases_match_exactly(self, max_dets, thresholds):
@@ -547,7 +748,7 @@ class TestCocoMapAgainstScalarOracle:
             ds, dets = random_case(rng, n_images=int(rng.integers(1, 5)),
                                    n_classes=int(rng.integers(1, 4)), max_gts=6, max_dets=8)
             want = scalar_coco_map(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
-            got = coco_map(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
+            got = coco_map_both(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
             assert got.to_dict() == want.to_dict(), f"trial {trial}"
 
     def test_iou_tie_goes_to_the_lowest_gt_index(self, mixed_dataset):
@@ -558,7 +759,7 @@ class TestCocoMapAgainstScalarOracle:
         # the square ties at IoU 0.5 and takes the tall GT, so the tall det
         # that follows is left with the wide one (IoU 1/3): a miss at 0.5
         dets = [Detection(1, 1, box(0, 0, 10, 10), 0.9, 0), Detection(1, 1, tall, 0.8, 1)]
-        result = coco_map(dets, ds, iou_thresholds=[0.5])
+        result = coco_map_both(dets, ds, iou_thresholds=[0.5])
         assert result.ap == pytest.approx(51.0 / 101.0, abs=1e-15)
         assert result.to_dict() == scalar_coco_map(dets, ds, iou_thresholds=[0.5]).to_dict()
 
@@ -568,7 +769,7 @@ class TestCocoMapAgainstScalarOracle:
             ds, dets = random_case(rng, 3, 2, 5, 8)
             dets = [Detection(d.image_id, d.category_id, d.bbox, d.score, i % 3)
                     for i, d in enumerate(dets)]
-            assert coco_map(dets, ds).to_dict() == scalar_coco_map(dets, ds).to_dict()
+            assert coco_map_both(dets, ds).to_dict() == scalar_coco_map(dets, ds).to_dict()
 
     @pytest.mark.parametrize("groups, cells", [(1, 1 << 16), (3, 1 << 16), (128, 40)])
     def test_chunk_boundaries_change_nothing(self, monkeypatch, groups, cells):
@@ -576,15 +777,34 @@ class TestCocoMapAgainstScalarOracle:
         monkeypatch.setattr(evaluation, "_CHUNK_CELLS", cells)
         rng = np.random.default_rng(groups + cells)
         ds, dets = random_case(rng, n_images=12, n_classes=3, max_gts=8, max_dets=12)
-        assert coco_map(dets, ds).to_dict() == scalar_coco_map(dets, ds).to_dict()
+        assert coco_map_both(dets, ds).to_dict() == scalar_coco_map(dets, ds).to_dict()
+
+    def test_padded_cells_of_a_chunk_are_never_read(self, monkeypatch):
+        original = evaluation._lockstep_flags
+
+        def poisoned(ious, n_dets, in_slice, live, absorbing, thresholds):
+            # a padded GT is neither live nor absorbing in any slice
+            padded = (~(live | absorbing).any(axis=0)[:, None, :]
+                      | (np.arange(ious.shape[1]) >= n_dets[:, None])[:, :, None])
+            return original(np.where(padded, 1.0, ious), n_dets, in_slice, live, absorbing,
+                            thresholds)
+
+        monkeypatch.setattr(evaluation, "_lockstep_flags", poisoned)
+        monkeypatch.setattr(evaluation, "_CHUNK_GROUPS", 5)
+        rng = np.random.default_rng(31)
+        for trial in range(10):
+            ds, dets = random_case(rng, n_images=6, n_classes=3, max_gts=6, max_dets=10)
+            want = scalar_coco_map(dets, ds, iou_thresholds=(0.0, 0.5))
+            assert coco_map_both(dets, ds, iou_thresholds=(0.0, 0.5)).to_dict() == \
+                want.to_dict(), f"trial {trial}"
 
     def test_fixtures_match(self, mixed_dataset, mixed_detections, tiny_dataset, data_dir):
-        tiny_dets = load_detections(data_dir / "tiny_perfect_dets.json")
+        tiny_dets = load_detections(data_dir / "tiny_perfect_dets.json").detections
         for dets, ds in ((mixed_detections, mixed_dataset), (tiny_dets, tiny_dataset),
                          ([], mixed_dataset)):
             for max_dets in (0, 2):
                 for thresholds in (None, (0.0, 1.0), (0.5,)):
-                    got = coco_map(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
+                    got = coco_map_both(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
                     want = scalar_coco_map(dets, ds, max_dets=max_dets,
                                            iou_thresholds=thresholds)
                     assert got.to_dict() == want.to_dict()

@@ -133,6 +133,78 @@ def test_iou_matrix_agrees_with_scalar():
             assert_allclose(m[i, j], iou(a, b), rtol=0, atol=1e-15)
 
 
+def oracle_iou_matrix(boxes1, boxes2):
+    """The out-of-place (N, M) iou_matrix that the stacking, in-place one replaced."""
+    boxes1 = np.asarray(boxes1, dtype=np.float64).reshape(-1, 4)
+    boxes2 = np.asarray(boxes2, dtype=np.float64).reshape(-1, 4)
+    area1 = (boxes1[:, 2] - boxes1[:, 0]) * (boxes1[:, 3] - boxes1[:, 1])
+    area2 = (boxes2[:, 2] - boxes2[:, 0]) * (boxes2[:, 3] - boxes2[:, 1])
+    ix = np.minimum(boxes1[:, None, 2], boxes2[:, 2]) - np.maximum(
+        boxes1[:, None, 0], boxes2[:, 0]
+    )
+    iy = np.minimum(boxes1[:, None, 3], boxes2[:, 3]) - np.maximum(
+        boxes1[:, None, 1], boxes2[:, 1]
+    )
+    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    union = area1[:, None] + area2 - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+
+
+def edge_case_boxes(rng, shape):
+    """Corner boxes on a coarse grid: twins, degenerate boxes and -0.0 coordinates."""
+    values = np.array([-0.0, 0.0, 1.0, 2.0, 4.0, 8.0])
+    corners = values[rng.integers(len(values), size=shape + (2, 2))]
+    corners.sort(axis=-1)  # -0.0 and 0.0 compare equal, so both orders survive
+    return corners.transpose(*range(len(shape)), -1, -2).reshape(shape + (4,))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStackedIouMatrix:
+    @pytest.mark.parametrize("n, m", [(5, 7), (0, 3), (4, 0), (0, 0), (1, 1)])
+    def test_stack_equals_its_slices(self, n, m):
+        rng = np.random.default_rng(20 + n + m)
+        boxes1, boxes2 = edge_case_boxes(rng, (6, n)), edge_case_boxes(rng, (6, m))
+        stacked = iou_matrix(boxes1, boxes2)
+        assert stacked.shape == (6, n, m)
+        for c in range(6):
+            per_slice = iou_matrix(boxes1[c], boxes2[c])
+            assert np.array_equal(stacked[c], per_slice)
+            assert same_bits(stacked[c], per_slice)
+        # a flat box run broadcasts against every slice of a stack
+        assert same_bits(iou_matrix(boxes1[0], boxes2),
+                         np.stack([iou_matrix(boxes1[0], b) for b in boxes2]))
+
+    def test_zero_union_pairs_give_zero(self):
+        point = np.array([[[3.0, 3.0, 3.0, 3.0], [-0.0, 0.0, -0.0, 5.0]]])
+        assert same_bits(iou_matrix(point, point), np.zeros((1, 2, 2)))
+
+    def test_matches_the_out_of_place_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        specials = np.array([-0.0, 0.0, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, 3.5])
+        for _ in range(50):
+            n, m = rng.integers(0, 6, 2)
+            # unsorted corners too: inverted boxes have negative areas
+            boxes1 = specials[rng.integers(len(specials), size=(n, 4))]
+            boxes2 = rng.uniform(-4, 4, (m, 4)).round(1)
+            if rng.random() < 0.5:
+                boxes2[rng.random(boxes2.shape) < 0.3] = -0.0
+            else:  # infinite on both sides: inf - inf unions are NaN
+                boxes2 = specials[rng.integers(len(specials), size=(m, 4))]
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = iou_matrix(boxes1, boxes2), oracle_iou_matrix(boxes1, boxes2)
+            assert same_bits(got, want)
+
+    def test_flat_input_keeps_its_reshape(self):
+        flat = np.array([0.0, 0.0, 2.0, 2.0, 1.0, 1.0, 3.0, 3.0])
+        assert same_bits(iou_matrix(flat, flat.reshape(2, 4)),
+                         oracle_iou_matrix(flat, flat))
+        assert iou_matrix(flat, flat).shape == (2, 2)
+
+
 def test_wh_iou_matrix_agrees_with_scalar():
     rng = np.random.default_rng(5)
     wh1 = rng.uniform(1.0, 50.0, (13, 2))
