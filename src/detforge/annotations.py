@@ -15,6 +15,7 @@ caller asks for ``Dataset.instances``.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import sys
@@ -54,10 +55,7 @@ class ImageRecord:
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
-            raise ValidationError(
-                f"image {self.id} has non-positive dimensions "
-                f"({self.width}x{self.height})"
-            )
+            raise _non_positive(self.id, self.width, self.height)
 
 
 @dataclass(frozen=True)
@@ -342,49 +340,210 @@ def check_references(
         raise DanglingReference(int(ids[row]), kind, int(refs[row]), record_kind)
 
 
-def _require(record: Mapping, key: str, where: str):
-    if not isinstance(record, dict):
-        raise ValidationError(f"{where} must be an object, got {type(record).__name__}")
-    if key not in record:
-        raise MissingKey(f"{where}.{key}")
-    return record[key]
-
-
+_MISSING = object()
 _TYPE_NAMES = {int: "an integer", str: "a string"}
-
-
-def _require_typed(record: Mapping, key: str, where: str, kind: type):
-    """A required value of exactly JSON type ``kind``: a bool is no id, 5 no name."""
-    value = _require(record, key, where)
-    if type(value) is not kind:
-        raise ValidationError(
-            f"{where}.{key} must be {_TYPE_NAMES[kind]}, got {type(value).__name__}"
-        )
-    return value
-
-
-_NUMBER = (int, float)
+_NUMBER = frozenset({int, float})
 _FLOAT_MAX = sys.float_info.max
 _INT64 = np.iinfo(np.int64)
 
 
-def parse_xywh(value, where: str) -> Tuple[float, float, float, float]:
-    """A JSON ``[x, y, w, h]`` box as four floats.
+def checked(checks):
+    """Run a rule generator; return its value, or raise the first bad entry's error.
 
-    Anything other than four finite numbers raises ValidationError: a
-    NaN or infinite coordinate has no place on the image or anchor grid.
+    ``checks`` yields one ``(bad, error)`` pair per rule, in the order the
+    rules apply to one entry: ``bad`` flags the rows that break the rule
+    (False when none does) and ``error(i)`` builds row ``i``'s exception.
+    Each yield is sent the number of rows still in play, None for all.
+    Once a rule flags row ``i``, later rules see only the rows before it,
+    each of which passed every earlier rule; so the last failure found is
+    the first bad entry's first broken rule, as a loop over the entries
+    would report it.
     """
-    if isinstance(value, (list, tuple)) and len(value) == 4:
-        x, y, w, h = value
-        # int-to-float comparison is exact, so huge integers fail here too
-        if (
-            type(x) in _NUMBER and type(y) in _NUMBER
-            and type(w) in _NUMBER and type(h) in _NUMBER
-            and -_FLOAT_MAX <= x <= _FLOAT_MAX and -_FLOAT_MAX <= y <= _FLOAT_MAX
-            and -_FLOAT_MAX <= w <= _FLOAT_MAX and -_FLOAT_MAX <= h <= _FLOAT_MAX
-        ):
-            return (float(x), float(y), float(w), float(h))
-    raise ValidationError(f"{where} must be [x, y, w, h] of four finite numbers")
+    n = failure = None
+    bad, error = next(checks)
+    while True:
+        if bad is not False:
+            rows = np.flatnonzero(bad[:n])
+            if rows.size:
+                n = int(rows[0])
+                failure = error(n)
+        try:
+            bad, error = checks.send(n)
+        except StopIteration as stop:
+            if failure is not None:
+                raise failure
+            return stop.value
+
+
+def _head(values, n, width: int = 1):
+    """The values of the first ``n`` rows, ``width`` values a row; all of them when n is None."""
+    return values if n is None else values[:n * width]
+
+
+def _gather(records, n, key: str, default=_MISSING) -> list:
+    """The ``key`` value of each of the first ``n`` records, ``default`` where it is absent."""
+    return [rec.get(key, default) for rec in _head(records, n)]
+
+
+def _type_flags(column, kinds):
+    """Flags of the missing values of a gathered column, and of those not of a type in ``kinds``.
+
+    Each is False when no value has it: one set of the value types
+    decides a clean column. A bool is no int, as JSON has it.
+    """
+    if set(map(type, column)) <= kinds:
+        return False, False
+    return [v is _MISSING for v in column], [type(v) not in kinds for v in column]
+
+
+def _range_flags(column, low, high):
+    """Flags of the numbers below ``low`` or above ``high``, or False when there are none.
+
+    Python's ``min`` and ``max`` compare an int with a float exactly, so
+    an int past a float bound is flagged before a cast could round it to
+    a finite float. A NaN is never flagged: it defeats the comparisons,
+    and the callers catch it on the cast column.
+    """
+    if not column or (low <= min(column) and max(column) <= high):
+        return False
+    return [v < low or high < v for v in column]
+
+
+def _per_row(flags, width: int = 4):
+    """Flags of values, ``width`` to a row, as flags of rows; False when none is set."""
+    # the whole-array test is twenty times cheaper than the per-row one
+    if flags is False or not np.any(flags):
+        return False
+    return np.reshape(flags, (-1, width)).any(axis=1)
+
+
+def _object_rule(records, where: str):
+    """The rule that each entry is a JSON object."""
+    return _type_flags(records, {dict})[1], lambda i: ValidationError(
+        f"{where}[{i}] must be an object, got {type(records[i]).__name__}"
+    )
+
+
+def _field_checks(records, n, where: str, key: str, kind: type):
+    """Rules that each entry has ``key``, then that its value is exactly of JSON type ``kind``.
+
+    Returns the gathered column and the rows still in play.
+    """
+    column = _gather(records, n, key)
+    missing, wrong = _type_flags(column, {kind})
+    n = yield missing, lambda i: MissingKey(f"{where}[{i}].{key}")
+    n = yield wrong, lambda i: ValidationError(
+        f"{where}[{i}].{key} must be {_TYPE_NAMES[kind]}, got {type(column[i]).__name__}"
+    )
+    return column, n
+
+
+def _xywh_checks(boxes, not_list, n, where: str):
+    """Rules that each gathered ``bbox`` is [x, y, w, h] of four finite numbers.
+
+    ``not_list`` flags the boxes that are not lists. The rules share one
+    message: a list, then four values, then numbers, then finite ones
+    (past the float range, then NaN on the cast column). Returns the
+    (N, 4) float64 ``[x, y, w, h]`` column and the rows still in play.
+    """
+    def error(i):
+        return ValidationError(f"{where}[{i}].bbox must be [x, y, w, h] of four finite numbers")
+
+    n = yield not_list, error
+    boxes = _head(boxes, n)
+    n = yield not set(map(len, boxes)) <= {4} and [len(box) != 4 for box in boxes], error
+    values = [v for box in _head(boxes, n) for v in box]
+    n = yield _per_row(_type_flags(values, _NUMBER)[1]), error
+    n = yield _per_row(_range_flags(_head(values, n, 4), -_FLOAT_MAX, _FLOAT_MAX)), error
+    xywh = np.array(_head(values, n, 4), dtype=np.float64).reshape(-1, 4)
+    n = yield _per_row(np.isnan(xywh)), error
+    return xywh, n
+
+
+def _non_positive(image_id, width, height) -> ValidationError:
+    return ValidationError(f"image {image_id} has non-positive dimensions ({width}x{height})")
+
+
+def _image_checks(images: list):
+    """The image rules in the order they apply to one entry; returns the ImageRecords."""
+    n = yield _object_rule(images, "images")
+    ids, n = yield from _field_checks(images, n, "images", "id", int)
+    widths, n = yield from _field_checks(images, n, "images", "width", int)
+    heights, n = yield from _field_checks(images, n, "images", "height", int)
+    names, n = yield from _field_checks(images, n, "images", "file_name", str)
+    for column in (widths, heights):
+        n = yield _range_flags(_head(column, n), 1, math.inf), lambda i: _non_positive(
+            ids[i], widths[i], heights[i]
+        )
+    for key, column in (("width", widths), ("height", heights)):
+        n = yield _range_flags(_head(column, n), 1, _FLOAT_MAX), lambda i, key=key: (
+            ValidationError(f"images[{i}].{key} is out of float range")
+        )
+    # past row n a size may be non-positive, which ImageRecord rejects
+    fields = itertools.islice(zip(ids, widths, heights, names), n)
+    return [ImageRecord(*record) for record in fields]
+
+
+def _category_checks(categories: list):
+    """The category rules in the order they apply to one entry; returns the Categories."""
+    n = yield _object_rule(categories, "categories")
+    ids, n = yield from _field_checks(categories, n, "categories", "id", int)
+    names, n = yield from _field_checks(categories, n, "categories", "name", str)
+    return [Category(*fields) for fields in zip(ids, names)]
+
+
+def _annotation_checks(anns: list, row_of: Mapping[int, int], limits: np.ndarray):
+    """The annotation rules in the order they apply to one entry; returns the fields.
+
+    ``row_of`` maps an image id to its row and ``limits`` holds each
+    image row's (width, height, width, height) bounds. Returns ``(ids,
+    image_ids, category_ids, corners, boxes, area, crowds)``: ``corners``
+    the boxes as given, ``boxes`` clamped into their images, and a
+    missing ``area`` the clamped box's.
+    """
+    n = yield _object_rule(anns, "annotations")
+    ids, n = yield from _field_checks(anns, n, "annotations", "id", int)
+    image_ids, n = yield from _field_checks(anns, n, "annotations", "image_id", int)
+    category_ids, n = yield from _field_checks(anns, n, "annotations", "category_id", int)
+    for key, column in (("id", ids), ("image_id", image_ids), ("category_id", category_ids)):
+        n = yield _range_flags(_head(column, n), _INT64.min, _INT64.max), lambda i, key=key: (
+            ValidationError(f"annotations[{i}].{key} is out of int64 range")
+        )
+    bboxes = _gather(anns, n, "bbox")
+    missing, not_list = _type_flags(bboxes, {list})
+    n = yield missing, lambda i: MissingKey(f"annotations[{i}].bbox")
+    xywh, n = yield from _xywh_checks(bboxes, not_list, n, "annotations")
+    n = yield _per_row(xywh[:, 2:] < 0, 2), lambda i: NegativeExtent(
+        ids[i], *xywh[i, 2:].tolist()
+    )
+    image_rows = list(map(row_of.get, _head(image_ids, n)))
+    n = yield None in image_rows and [row is None for row in image_rows], lambda i: (
+        DanglingReference(ids[i], "image", image_ids[i])
+    )
+
+    xywh = xywh[:n]
+    with np.errstate(over="ignore"):
+        corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+        boxes = _clamp_corners(corners, limits[np.array(_head(image_rows, n), dtype=np.intp)])
+        default = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    area = _gather(anns, n, "area")
+    if _MISSING in area:
+        area = [d if a is _MISSING else a for a, d in zip(area, default.tolist())]
+
+    def bad_area(i):
+        # a NaN area would fall out of every size slice without a word
+        return ValidationError(f"annotations[{i}].area must be a finite non-negative number")
+
+    n = yield _type_flags(area, _NUMBER)[1], bad_area
+    n = yield _range_flags(_head(area, n), 0, _FLOAT_MAX), bad_area
+    area = np.array(_head(area, n), dtype=np.float64)
+    n = yield np.isnan(area), bad_area
+    crowds = _gather(anns, n, "iscrowd", 0)
+    n = yield (
+        not (set(map(type, crowds)) <= {int} and set(crowds) <= {0, 1})
+        and [type(c) is not int or c not in (0, 1) for c in crowds]
+    ), lambda i: ValidationError(f"annotations[{i}].iscrowd must be 0 or 1, got {crowds[i]!r}")
+    return ids, image_ids, category_ids, corners, boxes, area, [c == 1 for c in crowds]
 
 
 def read_text(path, data: Optional[bytes] = None) -> str:
@@ -410,123 +569,6 @@ def _clamp_corners(raw: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(hi < low, hi, low)
 
 
-def _clamped_area(x: float, y: float, w: float, h: float, width: float, height: float) -> float:
-    """The area of box ``[x, y, w, h]`` clamped into a width x height image, as scalars."""
-    x0, x1 = (min(max(v, 0.0), width) for v in (x, x + w))
-    y0, y1 = (min(max(v, 0.0), height) for v in (y, y + h))
-    return (x1 - x0) * (y1 - y0)
-
-
-_MISSING = object()
-
-
-def _float_column(values: list, low: float) -> Optional[np.ndarray]:
-    """``values`` as float64 when each is an int or float in [low, FLOAT_MAX], else None.
-
-    Python's ``min`` and ``max`` compare an int with a float exactly, so
-    an int past the float range fails before the cast could round it to
-    a finite float; a NaN, which defeats ``min`` and ``max``, is caught
-    on the cast column.
-    """
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    if values and not (low <= min(values) and max(values) <= _FLOAT_MAX):
-        return None
-    column = np.array(values, dtype=np.float64)
-    return None if np.isnan(column).any() else column
-
-
-def _annotation_fields(anns: list, row_of: Mapping[int, int]):
-    """The annotation fields as columns if every entry is valid, else None.
-
-    Each field is gathered with one comprehension and checked whole, with
-    the checks of :func:`_annotation_fields_by_entry` (which names the
-    first bad entry). Returns ``(ids, image_ids, category_ids,
-    image_rows, xywh, area, crowds)``; a missing ``area`` is NaN.
-    """
-    if not set(map(type, anns)) <= {dict}:
-        return None
-    ids, image_ids, category_ids = (
-        [rec.get(key) for rec in anns] for key in ("id", "image_id", "category_id")
-    )
-    for column in (ids, image_ids, category_ids):
-        if not set(map(type, column)) <= {int}:
-            return None
-        if column and not (_INT64.min <= min(column) and max(column) <= _INT64.max):
-            return None
-    image_rows = list(map(row_of.get, image_ids))
-    if None in image_rows:
-        return None
-    bboxes = [rec.get("bbox") for rec in anns]
-    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
-        return None
-    xywh = _float_column([v for box in bboxes for v in box], -_FLOAT_MAX)
-    if xywh is None:
-        return None
-    xywh = xywh.reshape(-1, 4)
-    if (xywh[:, 2:] < 0).any():
-        return None
-    areas = [rec.get("area", _MISSING) for rec in anns]
-    given = [a for a in areas if a is not _MISSING]
-    area = _float_column(given, 0)
-    if area is None:
-        return None
-    if len(given) < len(areas):
-        area, given_area = np.full(len(areas), math.nan), area
-        area[[a is not _MISSING for a in areas]] = given_area
-    crowds = [rec.get("iscrowd", 0) for rec in anns]
-    if not (set(map(type, crowds)) <= {int} and set(crowds) <= {0, 1}):
-        return None
-    return ids, image_ids, category_ids, image_rows, xywh, area, [c == 1 for c in crowds]
-
-
-def _annotation_fields_by_entry(anns: list, row_of, sizes, overflowing):
-    """The annotation fields as :func:`_annotation_fields` gives them, one entry at a time.
-
-    Each entry is checked in file order, so an invalid file fails on its
-    first bad entry with a message naming it; the ids are range-checked
-    after the loop.
-    """
-    ids, image_ids, category_ids, image_rows, coords, areas, crowds = ([] for _ in range(7))
-    for i, rec in enumerate(anns):
-        where = f"annotations[{i}]"
-        ann_id = _require_typed(rec, "id", where, int)
-        image_id = _require_typed(rec, "image_id", where, int)
-        category_id = _require_typed(rec, "category_id", where, int)
-        x, y, w, h = parse_xywh(_require(rec, "bbox", where), f"{where}.bbox")
-        if w < 0 or h < 0:
-            raise NegativeExtent(ann_id, w, h)
-        row = row_of.get(image_id)
-        if row is None:
-            raise DanglingReference(ann_id, "image", image_id)
-        area = rec.get("area", _MISSING)
-        if area is _MISSING and row in overflowing:
-            # the default area can be infinite only here; check it in file order
-            area = _clamped_area(x, y, w, h, *sizes[row])
-        # a NaN area would fall out of every size slice without a word
-        if area is not _MISSING and not (
-            type(area) in _NUMBER and 0 <= area <= _FLOAT_MAX
-        ):
-            raise ValidationError(f"{where}.area must be a finite non-negative number")
-        crowd = rec.get("iscrowd", 0)
-        if type(crowd) is not int or crowd not in (0, 1):
-            raise ValidationError(f"{where}.iscrowd must be 0 or 1, got {crowd!r}")
-        ids.append(ann_id)
-        image_ids.append(image_id)
-        category_ids.append(category_id)
-        image_rows.append(row)
-        coords.append((x, y, w, h))
-        areas.append(math.nan if area is _MISSING else float(area))
-        crowds.append(crowd == 1)
-
-    for key, values in (("id", ids), ("image_id", image_ids), ("category_id", category_ids)):
-        if values and not (_INT64.min <= min(values) and max(values) <= _INT64.max):
-            first = next(i for i, v in enumerate(values) if not _INT64.min <= v <= _INT64.max)
-            raise ValidationError(f"annotations[{first}].{key} is out of int64 range")
-    xywh = np.array(coords, dtype=np.float64).reshape(-1, 4)
-    return ids, image_ids, category_ids, image_rows, xywh, np.array(areas), crowds
-
-
 def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
     """Load and validate a COCO-style annotation file.
 
@@ -538,11 +580,10 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
     dataset. ``data``, when given, is the file's content already read by
     the caller.
 
-    The annotations are checked a whole field at a time; only when a
-    check fails, or an image's width x height overflows a float, does
-    one loop check each entry in file order and name the first bad one.
-    Conversion, clamping and the default ``area`` (the clamped box's)
-    run on the columns.
+    Each record kind has one list of rules, run by :func:`checked` a
+    whole column at a time; an invalid file fails on its first bad
+    entry, with a message naming it. Conversion, clamping and the
+    default ``area`` (the clamped box's) run on the columns.
     """
     path = Path(path)
     raw = json.loads(read_text(path, data))
@@ -555,50 +596,15 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
         if not isinstance(raw[key], list):
             raise ValidationError(f"{key} must be an array, got {type(raw[key]).__name__}")
 
-    images = []
-    for i, rec in enumerate(raw["images"]):
-        where = f"images[{i}]"
-        image = ImageRecord(
-            id=_require_typed(rec, "id", where, int),
-            width=_require_typed(rec, "width", where, int),
-            height=_require_typed(rec, "height", where, int),
-            file_name=_require_typed(rec, "file_name", where, str),
-        )
-        for key in ("width", "height"):
-            # int-to-float comparison is exact
-            if getattr(image, key) > _FLOAT_MAX:
-                raise ValidationError(f"{where}.{key} is out of float range")
-        images.append(image)
-
-    categories = []
-    for i, rec in enumerate(raw["categories"]):
-        where = f"categories[{i}]"
-        categories.append(
-            Category(
-                id=_require_typed(rec, "id", where, int),
-                name=_require_typed(rec, "name", where, str),
-            )
-        )
+    images = checked(_image_checks(raw["images"]))
+    categories = checked(_category_checks(raw["categories"]))
     # a later image with a repeated id wins here; the duplicate fails below
     row_of = {im.id: row for row, im in enumerate(images)}
-    sizes = [(float(im.width), float(im.height)) for im in images]
-    # images whose clamped boxes can have an area past the float range
-    overflowing = {row for row, (w, h) in enumerate(sizes) if math.isinf(w * h)}
-
-    anns = raw["annotations"]
-    fields = None if overflowing else _annotation_fields(anns, row_of)
-    if fields is None:
-        fields = _annotation_fields_by_entry(anns, row_of, sizes, overflowing)
-    ids, image_ids, category_ids, image_rows, xywh, area, crowds = fields
-
-    with np.errstate(over="ignore"):
-        corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
-    # each box's (width, height, width, height) upper bounds
-    limits = np.tile(np.array(sizes, dtype=np.float64).reshape(-1, 2), 2)
-    boxes = _clamp_corners(corners, limits[np.array(image_rows, dtype=np.intp)])
-    missing = np.isnan(area)
-    area[missing] = (
-        (boxes[missing, 2] - boxes[missing, 0]) * (boxes[missing, 3] - boxes[missing, 1])
+    limits = np.array(
+        [(float(im.width), float(im.height)) * 2 for im in images], dtype=np.float64
+    ).reshape(-1, 4)
+    ids, image_ids, category_ids, corners, boxes, area, crowds = checked(
+        _annotation_checks(raw["annotations"], row_of, limits)
     )
     columns = InstanceColumns(
         id=ids, image_id=image_ids, category_id=category_ids,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
@@ -25,14 +24,22 @@ import numpy as np
 
 from .annotations import (
     _FLOAT_MAX,
-    _float_column,
+    _INT64,
+    _NUMBER,
     Dataset,
     MEDIUM_AREA_MAX,
     SMALL_AREA_MAX,
+    _gather,
+    _head,
+    _object_rule,
+    _per_row,
+    _range_flags,
+    _type_flags,
+    _xywh_checks,
     check_references,
+    checked,
     freeze_columns,
     group_rows,
-    parse_xywh,
     read_text,
 )
 from .errors import MissingKey, ValidationError
@@ -40,7 +47,6 @@ from .geometry import BBox, iou_matrix
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 MAX_DETS_PER_IMAGE = 100
-_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,19 @@ _DETECTION_DTYPES = (
 )
 
 
+def _column_checks(boxes: np.ndarray, score: np.ndarray):
+    """The rules on a detection row: a finite box, then corners in order, then a score in [0, 1]."""
+    yield _per_row(~np.isfinite(boxes)), lambda i: ValidationError(
+        f"detection row {i} has a non-finite box {tuple(boxes[i].tolist())}"
+    )
+    yield (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), lambda i: ValidationError(
+        f"detection row {i} has an inverted box {tuple(boxes[i].tolist())}"
+    )
+    yield ~((0.0 <= score) & (score <= 1.0)), lambda i: ValidationError(
+        f"detection row {i} score must be in [0, 1], got {float(score[i])}"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class DetectionColumns:
     """Detection fields as read-only NumPy columns, one row per detection.
@@ -72,6 +91,8 @@ class DetectionColumns:
     ``image_id``, ``category_id`` and ``source_index`` are int64,
     ``boxes`` is the (N, 4) float64 corner-form array and ``score``
     float64. Each field is copied into a read-only array of its dtype.
+    Every box must be finite with ``x_min <= x_max`` and ``y_min <=
+    y_max``, and every score in [0, 1]; the first bad row is named.
     ``detections`` is a tuple of :class:`Detection` built from the
     columns on first use.
     """
@@ -85,6 +106,7 @@ class DetectionColumns:
     def __post_init__(self):
         freeze_columns(self, _DETECTION_DTYPES, "detection {name} is out of {dtype} range",
                        "detection column {name!r} has {rows} rows")
+        checked(_column_checks(self.boxes, self.score))
 
     def __len__(self) -> int:
         return len(self.image_id)
@@ -146,83 +168,48 @@ class EvalResult:
         }
 
 
-def _detection_fields(raw: list):
-    """The detection fields as columns if every entry is valid, else None.
+def _detection_checks(raw: list):
+    """The detection rules in the order they apply to one entry; returns the fields.
 
-    Each field is gathered with one comprehension and checked whole, with
-    the checks of :func:`_detection_fields_by_entry` (which names the
-    first bad entry). Returns ``(image_ids, category_ids, boxes,
-    scores)``, ``boxes`` the (N, 4) float64 corners.
+    Returns ``(image_ids, category_ids, boxes, scores)``, ``boxes`` the
+    (N, 4) float64 corners.
     """
-    if not set(map(type, raw)) <= {dict}:
-        return None
-    image_ids, category_ids = (
-        [entry.get(key) for entry in raw] for key in ("image_id", "category_id")
+    n = yield _object_rule(raw, "detections")
+    kinds = {"image_id": {int}, "category_id": {int}, "bbox": {list}, "score": _NUMBER}
+    columns = {key: _gather(raw, n, key) for key in kinds}
+    flags = {key: _type_flags(columns[key], kinds[key]) for key in kinds}
+    for key in kinds:
+        n = yield flags[key][0], lambda i, key=key: MissingKey(f"detections[{i}].{key}")
+    for key, kind in (("image_id", "an integer"), ("category_id", "an integer"),
+                      ("score", "a number")):
+        n = yield flags[key][1], lambda i, key=key, kind=kind: ValidationError(
+            f"detections[{i}].{key} must be {kind}, got {type(columns[key][i]).__name__}"
+        )
+    for key in ("image_id", "category_id"):
+        n = yield _range_flags(_head(columns[key], n), _INT64.min, _INT64.max), (
+            lambda i, key=key: ValidationError(f"detections[{i}].{key} is out of int64 range")
+        )
+    scores = columns["score"]
+    # float() of an int past the float range overflows; a float one is checked below
+    huge = _range_flags(_head(scores, n), -_FLOAT_MAX, _FLOAT_MAX)
+    n = yield huge and [bad and type(s) is int for bad, s in zip(huge, scores)], lambda i: (
+        ValidationError(f"detections[{i}].score is out of float range")
     )
-    for column in (image_ids, category_ids):
-        if not set(map(type, column)) <= {int}:
-            return None
-        if column and not (_INT64.min <= min(column) and max(column) <= _INT64.max):
-            return None
-    bboxes = [entry.get("bbox") for entry in raw]
-    if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
-        return None
-    xywh = _float_column([v for box in bboxes for v in box], -_FLOAT_MAX)
-    scores = _float_column([entry.get("score") for entry in raw], 0)
-    if xywh is None or scores is None or (scores > 1).any():
-        return None
-    xywh = xywh.reshape(-1, 4)
-    if (xywh[:, 2:] < 0).any():
-        return None
+    xywh, n = yield from _xywh_checks(columns["bbox"], flags["bbox"][1], n, "detections")
+    n = yield _per_row(xywh[:, 2:] < 0, 2), lambda i: ValidationError(
+        "detections[{}].bbox: negative extent: w={}, h={}".format(i, *xywh[i, 2:].tolist())
+    )
+    xywh = xywh[:n]
     with np.errstate(over="ignore"):
         boxes = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
-    if np.isinf(boxes).any():
-        return None
-    return image_ids, category_ids, boxes, scores
-
-
-def _detection_fields_by_entry(raw: list):
-    """The detection fields as :func:`_detection_fields` gives them, one entry at a time.
-
-    Each entry is checked in file order, so an invalid file fails on its
-    first bad entry with a message naming it.
-    """
-    image_ids, category_ids, boxes, scores = [], [], [], []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"detections[{i}] must be an object, got {type(entry).__name__}")
-        for key in ("image_id", "category_id", "bbox", "score"):
-            if key not in entry:
-                raise MissingKey(f"detections[{i}].{key}")
-        for key, kind, types in (
-            ("image_id", "an integer", (int,)),
-            ("category_id", "an integer", (int,)),
-            ("score", "a number", (int, float)),
-        ):
-            if type(entry[key]) not in types:
-                raise ValidationError(
-                    f"detections[{i}].{key} must be {kind}, got {type(entry[key]).__name__}"
-                )
-        for key in ("image_id", "category_id"):
-            if not _INT64.min <= entry[key] <= _INT64.max:
-                raise ValidationError(f"detections[{i}].{key} is out of int64 range")
-        # int-to-float comparison is exact; float() of a larger int overflows
-        if type(entry["score"]) is int and abs(entry["score"]) > sys.float_info.max:
-            raise ValidationError(f"detections[{i}].score is out of float range")
-        x, y, w, h = parse_xywh(entry["bbox"], f"detections[{i}].bbox")
-        if w < 0 or h < 0:
-            raise ValidationError(f"detections[{i}].bbox: negative extent: w={w}, h={h}")
-        box = (x, y, x + w, y + h)
-        if math.isinf(box[2]) or math.isinf(box[3]):
-            raise ValidationError(f"detections[{i}].bbox: x + w or y + h is out of float range")
-        score = float(entry["score"])
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(f"detections[{i}].score: score must be in [0, 1], got {score}")
-        image_ids.append(entry["image_id"])
-        category_ids.append(entry["category_id"])
-        boxes.append(box)
-        scores.append(score)
-    return image_ids, category_ids, boxes, scores
+    n = yield _per_row(np.isinf(boxes)), lambda i: ValidationError(
+        f"detections[{i}].bbox: x + w or y + h is out of float range"
+    )
+    scores = np.array(_head(scores, n), dtype=np.float64)
+    n = yield ~((0.0 <= scores) & (scores <= 1.0)), lambda i: ValidationError(
+        f"detections[{i}].score: score must be in [0, 1], got {float(scores[i])}"
+    )
+    return columns["image_id"], columns["category_id"], boxes, scores
 
 
 def load_detections(path, data: Optional[bytes] = None) -> DetectionColumns:
@@ -234,17 +221,14 @@ def load_detections(path, data: Optional[bytes] = None) -> DetectionColumns:
     ``source_index`` is i. ``data``, when given, is the file's content
     already read by the caller.
 
-    The entries are checked a whole field at a time; only when a check
-    fails does one loop check each entry in file order and name the
-    first bad one.
+    The rules run a whole column at a time (see
+    :func:`~detforge.annotations.checked`); an invalid file fails on its
+    first bad entry, with a message naming it.
     """
     raw = json.loads(read_text(path, data))
     if not isinstance(raw, list):
         raise ValidationError("detections file must hold a JSON array")
-    fields = _detection_fields(raw)
-    if fields is None:
-        fields = _detection_fields_by_entry(raw)
-    image_ids, category_ids, boxes, scores = fields
+    image_ids, category_ids, boxes, scores = checked(_detection_checks(raw))
     return DetectionColumns(
         image_id=image_ids,
         category_id=category_ids,

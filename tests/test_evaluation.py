@@ -17,7 +17,6 @@ from detforge.annotations import (
     ImageRecord,
     Instance,
     load_dataset,
-    parse_xywh,
     read_text,
 )
 from detforge.errors import DanglingReference, MissingKey, ValidationError
@@ -32,6 +31,7 @@ from detforge.evaluation import (
     load_detections,
 )
 from detforge.geometry import BBox, from_xywh, iou
+from test_annotations import BBOX_SHAPES, bbox_grid, oracle_parse_xywh
 
 
 def det(image_id, cat, x, y, w, h, score, src=0):
@@ -238,7 +238,7 @@ def oracle_load_detections(path) -> list:
             Detection(
                 image_id=entry["image_id"],
                 category_id=entry["category_id"],
-                bbox=from_xywh(*parse_xywh(entry["bbox"], f"detections[{i}].bbox")),
+                bbox=from_xywh(*oracle_parse_xywh(entry["bbox"], f"detections[{i}].bbox")),
                 score=float(entry["score"]),
                 source_index=i,
             )
@@ -285,25 +285,29 @@ class TestLoaderMatchesOracle:
         for n in (1, 2, 5, 40, 300):
             yield random_payload(rng, n)
 
-    @pytest.mark.parametrize("path", ["columns", "per entry"])
-    def test_columns_match_bit_for_bit(self, data_dir, tmp_path, monkeypatch, path):
-        if path == "per entry":
-            monkeypatch.setattr(evaluation, "_detection_fields", lambda raw: None)
+    def test_columns_match_bit_for_bit(self, data_dir, tmp_path):
         file = tmp_path / "dets.json"
         for payload in self.payloads(data_dir):
             file.write_text(json.dumps(payload))
             assert_same_columns(load_detections(file), oracle_load_detections(file))
 
-    def test_valid_files_never_reach_the_per_entry_loop(self, data_dir, tmp_path,
-                                                        monkeypatch):
-        def refuse(raw):
-            raise AssertionError("per-entry loop ran on a valid file")
-
-        monkeypatch.setattr(evaluation, "_detection_fields_by_entry", refuse)
+    def test_bbox_grid_matches_oracle(self, tmp_path):
+        """Every edge value in every bbox slot, and wrong shapes, in one-entry files."""
         file = tmp_path / "dets.json"
-        for payload in self.payloads(data_dir):
-            file.write_text(json.dumps(payload))
-            assert_same_columns(load_detections(file), oracle_load_detections(file))
+        for bbox in [*bbox_grid(), *BBOX_SHAPES]:
+            entry = {"image_id": 1, "category_id": 1, "bbox": bbox, "score": 0.5}
+            file.write_text(json.dumps([entry]))
+            try:
+                want = oracle_load_detections(file)
+            except ValidationError as exc:
+                message = str(exc)
+                if message.startswith("negative extent: "):
+                    message = f"detections[0].bbox: {message}"
+                with pytest.raises(ValidationError) as got:
+                    load_detections(file)
+                assert str(got.value) == message, bbox
+            else:
+                assert_same_columns(load_detections(file), want)
 
     @pytest.mark.parametrize("bbox, message", [
         ([1e20, 0, -1, 10], "detections[1].bbox: negative extent: w=-1.0, h=10.0"),
@@ -361,6 +365,29 @@ class TestDetectionColumns:
         with pytest.raises(ValidationError, match=r"^detection column 'score' has 2 rows$"):
             DetectionColumns(image_id=[1], category_id=[1], source_index=[0],
                              boxes=[[0, 0, 1, 1]], score=[0.5, 0.6])
+
+    @pytest.mark.parametrize("bad_box, bad_score, message", [
+        ([0, 0, math.inf, 1], 0.5, "detection row 1 has a non-finite box (0.0, 0.0, inf, 1.0)"),
+        ([5, 0, 1, 1], 0.5, "detection row 1 has an inverted box (5.0, 0.0, 1.0, 1.0)"),
+        ([0, 3, 1, 2], 0.5, "detection row 1 has an inverted box (0.0, 3.0, 1.0, 2.0)"),
+        ([0, 0, 1, 1], 7.0, "detection row 1 score must be in [0, 1], got 7.0"),
+        ([0, 0, 1, 1], math.nan, "detection row 1 score must be in [0, 1], got nan"),
+        # the first bad row is named, whichever rule it breaks
+        ([0, 0, math.nan, 1], 7.0, "detection row 1 has a non-finite box (0.0, 0.0, nan, 1.0)"),
+    ], ids=["inf-box", "x-inverted", "y-inverted", "score-7", "score-nan", "first-rule-of-row"])
+    def test_bad_rows_are_rejected(self, bad_box, bad_score, message):
+        with pytest.raises(ValidationError) as info:
+            DetectionColumns(image_id=[1, 1, 1], category_id=[1, 1, 1], source_index=[0, 1, 2],
+                             boxes=[[0, 0, 1, 1], bad_box, [9, 9, 0, 0]],
+                             score=[0.5, bad_score, 2.0])
+        assert str(info.value) == message
+
+    def test_nan_box_from_the_api_is_rejected(self, mixed_dataset):
+        """A NaN width passes BBox's own check, but not the columns'."""
+        dets = [det(1, 1, 0, 0, 10, 10, 0.9, src=0), det(1, 1, 0, 0, math.nan, 10, 0.8, src=1)]
+        with pytest.raises(ValidationError,
+                           match=r"^detection row 1 has a non-finite box \(0\.0, 0\.0, nan, 10\.0\)$"):
+            coco_map(dets, mixed_dataset)
 
 
 class TestDetectionObjectsOnlyAtTheEdge:

@@ -1,8 +1,9 @@
-"""One-field mutations of the detection fixtures: the columnar loader fails as the oracle does.
+"""Mutations of the detection fixtures: the columnar loader fails as the oracle does.
 
 Each example changes or deletes one field of one entry of a detections
 fixture, changes its bbox or one bbox coordinate, or replaces the whole
-entry, then loads the file with ``load_detections`` and with the
+entry; a second strategy makes two such faults, in one entry or in two.
+It then loads the file with ``load_detections`` and with the
 object-path ``oracle_load_detections``. Both must raise the same exception type with
 the same message, or both load the same columns bit for bit. Three
 differences are intended, and each names the mutated entry ``i`` where
@@ -20,6 +21,7 @@ the oracle did not:
 import json
 import math
 import pathlib
+import re
 import sys
 
 import pytest
@@ -63,27 +65,47 @@ VALUES = st.one_of(
 )
 
 
-@st.composite
-def mutations(draw):
-    """(payload, index of the mutated entry)."""
-    payload = json.loads(FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))])
-    index = draw(st.integers(0, len(payload) - 1))
+ACTIONS = ["set", "set", "set bbox", "set coordinate", "delete", "replace entry"]
+
+
+def mutate(draw, payload, index, actions=ACTIONS):
+    """Change or delete one field of ``payload[index]``, or replace the entry."""
     entry = payload[index]
     key = draw(st.sampled_from(["image_id", "category_id", "bbox", "score"]))
-    action = draw(st.sampled_from(
-        ["set", "set", "set bbox", "set coordinate", "delete", "replace entry"]
-    ))
+    action = draw(st.sampled_from(actions))
     if action == "delete":
-        del entry[key]
+        entry.pop(key, None)
     elif action == "replace entry":
         payload[index] = draw(VALUES)
     elif action == "set bbox":
         entry["bbox"] = draw(BBOXES)
     elif action == "set coordinate":
-        entry["bbox"][draw(st.integers(0, 3))] = draw(VALUES)
+        # a first fault in the same entry may have replaced the box
+        if isinstance(entry.get("bbox"), list) and len(entry["bbox"]) == 4:
+            entry["bbox"][draw(st.integers(0, 3))] = draw(VALUES)
     else:
         entry[key] = draw(VALUES)
+
+
+@st.composite
+def mutations(draw):
+    """(payload, index of the mutated entry)."""
+    payload = json.loads(FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))])
+    index = draw(st.integers(0, len(payload) - 1))
+    mutate(draw, payload, index)
     return payload, index
+
+
+@st.composite
+def two_faults(draw):
+    """A payload with two fields of one entry, or one field in each of two entries, mutated."""
+    payload = json.loads(FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))])
+    indices = [draw(st.integers(0, len(payload) - 1)) for _ in range(2)]
+    # an entry mutated twice keeps its object, so the second fault has a field to break
+    actions = ACTIONS[:-1] if indices[0] == indices[1] else ACTIONS
+    for index in indices:
+        mutate(draw, payload, index, actions)
+    return payload
 
 
 def outcome(loader, path):
@@ -98,13 +120,8 @@ def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
-@given(case=mutations())
-def test_mutated_fixture_loads_or_fails_as_the_oracle_does(work_dir, case):
-    payload, index = case
-    path = work_dir / "dets.json"
-    path.write_text(json.dumps(payload))
-    got, want = outcome(load_detections, path), outcome(oracle_load_detections, path)
+def assert_matches_oracle(got, want, index):
+    """``got`` is the oracle's outcome ``want``, up to the differences that name entry ``index``."""
     where = f"detections[{index}]"
     if want[0] == "loaded":
         if got[0] == "loaded":
@@ -119,3 +136,36 @@ def test_mutated_fixture_loads_or_fails_as_the_oracle_does(work_dir, case):
             assert got == (want[0], f"{where}.{field}: {want[1]}")
             return
     assert got == want
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(case=mutations())
+def test_mutated_fixture_loads_or_fails_as_the_oracle_does(work_dir, case):
+    payload, index = case
+    path = work_dir / "dets.json"
+    path.write_text(json.dumps(payload))
+    assert_matches_oracle(outcome(load_detections, path), outcome(oracle_load_detections, path),
+                          index)
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(payload=two_faults())
+def test_two_faults_fail_on_the_first_bad_entry_as_the_oracle_does(work_dir, payload):
+    """The loader names the first entry the oracle rejects, with the oracle's message.
+
+    The oracle does not name every entry it rejects, so it runs on the
+    entries before the named one, which both loaders must accept, and on
+    those through it.
+    """
+    path = work_dir / "dets.json"
+    path.write_text(json.dumps(payload))
+    got = outcome(load_detections, path)
+    if got[0] == "loaded":
+        assert_matches_oracle(got, outcome(oracle_load_detections, path), None)
+        return
+    index = int(re.search(r"detections\[(\d+)\]", got[1]).group(1))
+    path.write_text(json.dumps(payload[:index]))
+    assert outcome(load_detections, path)[0] == "loaded"
+    assert outcome(oracle_load_detections, path)[0] == "loaded"
+    path.write_text(json.dumps(payload[:index + 1]))
+    assert_matches_oracle(got, outcome(oracle_load_detections, path), index)
