@@ -14,13 +14,14 @@ simulating threshold matching against annotated instance columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .annotations import InstanceColumns, group_rows
-from .errors import TooFewBoxes, ValidationError
+from .errors import BadExtent, TooFewBoxes, ValidationError
 from .geometry import BoxWH, iou_matrix, wh_iou_matrix
 
 
@@ -186,6 +187,13 @@ class ClusterResult:
 
 
 def _as_wh_array(boxes) -> np.ndarray:
+    """Boxes as an (n, 2) float array whose rows all have a positive finite area.
+
+    A row fails when its width or height is not a positive finite float,
+    or when ``w * h`` underflows to 0 or overflows to inf; the error names
+    the first failing row. With every box area positive and finite, no
+    IoU against a centroid is NaN, which ``_first_max`` relies on.
+    """
     if isinstance(boxes, np.ndarray):
         wh = np.asarray(boxes, dtype=np.float64)
     else:
@@ -196,18 +204,41 @@ def _as_wh_array(boxes) -> np.ndarray:
             wh = np.asarray(boxes, dtype=np.float64)
     if wh.ndim != 2 or wh.shape[1] != 2:
         raise ValidationError(f"expected (n, 2) width/height data, got {wh.shape}")
-    if not np.isfinite(wh).all():
-        raise ValidationError("widths and heights must be finite")
-    if wh.size and wh.min() <= 0:
-        raise ValidationError("widths and heights must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN areas fail below
+        area = wh[:, 0] * wh[:, 1]
+    bad = ~((wh > 0).all(axis=1) & (area > 0) & (area < np.inf))
+    if bad.any():
+        row = int(np.argmax(bad))
+        w, h = wh[row].tolist()
+        if not (math.isfinite(w) and math.isfinite(h)):
+            reason = "widths and heights must be finite"
+        elif w <= 0 or h <= 0:
+            reason = "widths and heights must be positive"
+        else:
+            reason = "w * h must be a positive finite float"
+        raise BadExtent(row, f"{reason}, got w={w!r}, h={h!r}")
     return wh
+
+
+def _first_max(iou: np.ndarray) -> np.ndarray:
+    """Per column of a (k, n) block, the row of its maximum, lowest on ties.
+
+    Equals ``np.argmax(iou, axis=0)`` on NaN-free input but uses only
+    reductions along rows, which NumPy runs n wide instead of k deep: row
+    j of a maximum scores k - j, and the top score marks the lowest row.
+    Scores take the smallest integer type that holds k.
+    """
+    k = iou.shape[0]
+    hit = iou == iou.max(axis=0)
+    score = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None] * hit
+    return k - score.max(axis=0).astype(np.intp)
 
 
 def _plus_plus_init(wh: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ style seeding with weight proportional to d = 1 - IoU."""
     n = wh.shape[0]
     chosen = [int(rng.integers(n))]
-    best_iou = wh_iou_matrix(wh, wh[chosen[-1]][None, :])[:, 0]
+    best_iou = wh_iou_matrix(wh[chosen[-1]], wh)[0]
     for _ in range(k - 1):
         d = 1.0 - best_iou
         total = d.sum()
@@ -216,14 +247,19 @@ def _plus_plus_init(wh: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        best_iou = np.maximum(best_iou, wh_iou_matrix(wh, wh[idx][None, :])[:, 0])
+        best_iou = np.maximum(best_iou, wh_iou_matrix(wh[idx], wh)[0])
     return wh[chosen].copy()
 
 
 def _lloyd(wh: np.ndarray, centroids: np.ndarray, max_iters: int):
-    """Assignment/update loop; returns (centroids, assignments, iterations)."""
+    """Assignment/update loop; returns (centroids, assignments, iterations).
+
+    IoU blocks are (k, n), centroids by boxes: the wh-IoU is symmetric bit
+    for bit, and row-wise reductions over n boxes beat k-wide ones.
+    """
     k = centroids.shape[0]
-    assignment = np.argmax(wh_iou_matrix(wh, centroids), axis=1)
+    rows = np.arange(len(wh))
+    assignment = _first_max(wh_iou_matrix(centroids, wh))
     iterations = 1
     for _ in range(max_iters):
         # bincount sums each cluster in box order, as the row-wise mean does
@@ -233,15 +269,15 @@ def _lloyd(wh: np.ndarray, centroids: np.ndarray, max_iters: int):
             sums = np.bincount(assignment, weights=wh[:, j], minlength=k)
             centroids[occupied, j] = sums[occupied] / counts[occupied]
         # re-seed empty clusters to the currently worst-fit boxes
-        iou = wh_iou_matrix(wh, centroids)
+        iou = wh_iou_matrix(centroids, wh)
         if not occupied.all():
-            dist = 1.0 - iou[np.arange(len(wh)), assignment]
+            dist = 1.0 - iou[assignment, rows]
             for c in np.flatnonzero(~occupied):
                 worst = int(np.argmax(dist))
                 centroids[c] = wh[worst]
                 dist[worst] = -1.0
-            iou = wh_iou_matrix(wh, centroids)
-        new_assignment = np.argmax(iou, axis=1)
+            iou = wh_iou_matrix(centroids, wh)
+        new_assignment = _first_max(iou)
         iterations += 1
         if np.array_equal(new_assignment, assignment):
             break
@@ -249,6 +285,8 @@ def _lloyd(wh: np.ndarray, centroids: np.ndarray, max_iters: int):
     return centroids, assignment, iterations
 
 
+# a centroid's area may overflow to inf; its IoU with every box is then 0
+@np.errstate(over="ignore")
 def cluster_anchor_sizes(
     boxes,
     k: int,
@@ -264,7 +302,8 @@ def cluster_anchor_sizes(
     up empty are re-seeded to the boxes farthest from their centroids.
     Restart r uses the stream seeded by (seed, r), and the restart with
     the highest mean IoU wins, earliest on ties. Centroids are returned
-    sorted by area ascending with assignments remapped to match.
+    sorted by area ascending with assignments remapped to match. Every
+    box needs a positive finite width, height and area (``BadExtent``).
     """
     wh = _as_wh_array(boxes)
     if k < 1:
@@ -278,6 +317,7 @@ def cluster_anchor_sizes(
     if init not in ("kmeans++", "random"):
         raise ValidationError(f"unknown init {init!r}")
 
+    rows = np.arange(len(wh))
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -286,9 +326,7 @@ def cluster_anchor_sizes(
         else:
             centroids = wh[rng.choice(wh.shape[0], size=k, replace=False)].copy()
         centroids, assignment, iterations = _lloyd(wh, centroids, max_iters)
-        mean_iou = float(
-            wh_iou_matrix(wh, centroids)[np.arange(len(wh)), assignment].mean()
-        )
+        mean_iou = float(wh_iou_matrix(centroids, wh)[assignment, rows].mean())
         if best is None or mean_iou > best[0]:
             best = (mean_iou, centroids, assignment, iterations)
 
@@ -298,9 +336,7 @@ def cluster_anchor_sizes(
     remap = np.empty(k, dtype=np.int64)
     remap[order] = np.arange(k)
     assignment = remap[assignment]
-    mean_iou = float(
-        wh_iou_matrix(wh, centroids)[np.arange(len(wh)), assignment].mean()
-    )
+    mean_iou = float(wh_iou_matrix(centroids, wh)[assignment, rows].mean())
     return ClusterResult(
         k=k,
         centroids=tuple(BoxWH(float(w), float(h)) for w, h in centroids),
@@ -311,13 +347,15 @@ def cluster_anchor_sizes(
     )
 
 
-def sweep_k(boxes, k_range: Iterable[int], seed: int = 0, restarts: int = 10):
+def sweep_k(boxes, k_range: Iterable[int], seed: int = 0, restarts: int = 10,
+            max_iters: int = 100, init: str = "kmeans++"):
     """Cluster at each k and report (k, mean_iou) sorted by k."""
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise ValidationError("empty k range")
     return [
-        (k, cluster_anchor_sizes(boxes, k, seed=seed, restarts=restarts).mean_iou)
+        (k, cluster_anchor_sizes(boxes, k, seed=seed, max_iters=max_iters,
+                                 restarts=restarts, init=init).mean_iou)
         for k in ks
     ]
 

@@ -31,7 +31,7 @@ from .anchors import (
     sweep_k,
 )
 from .augment import ImageGeom, TransformRecord, pipeline, replay
-from .errors import ConfigTypeError, UnknownConfigKey, ValidationError
+from .errors import BadExtent, ConfigTypeError, UnknownConfigKey, ValidationError
 from .evaluation import coco_map, load_detections
 from .geometry import BBox
 from .losses import (
@@ -324,25 +324,33 @@ def _run_tile(config, inputs):
 def _run_cluster(config, inputs):
     """k-means anchor sizing over GT boxes"""
     c = config["cluster"]
+    ids = None
     if c["synthetic"] is not None:
         boxes = synthetic_aerial_corpus(n=c["synthetic"])
     else:
-        corners = _load_annotations(config, inputs).columns.boxes
-        boxes = corners[:, 2:] - corners[:, :2]
+        columns = _load_annotations(config, inputs).columns
+        boxes = columns.boxes[:, 2:] - columns.boxes[:, :2]
+        ids = columns.id
         if boxes.size == 0:
             raise ValidationError("no instances to cluster")
-    if c["k_range"] is not None:
-        pairs = sweep_k(boxes, c["k_range"], seed=c["seed"], restarts=c["restarts"])
-        return {"sweep": [[k, miou] for k, miou in pairs],
-                "seed": c["seed"], "restarts": c["restarts"]}
-    result = cluster_anchor_sizes(
-        boxes,
-        k=c["k"],
-        seed=c["seed"],
-        max_iters=c["max_iters"],
-        restarts=c["restarts"],
-        init=c["init"],
-    )
+    try:
+        if c["k_range"] is not None:
+            pairs = sweep_k(boxes, c["k_range"], seed=c["seed"], restarts=c["restarts"],
+                            max_iters=c["max_iters"], init=c["init"])
+            return {"sweep": [[k, miou] for k, miou in pairs],
+                    "seed": c["seed"], "restarts": c["restarts"]}
+        result = cluster_anchor_sizes(
+            boxes,
+            k=c["k"],
+            seed=c["seed"],
+            max_iters=c["max_iters"],
+            restarts=c["restarts"],
+            init=c["init"],
+        )
+    except BadExtent as exc:
+        if ids is None:
+            raise
+        raise ValidationError(f"annotation {ids[exc.row]}: {exc.detail}") from None
     return result.to_dict()
 
 

@@ -45,6 +45,15 @@ class NegativeExtent(ValidationError):
         self.record_id = record_id
 
 
+class BadExtent(ValidationError):
+    """A (w, h) row whose width, height or area is not a positive finite float."""
+
+    def __init__(self, row: int, detail: str):
+        super().__init__(f"box {row}: {detail}")
+        self.row = row
+        self.detail = detail
+
+
 class InvalidOverlap(ValidationError):
     """Tiling overlap is incompatible with the tile size."""
 

@@ -17,7 +17,7 @@ from detforge.anchors import (
     sweep_k,
 )
 from detforge.annotations import Instance, InstanceColumns
-from detforge.errors import TooFewBoxes, ValidationError
+from detforge.errors import BadExtent, TooFewBoxes, ValidationError
 from detforge.geometry import BBox, BoxWH, from_xywh, iou_matrix, wh_iou_matrix
 from detforge.synthetic import synthetic_aerial_corpus
 
@@ -322,10 +322,32 @@ def oracle_lloyd(wh, centroids, max_iters):
     return centroids, assignment, iterations
 
 
+def oracle_plus_plus_init(wh, k, rng):
+    """The original k-means++ seeding, with (n, 1) IoU columns.
+
+    Reference for ``anchors._plus_plus_init``, which must choose the same
+    boxes from the same stream.
+    """
+    n = wh.shape[0]
+    chosen = [int(rng.integers(n))]
+    best_iou = oracle_wh_iou_matrix(wh, wh[chosen[-1]][None, :])[:, 0]
+    for _ in range(k - 1):
+        d = 1.0 - best_iou
+        total = d.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d / total))
+        else:
+            idx = int(rng.integers(n))
+        chosen.append(idx)
+        best_iou = np.maximum(best_iou, oracle_wh_iou_matrix(wh, wh[idx][None, :])[:, 0])
+    return wh[chosen].copy()
+
+
 @pytest.fixture()
 def oracle_clustering(monkeypatch):
-    """Swap the original Lloyd loop and wh-IoU body into the anchors module."""
+    """Swap the original seeding, Lloyd loop and wh-IoU body into the anchors module."""
     def patch():
+        monkeypatch.setattr(anchors_module, "_plus_plus_init", oracle_plus_plus_init)
         monkeypatch.setattr(anchors_module, "_lloyd", oracle_lloyd)
         monkeypatch.setattr(anchors_module, "wh_iou_matrix", oracle_wh_iou_matrix)
     return patch
@@ -337,6 +359,57 @@ def _random_wh(rng, n):
     rounded = rng.random(n) < 0.5
     wh[rounded] = np.maximum(np.round(wh[rounded]), 1.0)
     return wh
+
+
+def _integer_wh(rng, n):
+    """Whole-pixel extents from a small range, so many IoUs tie exactly."""
+    return rng.integers(1, 8, size=(n, 2)).astype(np.float64)
+
+
+def _duplicate_wh(rng, n):
+    """A few distinct boxes, each repeated many times."""
+    distinct = _random_wh(rng, int(rng.integers(1, 6)))
+    return distinct[rng.integers(0, len(distinct), size=n)]
+
+
+def _first_max_oracle(iou):
+    return np.argmax(iou.T, axis=1)
+
+
+class TestFirstMax:
+    def test_random_blocks_with_planted_ties(self):
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            k, n = int(rng.integers(1, 12)), int(rng.integers(1, 200))
+            iou = rng.random((k, n))
+            # copy each column's maximum onto other rows of some columns
+            cols = np.flatnonzero(rng.random(n) < 0.4)
+            top = iou.max(axis=0)
+            for c in cols:
+                iou[rng.integers(0, k, size=int(rng.integers(1, k + 1))), c] = top[c]
+            np.testing.assert_array_equal(anchors_module._first_max(iou),
+                                          _first_max_oracle(iou))
+
+    def test_single_row(self):
+        iou = np.random.default_rng(41).random((1, 30))
+        assert anchors_module._first_max(iou).tolist() == [0] * 30
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 255, 256, 300])
+    def test_all_equal_columns_pick_row_zero(self, k):
+        iou = np.full((k, 7), 0.25)
+        iou[:, 3] = 0.0
+        got = anchors_module._first_max(iou)
+        assert got.tolist() == [0] * 7
+        np.testing.assert_array_equal(got, _first_max_oracle(iou))
+
+    @pytest.mark.parametrize("k", [255, 256, 300])
+    def test_last_row_wins_past_the_small_integer_range(self, k):
+        iou = np.zeros((k, 3))
+        iou[k - 1, 0] = 1.0
+        iou[[k - 2, k - 1], 1] = 1.0
+        got = anchors_module._first_max(iou)
+        assert got.tolist() == [k - 1, k - 2, 0]
+        assert got.dtype == np.intp
 
 
 class TestVectorizedClusteringMatchesOracle:
@@ -358,13 +431,14 @@ class TestVectorizedClusteringMatchesOracle:
 
     @pytest.mark.parametrize("init", ["kmeans++", "random"])
     @pytest.mark.parametrize("max_iters", [0, 1, 100])
-    def test_cluster_reports_equal_the_oracle(self, oracle_clustering, init, max_iters):
+    @pytest.mark.parametrize("corpus", [_random_wh, _integer_wh, _duplicate_wh])
+    def test_cluster_reports_equal_the_oracle(self, oracle_clustering, init, max_iters, corpus):
         rng = np.random.default_rng(31 + max_iters + len(init))
         cases = []
         for _ in range(12):
             n = int(rng.integers(2, 300))
             k = int(rng.integers(1, min(n, 9) + 1))
-            cases.append((_random_wh(rng, n), k, int(rng.integers(0, 1000)),
+            cases.append((corpus(rng, n), k, int(rng.integers(0, 1000)),
                           int(rng.integers(1, 4))))
         got = [cluster_anchor_sizes(wh, k, seed=seed, max_iters=max_iters, restarts=r,
                                     init=init).to_dict()
@@ -439,6 +513,52 @@ class TestNonFiniteExtents:
     def test_sweep_rejects_nan(self):
         with pytest.raises(ValidationError, match="must be finite"):
             sweep_k([[math.nan, 3.0], [4.0, 5.0]], [1])
+
+
+class TestBoxExtentsNeedAPositiveFiniteArea:
+    @pytest.mark.parametrize("bad, reason", [
+        ([1e-200, 1e-200], "w \\* h must be a positive finite float"),
+        ([1e200, 1e200], "w \\* h must be a positive finite float"),
+        ([5e-324, 0.5], "w \\* h must be a positive finite float"),
+        ([0.0, 4.0], "widths and heights must be positive"),
+        ([-2.0, -3.0], "widths and heights must be positive"),
+        ([math.nan, 4.0], "widths and heights must be finite"),
+    ])
+    def test_error_names_the_first_bad_row(self, bad, reason):
+        wh = np.array([[3.0, 4.0], [5.0, 6.0], bad, [7.0, 8.0], bad])
+        with pytest.raises(BadExtent, match=f"^box 2: {reason}, got w=") as info:
+            cluster_anchor_sizes(wh, k=3)
+        assert info.value.row == 2
+        with pytest.raises(BadExtent, match="^box 2: "):
+            sweep_k(wh.tolist(), [1, 2])
+
+    def test_extreme_but_representable_areas_cluster(self):
+        # every area is finite, though a mean centroid's area overflows to inf
+        wh = np.array([[1e300, 1e-300], [1e-300, 1e300], [1e-160, 1e-160], [3.0, 4.0]])
+        for k in (1, 2, 3):
+            result = cluster_anchor_sizes(wh, k=k, restarts=3)
+            assert 0.0 <= result.mean_iou <= 1.0
+            json.dumps(result.to_dict(), allow_nan=False)
+
+
+class TestSweepPassesClusterOptions:
+    @pytest.mark.parametrize("max_iters, init", [(0, "random"), (1, "kmeans++"), (3, "random")])
+    def test_each_k_equals_cluster_anchor_sizes(self, max_iters, init):
+        corpus = synthetic_aerial_corpus(n=200, seed=17)
+        got = sweep_k(corpus, [2, 3, 5], seed=4, restarts=2, max_iters=max_iters, init=init)
+        assert got == [
+            (k, cluster_anchor_sizes(corpus, k, seed=4, restarts=2, max_iters=max_iters,
+                                     init=init).mean_iou)
+            for k in (2, 3, 5)
+        ]
+        assert got != sweep_k(corpus, [2, 3, 5], seed=4, restarts=2)
+
+    def test_rejects_bad_options(self):
+        boxes = [BoxWH(5, 5), BoxWH(9, 9)]
+        with pytest.raises(ValidationError, match="unknown init"):
+            sweep_k(boxes, [1], init="medoid")
+        with pytest.raises(ValidationError, match="max_iters"):
+            sweep_k(boxes, [1], max_iters=-1)
 
 
 def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=False):

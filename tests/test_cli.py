@@ -257,6 +257,22 @@ class TestExitCodes:
             assert out == ""
             assert err.count("\n") == 1 and where in err
 
+    @pytest.mark.parametrize("bbox, detail", [
+        ([0, 0, 1e-200, 1e-200], "w * h must be a positive finite float, got w=1e-200"),
+        ([1500, 10, 20, 20], "widths and heights must be positive, got w=0.0"),
+    ])
+    def test_cluster_names_the_annotation_of_a_bad_extent(self, capsys, tmp_path, data_dir,
+                                                          bbox, detail):
+        # the third box is tiny, or clamped to zero width by its image
+        ann = json.loads((data_dir / "tiny.json").read_text())
+        ann["annotations"][2]["bbox"] = bbox
+        ann["annotations"][2]["id"] = 42
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        for extra in (("--k", "3"), ("--k-range", "2:3")):
+            err = run_rejected(capsys, "cluster", "--ann", str(ann_path), *extra)
+            assert err.startswith(f"detforge: annotation 42: {detail}")
+
     @pytest.mark.parametrize("thresholds", ["nan", "2.0", "-1", "0.5,inf"])
     def test_iou_thresholds_outside_unit_interval(self, capsys, tiny_path, data_dir,
                                                   thresholds):
@@ -567,6 +583,18 @@ class TestSubcommands:
         )
         sweep = report["result"]["sweep"]
         assert [k for k, _ in sweep] == [2, 3, 4]
+
+    def test_cluster_sweep_honours_max_iters_and_init(self, capsys):
+        argv = ("cluster", "--synthetic", "150", "--k-range", "2:4", "--restarts", "2")
+        default = run_json(capsys, *argv)["result"]["sweep"]
+        flagged = run_json(capsys, *argv, "--max-iters", "0", "--init", "random")
+        assert flagged["provenance"]["cluster.max_iters"] == "flag"
+        assert flagged["provenance"]["cluster.init"] == "flag"
+        want = [[k, run_json(capsys, "cluster", "--synthetic", "150", "--k", str(k),
+                             "--restarts", "2", "--max-iters", "0",
+                             "--init", "random")["result"]["mean_iou"]]
+                for k in (2, 3, 4)]
+        assert flagged["result"]["sweep"] == want != default
 
     def test_anchors_count_formula(self, capsys):
         report = run_json(capsys, "anchors", "--image-size", "256", "256")
