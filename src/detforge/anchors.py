@@ -15,7 +15,8 @@ simulating threshold matching against annotated instance columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,6 +88,10 @@ class LevelAnchors:
     ``aspect_ratios[c // E % R]`` and angle ``effective_angles[c % E]``.
     ``match_anchors`` relies on this layout to find the anchors near a
     box without scanning them all.
+
+    The level holds only this layout; ``cell_boxes`` computes the
+    corners of any block of cells, and ``boxes`` is the level's rows of
+    ``AnchorSet.all_boxes()``, written the first time they are read.
     """
 
     level: int
@@ -95,35 +100,114 @@ class LevelAnchors:
     fmap_h: int
     start: int  # first row in AnchorSet.all_boxes()
     n_combo: int  # anchors per cell
-    boxes: np.ndarray  # (count, 4) corner form, a read-only view
+    half: np.ndarray  # (n_combo, 2) read-only half-extents of one cell's anchors
+    offset: float  # fraction of a stride from a cell's origin to its centre
+    corners: _Corners = field(repr=False)  # the array shared with the other levels
 
     @property
     def count(self) -> int:
         return self.fmap_w * self.fmap_h * self.n_combo
 
-
-@dataclass(frozen=True, eq=False)
-class AnchorSet:
-    """Every anchor in one read-only (A, 4) corner array, level by level."""
-
-    levels: tuple
-    boxes: np.ndarray
-
     @property
-    def total(self) -> int:
-        return self.boxes.shape[0]
+    def boxes(self) -> np.ndarray:
+        """The level's (count, 4) corner rows, a read-only view of ``all_boxes()``."""
+        return self.corners.rows(self)
+
+    @cached_property
+    def _edges(self):
+        """Corner terms per cell column and per cell row, each (n, n_combo, 4).
+
+        Column i holds (cx - w/2, 0, cx + w/2, 0) and row j holds
+        (0, cy - h/2, 0, cy + h/2) for the cell centre (cx, cy) and every
+        combo's half-extents; the sum of the two is the anchor's corners.
+        Adding 0 leaves every difference and sum as it was, so the corners
+        are exactly the ``centre +- half`` values.
+        """
+        cols = np.zeros((self.fmap_w, self.n_combo, 4))
+        rows = np.zeros((self.fmap_h, self.n_combo, 4))
+        cx = ((np.arange(self.fmap_w) + self.offset) * self.stride)[:, None]
+        cy = ((np.arange(self.fmap_h) + self.offset) * self.stride)[:, None]
+        cols[..., 0] = cx - self.half[:, 0]
+        cols[..., 2] = cx + self.half[:, 0]
+        rows[..., 1] = cy - self.half[:, 1]
+        rows[..., 3] = cy + self.half[:, 1]
+        return cols, rows
+
+    def cell_boxes(self, x0: int, x1: int, y0: int, y1: int, out: np.ndarray | None = None):
+        """Corners of the anchors in cells [x0, x1) by [y0, y1), (y1-y0, x1-x0, n_combo, 4).
+
+        The one formula for anchor coordinates, which ``all_boxes()`` and
+        the matcher both use, so every caller gets the same bits. ``out``
+        receives the corners in place when given.
+        """
+        cols, rows = self._edges
+        return np.add(cols[None, x0:x1], rows[y0:y1, None], out=out)
+
+
+class _Corners:
+    """The (A, 4) corner array of one anchor set, allocated on first use.
+
+    Each level writes its own rows the first time they are read, so the
+    levels share the array without a reference back to their set, and
+    the array is freed with the last of them.
+    """
+
+    def __init__(self, total: int):
+        self.total = total
+        self.view = None  # the read-only array handed out
+        self._array = None  # the writable array behind it
+        self._filled = set()  # levels whose rows are written
+
+    def rows(self, lv: LevelAnchors) -> np.ndarray:
+        """The read-only rows of level ``lv``, written on their first read."""
+        if self.view is None:
+            self._array = np.empty((self.total, 4))
+            self.view = self._array.view()
+            self.view.flags.writeable = False
+        if lv.level not in self._filled:
+            grid = self._array[lv.start:lv.start + lv.count]
+            lv.cell_boxes(0, lv.fmap_w, 0, lv.fmap_h,
+                          out=grid.reshape(lv.fmap_h, lv.fmap_w, lv.n_combo, 4))
+            self._filled.add(lv.level)
+        return self.view[lv.start:lv.start + lv.count]
+
+
+class AnchorSet:
+    """The anchors of one image, level by level, as a layout.
+
+    ``total`` is the anchor count A. ``all_boxes()`` builds the (A, 4)
+    corner array, levels in order, on its first call and returns that
+    same read-only array after; nothing else allocates per-anchor memory.
+    """
+
+    def __init__(self, offset: float, layout: Sequence):
+        """``layout`` holds one (stride, fmap_w, fmap_h, half) per level."""
+        self.total = sum(fw * fh * len(half) for _, fw, fh, half in layout)
+        self._corners = _Corners(self.total)
+        levels = []
+        start = 0
+        for level, (stride, fw, fh, half) in enumerate(layout):
+            levels.append(LevelAnchors(level=level, stride=stride, fmap_w=fw, fmap_h=fh,
+                                       start=start, n_combo=len(half), half=half,
+                                       offset=offset, corners=self._corners))
+            start += levels[-1].count
+        self.levels = tuple(levels)
 
     def all_boxes(self) -> np.ndarray:
-        return self.boxes
+        for lv in self.levels:
+            self._corners.rows(lv)  # writes the level's rows on first use
+        return self._corners.view
 
 
 def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
-    """Place anchors at every feature-map cell of every level.
+    """Lay out anchors at every feature-map cell of every level.
 
     ``fmap_dims`` is one (width, height) pair per stride. The anchor for
     size s and ratio r has h = s*sqrt(r), w = s/sqrt(r), so its area is
     s^2 and h/w = r; a 90-degree angle swaps the two. Rows follow the
-    layout ``LevelAnchors`` documents, and all levels share one array.
+    layout ``LevelAnchors`` documents. Only the layout is built, in
+    memory independent of the anchor count; ``AnchorSet.all_boxes()``
+    builds the corners when a caller needs them all.
     """
     if len(fmap_dims) != len(spec.strides):
         raise ValidationError(
@@ -134,34 +218,17 @@ def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
         if fw <= 0 or fh <= 0:
             raise ValidationError(f"feature map {fw}x{fh} at level {level}")
     eff_angles = spec.effective_angles
-    halves = [  # per level, the (n_combo, 2) half-extents of one cell's anchors
-        np.array([
+    layout = []
+    for level, (stride, (fw, fh)) in enumerate(zip(spec.strides, dims)):
+        half = np.array([
             (s / np.sqrt(r), s * np.sqrt(r)) if a == 0.0 else (s * np.sqrt(r), s / np.sqrt(r))
             for s in spec.sizes_at(level)
             for r in spec.aspect_ratios
             for a in eff_angles
         ]) / 2.0
-        for level in range(len(dims))
-    ]
-    boxes = np.empty((sum(fw * fh * len(h) for (fw, fh), h in zip(dims, halves)), 4))
-    frozen = boxes.view()  # the level views; the fill below writes through ``boxes``
-    frozen.flags.writeable = False
-    levels = []
-    start = 0
-    for level, (stride, (fw, fh), half) in enumerate(zip(spec.strides, dims, halves)):
-        stop = start + fw * fh * len(half)
-        grid = boxes[start:stop].reshape(fh, fw, len(half), 4)
-        cx = ((np.arange(fw) + spec.offset) * stride)[None, :, None]
-        cy = ((np.arange(fh) + spec.offset) * stride)[:, None, None]
-        grid[..., 0] = cx - half[:, 0]
-        grid[..., 1] = cy - half[:, 1]
-        grid[..., 2] = cx + half[:, 0]
-        grid[..., 3] = cy + half[:, 1]
-        levels.append(LevelAnchors(level=level, stride=stride, fmap_w=fw, fmap_h=fh, start=start,
-                                   n_combo=len(half), boxes=frozen[start:stop]))
-        start = stop
-    boxes.flags.writeable = False
-    return AnchorSet(levels=tuple(levels), boxes=boxes)
+        half.flags.writeable = False
+        layout.append((stride, fw, fh, half))
+    return AnchorSet(spec.offset, layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +334,14 @@ def _lloyd(wh: np.ndarray, centroids: np.ndarray, max_iters: int):
         occupied = counts > 0
         for j in (0, 1):
             sums = np.bincount(assignment, weights=wh[:, j], minlength=k)
-            centroids[occupied, j] = sums[occupied] / counts[occupied]
+            over = ~np.isfinite(sums)
+            if over.any():
+                # a sum past the float range: divide each box by its cluster's
+                # count before summing; clusters with finite sums keep their bits
+                shares = np.bincount(assignment, weights=wh[:, j] / counts[assignment], minlength=k)
+                centroids[over, j] = shares[over]
+            ok = occupied & ~over
+            centroids[ok, j] = sums[ok] / counts[ok]
         # re-seed empty clusters to the currently worst-fit boxes
         iou = wh_iou_matrix(centroids, wh)
         if not occupied.all():
@@ -408,13 +482,16 @@ def _gt_overlaps(anchors: AnchorSet, boxes: np.ndarray):
     whose centres lie within the level's largest anchor half-extents,
     padded by one cell on each side against rounding, found from the
     grid layout ``LevelAnchors`` documents; every other anchor has IoU 0
-    with the box. Indices ascend into ``anchors.all_boxes()``, and the
-    IoUs come from ``iou_matrix`` on those stored boxes, so they equal
-    the entries of the dense anchors-by-GT matrix bit for bit.
+    with the box. Indices ascend into ``anchors.all_boxes()``, but only
+    the candidates' corners are built, by ``LevelAnchors.cell_boxes``, the
+    formula that fills ``all_boxes()``; so the IoUs from ``iou_matrix``
+    equal the entries of the dense anchors-by-GT matrix bit for bit, and
+    memory stays O(candidates) per box.
     """
-    levels = []  # per level: first anchor index of each cell row, cell ranges
+    levels = []  # per level: the level and the first anchor index of each cell row
+    ranges = []  # per level: (G, 4) cell ranges x0, y0, x1, y1
     for lv in anchors.levels:
-        cell0 = lv.boxes[:lv.n_combo]
+        cell0 = lv.cell_boxes(0, 1, 0, 1)[0, 0]
         centre = (cell0[0, :2] + cell0[0, 2:]) / 2.0
         half = (cell0[:, 2:] - cell0[:, :2]).max(axis=0) / 2.0
         dims = np.array([lv.fmap_w, lv.fmap_h])
@@ -424,15 +501,17 @@ def _gt_overlaps(anchors: AnchorSet, boxes: np.ndarray):
         lo = np.clip(lo, 0, dims).astype(np.int64)
         hi = np.clip(hi, lo, dims).astype(np.int64)
         row_start = lv.start + np.arange(lv.fmap_h) * (lv.fmap_w * lv.n_combo)
-        # a row of cells is one contiguous run of anchor indices
-        levels.append((row_start, lo[:, 0] * lv.n_combo, hi[:, 0] * lv.n_combo, lo[:, 1], hi[:, 1]))
-    anchor_boxes = anchors.all_boxes()
+        levels.append((lv, row_start))
+        ranges.append(np.concatenate([lo, hi], axis=1))
+    ranges = np.stack(ranges, axis=1)
     for g in range(len(boxes)):
-        idx = np.concatenate([
-            (row_start[y0[g]:y1[g], None] + np.arange(x0[g], x1[g])).ravel()
-            for row_start, x0, x1, y0, y1 in levels
-        ])
-        yield idx, iou_matrix(anchor_boxes[idx], boxes[g])[:, 0]
+        idx, corners = [], []
+        for (lv, row_start), (x0, y0, x1, y1) in zip(levels, ranges[g].tolist()):
+            # a row of cells is one contiguous run of anchor indices
+            runs = row_start[y0:y1, None] + np.arange(x0 * lv.n_combo, x1 * lv.n_combo)
+            idx.append(runs.ravel())
+            corners.append(lv.cell_boxes(x0, x1, y0, y1).reshape(-1, 4))
+        yield np.concatenate(idx), iou_matrix(np.concatenate(corners), boxes[g])[:, 0]
 
 
 def match_anchors(
@@ -462,9 +541,13 @@ def match_anchors(
     denominator. Every GT box, ignore-flagged or not, must be finite.
 
     IoU is computed only between each GT and the anchors of the grid
-    cells it can reach, so memory per image is O(A + candidates) for A
-    anchors rather than O(A * G), and the result is identical to
-    scoring the dense anchors-by-GT IoU matrix.
+    cells it can reach, and labels are counted from those candidates:
+    the positives are the distinct candidates at ``pos_iou`` plus the
+    forced claims, and the negatives are every anchor outside the
+    positives and the candidates at ``neg_iou`` of any GT, live or
+    ignore-flagged. Memory per image is O(candidates) for A anchors and
+    G GTs, with no per-anchor array and no A x G matrix, and the result
+    is identical to scoring the dense anchors-by-GT IoU matrix.
     """
     if not 0.0 <= neg_iou <= pos_iou <= 1.0:
         raise ValidationError(
@@ -477,41 +560,43 @@ def match_anchors(
     n_per_image = anchors.total
     groups = group_rows(gts.image_id)
 
-    n_positive = n_negative = n_ignored = 0
+    n_positive = n_negative = 0
     matched = np.zeros(len(gts), dtype=np.int64)  # per live GT row: its positive anchors
     for rows in list(groups.values()) or [np.zeros(0, dtype=np.intp)]:
         crowd = gts.ignore[rows]
         live, ignored = rows[~crowd], rows[crowd]
 
-        max_iou = np.zeros(n_per_image)
-        best_anchor = []  # per live GT: (anchor index, IoU), ties to the lowest index
+        positive = []  # anchor indices at pos_iou, repeats allowed
+        kept = []  # candidates at neg_iou, which cannot be negative
+        claims = []  # with force_match, each live GT's best anchor
         for g, (idx, vals) in zip(live.tolist(), _gt_overlaps(anchors, gts.boxes[live])):
-            np.maximum.at(max_iou, idx, vals)
-            matched[g] = np.count_nonzero(vals >= pos_iou)
-            a = int(np.argmax(vals)) if vals.size else -1
-            # a GT that overlaps no anchor claims anchor 0, as argmax over zeros does
-            best_anchor.append((int(idx[a]), vals[a]) if a >= 0 and vals[a] > 0 else (0, 0.0))
+            hit = vals >= pos_iou
+            matched[g] = np.count_nonzero(hit)
+            positive.append(idx[hit])
+            kept.append(idx[vals >= neg_iou])
+            if force_match:
+                a = int(np.argmax(vals)) if vals.size else -1
+                # a GT that overlaps no anchor claims anchor 0, as argmax over zeros does
+                claim, v = (int(idx[a]), vals[a]) if a >= 0 and vals[a] > 0 else (0, 0.0)
+                claims.append(claim)
+                matched[g] += int(v < pos_iou)
         if pos_iou == 0.0:
             # anchors outside the candidate set have IoU 0 and match as well
             matched[live] = n_per_image
+            n_positive += n_per_image
+            continue
 
-        positive = max_iou >= pos_iou
-        if force_match:
-            for g, (a, v) in zip(live.tolist(), best_anchor):
-                positive[a] = True
-                if v < pos_iou:
-                    matched[g] += 1
-
-        negative = ~positive & (max_iou < neg_iou)
-        if ignored.size and negative.any():
-            ign_max = np.zeros(n_per_image)
-            for idx, vals in _gt_overlaps(anchors, gts.boxes[ignored]):
-                np.maximum.at(ign_max, idx, vals)
-            negative &= ign_max < neg_iou
-
-        n_positive += int(positive.sum())
-        n_negative += int(negative.sum())
-        n_ignored += n_per_image - int(positive.sum()) - int(negative.sum())
+        positive.append(np.array(claims, dtype=np.int64))
+        positive = np.unique(np.concatenate(positive))
+        n_positive += positive.size
+        if neg_iou == 0.0:
+            continue  # no IoU is below 0
+        kept = np.unique(np.concatenate([positive] + kept))
+        if ignored.size and kept.size < n_per_image:
+            overlaps = _gt_overlaps(anchors, gts.boxes[ignored])
+            crowd_kept = [idx[vals >= neg_iou] for idx, vals in overlaps]
+            kept = np.unique(np.concatenate([kept] + crowd_kept))
+        n_negative += n_per_image - kept.size
 
     is_live = ~gts.ignore
     counts = matched[is_live]
@@ -522,14 +607,15 @@ def match_anchors(
     n_gt = len(counts)
     zero_denom = n_gt == 0
     values, freq = np.unique(counts, return_counts=True)
+    n_anchors = n_per_image * max(1, len(groups))
     return MatchReport(
         pos_iou=pos_iou,
         neg_iou=neg_iou,
         force_match=force_match,
-        n_anchors=n_per_image * max(1, len(groups)),
+        n_anchors=n_anchors,
         n_positive=n_positive,
         n_negative=n_negative,
-        n_ignored=n_ignored,
+        n_ignored=n_anchors - n_positive - n_negative,
         n_gt=n_gt,
         recall=1.0 if zero_denom else int(np.count_nonzero(recalled)) / n_gt,
         per_class_recall={

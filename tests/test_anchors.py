@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -167,6 +169,108 @@ class TestGenerateAnchors:
         )
         with pytest.raises(ValueError):
             boxes[0, 0] = 1.0
+
+
+def oracle_generate_boxes(spec, fmap_dims):
+    """The eager fill ``generate_anchors`` made before boxes became lazy.
+
+    Every level's corners are written into one (A, 4) array at once, from
+    the cell centres plus or minus each combo's half-extents.
+    """
+    eff_angles = spec.effective_angles
+    halves = [
+        np.array([
+            (s / np.sqrt(r), s * np.sqrt(r)) if a == 0.0 else (s * np.sqrt(r), s / np.sqrt(r))
+            for s in spec.sizes_at(level)
+            for r in spec.aspect_ratios
+            for a in eff_angles
+        ]) / 2.0
+        for level in range(len(fmap_dims))
+    ]
+    boxes = np.empty((sum(fw * fh * len(h) for (fw, fh), h in zip(fmap_dims, halves)), 4))
+    start = 0
+    for stride, (fw, fh), half in zip(spec.strides, fmap_dims, halves):
+        stop = start + fw * fh * len(half)
+        grid = boxes[start:stop].reshape(fh, fw, len(half), 4)
+        cx = ((np.arange(fw) + spec.offset) * stride)[None, :, None]
+        cy = ((np.arange(fh) + spec.offset) * stride)[:, None, None]
+        grid[..., 0] = cx - half[:, 0]
+        grid[..., 1] = cy - half[:, 1]
+        grid[..., 2] = cx + half[:, 0]
+        grid[..., 3] = cy + half[:, 1]
+        start = stop
+    return boxes
+
+
+class TestLazyAnchorBoxes:
+    SPECS = [
+        AnchorSpec(),
+        AnchorSpec(shared_sizes=True, sizes=(12, 40), offset=0.25),
+        AnchorSpec(offset=0.0, angles=(0.0,), strides=(5, 11, 23, 40, 70)),
+        AnchorSpec(sizes=(7.3,), aspect_ratios=(0.2, 1.0, 3.0), strides=(3,), offset=0.7),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["default", "shared", "odd_strides", "one_level"])
+    def test_all_boxes_equal_the_eager_fill_bit_for_bit(self, spec):
+        dims = _image_dims(spec, 203, 131)
+        got = generate_anchors(spec, dims).all_boxes()
+        want = oracle_generate_boxes(spec, dims)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_all_boxes_is_built_once_and_read_only(self, monkeypatch):
+        spec = AnchorSpec()
+        out = generate_anchors(spec, _image_dims(spec, 100, 60))
+        calls = []
+        fill = anchors_module.LevelAnchors.cell_boxes
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.level)
+            return fill(self, *args, **kwargs)
+
+        monkeypatch.setattr(anchors_module.LevelAnchors, "cell_boxes", counted)
+        boxes = out.all_boxes()
+        assert calls == [lv.level for lv in out.levels]
+        assert out.all_boxes() is boxes
+        assert all(np.shares_memory(lv.boxes, boxes) for lv in out.levels)
+        assert calls == [lv.level for lv in out.levels]  # no second fill
+        assert not boxes.flags.writeable
+        assert all(not lv.half.flags.writeable for lv in out.levels)
+
+    def test_boxes_are_freed_with_their_set(self):
+        # no reference cycle keeps the corner array alive until a collection
+        spec = AnchorSpec()
+        gc.disable()
+        try:
+            out = generate_anchors(spec, _image_dims(spec, 100, 60))
+            boxes = weakref.ref(out.all_boxes())
+            level_boxes = weakref.ref(out.levels[0].boxes)
+            del out
+            assert boxes() is None and level_boxes() is None
+        finally:
+            gc.enable()
+
+    def test_layout_needs_no_boxes(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("anchor boxes built")
+
+        monkeypatch.setattr(anchors_module.AnchorSet, "all_boxes", refuse)
+        monkeypatch.setattr(anchors_module.LevelAnchors, "boxes", property(refuse))
+        spec = AnchorSpec(shared_sizes=True)
+        out = generate_anchors(spec, _image_dims(spec, 300, 200))
+        assert out.total == sum(lv.count for lv in out.levels)
+        gts = [gt(1, 1, 1, 10, 10, 60, 40), gt(2, 1, 1, 0, 0, 300, 200, ignore=True)]
+        assert match_anchors(out, gts, 0.5, 0.3, force_match=True).n_gt == 1
+
+    def test_cell_boxes_are_rows_of_all_boxes(self):
+        spec = AnchorSpec(offset=0.25, aspect_ratios=(0.2, 1.0, 3.0))
+        out = generate_anchors(spec, _image_dims(spec, 90, 70))
+        for lv in out.levels:
+            x0, x1, y0, y1 = lv.fmap_w // 3, lv.fmap_w, lv.fmap_h // 2, lv.fmap_h
+            block = lv.cell_boxes(x0, x1, y0, y1)
+            assert block.shape == (y1 - y0, x1 - x0, lv.n_combo, 4)
+            rows = lv.boxes.reshape(lv.fmap_h, lv.fmap_w, lv.n_combo, 4)[y0:y1, x0:x1]
+            assert block.tobytes() == np.ascontiguousarray(rows).tobytes()
 
 
 class TestClustering:
@@ -540,6 +644,21 @@ class TestBoxExtentsNeedAPositiveFiniteArea:
             assert 0.0 <= result.mean_iou <= 1.0
             json.dumps(result.to_dict(), allow_nan=False)
 
+    def test_cluster_sum_past_the_float_range_gives_a_finite_mean(self):
+        # 1e308 + 1e308 overflows; the mean of the three widths does not
+        result = cluster_anchor_sizes([[1e308, 1e-300], [1e308, 1e-300], [3, 4]], 1)
+        (centroid,) = result.centroids
+        assert centroid.w == 1e308 / 3 + 1e308 / 3 + 3 / 3
+        assert centroid.h == (1e-300 + 1e-300 + 4) / 3  # a finite sum keeps its bits
+        json.dumps(result.to_dict(), allow_nan=False)
+
+    def test_finite_sums_keep_the_bincount_mean(self):
+        wh = np.array([[1e307, 2.0], [3e307, 5.0], [7.0, 1e-300], [2.0, 2.0]])
+        result = cluster_anchor_sizes(wh, 1, restarts=1)
+        assert (result.centroids[0].w, result.centroids[0].h) == (
+            (1e307 + 3e307 + 7.0 + 2.0) / 4, (2.0 + 5.0 + 1e-300 + 2.0) / 4
+        )
+
 
 class TestSweepPassesClusterOptions:
     @pytest.mark.parametrize("max_iters, init", [(0, "random"), (1, "kmeans++"), (3, "random")])
@@ -888,16 +1007,65 @@ class TestMatchingAgainstDenseOracle:
             match_anchors(anchors, [gt(1, 1, 1, 0, 0, 8, 8), bad_crowd], pos_iou=0.0, neg_iou=0.0)
 
 
+class TestSparseCountEdges:
+    """Label counts from candidates alone, against the dense oracle where the
+    count has to reason about anchors outside every candidate set."""
+
+    FAR = (-5000, -5000, -4990, -4990)  # reaches no anchor
+
+    CASES = {
+        # a forced claim of anchor 0 by a GT that reaches no anchor
+        "far_gt_claims_anchor_zero": [gt(1, 1, 1, *FAR)],
+        "far_claim_beside_a_live_gt": [gt(1, 1, 1, *FAR), gt(2, 1, 2, 20, 20, 30, 30)],
+        "crowd_only_image": [gt(1, 1, 1, 0, 0, 16, 16, ignore=True),
+                             gt(2, 1, 1, 8, 4, 30, 12, ignore=True)],
+        "crowd_only_beside_a_live_image": [gt(1, 1, 1, 0, 0, 16, 16, ignore=True),
+                                           gt(2, 2, 1, 2, 2, 14, 14)],
+        "live_gts_reach_no_anchor": [gt(1, 1, 1, *FAR), gt(2, 1, 1, 900, 900, 910, 910),
+                                     gt(3, 1, 1, 0, 0, 16, 16, ignore=True)],
+    }
+    THRESHOLDS = ((0.7, 0.3), (0.5, 0.5), (0.3, 0.3), (1.0, 1.0), (0.02, 0.01), (0.3, 0.0),
+                  (0.0, 0.0))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reports_equal_the_dense_path(self, case):
+        anchors = small_grid()
+        gts = self.CASES[case]
+        for (pos, neg), force in itertools.product(self.THRESHOLDS, (False, True)):
+            want = dense_match_anchors(anchors, gts, pos, neg, force_match=force)
+            got = match_anchors(anchors, gts, pos, neg, force_match=force)
+            assert got.to_dict() == want.to_dict(), (pos, neg, force)
+
+    def test_claimed_anchor_zero_is_positive_not_negative(self):
+        anchors = small_grid()
+        report = match_anchors(anchors, [gt(1, 1, 1, *self.FAR)], 0.7, 0.3, force_match=True)
+        assert (report.n_positive, report.n_negative, report.n_ignored) == (1, anchors.total - 1, 0)
+        assert report.matched_per_gt == {1: 1}
+
+    @pytest.mark.parametrize("spec", [AnchorSpec(), AnchorSpec(offset=0.25, shared_sizes=True)],
+                             ids=["default", "shared_sizes"])
+    def test_equal_thresholds_on_random_scenes(self, spec):
+        rng = np.random.default_rng(51)
+        anchors = generate_anchors(spec, _image_dims(spec, 160, 120))
+        for _ in range(3):
+            gts = _random_gts(rng, 160, 120, n_images=2)
+            for thr, force in itertools.product((0.1, 0.4, 0.7), (False, True)):
+                want = dense_match_anchors(anchors, gts, thr, thr, force_match=force)
+                got = match_anchors(anchors, gts, thr, thr, force_match=force)
+                assert got.to_dict() == want.to_dict(), (thr, force)
+
+
 def test_memory_is_bounded_without_a_dense_matrix():
     # One aerial scene with 1,000 small objects on the default 1024^2 grid
     # (A = 523,776 anchors). Dense matching needs a float64 (A, G) matrix,
-    # ~4.2 GB, plus temporaries of the same shape, ~27 GB in all. In units
-    # of A * 8 bytes the matcher holds: max-IoU over live GTs and over
-    # ignore GTs (1 each) and the two boolean label masks (1/4); it reads
-    # the anchor boxes in place, and one GT's candidates are a few thousand
-    # anchors, far below one unit. That is ~2.3 units, so a bound of 4
-    # leaves allocator slack, yet a copy of all anchor boxes (4 units) or
-    # dense matching of even one GT (seven (A, 1) temporaries) exceeds it.
+    # ~4.2 GB, plus temporaries of the same shape, ~27 GB in all. The
+    # matcher holds no per-anchor array: it builds only each GT's candidate
+    # corners, a few thousand anchors, and counts labels from the candidate
+    # indices at each threshold, ~70,000 here, so its peak is about one
+    # unit of A * 8 bytes, most of it the Instance-to-column conversion and
+    # those index runs. A bound of 1.5 units leaves allocator slack, yet one
+    # more length-A float array (1 unit), the old max-IoU pair and label
+    # masks (2.25 units) or a copy of all anchor boxes (4 units) exceed it.
     spec = AnchorSpec()
     anchors = generate_anchors(spec, _image_dims(spec, 1024, 1024))
     n_anchors = anchors.total
@@ -915,25 +1083,57 @@ def test_memory_is_bounded_without_a_dense_matrix():
     finally:
         tracemalloc.stop()
     assert report.n_gt == 900
-    assert peak < 4 * n_anchors * 8, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 1.5 * n_anchors * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_aerial_scene_matches_in_candidate_memory():
+    # One 4000x3000 aerial scene on the default grid: A = 5,995,266 anchors,
+    # whose corner array alone is 183 MiB and one max-IoU array 46 MiB.
+    # Laying out the anchors and matching 400 small objects, 10% crowd,
+    # peaks near 3 MiB; 32 MiB leaves room for allocator slack, not for
+    # any per-anchor array.
+    spec = AnchorSpec()
+    rng = np.random.default_rng(11)
+    xy = rng.uniform(0, 1, size=(400, 2)) * [3950, 2950]
+    wh = rng.uniform(6, 64, size=(400, 2))
+    gts = InstanceColumns.of([
+        gt(i + 1, 1, 1 + i % 3, x, y, min(x + w, 4000), min(y + h, 3000), ignore=i % 10 == 0)
+        for i, ((x, y), (w, h)) in enumerate(zip(xy, wh))
+    ])
+    dims = _image_dims(spec, 4000, 3000)
+    tracemalloc.start()
+    try:
+        anchors = generate_anchors(spec, dims)
+        report = match_anchors(anchors, gts, pos_iou=0.5, neg_iou=0.3, force_match=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert anchors.total == 5_995_266
+    assert report.n_anchors == anchors.total and report.n_gt == 360
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_generate_anchors_allocates_one_box_array():
-    # The default 1024^2 grid (A = 523,776 anchors). In units of A * 8 bytes
-    # the anchor set is its (A, 4) corner array (4); each level is filled in
-    # place from O(fmap_w + fmap_h) centre rows, so temporaries stay far
-    # below one unit. A bound of 6 leaves allocator slack, yet a second copy
-    # of the boxes (4 more units) or per-anchor cell, size, ratio and angle
-    # arrays (5 more units) exceed it.
+    # The default 1024^2 grid (A = 523,776 anchors). ``generate_anchors``
+    # builds only the layout, a few small arrays per level, so its peak
+    # stays below 0.05 units of A * 8 bytes. The first ``all_boxes()`` call
+    # allocates the one (A, 4) corner array (4 units) and fills it in place
+    # from per-level column and row tables of O(fmap_w + fmap_h) rows; a
+    # bound of 4.5 units leaves allocator slack, yet a second copy of the
+    # boxes (4 more units) or one per-anchor temporary of a level's size
+    # (0.75 units for the stride-4 level) exceeds it.
     spec = AnchorSpec()
     dims = _image_dims(spec, 1024, 1024)
     tracemalloc.start()
     try:
         anchors = generate_anchors(spec, dims)
-        peak = tracemalloc.get_traced_memory()[1]
+        layout_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        anchors.all_boxes()
+        boxes_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     n_anchors = anchors.total
     assert n_anchors == 523_776
-    assert peak < 6 * n_anchors * 8, f"peak {peak / 2**20:.1f} MiB"
-
+    assert layout_peak < 0.05 * n_anchors * 8, f"layout peak {layout_peak / 2**20:.2f} MiB"
+    assert boxes_peak < 4.5 * n_anchors * 8, f"peak {boxes_peak / 2**20:.1f} MiB"

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from detforge.anchors import AnchorSet, LevelAnchors
 from detforge.cli import _OPTIONS, _RUNNERS, build_parser, main, resolve_config
 
 
@@ -605,6 +606,25 @@ class TestSubcommands:
             assert level["count"] == expected
         assert result["total"] == sum(lv["count"] for lv in result["levels"])
         assert result["effective_angles"] == [0.0, 90.0]
+
+    def test_anchors_and_match_build_no_anchor_boxes(self, capsys, tiny_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("anchor boxes built")
+
+        monkeypatch.setattr(AnchorSet, "all_boxes", refuse)
+        monkeypatch.setattr(LevelAnchors, "boxes", property(refuse))
+        assert run_json(capsys, "anchors", "--image-size", "1024", "1024")["result"]["total"] > 0
+        result = run_json(capsys, "match", "--ann", tiny_path, "--image-size", "128", "128",
+                          "--force-match")["result"]
+        assert result["n_positive"] + result["n_negative"] + result["n_ignored"] == \
+            result["n_anchors"]
+
+    def test_anchors_on_a_huge_image_reports_the_analytic_total(self, capsys):
+        # ~5.0e9 anchors, whose corners would take ~150 GiB: only the layout is built
+        result = run_json(capsys, "anchors", "--image-size", "100000", "100000")["result"]
+        want = [((100000 + s - 1) // s) ** 2 * 3 * 2 for s in (4, 8, 16, 32, 64)]
+        assert [lv["count"] for lv in result["levels"]] == want
+        assert result["total"] == sum(want) == 4_995_126_564
 
     def test_match_partitions_anchors(self, capsys, tiny_path):
         report = run_json(
