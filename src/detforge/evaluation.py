@@ -319,23 +319,44 @@ def _lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.n
     ties to the lowest GT index, or failing that is absorbed if it
     reaches the threshold against an ignore GT. Only the groups with
     more than k dets, a prefix, take part in step k.
+
+    What does not depend on the match state is computed once per chunk:
+    a det is absorbed when its best IoU against an ignore GT reaches the
+    threshold, so each flag starts at -1 (absorbed, out of the slice or
+    padding) or 0, and a step only writes its hits. The one state is
+    ``avail``, the live GTs not yet matched. A step visits only the
+    (slice, group) lanes whose det is in the slice and reaches the
+    lowest threshold against some live GT; no other lane can match.
     """
     n_slices, n_groups, d_max = in_slice.shape
-    thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
-    flags = np.full((n_slices, len(thr), n_groups, d_max), -1, dtype=np.int8)
-    matched = np.zeros((n_slices, len(thr), n_groups, ious.shape[2]), dtype=bool)
+    thr = np.asarray(thresholds, dtype=np.float64)
+    in_slice = in_slice & (np.arange(d_max) < n_dets[:, None])
+    # each det's best IoU per slice against its ignore and its live GTs;
+    # over the leading axis of a (G, S, N, D) view the reduction runs as
+    # elementwise maxima, much faster than over a short trailing G axis
+    per_gt = np.broadcast_to(ious.transpose(2, 0, 1)[:, None],
+                             (ious.shape[2], n_slices, n_groups, d_max))
+    best_ignore = per_gt.max(axis=0, where=absorbing.transpose(2, 0, 1)[..., None], initial=-1.0)
+    best_live = per_gt.max(axis=0, where=live.transpose(2, 0, 1)[..., None], initial=-1.0)
+    excluded = best_ignore[:, None] >= thr[:, None, None]
+    excluded |= ~in_slice[:, None]
+    flags = np.where(excluded, np.int8(-1), np.int8(0))
+    # the lanes that can match, in step order: (k, slice, group)
+    step, lane_s, lane_g = np.nonzero((in_slice & (best_live >= thr.min())).transpose(2, 0, 1))
+    bounds = np.searchsorted(step, np.arange(d_max + 1)).tolist()
+    avail = np.repeat(live[:, None], len(thr), axis=1)
     for k in range(d_max):
-        n = int(np.count_nonzero(n_dets > k))
-        v = ious[:n, k]
-        reach = v >= thr
-        cand = reach & live[:, None, :n] & ~matched[:, :, :n]
+        a, b = bounds[k], bounds[k + 1]
+        if a == b:
+            continue
+        s, g = lane_s[a:b], lane_g[a:b]
+        v = ious[g, k][:, None]
+        cand = (v >= thr[:, None]) & avail[s, :, g]
         best = np.where(cand, v, -1.0).argmax(axis=-1)
-        here = in_slice[:, None, :n, k]
-        hit = cand.any(axis=-1) & here
-        s, t, g = np.nonzero(hit)
-        matched[s, t, g, best[hit]] = True
-        absorbed = (reach & absorbing[:, None, :n]).any(axis=-1)
-        flags[:, :, :n, k] = np.where(hit, 1, np.where(absorbed | ~here, -1, 0))
+        lane, t = np.nonzero(cand.any(axis=-1))
+        s, g = s[lane], g[lane]
+        avail[s, t, g, best[lane, t]] = False
+        flags[s, t, g, k] = 1
     return flags
 
 
@@ -443,17 +464,15 @@ def coco_map(
     class_order = {c: order[class_id[order] == c] for c in class_ids}
     inst_live = ~gt.ignore & (lo <= gt.area) & (gt.area < hi)
     # per slice, each class with GT in it -> its AP at every threshold
-    table = []
-    for s in range(len(_SLICES)):
-        aps = {}
-        for c, idx in class_order.items():
-            n_gt_c = int(np.count_nonzero(inst_live[s] & (gt.category_id == c)))
+    table = [{} for _ in _SLICES]
+    for c, idx in class_order.items():
+        ranked, in_class = scores[idx], gt.category_id == c
+        for aps, live_s, class_flags in zip(table, inst_live, flags[:, :, idx]):
+            n_gt_c = int(np.count_nonzero(live_s & in_class))
             if n_gt_c:
-                aps[c] = [
-                    average_precision(f[f >= 0], scores[idx][f >= 0], n_gt_c)
-                    for f in flags[s][:, idx]
-                ]
-        table.append(aps)
+                kept = class_flags >= 0
+                aps[c] = [average_precision(f[keep], ranked[keep], n_gt_c)
+                          for f, keep in zip(class_flags, kept)]
 
     def mean(values) -> float:
         """The mean, or the sentinel -1.0 when there is nothing to average."""

@@ -9,6 +9,7 @@ semantics downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -178,10 +179,25 @@ def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
 
 
 def wh_iou_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
-    """Pairwise dimension-only IoU between (N, 2) and (M, 2) extent arrays."""
+    """Pairwise dimension-only IoU between (N, 2) and (M, 2) extent arrays.
+
+    Where two finite areas sum past the float range, the union is taken
+    with every term halved, which is exact, so identical huge boxes
+    still score 1.0.
+    """
     wh1 = np.asarray(wh1, dtype=np.float64).reshape(-1, 2)
     wh2 = np.asarray(wh2, dtype=np.float64).reshape(-1, 2)
     w1, h1 = wh1[:, 0], wh1[:, 1]
     w2, h2 = wh2[:, 0], wh2[:, 1]
+    area1, area2 = w1 * h1, w2 * h2
     inter = np.minimum(w1[:, None], w2) * np.minimum(h1[:, None], h2)
-    return inter / ((w1 * h1)[:, None] + w2 * h2 - inter)
+    # Python float addition overflows to inf without a warning
+    if math.isfinite(float(area1.max(initial=0.0)) + float(area2.max(initial=0.0))):
+        return inter / (area1[:, None] + area2 - inter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        union = area1[:, None] + area2
+        iou = inter / (union - inter)
+    overflow = ~np.isfinite(union)
+    half = inter[overflow] * 0.5
+    iou[overflow] = half / ((area1[:, None] * 0.5 + area2 * 0.5)[overflow] - half)
+    return iou

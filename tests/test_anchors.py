@@ -652,6 +652,12 @@ class TestBoxExtentsNeedAPositiveFiniteArea:
         assert centroid.h == (1e-300 + 1e-300 + 4) / 3  # a finite sum keeps its bits
         json.dumps(result.to_dict(), allow_nan=False)
 
+    def test_identical_huge_boxes_have_mean_iou_one(self):
+        # each area is finite, but two of them sum past the float range
+        result = cluster_anchor_sizes([[1.7e308, 1]] * 3, 1)
+        assert (result.centroids[0].w, result.centroids[0].h) == (1.7e308, 1.0)
+        assert result.mean_iou == 1.0
+
     def test_finite_sums_keep_the_bincount_mean(self):
         wh = np.array([[1e307, 2.0], [3e307, 5.0], [7.0, 1e-300], [2.0, 2.0]])
         result = cluster_anchor_sizes(wh, 1, restarts=1)

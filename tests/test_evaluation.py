@@ -836,6 +836,151 @@ class TestCocoMapAgainstScalarOracle:
                                            iou_thresholds=thresholds)
                     assert got.to_dict() == want.to_dict()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unsorted_and_duplicated_thresholds_match_exactly(self, seed):
+        # the lowest threshold is neither first nor alone: a matcher that
+        # reads thresholds[0] as the lowest misses the dets that reach
+        # only a later, lower one
+        rng = np.random.default_rng(2000 + seed)
+        grid = np.arange(21) / 20.0
+        fixed = [(0.75, 0.5, 0.75), (1.0, 0.0), (0.95, 0.5, 0.05, 0.5)]
+        for trial in range(12):
+            if trial < len(fixed):
+                thresholds = fixed[trial]
+            else:
+                values = rng.choice(grid, int(rng.integers(1, 4)))
+                repeated = np.append(values, values[0])
+                thresholds = (values.max(), *rng.permutation(repeated).tolist())
+            ds, dets = random_case(rng, n_images=int(rng.integers(1, 5)),
+                                   n_classes=int(rng.integers(1, 4)), max_gts=6, max_dets=8)
+            want = scalar_coco_map(dets, ds, iou_thresholds=thresholds)
+            got = coco_map_both(dets, ds, iou_thresholds=thresholds)
+            assert got.to_dict() == want.to_dict(), f"trial {trial}: {thresholds}"
+
+
+# -------------------------------------------------------- lock-step oracle
+# The lock-step matcher before its match-state-free terms moved out of
+# the rank loop: every step recomputes reach, absorption and the flag
+# write for every (slice, group) lane. _lockstep_flags must return the
+# same int8 flags.
+
+
+def oracle_lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.ndarray:
+    """Greedy-match flags for a chunk of groups, every slice and threshold.
+
+    ``ious`` is the (N, D, G) IoU block of N groups sorted by descending
+    det count ``n_dets``, each padded at the tail of both axes. Padded
+    cells may hold any value: no step reads a padded det, and a padded
+    GT is neither live nor absorbing. Per slice, ``in_slice`` (S, N, D)
+    marks the dets that take part, ``live`` (S, N, G) the GTs a det may
+    match and ``absorbing`` (S, N, G) the ignore GTs (crowd or out of
+    the slice). Returns (S, T, N, D) flags:
+    1 TP, 0 FP, -1 excluded (absorbed, out of the slice, or padding).
+
+    Step k matches the k-th det of every group at once; each takes the
+    unmatched live GT with the highest IoU at or above the threshold,
+    ties to the lowest GT index, or failing that is absorbed if it
+    reaches the threshold against an ignore GT. Only the groups with
+    more than k dets, a prefix, take part in step k.
+    """
+    n_slices, n_groups, d_max = in_slice.shape
+    thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
+    flags = np.full((n_slices, len(thr), n_groups, d_max), -1, dtype=np.int8)
+    matched = np.zeros((n_slices, len(thr), n_groups, ious.shape[2]), dtype=bool)
+    for k in range(d_max):
+        n = int(np.count_nonzero(n_dets > k))
+        v = ious[:n, k]
+        reach = v >= thr
+        cand = reach & live[:, None, :n] & ~matched[:, :, :n]
+        best = np.where(cand, v, -1.0).argmax(axis=-1)
+        here = in_slice[:, None, :n, k]
+        hit = cand.any(axis=-1) & here
+        s, t, g = np.nonzero(hit)
+        matched[s, t, g, best[hit]] = True
+        absorbed = (reach & absorbing[:, None, :n]).any(axis=-1)
+        flags[:, :, :n, k] = np.where(hit, 1, np.where(absorbed | ~here, -1, 0))
+    return flags
+
+
+def random_chunk(rng, n_groups: int, d_max: int, g_max: int):
+    """Inputs of one lock-step chunk for four slices, with hostile padding.
+
+    Det counts descend from ``d_max``; some groups have no GT and some
+    only crowd GTs. IoUs mix exact thresholds, ties and random values.
+    Padded cells hold NaN or high IoUs, and dets past a group's count
+    may be marked in the slice: only ``n_dets`` says they are padding.
+    Returns ``(ious, n_dets, in_slice, live, absorbing)``.
+    """
+    n_dets = np.sort(rng.integers(1, d_max + 1, n_groups))[::-1]
+    n_dets[0] = d_max
+    n_gts = rng.integers(0, g_max + 1, n_groups)
+    n_gts[rng.random(n_groups) < 0.2] = 0
+    g = max(int(n_gts.max()), 1)
+    d_valid = np.arange(d_max) < n_dets[:, None]
+    g_valid = np.arange(g) < n_gts[:, None]
+    values = np.concatenate([[0.0, 0.05, 0.5, 0.5, 0.75, 0.95, 1.0], rng.random(5)])
+    padding = rng.choice([np.nan, 0.9, 1.0], (n_groups, d_max, g))
+    ious = np.where(d_valid[:, :, None] & g_valid[:, None, :],
+                    rng.choice(values, (n_groups, d_max, g)), padding)
+    crowd = (rng.random((n_groups, g)) < 0.2) | (rng.random((n_groups, 1)) < 0.2)
+    live = ~crowd & (rng.random((4, n_groups, g)) < 0.7) & g_valid
+    absorbing = ~live & g_valid
+    in_slice = rng.random((4, n_groups, d_max)) < 0.7
+    return ious, n_dets, in_slice, live, absorbing
+
+
+class TestLockstepAgainstOracle:
+    """_lockstep_flags against oracle_lockstep_flags, bit for bit."""
+
+    THRESHOLDS = [IOU_THRESHOLDS, (0.0,), (1.0,), (0.0, 1.0), (0.75, 0.5, 0.75), (1.0, 0.0)]
+
+    def check(self, *args):
+        want = oracle_lockstep_flags(*args)
+        got = evaluation._lockstep_flags(*args)
+        assert got.dtype == np.int8 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("thresholds", THRESHOLDS)
+    def test_random_chunks(self, thresholds):
+        rng = np.random.default_rng(len(thresholds) + int(10 * sum(thresholds)))
+        for _ in range(20):
+            chunk = random_chunk(rng, n_groups=int(rng.integers(1, 12)),
+                                 d_max=int(rng.integers(1, 10)), g_max=int(rng.integers(0, 7)))
+            self.check(*chunk, thresholds)
+
+    def test_random_threshold_lists(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            thresholds = tuple(rng.choice(np.arange(21) / 20.0, int(rng.integers(1, 6))).tolist())
+            chunk = random_chunk(rng, n_groups=int(rng.integers(1, 8)),
+                                 d_max=int(rng.integers(1, 8)), g_max=int(rng.integers(0, 5)))
+            self.check(*chunk, thresholds)
+
+    def test_a_single_group_past_the_cell_bound(self):
+        rng = np.random.default_rng(4)
+        chunk = random_chunk(rng, n_groups=1, d_max=300, g_max=250)
+        assert chunk[0].size > evaluation._CHUNK_CELLS
+        self.check(*chunk, (0.75, 0.5, 0.75))
+
+    def test_every_chunk_of_random_cases(self, monkeypatch):
+        chunks = []
+        original = evaluation._lockstep_flags
+
+        def checked(*args):
+            chunks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(evaluation, "_lockstep_flags", checked)
+        monkeypatch.setattr(evaluation, "_CHUNK_GROUPS", 4)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            ds, dets = random_case(rng, n_images=8, n_classes=3, max_gts=6, max_dets=10)
+            coco_map(dets, ds, iou_thresholds=(0.95, 0.0, 0.5, 0.5))
+        monkeypatch.setattr(evaluation, "_lockstep_flags", original)
+        assert len(chunks) > 20
+        for args in chunks:
+            self.check(*args)
+
 
 def test_memory_is_bounded_without_a_whole_dataset_batch():
     # 200 images x 20 GTs x 100 dets over 2 classes: 400 groups of about

@@ -216,6 +216,45 @@ def test_wh_iou_matrix_agrees_with_scalar():
             assert_allclose(m[i, j], expected, rtol=0, atol=1e-15)
 
 
+
+def plain_wh_iou_matrix(wh1, wh2):
+    """wh_iou_matrix as one formula, with no guard for an overflowing union."""
+    wh1 = np.asarray(wh1, dtype=np.float64).reshape(-1, 2)
+    wh2 = np.asarray(wh2, dtype=np.float64).reshape(-1, 2)
+    w1, h1 = wh1[:, 0], wh1[:, 1]
+    w2, h2 = wh2[:, 0], wh2[:, 1]
+    inter = np.minimum(w1[:, None], w2) * np.minimum(h1[:, None], h2)
+    return inter / ((w1 * h1)[:, None] + w2 * h2 - inter)
+
+
+class TestWhIouMatrixOverflow:
+    def test_finite_unions_keep_the_plain_formula_bits(self):
+        rng = np.random.default_rng(8)
+        for scale in (1.0, 1e-150, 1e100, 1e150):
+            wh1 = scale * rng.uniform(1e-3, 1.0, (9, 2))
+            wh2 = scale * rng.uniform(1e-3, 1.0, (5, 2))
+            assert same_bits(wh_iou_matrix(wh1, wh2), plain_wh_iou_matrix(wh1, wh2))
+        # a block where only some unions overflow keeps every other entry
+        wh1 = np.array([[1.7e308, 1.0], [3.0, 4.0], [1e154, 1e154]])
+        wh2 = np.array([[1.7e308, 1.0], [5.0, 2.0], [1.0, 1e300]])
+        with np.errstate(over="ignore"):
+            overflow = ~np.isfinite((wh1[:, 0] * wh1[:, 1])[:, None] + wh2[:, 0] * wh2[:, 1])
+            plain = plain_wh_iou_matrix(wh1, wh2)
+        assert overflow.any() and not overflow.all()
+        assert same_bits(wh_iou_matrix(wh1, wh2)[~overflow], plain[~overflow])
+
+    @pytest.mark.parametrize("wh", [(1.7e308, 1.0), (1.0, 1.7e308), (1e154, 1.7e154)])
+    def test_identical_huge_boxes_score_one(self, wh):
+        m = wh_iou_matrix([wh, (3.0, 4.0)], [wh, wh])
+        assert m[0].tolist() == [1.0, 1.0]
+        assert np.all(np.isfinite(m)) and np.all((0.0 <= m) & (m <= 1.0))
+
+    def test_huge_boxes_score_their_halved_ratio(self):
+        # area1 + area2 overflows; with halves it is the exact 1/1.5 ratio
+        m = wh_iou_matrix([[1.5e308, 1.0]], [[1e308, 1.0]])
+        assert m[0, 0] == 0.5e308 / (0.75e308 + 0.5e308 - 0.5e308)
+
+
 class TestClipClamp:
     bounds = BBox(0.0, 0.0, 100.0, 100.0)
 
