@@ -23,7 +23,7 @@ import numpy as np
 
 from .annotations import InstanceColumns, group_rows
 from .errors import BadExtent, TooFewBoxes, ValidationError
-from .geometry import BoxWH, iou_matrix, wh_iou_matrix
+from .geometry import BoxWH, WhIouBlock, iou_matrix, wh_iou_matrix
 
 
 @dataclass(frozen=True)
@@ -287,17 +287,20 @@ def _as_wh_array(boxes) -> np.ndarray:
     return wh
 
 
-def _first_max(iou: np.ndarray) -> np.ndarray:
+def _first_max(iou: np.ndarray, hit: np.ndarray | None = None,
+               score: np.ndarray | None = None) -> np.ndarray:
     """Per column of a (k, n) block, the row of its maximum, lowest on ties.
 
     Equals ``np.argmax(iou, axis=0)`` on NaN-free input but uses only
     reductions along rows, which NumPy runs n wide instead of k deep: row
     j of a maximum scores k - j, and the top score marks the lowest row.
-    Scores take the smallest integer type that holds k.
+    Scores take the smallest integer type that holds k. ``hit`` (bool)
+    and ``score`` (that integer type), both (k, n), receive the
+    intermediate blocks in place when given.
     """
     k = iou.shape[0]
-    hit = iou == iou.max(axis=0)
-    score = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None] * hit
+    hit = np.equal(iou, iou.max(axis=0), out=hit)
+    score = np.multiply(np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None], hit, out=score)
     return k - score.max(axis=0).astype(np.intp)
 
 
@@ -319,44 +322,60 @@ def _plus_plus_init(wh: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def _lloyd(wh: np.ndarray, centroids: np.ndarray, max_iters: int):
-    """Assignment/update loop; returns (centroids, assignments, iterations).
+    """Assignment/update loop; returns (centroids, assignments, iterations, mean IoU).
 
     IoU blocks are (k, n), centroids by boxes: the wh-IoU is symmetric bit
-    for bit, and row-wise reductions over n boxes beat k-wide ones.
+    for bit, and row-wise reductions over n boxes beat k-wide ones. One
+    ``WhIouBlock`` on the boxes and the ``_first_max`` buffers serve every
+    iteration. The mean IoU is each box's IoU with its assigned centroid,
+    read from the last block, which is that of the returned centroids.
     """
-    k = centroids.shape[0]
-    rows = np.arange(len(wh))
-    assignment = _first_max(wh_iou_matrix(centroids, wh))
+    k, n = centroids.shape[0], len(wh)
+    rows = np.arange(n)
+    block = WhIouBlock(wh)
+    hit = np.empty((k, n), dtype=bool)
+    score = np.empty((k, n), dtype=np.min_scalar_type(k))
+    iou = block(centroids)
+    assignment = _first_max(iou, hit, score)
     iterations = 1
     for _ in range(max_iters):
         # bincount sums each cluster in box order, as the row-wise mean does
         counts = np.bincount(assignment, minlength=k)
         occupied = counts > 0
-        for j in (0, 1):
-            sums = np.bincount(assignment, weights=wh[:, j], minlength=k)
+        for j, weights in enumerate((block.w, block.h)):
+            sums = np.bincount(assignment, weights=weights, minlength=k)
             over = ~np.isfinite(sums)
             if over.any():
                 # a sum past the float range: divide each box by its cluster's
                 # count before summing; clusters with finite sums keep their bits
-                shares = np.bincount(assignment, weights=wh[:, j] / counts[assignment], minlength=k)
+                shares = np.bincount(assignment, weights=weights / counts[assignment], minlength=k)
                 centroids[over, j] = shares[over]
             ok = occupied & ~over
             centroids[ok, j] = sums[ok] / counts[ok]
         # re-seed empty clusters to the currently worst-fit boxes
-        iou = wh_iou_matrix(centroids, wh)
+        iou = block(centroids)
         if not occupied.all():
             dist = 1.0 - iou[assignment, rows]
             for c in np.flatnonzero(~occupied):
                 worst = int(np.argmax(dist))
                 centroids[c] = wh[worst]
                 dist[worst] = -1.0
-            iou = wh_iou_matrix(centroids, wh)
-        new_assignment = _first_max(iou)
+            iou = block(centroids)
+        new_assignment = _first_max(iou, hit, score)
         iterations += 1
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-    return centroids, assignment, iterations
+    return centroids, assignment, iterations, float(iou[assignment, rows].mean())
+
+
+def _check_count(name: str, value, low: int) -> int:
+    """``value`` as an int, if it is a non-bool integer of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value}")
+    return int(value)
 
 
 # a centroid's area may overflow to inf; its IoU with every box is then 0
@@ -380,18 +399,15 @@ def cluster_anchor_sizes(
     box needs a positive finite width, height and area (``BadExtent``).
     """
     wh = _as_wh_array(boxes)
-    if k < 1:
-        raise ValidationError(f"k must be at least 1, got {k}")
+    k = _check_count("k", k, 1)
+    seed = _check_count("seed", seed, 0)
+    max_iters = _check_count("max_iters", max_iters, 0)
+    restarts = _check_count("restarts", restarts, 1)
     if wh.shape[0] < k:
         raise TooFewBoxes(f"{wh.shape[0]} boxes for k={k}")
-    if max_iters < 0:
-        raise ValidationError("max_iters must be non-negative")
-    if restarts < 1:
-        raise ValidationError("restarts must be at least 1")
     if init not in ("kmeans++", "random"):
         raise ValidationError(f"unknown init {init!r}")
 
-    rows = np.arange(len(wh))
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -399,18 +415,18 @@ def cluster_anchor_sizes(
             centroids = _plus_plus_init(wh, k, rng)
         else:
             centroids = wh[rng.choice(wh.shape[0], size=k, replace=False)].copy()
-        centroids, assignment, iterations = _lloyd(wh, centroids, max_iters)
-        mean_iou = float(wh_iou_matrix(centroids, wh)[assignment, rows].mean())
-        if best is None or mean_iou > best[0]:
-            best = (mean_iou, centroids, assignment, iterations)
+        result = _lloyd(wh, centroids, max_iters)  # mean IoU last
+        if best is None or result[3] > best[3]:
+            best = result
 
-    mean_iou, centroids, assignment, iterations = best
+    # sorting permutes the centroids, not any box's IoU with its own, so
+    # the mean IoU stays the restart's
+    centroids, assignment, iterations, mean_iou = best
     order = np.lexsort((centroids[:, 1], centroids[:, 0], centroids.prod(axis=1)))
     centroids = centroids[order]
     remap = np.empty(k, dtype=np.int64)
     remap[order] = np.arange(k)
     assignment = remap[assignment]
-    mean_iou = float(wh_iou_matrix(centroids, wh)[assignment, rows].mean())
     return ClusterResult(
         k=k,
         centroids=tuple(BoxWH(float(w), float(h)) for w, h in centroids),
@@ -424,7 +440,7 @@ def cluster_anchor_sizes(
 def sweep_k(boxes, k_range: Iterable[int], seed: int = 0, restarts: int = 10,
             max_iters: int = 100, init: str = "kmeans++"):
     """Cluster at each k and report (k, mean_iou) sorted by k."""
-    ks = sorted(set(int(k) for k in k_range))
+    ks = sorted(set(_check_count("k", k, 1) for k in k_range))
     if not ks:
         raise ValidationError("empty k range")
     return [

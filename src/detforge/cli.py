@@ -205,6 +205,9 @@ def _check(path: str, tag: str, value):
         return [_check(f"{path}[{i}]", element_tag, v) for i, v in enumerate(value)]
     if not _SCALAR_CHECKS[tag](value):
         raise ConfigTypeError(path, tag, value)
+    # every seed seeds a NumPy generator, which takes no negative integer
+    if path.endswith(".seed") and value < 0:
+        raise ValidationError(f"config key {path!r} must be non-negative, got {value}")
     if tag == "float":
         try:
             return float(value)

@@ -238,35 +238,56 @@ def load_detections(path, data: Optional[bytes] = None) -> DetectionColumns:
     )
 
 
-def average_precision(flags, scores, n_gt: int) -> float:
-    """101-point interpolated AP; -1.0 when there is nothing to recall.
+# the recall levels of 101-point interpolation
+_RECALL_GRID = np.arange(101) / 100.0
 
-    ``flags`` holds 1 for TP and 0 for FP (excluded detections must not
-    be passed). Detections are ranked by descending score, stable, so
-    callers control tie order via input order.
+
+def _ranked_ap(flags: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated AP of 1-D bool TP ``flags`` in rank order.
+
+    ``n_gt`` is positive and at least the number of TPs. The k-th
+    detection's precision is its TP count over its rank k, the TP plus
+    FP count.
     """
-    if n_gt < 0:
-        raise ValidationError(f"n_gt must be non-negative, got {n_gt}")
-    if n_gt == 0:
-        return -1.0
-    flags = np.asarray(flags, dtype=bool)
     if flags.size == 0:
         return 0.0
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != flags.shape:
-        raise ValidationError("flags and scores must align")
-    order = np.argsort(-scores, kind="stable")
-    flags = flags[order]
     tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
     recall = tp / n_gt
-    precision = tp / (tp + fp)
+    precision = tp / np.arange(1, len(tp) + 1)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    grid = np.arange(101) / 100.0
-    idx = np.searchsorted(recall, grid, side="left")
+    idx = np.searchsorted(recall, _RECALL_GRID, side="left")
     inside = idx < len(recall)
     values = np.where(inside, envelope[np.minimum(idx, len(recall) - 1)], 0.0)
     return float(values.mean())
+
+
+def average_precision(flags, scores, n_gt: int) -> float:
+    """101-point interpolated AP; -1.0 when there is nothing to recall.
+
+    ``flags`` is a 1-D run of 1 for TP and 0 for FP (excluded detections
+    must not be passed), ``scores`` their finite scores and ``n_gt`` a
+    non-negative integer no smaller than the TP count. Detections are
+    ranked by descending score, stable, so callers control tie order via
+    input order.
+    """
+    if isinstance(n_gt, bool) or not isinstance(n_gt, (int, np.integer)):
+        raise ValidationError(f"n_gt must be an integer, got {n_gt!r}")
+    if n_gt < 0:
+        raise ValidationError(f"n_gt must be non-negative, got {n_gt}")
+    flags, scores = np.asarray(flags), np.asarray(scores)
+    if flags.ndim != 1 or flags.dtype.kind not in "biuf" or not np.isin(flags, (0, 1)).all():
+        raise ValidationError("flags must be a 1-D run of 0s and 1s")
+    if scores.shape != flags.shape:
+        raise ValidationError("flags and scores must align")
+    if scores.dtype.kind not in "biuf" or not np.isfinite(scores).all():
+        raise ValidationError("scores must be finite numbers")
+    if n_gt == 0:
+        return -1.0
+    flags = flags.astype(bool)
+    n_tp = int(np.count_nonzero(flags))
+    if n_tp > n_gt:
+        raise ValidationError(f"{n_tp} true positives for n_gt={n_gt}")
+    return _ranked_ap(flags[np.argsort(-scores.astype(np.float64), kind="stable")], n_gt)
 
 
 _SLICES = (
@@ -466,13 +487,12 @@ def coco_map(
     # per slice, each class with GT in it -> its AP at every threshold
     table = [{} for _ in _SLICES]
     for c, idx in class_order.items():
-        ranked, in_class = scores[idx], gt.category_id == c
+        in_class = gt.category_id == c
         for aps, live_s, class_flags in zip(table, inst_live, flags[:, :, idx]):
             n_gt_c = int(np.count_nonzero(live_s & in_class))
             if n_gt_c:
-                kept = class_flags >= 0
-                aps[c] = [average_precision(f[keep], ranked[keep], n_gt_c)
-                          for f, keep in zip(class_flags, kept)]
+                # each row is ranked already; the kept flags are 0 or 1
+                aps[c] = [_ranked_ap(f[f >= 0] == 1, n_gt_c) for f in class_flags]
 
     def mean(values) -> float:
         """The mean, or the sentinel -1.0 when there is nothing to average."""

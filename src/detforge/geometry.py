@@ -178,26 +178,60 @@ def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
     return inter
 
 
-def wh_iou_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
-    """Pairwise dimension-only IoU between (N, 2) and (M, 2) extent arrays.
+class WhIouBlock:
+    """Dimension-only IoU of changing (k, 2) extents against one fixed (n, 2) set.
+
+    The fixed side's contiguous widths ``w``, heights ``h``, areas and
+    largest area are taken once. Each call writes its (k, n) block into
+    two buffers kept from call to call (grown when k grows), so the
+    array it returns is overwritten by the next call. Every entry is
+    ``inter / (area1 + area2 - inter)`` with ``inter = min(w1, w2) *
+    min(h1, h2)``, the same operations in the same order whatever the
+    buffers, so a block equals a fresh one bit for bit.
 
     Where two finite areas sum past the float range, the union is taken
     with every term halved, which is exact, so identical huge boxes
     still score 1.0.
     """
-    wh1 = np.asarray(wh1, dtype=np.float64).reshape(-1, 2)
-    wh2 = np.asarray(wh2, dtype=np.float64).reshape(-1, 2)
-    w1, h1 = wh1[:, 0], wh1[:, 1]
-    w2, h2 = wh2[:, 0], wh2[:, 1]
-    area1, area2 = w1 * h1, w2 * h2
-    inter = np.minimum(w1[:, None], w2) * np.minimum(h1[:, None], h2)
-    # Python float addition overflows to inf without a warning
-    if math.isfinite(float(area1.max(initial=0.0)) + float(area2.max(initial=0.0))):
-        return inter / (area1[:, None] + area2 - inter)
-    with np.errstate(over="ignore", invalid="ignore"):
-        union = area1[:, None] + area2
-        iou = inter / (union - inter)
-    overflow = ~np.isfinite(union)
-    half = inter[overflow] * 0.5
-    iou[overflow] = half / ((area1[:, None] * 0.5 + area2 * 0.5)[overflow] - half)
-    return iou
+
+    def __init__(self, wh):
+        wh = np.asarray(wh, dtype=np.float64).reshape(-1, 2)
+        self.w = np.ascontiguousarray(wh[:, 0])
+        self.h = np.ascontiguousarray(wh[:, 1])
+        self.area = self.w * self.h
+        self.max_area = float(self.area.max(initial=0.0))
+        self._inter = self._union = np.empty((0, len(wh)))  # grown by the first call
+
+    def __call__(self, wh1) -> np.ndarray:
+        wh1 = np.asarray(wh1, dtype=np.float64).reshape(-1, 2)
+        k = len(wh1)
+        if len(self._inter) < k:
+            self._inter, self._union = np.empty((k, len(self.w))), np.empty((k, len(self.w)))
+        inter, union = self._inter[:k], self._union[:k]
+        w1, h1 = wh1[:, 0], wh1[:, 1]
+        area1 = w1 * h1
+        np.minimum(w1[:, None], self.w, out=inter)
+        inter *= np.minimum(h1[:, None], self.h, out=union)
+        # Python float addition overflows to inf without a warning
+        if math.isfinite(float(area1.max(initial=0.0)) + self.max_area):
+            np.add(area1[:, None], self.area, out=union)
+            union -= inter
+            inter /= union
+            return inter
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(area1[:, None], self.area, out=union)
+            overflow = ~np.isfinite(union)
+            half = inter[overflow] * 0.5
+            union -= inter
+            inter /= union
+        inter[overflow] = half / ((area1[:, None] * 0.5 + self.area * 0.5)[overflow] - half)
+        return inter
+
+
+def wh_iou_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
+    """Pairwise dimension-only IoU between (N, 2) and (M, 2) extent arrays.
+
+    One call of a :class:`WhIouBlock` on ``wh2``, whose overflow rule
+    applies.
+    """
+    return WhIouBlock(wh2)(wh1)

@@ -20,8 +20,9 @@ from detforge.anchors import (
 )
 from detforge.annotations import Instance, InstanceColumns
 from detforge.errors import BadExtent, TooFewBoxes, ValidationError
-from detforge.geometry import BBox, BoxWH, from_xywh, iou_matrix, wh_iou_matrix
+from detforge.geometry import BBox, BoxWH, WhIouBlock, from_xywh, iou_matrix, wh_iou_matrix
 from detforge.synthetic import synthetic_aerial_corpus
+from test_geometry import same_bits
 
 
 class TestAnchorSpec:
@@ -366,6 +367,24 @@ class TestClustering:
         with pytest.raises(ValidationError):
             cluster_anchor_sizes(boxes, k=1, init="medoid")
 
+    @pytest.mark.parametrize("name", ["k", "restarts", "max_iters", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, False, "1", None])
+    def test_non_integer_counts_rejected(self, name, value):
+        args = {"k": 1, "restarts": 1, "max_iters": 5, "seed": 0, name: value}
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            cluster_anchor_sizes([BoxWH(5, 5), BoxWH(9, 9)], **args)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="^seed must be at least 0, got -1$"):
+            cluster_anchor_sizes([BoxWH(5, 5), BoxWH(9, 9)], k=1, seed=-1)
+
+    def test_numpy_integer_counts_accepted(self):
+        corpus = synthetic_aerial_corpus(n=60, seed=17)
+        a = cluster_anchor_sizes(corpus, k=np.int64(3), seed=np.uint8(2), restarts=np.int32(2),
+                                 max_iters=np.int16(20)).to_dict()
+        b = cluster_anchor_sizes(corpus, k=3, seed=2, restarts=2, max_iters=20).to_dict()
+        assert json.dumps(a) == json.dumps(b)
+
 
 class TestSweep:
     def test_single_k_identical_boxes(self):
@@ -386,6 +405,16 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep_k([BoxWH(4, 4)], [])
 
+    @pytest.mark.parametrize("k_range", [[2.5, 3], [True, 3], [3, "2"], [3, 2.0]])
+    def test_non_integer_k_rejected(self, k_range):
+        with pytest.raises(ValidationError, match="^k must be an integer, got "):
+            sweep_k([BoxWH(4, 4), BoxWH(8, 8), BoxWH(2, 9)], k_range)
+
+    @pytest.mark.parametrize("extra", [{"seed": -1}, {"restarts": True}, {"max_iters": 1.5}])
+    def test_bad_arguments_rejected(self, extra):
+        with pytest.raises(ValidationError):
+            sweep_k([BoxWH(4, 4), BoxWH(8, 8)], [1, 2], **extra)
+
 
 def oracle_wh_iou_matrix(wh1, wh2):
     """The original wh-IoU body: one (N, M, 2) broadcast and a product."""
@@ -399,7 +428,8 @@ def oracle_lloyd(wh, centroids, max_iters):
     """The original Lloyd loop: one mask and row mean per cluster.
 
     Reference for ``anchors._lloyd``, whose output must equal this one's
-    bit for bit.
+    bit for bit. The mean IoU of each box with its centroid is computed
+    afresh after the loop, as ``cluster_anchor_sizes`` once did.
     """
     k = centroids.shape[0]
     assignment = np.argmax(oracle_wh_iou_matrix(wh, centroids), axis=1)
@@ -423,7 +453,8 @@ def oracle_lloyd(wh, centroids, max_iters):
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-    return centroids, assignment, iterations
+    mean_iou = float(oracle_wh_iou_matrix(wh, centroids)[np.arange(len(wh)), assignment].mean())
+    return centroids, assignment, iterations, mean_iou
 
 
 def oracle_plus_plus_init(wh, k, rng):
@@ -575,19 +606,21 @@ class TestVectorizedClusteringMatchesOracle:
                 starts.append(wh[rng.choice(len(wh), size=6, replace=False)].copy())
         calls = []
 
-        def counting(a, b):
-            calls.append(1)
-            return wh_iou_matrix(a, b)
+        class CountingBlock(WhIouBlock):
+            def __call__(self, wh1):
+                calls.append(1)
+                return super().__call__(wh1)
 
-        monkeypatch.setattr(anchors_module, "wh_iou_matrix", counting)
+        monkeypatch.setattr(anchors_module, "WhIouBlock", CountingBlock)
         reseeds = []
         for start in starts:
             calls.clear()
             out = anchors_module._lloyd(wh, start.copy(), 100)
             want = oracle_lloyd(wh, start.copy(), 100)
+            assert len(out) == len(want) == 4
             for a, b in zip(out, want):
                 np.testing.assert_array_equal(a, b)
-            # one IoU matrix per iteration, plus one per iteration that re-seeds
+            # one IoU block per iteration, plus one per iteration that re-seeds
             reseeds.append(len(calls) - out[2])
         assert min(reseeds) >= 1
 
@@ -599,6 +632,72 @@ class TestVectorizedClusteringMatchesOracle:
         got = cluster_anchor_sizes(corpus, 9, seed=0, restarts=2).to_dict()
         oracle_clustering()
         assert cluster_anchor_sizes(corpus, 9, seed=0, restarts=2).to_dict() == got
+
+    def test_lloyd_at_the_iteration_cap_equals_the_oracle(self):
+        wh = np.array([(b.w, b.h) for b in synthetic_aerial_corpus(n=10_000, seed=3)])
+        start = anchors_module._plus_plus_init(wh, 9, np.random.default_rng([0, 0]))
+        out = anchors_module._lloyd(wh, start.copy(), 30)
+        want = oracle_lloyd(wh, start.copy(), 30)
+        assert out[2] == want[2] == 31  # the cap, plus the initial assignment
+        for a, b in zip(out, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+def _halved_wh_iou(a, b):
+    """The wh-IoU of two extents, with halved terms where the union overflows."""
+    inter = min(a[0], b[0]) * min(a[1], b[1])
+    area1, area2 = a[0] * a[1], b[0] * b[1]
+    if math.isinf(area1 + area2):
+        half = inter * 0.5
+        return half / (area1 * 0.5 + area2 * 0.5 - half)
+    return inter / (area1 + area2 - inter)
+
+
+class TestWhIouBlock:
+    def test_random_extents_equal_the_oracle(self):
+        rng = np.random.default_rng(50)
+        for _ in range(20):
+            boxes = _random_wh(rng, int(rng.integers(1, 400)))
+            cents = rng.lognormal(3.0, 2.0, size=(int(rng.integers(1, 12)), 2))
+            assert same_bits(WhIouBlock(boxes)(cents), oracle_wh_iou_matrix(cents, boxes))
+
+    def test_one_block_serves_changing_centroid_sets(self):
+        rng = np.random.default_rng(51)
+        boxes = _random_wh(rng, 300)
+        block = WhIouBlock(boxes)
+        # k grows, shrinks and grows past the first buffers
+        for k in (9, 9, 3, 12, 1, 12, 5):
+            cents = rng.lognormal(3.0, 1.0, size=(k, 2))
+            got = block(cents)
+            assert same_bits(got, oracle_wh_iou_matrix(cents, boxes))
+            assert same_bits(block(cents), got.copy())  # a repeat gives the same bits
+
+    def test_single_centroid(self):
+        rng = np.random.default_rng(52)
+        boxes = _random_wh(rng, 50)
+        block = WhIouBlock(boxes)
+        for cents in (boxes[7], boxes[7:8], [[3.0, 5.0]]):
+            got = block(cents)
+            assert got.shape == (1, 50)
+            assert same_bits(got, oracle_wh_iou_matrix(cents, boxes))
+        assert block(boxes[7])[0, 7] == 1.0
+
+    def test_overflow_range_near_the_largest_float(self):
+        big = np.finfo(np.float64).max
+        boxes = np.array([[big, 1.0], [1.0, big / 2], [1e154, 1.7e154], [3.0, 4.0],
+                          [big / 3, 2.0], [1e-300, 1e300]])
+        cents = np.array([[big, 1.0], [5.0, 2.0], [1e154, 1.7e154], [big / 4, 3.9]])
+        want = np.array([[_halved_wh_iou(c, b) for b in boxes.tolist()] for c in cents.tolist()])
+        block = WhIouBlock(boxes)
+        for _ in range(2):  # the overflow path leaves nothing behind for the fast path
+            assert same_bits(block(cents), want)
+            assert same_bits(block(cents[1:2]), want[1:2])
+        assert block(cents)[0, 0] == block(cents)[2, 2] == 1.0
+        with np.errstate(over="ignore"):
+            finite = np.isfinite((cents[:, 0] * cents[:, 1])[:, None] + boxes[:, 0] * boxes[:, 1])
+            plain = oracle_wh_iou_matrix(cents, boxes)
+        assert finite.any() and not finite.all()
+        assert same_bits(block(cents)[finite], plain[finite])
 
 
 class TestNonFiniteExtents:

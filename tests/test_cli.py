@@ -237,6 +237,19 @@ class TestExitCodes:
         rc, _, _ = run(capsys, "cluster", "--ann", tiny_path, "--k", "0")
         assert rc == 1
 
+    @pytest.mark.parametrize("command, block", [
+        ("cluster", "cluster"), ("augment-replay", "augment"), ("loss-check", "loss"),
+    ])
+    def test_negative_seed_is_one_line(self, capsys, tmp_path, tiny_path, command, block):
+        argv = {"cluster": ("cluster", "--synthetic", "200", "--k", "3"),
+                "augment-replay": ("augment-replay", "--ann", tiny_path),
+                "loss-check": ("loss-check",)}[command]
+        want = f"detforge: config key '{block}.seed' must be non-negative, got -1\n"
+        assert run_rejected(capsys, *argv, "--seed", "-1") == want
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({block: {"seed": -1}}))
+        assert run_rejected(capsys, *argv, "--config", str(cfg)) == want
+
     @pytest.mark.parametrize("bbox", [[0, 0, 5], [0, 0, float("nan"), 5],
                                       [0, float("inf"), 5, 5], [0, 0, 10**400, 5],
                                       [0, 0, "5", 5]])

@@ -89,6 +89,36 @@ def greedy_match(
     return flags
 
 
+def oracle_average_precision(flags, scores, n_gt: int) -> float:
+    """The original AP: a stable re-sort, cumsums of TPs and FPs, a fresh grid.
+
+    ``evaluation.average_precision`` and ``evaluation._ranked_ap`` must
+    give its bits on every input it accepts.
+    """
+    if n_gt < 0:
+        raise ValidationError(f"n_gt must be non-negative, got {n_gt}")
+    if n_gt == 0:
+        return -1.0
+    flags = np.asarray(flags, dtype=bool)
+    if flags.size == 0:
+        return 0.0
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != flags.shape:
+        raise ValidationError("flags and scores must align")
+    order = np.argsort(-scores, kind="stable")
+    flags = flags[order]
+    tp = np.cumsum(flags)
+    fp = np.cumsum(~flags)
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    grid = np.arange(101) / 100.0
+    idx = np.searchsorted(recall, grid, side="left")
+    inside = idx < len(recall)
+    values = np.where(inside, envelope[np.minimum(idx, len(recall) - 1)], 0.0)
+    return float(values.mean())
+
+
 def scalar_coco_map(
     dets: Sequence[Detection],
     ds: Dataset,
@@ -145,7 +175,7 @@ def scalar_coco_map(
                 )
             pooled.sort(key=lambda p: (-p[0], p[1]))
             aps.append(
-                average_precision(
+                oracle_average_precision(
                     [p[2] for p in pooled], [p[0] for p in pooled], n_gt
                 )
             )
@@ -560,8 +590,9 @@ class TestAveragePrecision:
             flags = (rng.random(n) < 0.5).astype(int)
             scores = rng.uniform(0.05, 0.95, n)
             squashed = 0.5 * scores**3 + 0.1
-            assert average_precision(flags, scores, 5) == average_precision(
-                flags, squashed, 5
+            n_gt = max(5, int(flags.sum()))  # never fewer GTs than TPs
+            assert average_precision(flags, scores, n_gt) == average_precision(
+                flags, squashed, n_gt
             )
 
     def test_validation(self):
@@ -569,6 +600,53 @@ class TestAveragePrecision:
             average_precision([1], [0.9], n_gt=-1)
         with pytest.raises(ValidationError):
             average_precision([1, 0], [0.9], n_gt=2)
+
+    @pytest.mark.parametrize("n_gt", [math.nan, 2.5, 2.0, True, False, "2", None])
+    def test_n_gt_must_be_an_integer(self, n_gt):
+        with pytest.raises(ValidationError, match="^n_gt must be an integer, got "):
+            average_precision([1, 0], [0.9, 0.8], n_gt=n_gt)
+
+    def test_more_true_positives_than_ground_truth_rejected(self):
+        with pytest.raises(ValidationError, match="^3 true positives for n_gt=2$"):
+            average_precision([1, 1, 1], [0.9, 0.8, 0.7], n_gt=2)
+        assert average_precision([1, 1, 0], [0.9, 0.8, 0.7], n_gt=np.int64(2)) == 1.0
+
+    @pytest.mark.parametrize("flags, scores", [
+        ([[1, 0], [0, 1]], [[0.9, 0.8], [0.7, 0.6]]),
+        ([2, 0], [0.9, 0.8]),
+        ([1, -1], [0.9, 0.8]),
+        ([0.5, 1], [0.9, 0.8]),
+        ([math.nan, 1], [0.9, 0.8]),
+        (["1", "0"], [0.9, 0.8]),
+        (1, 0.9),
+    ])
+    def test_flags_must_be_a_run_of_zeros_and_ones(self, flags, scores):
+        with pytest.raises(ValidationError, match="^flags must be a 1-D run of 0s and 1s$"):
+            average_precision(flags, scores, n_gt=3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "high", None])
+    def test_scores_must_be_finite_numbers(self, bad):
+        with pytest.raises(ValidationError, match="^scores must be finite numbers$"):
+            average_precision([1, 0, 1], [0.9, bad, 0.7], n_gt=3)
+
+    def test_equals_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            n = int(rng.integers(0, 60))
+            flags = rng.random(n) < rng.random()
+            # coarse scores, so that many tie and the stable order matters
+            scores = np.round(rng.random(n), int(rng.integers(0, 3)))
+            n_gt = int(np.count_nonzero(flags)) + int(rng.integers(0, 5))
+            for f in (flags, flags.astype(np.int64), flags.tolist()):
+                want = oracle_average_precision(f, scores, n_gt)
+                assert average_precision(f, scores, n_gt) == want
+            # unsigned scores rank by their float values, as the oracle casts them
+            percent = (scores * 100).astype(np.uint8)
+            assert average_precision(flags, percent, n_gt) == oracle_average_precision(
+                flags, percent, n_gt)
+            if n_gt:
+                ranked = flags[np.argsort(-scores, kind="stable")]
+                assert evaluation._ranked_ap(ranked, n_gt) == want
 
 
 class TestCocoMap:
