@@ -64,6 +64,7 @@ from .geometry import (
     BoxWH,
     clamp,
     clip,
+    clip_boxes,
     from_xywh,
     iou,
     iou_matrix,

@@ -33,7 +33,7 @@ from .errors import (
     NegativeExtent,
     ValidationError,
 )
-from .geometry import BBox
+from .geometry import BBox, clip_boxes
 
 # COCO size-bucket area thresholds (px^2), matching the APs/APm/APl split.
 SMALL_AREA_MAX = 32.0**2
@@ -677,8 +677,8 @@ def tile(
     order, tiles row-major, instances in source-id order within a tile.
 
     Each row of tiles is clipped against all of its image's instances at
-    once, with the comparisons and operand order of ``geometry.clip`` and
-    ``BBox.shifted``, so the boxes and areas are bit for bit the scalar
+    once by ``geometry.clip_boxes`` and shifted with ``BBox.shifted``'s
+    operand order, so the boxes and areas are bit for bit the scalar
     ones (signed zeros included).
     """
     if not (0 <= overlap < tile_size):
@@ -700,44 +700,36 @@ def tile(
         rows = rows[np.argsort(c.id[rows], kind="stable")]
         # a degenerate box has no visible fraction in any tile
         rows = rows[box_area[rows] > 0]
-        x0, y0, x1, y1 = c.boxes[rows].T
+        boxes = c.boxes[rows]
         stem, dot, suffix = image.file_name.rpartition(".")
         if not dot:
             stem, suffix = image.file_name, ""
         xs = _tile_origins(image.width, tile_size, stride)
-        # tile rects of one row: float(ox) .. float(ox + tw); shifts are float(-ox)
-        rx0 = np.array([float(ox) for ox in xs])[:, None]
-        rx1 = np.array([float(ox + min(tile_size, image.width - ox)) for ox in xs])[:, None]
-        dx = np.array([float(-ox) for ox in xs])[:, None]
+        tws = [min(tile_size, image.width - ox) for ox in xs]
         for oy in _tile_origins(image.height, tile_size, stride):
             th = min(tile_size, image.height - oy)
             first_id = len(new_images) + 1
-            for ox in xs:
+            for ox, tw in zip(xs, tws):
                 new_images.append(
                     ImageRecord(
                         id=len(new_images) + 1,
-                        width=min(tile_size, image.width - ox),
+                        width=tw,
                         height=th,
                         file_name=f"{stem}__x{ox}_y{oy}" + (f".{suffix}" if dot else ""),
                     )
                 )
-            ry0, ry1, dy = float(oy), float(oy + th), float(-oy)
-            cx0 = np.where(rx0 > x0, rx0, x0)
-            cy0 = np.where(ry0 > y0, ry0, y0)
-            cx1 = np.where(rx1 < x1, rx1, x1)
-            cy1 = np.where(ry1 < y1, ry1, y1)
+            # one row of tile rects, shifted by float(-ox): 0.0, never -0.0
+            rects = np.array([[ox, oy, ox + tw, oy + th] for ox, tw in zip(xs, tws)], dtype=float)
+            clipped, keep = clip_boxes(boxes, rects[:, None])
+            shifts = np.array([[-ox, -oy] * 2 for ox in xs], dtype=float)
+            extent = clipped[..., 2:] - clipped[..., :2]
             with np.errstate(over="ignore", invalid="ignore"):
-                vis = (cx1 - cx0) * (cy1 - cy0) / box_area[rows]
-            keep = (cx1 > cx0) & (cy1 > cy0) & ~(vis < min_visibility)
+                vis = extent[..., 0] * extent[..., 1] / box_area[rows]
+            keep &= ~(vis < min_visibility)
             t, n = np.nonzero(keep)
             picked.append(rows[n])
             tile_ids.append(first_id + t)
-            out_boxes.append(
-                np.stack(
-                    [cx0[t, n] + dx[t, 0], cy0[n] + dy, cx1[t, n] + dx[t, 0], cy1[n] + dy],
-                    axis=1,
-                )
-            )
+            out_boxes.append(clipped[t, n] + shifts[t])
             visibility.append(vis[t, n])
 
     picked = np.concatenate(picked)

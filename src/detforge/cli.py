@@ -33,7 +33,6 @@ from .anchors import (
 from .augment import ImageGeom, TransformRecord, pipeline, replay
 from .errors import BadExtent, ConfigTypeError, UnknownConfigKey, ValidationError
 from .evaluation import coco_map, load_detections
-from .geometry import BBox
 from .losses import (
     LogitsBatch,
     class_weights,
@@ -443,6 +442,11 @@ def _read_records(path, text, image_ids) -> dict:
                 f"{path} line {lineno}: image_id {image_id!r} is not the id of an image "
                 "in the dataset"
             )
+        if image_id in per_image:
+            raise ValidationError(
+                f"{path} line {lineno}: image_id {image_id} already has records on line "
+                f"{per_image[image_id][0]}"
+            )
         per_image[image_id] = (lineno, records)
     return per_image
 
@@ -461,21 +465,20 @@ def _run_augment_replay(config, inputs):
         mode = "sample"
         pipe = pipeline(config["augment"]["aug_id"], config["augment"]["seed"])
 
-    out_lines = []
-    corners = ds.columns.boxes
     for image in sorted(ds.images, key=lambda im: im.id):
-        boxes = [BBox(*box) for box in corners[ds.rows_by_image[image.id]].tolist()]
+        boxes = ds.columns.boxes[ds.rows_by_image[image.id]]
         geom = ImageGeom(image.width, image.height)
         if per_image is not None:
             lineno, records = per_image.get(image.id, (None, []))
             try:
                 new_boxes, new_geom = replay(records, boxes, geom)
+            except ValidationError as exc:
+                raise ValidationError(f"{records_path} line {lineno}: {exc}") from None
             except _RECORD_ERRORS as exc:
                 raise _bad_records_line(records_path, lineno, exc)
         else:
             new_boxes, new_geom, records = pipe.apply(boxes, geom)
         record_dicts = [r.to_dict() for r in records]
-        out_lines.append({"image_id": image.id, "records": record_dicts})
         rows.append(
             {
                 "image_id": image.id,
@@ -489,7 +492,8 @@ def _run_augment_replay(config, inputs):
     records_out = config["paths"]["records_out"]
     if records_out and mode == "sample":
         with open(records_out, "w", encoding="utf-8") as fh:
-            for entry in out_lines:
+            for row in rows:
+                entry = {"image_id": row["image_id"], "records": row["records"]}
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return {
         "mode": mode,

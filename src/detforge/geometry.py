@@ -108,6 +108,19 @@ def clip(b: BBox, bounds: BBox) -> Optional[BBox]:
     return BBox(x_min, y_min, x_max, y_max)
 
 
+def clip_boxes(boxes, windows) -> Tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`clip` for (..., 4) boxes and windows that broadcast.
+
+    Returns the intersections and the mask of those ``clip`` returns. The
+    operand order is ``clip``'s (``max(v, lo)`` as ``np.where(lo > v, lo, v)``),
+    so every float is the scalar one, signed zeros included.
+    """
+    b, w = np.asarray(boxes, dtype=np.float64), np.asarray(windows, dtype=np.float64)
+    x0, y0 = (np.where(w[..., i] > b[..., i], w[..., i], b[..., i]) for i in (0, 1))
+    x1, y1 = (np.where(w[..., i] < b[..., i], w[..., i], b[..., i]) for i in (2, 3))
+    return np.stack([x0, y0, x1, y1], axis=-1), ~((x1 <= x0) | (y1 <= y0))
+
+
 def clamp(b: BBox, bounds: BBox) -> BBox:
     """Clamp all four coordinates into ``bounds``.
 

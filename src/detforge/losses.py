@@ -143,8 +143,8 @@ def focal_loss(batch: LogitsBatch, gamma: float = 2.0) -> LossOutput:
 
         d/dz_j = [(1-p)^g - g (1-p)^(g-1) p log p] (softmax_j - onehot_j) / n
     """
-    if gamma < 0:
-        raise ValidationError(f"gamma must be non-negative, got {gamma}")
+    if not 0 <= gamma < np.inf:
+        raise ValidationError(f"gamma must be finite and non-negative, got {gamma}")
     logp = _log_softmax(batch.values)
     logp_t = logp[np.arange(batch.n), batch.targets]
     p_t = np.exp(logp_t)
@@ -172,8 +172,8 @@ def smooth_l1(pred, target, beta: float = 1.0) -> LossOutput:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValidationError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if beta <= 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ValidationError(f"beta must be finite and positive, got {beta}")
     d = pred - target
     ad = np.abs(d)
     quadratic = ad < beta
@@ -193,8 +193,8 @@ def grad_check(
     array; ``loss_fn`` must accept the same type. The relative error per
     entry is |analytic - numeric| / max(1e-12, |numeric|).
     """
-    if step <= 0:
-        raise ValidationError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ValidationError(f"step must be finite and positive, got {step}")
     if isinstance(x, LogitsBatch):
         values = x.values
 

@@ -312,6 +312,57 @@ class TestExitCodes:
                            "--records", str(records))
         assert f"{records} line 3: " in err
 
+    @pytest.mark.parametrize("kind, params, detail", [
+        ("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": -5, "out_size": 8,
+                         "min_visibility": 0.5}, "crop size -5 and output size 8 must be positive"),
+        ("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400, "out_size": 0,
+                         "min_visibility": 0.5},
+         "crop size 400 and output size 0 must be positive"),
+        ("crop_resize", {"crop_x": 500, "crop_y": 0, "crop_size": 400, "out_size": 800,
+                         "min_visibility": 0.5}, "crop 400 at (500, 0) exceeds image 800x800"),
+        ("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400, "out_size": 800,
+                         "min_visibility": "nan"}, "min_visibility nan"),
+        ("resize", {"target_short_edge": -3}, "target short edge -3"),
+        ("flip", {"width": 12345}, "flip width 12345 is not the image width 800"),
+    ], ids=["crop-negative", "out-zero", "window-outside", "visibility-nan", "resize-negative",
+            "flip-width"])
+    def test_bad_record_values_name_their_line(self, capsys, tiny_path, tmp_path, kind, params,
+                                               detail):
+        good = {"image_id": 1, "records": [{"kind": "flip", "params": {}}]}
+        bad = {"image_id": 2, "records": [{"kind": kind, "params": params}]}
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+        err = run_rejected(capsys, "augment-replay", "--ann", tiny_path,
+                           "--records", str(records))
+        assert err == f"detforge: {records} line 3: {detail}\n"
+
+    def test_second_records_line_for_an_image_is_rejected(self, capsys, tiny_path, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            json.dumps({"image_id": 1, "records": [{"kind": "flip", "params": {"width": 1000}}]})
+            + "\n" + json.dumps({"image_id": 2, "records": []})
+            + "\n" + json.dumps({"image_id": 1, "records": []}) + "\n"
+        )
+        err = run_rejected(capsys, "augment-replay", "--ann", tiny_path,
+                           "--records", str(records))
+        assert err == f"detforge: {records} line 3: image_id 1 already has records on line 1\n"
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
+    def test_loss_check_rejects_a_bad_gamma(self, capsys, gamma):
+        err = run_rejected(capsys, "loss-check", f"--gamma={gamma}")
+        assert err == f"detforge: gamma must be finite and non-negative, got {float(gamma)}\n"
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_warns_nothing(self, gamma):
+        # a fresh process with the default warning filters, so a NumPy
+        # RuntimeWarning would reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "detforge.cli", "loss-check", "--gamma", gamma],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"detforge: gamma must be finite and non-negative, got {gamma}\n"
+
     @pytest.mark.parametrize("area", [float("nan"), float("inf"), -1, "100", None])
     def test_bad_area_rejected_at_load(self, capsys, tmp_path, data_dir, area):
         ann = json.loads((data_dir / "eval_mixed_ann.json").read_text())

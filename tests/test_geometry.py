@@ -8,6 +8,7 @@ from detforge import (
     ValidationError,
     clamp,
     clip,
+    clip_boxes,
     from_xywh,
     iou,
     iou_matrix,
@@ -278,3 +279,27 @@ class TestClipClamp:
         assert clamp(BBox(10.0, 10.0, 20.0, 20.0), self.bounds) == BBox(
             10.0, 10.0, 20.0, 20.0
         )
+
+
+class TestClipBoxes:
+    def test_matches_scalar_clip_bit_for_bit(self):
+        """Every window against every box, signed zeros and shared edges included."""
+        rng = np.random.default_rng(11)
+        grid = [-0.0, 0.0, 2.5, 5.0, 7.0, 10.0, 12.0]
+        boxes = []
+        for _ in range(300):
+            x0, x1 = sorted(rng.choice(grid, 2).tolist())
+            y0, y1 = sorted(rng.choice(grid, 2).tolist())
+            boxes.append((x0, y0, x1, y1))
+        boxes += [tuple(v) for v in np.sort(rng.uniform(-3, 15, (50, 2, 2)), axis=1)
+                  .transpose(0, 2, 1).reshape(-1, 4)[:, [0, 2, 1, 3]].tolist()]
+        windows = [(0.0, 0.0, 10.0, 10.0), (-0.0, -0.0, 5.0, 7.0), (2.5, 0.0, 12.0, 5.0)]
+        clipped, keep = clip_boxes(boxes, np.array(windows)[:, None])
+        assert clipped.shape == (3, len(boxes), 4) and keep.shape == (3, len(boxes))
+        for t, window in enumerate(windows):
+            for n, box in enumerate(boxes):
+                want = clip(BBox(*box), BBox(*window))
+                assert keep[t, n] == (want is not None), (window, box)
+                if want is not None:
+                    got = clipped[t, n].view(np.int64).tolist()
+                    assert got == np.array(want.as_tuple()).view(np.int64).tolist(), (window, box)

@@ -209,6 +209,13 @@ class TestFocalLoss:
         with pytest.raises(ValidationError):
             focal_loss(batch, gamma=-0.5)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gamma(self, gamma):
+        batch = LogitsBatch(np.zeros((1, 2)), [0])
+        with pytest.raises(ValidationError,
+                           match=f"^gamma must be finite and non-negative, got {gamma}$"):
+            focal_loss(batch, gamma=gamma)
+
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(16)
         for gamma in (0.5, 1.0, 2.0, 3.0):
@@ -257,6 +264,12 @@ class TestSmoothL1:
         with pytest.raises(ValidationError):
             smooth_l1(np.zeros(3), np.zeros(3), beta=0.0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(ValidationError,
+                           match=f"^beta must be finite and positive, got {beta}$"):
+            smooth_l1(np.zeros(3), np.zeros(3), beta=beta)
+
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(17)
         target = rng.normal(size=(5, 4))
@@ -277,3 +290,9 @@ class TestGradCheck:
     def test_step_must_be_positive(self):
         with pytest.raises(ValidationError):
             grad_check(cross_entropy, LogitsBatch(np.zeros((1, 2)), [0]), step=0.0)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_step_must_be_finite(self, step):
+        with pytest.raises(ValidationError,
+                           match=f"^step must be finite and positive, got {step}$"):
+            grad_check(cross_entropy, LogitsBatch(np.zeros((1, 2)), [0]), step=step)
