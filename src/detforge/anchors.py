@@ -15,7 +15,7 @@ simulating threshold matching against annotated instance columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -47,10 +47,16 @@ class AnchorSpec:
         object.__setattr__(self, "aspect_ratios", tuple(float(r) for r in self.aspect_ratios))
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
-        if not self.sizes or any(s <= 0 for s in self.sizes):
-            raise ValidationError("sizes must be positive")
-        if not self.aspect_ratios or any(r <= 0 for r in self.aspect_ratios):
-            raise ValidationError("aspect ratios must be positive")
+        for name, values in (("sizes", self.sizes), ("aspect ratios", self.aspect_ratios)):
+            if not values or not all(0.0 < v < math.inf for v in values):
+                raise ValidationError(f"{name} must be finite and positive, got {list(values)}")
+        for s in self.sizes:
+            for r in self.aspect_ratios:
+                # Python floats overflow to inf without a warning
+                if not all(map(math.isfinite, (s / math.sqrt(r), s * math.sqrt(r), s * s))):
+                    raise ValidationError(
+                        f"the anchor of size {s!r} and ratio {r!r} has a non-finite extent or area"
+                    )
         if not self.strides or any(s <= 0 for s in self.strides):
             raise ValidationError("strides must be positive")
         if any(a % 90.0 != 0 for a in self.angles):
@@ -90,8 +96,8 @@ class LevelAnchors:
     box without scanning them all.
 
     The level holds only this layout; ``cell_boxes`` computes the
-    corners of any block of cells, and ``boxes`` is the level's rows of
-    ``AnchorSet.all_boxes()``, written the first time they are read.
+    corners of any block of cells, and ``boxes`` builds the level's rows
+    of ``AnchorSet.all_boxes()`` on each read.
     """
 
     level: int
@@ -102,7 +108,6 @@ class LevelAnchors:
     n_combo: int  # anchors per cell
     half: np.ndarray  # (n_combo, 2) read-only half-extents of one cell's anchors
     offset: float  # fraction of a stride from a cell's origin to its centre
-    corners: _Corners = field(repr=False)  # the array shared with the other levels
 
     @property
     def count(self) -> int:
@@ -110,8 +115,10 @@ class LevelAnchors:
 
     @property
     def boxes(self) -> np.ndarray:
-        """The level's (count, 4) corner rows, a read-only view of ``all_boxes()``."""
-        return self.corners.rows(self)
+        """A new read-only (count, 4) array of the level's corner rows."""
+        boxes = self.cell_boxes(0, self.fmap_w, 0, self.fmap_h).reshape(self.count, 4)
+        boxes.flags.writeable = False
+        return boxes
 
     @cached_property
     def _edges(self):
@@ -144,59 +151,26 @@ class LevelAnchors:
         return np.add(cols[None, x0:x1], rows[y0:y1, None], out=out)
 
 
-class _Corners:
-    """The (A, 4) corner array of one anchor set, allocated on first use.
-
-    Each level writes its own rows the first time they are read, so the
-    levels share the array without a reference back to their set, and
-    the array is freed with the last of them.
-    """
-
-    def __init__(self, total: int):
-        self.total = total
-        self.view = None  # the read-only array handed out
-        self._array = None  # the writable array behind it
-        self._filled = set()  # levels whose rows are written
-
-    def rows(self, lv: LevelAnchors) -> np.ndarray:
-        """The read-only rows of level ``lv``, written on their first read."""
-        if self.view is None:
-            self._array = np.empty((self.total, 4))
-            self.view = self._array.view()
-            self.view.flags.writeable = False
-        if lv.level not in self._filled:
-            grid = self._array[lv.start:lv.start + lv.count]
-            lv.cell_boxes(0, lv.fmap_w, 0, lv.fmap_h,
-                          out=grid.reshape(lv.fmap_h, lv.fmap_w, lv.n_combo, 4))
-            self._filled.add(lv.level)
-        return self.view[lv.start:lv.start + lv.count]
-
-
 class AnchorSet:
     """The anchors of one image, level by level, as a layout.
 
-    ``total`` is the anchor count A. ``all_boxes()`` builds the (A, 4)
-    corner array, levels in order, on its first call and returns that
-    same read-only array after; nothing else allocates per-anchor memory.
+    ``total`` is the anchor count A. Only ``all_boxes()`` and
+    ``LevelAnchors.boxes`` allocate per-anchor memory, on each call.
     """
 
-    def __init__(self, offset: float, layout: Sequence):
-        """``layout`` holds one (stride, fmap_w, fmap_h, half) per level."""
-        self.total = sum(fw * fh * len(half) for _, fw, fh, half in layout)
-        self._corners = _Corners(self.total)
-        levels = []
-        start = 0
-        for level, (stride, fw, fh, half) in enumerate(layout):
-            levels.append(LevelAnchors(level=level, stride=stride, fmap_w=fw, fmap_h=fh,
-                                       start=start, n_combo=len(half), half=half,
-                                       offset=offset, corners=self._corners))
-            start += levels[-1].count
+    def __init__(self, levels: Sequence[LevelAnchors]):
         self.levels = tuple(levels)
+        self.total = sum(lv.count for lv in self.levels)
 
     def all_boxes(self) -> np.ndarray:
+        """A new read-only (A, 4) corner array, levels in order."""
+        boxes = np.empty((self.total, 4))
         for lv in self.levels:
-            self._corners.rows(lv)  # writes the level's rows on first use
-        return self._corners.view
+            grid = boxes[lv.start:lv.start + lv.count]
+            lv.cell_boxes(0, lv.fmap_w, 0, lv.fmap_h,
+                          out=grid.reshape(lv.fmap_h, lv.fmap_w, lv.n_combo, 4))
+        boxes.flags.writeable = False
+        return boxes
 
 
 def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
@@ -218,7 +192,8 @@ def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
         if fw <= 0 or fh <= 0:
             raise ValidationError(f"feature map {fw}x{fh} at level {level}")
     eff_angles = spec.effective_angles
-    layout = []
+    levels = []
+    start = 0
     for level, (stride, (fw, fh)) in enumerate(zip(spec.strides, dims)):
         half = np.array([
             (s / np.sqrt(r), s * np.sqrt(r)) if a == 0.0 else (s * np.sqrt(r), s / np.sqrt(r))
@@ -227,8 +202,10 @@ def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
             for a in eff_angles
         ]) / 2.0
         half.flags.writeable = False
-        layout.append((stride, fw, fh, half))
-    return AnchorSet(spec.offset, layout)
+        levels.append(LevelAnchors(level=level, stride=stride, fmap_w=fw, fmap_h=fh, start=start,
+                                   n_combo=len(half), half=half, offset=spec.offset))
+        start += levels[-1].count
+    return AnchorSet(levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,16 +557,17 @@ def match_anchors(
     matched = np.zeros(len(gts), dtype=np.int64)  # per live GT row: its positive anchors
     for rows in list(groups.values()) or [np.zeros(0, dtype=np.intp)]:
         crowd = gts.ignore[rows]
-        live, ignored = rows[~crowd], rows[crowd]
-
         positive = []  # anchor indices at pos_iou, repeats allowed
-        kept = []  # candidates at neg_iou, which cannot be negative
+        kept = []  # candidates at neg_iou of any GT, which cannot be negative
         claims = []  # with force_match, each live GT's best anchor
-        for g, (idx, vals) in zip(live.tolist(), _gt_overlaps(anchors, gts.boxes[live])):
+        overlaps = _gt_overlaps(anchors, gts.boxes[rows])
+        for g, ignore, (idx, vals) in zip(rows.tolist(), crowd.tolist(), overlaps):
+            kept.append(idx[vals >= neg_iou])
+            if ignore:
+                continue  # a crowd GT only keeps its overlaps from being negative
             hit = vals >= pos_iou
             matched[g] = np.count_nonzero(hit)
             positive.append(idx[hit])
-            kept.append(idx[vals >= neg_iou])
             if force_match:
                 a = int(np.argmax(vals)) if vals.size else -1
                 # a GT that overlaps no anchor claims anchor 0, as argmax over zeros does
@@ -598,7 +576,7 @@ def match_anchors(
                 matched[g] += int(v < pos_iou)
         if pos_iou == 0.0:
             # anchors outside the candidate set have IoU 0 and match as well
-            matched[live] = n_per_image
+            matched[rows[~crowd]] = n_per_image
             n_positive += n_per_image
             continue
 
@@ -607,12 +585,7 @@ def match_anchors(
         n_positive += positive.size
         if neg_iou == 0.0:
             continue  # no IoU is below 0
-        kept = np.unique(np.concatenate([positive] + kept))
-        if ignored.size and kept.size < n_per_image:
-            overlaps = _gt_overlaps(anchors, gts.boxes[ignored])
-            crowd_kept = [idx[vals >= neg_iou] for idx, vals in overlaps]
-            kept = np.unique(np.concatenate([kept] + crowd_kept))
-        n_negative += n_per_image - kept.size
+        n_negative += n_per_image - np.unique(np.concatenate([positive] + kept)).size
 
     is_live = ~gts.ignore
     counts = matched[is_live]

@@ -676,10 +676,10 @@ def tile(
     clipped, not dropped. Output ordering is deterministic: images in id
     order, tiles row-major, instances in source-id order within a tile.
 
-    Each row of tiles is clipped against all of its image's instances at
-    once by ``geometry.clip_boxes`` and shifted with ``BBox.shifted``'s
-    operand order, so the boxes and areas are bit for bit the scalar
-    ones (signed zeros included).
+    Each row of tiles is clipped against the instances of its band, those
+    not wholly above or below it, at once by ``geometry.clip_boxes`` and
+    shifted with ``BBox.shifted``'s operand order, so the boxes and areas
+    are bit for bit the scalar ones (signed zeros included).
     """
     if not (0 <= overlap < tile_size):
         raise InvalidOverlap(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
@@ -720,14 +720,17 @@ def tile(
                 )
             # one row of tile rects, shifted by float(-ox): 0.0, never -0.0
             rects = np.array([[ox, oy, ox + tw, oy + th] for ox, tw in zip(xs, tws)], dtype=float)
-            clipped, keep = clip_boxes(boxes, rects[:, None])
+            # a box wholly above or below the row clips to nothing in each of its
+            # tiles; the negated test keeps a NaN row, as clip_boxes does
+            band = np.flatnonzero(~((boxes[:, 3] <= rects[0, 1]) | (boxes[:, 1] >= rects[0, 3])))
+            clipped, keep = clip_boxes(boxes[band], rects[:, None])
             shifts = np.array([[-ox, -oy] * 2 for ox in xs], dtype=float)
             extent = clipped[..., 2:] - clipped[..., :2]
             with np.errstate(over="ignore", invalid="ignore"):
-                vis = extent[..., 0] * extent[..., 1] / box_area[rows]
+                vis = extent[..., 0] * extent[..., 1] / box_area[rows[band]]
             keep &= ~(vis < min_visibility)
             t, n = np.nonzero(keep)
-            picked.append(rows[n])
+            picked.append(rows[band[n]])
             tile_ids.append(first_id + t)
             out_boxes.append(clipped[t, n] + shifts[t])
             visibility.append(vis[t, n])

@@ -55,6 +55,28 @@ class TestAnchorSpec:
         with pytest.raises(ValidationError):
             AnchorSpec(sizes=(16, 32), strides=(4, 8, 16))
 
+    @pytest.mark.parametrize("sizes, ratios, message", [
+        ((math.nan,), (1.0,), "sizes must be finite and positive, got [nan]"),
+        ((math.inf,), (1.0,), "sizes must be finite and positive, got [inf]"),
+        ((16.0,), (1.0, math.nan), "aspect ratios must be finite and positive, got [1.0, nan]"),
+        ((16.0,), (-math.inf,), "aspect ratios must be finite and positive, got [-inf]"),
+        ((1e155,), (1.0,), "the anchor of size 1e+155 and ratio 1.0 has a non-finite extent or area"),
+        ((1e150,), (1.0, 1e-320), "the anchor of size 1e+150 and ratio 1e-320 has a non-finite "
+                                  "extent or area"),
+        ((1.0, 1e200), (1e300,), "the anchor of size 1e+200 and ratio 1e+300 has a non-finite "
+                                 "extent or area"),
+    ])
+    def test_rejects_non_finite_anchors(self, sizes, ratios, message):
+        with pytest.raises(ValidationError) as exc:
+            AnchorSpec(sizes=sizes, aspect_ratios=ratios, strides=(4,) * len(sizes))
+        assert str(exc.value) == message
+
+    def test_largest_finite_anchors_are_accepted(self):
+        # s * s just below the float maximum, and a ratio that keeps both extents finite
+        spec = AnchorSpec(sizes=(1.3e154,), aspect_ratios=(1e-300, 1e300), strides=(4,))
+        anchors = generate_anchors(spec, [(1, 1)])
+        assert np.isfinite(anchors.levels[0].half).all()
+
 
 def row_layout(spec, level):
     """Each row's cell (i, j), size, ratio and angle, as ``LevelAnchors`` documents them."""
@@ -157,9 +179,7 @@ class TestGenerateAnchors:
         spec = AnchorSpec()
         out = generate_anchors(spec, _image_dims(spec, 100, 60))
         boxes = out.all_boxes()
-        assert out.all_boxes() is boxes  # no copy per call
         for level in out.levels:
-            assert np.shares_memory(boxes, level.boxes)
             np.testing.assert_array_equal(
                 level.boxes, boxes[level.start:level.start + level.count]
             )
@@ -232,9 +252,8 @@ class TestLazyAnchorBoxes:
         monkeypatch.setattr(anchors_module.LevelAnchors, "cell_boxes", counted)
         boxes = out.all_boxes()
         assert calls == [lv.level for lv in out.levels]
-        assert out.all_boxes() is boxes
-        assert all(np.shares_memory(lv.boxes, boxes) for lv in out.levels)
-        assert calls == [lv.level for lv in out.levels]  # no second fill
+        out.all_boxes()
+        assert calls == [lv.level for lv in out.levels] * 2  # one fill per level per call
         assert not boxes.flags.writeable
         assert all(not lv.half.flags.writeable for lv in out.levels)
 

@@ -818,6 +818,25 @@ class TestColumnarMatchesOracle:
         assert_same_dataset(tile(rebuilt, 256, 64, 0.5), oracle_tile(ds, 256, 64, 0.5),
                             tmp_path)
 
+    def test_boxes_on_the_edge_of_a_row_of_tiles(self, tmp_path):
+        """A box that ends where a row of tiles starts, or starts where the row
+        ends, is in none of that row's tiles."""
+        # tile 400, overlap 100 on a 1000-px side: rows of tiles span y [0, 400), [300, 700)
+        # and [600, 1000)
+        boxes = [(10.0, 250.0, 50.0, 300.0), (10.0, 400.0, 50.0, 450.0),
+                 (100.0, 700.0, 150.0, 760.0), (200.0, 550.0, 260.0, 600.0),
+                 (500.0, 300.0, 560.0, 400.0), (600.0, 0.0, 700.0, 1000.0),
+                 (10.0, -0.0, 50.0, 300.0), (900.0, 940.0, 1000.0, 1000.0)]
+        ds = Dataset(
+            (ImageRecord(1, 1000, 1000, "a.png"),),
+            tuple(Instance(i + 1, 1, 1, BBox(*b), (b[2] - b[0]) * (b[3] - b[1]))
+                  for i, b in enumerate(boxes)),
+            (Category(1, "c"),),
+        )
+        got = tile(ds, 400, 100, 0.25)
+        assert_same_dataset(got, oracle_tile(ds, 400, 100, 0.25), tmp_path)
+        assert len(got.columns) > len(boxes)
+
     def test_box_area_past_float_range_tiles_without_warnings(self, tmp_path):
         ds = Dataset(
             (ImageRecord(1, 1000, 800, "a.png"),),

@@ -1,13 +1,25 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from detforge.anchors import AnchorSet, LevelAnchors
+from detforge.anchors import (
+    AnchorSet,
+    AnchorSpec,
+    LevelAnchors,
+    cluster_anchor_sizes,
+    match_anchors,
+)
+from detforge.annotations import tile
 from detforge.cli import _OPTIONS, _RUNNERS, build_parser, main, resolve_config
+from detforge.evaluation import coco_map
+from detforge.losses import focal_loss
 
 
 def run(capsys, *argv):
@@ -176,7 +188,32 @@ def _sample(tag, extra, path):
     }[tag]
 
 
+def _parameter_defaults(fn, block, names):
+    params = inspect.signature(fn).parameters
+    return {f"{block}.{name}": params[name].default for name in names}
+
+
+# the API default that each _OPTIONS default feeds, by config path
+API_DEFAULTS = {
+    **{f"anchors.{f.name}": f.default for f in dataclasses.fields(AnchorSpec)},
+    **_parameter_defaults(tile, "tile", ("tile_size", "overlap", "min_visibility")),
+    **_parameter_defaults(match_anchors, "match", ("pos_iou", "neg_iou", "force_match")),
+    **_parameter_defaults(coco_map, "eval", ("max_dets", "iou_thresholds")),
+    **_parameter_defaults(cluster_anchor_sizes, "cluster",
+                          ("seed", "max_iters", "restarts", "init")),
+    **_parameter_defaults(focal_loss, "loss", ("gamma",)),
+}
+
+
 class TestOptionsTable:
+    @pytest.mark.parametrize("path", sorted(API_DEFAULTS))
+    def test_default_equals_the_api_default(self, path):
+        default = {p: d for p, _, d, *_ in _OPTIONS}[path]
+        if isinstance(default, list):
+            default = tuple(default)
+        # repr tells 2 from 2.0 as well as the values apart
+        assert repr(default) == repr(API_DEFAULTS[path])
+
     @pytest.mark.parametrize("path,tag,default,flag,command,extra", [
         pytest.param(path, tag, default, flag, command, extra, id=f"{command} {flag}")
         for path, tag, default, flag, commands, extra in _OPTIONS
@@ -346,6 +383,26 @@ class TestExitCodes:
         err = run_rejected(capsys, "augment-replay", "--ann", tiny_path,
                            "--records", str(records))
         assert err == f"detforge: {records} line 3: image_id 1 already has records on line 1\n"
+
+    @pytest.mark.parametrize("command", ["anchors", "match"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--sizes", "nan,32,64,128,256"),
+         "sizes must be finite and positive, got [nan, 32.0, 64.0, 128.0, 256.0]"),
+        (("--sizes", "inf,32,64,128,256"),
+         "sizes must be finite and positive, got [inf, 32.0, 64.0, 128.0, 256.0]"),
+        (("--sizes", "1e308,32,64,128,256"),
+         "the anchor of size 1e+308 and ratio 0.5 has a non-finite extent or area"),
+        (("--ratios", "inf"), "aspect ratios must be finite and positive, got [inf]"),
+        (("--sizes", "1e150,32,64,128,256", "--ratios", "1e-320,1,2"),
+         "the anchor of size 1e+150 and ratio 1e-320 has a non-finite extent or area"),
+    ])
+    def test_non_finite_anchors_are_one_line(self, capsys, tiny_path, command, flags, message):
+        argv = [command, *flags] + (["--ann", tiny_path] if command == "match" else [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = run_rejected(capsys, *argv)
+        assert err == f"detforge: {message}\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
     def test_loss_check_rejects_a_bad_gamma(self, capsys, gamma):
