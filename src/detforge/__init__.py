@@ -61,7 +61,6 @@ from .evaluation import (
 )
 from .geometry import (
     BBox,
-    BoxWH,
     clamp,
     clip,
     clip_boxes,
@@ -69,7 +68,6 @@ from .geometry import (
     iou,
     iou_matrix,
     to_xywh,
-    wh_iou,
     wh_iou_matrix,
 )
 from .losses import (

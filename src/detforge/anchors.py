@@ -23,7 +23,7 @@ import numpy as np
 
 from .annotations import InstanceColumns, group_rows
 from .errors import BadExtent, TooFewBoxes, ValidationError
-from .geometry import BoxWH, WhIouBlock, iou_matrix, wh_iou_matrix
+from .geometry import WhIouBlock, iou_matrix
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ class ClusterResult:
     """Outcome of one IoU k-means clustering run."""
 
     k: int
-    centroids: tuple  # BoxWH, sorted by area ascending
+    centroids: np.ndarray  # read-only (k, 2) widths and heights, sorted by area ascending
     assignments: np.ndarray
     mean_iou: float
     iterations: int
@@ -222,7 +222,7 @@ class ClusterResult:
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "centroids": [[c.w, c.h] for c in self.centroids],
+            "centroids": self.centroids.tolist(),
             "assignments": [int(a) for a in self.assignments],
             "mean_iou": self.mean_iou,
             "iterations": self.iterations,
@@ -238,14 +238,11 @@ def _as_wh_array(boxes) -> np.ndarray:
     the first failing row. With every box area positive and finite, no
     IoU against a centroid is NaN, which ``_first_max`` relies on.
     """
-    if isinstance(boxes, np.ndarray):
+    try:
         wh = np.asarray(boxes, dtype=np.float64)
-    else:
-        boxes = list(boxes)
-        if boxes and isinstance(boxes[0], BoxWH):
-            wh = np.array([[b.w, b.h] for b in boxes], dtype=np.float64)
-        else:
-            wh = np.asarray(boxes, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, objects, text, huge ints
+        raise ValidationError("boxes must be (n, 2) width/height numbers; NumPy cannot read "
+                              f"this {type(boxes).__name__} as floats") from None
     if wh.ndim != 2 or wh.shape[1] != 2:
         raise ValidationError(f"expected (n, 2) width/height data, got {wh.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN areas fail below
@@ -281,11 +278,12 @@ def _first_max(iou: np.ndarray, hit: np.ndarray | None = None,
     return k - score.max(axis=0).astype(np.intp)
 
 
-def _plus_plus_init(wh: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ style seeding with weight proportional to d = 1 - IoU."""
-    n = wh.shape[0]
+def _plus_plus_init(block: WhIouBlock, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ style seeding on ``block``'s boxes with weight proportional to d = 1 - IoU."""
+    n = len(block.w)
     chosen = [int(rng.integers(n))]
-    best_iou = wh_iou_matrix(wh[chosen[-1]], wh)[0]
+    # a copy: the block's next call overwrites the row it returns
+    best_iou = block((block.w[chosen[-1]], block.h[chosen[-1]]))[0].copy()
     for _ in range(k - 1):
         d = 1.0 - best_iou
         total = d.sum()
@@ -294,22 +292,21 @@ def _plus_plus_init(wh: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        best_iou = np.maximum(best_iou, wh_iou_matrix(wh[idx], wh)[0])
-    return wh[chosen].copy()
+        np.maximum(best_iou, block((block.w[idx], block.h[idx]))[0], out=best_iou)
+    return np.stack([block.w[chosen], block.h[chosen]], axis=1)
 
 
-def _lloyd(wh: np.ndarray, centroids: np.ndarray, max_iters: int):
+def _lloyd(block: WhIouBlock, centroids: np.ndarray, max_iters: int):
     """Assignment/update loop; returns (centroids, assignments, iterations, mean IoU).
 
     IoU blocks are (k, n), centroids by boxes: the wh-IoU is symmetric bit
-    for bit, and row-wise reductions over n boxes beat k-wide ones. One
-    ``WhIouBlock`` on the boxes and the ``_first_max`` buffers serve every
+    for bit, and row-wise reductions over n boxes beat k-wide ones.
+    ``block``, on the boxes, and the ``_first_max`` buffers serve every
     iteration. The mean IoU is each box's IoU with its assigned centroid,
     read from the last block, which is that of the returned centroids.
     """
-    k, n = centroids.shape[0], len(wh)
+    k, n = centroids.shape[0], len(block.w)
     rows = np.arange(n)
-    block = WhIouBlock(wh)
     hit = np.empty((k, n), dtype=bool)
     score = np.empty((k, n), dtype=np.min_scalar_type(k))
     iou = block(centroids)
@@ -335,7 +332,7 @@ def _lloyd(wh: np.ndarray, centroids: np.ndarray, max_iters: int):
             dist = 1.0 - iou[assignment, rows]
             for c in np.flatnonzero(~occupied):
                 worst = int(np.argmax(dist))
-                centroids[c] = wh[worst]
+                centroids[c] = block.w[worst], block.h[worst]
                 dist[worst] = -1.0
             iou = block(centroids)
         new_assignment = _first_max(iou, hit, score)
@@ -385,14 +382,15 @@ def cluster_anchor_sizes(
     if init not in ("kmeans++", "random"):
         raise ValidationError(f"unknown init {init!r}")
 
+    block = WhIouBlock(wh)  # one per call: every seeding and restart reuses it
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         if init == "kmeans++":
-            centroids = _plus_plus_init(wh, k, rng)
+            centroids = _plus_plus_init(block, k, rng)
         else:
-            centroids = wh[rng.choice(wh.shape[0], size=k, replace=False)].copy()
-        result = _lloyd(wh, centroids, max_iters)  # mean IoU last
+            centroids = wh[rng.choice(wh.shape[0], size=k, replace=False)]
+        result = _lloyd(block, centroids, max_iters)  # mean IoU last
         if best is None or result[3] > best[3]:
             best = result
 
@@ -401,12 +399,13 @@ def cluster_anchor_sizes(
     centroids, assignment, iterations, mean_iou = best
     order = np.lexsort((centroids[:, 1], centroids[:, 0], centroids.prod(axis=1)))
     centroids = centroids[order]
+    centroids.flags.writeable = False
     remap = np.empty(k, dtype=np.int64)
     remap[order] = np.arange(k)
     assignment = remap[assignment]
     return ClusterResult(
         k=k,
-        centroids=tuple(BoxWH(float(w), float(h)) for w, h in centroids),
+        centroids=centroids,
         assignments=assignment,
         mean_iou=mean_iou,
         iterations=iterations,

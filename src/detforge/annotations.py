@@ -39,6 +39,10 @@ from .geometry import BBox, clip_boxes
 SMALL_AREA_MAX = 32.0**2
 MEDIUM_AREA_MAX = 96.0**2
 
+# The most tiles one ``tile`` call builds: each is an ImageRecord in memory,
+# so a million already take hundreds of MB. A larger job is tiled in parts.
+MAX_TILES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Category:
@@ -538,6 +542,10 @@ def _annotation_checks(anns: list, row_of: Mapping[int, int], limits: np.ndarray
     n = yield _range_flags(_head(area, n), 0, _FLOAT_MAX), bad_area
     area = np.array(_head(area, n), dtype=np.float64)
     n = yield np.isnan(area), bad_area
+    # an infinite box area would turn every IoU with the box into a warning and 0
+    n = yield np.isinf(default), lambda i: ValidationError(
+        f"annotations[{i}].bbox: w * h of the clamped box is out of float range"
+    )
     crowds = _gather(anns, n, "iscrowd", 0)
     n = yield (
         not (set(map(type, crowds)) <= {int} and set(crowds) <= {0, 1})
@@ -575,10 +583,11 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
     Ids, references and image sizes must be JSON integers and
     ``iscrowd`` 0 or 1; image sizes must fit a float and instance ids
     and references an int64. Boxes are converted from ``[x, y, w, h]``
-    to corner form and clamped to their image bounds; the number of
-    instances whose box had to be clipped is recorded on the returned
-    dataset. ``data``, when given, is the file's content already read by
-    the caller.
+    to corner form and clamped to their image bounds, and each clamped
+    box needs a finite area ``w * h`` even when ``area`` is given; the
+    number of instances whose box had to be clipped is recorded on the
+    returned dataset. ``data``, when given, is the file's content already
+    read by the caller.
 
     Each record kind has one list of rules, run by :func:`checked` a
     whole column at a time; an invalid file fails on its first bad
@@ -652,13 +661,12 @@ def _tile_origins(extent: int, tile_size: int, stride: int) -> List[int]:
     """Tile origins along one axis; the last tile ends exactly at the border."""
     if extent <= tile_size:
         return [0]
-    origins = []
-    pos = 0
-    while pos + tile_size < extent:
-        origins.append(pos)
-        pos += stride
-    origins.append(extent - tile_size)
-    return origins
+    return [*range(0, extent - tile_size, stride), extent - tile_size]
+
+
+def _tile_count(extent: int, tile_size: int, stride: int) -> int:
+    """``len(_tile_origins(...))`` in int arithmetic, which, unlike ``len(range)``, has no limit."""
+    return 1 if extent <= tile_size else (extent - tile_size - 1) // stride + 2
 
 
 def tile(
@@ -670,10 +678,12 @@ def tile(
     """Split every image into fixed-size patches with re-expressed boxes.
 
     Tile origins advance by ``tile_size - overlap``; the final tile per
-    axis is shifted so it ends at the image border. An instance is copied
-    into every tile where the clipped fraction of its original box area
-    is at least ``min_visibility``; boxes straddling a tile edge are
-    clipped, not dropped. Output ordering is deterministic: images in id
+    axis is shifted so it ends at the image border. A dataset that needs
+    more than ``MAX_TILES`` tiles fails before any is built, naming the
+    image that passes the bound. An instance is copied into every tile
+    where the clipped fraction of its original box area is at least
+    ``min_visibility``; boxes straddling a tile edge are clipped, not
+    dropped. Output ordering is deterministic: images in id
     order, tiles row-major, instances in source-id order within a tile.
 
     Each row of tiles is clipped against the instances of its band, those
@@ -686,6 +696,12 @@ def tile(
     if not (0 < min_visibility <= 1):
         raise ValidationError(f"min_visibility must be in (0, 1], got {min_visibility}")
     stride = tile_size - overlap
+    images, total = sorted(ds.images, key=lambda im: im.id), 0
+    for image in images:
+        total += math.prod(_tile_count(e, tile_size, stride) for e in (image.width, image.height))
+        if total > MAX_TILES:
+            raise ValidationError(f"the tile count passes MAX_TILES = {MAX_TILES} at image "
+                                  f"{image.id}")
     c = ds.columns
     # an area past the float range is inf, silently, as in the scalar code
     with np.errstate(over="ignore"):
@@ -695,7 +711,7 @@ def tile(
     # per row of tiles: source rows, tile ids, shifted boxes, visible fractions
     picked, tile_ids = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
     out_boxes, visibility = [np.zeros((0, 4))], [np.zeros(0)]
-    for image in sorted(ds.images, key=lambda im: im.id):
+    for image in images:
         rows = ds.rows_by_image[image.id]
         rows = rows[np.argsort(c.id[rows], kind="stable")]
         # a degenerate box has no visible fraction in any tile

@@ -205,6 +205,11 @@ def _detection_checks(raw: list):
     n = yield _per_row(np.isinf(boxes)), lambda i: ValidationError(
         f"detections[{i}].bbox: x + w or y + h is out of float range"
     )
+    with np.errstate(over="ignore"):  # the area of the finite corners, as coco_map takes it
+        area = np.prod(boxes[:n, 2:] - boxes[:n, :2], axis=1)
+    n = yield np.isinf(area), lambda i: ValidationError(
+        f"detections[{i}].bbox: w * h is out of float range"
+    )
     scores = np.array(_head(scores, n), dtype=np.float64)
     n = yield ~((0.0 <= scores) & (scores <= 1.0)), lambda i: ValidationError(
         f"detections[{i}].score: score must be in [0, 1], got {float(scores[i])}"
@@ -216,10 +221,10 @@ def load_detections(path, data: Optional[bytes] = None) -> DetectionColumns:
     """Read a results array of {image_id, category_id, bbox, score} into columns.
 
     Ids must be JSON integers that fit an int64, ``bbox`` four finite
-    numbers ``[x, y, w, h]`` with ``w, h >= 0`` and finite corners
-    ``x + w``, ``y + h``, and ``score`` a number in [0, 1]. Row i's
-    ``source_index`` is i. ``data``, when given, is the file's content
-    already read by the caller.
+    numbers ``[x, y, w, h]`` with ``w, h >= 0``, finite corners
+    ``x + w``, ``y + h`` and a finite area ``w * h``, and ``score`` a
+    number in [0, 1]. Row i's ``source_index`` is i. ``data``, when
+    given, is the file's content already read by the caller.
 
     The rules run a whole column at a time (see
     :func:`~detforge.annotations.checked`); an invalid file fails on its

@@ -59,22 +59,6 @@ class BBox:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-@dataclass(frozen=True)
-class BoxWH:
-    """Origin-anchored box given by strictly positive extents."""
-
-    w: float
-    h: float
-
-    def __post_init__(self):
-        if not (self.w > 0 and self.h > 0):
-            raise ValidationError(f"BoxWH extents must be positive: ({self.w}, {self.h})")
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes.
 
@@ -89,12 +73,6 @@ def iou(a: BBox, b: BBox) -> float:
     if union <= 0:
         return 0.0
     return inter / union
-
-
-def wh_iou(a: BoxWH, b: BoxWH) -> float:
-    """IoU of two boxes anchored at a common corner (dimension-only IoU)."""
-    inter = min(a.w, b.w) * min(a.h, b.h)
-    return inter / (a.w * a.h + b.w * b.h - inter)
 
 
 def clip(b: BBox, bounds: BBox) -> Optional[BBox]:

@@ -11,14 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import BoxWH
 
 MODE_SCALES = (9.0, 26.0, 70.0, 208.0)
 MODE_WEIGHTS = (0.55, 0.25, 0.14, 0.06)
 
 
-def synthetic_aerial_corpus(n: int = 2000, seed: int = 7) -> list:
-    """Sample n BoxWH values from the four planted scale modes.
+def synthetic_aerial_corpus(n: int = 2000, seed: int = 7) -> np.ndarray:
+    """Sample an (n, 2) float64 array of (w, h) from the four planted scale modes.
 
     Each box picks a mode, then jitters scale and aspect ratio
     log-normally, so w*h clusters around the mode scale squared while
@@ -32,4 +31,4 @@ def synthetic_aerial_corpus(n: int = 2000, seed: int = 7) -> list:
     ratios = np.exp(rng.normal(0.0, 0.35, size=n))
     widths = scales / np.sqrt(ratios)
     heights = scales * np.sqrt(ratios)
-    return [BoxWH(float(w), float(h)) for w, h in zip(widths, heights)]
+    return np.stack([widths, heights], axis=1)

@@ -20,7 +20,7 @@ from detforge.anchors import (
 )
 from detforge.annotations import Instance, InstanceColumns
 from detforge.errors import BadExtent, TooFewBoxes, ValidationError
-from detforge.geometry import BBox, BoxWH, WhIouBlock, from_xywh, iou_matrix, wh_iou_matrix
+from detforge.geometry import BBox, WhIouBlock, from_xywh, iou_matrix, wh_iou_matrix
 from detforge.synthetic import synthetic_aerial_corpus
 from test_geometry import same_bits
 
@@ -295,31 +295,28 @@ class TestLazyAnchorBoxes:
 
 class TestClustering:
     def test_one_centroid_per_box_is_perfect(self):
-        boxes = [BoxWH(10, 20), BoxWH(30, 15), BoxWH(50, 50)]
+        boxes = [(10, 20), (30, 15), (50, 50)]
         result = cluster_anchor_sizes(boxes, k=3, seed=0)
         assert result.mean_iou == 1.0
-        assert sorted((c.w, c.h) for c in result.centroids) == sorted(
-            (b.w, b.h) for b in boxes
-        )
+        assert sorted(map(tuple, result.centroids.tolist())) == sorted(boxes)
 
     def test_two_separable_blobs(self):
-        boxes = [BoxWH(10, 10)] * 5 + [BoxWH(100, 100)] * 5
+        boxes = [(10, 10)] * 5 + [(100, 100)] * 5
         result = cluster_anchor_sizes(boxes, k=2, seed=0)
-        assert [(c.w, c.h) for c in result.centroids] == [(10.0, 10.0), (100.0, 100.0)]
+        assert list(map(tuple, result.centroids.tolist())) == [(10.0, 10.0), (100.0, 100.0)]
         assert result.mean_iou == 1.0
         # area-ascending centroid order puts the small blob first
         assert result.assignments.tolist() == [0] * 5 + [1] * 5
 
     def test_degenerate_identical_boxes(self):
-        result = cluster_anchor_sizes([BoxWH(7, 7)] * 5, k=2, seed=0)
+        result = cluster_anchor_sizes([(7, 7)] * 5, k=2, seed=0)
         assert result.mean_iou == 1.0
         assert set(result.assignments.tolist()) <= {0, 1}
 
     def test_assignments_maximize_iou(self):
         corpus = synthetic_aerial_corpus(n=200, seed=5)
         result = cluster_anchor_sizes(corpus, k=4, seed=1, restarts=3)
-        wh = np.array([(b.w, b.h) for b in corpus])
-        cents = np.array([(c.w, c.h) for c in result.centroids])
+        wh, cents = corpus, result.centroids
         iou = wh_iou_matrix(wh, cents)
         chosen = iou[np.arange(len(wh)), result.assignments]
         np.testing.assert_allclose(chosen, iou.max(axis=1), rtol=0, atol=1e-15)
@@ -327,16 +324,24 @@ class TestClustering:
     def test_reported_mean_iou_matches_recomputation(self):
         corpus = synthetic_aerial_corpus(n=150, seed=6)
         result = cluster_anchor_sizes(corpus, k=3, seed=2)
-        wh = np.array([(b.w, b.h) for b in corpus])
-        cents = np.array([(c.w, c.h) for c in result.centroids])
+        wh, cents = corpus, result.centroids
         again = wh_iou_matrix(wh, cents)[np.arange(len(wh)), result.assignments].mean()
         assert abs(result.mean_iou - again) <= 1e-12
 
     def test_centroids_sorted_by_area(self):
         corpus = synthetic_aerial_corpus(n=300, seed=9)
         result = cluster_anchor_sizes(corpus, k=5, seed=0)
-        areas = [c.w * c.h for c in result.centroids]
+        areas = [w * h for w, h in result.centroids.tolist()]
         assert areas == sorted(areas)
+
+    def test_centroids_are_a_read_only_array(self):
+        corpus = synthetic_aerial_corpus(n=120, seed=8)
+        assert corpus.shape == (120, 2) and corpus.dtype == np.float64
+        result = cluster_anchor_sizes(corpus, k=4, seed=3)
+        assert result.centroids.shape == (4, 2) and result.centroids.dtype == np.float64
+        with pytest.raises(ValueError):
+            result.centroids[0, 0] = 1.0
+        assert result.to_dict()["centroids"] == result.centroids.tolist()
 
     def test_deterministic_for_fixed_seed(self):
         corpus = synthetic_aerial_corpus(n=120, seed=8)
@@ -352,9 +357,8 @@ class TestClustering:
 
     def test_array_input_matches_box_input(self):
         corpus = synthetic_aerial_corpus(n=80, seed=12)
-        arr = np.array([(b.w, b.h) for b in corpus])
-        a = cluster_anchor_sizes(corpus, k=3, seed=4).to_dict()
-        b = cluster_anchor_sizes(arr, k=3, seed=4).to_dict()
+        a = cluster_anchor_sizes(corpus.tolist(), k=3, seed=4).to_dict()
+        b = cluster_anchor_sizes(corpus, k=3, seed=4).to_dict()
         assert a == b
 
     def test_random_init_is_available(self):
@@ -375,10 +379,10 @@ class TestClustering:
 
     def test_too_few_boxes(self):
         with pytest.raises(TooFewBoxes):
-            cluster_anchor_sizes([BoxWH(5, 5)], k=2)
+            cluster_anchor_sizes([(5, 5)], k=2)
 
     def test_rejects_bad_parameters(self):
-        boxes = [BoxWH(5, 5), BoxWH(9, 9)]
+        boxes = [(5, 5), (9, 9)]
         with pytest.raises(ValidationError):
             cluster_anchor_sizes(boxes, k=0)
         with pytest.raises(ValidationError):
@@ -391,11 +395,11 @@ class TestClustering:
     def test_non_integer_counts_rejected(self, name, value):
         args = {"k": 1, "restarts": 1, "max_iters": 5, "seed": 0, name: value}
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
-            cluster_anchor_sizes([BoxWH(5, 5), BoxWH(9, 9)], **args)
+            cluster_anchor_sizes([(5, 5), (9, 9)], **args)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="^seed must be at least 0, got -1$"):
-            cluster_anchor_sizes([BoxWH(5, 5), BoxWH(9, 9)], k=1, seed=-1)
+            cluster_anchor_sizes([(5, 5), (9, 9)], k=1, seed=-1)
 
     def test_numpy_integer_counts_accepted(self):
         corpus = synthetic_aerial_corpus(n=60, seed=17)
@@ -407,10 +411,10 @@ class TestClustering:
 
 class TestSweep:
     def test_single_k_identical_boxes(self):
-        assert sweep_k([BoxWH(4, 4)] * 3, [1]) == [(1, 1.0)]
+        assert sweep_k([(4, 4)] * 3, [1]) == [(1, 1.0)]
 
     def test_two_blobs_improve_with_second_centroid(self):
-        boxes = [BoxWH(10, 10)] * 5 + [BoxWH(100, 100)] * 5
+        boxes = [(10, 10)] * 5 + [(100, 100)] * 5
         pairs = sweep_k(boxes, [1, 2], seed=0)
         assert pairs[0][0] == 1 and pairs[1][0] == 2
         assert pairs[1][1] > pairs[0][1]
@@ -422,17 +426,17 @@ class TestSweep:
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValidationError):
-            sweep_k([BoxWH(4, 4)], [])
+            sweep_k([(4, 4)], [])
 
     @pytest.mark.parametrize("k_range", [[2.5, 3], [True, 3], [3, "2"], [3, 2.0]])
     def test_non_integer_k_rejected(self, k_range):
         with pytest.raises(ValidationError, match="^k must be an integer, got "):
-            sweep_k([BoxWH(4, 4), BoxWH(8, 8), BoxWH(2, 9)], k_range)
+            sweep_k([(4, 4), (8, 8), (2, 9)], k_range)
 
     @pytest.mark.parametrize("extra", [{"seed": -1}, {"restarts": True}, {"max_iters": 1.5}])
     def test_bad_arguments_rejected(self, extra):
         with pytest.raises(ValidationError):
-            sweep_k([BoxWH(4, 4), BoxWH(8, 8)], [1, 2], **extra)
+            sweep_k([(4, 4), (8, 8)], [1, 2], **extra)
 
 
 def oracle_wh_iou_matrix(wh1, wh2):
@@ -497,13 +501,23 @@ def oracle_plus_plus_init(wh, k, rng):
     return wh[chosen].copy()
 
 
+def _block_wh(block):
+    """The (n, 2) boxes a ``WhIouBlock`` was built on."""
+    return np.stack([block.w, block.h], axis=1)
+
+
 @pytest.fixture()
 def oracle_clustering(monkeypatch):
-    """Swap the original seeding, Lloyd loop and wh-IoU body into the anchors module."""
+    """Swap the original seeding and Lloyd loop into the anchors module.
+
+    Both run on the original wh-IoU body, over the boxes of the block
+    ``cluster_anchor_sizes`` passes them.
+    """
     def patch():
-        monkeypatch.setattr(anchors_module, "_plus_plus_init", oracle_plus_plus_init)
-        monkeypatch.setattr(anchors_module, "_lloyd", oracle_lloyd)
-        monkeypatch.setattr(anchors_module, "wh_iou_matrix", oracle_wh_iou_matrix)
+        monkeypatch.setattr(anchors_module, "_plus_plus_init", lambda block, k, rng: (
+            oracle_plus_plus_init(_block_wh(block), k, rng)))
+        monkeypatch.setattr(anchors_module, "_lloyd", lambda block, centroids, max_iters: (
+            oracle_lloyd(_block_wh(block), centroids, max_iters)))
     return patch
 
 
@@ -610,7 +624,7 @@ class TestVectorizedClusteringMatchesOracle:
         assert sweep_k(corpus, range(1, 8), seed=2, restarts=3) == got
 
     @pytest.mark.parametrize("init", ["kmeans++", "random"])
-    def test_empty_cluster_reseed_equals_the_oracle(self, oracle_clustering, monkeypatch, init):
+    def test_empty_cluster_reseed_equals_the_oracle(self, oracle_clustering, init):
         # 3 distinct sizes for k=6: seeding must repeat a size, and a repeated
         # centroid loses every tie to its twin, so its cluster starts empty
         wh = np.array([[4.0, 4.0], [4.0, 9.0], [20.0, 11.0]] * 7)
@@ -620,7 +634,7 @@ class TestVectorizedClusteringMatchesOracle:
         for r in range(4):  # the restarts above, run one by one
             rng = np.random.default_rng([1, r])
             if init == "kmeans++":
-                starts.append(anchors_module._plus_plus_init(wh, 6, rng))
+                starts.append(anchors_module._plus_plus_init(WhIouBlock(wh), 6, rng))
             else:
                 starts.append(wh[rng.choice(len(wh), size=6, replace=False)].copy())
         calls = []
@@ -630,11 +644,10 @@ class TestVectorizedClusteringMatchesOracle:
                 calls.append(1)
                 return super().__call__(wh1)
 
-        monkeypatch.setattr(anchors_module, "WhIouBlock", CountingBlock)
         reseeds = []
         for start in starts:
             calls.clear()
-            out = anchors_module._lloyd(wh, start.copy(), 100)
+            out = anchors_module._lloyd(CountingBlock(wh), start.copy(), 100)
             want = oracle_lloyd(wh, start.copy(), 100)
             assert len(out) == len(want) == 4
             for a, b in zip(out, want):
@@ -653,9 +666,11 @@ class TestVectorizedClusteringMatchesOracle:
         assert cluster_anchor_sizes(corpus, 9, seed=0, restarts=2).to_dict() == got
 
     def test_lloyd_at_the_iteration_cap_equals_the_oracle(self):
-        wh = np.array([(b.w, b.h) for b in synthetic_aerial_corpus(n=10_000, seed=3)])
-        start = anchors_module._plus_plus_init(wh, 9, np.random.default_rng([0, 0]))
-        out = anchors_module._lloyd(wh, start.copy(), 30)
+        wh = synthetic_aerial_corpus(n=10_000, seed=3)
+        block = WhIouBlock(wh)
+        start = anchors_module._plus_plus_init(block, 9, np.random.default_rng([0, 0]))
+        assert same_bits(start, oracle_plus_plus_init(wh, 9, np.random.default_rng([0, 0])))
+        out = anchors_module._lloyd(block, start.copy(), 30)
         want = oracle_lloyd(wh, start.copy(), 30)
         assert out[2] == want[2] == 31  # the cap, plus the initial assignment
         for a, b in zip(out, want, strict=True):
@@ -730,7 +745,7 @@ class TestNonFiniteExtents:
 
     def test_infinite_boxwh_rejected(self):
         with pytest.raises(ValidationError, match="must be finite"):
-            cluster_anchor_sizes([BoxWH(math.inf, 3.0), BoxWH(4.0, 5.0)], k=1)
+            cluster_anchor_sizes([(math.inf, 3.0), (4.0, 5.0)], k=1)
 
     def test_sweep_rejects_nan(self):
         with pytest.raises(ValidationError, match="must be finite"):
@@ -765,23 +780,72 @@ class TestBoxExtentsNeedAPositiveFiniteArea:
     def test_cluster_sum_past_the_float_range_gives_a_finite_mean(self):
         # 1e308 + 1e308 overflows; the mean of the three widths does not
         result = cluster_anchor_sizes([[1e308, 1e-300], [1e308, 1e-300], [3, 4]], 1)
-        (centroid,) = result.centroids
-        assert centroid.w == 1e308 / 3 + 1e308 / 3 + 3 / 3
-        assert centroid.h == (1e-300 + 1e-300 + 4) / 3  # a finite sum keeps its bits
+        ((w, h),) = result.centroids.tolist()
+        assert w == 1e308 / 3 + 1e308 / 3 + 3 / 3
+        assert h == (1e-300 + 1e-300 + 4) / 3  # a finite sum keeps its bits
         json.dumps(result.to_dict(), allow_nan=False)
 
     def test_identical_huge_boxes_have_mean_iou_one(self):
         # each area is finite, but two of them sum past the float range
         result = cluster_anchor_sizes([[1.7e308, 1]] * 3, 1)
-        assert (result.centroids[0].w, result.centroids[0].h) == (1.7e308, 1.0)
+        assert tuple(result.centroids[0].tolist()) == (1.7e308, 1.0)
         assert result.mean_iou == 1.0
 
     def test_finite_sums_keep_the_bincount_mean(self):
         wh = np.array([[1e307, 2.0], [3e307, 5.0], [7.0, 1e-300], [2.0, 2.0]])
         result = cluster_anchor_sizes(wh, 1, restarts=1)
-        assert (result.centroids[0].w, result.centroids[0].h) == (
+        assert tuple(result.centroids[0].tolist()) == (
             (1e307 + 3e307 + 7.0 + 2.0) / 4, (2.0 + 5.0 + 1e-300 + 2.0) / 4
         )
+
+
+class TestOneBlockPerClustering:
+    @pytest.mark.parametrize("init", ["kmeans++", "random"])
+    def test_seeding_and_every_restart_share_one_block(self, monkeypatch, init):
+        built = []
+
+        class CountingBlock(WhIouBlock):
+            def __init__(self, wh):
+                built.append(len(wh))
+                super().__init__(wh)
+
+        monkeypatch.setattr(anchors_module, "WhIouBlock", CountingBlock)
+        corpus = synthetic_aerial_corpus(n=300, seed=18)
+        cluster_anchor_sizes(corpus, 5, restarts=4, init=init)
+        assert built == [300]
+        built.clear()
+        sweep_k(corpus, [1, 3, 6], restarts=2, init=init)
+        assert built == [300] * 3  # one per k
+
+
+class _LeftoverBox:
+    """A box object with ``w`` and ``h`` attributes, which NumPy cannot read as floats."""
+
+    def __init__(self, w, h):
+        self.w, self.h = w, h
+
+
+class TestUnreadableBoxInput:
+    @pytest.mark.parametrize("boxes, kind", [
+        ([_LeftoverBox(4.0, 5.0), _LeftoverBox(6.0, 7.0)], "list"),
+        ([[4.0, 5.0], [6.0]], "list"),
+        ([["w", "h"], [6.0, 7.0]], "list"),
+        ([{"w": 4.0, "h": 5.0}], "list"),
+        ([[4.0 + 1j, 5.0]], "list"),
+        ([[10 ** 400, 5.0]], "list"),
+        (np.array([[_LeftoverBox(4.0, 5.0), 5.0]], dtype=object), "ndarray"),
+        ((pair for pair in [[4.0, 5.0]]), "generator"),
+    ])
+    def test_one_line_validation_error(self, boxes, kind):
+        with pytest.raises(ValidationError) as info:
+            cluster_anchor_sizes(boxes, k=1)
+        assert str(info.value) == (
+            f"boxes must be (n, 2) width/height numbers; NumPy cannot read this {kind} as floats"
+        )
+
+    def test_sweep_reports_the_same_error(self):
+        with pytest.raises(ValidationError, match="^boxes must be \\(n, 2\\) width/height"):
+            sweep_k([_LeftoverBox(4.0, 5.0)], [1])
 
 
 class TestSweepPassesClusterOptions:
@@ -797,7 +861,7 @@ class TestSweepPassesClusterOptions:
         assert got != sweep_k(corpus, [2, 3, 5], seed=4, restarts=2)
 
     def test_rejects_bad_options(self):
-        boxes = [BoxWH(5, 5), BoxWH(9, 9)]
+        boxes = [(5, 5), (9, 9)]
         with pytest.raises(ValidationError, match="unknown init"):
             sweep_k(boxes, [1], init="medoid")
         with pytest.raises(ValidationError, match="max_iters"):

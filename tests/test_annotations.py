@@ -19,6 +19,7 @@ from detforge.annotations import (
     MEDIUM_AREA_MAX,
     SMALL_AREA_MAX,
     _EXPORT_BLOCK_ROWS,
+    _tile_count,
     _tile_origins,
     compute_stats,
     dataset_to_coco,
@@ -193,7 +194,41 @@ class TestStats:
         assert blob["per_image_histogram"] == {"1": 1, "3": 2}
 
 
+def loop_tile_origins(extent, tile_size, stride):
+    """The original origin loop: one step per stride."""
+    if extent <= tile_size:
+        return [0]
+    origins = []
+    pos = 0
+    while pos + tile_size < extent:
+        origins.append(pos)
+        pos += stride
+    origins.append(extent - tile_size)
+    return origins
+
+
 class TestTileOrigins:
+    def test_closed_form_equals_the_loop(self):
+        rng = np.random.default_rng(12)
+        cases = [(1, 1, 1), (799, 800, 600), (800, 800, 1), (801, 800, 1), (1400, 800, 600),
+                 (2600, 800, 600), (2601, 800, 600)]
+        for _ in range(500):
+            tile_size = int(rng.integers(1, 300))
+            stride = int(rng.integers(1, tile_size + 1))
+            extent = int(rng.integers(1, 3 * tile_size + 2))
+            # an exact multiple: the last strided origin already ends at the border
+            multiple = tile_size + stride * int(rng.integers(0, 6))
+            cases += [(extent, tile_size, stride), (multiple, tile_size, stride)]
+        for extent, tile_size, stride in cases:
+            want = loop_tile_origins(extent, tile_size, stride)
+            assert _tile_origins(extent, tile_size, stride) == want
+            assert _tile_count(extent, tile_size, stride) == len(want)
+
+    def test_count_of_a_huge_extent_is_exact(self):
+        # len() of this range fails past sys.maxsize; its last element does not
+        strided = range(0, 10**200 - 800, 600)
+        assert _tile_count(10**200, 800, 600) == strided[-1] // 600 + 2
+
     def test_small_extent_single_origin(self):
         assert _tile_origins(400, 800, 600) == [0]
         assert _tile_origins(800, 800, 600) == [0]
@@ -237,6 +272,25 @@ class TestTiling:
         names = [im.file_name for im in out.images]
         assert "scene_000__x0_y0.png" in names
         assert "scene_000__x200_y0.png" in names
+
+    def test_too_many_tiles_fail_before_any_is_built(self, monkeypatch):
+        ds = Dataset(
+            images=(ImageRecord(5, 1000, 800, "b.png"), ImageRecord(2, 1400, 1400, "a.png"),
+                    ImageRecord(9, 100, 100, "c.png")),
+            instances=(Instance(1, 5, 1, from_xywh(10, 10, 20, 20), 400.0, False),),
+            categories=(Category(1, "c"),),
+        )
+        # in id order: image 2 takes 4 tiles, image 5 two more, image 9 one
+        monkeypatch.setattr(annotations, "MAX_TILES", 7)
+        assert len(tile(ds, 800, 200).images) == 7
+        monkeypatch.setattr(annotations, "MAX_TILES", 5)
+        with pytest.raises(ValidationError,
+                           match="^the tile count passes MAX_TILES = 5 at image 5$"):
+            tile(ds, 800, 200)
+        monkeypatch.setattr(annotations, "MAX_TILES", 3)
+        with pytest.raises(ValidationError,
+                           match="^the tile count passes MAX_TILES = 3 at image 2$"):
+            tile(ds, 800, 200)
 
     def test_straddling_box_is_clipped_both_sides(self):
         """A box across a tile seam shows up clipped in each tile that keeps it."""
@@ -469,7 +523,12 @@ def oracle_require_typed(record, key, where, kind):
 
 
 def oracle_load_dataset(path) -> Dataset:
-    """The original loader: one BBox, one clamp and one Instance per entry."""
+    """The original loader: one BBox, one clamp and one Instance per entry.
+
+    One rule is added to the original: a clamped box whose own area
+    overflows fails, as an infinite box area would make every IoU with
+    it a warning and 0.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
 
@@ -526,6 +585,10 @@ def oracle_load_dataset(path) -> Dataset:
         area = rec.get("area", box.area)
         if not (type(area) in (int, float) and 0 <= area <= sys.float_info.max):
             raise ValidationError(f"{where}.area must be a finite non-negative number")
+        # the one rule added to the original loader: a given area does not
+        # excuse a clamped box whose own area is infinite
+        if math.isinf(box.area):
+            raise ValidationError(f"{where}.bbox: w * h of the clamped box is out of float range")
         crowd = rec.get("iscrowd", 0)
         if type(crowd) is not int or crowd not in (0, 1):
             raise ValidationError(f"{where}.iscrowd must be 0 or 1, got {crowd!r}")
@@ -884,6 +947,34 @@ class TestColumnarMatchesOracle:
         assert_same_dataset(*load_both(payload, tmp_path), tmp_path)
         payload["annotations"] = []
         assert_same_dataset(*load_both(payload, tmp_path), tmp_path)
+
+    def test_given_area_does_not_excuse_an_infinite_box_area(self, tmp_path):
+        """A clamped box whose w * h overflows fails at its entry, area given or not."""
+        big = 10**250
+        payload = {
+            "images": [{"id": 1, "width": 100, "height": 100, "file_name": "a.png"},
+                       {"id": 2, "width": big, "height": big, "file_name": "b.png"}],
+            "annotations": [
+                # clamped into image 1, so its area is 100 * 100
+                {"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1e200, 1e200],
+                 "area": 5.0},
+                {"id": 2, "image_id": 2, "category_id": 1, "bbox": [0, 0, 1e200, 1e200],
+                 "area": 5.0},
+                {"id": 3, "image_id": 2, "category_id": 1, "bbox": [0, 0, 1, 1], "iscrowd": 7},
+            ],
+            "categories": [{"id": 1, "name": "c"}],
+        }
+        path = write_json(tmp_path / "ann.json", payload)
+        for loader in (load_dataset, oracle_load_dataset):
+            with pytest.raises(ValidationError) as info:
+                loader(path)
+            assert str(info.value) == (
+                "annotations[1].bbox: w * h of the clamped box is out of float range"
+            )
+        del payload["annotations"][1:]
+        got, want = load_both(payload, tmp_path)
+        assert_same_dataset(got, want, tmp_path)
+        assert got.columns.boxes.tolist() == [[0.0, 0.0, 100.0, 100.0]]
 
     def test_default_area_past_float_range_is_rejected_in_a_valid_file(self, tmp_path):
         """With no other fault, an infinite default area still fails at its entry."""

@@ -8,6 +8,12 @@ type with the same message, or both load the same dataset. The one
 intended difference is an integer too large for a column's dtype: the
 oracle either kept it or ended in an ``OverflowError``, and the columnar
 loader rejects it with a one-line error naming the entry.
+
+The oracle also carries one rule the original loader lacked, so both
+agree on it: a clamped box whose ``w * h`` overflows fails with
+``annotations[i].bbox: w * h of the clamped box is out of float range``,
+even when ``area`` is given (a missing ``area`` fails first, as
+infinite).
 """
 
 import json

@@ -420,6 +420,45 @@ class TestExitCodes:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"detforge: gamma must be finite and non-negative, got {gamma}\n"
 
+    def test_tile_on_a_huge_image_returns_at_once(self, tmp_path, data_dir):
+        # a valid file: the size fits a float; tiling it would take 10^394 tiles
+        ann = json.loads((data_dir / "tiny.json").read_text())
+        ann["images"][1]["width"] = ann["images"][1]["height"] = 10**200
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        image_id = ann["images"][1]["id"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "detforge.cli", "tile", "--ann", str(ann_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            f"detforge: the tile count passes MAX_TILES = 1000000 at image {image_id}\n"
+        )
+
+    def test_box_area_past_float_range_is_one_line(self, capsys, tmp_path):
+        # the image holds the box without clamping, so its area is 1e400
+        huge = [0, 0, 1e200, 1e200]
+        ann = {"images": [{"id": 1, "width": 10**250, "height": 10**250, "file_name": "a.png"}],
+               "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": huge,
+                                "area": 5.0}],
+               "categories": [{"id": 1, "name": "c"}]}
+        ann_path = tmp_path / "ann.json"
+        ann_path.write_text(json.dumps(ann))
+        dets_path = tmp_path / "dets.json"
+        dets_path.write_text(json.dumps([{"image_id": 1, "category_id": 1, "bbox": huge,
+                                          "score": 0.9}]))
+        gt_error = "detforge: annotations[0].bbox: w * h of the clamped box is out of float range\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (("stats",), ("match",), ("eval", "--dets", str(dets_path))):
+                assert run_rejected(capsys, *argv, "--ann", str(ann_path)) == gt_error
+            # a box clamped into a small image has a finite area
+            ann["images"][0]["width"] = ann["images"][0]["height"] = 100
+            ann_path.write_text(json.dumps(ann))
+            err = run_rejected(capsys, "eval", "--ann", str(ann_path), "--dets", str(dets_path))
+        assert err == "detforge: detections[0].bbox: w * h is out of float range\n"
+
     @pytest.mark.parametrize("area", [float("nan"), float("inf"), -1, "100", None])
     def test_bad_area_rejected_at_load(self, capsys, tmp_path, data_dir, area):
         ann = json.loads((data_dir / "eval_mixed_ann.json").read_text())
@@ -592,7 +631,8 @@ class TestExitCodes:
         ("score", float("nan"), "detections[2].score: score must be in [0, 1], got nan"),
         ("bbox", [1e308, 0, 1e308, 1],
          "detections[2].bbox: x + w or y + h is out of float range"),
-    ], ids=["negative-extent", "nan-score", "overflowing-corner"])
+        ("bbox", [-1e300, 0, 1e300, 1e10], "detections[2].bbox: w * h is out of float range"),
+    ], ids=["negative-extent", "nan-score", "overflowing-corner", "overflowing-area"])
     def test_detection_box_and_score_errors_name_the_entry(self, capsys, tmp_path, data_dir,
                                                             key, value, message):
         dets = json.loads((data_dir / "eval_mixed_dets.json").read_text())

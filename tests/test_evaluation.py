@@ -233,7 +233,8 @@ def scalar_coco_map(
 # ------------------------------------------------------------------ loader oracle
 # The object-path loader that the columnar load_detections replaced: one
 # from_xywh box and one Detection per entry. load_detections must hold
-# the same columns bit for bit.
+# the same columns bit for bit. One rule is added to the original: finite
+# corners whose area overflows fail, as coco_map's area would be infinite.
 
 _INT64 = np.iinfo(np.int64)
 
@@ -264,11 +265,15 @@ def oracle_load_detections(path) -> list:
         # int-to-float comparison is exact; float() of a larger int overflows
         if type(entry["score"]) is int and abs(entry["score"]) > sys.float_info.max:
             raise ValidationError(f"detections[{i}].score is out of float range")
+        bbox = from_xywh(*oracle_parse_xywh(entry["bbox"], f"detections[{i}].bbox"))
+        # the one rule added to the original loader: finite corners need a finite area
+        if math.isfinite(bbox.x_max) and math.isfinite(bbox.y_max) and math.isinf(bbox.area):
+            raise ValidationError(f"detections[{i}].bbox: w * h is out of float range")
         out.append(
             Detection(
                 image_id=entry["image_id"],
                 category_id=entry["category_id"],
-                bbox=from_xywh(*oracle_parse_xywh(entry["bbox"], f"detections[{i}].bbox")),
+                bbox=bbox,
                 score=float(entry["score"]),
                 source_index=i,
             )
@@ -296,12 +301,15 @@ def random_payload(rng, n: int) -> list:
     def pick(values):
         return values[int(rng.integers(len(values)))]
 
-    return [
-        {"image_id": pick(ids), "category_id": pick(ids),
-         "bbox": [pick(corners), pick(corners), pick(extents), pick(extents)],
-         "score": pick(scores)}
-        for _ in range(n)
-    ]
+    def entry():
+        image_id, category_id = pick(ids), pick(ids)
+        bbox = [pick(corners), pick(corners), pick(extents), pick(extents)]
+        if math.isinf(float(bbox[2]) * float(bbox[3])):
+            bbox[3] = 1  # w * h past the float range is invalid
+        return {"image_id": image_id, "category_id": category_id, "bbox": bbox,
+                "score": pick(scores)}
+
+    return [entry() for _ in range(n)]
 
 
 class TestLoaderMatchesOracle:
@@ -320,6 +328,19 @@ class TestLoaderMatchesOracle:
         for payload in self.payloads(data_dir):
             file.write_text(json.dumps(payload))
             assert_same_columns(load_detections(file), oracle_load_detections(file))
+
+    @pytest.mark.parametrize("bbox", [[0, 0, 1e200, 1e200], [-1e300, 0, 1e300, 1e10],
+                                      [0, 0, sys.float_info.max, 2]])
+    def test_area_past_float_range_is_rejected_as_the_oracle_rejects_it(self, tmp_path, bbox):
+        file = tmp_path / "dets.json"
+        ok = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1e154, 1e154], "score": 0.5}
+        file.write_text(json.dumps([ok, dict(ok, bbox=bbox), dict(ok, score=2.0)]))
+        for loader in (load_detections, oracle_load_detections):
+            with pytest.raises(ValidationError) as info:
+                loader(file)
+            assert str(info.value) == "detections[1].bbox: w * h is out of float range"
+        file.write_text(json.dumps([ok]))
+        assert_same_columns(load_detections(file), oracle_load_detections(file))
 
     def test_bbox_grid_matches_oracle(self, tmp_path):
         """Every edge value in every bbox slot, and wrong shapes, in one-entry files."""

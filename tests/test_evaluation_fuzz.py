@@ -16,6 +16,10 @@ the oracle did not:
 - an ``x + w`` or ``y + h`` that overflows to infinity: the oracle loaded
   the infinite corner, and the loader raises ``detections[i].bbox: x + w
   or y + h is out of float range``.
+
+The oracle also carries one rule the original loader lacked, so both
+agree on it: finite corners whose area ``w * h`` overflows fail with
+``detections[i].bbox: w * h is out of float range``.
 """
 
 import json

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from detforge import (
     BBox,
-    BoxWH,
     ValidationError,
     clamp,
     clip,
@@ -13,9 +12,15 @@ from detforge import (
     iou,
     iou_matrix,
     to_xywh,
-    wh_iou,
     wh_iou_matrix,
 )
+from detforge.geometry import WhIouBlock
+
+
+def wh_iou(a, b):
+    """IoU of two (w, h) extents anchored at a common corner: the scalar oracle."""
+    inter = min(a[0], b[0]) * min(a[1], b[1])
+    return inter / (a[0] * a[1] + b[0] * b[1] - inter)
 
 
 def raster_iou(a, b, extent=64):
@@ -69,15 +74,6 @@ class TestBBox:
             from_xywh(10.0, 10.0, -5.0, 4.0)
 
 
-class TestBoxWH:
-    def test_positive_required(self):
-        assert BoxWH(2.0, 3.0).area == 6.0
-        with pytest.raises(ValidationError):
-            BoxWH(0.0, 3.0)
-        with pytest.raises(ValidationError):
-            BoxWH(2.0, -1.0)
-
-
 class TestIoU:
     def test_identical(self):
         b = BBox(0.0, 0.0, 10.0, 10.0)
@@ -113,11 +109,14 @@ class TestIoU:
 
 
 def test_wh_iou_known_values():
-    assert wh_iou(BoxWH(10.0, 10.0), BoxWH(10.0, 10.0)) == 1.0
+    assert wh_iou((10.0, 10.0), (10.0, 10.0)) == 1.0
     # 10x10 vs 20x20 concentric: 100 / 400
-    assert wh_iou(BoxWH(10.0, 10.0), BoxWH(20.0, 20.0)) == 0.25
+    assert wh_iou((10.0, 10.0), (20.0, 20.0)) == 0.25
     # partial overlap on one axis only
-    assert wh_iou(BoxWH(10.0, 20.0), BoxWH(20.0, 10.0)) == 100.0 / 300.0
+    assert wh_iou((10.0, 20.0), (20.0, 10.0)) == 100.0 / 300.0
+    block = WhIouBlock([[10.0, 10.0], [20.0, 20.0], [20.0, 10.0]])
+    assert block([10.0, 10.0]).tolist() == [[1.0, 0.25, 0.5]]
+    assert block([10.0, 20.0])[0, 2] == 100.0 / 300.0
 
 
 def test_iou_matrix_agrees_with_scalar():
@@ -213,8 +212,19 @@ def test_wh_iou_matrix_agrees_with_scalar():
     m = wh_iou_matrix(wh1, wh2)
     for i in range(13):
         for j in range(7):
-            expected = wh_iou(BoxWH(*wh1[i]), BoxWH(*wh2[j]))
+            expected = wh_iou(wh1[i].tolist(), wh2[j].tolist())
             assert_allclose(m[i, j], expected, rtol=0, atol=1e-15)
+
+
+def test_wh_iou_block_equals_the_scalar_oracle_bit_for_bit():
+    rng = np.random.default_rng(6)
+    boxes = np.round(rng.lognormal(2.5, 1.0, (40, 2)), int(rng.integers(0, 3)))
+    boxes = np.maximum(boxes, 0.5)
+    block = WhIouBlock(boxes)
+    for k in (1, 5, 3):
+        cents = rng.lognormal(2.5, 1.0, (k, 2))
+        want = [[wh_iou(c, b) for b in boxes.tolist()] for c in cents.tolist()]
+        assert block(cents).tolist() == want
 
 
 
