@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import InstanceColumns, group_rows
+from .annotations import InstanceColumns, check_count, group_rows
 from .errors import BadExtent, TooFewBoxes, ValidationError
 from .geometry import WhIouBlock, iou_matrix
 
@@ -46,7 +46,8 @@ class AnchorSpec:
         object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
         object.__setattr__(self, "aspect_ratios", tuple(float(r) for r in self.aspect_ratios))
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
+        strides = tuple(check_count("strides", s, 1) for s in self.strides)
+        object.__setattr__(self, "strides", strides)
         for name, values in (("sizes", self.sizes), ("aspect ratios", self.aspect_ratios)):
             if not values or not all(0.0 < v < math.inf for v in values):
                 raise ValidationError(f"{name} must be finite and positive, got {list(values)}")
@@ -57,8 +58,8 @@ class AnchorSpec:
                     raise ValidationError(
                         f"the anchor of size {s!r} and ratio {r!r} has a non-finite extent or area"
                     )
-        if not self.strides or any(s <= 0 for s in self.strides):
-            raise ValidationError("strides must be positive")
+        if not self.strides:
+            raise ValidationError("at least one stride required")
         if any(a % 90.0 != 0 for a in self.angles):
             raise ValidationError("angles must be multiples of 90 degrees")
         if not self.angles:
@@ -187,10 +188,11 @@ def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
         raise ValidationError(
             f"{len(fmap_dims)} feature maps for {len(spec.strides)} strides"
         )
-    dims = [(int(fw), int(fh)) for fw, fh in fmap_dims]
-    for level, (fw, fh) in enumerate(dims):
-        if fw <= 0 or fh <= 0:
-            raise ValidationError(f"feature map {fw}x{fh} at level {level}")
+    dims = [
+        (check_count(f"level {level} feature map width", fw, 1),
+         check_count(f"level {level} feature map height", fh, 1))
+        for level, (fw, fh) in enumerate(fmap_dims)
+    ]
     eff_angles = spec.effective_angles
     levels = []
     start = 0
@@ -343,15 +345,6 @@ def _lloyd(block: WhIouBlock, centroids: np.ndarray, max_iters: int):
     return centroids, assignment, iterations, float(iou[assignment, rows].mean())
 
 
-def _check_count(name: str, value, low: int) -> int:
-    """``value`` as an int, if it is a non-bool integer of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValidationError(f"{name} must be at least {low}, got {value}")
-    return int(value)
-
-
 # a centroid's area may overflow to inf; its IoU with every box is then 0
 @np.errstate(over="ignore")
 def cluster_anchor_sizes(
@@ -373,10 +366,10 @@ def cluster_anchor_sizes(
     box needs a positive finite width, height and area (``BadExtent``).
     """
     wh = _as_wh_array(boxes)
-    k = _check_count("k", k, 1)
-    seed = _check_count("seed", seed, 0)
-    max_iters = _check_count("max_iters", max_iters, 0)
-    restarts = _check_count("restarts", restarts, 1)
+    k = check_count("k", k, 1)
+    seed = check_count("seed", seed, 0)
+    max_iters = check_count("max_iters", max_iters, 0)
+    restarts = check_count("restarts", restarts, 1)
     if wh.shape[0] < k:
         raise TooFewBoxes(f"{wh.shape[0]} boxes for k={k}")
     if init not in ("kmeans++", "random"):
@@ -416,7 +409,7 @@ def cluster_anchor_sizes(
 def sweep_k(boxes, k_range: Iterable[int], seed: int = 0, restarts: int = 10,
             max_iters: int = 100, init: str = "kmeans++"):
     """Cluster at each k and report (k, mean_iou) sorted by k."""
-    ks = sorted(set(_check_count("k", k, 1) for k in k_range))
+    ks = sorted(set(check_count("k", k, 1) for k in k_range))
     if not ks:
         raise ValidationError("empty k range")
     return [
@@ -530,7 +523,7 @@ def match_anchors(
     are no GTs at all). A GT counts as recalled when at least one
     positive anchor reaches ``pos_iou`` with it (or claims it via
     force matching); ignore-flagged GTs never enter the recall
-    denominator. Every GT box, ignore-flagged or not, must be finite.
+    denominator. Every GT box keeps ``InstanceColumns``' box contract.
 
     IoU is computed only between each GT and the anchors of the grid
     cells it can reach, and labels are counted from those candidates:
@@ -547,8 +540,6 @@ def match_anchors(
         )
     if not isinstance(gts, InstanceColumns):
         gts = InstanceColumns.of(gts)
-    if not np.isfinite(gts.boxes).all():
-        raise ValidationError("ground-truth boxes must have finite coordinates")
     n_per_image = anchors.total
     groups = group_rows(gts.image_id)
 

@@ -58,8 +58,9 @@ class ImageRecord:
     file_name: str
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise _non_positive(self.id, self.width, self.height)
+        for name in ("width", "height"):
+            object.__setattr__(self, name, check_count(f"image {self.id} {name}",
+                                                       getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,9 @@ class InstanceColumns:
 
     ``id``, ``image_id`` and ``category_id`` are int64, ``boxes`` is the
     (N, 4) float64 corner-form array, ``area`` float64 and ``ignore``
-    bool. Each field is copied into a read-only array of its dtype.
+    bool. Each field is copied into a read-only array of its dtype. Rows
+    keep :func:`box_rules` and a finite non-negative area; the first bad
+    row is named.
     """
 
     id: np.ndarray
@@ -127,6 +130,7 @@ class InstanceColumns:
         freeze_columns(self, _COLUMN_DTYPES,
                        "instance column {name!r} holds a value out of {dtype} range",
                        "instance column {name!r} has {rows} rows")
+        checked(_instance_rules(self.boxes, self.area))
 
     def __len__(self) -> int:
         return len(self.id)
@@ -301,6 +305,14 @@ def group_rows(*columns: np.ndarray) -> Dict[tuple, np.ndarray]:
     }
 
 
+def _instance_rules(boxes: np.ndarray, area: np.ndarray):
+    """The rules on an instance row: the box contract, then a finite non-negative area."""
+    yield from box_rules(boxes, "instance")
+    yield ~((0.0 <= area) & (area < math.inf)), lambda i: ValidationError(
+        f"instance row {i} area must be finite and non-negative, got {float(area[i])}"
+    )
+
+
 def _check_unique(ids: Sequence[int], kind: str) -> None:
     seen = set()
     for i in ids:
@@ -377,6 +389,33 @@ def checked(checks):
             if failure is not None:
                 raise failure
             return stop.value
+
+
+def box_rules(boxes: np.ndarray, kind: str):
+    """The rules on an (N, 4) corner row, ``kind`` naming it: finite, in order, finite area.
+
+    The area is ``(x_max - x_min) * (y_max - y_min)``, as every IoU and size slice takes it.
+    """
+    yield _per_row(~np.isfinite(boxes)), lambda i: ValidationError(
+        f"{kind} row {i} has a non-finite box {tuple(boxes[i].tolist())}"
+    )
+    yield (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), lambda i: ValidationError(
+        f"{kind} row {i} has an inverted box {tuple(boxes[i].tolist())}"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows fail here or above
+        area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    yield ~np.isfinite(area), lambda i: ValidationError(
+        f"{kind} row {i} has a box whose w * h is out of float range {tuple(boxes[i].tolist())}"
+    )
+
+
+def check_count(name: str, value, low: int) -> int:
+    """``value`` as an int, if it is a non-bool integer of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value}")
+    return int(value)
 
 
 def _head(values, n, width: int = 1):
@@ -464,10 +503,6 @@ def _xywh_checks(boxes, not_list, n, where: str):
     return xywh, n
 
 
-def _non_positive(image_id, width, height) -> ValidationError:
-    return ValidationError(f"image {image_id} has non-positive dimensions ({width}x{height})")
-
-
 def _image_checks(images: list):
     """The image rules in the order they apply to one entry; returns the ImageRecords."""
     n = yield _object_rule(images, "images")
@@ -476,8 +511,8 @@ def _image_checks(images: list):
     heights, n = yield from _field_checks(images, n, "images", "height", int)
     names, n = yield from _field_checks(images, n, "images", "file_name", str)
     for column in (widths, heights):
-        n = yield _range_flags(_head(column, n), 1, math.inf), lambda i: _non_positive(
-            ids[i], widths[i], heights[i]
+        n = yield _range_flags(_head(column, n), 1, math.inf), lambda i: ValidationError(
+            f"image {ids[i]} has non-positive dimensions ({widths[i]}x{heights[i]})"
         )
     for key, column in (("width", widths), ("height", heights)):
         n = yield _range_flags(_head(column, n), 1, _FLOAT_MAX), lambda i, key=key: (
@@ -703,9 +738,7 @@ def tile(
             raise ValidationError(f"the tile count passes MAX_TILES = {MAX_TILES} at image "
                                   f"{image.id}")
     c = ds.columns
-    # an area past the float range is inf, silently, as in the scalar code
-    with np.errstate(over="ignore"):
-        box_area = (c.boxes[:, 2] - c.boxes[:, 0]) * (c.boxes[:, 3] - c.boxes[:, 1])
+    box_area = (c.boxes[:, 2] - c.boxes[:, 0]) * (c.boxes[:, 3] - c.boxes[:, 1])
 
     new_images: List[ImageRecord] = []
     # per row of tiles: source rows, tile ids, shifted boxes, visible fractions
@@ -736,14 +769,12 @@ def tile(
                 )
             # one row of tile rects, shifted by float(-ox): 0.0, never -0.0
             rects = np.array([[ox, oy, ox + tw, oy + th] for ox, tw in zip(xs, tws)], dtype=float)
-            # a box wholly above or below the row clips to nothing in each of its
-            # tiles; the negated test keeps a NaN row, as clip_boxes does
-            band = np.flatnonzero(~((boxes[:, 3] <= rects[0, 1]) | (boxes[:, 1] >= rects[0, 3])))
+            # a box wholly above or below the row clips to nothing in each of its tiles
+            band = np.flatnonzero((boxes[:, 3] > rects[0, 1]) & (boxes[:, 1] < rects[0, 3]))
             clipped, keep = clip_boxes(boxes[band], rects[:, None])
             shifts = np.array([[-ox, -oy] * 2 for ox in xs], dtype=float)
             extent = clipped[..., 2:] - clipped[..., :2]
-            with np.errstate(over="ignore", invalid="ignore"):
-                vis = extent[..., 0] * extent[..., 1] / box_area[rows[band]]
+            vis = extent[..., 0] * extent[..., 1] / box_area[rows[band]]
             keep &= ~(vis < min_visibility)
             t, n = np.nonzero(keep)
             picked.append(rows[band[n]])
@@ -817,21 +848,6 @@ _ANNOTATION_TEMPLATE = (
 _CATEGORY_TEMPLATE = '    {\n      "id": %s,\n      "name": %s\n    }'
 
 
-def _json_float(value: float):
-    """json's spelling of a non-finite float; a finite one is returned as is.
-
-    ``%s`` formats a finite float with ``float.__repr__``, as json does
-    (``-0.0`` included).
-    """
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return value
-
-
 def _record_blocks(template: str, records, fields: Sequence[str]):
     """Entries of ``records`` formatted with ``template``, one text per block.
 
@@ -850,17 +866,15 @@ def _annotation_blocks(c: InstanceColumns):
     for start in range(0, len(c), _EXPORT_BLOCK_ROWS):
         rows = slice(start, start + _EXPORT_BLOCK_ROWS)
         b = c.boxes[rows]
-        floats = np.stack([b[:, 0], b[:, 1], b[:, 2] - b[:, 0], b[:, 3] - b[:, 1], c.area[rows]])
-        values = floats.tolist()
-        if not np.isfinite(floats).all():
-            values = [[_json_float(v) for v in column] for column in values]
+        # each value is finite, and %s formats it with float.__repr__, as json does
+        values = [b[:, 0], b[:, 1], b[:, 2] - b[:, 0], b[:, 3] - b[:, 1], c.area[rows]]
         yield ",\n".join([
             _ANNOTATION_TEMPLATE % row
             for row in zip(
                 c.id[rows].tolist(),
                 c.image_id[rows].tolist(),
                 c.category_id[rows].tolist(),
-                *values,
+                *(column.tolist() for column in values),
                 c.ignore[rows].tolist(),
             )
         ])

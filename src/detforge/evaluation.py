@@ -36,6 +36,7 @@ from .annotations import (
     _range_flags,
     _type_flags,
     _xywh_checks,
+    box_rules,
     check_references,
     checked,
     freeze_columns,
@@ -72,13 +73,8 @@ _DETECTION_DTYPES = (
 
 
 def _column_checks(boxes: np.ndarray, score: np.ndarray):
-    """The rules on a detection row: a finite box, then corners in order, then a score in [0, 1]."""
-    yield _per_row(~np.isfinite(boxes)), lambda i: ValidationError(
-        f"detection row {i} has a non-finite box {tuple(boxes[i].tolist())}"
-    )
-    yield (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), lambda i: ValidationError(
-        f"detection row {i} has an inverted box {tuple(boxes[i].tolist())}"
-    )
+    """The rules on a detection row: the box contract, then a score in [0, 1]."""
+    yield from box_rules(boxes, "detection")
     yield ~((0.0 <= score) & (score <= 1.0)), lambda i: ValidationError(
         f"detection row {i} score must be in [0, 1], got {float(score[i])}"
     )
@@ -91,8 +87,8 @@ class DetectionColumns:
     ``image_id``, ``category_id`` and ``source_index`` are int64,
     ``boxes`` is the (N, 4) float64 corner-form array and ``score``
     float64. Each field is copied into a read-only array of its dtype.
-    Every box must be finite with ``x_min <= x_max`` and ``y_min <=
-    y_max``, and every score in [0, 1]; the first bad row is named.
+    Rows keep :func:`~detforge.annotations.box_rules` and a score in
+    [0, 1]; the first bad row is named.
     ``detections`` is a tuple of :class:`Detection` built from the
     columns on first use.
     """

@@ -60,16 +60,15 @@ class BBox:
 
 
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes.
-
-    Returns 0.0 whenever the union has zero area (both boxes degenerate).
-    """
+    """Intersection over union of two boxes, by the rule of :func:`_iou_of`."""
     ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
     iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
     union = a.area + b.area - inter
+    if union == math.inf:  # two finite areas past the float range: halve every term, exactly
+        inter, union = inter * 0.5, a.area * 0.5 + b.area * 0.5 - inter * 0.5
     if union <= 0:
         return 0.0
     return inter / union
@@ -139,8 +138,8 @@ def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
     Returns
     -------
     (N, M) array of IoU values, or (..., N, M) for stacks whose leading
-    axes broadcast; pairs with zero-area union give 0. Input of one or
-    two dimensions is read as a flat run of boxes.
+    axes broadcast, by the rule of :func:`_iou_of`. Input of one or two
+    dimensions is read as a flat run of boxes.
     """
     boxes1 = np.asarray(boxes1, dtype=np.float64)
     boxes2 = np.asarray(boxes2, dtype=np.float64)
@@ -158,12 +157,31 @@ def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
     iy -= np.maximum(boxes1[..., :, None, 1], boxes2[..., None, :, 1])
     inter = np.clip(ix, 0.0, None, out=ix)
     inter *= np.clip(iy, 0.0, None, out=iy)
-    del iy
-    union = area1[..., :, None] + area2[..., None, :]
-    union -= inter
-    positive = union > 0
-    union[~positive] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    return _iou_of(inter, area1, area2, union=iy)
+
+
+def _iou_of(inter: np.ndarray, area1: np.ndarray, area2: np.ndarray, union: np.ndarray):
+    """``inter / (area1 + area2 - inter)`` in ``inter`` (..., N, M); ``union`` is scratch.
+
+    A union that is not positive (NaN included) gives 0. Where two areas
+    sum past the float range, every term is halved, which is exact, so
+    identical huge boxes still score 1.0. With every area positive and
+    the two largest summing to a finite float, neither rule is needed.
+    """
+    a1, a2 = area1[..., :, None], area2[..., None, :]
+    low = min(float(area1.min(initial=math.inf)), float(area2.min(initial=math.inf)))
+    # Python float addition overflows to inf without a warning
+    if low > 0 and math.isfinite(float(area1.max(initial=0.0)) + float(area2.max(initial=0.0))):
+        np.add(a1, a2, out=union)
+        union -= inter
+        inter /= union
+        return inter
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        overflow = np.isinf(np.add(a1, a2, out=union))
+        np.add(a1 * 0.5, a2 * 0.5, out=union, where=overflow)
+        np.multiply(inter, 0.5, out=inter, where=overflow)
+        union -= inter
+        positive = union > 0
         inter /= union
     inter[~positive] = 0.0
     return inter
@@ -172,17 +190,13 @@ def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
 class WhIouBlock:
     """Dimension-only IoU of changing (k, 2) extents against one fixed (n, 2) set.
 
-    The fixed side's contiguous widths ``w``, heights ``h``, areas and
-    largest area are taken once. Each call writes its (k, n) block into
-    two buffers kept from call to call (grown when k grows), so the
-    array it returns is overwritten by the next call. Every entry is
-    ``inter / (area1 + area2 - inter)`` with ``inter = min(w1, w2) *
-    min(h1, h2)``, the same operations in the same order whatever the
+    The fixed side's contiguous widths ``w``, heights ``h`` and areas are
+    taken once. Each call writes its (k, n) block into two buffers kept
+    from call to call (grown when k grows), so the array it returns is
+    overwritten by the next call. Every entry is ``inter / (area1 + area2
+    - inter)`` with ``inter = min(w1, w2) * min(h1, h2)``, by the rule of
+    :func:`_iou_of`, the same operations in the same order whatever the
     buffers, so a block equals a fresh one bit for bit.
-
-    Where two finite areas sum past the float range, the union is taken
-    with every term halved, which is exact, so identical huge boxes
-    still score 1.0.
     """
 
     def __init__(self, wh):
@@ -190,7 +204,6 @@ class WhIouBlock:
         self.w = np.ascontiguousarray(wh[:, 0])
         self.h = np.ascontiguousarray(wh[:, 1])
         self.area = self.w * self.h
-        self.max_area = float(self.area.max(initial=0.0))
         self._inter = self._union = np.empty((0, len(wh)))  # grown by the first call
 
     def __call__(self, wh1) -> np.ndarray:
@@ -200,29 +213,14 @@ class WhIouBlock:
             self._inter, self._union = np.empty((k, len(self.w))), np.empty((k, len(self.w)))
         inter, union = self._inter[:k], self._union[:k]
         w1, h1 = wh1[:, 0], wh1[:, 1]
-        area1 = w1 * h1
         np.minimum(w1[:, None], self.w, out=inter)
         inter *= np.minimum(h1[:, None], self.h, out=union)
-        # Python float addition overflows to inf without a warning
-        if math.isfinite(float(area1.max(initial=0.0)) + self.max_area):
-            np.add(area1[:, None], self.area, out=union)
-            union -= inter
-            inter /= union
-            return inter
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add(area1[:, None], self.area, out=union)
-            overflow = ~np.isfinite(union)
-            half = inter[overflow] * 0.5
-            union -= inter
-            inter /= union
-        inter[overflow] = half / ((area1[:, None] * 0.5 + self.area * 0.5)[overflow] - half)
-        return inter
+        return _iou_of(inter, w1 * h1, self.area, union)
 
 
 def wh_iou_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
     """Pairwise dimension-only IoU between (N, 2) and (M, 2) extent arrays.
 
-    One call of a :class:`WhIouBlock` on ``wh2``, whose overflow rule
-    applies.
+    One call of a :class:`WhIouBlock` on ``wh2``.
     """
     return WhIouBlock(wh2)(wh1)

@@ -71,6 +71,17 @@ class TestAnchorSpec:
             AnchorSpec(sizes=sizes, aspect_ratios=ratios, strides=(4,) * len(sizes))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("stride, message", [
+        (4.5, "strides must be an integer, got 4.5"),
+        (True, "strides must be an integer, got True"),
+        (0, "strides must be at least 1, got 0"),
+    ])
+    def test_strides_are_positive_integers(self, stride, message):
+        """A float stride once built the grid of its truncation without a word."""
+        with pytest.raises(ValidationError) as exc:
+            AnchorSpec(strides=(stride, 8, 16, 32, 64))
+        assert str(exc.value) == message
+
     def test_largest_finite_anchors_are_accepted(self):
         # s * s just below the float maximum, and a ratio that keeps both extents finite
         spec = AnchorSpec(sizes=(1.3e154,), aspect_ratios=(1e-300, 1e300), strides=(4,))
@@ -104,6 +115,19 @@ class TestGenerateAnchors:
         assert cells.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
         centers = (level.boxes[:, :2] + level.boxes[:, 2:]) / 2.0
         assert centers.tolist() == [[2, 2], [6, 2], [2, 6], [6, 6]]
+
+    @pytest.mark.parametrize("dims, message", [
+        ([(2.7, 2.7)] * 5, "level 0 feature map width must be an integer, got 2.7"),
+        ([(2, 2)] * 4 + [(2, False)], "level 4 feature map height must be an integer, got False"),
+        ([(2, 2), (3, 0)] + [(2, 2)] * 3, "level 1 feature map height must be at least 1, got 0"),
+    ])
+    def test_feature_map_sizes_are_positive_integers(self, dims, message):
+        """A float size once built the map of its truncation (2.7 -> 2x2) without a word."""
+        with pytest.raises(ValidationError) as exc:
+            generate_anchors(AnchorSpec(), dims)
+        assert str(exc.value) == message
+        # NumPy integers are integers
+        assert generate_anchors(AnchorSpec(), [(np.int64(2), np.int32(3))] * 5).total == 180
 
     def test_ratio_family_preserves_area(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(0.5, 1.0, 2.0), angles=(0.0,), strides=(4,))

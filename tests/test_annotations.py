@@ -900,17 +900,20 @@ class TestColumnarMatchesOracle:
         assert_same_dataset(got, oracle_tile(ds, 400, 100, 0.25), tmp_path)
         assert len(got.columns) > len(boxes)
 
-    def test_box_area_past_float_range_tiles_without_warnings(self, tmp_path):
-        ds = Dataset(
-            (ImageRecord(1, 1000, 800, "a.png"),),
-            (Instance(1, 1, 1, BBox(0.0, 0.0, 1e200, 1e200), 1.0),
-             Instance(2, 1, 1, BBox(10.0, 10.0, 30.0, 30.0), 400.0)),
-            (Category(1, "c"),),
-        )
+    def test_box_area_past_float_range_is_rejected_before_tiling(self):
+        """The columns reject a box whose w * h overflows, so tile never sees one."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = tile(ds, 800, 200, 0.25)
-        assert_same_dataset(got, oracle_tile(ds, 800, 200, 0.25), tmp_path)
+            with pytest.raises(ValidationError) as info:
+                Dataset(
+                    (ImageRecord(1, 1000, 800, "a.png"),),
+                    (Instance(1, 1, 1, BBox(10.0, 10.0, 30.0, 30.0), 400.0),
+                     Instance(2, 1, 1, BBox(0.0, 0.0, 1e200, 1e200), 1.0)),
+                    (Category(1, "c"),),
+                )
+        assert str(info.value) == (
+            "instance row 1 has a box whose w * h is out of float range (0.0, 0.0, 1e+200, 1e+200)"
+        )
 
     def test_default_area_overflow_is_named_in_file_order(self, tmp_path):
         """A missing area whose clamped box area overflows fails at its own entry."""
@@ -1078,24 +1081,24 @@ class TestStreamedExport:
         assert data.isascii()
         assert json.loads(data) == dataset_to_coco(ds)
 
-    def test_infinite_area_and_signed_zeros(self, tmp_path):
+    def test_non_finite_areas_are_rejected_and_signed_zeros_export(self, tmp_path):
         ds = Dataset(
             (ImageRecord(1, 100, 100, "a.png"),),
-            (Instance(1, 1, 1, BBox(-0.0, -0.0, 0.0, -0.0), math.inf),
+            (Instance(1, 1, 1, BBox(-0.0, -0.0, 0.0, -0.0), 0.0),
              Instance(2, 1, 1, BBox(-0.0, 5.0, 10.0, 7.5), -0.0),
              Instance(3, 1, 1, BBox(1e-310, 2.0, 1e300, 3.0), 1e308, True),
              Instance(4, 1, 1, BBox(0.1, 0.2, 0.30000000000000004, 1.0), 0.0)),
             (Category(1, "c"),),
         )
         data = self.assert_exports_as_json_does(ds, tmp_path)
-        assert b'"area": Infinity,' in data and b"-0.0" in data
+        assert b'"area": -0.0,' in data
         assert json.loads(data) == dataset_to_coco(ds)
-        # json's other non-finite spellings, in a block of their own
-        odd = Dataset(ds.images, (Instance(1, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), math.nan),
-                                  Instance(2, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), -math.inf)),
-                      ds.categories)
-        data = self.assert_exports_as_json_does(odd, tmp_path)
-        assert b'"area": NaN,' in data and b'"area": -Infinity,' in data
+        # json's non-finite spellings never reach a file: the columns reject them
+        for area in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValidationError, match=r"^instance row 1 area must be finite "):
+                Dataset(ds.images, (Instance(1, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), 1.0),
+                                    Instance(2, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), area)),
+                        ds.categories)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, _EXPORT_BLOCK_ROWS + 3])
     def test_block_seams(self, tmp_path, offset):
@@ -1180,6 +1183,41 @@ class TestObjectsOnlyAtTheEdge:
                                Instance(5, 7, 1, box, 1.0)], (cat,))
         with pytest.raises(DanglingReference, match="annotation 5 references unknown image"):
             Dataset((image,), [Instance(5, 7, 9, box, 1.0)], (cat,))
+
+    @pytest.mark.parametrize("bad_box, bad_area, message", [
+        ((0, 0, math.nan, 1), 1.0, "instance row 1 has a non-finite box (0.0, 0.0, nan, 1.0)"),
+        ((5, 0, 1, 1), 1.0, "instance row 1 has an inverted box (5.0, 0.0, 1.0, 1.0)"),
+        ((-1e308, 0, 1e308, 1), 1.0, "instance row 1 has a box whose w * h is out of float "
+                                     "range (-1e+308, 0.0, 1e+308, 1.0)"),
+        ((0, 0, 1e200, 1e200), 1.0, "instance row 1 has a box whose w * h is out of float "
+                                    "range (0.0, 0.0, 1e+200, 1e+200)"),
+        ((0, 0, 1, 1), -1.0, "instance row 1 area must be finite and non-negative, got -1.0"),
+        ((0, 0, 1, 1), math.nan, "instance row 1 area must be finite and non-negative, got nan"),
+        # the first bad row is named, whichever rule it breaks
+        ((0, 0, 1, math.inf), math.nan, "instance row 1 has a non-finite box (0.0, 0.0, 1.0, inf)"),
+    ], ids=["nan-box", "inverted", "extent-overflow", "area-overflow", "negative-area",
+            "nan-area", "first-rule-of-row"])
+    def test_columns_keep_the_box_contract(self, bad_box, bad_area, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                InstanceColumns(id=[1, 2, 3], image_id=[1, 1, 1], category_id=[1, 1, 1],
+                                boxes=[(0, 0, 1, 1), bad_box, (9, 9, 0, 0)],
+                                area=[1.0, bad_area, -5.0], ignore=[False, True, False])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("width, message", [
+        (100.5, "image 1 width must be an integer, got 100.5"),
+        (True, "image 1 width must be an integer, got True"),
+        (0, "image 1 width must be at least 1, got 0"),
+    ])
+    def test_image_sizes_are_positive_integers(self, width, message):
+        """A float width once tiled into a file that load_dataset rejects."""
+        with pytest.raises(ValidationError) as info:
+            ImageRecord(1, width, 100, "a.png")
+        assert str(info.value) == message
+        # a NumPy integer is kept as the int json can write
+        assert type(ImageRecord(1, np.int64(100), 100, "a.png").width) is int
 
     def test_instance_columns_from_instances(self, tiny_dataset):
         assert InstanceColumns.of(tiny_dataset.instances) == tiny_dataset.columns

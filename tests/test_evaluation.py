@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -421,17 +422,41 @@ class TestDetectionColumns:
         ([0, 0, math.inf, 1], 0.5, "detection row 1 has a non-finite box (0.0, 0.0, inf, 1.0)"),
         ([5, 0, 1, 1], 0.5, "detection row 1 has an inverted box (5.0, 0.0, 1.0, 1.0)"),
         ([0, 3, 1, 2], 0.5, "detection row 1 has an inverted box (0.0, 3.0, 1.0, 2.0)"),
+        ([0, 0, 1e200, 1e200], 0.5, "detection row 1 has a box whose w * h is out of float "
+                                    "range (0.0, 0.0, 1e+200, 1e+200)"),
         ([0, 0, 1, 1], 7.0, "detection row 1 score must be in [0, 1], got 7.0"),
         ([0, 0, 1, 1], math.nan, "detection row 1 score must be in [0, 1], got nan"),
         # the first bad row is named, whichever rule it breaks
         ([0, 0, math.nan, 1], 7.0, "detection row 1 has a non-finite box (0.0, 0.0, nan, 1.0)"),
-    ], ids=["inf-box", "x-inverted", "y-inverted", "score-7", "score-nan", "first-rule-of-row"])
+    ], ids=["inf-box", "x-inverted", "y-inverted", "area-overflow", "score-7", "score-nan",
+            "first-rule-of-row"])
     def test_bad_rows_are_rejected(self, bad_box, bad_score, message):
         with pytest.raises(ValidationError) as info:
             DetectionColumns(image_id=[1, 1, 1], category_id=[1, 1, 1], source_index=[0, 1, 2],
                              boxes=[[0, 0, 1, 1], bad_box, [9, 9, 0, 0]],
                              score=[0.5, bad_score, 2.0])
         assert str(info.value) == message
+
+    def test_contract_agrees_with_the_loader_on_special_floats(self):
+        """Each [x, y, w, h] of special floats: the columns accept its corners exactly when
+        load_detections accepts it, once w and h pass the loader's sign rule."""
+        big = sys.float_info.max
+        coords = (0.0, -0.0, -1.0, 1e308, -big, big, math.nan)
+        extents = (0.0, 5e-324, 1.0, 1.3e154, big, math.inf)
+        for x, y, w, h in itertools.product(coords, coords, extents, extents):
+            entry = {"image_id": 1, "category_id": 1, "bbox": [x, y, w, h], "score": 0.5}
+            try:
+                load_detections("special.json", data=json.dumps([entry]).encode())
+                loaded = True
+            except ValidationError:
+                loaded = False
+            try:
+                DetectionColumns(image_id=[1], category_id=[1], source_index=[0],
+                                 boxes=[x, y, x + w, y + h], score=[0.5])
+                built = True
+            except ValidationError:
+                built = False
+            assert built == loaded, (x, y, w, h)
 
     def test_nan_box_from_the_api_is_rejected(self, mixed_dataset):
         """A NaN width passes BBox's own check, but not the columns'."""
@@ -671,6 +696,23 @@ class TestAveragePrecision:
 
 
 class TestCocoMap:
+    def test_perfect_detection_of_a_box_near_the_float_maximum_scores_one(self, tmp_path):
+        """GT and detection areas of 1.69e308 sum past the float range; the IoU is still 1."""
+        big = 10**250
+        side = 1.3e154
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({
+            "images": [{"id": 1, "width": big, "height": big, "file_name": "a.png"}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1,
+                             "bbox": [0, 0, side, side]}],
+            "categories": [{"id": 1, "name": "c"}],
+        }))
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([{"image_id": 1, "category_id": 1,
+                                     "bbox": [0, 0, side, side], "score": 0.9}]))
+        result = coco_map(load_detections(dets), load_dataset(ann))
+        assert (result.ap, result.ap_large, result.ap_small) == (1.0, 1.0, -1.0)
+
     def test_thresholds_are_the_coco_ladder(self):
         assert IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
         assert MAX_DETS_PER_IMAGE == 100
@@ -809,7 +851,7 @@ def random_case(rng, n_images, n_classes, max_gts, max_dets):
     exact slice-boundary areas (32^2, 96^2) are common; extents include
     zero. Scores come from a short list, so ties are common too. GTs are
     sometimes crowd, sometimes duplicated, and sometimes carry an
-    ``area`` that is not their box area.
+    ``area`` that is not their box area (zero among them).
     """
     extents = (0, 1, 8, 16, 32, 33, 64, 96, 97)
     corners = (0, 8, 16, 32)
@@ -831,7 +873,7 @@ def random_case(rng, n_images, n_classes, max_gts, max_dets):
                 t = instances[-1].bbox
                 b = t if rng.random() < 0.5 else from_xywh(t.x_min, t.y_min, t.height, t.width)
             area = float(rng.choice([b.area, b.area, SMALL_AREA_MAX, MEDIUM_AREA_MAX,
-                                     rng.uniform(0, 12000), math.nan]))
+                                     rng.uniform(0, 12000), 0.0]))
             instances.append(Instance(len(instances) + 1, image.id,
                                       int(rng.integers(1, n_classes + 1)), b, area,
                                       ignore=bool(rng.random() < 0.25)))
