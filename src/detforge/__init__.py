@@ -14,7 +14,6 @@ from .annotations import (
     InstanceColumns,
     StatsReport,
     compute_stats,
-    dataset_to_coco,
     export_dataset,
     load_dataset,
     tile,
@@ -61,13 +60,10 @@ from .evaluation import (
 )
 from .geometry import (
     BBox,
-    clamp,
     clip,
     clip_boxes,
-    from_xywh,
     iou,
     iou_matrix,
-    to_xywh,
     wh_iou_matrix,
 )
 from .losses import (

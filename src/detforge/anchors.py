@@ -25,6 +25,11 @@ from .annotations import InstanceColumns, check_count, group_rows
 from .errors import BadExtent, TooFewBoxes, ValidationError
 from .geometry import WhIouBlock, iou_matrix
 
+# The most anchors along one side of a level's grid that ``match_anchors``
+# lays out: its per-level corner tables take 32 bytes per anchor on a
+# side, so the bound caps each table at 64 MiB.
+MAX_EDGE_ANCHORS = 1 << 21
+
 
 @dataclass(frozen=True)
 class AnchorSpec:
@@ -532,12 +537,21 @@ def match_anchors(
     positives and the candidates at ``neg_iou`` of any GT, live or
     ignore-flagged. Memory per image is O(candidates) for A anchors and
     G GTs, with no per-anchor array and no A x G matrix, and the result
-    is identical to scoring the dense anchors-by-GT IoU matrix.
+    is identical to scoring the dense anchors-by-GT IoU matrix. A level
+    with more than ``MAX_EDGE_ANCHORS`` anchors along one side of its
+    grid fails, naming the level, before anything is allocated.
     """
     if not 0.0 <= neg_iou <= pos_iou <= 1.0:
         raise ValidationError(
             f"need 0 <= neg_iou <= pos_iou <= 1, got {neg_iou}, {pos_iou}"
         )
+    for lv in anchors.levels:
+        side = max(lv.fmap_w, lv.fmap_h)
+        if side * lv.n_combo > MAX_EDGE_ANCHORS:
+            raise ValidationError(
+                f"level {lv.level} has {side} cells x {lv.n_combo} anchors along one side, "
+                f"past MAX_EDGE_ANCHORS = {MAX_EDGE_ANCHORS}"
+            )
     if not isinstance(gts, InstanceColumns):
         gts = InstanceColumns.of(gts)
     n_per_image = anchors.total

@@ -160,9 +160,10 @@ class Dataset:
     """Immutable annotated image collection.
 
     Images and categories are records; the instances are the read-only
-    ``columns``. ``instances`` and ``instances_by_image`` are tuples of
-    :class:`Instance` built from the columns on first use. Constructing a
-    Dataset from ``Instance`` objects converts them to columns once.
+    ``columns``. ``instances`` is a tuple of :class:`Instance` built from
+    the columns on first use, and ``rows_by_image`` maps each image to its
+    column rows. Constructing a Dataset from ``Instance`` objects converts
+    them to columns once.
 
     Equality compares content (images, instances, categories), not the
     provenance string or load diagnostics.
@@ -254,14 +255,6 @@ class Dataset:
         groups = group_rows(self.columns.image_id)
         empty = np.zeros(0, dtype=np.intp)
         return {im.id: groups.get((im.id,), empty) for im in self.images}
-
-    @cached_property
-    def instances_by_image(self) -> Mapping[int, Tuple[Instance, ...]]:
-        insts = self.instances
-        return {
-            image_id: tuple(insts[r] for r in rows.tolist())
-            for image_id, rows in self.rows_by_image.items()
-        }
 
 
 @dataclass(frozen=True)
@@ -606,7 +599,7 @@ def _clamp_corners(raw: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Each coordinate clamped into [0, hi] with the scalar ``min(max(v, 0), hi)``.
 
     ``np.where`` keeps the comparison order of Python's ``max``/``min``,
-    so a -0.0 coordinate stays -0.0 as it does in ``geometry.clamp``.
+    so a -0.0 coordinate stays -0.0 as it does in the scalar form.
     """
     low = np.where(0.0 > raw, 0.0, raw)
     return np.where(hi < low, hi, low)
@@ -723,8 +716,8 @@ def tile(
 
     Each row of tiles is clipped against the instances of its band, those
     not wholly above or below it, at once by ``geometry.clip_boxes`` and
-    shifted with ``BBox.shifted``'s operand order, so the boxes and areas
-    are bit for bit the scalar ones (signed zeros included).
+    shifted as ``x + (-ox)``, the scalar shift's operand order, so the
+    boxes and areas are bit for bit the scalar ones (signed zeros included).
     """
     if not (0 <= overlap < tile_size):
         raise InvalidOverlap(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
@@ -799,38 +792,6 @@ def tile(
     )
 
 
-def dataset_to_coco(ds: Dataset) -> dict:
-    """Dataset as a COCO-style dict (the schema read by :func:`load_dataset`)."""
-    c = ds.columns
-    b = c.boxes
-    xywh = np.stack([b[:, 0], b[:, 1], b[:, 2] - b[:, 0], b[:, 3] - b[:, 1]], axis=1)
-    return {
-        "images": [
-            {"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
-            for im in ds.images
-        ],
-        "annotations": [
-            {
-                "id": ann_id,
-                "image_id": image_id,
-                "category_id": category_id,
-                "bbox": box,
-                "area": area,
-                "iscrowd": 1 if crowd else 0,
-            }
-            for ann_id, image_id, category_id, box, area, crowd in zip(
-                c.id.tolist(),
-                c.image_id.tolist(),
-                c.category_id.tolist(),
-                xywh.tolist(),
-                c.area.tolist(),
-                c.ignore.tolist(),
-            )
-        ],
-        "categories": [{"id": cat.id, "name": cat.name} for cat in ds.categories],
-    }
-
-
 # Rows formatted and written at a time by export_dataset: the whole text
 # at once would cost as much memory as the file.
 _EXPORT_BLOCK_ROWS = 2048
@@ -893,8 +854,10 @@ def _write_array(fh, blocks) -> None:
 def export_dataset(ds: Dataset, path) -> None:
     """Write the dataset back out in the COCO-style schema.
 
-    The file holds exactly the text of ``json.dump(dataset_to_coco(ds),
-    fh, indent=2)`` and a newline. It is written from the records and
+    The file holds exactly the text ``json.dump(coco, fh, indent=2)``
+    writes, and a newline, for ``coco`` the dataset as a COCO dict: its
+    images, its annotations with ``[x, y, w, h]`` boxes and ``iscrowd``,
+    and its categories, in order. It is written from the records and
     columns with one template per entry kind, ``_EXPORT_BLOCK_ROWS``
     entries at a time, so no dict per annotation and no whole-file text
     is built.

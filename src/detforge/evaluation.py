@@ -262,6 +262,7 @@ def _ranked_ap(flags: np.ndarray, n_gt: int) -> float:
     return float(values.mean())
 
 
+# Used only as a test oracle; stays while bench/trace_cli.py wraps it by name.
 def average_precision(flags, scores, n_gt: int) -> float:
     """101-point interpolated AP; -1.0 when there is nothing to recall.
 

@@ -46,19 +46,11 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
-    def shifted(self, dx: float, dy: float) -> "BBox":
-        return BBox(self.x_min + dx, self.y_min + dy, self.x_max + dx, self.y_max + dy)
-
-    def scaled(self, sx: float, sy: float) -> "BBox":
-        """Scale about the origin; factors must be positive."""
-        if sx <= 0 or sy <= 0:
-            raise ValidationError(f"scale factors must be positive: ({sx}, {sy})")
-        return BBox(self.x_min * sx, self.y_min * sy, self.x_max * sx, self.y_max * sy)
-
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
+# Used only as a test oracle; stays while bench/trace_cli.py wraps it by name.
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes, by the rule of :func:`_iou_of`."""
     ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
@@ -74,6 +66,7 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+# Used only as a test oracle; stays while bench/trace_cli.py wraps it by name.
 def clip(b: BBox, bounds: BBox) -> Optional[BBox]:
     """Intersection rectangle of ``b`` with ``bounds``, or None if empty."""
     x_min = max(b.x_min, bounds.x_min)
@@ -98,35 +91,6 @@ def clip_boxes(boxes, windows) -> Tuple[np.ndarray, np.ndarray]:
     return np.stack([x0, y0, x1, y1], axis=-1), ~((x1 <= x0) | (y1 <= y0))
 
 
-def clamp(b: BBox, bounds: BBox) -> BBox:
-    """Clamp all four coordinates into ``bounds``.
-
-    Unlike :func:`clip` this always returns a box; a box fully outside the
-    bounds collapses to a degenerate box on the nearest border.
-    """
-
-    def cl(v, lo, hi):
-        return min(max(v, lo), hi)
-
-    return BBox(
-        cl(b.x_min, bounds.x_min, bounds.x_max),
-        cl(b.y_min, bounds.y_min, bounds.y_max),
-        cl(b.x_max, bounds.x_min, bounds.x_max),
-        cl(b.y_max, bounds.y_min, bounds.y_max),
-    )
-
-
-def from_xywh(x: float, y: float, w: float, h: float) -> BBox:
-    """Corner-form box from top-left corner plus extents."""
-    if w < 0 or h < 0:
-        raise ValidationError(f"negative extent: w={w}, h={h}")
-    return BBox(x, y, x + w, y + h)
-
-
-def to_xywh(b: BBox) -> Tuple[float, float, float, float]:
-    return (b.x_min, b.y_min, b.width, b.height)
-
-
 def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two corner-form box arrays.
 
@@ -140,6 +104,11 @@ def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
     (N, M) array of IoU values, or (..., N, M) for stacks whose leading
     axes broadcast, by the rule of :func:`_iou_of`. Input of one or two
     dimensions is read as a flat run of boxes.
+
+    Every box must keep ``annotations.box_rules``: finite corners in
+    order and a finite ``w * h``, as every columns object checks. A box
+    whose ``w * h`` overflows gets a ``RuntimeWarning`` and scores 0,
+    even against itself.
     """
     boxes1 = np.asarray(boxes1, dtype=np.float64)
     boxes2 = np.asarray(boxes2, dtype=np.float64)
@@ -160,18 +129,25 @@ def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
     return _iou_of(inter, area1, area2, union=iy)
 
 
-def _iou_of(inter: np.ndarray, area1: np.ndarray, area2: np.ndarray, union: np.ndarray):
+def _area_range(area: np.ndarray) -> Tuple[float, float]:
+    """``(min, max)`` of ``area`` as Python floats; ``(inf, 0.0)`` when it is empty."""
+    return float(area.min(initial=math.inf)), float(area.max(initial=0.0))
+
+
+def _iou_of(inter: np.ndarray, area1: np.ndarray, area2: np.ndarray, union: np.ndarray,
+            range2: Optional[Tuple[float, float]] = None):
     """``inter / (area1 + area2 - inter)`` in ``inter`` (..., N, M); ``union`` is scratch.
 
     A union that is not positive (NaN included) gives 0. Where two areas
     sum past the float range, every term is halved, which is exact, so
     identical huge boxes still score 1.0. With every area positive and
     the two largest summing to a finite float, neither rule is needed.
+    ``range2`` is ``_area_range(area2)`` when the caller already has it.
     """
     a1, a2 = area1[..., :, None], area2[..., None, :]
-    low = min(float(area1.min(initial=math.inf)), float(area2.min(initial=math.inf)))
+    (low1, high1), (low2, high2) = _area_range(area1), range2 or _area_range(area2)
     # Python float addition overflows to inf without a warning
-    if low > 0 and math.isfinite(float(area1.max(initial=0.0)) + float(area2.max(initial=0.0))):
+    if min(low1, low2) > 0 and math.isfinite(high1 + high2):
         np.add(a1, a2, out=union)
         union -= inter
         inter /= union
@@ -190,13 +166,18 @@ def _iou_of(inter: np.ndarray, area1: np.ndarray, area2: np.ndarray, union: np.n
 class WhIouBlock:
     """Dimension-only IoU of changing (k, 2) extents against one fixed (n, 2) set.
 
-    The fixed side's contiguous widths ``w``, heights ``h`` and areas are
-    taken once. Each call writes its (k, n) block into two buffers kept
-    from call to call (grown when k grows), so the array it returns is
-    overwritten by the next call. Every entry is ``inter / (area1 + area2
-    - inter)`` with ``inter = min(w1, w2) * min(h1, h2)``, by the rule of
-    :func:`_iou_of`, the same operations in the same order whatever the
-    buffers, so a block equals a fresh one bit for bit.
+    The fixed side's contiguous widths ``w``, heights ``h``, areas and
+    the areas' ``(min, max)`` are taken once. Each call writes its (k, n)
+    block into two buffers kept from call to call (grown when k grows),
+    so the array it returns is overwritten by the next call. Every entry
+    is ``inter / (area1 + area2 - inter)`` with ``inter = min(w1, w2) *
+    min(h1, h2)``, by the rule of :func:`_iou_of`, the same operations in
+    the same order whatever the buffers, so a block equals a fresh one
+    bit for bit.
+
+    Every extent must be finite and non-negative with a finite ``w * h``,
+    as ``annotations.box_rules`` holds for a box's. An extent whose
+    ``w * h`` overflows gets a ``RuntimeWarning`` and scores 0.
     """
 
     def __init__(self, wh):
@@ -204,6 +185,7 @@ class WhIouBlock:
         self.w = np.ascontiguousarray(wh[:, 0])
         self.h = np.ascontiguousarray(wh[:, 1])
         self.area = self.w * self.h
+        self._area_range = _area_range(self.area)
         self._inter = self._union = np.empty((0, len(wh)))  # grown by the first call
 
     def __call__(self, wh1) -> np.ndarray:
@@ -215,12 +197,14 @@ class WhIouBlock:
         w1, h1 = wh1[:, 0], wh1[:, 1]
         np.minimum(w1[:, None], self.w, out=inter)
         inter *= np.minimum(h1[:, None], self.h, out=union)
-        return _iou_of(inter, w1 * h1, self.area, union)
+        return _iou_of(inter, w1 * h1, self.area, union, self._area_range)
 
 
 def wh_iou_matrix(wh1: np.ndarray, wh2: np.ndarray) -> np.ndarray:
     """Pairwise dimension-only IoU between (N, 2) and (M, 2) extent arrays.
 
-    One call of a :class:`WhIouBlock` on ``wh2``.
+    One call of a :class:`WhIouBlock` on ``wh2``, under its precondition:
+    an extent whose ``w * h`` overflows gets a ``RuntimeWarning`` and
+    scores 0.
     """
     return WhIouBlock(wh2)(wh1)

@@ -33,7 +33,7 @@ from detforge.annotations import (
 from detforge.augment import ImageGeom, hflip, pipeline, replay, short_edge_resize
 from detforge.cli import main as cli_main
 from detforge.evaluation import Detection, coco_map, load_detections
-from detforge.geometry import BBox, from_xywh, iou, iou_matrix
+from detforge.geometry import BBox, iou, iou_matrix
 from detforge.losses import (
     ClassWeights,
     LogitsBatch,
@@ -45,6 +45,7 @@ from detforge.losses import (
     weighted_cross_entropy,
 )
 from detforge.synthetic import synthetic_aerial_corpus
+from oracles import from_xywh, shifted
 
 # stored: best mean IoU over 1,000 seeded restarts (streams (0,r) for
 # r in 0..999) of k=4 on synthetic_aerial_corpus(n=2000, seed=7)
@@ -367,7 +368,7 @@ def _check_tiling_invariants(ds, tile_size, overlap, min_vis):
         tile_rec = tiled.image_by_id[inst.image_id]
         assert inst.bbox.x_max <= tile_rec.width
         assert inst.bbox.y_max <= tile_rec.height
-        back = inst.bbox.shifted(ox, oy)
+        back = shifted(inst.bbox, ox, oy)
         candidates = [
             s
             for s in by_source[im.id]

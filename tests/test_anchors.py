@@ -20,9 +20,9 @@ from detforge.anchors import (
 )
 from detforge.annotations import Instance, InstanceColumns
 from detforge.errors import BadExtent, TooFewBoxes, ValidationError
-from detforge.geometry import BBox, WhIouBlock, from_xywh, iou_matrix, wh_iou_matrix
+from detforge.geometry import BBox, WhIouBlock, iou_matrix, wh_iou_matrix
 from detforge.synthetic import synthetic_aerial_corpus
-from test_geometry import same_bits
+from oracles import same_bits
 
 
 class TestAnchorSpec:
@@ -1037,6 +1037,40 @@ class TestMatching:
             match_anchors(anchors, gts, pos_iou=0.3, neg_iou=0.7)
         with pytest.raises(ValidationError):
             match_anchors(anchors, gts, pos_iou=1.2, neg_iou=0.3)
+
+    def test_a_level_past_the_edge_bound_is_named(self, monkeypatch):
+        gts = [gt(1, 1, 1, 0, 0, 16, 16)]
+        # one anchor per cell: the bound counts cells along the longer side
+        monkeypatch.setattr(anchors_module, "MAX_EDGE_ANCHORS", 8)
+        assert match_anchors(small_grid(fmap=(8, 3)), gts).n_gt == 1
+        assert match_anchors(small_grid(fmap=(3, 8)), gts).n_gt == 1
+        with pytest.raises(ValidationError, match=r"^level 0 has 9 cells x 1 anchors along "
+                                                  r"one side, past MAX_EDGE_ANCHORS = 8$"):
+            match_anchors(small_grid(fmap=(3, 9)), gts)
+        # three anchors per cell: 2 x 3 fits on level 0, 3 x 3 does not on level 1
+        spec = AnchorSpec(sizes=(16.0, 32.0), angles=(0.0,), strides=(4, 8))
+        with pytest.raises(ValidationError, match=r"^level 1 has 3 cells x 3 anchors along "):
+            match_anchors(generate_anchors(spec, [(2, 2), (3, 1)]), gts)
+
+    @pytest.mark.parametrize("side", [(1 << 21) + 1, 10**10, 25 * 10**21])
+    def test_a_grid_too_large_to_lay_out_fails_before_allocating(self, side):
+        anchors = small_grid(fmap=(1, side))
+        gts = InstanceColumns.of([gt(1, 1, 1, 0, 0, 16, 16)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=rf"^level 0 has {side} cells x 1 anchors "
+                                                      r"along one side, past MAX_EDGE_ANCHORS = "
+                                                      r"2097152$"):
+                match_anchors(anchors, gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_a_grid_at_the_edge_bound_is_matched(self):
+        assert anchors_module.MAX_EDGE_ANCHORS == 1 << 21
+        report = match_anchors(small_grid(fmap=(1 << 21, 1)), [])
+        assert report.n_anchors == report.n_negative == 1 << 21
 
     def test_force_match_rescues_a_stranded_gt(self):
         anchors = small_grid()

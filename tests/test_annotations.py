@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import sys
@@ -8,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from detforge import annotations, geometry
+from detforge import annotations
 from detforge.anchors import AnchorSpec, generate_anchors, match_anchors
 from detforge.annotations import (
     Category,
@@ -22,7 +21,6 @@ from detforge.annotations import (
     _tile_count,
     _tile_origins,
     compute_stats,
-    dataset_to_coco,
     export_dataset,
     load_dataset,
     tile,
@@ -34,7 +32,19 @@ from detforge.errors import (
     NegativeExtent,
     ValidationError,
 )
-from detforge.geometry import BBox, from_xywh
+from detforge.geometry import BBox
+from oracles import (
+    BBOX_SHAPES,
+    assert_same_dataset,
+    bbox_grid,
+    dataset_to_coco,
+    export_bytes,
+    from_xywh,
+    instances_by_image,
+    oracle_export_bytes,
+    oracle_load_dataset,
+    oracle_tile,
+)
 
 
 def write_json(path, payload):
@@ -90,7 +100,7 @@ class TestLoading:
     def test_lookup_tables(self, tiny_dataset):
         assert tiny_dataset.image_by_id[3].width == 400
         assert tiny_dataset.category_by_id[3].name == "ship"
-        assert len(tiny_dataset.instances_by_image[2]) == 3
+        assert len(instances_by_image(tiny_dataset)[2]) == 3
 
     def test_missing_top_level_key(self, tmp_path):
         payload = minimal_payload()
@@ -424,31 +434,6 @@ class TestRoundTrip:
             export_dataset(tiny_dataset, tmp_path)
 
 
-def oracle_parse_xywh(value, where):
-    """The original box check: one generator over the four values."""
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 4
-        and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value)
-    ):
-        raise ValidationError(f"{where} must be [x, y, w, h] of four finite numbers")
-    return tuple(float(v) for v in value)
-
-
-# Every edge value in every slot of a valid box, then values of the wrong shape.
-BBOX_EDGES = [0, -3, 2.5, -0.0, 1e308, -sys.float_info.max, sys.float_info.max,
-              int(sys.float_info.max), int(sys.float_info.max) + 1, -(10**400),
-              float("nan"), float("inf"), float("-inf"), True, False, "5", None, [1]]
-BBOX_SHAPES = [None, 5, "0 0 1 1", {"x": 0}, [], [1, 2, 3], [1, 2, 3, 4, 5]]
-
-
-def bbox_grid():
-    for slot, v in itertools.product(range(4), BBOX_EDGES):
-        box = [1.0, 2, 3.0, 4]
-        box[slot] = v
-        yield box
-
-
 class TestParseXywhMatchesOracle:
     """The loader's bbox rules against ``oracle_parse_xywh`` on one-entry files."""
 
@@ -477,276 +462,6 @@ class TestParseXywhMatchesOracle:
     @pytest.mark.parametrize("value", BBOX_SHAPES)
     def test_non_sequences_and_wrong_lengths(self, value, tmp_path):
         self.check(value, tmp_path)
-
-
-# ---------------------------------------------------------------------------
-# The object-path loader, tiler and exporter the columnar code replaced. They
-# build one BBox and one Instance per box and are kept as test oracles.
-
-
-def oracle_check_dataset(images, instances, categories):
-    """The original Dataset.__post_init__ walk over Instance objects."""
-    for ids, kind in (
-        ([im.id for im in images], "image"),
-        ([c.id for c in categories], "category"),
-        ([inst.id for inst in instances], "instance"),
-    ):
-        seen = set()
-        for i in ids:
-            if i in seen:
-                raise ValidationError(f"duplicate {kind} id: {i}")
-            seen.add(i)
-    image_ids = {im.id for im in images}
-    category_ids = {c.id for c in categories}
-    for inst in instances:
-        if inst.image_id not in image_ids:
-            raise DanglingReference(inst.id, "image", inst.image_id)
-        if inst.category_id not in category_ids:
-            raise DanglingReference(inst.id, "category", inst.category_id)
-
-
-def oracle_require(record, key, where):
-    if not isinstance(record, dict):
-        raise ValidationError(f"{where} must be an object, got {type(record).__name__}")
-    if key not in record:
-        raise MissingKey(f"{where}.{key}")
-    return record[key]
-
-
-def oracle_require_typed(record, key, where, kind):
-    """A required value of exactly JSON type ``kind``: a bool is no id, 5 no name."""
-    value = oracle_require(record, key, where)
-    if type(value) is not kind:
-        name = {int: "an integer", str: "a string"}[kind]
-        raise ValidationError(f"{where}.{key} must be {name}, got {type(value).__name__}")
-    return value
-
-
-def oracle_load_dataset(path) -> Dataset:
-    """The original loader: one BBox, one clamp and one Instance per entry.
-
-    One rule is added to the original: a clamped box whose own area
-    overflows fails, as an infinite box area would make every IoU with
-    it a warning and 0.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-
-    if not isinstance(raw, dict):
-        raise ValidationError(f"annotation file must hold a JSON object, got {type(raw).__name__}")
-    for key in ("images", "annotations", "categories"):
-        if key not in raw:
-            raise MissingKey(key)
-        if not isinstance(raw[key], list):
-            raise ValidationError(f"{key} must be an array, got {type(raw[key]).__name__}")
-
-    images = []
-    for i, rec in enumerate(raw["images"]):
-        where = f"images[{i}]"
-        images.append(
-            ImageRecord(
-                id=oracle_require_typed(rec, "id", where, int),
-                width=oracle_require_typed(rec, "width", where, int),
-                height=oracle_require_typed(rec, "height", where, int),
-                file_name=oracle_require_typed(rec, "file_name", where, str),
-            )
-        )
-
-    categories = []
-    for i, rec in enumerate(raw["categories"]):
-        where = f"categories[{i}]"
-        categories.append(
-            Category(
-                id=oracle_require_typed(rec, "id", where, int),
-                name=oracle_require_typed(rec, "name", where, str),
-            )
-        )
-    image_by_id = {im.id: im for im in images}
-
-    instances = []
-    n_clipped = 0
-    for i, rec in enumerate(raw["annotations"]):
-        where = f"annotations[{i}]"
-        ann_id = oracle_require_typed(rec, "id", where, int)
-        image_id = oracle_require_typed(rec, "image_id", where, int)
-        category_id = oracle_require_typed(rec, "category_id", where, int)
-        x, y, w, h = oracle_parse_xywh(oracle_require(rec, "bbox", where), f"{where}.bbox")
-        if w < 0 or h < 0:
-            raise NegativeExtent(ann_id, w, h)
-        box = geometry.from_xywh(x, y, w, h)
-        image = image_by_id.get(image_id)
-        if image is None:
-            raise DanglingReference(ann_id, "image", image_id)
-        bounds = BBox(0.0, 0.0, float(image.width), float(image.height))
-        clamped = geometry.clamp(box, bounds)
-        if clamped != box:
-            n_clipped += 1
-            box = clamped
-        area = rec.get("area", box.area)
-        if not (type(area) in (int, float) and 0 <= area <= sys.float_info.max):
-            raise ValidationError(f"{where}.area must be a finite non-negative number")
-        # the one rule added to the original loader: a given area does not
-        # excuse a clamped box whose own area is infinite
-        if math.isinf(box.area):
-            raise ValidationError(f"{where}.bbox: w * h of the clamped box is out of float range")
-        crowd = rec.get("iscrowd", 0)
-        if type(crowd) is not int or crowd not in (0, 1):
-            raise ValidationError(f"{where}.iscrowd must be 0 or 1, got {crowd!r}")
-        instances.append(
-            Instance(
-                id=ann_id,
-                image_id=image_id,
-                category_id=category_id,
-                bbox=box,
-                area=float(area),
-                ignore=crowd == 1,
-            )
-        )
-
-    oracle_check_dataset(images, instances, categories)
-    return Dataset(
-        images=tuple(images),
-        instances=tuple(instances),
-        categories=tuple(categories),
-        provenance=str(path),
-        clipped_instance_count=n_clipped,
-    )
-
-
-def oracle_tile(ds, tile_size=800, overlap=200, min_visibility=0.25) -> Dataset:
-    """The original tiler: one scalar geometry.clip per (tile, instance) pair."""
-    if not (0 <= overlap < tile_size):
-        raise InvalidOverlap(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
-    if not (0 < min_visibility <= 1):
-        raise ValidationError(f"min_visibility must be in (0, 1], got {min_visibility}")
-    stride = tile_size - overlap
-
-    new_images = []
-    new_instances = []
-    next_image_id = 1
-    next_instance_id = 1
-
-    for image in sorted(ds.images, key=lambda im: im.id):
-        insts = sorted(ds.instances_by_image[image.id], key=lambda inst: inst.id)
-        stem, dot, suffix = image.file_name.rpartition(".")
-        if not dot:
-            stem, suffix = image.file_name, ""
-        for oy in _tile_origins(image.height, tile_size, stride):
-            for ox in _tile_origins(image.width, tile_size, stride):
-                tw = min(tile_size, image.width - ox)
-                th = min(tile_size, image.height - oy)
-                tile_rect = BBox(float(ox), float(oy), float(ox + tw), float(oy + th))
-                tile_image = ImageRecord(
-                    id=next_image_id,
-                    width=tw,
-                    height=th,
-                    file_name=f"{stem}__x{ox}_y{oy}" + (f".{suffix}" if dot else ""),
-                )
-                next_image_id += 1
-                new_images.append(tile_image)
-                for inst in insts:
-                    if inst.bbox.area <= 0:
-                        continue
-                    clipped = geometry.clip(inst.bbox, tile_rect)
-                    if clipped is None:
-                        continue
-                    visibility = clipped.area / inst.bbox.area
-                    if visibility < min_visibility:
-                        continue
-                    new_instances.append(
-                        Instance(
-                            id=next_instance_id,
-                            image_id=tile_image.id,
-                            category_id=inst.category_id,
-                            bbox=clipped.shifted(-ox, -oy),
-                            area=inst.area * visibility,
-                            ignore=inst.ignore,
-                        )
-                    )
-                    next_instance_id += 1
-
-    return Dataset(
-        images=tuple(new_images),
-        instances=tuple(new_instances),
-        categories=ds.categories,
-        provenance=f"{ds.provenance}#tiled(size={tile_size},overlap={overlap})",
-    )
-
-
-def oracle_export_bytes(ds) -> bytes:
-    """The original export: one dict per Instance object, dumped with indent=2."""
-    blob = {
-        "images": [
-            {"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
-            for im in ds.images
-        ],
-        "annotations": [
-            {
-                "id": inst.id,
-                "image_id": inst.image_id,
-                "category_id": inst.category_id,
-                "bbox": list(geometry.to_xywh(inst.bbox)),
-                "area": inst.area,
-                "iscrowd": 1 if inst.ignore else 0,
-            }
-            for inst in ds.instances
-        ],
-        "categories": [{"id": c.id, "name": c.name} for c in ds.categories],
-    }
-    return (json.dumps(blob, indent=2) + "\n").encode("utf-8")
-
-
-def oracle_stats(ds) -> dict:
-    """The original per-instance statistics loop."""
-    counts = {c.id: 0 for c in ds.categories}
-    buckets = {c.id: {"small": 0, "medium": 0, "large": 0} for c in ds.categories}
-    for inst in ds.instances:
-        counts[inst.category_id] += 1
-        if inst.area < SMALL_AREA_MAX:
-            bucket = "small"
-        elif inst.area < MEDIUM_AREA_MAX:
-            bucket = "medium"
-        else:
-            bucket = "large"
-        buckets[inst.category_id][bucket] += 1
-    histogram = {}
-    for insts in ds.instances_by_image.values():
-        histogram[len(insts)] = histogram.get(len(insts), 0) + 1
-    return {"counts": counts, "buckets": buckets, "histogram": histogram}
-
-
-def bits(values) -> list:
-    """Floats as their bit patterns, so -0.0 and 0.0 differ."""
-    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
-
-
-def export_bytes(ds, tmp_path) -> bytes:
-    path = tmp_path / "export.json"
-    export_dataset(ds, path)
-    return path.read_bytes()
-
-
-def assert_same_dataset(got: Dataset, want: Dataset, tmp_path):
-    """Columns bit for bit, instances field by field, and the exported bytes."""
-    assert got.images == want.images
-    assert got.categories == want.categories
-    assert got.provenance == want.provenance
-    assert got.clipped_instance_count == want.clipped_instance_count
-    g, w = got.columns, want.columns
-    for name in ("id", "image_id", "category_id", "ignore"):
-        assert getattr(g, name).dtype == getattr(w, name).dtype
-        assert getattr(g, name).tolist() == getattr(w, name).tolist(), name
-    assert bits(g.boxes) == bits(w.boxes)
-    assert bits(g.area) == bits(w.area)
-    assert got.instances == want.instances
-    # repr tells -0.0 from 0.0, and an int field from a float one
-    assert [repr(i) for i in got.instances] == [repr(i) for i in want.instances]
-    assert export_bytes(got, tmp_path) == oracle_export_bytes(want)
-    stats, oracle = compute_stats(got), oracle_stats(want)
-    assert stats.per_category_counts == oracle["counts"]
-    assert stats.per_category_size_buckets == oracle["buckets"]
-    assert stats.per_image_histogram == oracle["histogram"]
-    assert stats.total_instances == len(want.instances)
 
 
 TILINGS = [(800, 200, 0.25), (256, 64, 0.5), (100, 0, 1.0), (150, 100, 0.01)]
@@ -1160,7 +875,7 @@ class TestObjectsOnlyAtTheEdge:
 
     def test_instances_are_cached(self, tiny_dataset):
         assert tiny_dataset.instances is tiny_dataset.instances
-        assert tiny_dataset.instances_by_image[2] == tuple(
+        assert instances_by_image(tiny_dataset)[2] == tuple(
             i for i in tiny_dataset.instances if i.image_id == 2
         )
 

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from detforge.annotations import load_dataset  # noqa: E402
 from detforge.errors import ValidationError  # noqa: E402
-from test_annotations import assert_same_dataset, oracle_load_dataset  # noqa: E402
+from oracles import assert_same_dataset, oracle_load_dataset  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURES = {

@@ -22,17 +22,13 @@ from detforge.augment import (
 )
 from detforge.errors import ValidationError
 from detforge.geometry import BBox, iou_matrix
+from oracles import bits
 
 
 def round_trip(records):
     """Records through JSON text and back, as the CLI stores them."""
     text = json.dumps([r.to_dict() for r in records])
     return [TransformRecord.from_dict(d) for d in json.loads(text)]
-
-
-def bits(values) -> list:
-    """Floats as their bit patterns, so -0.0 and 0.0 differ."""
-    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
 FIXTURE = np.array([

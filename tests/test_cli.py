@@ -436,6 +436,19 @@ class TestExitCodes:
             f"detforge: the tile count passes MAX_TILES = 1000000 at image {image_id}\n"
         )
 
+    def test_match_on_a_grid_too_large_to_lay_out_is_one_line(self, data_dir):
+        # the stride-4 level would need a 10^23-entry corner table
+        proc = subprocess.run(
+            [sys.executable, "-m", "detforge.cli", "match", "--ann", str(data_dir / "tiny.json"),
+             "--image-size", "100000000000000000000000", "8"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            "detforge: level 0 has 24999999999999997902848 cells x 6 anchors along one side, "
+            "past MAX_EDGE_ANCHORS = 2097152\n"
+        )
+
     def test_box_area_past_float_range_is_one_line(self, capsys, tmp_path):
         # the image holds the box without clamping, so its area is 1e400
         huge = [0, 0, 1e200, 1e200]

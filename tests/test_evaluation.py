@@ -18,7 +18,6 @@ from detforge.annotations import (
     ImageRecord,
     Instance,
     load_dataset,
-    read_text,
 )
 from detforge.errors import DanglingReference, MissingKey, ValidationError
 from detforge.evaluation import (
@@ -31,8 +30,15 @@ from detforge.evaluation import (
     coco_map,
     load_detections,
 )
-from detforge.geometry import BBox, from_xywh, iou
-from test_annotations import BBOX_SHAPES, bbox_grid, oracle_parse_xywh
+from detforge.geometry import BBox, iou
+from oracles import (
+    BBOX_SHAPES,
+    assert_same_columns,
+    bbox_grid,
+    from_xywh,
+    oracle_load_detections,
+    shifted,
+)
 
 
 def det(image_id, cat, x, y, w, h, score, src=0):
@@ -229,67 +235,6 @@ def scalar_coco_map(
         n_gt=sum(1 for inst in ds.instances if not inst.ignore),
         n_detections=n_detections,
     )
-
-
-# ------------------------------------------------------------------ loader oracle
-# The object-path loader that the columnar load_detections replaced: one
-# from_xywh box and one Detection per entry. load_detections must hold
-# the same columns bit for bit. One rule is added to the original: finite
-# corners whose area overflows fail, as coco_map's area would be infinite.
-
-_INT64 = np.iinfo(np.int64)
-
-
-def oracle_load_detections(path) -> list:
-    raw = json.loads(read_text(path))
-    if not isinstance(raw, list):
-        raise ValidationError("detections file must hold a JSON array")
-    out = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"detections[{i}] must be an object, got {type(entry).__name__}")
-        for key in ("image_id", "category_id", "bbox", "score"):
-            if key not in entry:
-                raise MissingKey(f"detections[{i}].{key}")
-        for key, kind, types in (
-            ("image_id", "an integer", (int,)),
-            ("category_id", "an integer", (int,)),
-            ("score", "a number", (int, float)),
-        ):
-            if type(entry[key]) not in types:
-                raise ValidationError(
-                    f"detections[{i}].{key} must be {kind}, got {type(entry[key]).__name__}"
-                )
-        for key in ("image_id", "category_id"):
-            if not _INT64.min <= entry[key] <= _INT64.max:
-                raise ValidationError(f"detections[{i}].{key} is out of int64 range")
-        # int-to-float comparison is exact; float() of a larger int overflows
-        if type(entry["score"]) is int and abs(entry["score"]) > sys.float_info.max:
-            raise ValidationError(f"detections[{i}].score is out of float range")
-        bbox = from_xywh(*oracle_parse_xywh(entry["bbox"], f"detections[{i}].bbox"))
-        # the one rule added to the original loader: finite corners need a finite area
-        if math.isfinite(bbox.x_max) and math.isfinite(bbox.y_max) and math.isinf(bbox.area):
-            raise ValidationError(f"detections[{i}].bbox: w * h is out of float range")
-        out.append(
-            Detection(
-                image_id=entry["image_id"],
-                category_id=entry["category_id"],
-                bbox=bbox,
-                score=float(entry["score"]),
-                source_index=i,
-            )
-        )
-    return out
-
-
-def assert_same_columns(got: DetectionColumns, want: Sequence[Detection]) -> None:
-    """``got`` holds the fields of ``want`` bit for bit, so -0.0 stays -0.0."""
-    want = DetectionColumns.of(want)
-    assert len(got) == len(want)
-    for name in ("image_id", "category_id", "source_index", "boxes", "score"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
 
 
 def random_payload(rng, n: int) -> list:
@@ -887,7 +832,7 @@ def random_case(rng, n_images, n_classes, max_gts, max_dets):
                     side = min(g.bbox.width, g.bbox.height)
                     b = from_xywh(g.bbox.x_min, g.bbox.y_min, side, side)
                 else:
-                    b = g.bbox.shifted(*rng.choice([0.0, 0.0, 1.0, 8.0], 2))
+                    b = shifted(g.bbox, *rng.choice([0.0, 0.0, 1.0, 8.0], 2))
                 cat = g.category_id if rng.random() < 0.8 else int(rng.integers(1, n_classes + 1))
             else:
                 b, cat = rand_box(), int(rng.integers(1, n_classes + 1))

@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from detforge.errors import ValidationError  # noqa: E402
 from detforge.evaluation import load_detections  # noqa: E402
-from test_evaluation import assert_same_columns, oracle_load_detections  # noqa: E402
+from oracles import assert_same_columns, oracle_load_detections  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURES = {

