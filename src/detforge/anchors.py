@@ -7,9 +7,10 @@ degrees, which reduces to an exact width/height swap, so +90 and -90
 collapse to the same rectangle and are deduplicated.
 
 ``cluster_anchor_sizes`` runs k-means over ground-truth (w, h) pairs
-with distance 1 - IoU, the standard way to pick anchor sizes from data
-without training. ``match_anchors`` scores an anchor configuration by
-simulating threshold matching against annotated instance columns.
+with distance 1 - IoU and k-means++ seeding, the standard way to pick
+anchor sizes from data without training. ``match_anchors`` scores an
+anchor configuration by simulating threshold matching against annotated
+instance columns.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from .geometry import WhIouBlock, iou_matrix
 # lays out: its per-level corner tables take 32 bytes per anchor on a
 # side, so the bound caps each table at 64 MiB.
 MAX_EDGE_ANCHORS = 1 << 21
+
+# The most values of k one ``sweep_k`` call clusters at. Each is a full
+# clustering with restarts, so a longer sweep would not finish in useful
+# time; the CLI checks a ``--k-range`` against it before listing the ks.
+MAX_SWEEP_KS = 1024
 
 
 @dataclass(frozen=True)
@@ -358,13 +364,14 @@ def cluster_anchor_sizes(
     seed: int = 0,
     max_iters: int = 100,
     restarts: int = 10,
-    init: str = "kmeans++",
 ) -> ClusterResult:
     """k-means over (w, h) with distance 1 - IoU; best of seeded restarts.
 
-    Assignment sends each box to its max-IoU centroid (ties to the lowest
-    index); the update step is the per-coordinate mean; clusters that end
-    up empty are re-seeded to the boxes farthest from their centroids.
+    Each restart is seeded k-means++ style, with weight 1 - IoU to the
+    nearest centroid chosen so far. Assignment sends each box to its
+    max-IoU centroid (ties to the lowest index); the update step is the
+    per-coordinate mean; clusters that end up empty are re-seeded to the
+    boxes farthest from their centroids.
     Restart r uses the stream seeded by (seed, r), and the restart with
     the highest mean IoU wins, earliest on ties. Centroids are returned
     sorted by area ascending with assignments remapped to match. Every
@@ -377,17 +384,11 @@ def cluster_anchor_sizes(
     restarts = check_count("restarts", restarts, 1)
     if wh.shape[0] < k:
         raise TooFewBoxes(f"{wh.shape[0]} boxes for k={k}")
-    if init not in ("kmeans++", "random"):
-        raise ValidationError(f"unknown init {init!r}")
 
     block = WhIouBlock(wh)  # one per call: every seeding and restart reuses it
     best = None
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        if init == "kmeans++":
-            centroids = _plus_plus_init(block, k, rng)
-        else:
-            centroids = wh[rng.choice(wh.shape[0], size=k, replace=False)]
+        centroids = _plus_plus_init(block, k, np.random.default_rng([seed, r]))
         result = _lloyd(block, centroids, max_iters)  # mean IoU last
         if best is None or result[3] > best[3]:
             best = result
@@ -412,14 +413,20 @@ def cluster_anchor_sizes(
 
 
 def sweep_k(boxes, k_range: Iterable[int], seed: int = 0, restarts: int = 10,
-            max_iters: int = 100, init: str = "kmeans++"):
-    """Cluster at each k and report (k, mean_iou) sorted by k."""
+            max_iters: int = 100):
+    """Cluster at each k and report (k, mean_iou) sorted by k.
+
+    More than ``MAX_SWEEP_KS`` distinct values of k fail before any
+    clustering.
+    """
     ks = sorted(set(check_count("k", k, 1) for k in k_range))
     if not ks:
         raise ValidationError("empty k range")
+    if len(ks) > MAX_SWEEP_KS:
+        raise ValidationError(f"{len(ks)} values of k pass MAX_SWEEP_KS = {MAX_SWEEP_KS}")
     return [
         (k, cluster_anchor_sizes(boxes, k, seed=seed, max_iters=max_iters,
-                                 restarts=restarts, init=init).mean_iou)
+                                 restarts=restarts).mean_iou)
         for k in ks
     ]
 

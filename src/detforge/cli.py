@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Every subcommand emits a JSON report that embeds the fully resolved
-configuration, per-field provenance (flag, file, or default), the tool
-version, and a sha256 of every input file, so a rerun with identical
-inputs produces byte-identical output. Reports carry no timestamps.
+Every subcommand emits one JSON report, to stdout or to ``--out FILE``,
+that embeds the fully resolved configuration, per-field provenance
+(flag, file, or default), the tool version, and a sha256 of every input
+file, so a rerun with identical inputs produces byte-identical output.
+Reports carry no timestamps. ``anchors`` and ``match`` size each
+level's feature map as ceil(image / stride) from ``--image-size``.
 
 Exit codes: 0 success, 1 validation failure, 2 IO or parse failure,
 64 usage error.
@@ -15,15 +17,15 @@ import argparse
 import copy
 import hashlib
 import json
-import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .annotations import compute_stats, export_dataset, load_dataset, read_text, tile
 from .anchors import (
+    MAX_SWEEP_KS,
     AnchorSpec,
     cluster_anchor_sizes,
     generate_anchors,
@@ -63,17 +65,6 @@ def _comma_list(cast):
     return parse
 
 
-def _fmap_list(text):
-    dims = []
-    for part in text.split(","):
-        try:
-            w, h = part.lower().split("x")
-            dims.append([int(w), int(h)])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected WxH, got {part!r}")
-    return dims
-
-
 def _k_range(text):
     try:
         lo, hi = text.split(":")
@@ -82,11 +73,17 @@ def _k_range(text):
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if hi - lo >= MAX_SWEEP_KS:
+        # checked before the list is built; argparse passes a ValidationError
+        # on to main, which exits 1 as for sweep_k's own check
+        raise ValidationError(
+            f"--k-range {text}: {hi - lo + 1} values of k pass MAX_SWEEP_KS = {MAX_SWEEP_KS}"
+        )
     return list(range(lo, hi + 1))
 
 
 # argparse kwargs implied by each type tag. "pair" is two ints such as a
-# W H image size; "pairs" is a list of pairs.
+# W H image size.
 _TAG_KWARGS = {
     "str": {},
     "int": {"type": int},
@@ -95,7 +92,6 @@ _TAG_KWARGS = {
     "floats": {"type": _comma_list(float)},
     "ints": {"type": _comma_list(int)},
     "pair": {"type": int, "nargs": 2, "metavar": ("W", "H")},
-    "pairs": {"type": _fmap_list, "metavar": "WxH,WxH,..."},
 }
 
 _ANN = ("stats", "tile", "cluster", "match", "eval", "augment-replay")
@@ -122,7 +118,6 @@ _OPTIONS = (
     ("anchors.strides", "ints", [4, 8, 16, 32, 64], "--strides", _ANCHORS, {}),
     ("anchors.offset", "float", 0.5, "--offset", _ANCHORS, {}),
     ("anchors.shared_sizes", "bool", False, "--shared-sizes", _ANCHORS, {}),
-    ("anchors.fmap_dims", "pairs", None, "--fmap", _ANCHORS, {}),
     ("anchors.image_size", "pair", [800, 800], "--image-size", _ANCHORS, {}),
     ("cluster.k", "int", 4, "--k", ("cluster",), {}),
     ("cluster.k_range", "ints", None, "--k-range", ("cluster",),
@@ -130,8 +125,6 @@ _OPTIONS = (
     ("cluster.seed", "int", 0, "--seed", ("cluster",), {}),
     ("cluster.restarts", "int", 10, "--restarts", ("cluster",), {}),
     ("cluster.max_iters", "int", 100, "--max-iters", ("cluster",), {}),
-    ("cluster.init", "str", "kmeans++", "--init", ("cluster",),
-     {"choices": ["kmeans++", "random"]}),
     ("cluster.synthetic", "int", None, "--synthetic", ("cluster",),
      {"metavar": "N", "help": "use the bundled synthetic corpus of N boxes instead of --ann"}),
     ("match.pos_iou", "float", 0.7, "--pos-iou", ("match",), {}),
@@ -148,6 +141,17 @@ _OPTIONS = (
     ("loss.seed", "int", 0, "--seed", ("loss-check",), {}),
 )
 _TAGS = {path: tag for path, tag, *_ in _OPTIONS}
+_FLAGS = {path: flag for path, _, _, flag, *_ in _OPTIONS}
+
+# Per subcommand: (setting, a setting the command ignores once the first is
+# set). Setting both by flag or config file is an error, not a report that
+# echoes a value nothing read.
+_OVERRIDES = {
+    "cluster": (("cluster.k_range", "cluster.k"), ("cluster.synthetic", "paths.annotations")),
+    "augment-replay": (("paths.records", "paths.records_out"),
+                       ("paths.records", "augment.aug_id"),
+                       ("paths.records", "augment.seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, runner in _RUNNERS.items():
         p = sub.add_parser(name, help=runner.__doc__)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--pretty", action="store_true", help="render a plain-text table")
         for path, tag, _, flag, commands, extra in _OPTIONS:
             if commands is not None and name not in commands:
                 continue
@@ -183,8 +186,7 @@ _SCALAR_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
 }
 # list tag -> (element tag, required length or None)
-_LIST_TAGS = {"floats": ("float", None), "ints": ("int", None),
-              "pair": ("int", 2), "pairs": ("pair", None)}
+_LIST_TAGS = {"floats": ("float", None), "ints": ("int", None), "pair": ("int", 2)}
 
 
 def _check(path: str, tag: str, value):
@@ -232,6 +234,8 @@ def resolve_config(args) -> Tuple[dict, dict, dict]:
 
     Returns the config, the provenance of each setting and the report's
     ``inputs`` map, which holds the config file's entry if one was read.
+    A setting that the command would ignore because of another one
+    (``_OVERRIDES``) fails when a flag or the file sets it.
     """
     config = _default_config()
     provenance = dict.fromkeys(_TAGS, "default")
@@ -261,6 +265,13 @@ def resolve_config(args) -> Tuple[dict, dict, dict]:
         block, key = path.split(".")
         config[block][key] = _check(path, _TAGS[path], value)
         provenance[path] = source
+    for setting, ignored in _OVERRIDES.get(getattr(args, "command", None), ()):
+        block, key = setting.split(".")
+        if config[block][key] is not None and provenance[ignored] != "default":
+            raise ValidationError(
+                f"{ignored} ({_FLAGS[ignored]}) is ignored when {setting} "
+                f"({_FLAGS[setting]}) is set; set only one of them"
+            )
     return config, provenance, inputs
 
 
@@ -281,14 +292,9 @@ def _anchor_pieces(config):
         offset=a["offset"],
         shared_sizes=a["shared_sizes"],
     )
-    if a["fmap_dims"] is not None:
-        fmap_dims = [(w, h) for w, h in a["fmap_dims"]]
-    else:
-        iw, ih = a["image_size"]
-        fmap_dims = [
-            (math.ceil(iw / s), math.ceil(ih / s)) for s in spec.strides
-        ]
-    return spec, fmap_dims
+    iw, ih = a["image_size"]
+    # ceil(image / stride) in integers: float division rounds past 2**53
+    return spec, [(-(-iw // s), -(-ih // s)) for s in spec.strides]
 
 
 def _load_annotations(config, inputs):
@@ -338,7 +344,7 @@ def _run_cluster(config, inputs):
     try:
         if c["k_range"] is not None:
             pairs = sweep_k(boxes, c["k_range"], seed=c["seed"], restarts=c["restarts"],
-                            max_iters=c["max_iters"], init=c["init"])
+                            max_iters=c["max_iters"])
             return {"sweep": [[k, miou] for k, miou in pairs],
                     "seed": c["seed"], "restarts": c["restarts"]}
         result = cluster_anchor_sizes(
@@ -347,7 +353,6 @@ def _run_cluster(config, inputs):
             seed=c["seed"],
             max_iters=c["max_iters"],
             restarts=c["restarts"],
-            init=c["init"],
         )
     except BadExtent as exc:
         if ids is None:
@@ -544,30 +549,6 @@ _RUNNERS = {
 }
 
 
-def _pretty_lines(value, indent=0) -> List[str]:
-    pad = "  " * indent
-    lines = []
-    if isinstance(value, dict):
-        for key in value:
-            sub = value[key]
-            if isinstance(sub, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_pretty_lines(sub, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {sub}")
-    elif isinstance(value, list):
-        if value and all(isinstance(v, dict) for v in value):
-            keys = sorted({k for v in value for k in v if not isinstance(v[k], (dict, list))})
-            lines.append(pad + " | ".join(keys))
-            for v in value:
-                lines.append(pad + " | ".join(str(v.get(k, "")) for k in keys))
-        else:
-            lines.append(pad + ", ".join(str(v) for v in value))
-    else:
-        lines.append(f"{pad}{value}")
-    return lines
-
-
 def dispatch(args) -> int:
     config, provenance, inputs = resolve_config(args)
     result = _RUNNERS[args.command](config, inputs)
@@ -584,9 +565,7 @@ def dispatch(args) -> int:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if args.pretty:
-        sys.stdout.write("\n".join(_pretty_lines(result)) + "\n")
-    elif not out_path:
+    else:
         sys.stdout.write(text)
     if isinstance(result, dict) and result.get("passed") is False:
         return 1
@@ -597,13 +576,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            return 64
+        return dispatch(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 64
-    try:
-        return dispatch(args)
     except ValidationError as exc:
         print(f"detforge: {exc}", file=sys.stderr)
         return 1

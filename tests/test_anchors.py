@@ -385,11 +385,6 @@ class TestClustering:
         b = cluster_anchor_sizes(corpus, k=3, seed=4).to_dict()
         assert a == b
 
-    def test_random_init_is_available(self):
-        corpus = synthetic_aerial_corpus(n=100, seed=13)
-        result = cluster_anchor_sizes(corpus, k=3, seed=0, init="random")
-        assert 0.0 < result.mean_iou <= 1.0
-
     def test_greedy_assignment_beats_any_other_labeling(self):
         """With centroids held fixed, max-IoU assignment is optimal."""
         rng = np.random.default_rng(20)
@@ -411,8 +406,6 @@ class TestClustering:
             cluster_anchor_sizes(boxes, k=0)
         with pytest.raises(ValidationError):
             cluster_anchor_sizes(boxes, k=1, restarts=0)
-        with pytest.raises(ValidationError):
-            cluster_anchor_sizes(boxes, k=1, init="medoid")
 
     @pytest.mark.parametrize("name", ["k", "restarts", "max_iters", "seed"])
     @pytest.mark.parametrize("value", [2.5, 1.0, True, False, "1", None])
@@ -564,6 +557,20 @@ def _duplicate_wh(rng, n):
     return distinct[rng.integers(0, len(distinct), size=n)]
 
 
+def _elongated_wh(rng, n):
+    """Thin boxes in both orientations, as ships and bridges seen from above.
+
+    A box and its transpose have equal IoU with any square centroid, so
+    assignments tie across orientations.
+    """
+    long_side = np.round(rng.uniform(8, 120, size=n))
+    short_side = np.maximum(np.round(long_side / rng.uniform(3, 10, size=n)), 1.0)
+    wh = np.stack([long_side, short_side], axis=1)
+    swapped = rng.random(n) < 0.5
+    wh[swapped] = wh[swapped, ::-1]
+    return wh
+
+
 def _first_max_oracle(iou):
     return np.argmax(iou.T, axis=1)
 
@@ -621,23 +628,20 @@ class TestVectorizedClusteringMatchesOracle:
         ]:
             np.testing.assert_array_equal(wh_iou_matrix(wh1, wh2), oracle_wh_iou_matrix(wh1, wh2))
 
-    @pytest.mark.parametrize("init", ["kmeans++", "random"])
     @pytest.mark.parametrize("max_iters", [0, 1, 100])
-    @pytest.mark.parametrize("corpus", [_random_wh, _integer_wh, _duplicate_wh])
-    def test_cluster_reports_equal_the_oracle(self, oracle_clustering, init, max_iters, corpus):
-        rng = np.random.default_rng(31 + max_iters + len(init))
+    @pytest.mark.parametrize("corpus", [_random_wh, _integer_wh, _duplicate_wh, _elongated_wh])
+    def test_cluster_reports_equal_the_oracle(self, oracle_clustering, max_iters, corpus):
+        rng = np.random.default_rng(39 + max_iters)
         cases = []
         for _ in range(12):
             n = int(rng.integers(2, 300))
             k = int(rng.integers(1, min(n, 9) + 1))
             cases.append((corpus(rng, n), k, int(rng.integers(0, 1000)),
                           int(rng.integers(1, 4))))
-        got = [cluster_anchor_sizes(wh, k, seed=seed, max_iters=max_iters, restarts=r,
-                                    init=init).to_dict()
+        got = [cluster_anchor_sizes(wh, k, seed=seed, max_iters=max_iters, restarts=r).to_dict()
                for wh, k, seed, r in cases]
         oracle_clustering()
-        want = [cluster_anchor_sizes(wh, k, seed=seed, max_iters=max_iters, restarts=r,
-                                     init=init).to_dict()
+        want = [cluster_anchor_sizes(wh, k, seed=seed, max_iters=max_iters, restarts=r).to_dict()
                 for wh, k, seed, r in cases]
         assert got == want
 
@@ -647,20 +651,15 @@ class TestVectorizedClusteringMatchesOracle:
         oracle_clustering()
         assert sweep_k(corpus, range(1, 8), seed=2, restarts=3) == got
 
-    @pytest.mark.parametrize("init", ["kmeans++", "random"])
-    def test_empty_cluster_reseed_equals_the_oracle(self, oracle_clustering, init):
+    def test_empty_cluster_reseed_equals_the_oracle(self, oracle_clustering):
         # 3 distinct sizes for k=6: seeding must repeat a size, and a repeated
         # centroid loses every tie to its twin, so its cluster starts empty
         wh = np.array([[4.0, 4.0], [4.0, 9.0], [20.0, 11.0]] * 7)
-        got = cluster_anchor_sizes(wh, 6, seed=1, restarts=4, init=init).to_dict()
+        got = cluster_anchor_sizes(wh, 6, seed=1, restarts=4).to_dict()
 
-        starts = []
-        for r in range(4):  # the restarts above, run one by one
-            rng = np.random.default_rng([1, r])
-            if init == "kmeans++":
-                starts.append(anchors_module._plus_plus_init(WhIouBlock(wh), 6, rng))
-            else:
-                starts.append(wh[rng.choice(len(wh), size=6, replace=False)].copy())
+        # the restarts above, run one by one
+        starts = [anchors_module._plus_plus_init(WhIouBlock(wh), 6, np.random.default_rng([1, r]))
+                  for r in range(4)]
         calls = []
 
         class CountingBlock(WhIouBlock):
@@ -681,7 +680,7 @@ class TestVectorizedClusteringMatchesOracle:
         assert min(reseeds) >= 1
 
         oracle_clustering()
-        assert cluster_anchor_sizes(wh, 6, seed=1, restarts=4, init=init).to_dict() == got
+        assert cluster_anchor_sizes(wh, 6, seed=1, restarts=4).to_dict() == got
 
     def test_anchor_design_sized_input_equals_the_oracle(self, oracle_clustering):
         corpus = synthetic_aerial_corpus(n=3000, seed=16)
@@ -824,8 +823,8 @@ class TestBoxExtentsNeedAPositiveFiniteArea:
 
 
 class TestOneBlockPerClustering:
-    @pytest.mark.parametrize("init", ["kmeans++", "random"])
-    def test_seeding_and_every_restart_share_one_block(self, monkeypatch, init):
+    @pytest.mark.parametrize("restarts", [1, 4])
+    def test_seeding_and_every_restart_share_one_block(self, monkeypatch, restarts):
         built = []
 
         class CountingBlock(WhIouBlock):
@@ -835,10 +834,10 @@ class TestOneBlockPerClustering:
 
         monkeypatch.setattr(anchors_module, "WhIouBlock", CountingBlock)
         corpus = synthetic_aerial_corpus(n=300, seed=18)
-        cluster_anchor_sizes(corpus, 5, restarts=4, init=init)
+        cluster_anchor_sizes(corpus, 5, restarts=restarts)
         assert built == [300]
         built.clear()
-        sweep_k(corpus, [1, 3, 6], restarts=2, init=init)
+        sweep_k(corpus, [1, 3, 6], restarts=restarts)
         assert built == [300] * 3  # one per k
 
 
@@ -873,23 +872,29 @@ class TestUnreadableBoxInput:
 
 
 class TestSweepPassesClusterOptions:
-    @pytest.mark.parametrize("max_iters, init", [(0, "random"), (1, "kmeans++"), (3, "random")])
-    def test_each_k_equals_cluster_anchor_sizes(self, max_iters, init):
+    @pytest.mark.parametrize("max_iters", [0, 1, 3])
+    def test_each_k_equals_cluster_anchor_sizes(self, max_iters):
         corpus = synthetic_aerial_corpus(n=200, seed=17)
-        got = sweep_k(corpus, [2, 3, 5], seed=4, restarts=2, max_iters=max_iters, init=init)
+        got = sweep_k(corpus, [2, 3, 5], seed=4, restarts=2, max_iters=max_iters)
         assert got == [
-            (k, cluster_anchor_sizes(corpus, k, seed=4, restarts=2, max_iters=max_iters,
-                                     init=init).mean_iou)
+            (k, cluster_anchor_sizes(corpus, k, seed=4, restarts=2, max_iters=max_iters).mean_iou)
             for k in (2, 3, 5)
         ]
         assert got != sweep_k(corpus, [2, 3, 5], seed=4, restarts=2)
 
     def test_rejects_bad_options(self):
         boxes = [(5, 5), (9, 9)]
-        with pytest.raises(ValidationError, match="unknown init"):
-            sweep_k(boxes, [1], init="medoid")
         with pytest.raises(ValidationError, match="max_iters"):
             sweep_k(boxes, [1], max_iters=-1)
+
+    def test_too_many_ks_fail_before_any_clustering(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("clustered")
+
+        monkeypatch.setattr(anchors_module, "cluster_anchor_sizes", refuse)
+        n = anchors_module.MAX_SWEEP_KS + 1
+        with pytest.raises(ValidationError, match=f"^{n} values of k pass MAX_SWEEP_KS = {n - 1}$"):
+            sweep_k([(5, 5)], range(1, n + 1))
 
 
 def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=False):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -90,17 +91,8 @@ class TestReports:
         report = json.loads(target.read_text())
         assert report["result"]["total_instances"] == 7
 
-    def test_pretty_renders_text_not_json(self, capsys, tiny_path):
-        rc, out, _ = run(capsys, "stats", "--ann", tiny_path, "--pretty")
-        assert rc == 0
-        assert not out.lstrip().startswith("{")
-        assert "total_instances: 7" in out
-
     def test_stats_reports_clipped_instances(self, capsys, tiny_path):
         # one tiny.json box pokes past its image's right edge and is clamped
-        rc, out, err = run(capsys, "stats", "--ann", tiny_path, "--pretty")
-        assert rc == 0 and err == ""
-        assert "clipped_instances: 1" in out.splitlines()
         report = run_json(capsys, "stats", "--ann", tiny_path)
         assert report["result"]["clipped_instances"] == 1
 
@@ -144,23 +136,35 @@ class TestConfigResolution:
         assert rc == 1
         assert "'cluster.k' expects int, got list" in err
 
-    def test_there_is_no_threads_setting(self, capsys, tiny_path, tmp_path):
-        rc, _, _ = run(capsys, "stats", "--ann", tiny_path, "--threads", "2")
-        assert rc == 64
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"threads": 1}))
-        err = run_rejected(capsys, "stats", "--config", str(cfg), "--ann", tiny_path)
-        assert "'threads'" in err
+    @pytest.mark.parametrize("command, flag, file_config, key", [
+        ("stats", ["--threads", "2"], {"threads": 1}, "threads"),
+        ("stats", ["--pretty"], None, None),
+        ("anchors", ["--fmap", "10x10,5x5,3x3,2x2,1x1"], {"anchors": {"fmap_dims": [[10, 10]]}},
+         "anchors.fmap_dims"),
+        ("cluster", ["--init", "random"], {"cluster": {"init": "random"}}, "cluster.init"),
+    ])
+    def test_there_is_no_such_setting(self, capsys, tiny_path, tmp_path, command, flag,
+                                      file_config, key):
+        argv = {"stats": ["stats", "--ann", tiny_path], "anchors": ["anchors"],
+                "cluster": ["cluster", "--synthetic", "100"]}[command]
+        rc, out, _ = run(capsys, *argv, *flag)
+        assert rc == 64 and out == ""
+        if file_config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(file_config))
+            err = run_rejected(capsys, *argv, "--config", str(cfg))
+            assert err == f"detforge: unknown config key: {key!r}\n"
 
     @pytest.mark.parametrize("file_config,key", [
         ({"anchors": {"sizes": ["a"]}}, "anchors.sizes[0]"),
         ({"anchors": {"sizes": [16, None]}}, "anchors.sizes[1]"),
         ({"anchors": {"sizes": [10**400]}}, "anchors.sizes[0]"),
         ({"anchors": {"image_size": [800]}}, "anchors.image_size"),
-        ({"anchors": {"fmap_dims": [[1]]}}, "anchors.fmap_dims[0]"),
+        ({"anchors": {"image_size": [800, 1.5]}}, "anchors.image_size[1]"),
         ({"anchors": {"strides": [4.5, 8, 16, 32, 64]}}, "anchors.strides[0]"),
         ({"eval": {"iou_thresholds": ["x"]}}, "eval.iou_thresholds[0]"),
         ({"cluster": {"k_range": ["x"]}}, "cluster.k_range[0]"),
+        ({"anchors": {"aspect_ratios": [0.5, True]}}, "anchors.aspect_ratios[1]"),
     ])
     def test_bad_list_element_is_named(self, capsys, tmp_path, file_config, key):
         cfg = tmp_path / "cfg.json"
@@ -184,7 +188,6 @@ def _sample(tag, extra, path):
         "floats": (["1.5,2"], [1.5, 2]),
         "ints": (["3,5"], [3, 5]),
         "pair": (["640", "480"], [640, 480]),
-        "pairs": (["10x20,5x6"], [[10, 20], [5, 6]]),
     }[tag]
 
 
@@ -200,7 +203,7 @@ API_DEFAULTS = {
     **_parameter_defaults(match_anchors, "match", ("pos_iou", "neg_iou", "force_match")),
     **_parameter_defaults(coco_map, "eval", ("max_dets", "iou_thresholds")),
     **_parameter_defaults(cluster_anchor_sizes, "cluster",
-                          ("seed", "max_iters", "restarts", "init")),
+                          ("seed", "max_iters", "restarts")),
     **_parameter_defaults(focal_loss, "loss", ("gamma",)),
 }
 
@@ -238,7 +241,7 @@ class TestOptionsTable:
     def test_help_lists_every_flag(self, capsys, command):
         rc, out, _ = run(capsys, command, "--help")
         assert rc == 0
-        expected = {"--help", "--config", "--pretty"} | {
+        expected = {"--help", "--config"} | {
             flag for _, _, _, flag, commands, _ in _OPTIONS
             if commands is None or command in commands
         }
@@ -445,9 +448,56 @@ class TestExitCodes:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == (
-            "detforge: level 0 has 24999999999999997902848 cells x 6 anchors along one side, "
+            "detforge: level 0 has 25000000000000000000000 cells x 6 anchors along one side, "
             "past MAX_EDGE_ANCHORS = 2097152\n"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--k-range", "1:10000000000000"],
+         "--k-range 1:10000000000000: 10000000000000 values of k pass MAX_SWEEP_KS = 1024"),
+        (["--k-range=-10000000000000:3"],
+         "--k-range -10000000000000:3: 10000000000004 values of k pass MAX_SWEEP_KS = 1024"),
+        (["--synthetic", "10000000000000", "--k", "2"],
+         "a synthetic corpus of 10000000000000 boxes passes MAX_SYNTHETIC_BOXES = 1000000"),
+    ], ids=["k-range", "negative-k-range", "synthetic"])
+    def test_counts_past_their_bound_fail_before_allocating(self, argv, message):
+        # a fresh process limited to 2 GiB of address space, so a count that
+        # is allocated before its check ends in MemoryError, not in this test
+        script = ("import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31)); "
+                  "from detforge.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "cluster", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"detforge: {message}\n"
+
+    @pytest.mark.parametrize("argv, ignored, file_config, message", [
+        (["cluster", "--synthetic", "100", "--k-range", "2:3"], ["--k", "7"],
+         {"cluster": {"k": 7}}, "cluster.k (--k) is ignored when cluster.k_range (--k-range)"),
+        (["cluster", "--synthetic", "100"], ["--ann", "/nonexistent.json"],
+         {"paths": {"annotations": "/nonexistent.json"}},
+         "paths.annotations (--ann) is ignored when cluster.synthetic (--synthetic)"),
+        (["augment-replay", "--ann", "{tiny}", "--records", "R"], ["--records-out", "O"],
+         {"paths": {"records_out": "O"}},
+         "paths.records_out (--records-out) is ignored when paths.records (--records)"),
+        (["augment-replay", "--ann", "{tiny}", "--records", "R"], ["--aug-id", "2"],
+         {"augment": {"aug_id": 2}},
+         "augment.aug_id (--aug-id) is ignored when paths.records (--records)"),
+        (["augment-replay", "--ann", "{tiny}", "--records", "R"], ["--seed", "3"],
+         {"augment": {"seed": 3}},
+         "augment.seed (--seed) is ignored when paths.records (--records)"),
+    ], ids=["k", "ann", "records-out", "aug-id", "seed"])
+    def test_a_setting_the_command_ignores_is_rejected(self, capsys, tmp_path, tiny_path, argv,
+                                                       ignored, file_config, message):
+        argv = [a.format(tiny=tiny_path) for a in argv]
+        want = f"detforge: {message} is set; set only one of them\n"
+        assert run_rejected(capsys, *argv, *ignored) == want
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_config))
+        assert run_rejected(capsys, *argv, "--config", str(cfg)) == want
 
     def test_box_area_past_float_range_is_one_line(self, capsys, tmp_path):
         # the image holds the box without clamping, so its area is 1e400
@@ -759,15 +809,13 @@ class TestSubcommands:
         sweep = report["result"]["sweep"]
         assert [k for k, _ in sweep] == [2, 3, 4]
 
-    def test_cluster_sweep_honours_max_iters_and_init(self, capsys):
+    def test_cluster_sweep_honours_max_iters(self, capsys):
         argv = ("cluster", "--synthetic", "150", "--k-range", "2:4", "--restarts", "2")
         default = run_json(capsys, *argv)["result"]["sweep"]
-        flagged = run_json(capsys, *argv, "--max-iters", "0", "--init", "random")
+        flagged = run_json(capsys, *argv, "--max-iters", "0")
         assert flagged["provenance"]["cluster.max_iters"] == "flag"
-        assert flagged["provenance"]["cluster.init"] == "flag"
         want = [[k, run_json(capsys, "cluster", "--synthetic", "150", "--k", str(k),
-                             "--restarts", "2", "--max-iters", "0",
-                             "--init", "random")["result"]["mean_iou"]]
+                             "--restarts", "2", "--max-iters", "0")["result"]["mean_iou"]]
                 for k in (2, 3, 4)]
         assert flagged["result"]["sweep"] == want != default
 
@@ -799,6 +847,17 @@ class TestSubcommands:
         want = [((100000 + s - 1) // s) ** 2 * 3 * 2 for s in (4, 8, 16, 32, 64)]
         assert [lv["count"] for lv in result["levels"]] == want
         assert result["total"] == sum(want) == 4_995_126_564
+
+    @pytest.mark.parametrize("width, fmap_w", [
+        (10**23, [25 * 10**21, 125 * 10**20, 625 * 10**19, 3125 * 10**18, 15625 * 10**17]),
+        (10**23 + 1, [25 * 10**21 + 1, 125 * 10**20 + 1, 625 * 10**19 + 1, 3125 * 10**18 + 1,
+                      15625 * 10**17 + 1]),
+    ])
+    def test_feature_map_sizes_are_exact_ceilings(self, capsys, width, fmap_w):
+        # float division would give 24999999999999997902848 at stride 4
+        result = run_json(capsys, "anchors", "--image-size", str(width), "9")["result"]
+        assert [(lv["fmap_w"], lv["fmap_h"]) for lv in result["levels"]] == list(
+            zip(fmap_w, [3, 2, 1, 1, 1]))
 
     def test_match_partitions_anchors(self, capsys, tiny_path):
         report = run_json(
