@@ -34,7 +34,6 @@ from .augment import (
     TransformRecord,
     fixed_resize,
     hflip,
-    pipeline,
     random_crop_resize,
     replay,
     short_edge_resize,
@@ -51,7 +50,6 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
-    Detection,
     DetectionColumns,
     EvalResult,
     average_precision,

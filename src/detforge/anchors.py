@@ -520,14 +520,13 @@ def match_anchors(
 ) -> MatchReport:
     """Label anchors positive/negative/ignored against ground truth.
 
-    ``gts`` are instance columns; a sequence of ``Instance`` is converted
-    to columns once. An anchor is positive when its best IoU over
-    non-ignore GTs reaches ``pos_iou``, negative when below ``neg_iou``,
-    ignored in between. An anchor that would be negative but overlaps an
-    ignore-flagged GT at ``neg_iou`` or more is ignored instead of
-    negative. With ``force_match`` each GT claims its single best anchor
-    (ties to the lowest anchor index) as positive even below the
-    threshold.
+    ``gts`` are instance columns. An anchor is positive when its best IoU
+    over non-ignore GTs reaches ``pos_iou``, negative when below
+    ``neg_iou``, ignored in between. An anchor that would be negative but
+    overlaps an ignore-flagged GT at ``neg_iou`` or more is ignored
+    instead of negative. With ``force_match`` each GT claims its single
+    best anchor (ties to the lowest anchor index) as positive even below
+    the threshold.
 
     GTs are grouped by image id and each group is matched against the
     same anchor geometry, so the reported anchor counts total
@@ -559,8 +558,6 @@ def match_anchors(
                 f"level {lv.level} has {side} cells x {lv.n_combo} anchors along one side, "
                 f"past MAX_EDGE_ANCHORS = {MAX_EDGE_ANCHORS}"
             )
-    if not isinstance(gts, InstanceColumns):
-        gts = InstanceColumns.of(gts)
     n_per_image = anchors.total
     groups = group_rows(gts.image_id)
 

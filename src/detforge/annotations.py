@@ -143,27 +143,15 @@ class InstanceColumns:
             for name, _ in _COLUMN_DTYPES
         )
 
-    @classmethod
-    def of(cls, instances: Sequence[Instance]) -> "InstanceColumns":
-        return cls(
-            id=[i.id for i in instances],
-            image_id=[i.image_id for i in instances],
-            category_id=[i.category_id for i in instances],
-            boxes=[i.bbox.as_tuple() for i in instances],
-            area=[i.area for i in instances],
-            ignore=[i.ignore for i in instances],
-        )
 
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable annotated image collection.
 
-    Images and categories are records; the instances are the read-only
-    ``columns``. ``instances`` is a tuple of :class:`Instance` built from
-    the columns on first use, and ``rows_by_image`` maps each image to its
-    column rows. Constructing a Dataset from ``Instance`` objects converts
-    them to columns once.
+    Images and categories are records, kept as tuples; the instances are
+    the read-only ``columns``. ``rows_by_image`` maps each image to its
+    column rows. Image, category and instance ids must be unique, and
+    every instance must name a known image and category.
 
     Equality compares content (images, instances, categories), not the
     provenance string or load diagnostics.
@@ -172,50 +160,23 @@ class Dataset:
     images: Tuple[ImageRecord, ...]
     categories: Tuple[Category, ...]
     columns: InstanceColumns
-    provenance: str
-    clipped_instance_count: int
+    provenance: str = ""
+    clipped_instance_count: int = 0
 
-    def __init__(
-        self,
-        images: Sequence[ImageRecord],
-        instances: Sequence[Instance],
-        categories: Sequence[Category],
-        provenance: str = "",
-        clipped_instance_count: int = 0,
-    ):
-        instances = tuple(instances)
-        self._fill(images, categories, InstanceColumns.of(instances), provenance,
-                   clipped_instance_count)
-        self.__dict__["instances"] = instances
-
-    @classmethod
-    def from_columns(
-        cls,
-        images: Sequence[ImageRecord],
-        categories: Sequence[Category],
-        columns: InstanceColumns,
-        provenance: str = "",
-        clipped_instance_count: int = 0,
-    ) -> "Dataset":
-        ds = cls.__new__(cls)
-        ds._fill(images, categories, columns, provenance, clipped_instance_count)
-        return ds
-
-    def _fill(self, images, categories, columns, provenance, clipped_instance_count):
-        for name, value in (
-            ("images", tuple(images)),
-            ("categories", tuple(categories)),
-            ("columns", columns),
-            ("provenance", provenance),
-            ("clipped_instance_count", clipped_instance_count),
-        ):
-            object.__setattr__(self, name, value)
+    def __post_init__(self):
+        if not isinstance(self.columns, InstanceColumns):
+            raise ValidationError(
+                f"Dataset columns must be InstanceColumns, got {type(self.columns).__name__}"
+            )
+        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "categories", tuple(self.categories))
         _check_unique([im.id for im in self.images], "image")
         _check_unique([c.id for c in self.categories], "category")
-        repeat = _first_repeat(columns.id)
+        c = self.columns
+        repeat = _first_repeat(c.id)
         if repeat is not None:
             raise ValidationError(f"duplicate instance id: {repeat}")
-        check_references(self, columns.id, columns.image_id, columns.category_id, "annotation")
+        check_references(self, c.id, c.image_id, c.category_id, "annotation")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -234,8 +195,10 @@ class Dataset:
     def category_by_id(self) -> Mapping[int, Category]:
         return {c.id: c for c in self.categories}
 
+    # Used only by test oracles; stays while bench/trace_cli.py counts its length.
     @cached_property
     def instances(self) -> Tuple[Instance, ...]:
+        """The rows as :class:`Instance` objects, built from the columns on first use."""
         c = self.columns
         return tuple(
             Instance(i, image_id, category_id, BBox(*box), area, ignore)
@@ -647,7 +610,7 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
         id=ids, image_id=image_ids, category_id=category_ids,
         boxes=boxes, area=area, ignore=crowds,
     )
-    return Dataset.from_columns(
+    return Dataset(
         images,
         categories,
         columns,
@@ -784,7 +747,7 @@ def tile(
         area=c.area[picked] * np.concatenate(visibility),
         ignore=c.ignore[picked],
     )
-    return Dataset.from_columns(
+    return Dataset(
         new_images,
         ds.categories,
         columns,

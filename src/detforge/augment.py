@@ -19,6 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .annotations import _INT64, check_count
 from .errors import ValidationError
 from .geometry import clip_boxes
 
@@ -132,9 +133,14 @@ def random_crop_resize(
     inside the image (x sampled before y). Boxes are clipped to the
     window and dropped when the visible fraction falls below
     ``min_visibility`` or either side ends up under one output pixel.
+    Origins are drawn as int64, so a side past that range fails.
     """
     boxes = _as_boxes(boxes)
     _check_crop(geom, 0, 0, crop_size, out_size, min_visibility)
+    if max(geom.width, geom.height) - crop_size > _INT64.max:
+        raise ValidationError(
+            f"image {geom.width}x{geom.height} is too large to draw a crop origin in int64"
+        )
     crop_x = int(rng.integers(0, geom.width - crop_size + 1))
     crop_y = int(rng.integers(0, geom.height - crop_size + 1))
     params = dict(crop_x=crop_x, crop_y=crop_y, crop_size=crop_size, out_size=out_size,
@@ -199,10 +205,6 @@ class AugmentationPipeline:
         return _drop_subpixel(boxes), geom, records
 
 
-def pipeline(aug_id: int, seed: int) -> AugmentationPipeline:
-    return AugmentationPipeline(aug_id, seed)
-
-
 def replay(
     records: Sequence[TransformRecord], boxes, geom: ImageGeom
 ) -> Tuple[np.ndarray, ImageGeom]:
@@ -210,22 +212,35 @@ def replay(
 
     Mirrors pipeline behavior exactly, including the sub-pixel drop, so
     replaying an ``apply`` call's records reproduces its output. Each
-    record is checked against the image it meets: a flip's ``width``,
-    when given, must be that image's width, and a crop window must be a
-    positive square inside it with ``min_visibility`` in (0, 1].
+    parameter must have the type the sampler writes, so the value applied
+    is the value the record holds: ``crop_x`` and ``crop_y`` are integers
+    of at least 0, ``crop_size``, ``out_size``, ``target_short_edge`` and
+    a flip's ``width`` integers of at least 1, and ``min_visibility`` a
+    real number; none is a bool. Each record is also checked against the
+    image it meets: a flip's ``width``, when given, must be that image's
+    width, and a crop window must lie inside it with ``min_visibility``
+    in (0, 1].
     """
     boxes = _as_boxes(boxes)
     for rec in records:
+        p = rec.params
         if rec.kind == "flip":
-            width = rec.params.get("width", geom.width)
+            width = check_count("flip width", p["width"], 1) if "width" in p else geom.width
             if width != geom.width:
                 raise ValidationError(f"flip width {width!r} is not the image width {geom.width}")
             boxes = hflip(boxes, geom)
         elif rec.kind == "resize":
-            boxes, geom = short_edge_resize(boxes, geom, rec.params["target_short_edge"])
+            target = check_count("resize target_short_edge", p["target_short_edge"], 1)
+            boxes, geom = short_edge_resize(boxes, geom, target)
         elif rec.kind == "crop_resize":
-            crop = {k: int(rec.params[k]) for k in ("crop_x", "crop_y", "crop_size", "out_size")}
-            crop["min_visibility"] = float(rec.params["min_visibility"])
+            lows = (("crop_x", 0), ("crop_y", 0), ("crop_size", 1), ("out_size", 1))
+            crop = {k: check_count(f"crop_resize {k}", p[k], low) for k, low in lows}
+            vis = p["min_visibility"]
+            if isinstance(vis, bool) or not isinstance(vis, (int, float, np.integer, np.floating)):
+                raise ValidationError(
+                    f"crop_resize min_visibility must be a real number, got {vis!r}"
+                )
+            crop["min_visibility"] = float(vis)
             _check_crop(geom, **crop)
             boxes, geom = _crop_resize_at(boxes, geom, **crop)
         else:

@@ -32,7 +32,7 @@ from .anchors import (
     match_anchors,
     sweep_k,
 )
-from .augment import ImageGeom, TransformRecord, pipeline, replay
+from .augment import AugmentationPipeline, ImageGeom, TransformRecord, replay
 from .errors import BadExtent, ConfigTypeError, UnknownConfigKey, ValidationError
 from .evaluation import coco_map, load_detections
 from .losses import (
@@ -468,7 +468,7 @@ def _run_augment_replay(config, inputs):
     else:
         per_image = None
         mode = "sample"
-        pipe = pipeline(config["augment"]["aug_id"], config["augment"]["seed"])
+        pipe = AugmentationPipeline(config["augment"]["aug_id"], config["augment"]["seed"])
 
     for image in sorted(ds.images, key=lambda im: im.id):
         boxes = ds.columns.boxes[ds.rows_by_image[image.id]]

@@ -8,8 +8,7 @@ means. Matching is greedy by descending score with ties broken by the
 detection's source index, so results are deterministic.
 
 Detections load into read-only NumPy columns (:class:`DetectionColumns`)
-that ``coco_map`` reads directly; :class:`Detection` objects are built
-only when a caller asks for ``DetectionColumns.detections``.
+that ``coco_map`` reads directly.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,23 +42,10 @@ from .annotations import (
     read_text,
 )
 from .errors import MissingKey, ValidationError
-from .geometry import BBox, iou_matrix
+from .geometry import iou_matrix
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
 MAX_DETS_PER_IMAGE = 100
-
-
-@dataclass(frozen=True)
-class Detection:
-    image_id: int
-    category_id: int
-    bbox: BBox
-    score: float
-    source_index: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"score must be in [0, 1], got {self.score}")
 
 
 _DETECTION_DTYPES = (
@@ -89,8 +74,6 @@ class DetectionColumns:
     float64. Each field is copied into a read-only array of its dtype.
     Rows keep :func:`~detforge.annotations.box_rules` and a score in
     [0, 1]; the first bad row is named.
-    ``detections`` is a tuple of :class:`Detection` built from the
-    columns on first use.
     """
 
     image_id: np.ndarray
@@ -106,36 +89,6 @@ class DetectionColumns:
 
     def __len__(self) -> int:
         return len(self.image_id)
-
-    @classmethod
-    def of(cls, detections: Sequence[Detection]) -> "DetectionColumns":
-        """The columns of ``detections``, which are kept as ``.detections``."""
-        detections = tuple(detections)
-        n = len(detections)
-        columns = cls(
-            image_id=[d.image_id for d in detections],
-            category_id=[d.category_id for d in detections],
-            source_index=[d.source_index for d in detections],
-            boxes=np.fromiter(
-                (v for d in detections for v in d.bbox.as_tuple()), np.float64, 4 * n
-            ),
-            score=np.fromiter((d.score for d in detections), np.float64, n),
-        )
-        columns.__dict__["detections"] = detections
-        return columns
-
-    @cached_property
-    def detections(self) -> Tuple[Detection, ...]:
-        return tuple(
-            Detection(image_id, category_id, BBox(*box), score, source_index)
-            for image_id, category_id, box, score, source_index in zip(
-                self.image_id.tolist(),
-                self.category_id.tolist(),
-                self.boxes.tolist(),
-                self.score.tolist(),
-                self.source_index.tolist(),
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -410,19 +363,18 @@ def _grouped_dets(dets: DetectionColumns, ds: Dataset, max_dets: int):
 
 
 def coco_map(
-    dets: Union[DetectionColumns, Sequence[Detection]],
+    dets: DetectionColumns,
     ds: Dataset,
     max_dets: int = MAX_DETS_PER_IMAGE,
     iou_thresholds: Optional[Sequence[float]] = None,
 ) -> EvalResult:
     """Score detections against a dataset over thresholds, classes, slices.
 
-    ``dets`` are detection columns; a sequence of ``Detection`` is
-    converted once. Size slices turn out-of-slice GTs into ignore entries
-    and drop out-of-slice detections by their own box area before
-    matching. The (image, class) groups are matched a bounded chunk at a
-    time: each chunk gets one padded IoU block, and the greedy match of
-    every slice and threshold runs on it in lock step.
+    Size slices turn out-of-slice GTs into ignore entries and drop
+    out-of-slice detections by their own box area before matching. The
+    (image, class) groups are matched a bounded chunk at a time: each
+    chunk gets one padded IoU block, and the greedy match of every slice
+    and threshold runs on it in lock step.
     """
     thresholds = (
         IOU_THRESHOLDS if iou_thresholds is None else tuple(float(t) for t in iou_thresholds)
@@ -433,8 +385,6 @@ def coco_map(
         raise ValidationError(
             f"IoU thresholds must be finite and in [0, 1], got {list(thresholds)}"
         )
-    if not isinstance(dets, DetectionColumns):
-        dets = DetectionColumns.of(dets)
     group_size, class_id, source, scores, det_boxes = _grouped_dets(dets, ds, max_dets)
     gt = ds.columns
     gt_groups = group_rows(gt.image_id, gt.category_id)

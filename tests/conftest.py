@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from detforge import load_dataset, load_detections
+from oracles import detections_of
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -24,4 +25,4 @@ def mixed_dataset():
 
 @pytest.fixture()
 def mixed_detections():
-    return list(load_detections(DATA / "eval_mixed_dets.json").detections)
+    return list(detections_of(load_detections(DATA / "eval_mixed_dets.json")))

@@ -2,10 +2,12 @@
 
 The scalar box helpers and the object-path loaders, tiler and exporter
 that the package's ``(N, 4)`` column code replaced live here, with the
-comparison helpers that check the columns against them, so no test
-module imports another. Each oracle is a plain loop over ``BBox``,
-``Instance`` or ``Detection`` objects; the package names they still use
-are those value types, ``Dataset`` and its records, ``geometry.clip``,
+comparison helpers that check the columns against them and the builders
+that turn ``Instance`` and ``Detection`` objects into the columns the
+package takes, so no test module imports another. Each oracle is a plain
+loop over ``BBox``, ``Instance`` or ``Detection`` objects; the package
+names they still use are the ``BBox`` and ``Instance`` value types,
+``Dataset`` and its records and columns, ``geometry.clip``,
 ``Dataset.rows_by_image``, ``annotations._tile_origins``,
 ``annotations.read_text`` and the error types.
 """
@@ -14,6 +16,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +28,7 @@ from detforge.annotations import (
     Dataset,
     ImageRecord,
     Instance,
+    InstanceColumns,
     _tile_origins,
     compute_stats,
     export_dataset,
@@ -37,7 +41,7 @@ from detforge.errors import (
     NegativeExtent,
     ValidationError,
 )
-from detforge.evaluation import Detection, DetectionColumns
+from detforge.evaluation import DetectionColumns
 from detforge.geometry import BBox, clip
 
 
@@ -92,6 +96,74 @@ def same_bits(a, b) -> bool:
 def bits(values) -> list:
     """Floats as their bit patterns, so -0.0 and 0.0 differ."""
     return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Object inputs: the builders that turn Instance and Detection objects into
+# the columns the package takes, and back.
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One detection as an object; the package takes them as DetectionColumns."""
+
+    image_id: int
+    category_id: int
+    bbox: BBox
+    score: float
+    source_index: int
+
+    def __post_init__(self):
+        if not 0.0 <= self.score <= 1.0:
+            raise ValidationError(f"score must be in [0, 1], got {self.score}")
+
+
+def columns_of(instances: Sequence[Instance]) -> InstanceColumns:
+    return InstanceColumns(
+        id=[i.id for i in instances],
+        image_id=[i.image_id for i in instances],
+        category_id=[i.category_id for i in instances],
+        boxes=[i.bbox.as_tuple() for i in instances],
+        area=[i.area for i in instances],
+        ignore=[i.ignore for i in instances],
+    )
+
+
+def dataset_of(images, instances, categories, provenance="", clipped_instance_count=0) -> Dataset:
+    """A Dataset of ``Instance`` objects, which it keeps as ``.instances``.
+
+    Keeping the objects lets a test compare an oracle's objects as they
+    were built, not as the columns rebuild them.
+    """
+    instances = tuple(instances)
+    ds = Dataset(images, categories, columns_of(instances), provenance, clipped_instance_count)
+    ds.__dict__["instances"] = instances
+    return ds
+
+
+def detection_columns(dets: Sequence[Detection]) -> DetectionColumns:
+    n = len(dets)
+    return DetectionColumns(
+        image_id=[d.image_id for d in dets],
+        category_id=[d.category_id for d in dets],
+        source_index=[d.source_index for d in dets],
+        boxes=np.fromiter((v for d in dets for v in d.bbox.as_tuple()), np.float64, 4 * n),
+        score=np.fromiter((d.score for d in dets), np.float64, n),
+    )
+
+
+def detections_of(columns: DetectionColumns) -> tuple:
+    """The rows of ``columns`` as Detection objects."""
+    return tuple(
+        Detection(image_id, category_id, BBox(*box), score, source_index)
+        for image_id, category_id, box, score, source_index in zip(
+            columns.image_id.tolist(),
+            columns.category_id.tolist(),
+            columns.boxes.tolist(),
+            columns.score.tolist(),
+            columns.source_index.tolist(),
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +365,7 @@ def oracle_load_dataset(path) -> Dataset:
         )
 
     oracle_check_dataset(images, instances, categories)
-    return Dataset(
-        images=tuple(images),
-        instances=tuple(instances),
-        categories=tuple(categories),
-        provenance=str(path),
-        clipped_instance_count=n_clipped,
-    )
+    return dataset_of(images, instances, categories, str(path), n_clipped)
 
 
 def oracle_tile(ds, tile_size=800, overlap=200, min_visibility=0.25) -> Dataset:
@@ -355,12 +421,8 @@ def oracle_tile(ds, tile_size=800, overlap=200, min_visibility=0.25) -> Dataset:
                     )
                     next_instance_id += 1
 
-    return Dataset(
-        images=tuple(new_images),
-        instances=tuple(new_instances),
-        categories=ds.categories,
-        provenance=f"{ds.provenance}#tiled(size={tile_size},overlap={overlap})",
-    )
+    return dataset_of(new_images, new_instances, ds.categories,
+                      f"{ds.provenance}#tiled(size={tile_size},overlap={overlap})")
 
 
 def oracle_export_bytes(ds) -> bytes:
@@ -487,7 +549,7 @@ def oracle_load_detections(path) -> list:
 
 def assert_same_columns(got: DetectionColumns, want: Sequence[Detection]) -> None:
     """``got`` holds the fields of ``want`` bit for bit, so -0.0 stays -0.0."""
-    want = DetectionColumns.of(want)
+    want = detection_columns(want)
     assert len(got) == len(want)
     for name in ("image_id", "category_id", "source_index", "boxes", "score"):
         a, b = getattr(got, name), getattr(want, name)

@@ -23,16 +23,15 @@ from detforge.anchors import (
 )
 from detforge.annotations import (
     Category,
-    Dataset,
     ImageRecord,
     Instance,
     _tile_origins,
     load_dataset,
     tile,
 )
-from detforge.augment import ImageGeom, hflip, pipeline, replay, short_edge_resize
+from detforge.augment import AugmentationPipeline, ImageGeom, hflip, replay, short_edge_resize
 from detforge.cli import main as cli_main
-from detforge.evaluation import Detection, coco_map, load_detections
+from detforge.evaluation import coco_map, load_detections
 from detforge.geometry import BBox, iou, iou_matrix
 from detforge.losses import (
     ClassWeights,
@@ -45,7 +44,15 @@ from detforge.losses import (
     weighted_cross_entropy,
 )
 from detforge.synthetic import synthetic_aerial_corpus
-from oracles import from_xywh, shifted
+from oracles import (
+    Detection,
+    columns_of,
+    dataset_of,
+    detection_columns,
+    detections_of,
+    from_xywh,
+    shifted,
+)
 
 # stored: best mean IoU over 1,000 seeded restarts (streams (0,r) for
 # r in 0..999) of k=4 on synthetic_aerial_corpus(n=2000, seed=7)
@@ -223,8 +230,8 @@ def test_criterion_5_small_anchor_sizes_recall_small_objects():
     assert recall_fine >= recall_coarse
 
     # the library's matcher agrees with the brute-force scan
-    assert match_anchors(fine, gts, pos_iou=0.5, neg_iou=0.3).recall == recall_fine
-    assert match_anchors(coarse, gts, pos_iou=0.5, neg_iou=0.3).recall == recall_coarse
+    assert match_anchors(fine, columns_of(gts), pos_iou=0.5, neg_iou=0.3).recall == recall_fine
+    assert match_anchors(coarse, columns_of(gts), pos_iou=0.5, neg_iou=0.3).recall == recall_coarse
     ok(
         f"criterion 5: recall at pos_iou 0.5 with sizes (16..256) = "
         f"{recall_fine:.3f} >= {recall_coarse:.3f} with sizes (32..512) "
@@ -241,7 +248,7 @@ def test_criterion_6_evaluator_oracles_and_fp_monotonicity(data_dir):
         Detection(inst.image_id, inst.category_id, inst.bbox, 1.0, i)
         for i, inst in enumerate(ds.instances)
     ]
-    clean = coco_map(perfect, ds)
+    clean = coco_map(detection_columns(perfect), ds)
     assert clean.ap == 1.0 and clean.ap50 == 1.0 and clean.ap75 == 1.0
 
     with open(data_dir / "eval_mixed_expected.json", "r", encoding="utf-8") as fh:
@@ -272,7 +279,7 @@ def test_criterion_6_evaluator_oracles_and_fp_monotonicity(data_dir):
             float(rng.uniform(0.9, 0.999)),
             1000 + trial,
         )
-        spiked = coco_map(list(dets.detections) + [fp], ds)
+        spiked = coco_map(detection_columns(detections_of(dets) + (fp,)), ds)
         for field in metric_fields:
             b, s = getattr(base, field), getattr(spiked, field)
             if b >= 0.0:
@@ -309,7 +316,7 @@ def test_criterion_7_flip_involution_resize_invariance_replay():
 
     fixture = boxes[:40]
     for seed in range(5):
-        out, out_geom, records = pipeline(3, seed).apply(fixture, geom)
+        out, out_geom, records = AugmentationPipeline(3, seed).apply(fixture, geom)
         again, again_geom = replay(records, fixture, geom)
         # byte-identical: the same floats bit for bit, signed zeros included
         assert again.tobytes() == out.tobytes() and again.shape == out.shape, seed
@@ -409,7 +416,7 @@ def test_criterion_8_tiling_cover_soundness_completeness(data_dir):
                          BBox(x, y, x + w, y + h), w * h, False)
             )
             next_id += 1
-    fuzz = Dataset(tuple(images), tuple(instances), (Category(1, "a"), Category(2, "b")))
+    fuzz = dataset_of(images, instances, (Category(1, "a"), Category(2, "b")))
     _check_tiling_invariants(fuzz, tile_size=512, overlap=128, min_vis=0.3)
     _check_tiling_invariants(fuzz, tile_size=400, overlap=0, min_vis=0.25)
 

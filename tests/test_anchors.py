@@ -18,11 +18,11 @@ from detforge.anchors import (
     match_anchors,
     sweep_k,
 )
-from detforge.annotations import Instance, InstanceColumns
+from detforge.annotations import Instance
 from detforge.errors import BadExtent, TooFewBoxes, ValidationError
 from detforge.geometry import BBox, WhIouBlock, iou_matrix, wh_iou_matrix
 from detforge.synthetic import synthetic_aerial_corpus
-from oracles import same_bits
+from oracles import columns_of, same_bits
 
 
 class TestAnchorSpec:
@@ -304,7 +304,7 @@ class TestLazyAnchorBoxes:
         out = generate_anchors(spec, _image_dims(spec, 300, 200))
         assert out.total == sum(lv.count for lv in out.levels)
         gts = [gt(1, 1, 1, 10, 10, 60, 40), gt(2, 1, 1, 0, 0, 300, 200, ignore=True)]
-        assert match_anchors(out, gts, 0.5, 0.3, force_match=True).n_gt == 1
+        assert match_anchors(out, columns_of(gts), 0.5, 0.3, force_match=True).n_gt == 1
 
     def test_cell_boxes_are_rows_of_all_boxes(self):
         spec = AnchorSpec(offset=0.25, aspect_ratios=(0.2, 1.0, 3.0))
@@ -996,7 +996,8 @@ class TestMatching:
     def test_anchor_shaped_gt_is_recalled_at_threshold_one(self):
         anchors = small_grid()
         # cell (1, 1) center (6, 6): the 16x16 anchor there spans [-2, 14]
-        report = match_anchors(anchors, [gt(1, 1, 1, -2, -2, 14, 14)], pos_iou=1.0, neg_iou=0.3)
+        report = match_anchors(anchors, columns_of([gt(1, 1, 1, -2, -2, 14, 14)]),
+                               pos_iou=1.0, neg_iou=0.3)
         assert report.recall == 1.0
         assert report.n_gt == 1
         assert report.unmatched_gt_ids == ()
@@ -1004,14 +1005,14 @@ class TestMatching:
     def test_counts_partition_the_anchor_set(self):
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 16, 16), gt(2, 1, 2, 4, 4, 12, 12)]
-        report = match_anchors(anchors, gts, pos_iou=0.5, neg_iou=0.2)
+        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.2)
         assert report.n_positive + report.n_negative + report.n_ignored == report.n_anchors
         assert report.n_anchors == anchors.total
 
     def test_two_images_double_the_anchor_total(self):
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 16, 16), gt(2, 2, 1, 0, 0, 16, 16)]
-        report = match_anchors(anchors, gts, pos_iou=0.5, neg_iou=0.2)
+        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.2)
         assert report.n_anchors == 2 * anchors.total
 
     @pytest.mark.parametrize("field", ["id", "image_id", "category_id"])
@@ -1021,46 +1022,47 @@ class TestMatching:
                                           0, 0, 16, 16)]
         with pytest.raises(ValidationError,
                            match=rf"^instance column '{field}' holds a value out of int64 range$"):
-            match_anchors(small_grid(), gts)
+            match_anchors(small_grid(), columns_of(gts))
 
     def test_no_ground_truth_convention(self):
         anchors = small_grid()
-        report = match_anchors(anchors, [])
+        report = match_anchors(anchors, columns_of([]))
         assert report.recall == 1.0
         assert report.zero_gt_denominator is True
         assert report.n_negative == report.n_anchors == anchors.total
 
     def test_zero_positive_threshold_claims_everything(self):
         anchors = small_grid()
-        report = match_anchors(anchors, [gt(1, 1, 1, 0, 0, 8, 8)], pos_iou=0.0, neg_iou=0.0)
+        report = match_anchors(anchors, columns_of([gt(1, 1, 1, 0, 0, 8, 8)]),
+                               pos_iou=0.0, neg_iou=0.0)
         assert report.n_positive == report.n_anchors
 
     def test_threshold_order_enforced(self):
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 8, 8)]
         with pytest.raises(ValidationError):
-            match_anchors(anchors, gts, pos_iou=0.3, neg_iou=0.7)
+            match_anchors(anchors, columns_of(gts), pos_iou=0.3, neg_iou=0.7)
         with pytest.raises(ValidationError):
-            match_anchors(anchors, gts, pos_iou=1.2, neg_iou=0.3)
+            match_anchors(anchors, columns_of(gts), pos_iou=1.2, neg_iou=0.3)
 
     def test_a_level_past_the_edge_bound_is_named(self, monkeypatch):
         gts = [gt(1, 1, 1, 0, 0, 16, 16)]
         # one anchor per cell: the bound counts cells along the longer side
         monkeypatch.setattr(anchors_module, "MAX_EDGE_ANCHORS", 8)
-        assert match_anchors(small_grid(fmap=(8, 3)), gts).n_gt == 1
-        assert match_anchors(small_grid(fmap=(3, 8)), gts).n_gt == 1
+        assert match_anchors(small_grid(fmap=(8, 3)), columns_of(gts)).n_gt == 1
+        assert match_anchors(small_grid(fmap=(3, 8)), columns_of(gts)).n_gt == 1
         with pytest.raises(ValidationError, match=r"^level 0 has 9 cells x 1 anchors along "
                                                   r"one side, past MAX_EDGE_ANCHORS = 8$"):
-            match_anchors(small_grid(fmap=(3, 9)), gts)
+            match_anchors(small_grid(fmap=(3, 9)), columns_of(gts))
         # three anchors per cell: 2 x 3 fits on level 0, 3 x 3 does not on level 1
         spec = AnchorSpec(sizes=(16.0, 32.0), angles=(0.0,), strides=(4, 8))
         with pytest.raises(ValidationError, match=r"^level 1 has 3 cells x 3 anchors along "):
-            match_anchors(generate_anchors(spec, [(2, 2), (3, 1)]), gts)
+            match_anchors(generate_anchors(spec, [(2, 2), (3, 1)]), columns_of(gts))
 
     @pytest.mark.parametrize("side", [(1 << 21) + 1, 10**10, 25 * 10**21])
     def test_a_grid_too_large_to_lay_out_fails_before_allocating(self, side):
         anchors = small_grid(fmap=(1, side))
-        gts = InstanceColumns.of([gt(1, 1, 1, 0, 0, 16, 16)])
+        gts = columns_of([gt(1, 1, 1, 0, 0, 16, 16)])
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match=rf"^level 0 has {side} cells x 1 anchors "
@@ -1074,17 +1076,18 @@ class TestMatching:
 
     def test_a_grid_at_the_edge_bound_is_matched(self):
         assert anchors_module.MAX_EDGE_ANCHORS == 1 << 21
-        report = match_anchors(small_grid(fmap=(1 << 21, 1)), [])
+        report = match_anchors(small_grid(fmap=(1 << 21, 1)), columns_of([]))
         assert report.n_anchors == report.n_negative == 1 << 21
 
     def test_force_match_rescues_a_stranded_gt(self):
         anchors = small_grid()
         stranded = gt(1, 1, 1, 0, 0, 3, 3)  # IoU with every 16x16 anchor is tiny
-        plain = match_anchors(anchors, [stranded], pos_iou=0.7, neg_iou=0.3)
+        plain = match_anchors(anchors, columns_of([stranded]), pos_iou=0.7, neg_iou=0.3)
         assert plain.recall == 0.0
         assert plain.unmatched_gt_ids == (1,)
 
-        forced = match_anchors(anchors, [stranded], pos_iou=0.7, neg_iou=0.3, force_match=True)
+        forced = match_anchors(anchors, columns_of([stranded]), pos_iou=0.7, neg_iou=0.3,
+                               force_match=True)
         assert forced.recall == 1.0
         assert forced.n_positive == plain.n_positive + 1
         assert forced.matched_per_gt == {1: 1}
@@ -1093,7 +1096,7 @@ class TestMatching:
         anchors = small_grid()
         crowd = gt(1, 1, 1, -2, -2, 14, 14, ignore=True)
         live = gt(2, 1, 1, 0, 0, 16, 16)
-        report = match_anchors(anchors, [crowd, live], pos_iou=0.99, neg_iou=0.3)
+        report = match_anchors(anchors, columns_of([crowd, live]), pos_iou=0.99, neg_iou=0.3)
         assert report.n_gt == 1
         # anchors overlapping the crowd region sit out instead of training as background
         assert report.n_ignored > 0
@@ -1102,19 +1105,19 @@ class TestMatching:
     def test_matched_histogram_accounts_for_every_gt(self):
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 16, 16), gt(2, 1, 2, 30, 30, 46, 46), gt(3, 2, 1, 1, 1, 2, 2)]
-        report = match_anchors(anchors, gts, pos_iou=0.5, neg_iou=0.2)
+        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.2)
         assert sum(report.matched_per_gt.values()) == report.n_gt == 3
 
     def test_per_class_recall_splits_by_category(self):
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 16, 16), gt(2, 1, 2, 1, 1, 3, 3)]
-        report = match_anchors(anchors, gts, pos_iou=0.5, neg_iou=0.2)
+        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.2)
         assert report.per_class_recall == {1: 1.0, 2: 0.0}
         assert report.recall == 0.5
 
     def test_small_anchor_size_recalls_small_objects(self):
         """A 16-anchor grid recovers a 14x14 box that a 32 grid cannot."""
-        target = [gt(1, 1, 1, 30, 30, 44, 44)]
+        target = columns_of([gt(1, 1, 1, 30, 30, 44, 44)])
         fine = match_anchors(small_grid(size=16, fmap=(16, 16)), target, pos_iou=0.5, neg_iou=0.3)
         coarse = match_anchors(small_grid(size=32, fmap=(16, 16)), target, pos_iou=0.5, neg_iou=0.3)
         assert fine.recall == 1.0
@@ -1134,7 +1137,7 @@ class TestMatching:
                        ignore=bool(rng.random() < 0.2))
                 )
             pos_thr, neg_thr = 0.5, 0.3
-            report = match_anchors(anchors, gts, pos_iou=pos_thr, neg_iou=neg_thr)
+            report = match_anchors(anchors, columns_of(gts), pos_iou=pos_thr, neg_iou=neg_thr)
 
             n_pos = n_neg = n_ign = 0
             recalled = 0
@@ -1169,7 +1172,8 @@ class TestMatching:
 
     def test_report_serializes_with_string_keys(self):
         anchors = small_grid()
-        report = match_anchors(anchors, [gt(1, 1, 1, 0, 0, 16, 16)], pos_iou=0.5, neg_iou=0.2)
+        report = match_anchors(anchors, columns_of([gt(1, 1, 1, 0, 0, 16, 16)]),
+                               pos_iou=0.5, neg_iou=0.2)
         blob = json.loads(json.dumps(report.to_dict()))
         assert blob["n_anchors"] == anchors.total
         assert all(isinstance(k, str) for k in blob["per_class_recall"])
@@ -1229,9 +1233,8 @@ class TestMatchingAgainstDenseOracle:
             gts = _random_gts(rng, width, height, n_images=int(rng.integers(1, 4)))
             for (pos, neg), force in itertools.product(self.THRESHOLDS, (False, True)):
                 want = dense_match_anchors(anchors, gts, pos, neg, force_match=force)
-                for form in (gts, InstanceColumns.of(gts)):
-                    got = match_anchors(anchors, form, pos, neg, force_match=force)
-                    assert got.to_dict() == want.to_dict(), (force, pos, neg, type(form))
+                got = match_anchors(anchors, columns_of(gts), pos, neg, force_match=force)
+                assert got.to_dict() == want.to_dict(), (force, pos, neg)
 
     def test_gt_overlapping_no_anchor_claims_anchor_zero(self):
         anchors = small_grid()
@@ -1239,23 +1242,24 @@ class TestMatchingAgainstDenseOracle:
         on_anchor_zero = gt(2, 1, 1, -6, -6, 10, 10)
         for gts in ([far], [far, on_anchor_zero]):
             for pos in (0.0, 0.5, 1.0):
-                got = match_anchors(anchors, gts, pos, 0.0, force_match=True)
+                got = match_anchors(anchors, columns_of(gts), pos, 0.0, force_match=True)
                 want = dense_match_anchors(anchors, gts, pos, 0.0, force_match=True)
                 assert got.to_dict() == want.to_dict()
         # anchor 0 is already positive, so the far GT's claim adds no anchor
-        assert match_anchors(anchors, [far, on_anchor_zero], 1.0, 0.0,
+        assert match_anchors(anchors, columns_of([far, on_anchor_zero]), 1.0, 0.0,
                              force_match=True).n_positive == 1
 
     def test_non_finite_boxes_rejected(self):
         anchors = small_grid()
         bad = Instance(1, 1, 1, BBox(0.0, 0.0, float("nan"), 4.0), 0.0, False)
         with pytest.raises(ValidationError):
-            match_anchors(anchors, [bad])
+            match_anchors(anchors, columns_of([bad]))
         # an ignore GT is checked too, even where no anchor is negative and
         # its overlaps are never needed
         bad_crowd = Instance(2, 1, 1, BBox(0.0, float("nan"), 4.0, 4.0), 0.0, True)
         with pytest.raises(ValidationError, match="finite"):
-            match_anchors(anchors, [gt(1, 1, 1, 0, 0, 8, 8), bad_crowd], pos_iou=0.0, neg_iou=0.0)
+            match_anchors(anchors, columns_of([gt(1, 1, 1, 0, 0, 8, 8), bad_crowd]),
+                          pos_iou=0.0, neg_iou=0.0)
 
 
 class TestSparseCountEdges:
@@ -1284,12 +1288,13 @@ class TestSparseCountEdges:
         gts = self.CASES[case]
         for (pos, neg), force in itertools.product(self.THRESHOLDS, (False, True)):
             want = dense_match_anchors(anchors, gts, pos, neg, force_match=force)
-            got = match_anchors(anchors, gts, pos, neg, force_match=force)
+            got = match_anchors(anchors, columns_of(gts), pos, neg, force_match=force)
             assert got.to_dict() == want.to_dict(), (pos, neg, force)
 
     def test_claimed_anchor_zero_is_positive_not_negative(self):
         anchors = small_grid()
-        report = match_anchors(anchors, [gt(1, 1, 1, *self.FAR)], 0.7, 0.3, force_match=True)
+        report = match_anchors(anchors, columns_of([gt(1, 1, 1, *self.FAR)]), 0.7, 0.3,
+                               force_match=True)
         assert (report.n_positive, report.n_negative, report.n_ignored) == (1, anchors.total - 1, 0)
         assert report.matched_per_gt == {1: 1}
 
@@ -1302,7 +1307,7 @@ class TestSparseCountEdges:
             gts = _random_gts(rng, 160, 120, n_images=2)
             for thr, force in itertools.product((0.1, 0.4, 0.7), (False, True)):
                 want = dense_match_anchors(anchors, gts, thr, thr, force_match=force)
-                got = match_anchors(anchors, gts, thr, thr, force_match=force)
+                got = match_anchors(anchors, columns_of(gts), thr, thr, force_match=force)
                 assert got.to_dict() == want.to_dict(), (thr, force)
 
 
@@ -1329,7 +1334,8 @@ def test_memory_is_bounded_without_a_dense_matrix():
     ]
     tracemalloc.start()
     try:
-        report = match_anchors(anchors, gts, pos_iou=0.5, neg_iou=0.3, force_match=True)
+        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.3,
+                               force_match=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1347,7 +1353,7 @@ def test_aerial_scene_matches_in_candidate_memory():
     rng = np.random.default_rng(11)
     xy = rng.uniform(0, 1, size=(400, 2)) * [3950, 2950]
     wh = rng.uniform(6, 64, size=(400, 2))
-    gts = InstanceColumns.of([
+    gts = columns_of([
         gt(i + 1, 1, 1 + i % 3, x, y, min(x + w, 4000), min(y + h, 3000), ignore=i % 10 == 0)
         for i, ((x, y), (w, h)) in enumerate(zip(xy, wh))
     ])

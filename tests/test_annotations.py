@@ -37,6 +37,8 @@ from oracles import (
     BBOX_SHAPES,
     assert_same_dataset,
     bbox_grid,
+    columns_of,
+    dataset_of,
     dataset_to_coco,
     export_bytes,
     from_xywh,
@@ -170,7 +172,7 @@ class TestStats:
 
     def test_boundary_areas_round_up(self):
         """Areas exactly on a bucket edge land in the coarser bucket."""
-        ds = Dataset(
+        ds = dataset_of(
             images=(ImageRecord(1, 500, 500, "x.png"),),
             instances=(
                 Instance(1, 1, 1, from_xywh(0, 0, 32, 32), SMALL_AREA_MAX, False),
@@ -183,13 +185,13 @@ class TestStats:
         assert buckets == {"small": 1, "medium": 1, "large": 1}
 
     def test_empty_dataset(self):
-        report = compute_stats(Dataset(images=(), instances=(), categories=()))
+        report = compute_stats(dataset_of(images=(), instances=(), categories=()))
         assert report.total_instances == 0
         assert report.per_category_counts == {}
         assert report.per_image_histogram == {}
 
     def test_image_without_instances_counts_as_zero(self):
-        ds = Dataset(
+        ds = dataset_of(
             images=(ImageRecord(1, 100, 100, "a.png"), ImageRecord(2, 100, 100, "b.png")),
             instances=(Instance(1, 1, 1, from_xywh(0, 0, 5, 5), 25.0, False),),
             categories=(Category(1, "c"),),
@@ -263,7 +265,7 @@ class TestTileOrigins:
 
 class TestTiling:
     def test_identity_when_image_fits(self):
-        ds = Dataset(
+        ds = dataset_of(
             images=(ImageRecord(1, 800, 800, "a.png"),),
             instances=(Instance(1, 1, 1, from_xywh(10, 10, 50, 50), 2500.0, False),),
             categories=(Category(1, "c"),),
@@ -284,7 +286,7 @@ class TestTiling:
         assert "scene_000__x200_y0.png" in names
 
     def test_too_many_tiles_fail_before_any_is_built(self, monkeypatch):
-        ds = Dataset(
+        ds = dataset_of(
             images=(ImageRecord(5, 1000, 800, "b.png"), ImageRecord(2, 1400, 1400, "a.png"),
                     ImageRecord(9, 100, 100, "c.png")),
             instances=(Instance(1, 5, 1, from_xywh(10, 10, 20, 20), 400.0, False),),
@@ -304,7 +306,7 @@ class TestTiling:
 
     def test_straddling_box_is_clipped_both_sides(self):
         """A box across a tile seam shows up clipped in each tile that keeps it."""
-        ds = Dataset(
+        ds = dataset_of(
             images=(ImageRecord(1, 1000, 800, "a.png"),),
             instances=(Instance(1, 1, 1, from_xywh(790, 10, 20, 20), 400.0, False),),
             categories=(Category(1, "c"),),
@@ -322,7 +324,7 @@ class TestTiling:
         assert right.area == pytest.approx(400.0)
 
     def test_visibility_threshold_drops_slivers(self):
-        ds = Dataset(
+        ds = dataset_of(
             images=(ImageRecord(1, 1000, 800, "a.png"),),
             instances=(Instance(1, 1, 1, from_xywh(790, 10, 20, 20), 400.0, False),),
             categories=(Category(1, "c"),),
@@ -367,7 +369,7 @@ class TestTiling:
                     Instance(next_id, img_id, 1, from_xywh(x, y, bw, bh), bw * bh, False)
                 )
                 next_id += 1
-        ds = Dataset(tuple(images), tuple(instances), (Category(1, "c"),))
+        ds = dataset_of(tuple(images), tuple(instances), (Category(1, "c"),))
 
         tile_size, overlap, min_vis = 512, 128, 0.3
         out = tile(ds, tile_size=tile_size, overlap=overlap, min_visibility=min_vis)
@@ -588,11 +590,10 @@ class TestColumnarMatchesOracle:
         assert not np.signbit(tiled.columns.boxes[tiled.columns.boxes == 0]).any()
 
     def test_constructed_dataset(self, tmp_path):
-        """Instance objects given to the constructor tile as the loaded ones do."""
+        """A dataset built from the columns of Instance objects tiles as the loaded one does."""
         ds = oracle_load_dataset(write_json(tmp_path / "ann.json", random_payload(3)))
-        rebuilt = Dataset(ds.images, ds.instances, ds.categories, ds.provenance,
+        rebuilt = Dataset(ds.images, ds.categories, columns_of(ds.instances), ds.provenance,
                           ds.clipped_instance_count)
-        assert rebuilt.instances is ds.instances  # the caller's objects, not rebuilt ones
         assert_same_dataset(tile(rebuilt, 256, 64, 0.5), oracle_tile(ds, 256, 64, 0.5),
                             tmp_path)
 
@@ -605,7 +606,7 @@ class TestColumnarMatchesOracle:
                  (100.0, 700.0, 150.0, 760.0), (200.0, 550.0, 260.0, 600.0),
                  (500.0, 300.0, 560.0, 400.0), (600.0, 0.0, 700.0, 1000.0),
                  (10.0, -0.0, 50.0, 300.0), (900.0, 940.0, 1000.0, 1000.0)]
-        ds = Dataset(
+        ds = dataset_of(
             (ImageRecord(1, 1000, 1000, "a.png"),),
             tuple(Instance(i + 1, 1, 1, BBox(*b), (b[2] - b[0]) * (b[3] - b[1]))
                   for i, b in enumerate(boxes)),
@@ -620,7 +621,7 @@ class TestColumnarMatchesOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError) as info:
-                Dataset(
+                dataset_of(
                     (ImageRecord(1, 1000, 800, "a.png"),),
                     (Instance(1, 1, 1, BBox(10.0, 10.0, 30.0, 30.0), 400.0),
                      Instance(2, 1, 1, BBox(0.0, 0.0, 1e200, 1e200), 1.0)),
@@ -753,7 +754,7 @@ def export_dataset_of(n_rows: int, n_images: int = 3, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     xy = rng.uniform(0, 500, (n_rows, 2))
     wh = rng.uniform(0, 80, (n_rows, 2))
-    return Dataset.from_columns(
+    return Dataset(
         [ImageRecord(i + 1, 600, 600, f"scene_{i}.png") for i in range(n_images)],
         [Category(1, "plane"), Category(2, "ship")],
         InstanceColumns(
@@ -776,18 +777,18 @@ class TestStreamedExport:
         return data
 
     def test_empty_dataset_and_empty_lists(self, tmp_path):
-        empty = Dataset((), (), ())
+        empty = dataset_of((), (), ())
         assert self.assert_exports_as_json_does(empty, tmp_path) == (
             b'{\n  "images": [],\n  "annotations": [],\n  "categories": []\n}\n'
         )
         image, cat = ImageRecord(1, 10, 10, "a.png"), Category(1, "c")
         for images, cats in (((image,), ()), ((), (cat,)), ((image,), (cat,))):
-            self.assert_exports_as_json_does(Dataset(images, (), cats), tmp_path)
+            self.assert_exports_as_json_does(dataset_of(images, (), cats), tmp_path)
 
     def test_escaped_names(self, tmp_path):
         names = ["caf\u00e9.png", 'quo"te', "back\\slash", "ctrl\x00\x1f\n\t\r\x7f",
                  "line\u2028sep", "\U0001f6e9 plane", "", "\ud800 lone surrogate"]
-        ds = Dataset(
+        ds = dataset_of(
             [ImageRecord(i + 1, 32, 32, name) for i, name in enumerate(names)],
             [Instance(1, 1, i + 1, BBox(0.0, 0.0, 4.0, 4.0), 16.0) for i in range(1)],
             [Category(i + 1, name) for i, name in enumerate(names)],
@@ -797,7 +798,7 @@ class TestStreamedExport:
         assert json.loads(data) == dataset_to_coco(ds)
 
     def test_non_finite_areas_are_rejected_and_signed_zeros_export(self, tmp_path):
-        ds = Dataset(
+        ds = dataset_of(
             (ImageRecord(1, 100, 100, "a.png"),),
             (Instance(1, 1, 1, BBox(-0.0, -0.0, 0.0, -0.0), 0.0),
              Instance(2, 1, 1, BBox(-0.0, 5.0, 10.0, 7.5), -0.0),
@@ -811,9 +812,9 @@ class TestStreamedExport:
         # json's non-finite spellings never reach a file: the columns reject them
         for area in (math.inf, math.nan, -math.inf):
             with pytest.raises(ValidationError, match=r"^instance row 1 area must be finite "):
-                Dataset(ds.images, (Instance(1, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), 1.0),
-                                    Instance(2, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), area)),
-                        ds.categories)
+                dataset_of(ds.images, (Instance(1, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), 1.0),
+                                       Instance(2, 1, 1, BBox(0.0, 0.0, 1.0, 1.0), area)),
+                           ds.categories)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, _EXPORT_BLOCK_ROWS + 3])
     def test_block_seams(self, tmp_path, offset):
@@ -891,13 +892,21 @@ class TestObjectsOnlyAtTheEdge:
         image, cat = ImageRecord(1, 10, 10, "a.png"), Category(1, "c")
         box = from_xywh(0, 0, 1, 1)
         with pytest.raises(ValidationError, match="duplicate instance id: 2"):
-            Dataset((image,), [Instance(2, 1, 1, box, 1.0), Instance(3, 1, 1, box, 1.0),
-                               Instance(2, 1, 1, box, 1.0)], (cat,))
+            dataset_of((image,), [Instance(2, 1, 1, box, 1.0), Instance(3, 1, 1, box, 1.0),
+                                  Instance(2, 1, 1, box, 1.0)], (cat,))
         with pytest.raises(DanglingReference, match="annotation 4 references unknown category"):
-            Dataset((image,), [Instance(3, 1, 1, box, 1.0), Instance(4, 1, 9, box, 1.0),
-                               Instance(5, 7, 1, box, 1.0)], (cat,))
+            dataset_of((image,), [Instance(3, 1, 1, box, 1.0), Instance(4, 1, 9, box, 1.0),
+                                  Instance(5, 7, 1, box, 1.0)], (cat,))
         with pytest.raises(DanglingReference, match="annotation 5 references unknown image"):
-            Dataset((image,), [Instance(5, 7, 9, box, 1.0)], (cat,))
+            dataset_of((image,), [Instance(5, 7, 9, box, 1.0)], (cat,))
+
+    def test_old_argument_order_is_a_validation_error(self):
+        """Instances where the columns go fail in one line, not deep inside a check."""
+        image, cat = ImageRecord(1, 10, 10, "a.png"), Category(1, "c")
+        instances = (Instance(1, 1, 1, from_xywh(0, 0, 1, 1), 1.0),)
+        with pytest.raises(ValidationError,
+                           match=r"^Dataset columns must be InstanceColumns, got tuple$"):
+            Dataset((image,), instances, (cat,))
 
     @pytest.mark.parametrize("bad_box, bad_area, message", [
         ((0, 0, math.nan, 1), 1.0, "instance row 1 has a non-finite box (0.0, 0.0, nan, 1.0)"),
@@ -935,4 +944,4 @@ class TestObjectsOnlyAtTheEdge:
         assert type(ImageRecord(1, np.int64(100), 100, "a.png").width) is int
 
     def test_instance_columns_from_instances(self, tiny_dataset):
-        assert InstanceColumns.of(tiny_dataset.instances) == tiny_dataset.columns
+        assert columns_of(tiny_dataset.instances) == tiny_dataset.columns

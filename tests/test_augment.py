@@ -11,11 +11,11 @@ from detforge.augment import (
     AUG3_CROP_SIZE,
     AUG3_OUT_SIZE,
     EVAL_RESIZE,
+    AugmentationPipeline,
     ImageGeom,
     TransformRecord,
     fixed_resize,
     hflip,
-    pipeline,
     random_crop_resize,
     replay,
     short_edge_resize,
@@ -219,6 +219,16 @@ class TestRandomCropResize:
         with pytest.raises(ValidationError):
             random_crop_resize(FIXTURE, ImageGeom(300, 900), 400, 800, np.random.default_rng(0))
 
+    def test_origins_past_int64_are_rejected(self):
+        """NumPy draws the origin in int64; a wider image is a one-line error, not a crash."""
+        widest = ImageGeom(2**63 - 1 + 400, 800)
+        _, geom, record = random_crop_resize(FIXTURE, widest, 400, 800, np.random.default_rng(0))
+        assert geom == ImageGeom(800, 800) and record.params["crop_x"] < 2**63
+        with pytest.raises(ValidationError, match=r"^image 1180591620717411303424x800 is too "
+                                                  r"large to draw a crop origin in int64$"):
+            random_crop_resize(FIXTURE, ImageGeom(2**70, 800), 400, 800,
+                               np.random.default_rng(0))
+
     def test_visibility_bounds(self):
         with pytest.raises(ValidationError):
             random_crop_resize(FIXTURE, GEOM, 400, 800, np.random.default_rng(0), min_visibility=0.0)
@@ -260,7 +270,7 @@ class TestBoxArrays:
         lambda b: short_edge_resize(b, GEOM, 640),
         lambda b: random_crop_resize(b, GEOM, 400, 800, np.random.default_rng(0)),
         lambda b: fixed_resize(b, GEOM),
-        lambda b: pipeline(3, 0).apply(b, GEOM),
+        lambda b: AugmentationPipeline(3, 0).apply(b, GEOM),
         lambda b: replay([], b, GEOM),
     ]
 
@@ -291,8 +301,8 @@ class TestBoxArrays:
 
     def test_integer_and_list_input_match_float_arrays(self):
         as_int = FIXTURE.astype(np.int64)
-        assert bits(pipeline(1, 3).apply(as_int, GEOM)[0]) == bits(pipeline(1, 3).apply(
-            FIXTURE.tolist(), GEOM)[0])
+        got = AugmentationPipeline(1, 3).apply(as_int, GEOM)[0]
+        assert bits(got) == bits(AugmentationPipeline(1, 3).apply(FIXTURE.tolist(), GEOM)[0])
 
 
 class TestPipelines:
@@ -304,14 +314,14 @@ class TestPipelines:
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValidationError):
-            pipeline(4, seed=0)
+            AugmentationPipeline(4, seed=0)
 
     def test_rigged_identity_exists(self):
         """Some seed skips the flip and picks the 800 edge: a no-op on 800-square input."""
         square = ImageGeom(800, 800)
         boxes = np.array([[5.0, 5.0, 105.0, 55.0], [600.0, 700.0, 700.0, 790.0]])
         for seed in range(300):
-            out, geom, records = pipeline(1, seed).apply(boxes, square)
+            out, geom, records = AugmentationPipeline(1, seed).apply(boxes, square)
             if len(records) == 1 and records[0].params.get("target_short_edge") == 800:
                 assert bits(out) == bits(boxes)
                 assert geom == square
@@ -322,7 +332,7 @@ class TestPipelines:
         square = ImageGeom(800, 800)
         boxes = np.array([[5.0, 5.0, 25.0, 45.0], [100.0, 100.0, 700.0, 300.0]])
         for seed in range(25):
-            out, _, _ = pipeline(2, seed).apply(boxes, square)
+            out, _, _ = AugmentationPipeline(2, seed).apply(boxes, square)
             assert len(out) == len(boxes)
             # flip reorders nothing and the scale is at least 1
             assert (widths(out) >= widths(boxes) - 1e-9).all()
@@ -330,8 +340,8 @@ class TestPipelines:
 
     def test_same_seed_same_story(self):
         for aug_id in (1, 2, 3):
-            a = pipeline(aug_id, seed=17)
-            b = pipeline(aug_id, seed=17)
+            a = AugmentationPipeline(aug_id, seed=17)
+            b = AugmentationPipeline(aug_id, seed=17)
             for _ in range(4):  # stream continuity across repeated calls
                 out_a = a.apply(FIXTURE, GEOM)
                 out_b = b.apply(FIXTURE, GEOM)
@@ -343,7 +353,7 @@ class TestPipelines:
         rng_seeds = range(12)
         for aug_id in (1, 2, 3):
             for seed in rng_seeds:
-                out, geom, _ = pipeline(aug_id, seed).apply(FIXTURE, GEOM)
+                out, geom, _ = AugmentationPipeline(aug_id, seed).apply(FIXTURE, GEOM)
                 assert len(out) <= len(FIXTURE)
                 assert (out[:, :2] >= -1e-9).all()
                 assert (out[:, 2] <= geom.width + 1e-9).all()
@@ -353,7 +363,7 @@ class TestPipelines:
 
 class TestReplay:
     def test_aug3_seed_7_reproduces_exactly(self):
-        out, geom, records = pipeline(3, seed=7).apply(FIXTURE, GEOM)
+        out, geom, records = AugmentationPipeline(3, seed=7).apply(FIXTURE, GEOM)
         again, geom2 = replay(records, FIXTURE, GEOM)
         assert bits(again) == bits(out)
         assert geom2 == geom
@@ -361,13 +371,13 @@ class TestReplay:
     def test_all_pipelines_replay_exactly(self):
         for aug_id in (1, 2, 3):
             for seed in range(10):
-                out, geom, records = pipeline(aug_id, seed).apply(FIXTURE, GEOM)
+                out, geom, records = AugmentationPipeline(aug_id, seed).apply(FIXTURE, GEOM)
                 again, geom2 = replay(records, FIXTURE, GEOM)
                 assert bits(again) == bits(out), (aug_id, seed)
                 assert geom2 == geom
 
     def test_replay_survives_serialization(self):
-        out, geom, records = pipeline(3, seed=21).apply(FIXTURE, GEOM)
+        out, geom, records = AugmentationPipeline(3, seed=21).apply(FIXTURE, GEOM)
         loaded = round_trip(records)
         again, geom2 = replay(loaded, FIXTURE, GEOM)
         assert bits(again) == bits(out)
@@ -396,21 +406,22 @@ class TestReplay:
         ([TransformRecord("resize", {"target_short_edge": 480}),
           TransformRecord("flip", {"width": 800})],
          r"^flip width 800 is not the image width 640$"),
-        ([TransformRecord("resize", {"target_short_edge": -3})], r"^target short edge -3$"),
+        ([TransformRecord("resize", {"target_short_edge": -3})],
+         r"^resize target_short_edge must be at least 1, got -3$"),
         ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": -5,
                                           "out_size": 8, "min_visibility": 0.5})],
-         r"^crop size -5 and output size 8 must be positive$"),
+         r"^crop_resize crop_size must be at least 1, got -5$"),
         ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400,
                                           "out_size": 0, "min_visibility": 0.5})],
-         r"^crop size 400 and output size 0 must be positive$"),
+         r"^crop_resize out_size must be at least 1, got 0$"),
         ([TransformRecord("crop_resize", {"crop_x": 401, "crop_y": 0, "crop_size": 400,
                                           "out_size": 800, "min_visibility": 0.5})],
          r"^crop 400 at \(401, 0\) exceeds image 800x600$"),
         ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": -1, "crop_size": 400,
                                           "out_size": 800, "min_visibility": 0.5})],
-         r"^crop 400 at \(0, -1\) exceeds image 800x600$"),
+         r"^crop_resize crop_y must be at least 0, got -1$"),
         ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400,
-                                          "out_size": 800, "min_visibility": "nan"})],
+                                          "out_size": 800, "min_visibility": float("nan")})],
          r"^min_visibility nan$"),
         ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400,
                                           "out_size": 800, "min_visibility": 0.0})],
@@ -537,7 +548,7 @@ def oracle_drop_subpixel(boxes):
 
 
 def oracle_apply(aug_id, seed, boxes, geom):
-    """One ``pipeline(aug_id, seed).apply`` call, box by box."""
+    """One ``AugmentationPipeline(aug_id, seed).apply`` call, box by box."""
     rng = np.random.default_rng(seed)
     records = []
     if rng.random() < 0.5:
@@ -558,9 +569,28 @@ def oracle_apply(aug_id, seed, boxes, geom):
     return oracle_drop_subpixel(boxes), geom, records
 
 
+# Per record kind, the integer parameters and the least value each may take.
+ORACLE_INT_PARAMS = {
+    "flip": (("width", 1),),
+    "resize": (("target_short_edge", 1),),
+    "crop_resize": (("crop_x", 0), ("crop_y", 0), ("crop_size", 1), ("out_size", 1)),
+}
+
+
 def oracle_replay(records, boxes, geom):
+    """The original replay, with one rule added: each parameter has the
+    type the sampler writes, so no cast below changes the value applied.
+    Integer parameters are non-bool ints of at least their least value
+    (a flip's ``width`` may be absent), and ``min_visibility`` a non-bool
+    int or float."""
     for rec in records:
         p = rec["params"]
+        for key, low in ORACLE_INT_PARAMS[rec["kind"]]:
+            value = p.get(key, low)
+            if type(value) is not int or value < low:
+                raise ValidationError(f"{rec['kind']} {key} is {value!r}")
+        if rec["kind"] == "crop_resize" and type(p["min_visibility"]) not in (int, float):
+            raise ValidationError(f"crop_resize min_visibility is {p['min_visibility']!r}")
         if rec["kind"] == "flip":
             boxes = oracle_hflip(boxes, geom)
         elif rec["kind"] == "resize":
@@ -652,7 +682,7 @@ class TestDifferentialAgainstObjectPath:
             objects = [OracleBox(*row) for row in scene.tolist()]
             want, want_geom, want_records = oracle_apply(aug_id, seed, objects, geom)
 
-            got, got_geom, records = pipeline(aug_id, seed).apply(scene, geom)
+            got, got_geom, records = AugmentationPipeline(aug_id, seed).apply(scene, geom)
             assert got.dtype == np.float64 and got.shape == (len(want), 4)
             assert bits(got) == bits(as_rows(want)), (aug_id, seed)
             assert np.array_equal(np.signbit(got), np.signbit(as_rows(want)))
@@ -718,6 +748,22 @@ class TestDifferentialAgainstObjectPath:
                 got, g = replay([record], scene, geom)
                 want, wg = oracle_replay([record.to_dict()], objects, geom)
                 assert bits(got) == bits(as_rows(want)) and g == wg
+
+    @pytest.mark.parametrize("kind, key, value", [
+        (kind, key, value)
+        for kind, keys in ORACLE_INT_PARAMS.items() for key, _ in keys
+        for value in (True, False, "5", None, [5], 640.0)
+    ] + [("crop_resize", "min_visibility", value) for value in (True, False, "0.5", None, [0.5])])
+    def test_mistyped_parameters_fail_as_in_the_oracle(self, kind, key, value):
+        params = {"flip": {"width": 800}, "resize": {"target_short_edge": 640},
+                  "crop_resize": {"crop_x": 100, "crop_y": 50, "crop_size": 300, "out_size": 600,
+                                  "min_visibility": 0.25}}[kind]
+        record = {"kind": kind, "params": {**params, key: value}}
+        objects = [OracleBox(*row) for row in FIXTURE.tolist()]
+        with pytest.raises(ValidationError, match=rf"^{kind} {key} is "):
+            oracle_replay([record], objects, GEOM)
+        with pytest.raises(ValidationError, match=rf"^{kind} {key} must be "):
+            replay([TransformRecord.from_dict(record)], FIXTURE, GEOM)
 
     def test_signed_zeros_survive_as_in_the_object_path(self):
         """-0.0 stays through min(v, hi); the crop's x + float(-0) turns it into 0.0."""

@@ -354,18 +354,44 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind, params, detail", [
         ("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": -5, "out_size": 8,
-                         "min_visibility": 0.5}, "crop size -5 and output size 8 must be positive"),
+                         "min_visibility": 0.5},
+         "crop_resize crop_size must be at least 1, got -5"),
         ("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400, "out_size": 0,
                          "min_visibility": 0.5},
-         "crop size 400 and output size 0 must be positive"),
+         "crop_resize out_size must be at least 1, got 0"),
         ("crop_resize", {"crop_x": 500, "crop_y": 0, "crop_size": 400, "out_size": 800,
                          "min_visibility": 0.5}, "crop 400 at (500, 0) exceeds image 800x800"),
         ("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400, "out_size": 800,
-                         "min_visibility": "nan"}, "min_visibility nan"),
-        ("resize", {"target_short_edge": -3}, "target short edge -3"),
+                         "min_visibility": float("nan")}, "min_visibility nan"),
+        ("resize", {"target_short_edge": -3},
+         "resize target_short_edge must be at least 1, got -3"),
         ("flip", {"width": 12345}, "flip width 12345 is not the image width 800"),
+        # each parameter has the type the sampler writes: a cast would apply
+        # (5, 1, 400, 800) while the report echoes the strings, bool and float
+        ("crop_resize", {"crop_x": "5", "crop_y": True, "crop_size": "400", "out_size": 800.9,
+                         "min_visibility": "0.5"},
+         "crop_resize crop_x must be an integer, got '5'"),
+        ("crop_resize", {"crop_x": 5, "crop_y": True, "crop_size": 400, "out_size": 800,
+                         "min_visibility": 0.5}, "crop_resize crop_y must be an integer, got True"),
+        ("crop_resize", {"crop_x": 5, "crop_y": 1, "crop_size": 400, "out_size": 800.9,
+                         "min_visibility": 0.5},
+         "crop_resize out_size must be an integer, got 800.9"),
+        ("crop_resize", {"crop_x": 5, "crop_y": 1, "crop_size": 400, "out_size": 800,
+                         "min_visibility": "0.5"},
+         "crop_resize min_visibility must be a real number, got '0.5'"),
+        ("crop_resize", {"crop_x": 5, "crop_y": 1, "crop_size": 400, "out_size": 800,
+                         "min_visibility": True},
+         "crop_resize min_visibility must be a real number, got True"),
+        ("resize", {"target_short_edge": True},
+         "resize target_short_edge must be an integer, got True"),
+        ("resize", {"target_short_edge": 640.0},
+         "resize target_short_edge must be an integer, got 640.0"),
+        ("flip", {"width": 800.0}, "flip width must be an integer, got 800.0"),
+        ("flip", {"width": 0}, "flip width must be at least 1, got 0"),
     ], ids=["crop-negative", "out-zero", "window-outside", "visibility-nan", "resize-negative",
-            "flip-width"])
+            "flip-width", "crop-x-string", "crop-y-bool", "out-size-float", "visibility-string",
+            "visibility-bool", "resize-bool", "resize-float", "flip-width-float",
+            "flip-width-zero"])
     def test_bad_record_values_name_their_line(self, capsys, tiny_path, tmp_path, kind, params,
                                                detail):
         good = {"image_id": 1, "records": [{"kind": "flip", "params": {}}]}

@@ -23,7 +23,6 @@ from detforge.errors import DanglingReference, MissingKey, ValidationError
 from detforge.evaluation import (
     IOU_THRESHOLDS,
     MAX_DETS_PER_IMAGE,
-    Detection,
     DetectionColumns,
     EvalResult,
     average_precision,
@@ -33,8 +32,12 @@ from detforge.evaluation import (
 from detforge.geometry import BBox, iou
 from oracles import (
     BBOX_SHAPES,
+    Detection,
     assert_same_columns,
     bbox_grid,
+    dataset_of,
+    detection_columns,
+    detections_of,
     from_xywh,
     oracle_load_detections,
     shifted,
@@ -346,17 +349,9 @@ class TestDetectionColumns:
         with pytest.raises(ValueError):
             c.score[0] = 0.5
 
-    def test_detections_are_built_once_and_round_trip(self, mixed_detections):
-        c = DetectionColumns.of(mixed_detections)
-        assert c.detections == tuple(mixed_detections)
-        assert c.detections is c.detections
-        rebuilt = DetectionColumns(image_id=c.image_id, category_id=c.category_id,
-                                   source_index=c.source_index, boxes=c.boxes, score=c.score)
-        assert rebuilt.detections == c.detections
-
     def test_empty(self):
-        c = DetectionColumns.of([])
-        assert len(c) == 0 and c.boxes.shape == (0, 4) and c.detections == ()
+        c = DetectionColumns(image_id=[], category_id=[], source_index=[], boxes=[], score=[])
+        assert len(c) == 0 and c.boxes.shape == (0, 4)
 
     def test_ragged_columns_are_rejected(self):
         with pytest.raises(ValidationError, match=r"^detection column 'score' has 2 rows$"):
@@ -408,7 +403,7 @@ class TestDetectionColumns:
         dets = [det(1, 1, 0, 0, 10, 10, 0.9, src=0), det(1, 1, 0, 0, math.nan, 10, 0.8, src=1)]
         with pytest.raises(ValidationError,
                            match=r"^detection row 1 has a non-finite box \(0\.0, 0\.0, nan, 10\.0\)$"):
-            coco_map(dets, mixed_dataset)
+            coco_map(detection_columns(dets), mixed_dataset)
 
 
 class TestDetectionObjectsOnlyAtTheEdge:
@@ -432,7 +427,7 @@ class TestDetectionObjectsOnlyAtTheEdge:
         assert len(dets) == 6
         assert calls == []
         # the counter does see the objects built for an API caller
-        assert len(dets.detections) == 6
+        assert len(detections_of(dets)) == 6
         assert calls.count("Detection") == calls.count("BBox") == 6
 
 
@@ -446,7 +441,7 @@ class TestDetection:
 
 class TestLoadDetections:
     def test_mixed_fixture(self, data_dir):
-        dets = load_detections(data_dir / "eval_mixed_dets.json").detections
+        dets = detections_of(load_detections(data_dir / "eval_mixed_dets.json"))
         assert len(dets) == 6
         assert [d.source_index for d in dets] == list(range(6))
         assert dets[0].bbox == box(0, 0, 10, 10)
@@ -663,7 +658,7 @@ class TestCocoMap:
         assert MAX_DETS_PER_IMAGE == 100
 
     def test_hand_traced_fixture(self, mixed_dataset, mixed_detections):
-        result = coco_map(mixed_detections, mixed_dataset)
+        result = coco_map(detection_columns(mixed_detections), mixed_dataset)
         assert result.ap == pytest.approx(71.0 / 101.0, abs=1e-9)
         assert result.ap50 == pytest.approx(96.0 / 101.0, abs=1e-9)
         assert result.ap75 == pytest.approx(66.0 / 101.0, abs=1e-9)
@@ -680,7 +675,7 @@ class TestCocoMap:
             Detection(inst.image_id, inst.category_id, inst.bbox, 1.0, i)
             for i, inst in enumerate(mixed_dataset.instances)
         ]
-        result = coco_map(dets, mixed_dataset)
+        result = coco_map(detection_columns(dets), mixed_dataset)
         assert result.ap == 1.0
         assert result.ap50 == 1.0 and result.ap75 == 1.0
         assert result.ap_small == 1.0
@@ -694,27 +689,27 @@ class TestCocoMap:
         assert all(v == 1.0 for v in result.per_class_ap.values())
 
     def test_empty_detections(self, mixed_dataset):
-        result = coco_map([], mixed_dataset)
+        result = coco_map(detection_columns([]), mixed_dataset)
         assert result.ap == 0.0
         assert result.n_detections == 0
         assert result.per_class_ap == {1: 0.0, 2: -1.0}
 
     def test_dangling_references(self, mixed_dataset):
         with pytest.raises(DanglingReference):
-            coco_map([det(999, 1, 0, 0, 10, 10, 0.9)], mixed_dataset)
+            coco_map(detection_columns([det(999, 1, 0, 0, 10, 10, 0.9)]), mixed_dataset)
         with pytest.raises(DanglingReference):
-            coco_map([det(1, 99, 0, 0, 10, 10, 0.9)], mixed_dataset)
+            coco_map(detection_columns([det(1, 99, 0, 0, 10, 10, 0.9)]), mixed_dataset)
         # the first offender in list order, not score order, is named, and
         # within one detection its image before its category
         dets = [det(1, 1, 0, 0, 10, 10, 0.9, src=0), det(1, 99, 0, 0, 10, 10, 0.1, src=1),
                 det(999, 1, 0, 0, 10, 10, 0.95, src=2)]
         with pytest.raises(DanglingReference,
                            match=r"^detection 1 references unknown category id 99$"):
-            coco_map(dets, mixed_dataset)
+            coco_map(detection_columns(dets), mixed_dataset)
         dets[1] = det(998, 99, 0, 0, 10, 10, 0.1, src=1)
         with pytest.raises(DanglingReference,
                            match=r"^detection 1 references unknown image id 998$"):
-            coco_map(dets, mixed_dataset)
+            coco_map(detection_columns(dets), mixed_dataset)
 
     @pytest.mark.parametrize("field", ["image_id", "category_id", "source_index"])
     @pytest.mark.parametrize("value", [10**30, 2**63, -(2**63) - 1])
@@ -725,16 +720,16 @@ class TestCocoMap:
                           ids["source_index"])]
         with pytest.raises(ValidationError,
                            match=rf"^detection {field} is out of int64 range$"):
-            coco_map(dets, mixed_dataset)
+            coco_map(detection_columns(dets), mixed_dataset)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.0, -1.0])
     def test_thresholds_must_be_finite_and_in_unit_interval(
         self, mixed_dataset, mixed_detections, bad
     ):
         with pytest.raises(ValidationError, match="IoU thresholds"):
-            coco_map(mixed_detections, mixed_dataset, iou_thresholds=[0.5, bad])
+            coco_map(detection_columns(mixed_detections), mixed_dataset, iou_thresholds=[0.5, bad])
         # the interval is closed: both ends are legal thresholds
-        coco_map(mixed_detections, mixed_dataset, iou_thresholds=[0.0, 1.0])
+        coco_map(detection_columns(mixed_detections), mixed_dataset, iou_thresholds=[0.0, 1.0])
 
     def test_max_dets_keeps_top_scores_per_image(self, mixed_dataset):
         dets = [
@@ -742,16 +737,16 @@ class TestCocoMap:
             det(1, 1, 300, 300, 10, 10, 0.8, src=1),      # fp
             det(1, 1, 100, 100, 40, 40, 0.7, src=2),      # true hit, lowest score
         ]
-        full = coco_map(dets, mixed_dataset)
-        capped = coco_map(dets, mixed_dataset, max_dets=2)
+        full = coco_map(detection_columns(dets), mixed_dataset)
+        capped = coco_map(detection_columns(dets), mixed_dataset, max_dets=2)
         assert full.n_detections == 3
         assert capped.n_detections == 2
         assert capped.ap50 < full.ap50  # the dropped detection was a TP
 
     def test_high_scoring_fp_never_helps(self, mixed_dataset, mixed_detections):
-        base = coco_map(mixed_detections, mixed_dataset)
+        base = coco_map(detection_columns(mixed_detections), mixed_dataset)
         spiked = mixed_detections + [det(1, 1, 500, 500, 20, 20, 0.99, src=50)]
-        worse = coco_map(spiked, mixed_dataset)
+        worse = coco_map(detection_columns(spiked), mixed_dataset)
         for field in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"):
             b, w = getattr(base, field), getattr(worse, field)
             if b >= 0.0:
@@ -760,32 +755,32 @@ class TestCocoMap:
     def test_trailing_duplicate_tp_changes_nothing(self, mixed_dataset, mixed_detections):
         """The dup re-hit on a matched GT ranks last, so every AP is identical."""
         without_dup = mixed_detections[:-1]
-        a = coco_map(without_dup, mixed_dataset)
-        b = coco_map(mixed_detections, mixed_dataset)
+        a = coco_map(detection_columns(without_dup), mixed_dataset)
+        b = coco_map(detection_columns(mixed_detections), mixed_dataset)
         assert (a.ap, a.ap50, a.ap75) == (b.ap, b.ap50, b.ap75)
         assert (a.ap_small, a.ap_medium, a.ap_large) == (b.ap_small, b.ap_medium, b.ap_large)
         assert b.n_detections == a.n_detections + 1
 
     def test_ap50_at_least_ap(self, mixed_dataset, mixed_detections, tiny_dataset, data_dir):
         for dets, ds in (
-            (mixed_detections, mixed_dataset),
+            (detection_columns(mixed_detections), mixed_dataset),
             (load_detections(data_dir / "tiny_perfect_dets.json"), tiny_dataset),
         ):
             result = coco_map(dets, ds)
             assert result.ap50 >= result.ap
 
     def test_single_threshold_override(self, mixed_dataset, mixed_detections):
-        result = coco_map(mixed_detections, mixed_dataset, iou_thresholds=(0.5,))
+        result = coco_map(detection_columns(mixed_detections), mixed_dataset, iou_thresholds=(0.5,))
         assert result.ap == result.ap50
         assert result.ap75 == -1.0  # threshold not evaluated
 
     def test_deterministic(self, mixed_dataset, mixed_detections):
-        a = coco_map(mixed_detections, mixed_dataset).to_dict()
-        b = coco_map(mixed_detections, mixed_dataset).to_dict()
+        a = coco_map(detection_columns(mixed_detections), mixed_dataset).to_dict()
+        b = coco_map(detection_columns(mixed_detections), mixed_dataset).to_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_result_serializes_with_string_class_keys(self, mixed_dataset, mixed_detections):
-        blob = coco_map(mixed_detections, mixed_dataset).to_dict()
+        blob = coco_map(detection_columns(mixed_detections), mixed_dataset).to_dict()
         assert set(blob["per_class_ap"]) == {"1", "2"}
 
 
@@ -840,18 +835,11 @@ def random_case(rng, n_images, n_classes, max_gts, max_dets):
             dets.append(Detection(image.id, cat, b, score, len(dets)))
     order = rng.permutation(len(dets))  # source order need not follow images
     dets = [dets[i] for i in order]
-    return Dataset(images, tuple(instances), categories), dets
-
-
-def coco_map_both(dets, ds, **kwargs) -> EvalResult:
-    """coco_map on a Detection list, after it agrees with coco_map on its columns."""
-    result = coco_map(dets, ds, **kwargs)
-    assert coco_map(DetectionColumns.of(dets), ds, **kwargs).to_dict() == result.to_dict()
-    return result
+    return dataset_of(images, instances, categories), dets
 
 
 class TestCocoMapAgainstScalarOracle:
-    """coco_map on Detection lists and on DetectionColumns against the scalar oracle."""
+    """coco_map against the scalar oracle."""
 
     @pytest.mark.parametrize("max_dets", [0, 1, 2, MAX_DETS_PER_IMAGE])
     @pytest.mark.parametrize("thresholds", [None, (0.0,), (1.0,), (0.5, 0.75)])
@@ -861,18 +849,19 @@ class TestCocoMapAgainstScalarOracle:
             ds, dets = random_case(rng, n_images=int(rng.integers(1, 5)),
                                    n_classes=int(rng.integers(1, 4)), max_gts=6, max_dets=8)
             want = scalar_coco_map(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
-            got = coco_map_both(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
+            got = coco_map(detection_columns(dets), ds, max_dets=max_dets,
+                           iou_thresholds=thresholds)
             assert got.to_dict() == want.to_dict(), f"trial {trial}"
 
     def test_iou_tie_goes_to_the_lowest_gt_index(self, mixed_dataset):
         tall, wide = box(0, 0, 10, 20), box(0, 0, 20, 10)
-        ds = Dataset(mixed_dataset.images[:1],
-                     (Instance(1, 1, 1, tall, tall.area), Instance(2, 1, 1, wide, wide.area)),
-                     mixed_dataset.categories)
+        ds = dataset_of(mixed_dataset.images[:1],
+                        (Instance(1, 1, 1, tall, tall.area), Instance(2, 1, 1, wide, wide.area)),
+                        mixed_dataset.categories)
         # the square ties at IoU 0.5 and takes the tall GT, so the tall det
         # that follows is left with the wide one (IoU 1/3): a miss at 0.5
         dets = [Detection(1, 1, box(0, 0, 10, 10), 0.9, 0), Detection(1, 1, tall, 0.8, 1)]
-        result = coco_map_both(dets, ds, iou_thresholds=[0.5])
+        result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
         assert result.ap == pytest.approx(51.0 / 101.0, abs=1e-15)
         assert result.to_dict() == scalar_coco_map(dets, ds, iou_thresholds=[0.5]).to_dict()
 
@@ -882,7 +871,8 @@ class TestCocoMapAgainstScalarOracle:
             ds, dets = random_case(rng, 3, 2, 5, 8)
             dets = [Detection(d.image_id, d.category_id, d.bbox, d.score, i % 3)
                     for i, d in enumerate(dets)]
-            assert coco_map_both(dets, ds).to_dict() == scalar_coco_map(dets, ds).to_dict()
+            got = coco_map(detection_columns(dets), ds)
+            assert got.to_dict() == scalar_coco_map(dets, ds).to_dict()
 
     @pytest.mark.parametrize("groups, cells", [(1, 1 << 16), (3, 1 << 16), (128, 40)])
     def test_chunk_boundaries_change_nothing(self, monkeypatch, groups, cells):
@@ -890,7 +880,8 @@ class TestCocoMapAgainstScalarOracle:
         monkeypatch.setattr(evaluation, "_CHUNK_CELLS", cells)
         rng = np.random.default_rng(groups + cells)
         ds, dets = random_case(rng, n_images=12, n_classes=3, max_gts=8, max_dets=12)
-        assert coco_map_both(dets, ds).to_dict() == scalar_coco_map(dets, ds).to_dict()
+        got = coco_map(detection_columns(dets), ds)
+        assert got.to_dict() == scalar_coco_map(dets, ds).to_dict()
 
     def test_padded_cells_of_a_chunk_are_never_read(self, monkeypatch):
         original = evaluation._lockstep_flags
@@ -908,16 +899,17 @@ class TestCocoMapAgainstScalarOracle:
         for trial in range(10):
             ds, dets = random_case(rng, n_images=6, n_classes=3, max_gts=6, max_dets=10)
             want = scalar_coco_map(dets, ds, iou_thresholds=(0.0, 0.5))
-            assert coco_map_both(dets, ds, iou_thresholds=(0.0, 0.5)).to_dict() == \
+            assert coco_map(detection_columns(dets), ds, iou_thresholds=(0.0, 0.5)).to_dict() == \
                 want.to_dict(), f"trial {trial}"
 
     def test_fixtures_match(self, mixed_dataset, mixed_detections, tiny_dataset, data_dir):
-        tiny_dets = load_detections(data_dir / "tiny_perfect_dets.json").detections
+        tiny_dets = detections_of(load_detections(data_dir / "tiny_perfect_dets.json"))
         for dets, ds in ((mixed_detections, mixed_dataset), (tiny_dets, tiny_dataset),
                          ([], mixed_dataset)):
             for max_dets in (0, 2):
                 for thresholds in (None, (0.0, 1.0), (0.5,)):
-                    got = coco_map_both(dets, ds, max_dets=max_dets, iou_thresholds=thresholds)
+                    got = coco_map(detection_columns(dets), ds, max_dets=max_dets,
+                                   iou_thresholds=thresholds)
                     want = scalar_coco_map(dets, ds, max_dets=max_dets,
                                            iou_thresholds=thresholds)
                     assert got.to_dict() == want.to_dict()
@@ -940,7 +932,7 @@ class TestCocoMapAgainstScalarOracle:
             ds, dets = random_case(rng, n_images=int(rng.integers(1, 5)),
                                    n_classes=int(rng.integers(1, 4)), max_gts=6, max_dets=8)
             want = scalar_coco_map(dets, ds, iou_thresholds=thresholds)
-            got = coco_map_both(dets, ds, iou_thresholds=thresholds)
+            got = coco_map(detection_columns(dets), ds, iou_thresholds=thresholds)
             assert got.to_dict() == want.to_dict(), f"trial {trial}: {thresholds}"
 
 
@@ -1061,7 +1053,7 @@ class TestLockstepAgainstOracle:
         rng = np.random.default_rng(11)
         for _ in range(10):
             ds, dets = random_case(rng, n_images=8, n_classes=3, max_gts=6, max_dets=10)
-            coco_map(dets, ds, iou_thresholds=(0.95, 0.0, 0.5, 0.5))
+            coco_map(detection_columns(dets), ds, iou_thresholds=(0.95, 0.0, 0.5, 0.5))
         monkeypatch.setattr(evaluation, "_lockstep_flags", original)
         assert len(chunks) > 20
         for args in chunks:
@@ -1093,10 +1085,10 @@ def test_memory_is_bounded_without_a_whole_dataset_batch():
             b = from_xywh(g.bbox.x_min + jitter[0], g.bbox.y_min + jitter[1],
                           abs(g.bbox.width + jitter[2]), abs(g.bbox.height + jitter[3]))
             dets.append(Detection(image.id, g.category_id, b, float(rng.random()), len(dets)))
-    ds = Dataset(images, tuple(instances), (Category(1, "a"), Category(2, "b")))
+    ds = dataset_of(images, instances, (Category(1, "a"), Category(2, "b")))
     tracemalloc.start()
     try:
-        result = coco_map(dets, ds)
+        result = coco_map(detection_columns(dets), ds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1113,7 +1105,7 @@ class TestDeviationsFromCocoEval:
 
     def dataset(self, *gts):
         """One 800x800 image, classes 1 and 2; each GT is (cat, box, area, crowd)."""
-        return Dataset(
+        return dataset_of(
             (ImageRecord(1, 800, 800, "a.png"),),
             tuple(Instance(i + 1, 1, cat, b, area, crowd)
                   for i, (cat, b, area, crowd) in enumerate(gts)),
@@ -1124,7 +1116,7 @@ class TestDeviationsFromCocoEval:
         car, truck = box(0, 0, 20, 20), box(100, 100, 140, 140)
         ds = self.dataset((1, car, car.area, False), (2, truck, truck.area, False))
         dets = [Detection(1, 2, truck, 0.9, 0), Detection(1, 1, car, 0.8, 1)]
-        result = coco_map(dets, ds, max_dets=1)
+        result = coco_map(detection_columns(dets), ds, max_dets=1)
         # the cap keeps only the truck; COCOeval caps per (image, class)
         # and would keep the car too, for per_class_ap {1: 1.0, 2: 1.0}
         assert result.n_detections == 1
@@ -1135,7 +1127,7 @@ class TestDeviationsFromCocoEval:
         gt = box(0, 0, 30, 30)  # area 900: small
         ds = self.dataset((1, gt, gt.area, False))
         dets = [Detection(1, 1, box(0, 0, 40, 40), 0.9, 0)]  # area 1600, IoU 0.5625
-        result = coco_map(dets, ds, iou_thresholds=[0.5])
+        result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
         # the medium det never meets the small GT in the small slice;
         # COCOeval matches it there and would report ap_small 1.0
         assert result.ap == 1.0
@@ -1147,7 +1139,7 @@ class TestDeviationsFromCocoEval:
         ds = self.dataset((1, crowd, crowd.area, True), (1, car, car.area, False))
         dets = [Detection(1, 1, box(10, 10, 30, 30), 0.9, 0),  # IoU 0.04 with the crowd
                 Detection(1, 1, car, 0.8, 1)]
-        result = coco_map(dets, ds, iou_thresholds=[0.5])
+        result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
         # the det inside the crowd region is a false positive ranked above
         # the hit; COCOeval scores a crowd GT by intersection over det
         # area (here 1.0), would ignore that det and report ap 1.0
@@ -1157,7 +1149,7 @@ class TestDeviationsFromCocoEval:
     def test_d_slice_bounds_are_half_open(self):
         gt = box(0, 0, 32, 32)  # area exactly 32^2
         ds = self.dataset((1, gt, gt.area, False))
-        result = coco_map([Detection(1, 1, gt, 0.9, 0)], ds)
+        result = coco_map(detection_columns([Detection(1, 1, gt, 0.9, 0)]), ds)
         # [lo, hi) puts the GT in medium only; COCOeval's bounds are
         # inclusive, so it is small and medium there and ap_small is 1.0
         assert result.ap_small == -1.0
