@@ -32,7 +32,6 @@ from .augment import (
     AugmentationPipeline,
     ImageGeom,
     TransformRecord,
-    fixed_resize,
     hflip,
     random_crop_resize,
     replay,
@@ -75,6 +74,5 @@ from .losses import (
     smooth_l1,
     weighted_cross_entropy,
 )
-from .synthetic import synthetic_aerial_corpus
 
 __version__ = "0.1.0"

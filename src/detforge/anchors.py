@@ -36,6 +36,17 @@ MAX_EDGE_ANCHORS = 1 << 21
 # time; the CLI checks a ``--k-range`` against it before listing the ks.
 MAX_SWEEP_KS = 1024
 
+# The most restarts one ``cluster_anchor_sizes`` call runs. Criterion 4's
+# stored oracle is the best of 1,000 restarts in one call, the most any
+# procedure here asks for; each restart is a full clustering, so more
+# would not finish in useful time.
+MAX_RESTARTS = 1000
+
+# The most Lloyd iterations one restart runs. Restarts on the benchmark's
+# 10k aerial boxes converge in 150-190 iterations, so the bound sits far
+# past convergence and still ends a restart whose assignments never settle.
+MAX_ITERS = 10_000
+
 
 @dataclass(frozen=True)
 class AnchorSpec:
@@ -376,12 +387,18 @@ def cluster_anchor_sizes(
     the highest mean IoU wins, earliest on ties. Centroids are returned
     sorted by area ascending with assignments remapped to match. Every
     box needs a positive finite width, height and area (``BadExtent``).
+    More than ``MAX_RESTARTS`` restarts or ``MAX_ITERS`` iterations fail
+    before any seeding.
     """
     wh = _as_wh_array(boxes)
     k = check_count("k", k, 1)
     seed = check_count("seed", seed, 0)
     max_iters = check_count("max_iters", max_iters, 0)
     restarts = check_count("restarts", restarts, 1)
+    if restarts > MAX_RESTARTS:
+        raise ValidationError(f"{restarts} restarts pass MAX_RESTARTS = {MAX_RESTARTS}")
+    if max_iters > MAX_ITERS:
+        raise ValidationError(f"{max_iters} iterations pass MAX_ITERS = {MAX_ITERS}")
     if wh.shape[0] < k:
         raise TooFewBoxes(f"{wh.shape[0]} boxes for k={k}")
 
@@ -416,8 +433,8 @@ def sweep_k(boxes, k_range: Iterable[int], seed: int = 0, restarts: int = 10,
             max_iters: int = 100):
     """Cluster at each k and report (k, mean_iou) sorted by k.
 
-    More than ``MAX_SWEEP_KS`` distinct values of k fail before any
-    clustering.
+    More than ``MAX_SWEEP_KS`` distinct values of k, and restart or
+    iteration counts past their bounds, fail before any clustering.
     """
     ks = sorted(set(check_count("k", k, 1) for k in k_range))
     if not ks:

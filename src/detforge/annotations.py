@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -154,14 +154,14 @@ class Dataset:
     every instance must name a known image and category.
 
     Equality compares content (images, instances, categories), not the
-    provenance string or load diagnostics.
+    load diagnostics.
     """
 
     images: Tuple[ImageRecord, ...]
     categories: Tuple[Category, ...]
     columns: InstanceColumns
-    provenance: str = ""
-    clipped_instance_count: int = 0
+    # keyword-only: a stray fourth positional argument would become the count
+    clipped_instance_count: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         if not isinstance(self.columns, InstanceColumns):
@@ -614,7 +614,6 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
         images,
         categories,
         columns,
-        provenance=str(path),
         clipped_instance_count=int(np.count_nonzero((boxes != corners).any(axis=1))),
     )
 
@@ -747,12 +746,7 @@ def tile(
         area=c.area[picked] * np.concatenate(visibility),
         ignore=c.ignore[picked],
     )
-    return Dataset(
-        new_images,
-        ds.categories,
-        columns,
-        provenance=f"{ds.provenance}#tiled(size={tile_size},overlap={overlap})",
-    )
+    return Dataset(new_images, ds.categories, columns)
 
 
 # Rows formatted and written at a time by export_dataset: the whole text

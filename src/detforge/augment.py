@@ -27,7 +27,6 @@ AUG1_SHORT_EDGES = (640, 672, 704, 736, 768, 800)
 AUG2_SHORT_EDGES = (800, 832, 864, 896, 928, 960)
 AUG3_CROP_SIZE = 400
 AUG3_OUT_SIZE = 800
-EVAL_RESIZE = (1600, 1600)
 
 
 @dataclass(frozen=True)
@@ -147,18 +146,6 @@ def random_crop_resize(
                   min_visibility=min_visibility)
     out, new_geom = _crop_resize_at(boxes, geom, **params)
     return out, new_geom, TransformRecord("crop_resize", params)
-
-
-def fixed_resize(
-    boxes, geom: ImageGeom, out_w: int = EVAL_RESIZE[0], out_h: int = EVAL_RESIZE[1]
-) -> Tuple[np.ndarray, ImageGeom]:
-    """Per-axis scale to an exact output size (evaluation-side resize)."""
-    b = _as_boxes(boxes)
-    if out_w <= 0 or out_h <= 0:
-        raise ValidationError(f"output size {out_w}x{out_h}")
-    scale = np.array([float(out_w) / geom.width, float(out_h) / geom.height] * 2)
-    with np.errstate(over="ignore"):
-        return b * scale, ImageGeom(out_w, out_h)
 
 
 def _drop_subpixel(boxes: np.ndarray) -> np.ndarray:

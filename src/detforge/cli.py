@@ -44,7 +44,6 @@ from .losses import (
     smooth_l1,
     weighted_cross_entropy,
 )
-from .synthetic import synthetic_aerial_corpus
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,8 +124,6 @@ _OPTIONS = (
     ("cluster.seed", "int", 0, "--seed", ("cluster",), {}),
     ("cluster.restarts", "int", 10, "--restarts", ("cluster",), {}),
     ("cluster.max_iters", "int", 100, "--max-iters", ("cluster",), {}),
-    ("cluster.synthetic", "int", None, "--synthetic", ("cluster",),
-     {"metavar": "N", "help": "use the bundled synthetic corpus of N boxes instead of --ann"}),
     ("match.pos_iou", "float", 0.7, "--pos-iou", ("match",), {}),
     ("match.neg_iou", "float", 0.3, "--neg-iou", ("match",), {}),
     ("match.force_match", "bool", False, "--force-match", ("match",), {}),
@@ -147,7 +144,7 @@ _FLAGS = {path: flag for path, _, _, flag, *_ in _OPTIONS}
 # set). Setting both by flag or config file is an error, not a report that
 # echoes a value nothing read.
 _OVERRIDES = {
-    "cluster": (("cluster.k_range", "cluster.k"), ("cluster.synthetic", "paths.annotations")),
+    "cluster": (("cluster.k_range", "cluster.k"),),
     "augment-replay": (("paths.records", "paths.records_out"),
                        ("paths.records", "augment.aug_id"),
                        ("paths.records", "augment.seed")),
@@ -332,15 +329,10 @@ def _run_tile(config, inputs):
 def _run_cluster(config, inputs):
     """k-means anchor sizing over GT boxes"""
     c = config["cluster"]
-    ids = None
-    if c["synthetic"] is not None:
-        boxes = synthetic_aerial_corpus(n=c["synthetic"])
-    else:
-        columns = _load_annotations(config, inputs).columns
-        boxes = columns.boxes[:, 2:] - columns.boxes[:, :2]
-        ids = columns.id
-        if boxes.size == 0:
-            raise ValidationError("no instances to cluster")
+    columns = _load_annotations(config, inputs).columns
+    boxes = columns.boxes[:, 2:] - columns.boxes[:, :2]
+    if boxes.size == 0:
+        raise ValidationError("no instances to cluster")
     try:
         if c["k_range"] is not None:
             pairs = sweep_k(boxes, c["k_range"], seed=c["seed"], restarts=c["restarts"],
@@ -355,9 +347,7 @@ def _run_cluster(config, inputs):
             restarts=c["restarts"],
         )
     except BadExtent as exc:
-        if ids is None:
-            raise
-        raise ValidationError(f"annotation {ids[exc.row]}: {exc.detail}") from None
+        raise ValidationError(f"annotation {columns.id[exc.row]}: {exc.detail}") from None
     return result.to_dict()
 
 

@@ -76,8 +76,11 @@ class LossOutput:
 
 
 def class_weights(counts) -> ClassWeights:
-    """Inverse-frequency class weights: w_c = 1 - n_c / sum(n).
+    """Complement-of-share class weights: w_c = 1 - n_c / sum(n).
 
+    This is not inverse frequency: the largest weight is at most
+    1 / (1 - p_max) times the smallest, where p_max is the largest
+    class's share of the counts, however rare the other classes are.
     Computed as (sum - n_c) / sum in a single division, so each weight is
     the correctly rounded value of the exact ratio and the weights sum to
     c - 1 up to one final rounding.

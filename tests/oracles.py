@@ -4,7 +4,8 @@ The scalar box helpers and the object-path loaders, tiler and exporter
 that the package's ``(N, 4)`` column code replaced live here, with the
 comparison helpers that check the columns against them and the builders
 that turn ``Instance`` and ``Detection`` objects into the columns the
-package takes, so no test module imports another. Each oracle is a plain
+package takes, and the seeded box corpus the clustering tests read, so
+no test module imports another. Each oracle is a plain
 loop over ``BBox``, ``Instance`` or ``Detection`` objects; the package
 names they still use are the ``BBox`` and ``Instance`` value types,
 ``Dataset`` and its records and columns, ``geometry.clip``,
@@ -129,14 +130,15 @@ def columns_of(instances: Sequence[Instance]) -> InstanceColumns:
     )
 
 
-def dataset_of(images, instances, categories, provenance="", clipped_instance_count=0) -> Dataset:
+def dataset_of(images, instances, categories, clipped_instance_count=0) -> Dataset:
     """A Dataset of ``Instance`` objects, which it keeps as ``.instances``.
 
     Keeping the objects lets a test compare an oracle's objects as they
     were built, not as the columns rebuild them.
     """
     instances = tuple(instances)
-    ds = Dataset(images, categories, columns_of(instances), provenance, clipped_instance_count)
+    ds = Dataset(images, categories, columns_of(instances),
+                 clipped_instance_count=clipped_instance_count)
     ds.__dict__["instances"] = instances
     return ds
 
@@ -365,7 +367,7 @@ def oracle_load_dataset(path) -> Dataset:
         )
 
     oracle_check_dataset(images, instances, categories)
-    return dataset_of(images, instances, categories, str(path), n_clipped)
+    return dataset_of(images, instances, categories, n_clipped)
 
 
 def oracle_tile(ds, tile_size=800, overlap=200, min_visibility=0.25) -> Dataset:
@@ -421,8 +423,7 @@ def oracle_tile(ds, tile_size=800, overlap=200, min_visibility=0.25) -> Dataset:
                     )
                     next_instance_id += 1
 
-    return dataset_of(new_images, new_instances, ds.categories,
-                      f"{ds.provenance}#tiled(size={tile_size},overlap={overlap})")
+    return dataset_of(new_images, new_instances, ds.categories)
 
 
 def oracle_export_bytes(ds) -> bytes:
@@ -477,7 +478,6 @@ def assert_same_dataset(got: Dataset, want: Dataset, tmp_path):
     """Columns bit for bit, instances field by field, and the exported bytes."""
     assert got.images == want.images
     assert got.categories == want.categories
-    assert got.provenance == want.provenance
     assert got.clipped_instance_count == want.clipped_instance_count
     g, w = got.columns, want.columns
     for name in ("id", "image_id", "category_id", "ignore"):
@@ -555,3 +555,31 @@ def assert_same_columns(got: DetectionColumns, want: Sequence[Detection]) -> Non
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Test data: a seeded box corpus for the clustering tests and criterion 4.
+
+MODE_SCALES = (9.0, 26.0, 70.0, 208.0)
+MODE_WEIGHTS = (0.55, 0.25, 0.14, 0.06)
+
+
+def synthetic_aerial_corpus(n: int = 2000, seed: int = 7) -> np.ndarray:
+    """Sample an (n, 2) float64 array of (w, h) from four planted scale modes.
+
+    The modes have aerial-like frequencies: lots of small objects, a long
+    tail of large ones. Each box picks a mode, then jitters scale and
+    aspect ratio log-normally, so w*h clusters around the mode scale
+    squared while h/w stays centered on 1. Identical (n, seed) always
+    yields the identical corpus, so derived quantities can be frozen in
+    tests.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be positive, got {n}")
+    rng = np.random.default_rng(seed)
+    modes = rng.choice(len(MODE_SCALES), size=n, p=MODE_WEIGHTS)
+    scales = np.array(MODE_SCALES)[modes] * np.exp(rng.normal(0.0, 0.28, size=n))
+    ratios = np.exp(rng.normal(0.0, 0.35, size=n))
+    widths = scales / np.sqrt(ratios)
+    heights = scales * np.sqrt(ratios)
+    return np.stack([widths, heights], axis=1)

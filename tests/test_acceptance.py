@@ -43,7 +43,6 @@ from detforge.losses import (
     smooth_l1,
     weighted_cross_entropy,
 )
-from detforge.synthetic import synthetic_aerial_corpus
 from oracles import (
     Detection,
     columns_of,
@@ -52,6 +51,7 @@ from oracles import (
     detections_of,
     from_xywh,
     shifted,
+    synthetic_aerial_corpus,
 )
 
 # stored: best mean IoU over 1,000 seeded restarts (streams (0,r) for

@@ -21,8 +21,7 @@ from detforge.anchors import (
 from detforge.annotations import Instance
 from detforge.errors import BadExtent, TooFewBoxes, ValidationError
 from detforge.geometry import BBox, WhIouBlock, iou_matrix, wh_iou_matrix
-from detforge.synthetic import synthetic_aerial_corpus
-from oracles import columns_of, same_bits
+from oracles import columns_of, same_bits, synthetic_aerial_corpus
 
 
 class TestAnchorSpec:
@@ -417,6 +416,26 @@ class TestClustering:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="^seed must be at least 0, got -1$"):
             cluster_anchor_sizes([(5, 5), (9, 9)], k=1, seed=-1)
+
+    @pytest.mark.parametrize("name, what, bound", [
+        ("restarts", "restarts", "MAX_RESTARTS"), ("max_iters", "iterations", "MAX_ITERS"),
+    ])
+    def test_counts_past_their_bound_fail_before_seeding(self, monkeypatch, name, what, bound):
+        def refuse(*args, **kwargs):
+            raise AssertionError("seeded")
+
+        monkeypatch.setattr(anchors_module, "_plus_plus_init", refuse)
+        limit = getattr(anchors_module, bound)
+        for value in (limit + 1, 2**70):
+            with pytest.raises(ValidationError, match=f"^{value} {what} pass {bound} = {limit}$"):
+                cluster_anchor_sizes([(5, 5), (9, 9)], k=1, **{name: value})
+
+    def test_counts_at_their_bound_run(self):
+        # four boxes settle after one update, far inside MAX_ITERS
+        boxes = [(5, 5), (6, 5), (40, 40), (41, 42)]
+        many = cluster_anchor_sizes(boxes, k=2, restarts=anchors_module.MAX_RESTARTS,
+                                    max_iters=anchors_module.MAX_ITERS)
+        assert many.to_dict() == cluster_anchor_sizes(boxes, k=2, restarts=1).to_dict()
 
     def test_numpy_integer_counts_accepted(self):
         corpus = synthetic_aerial_corpus(n=60, seed=17)
@@ -886,6 +905,15 @@ class TestSweepPassesClusterOptions:
         boxes = [(5, 5), (9, 9)]
         with pytest.raises(ValidationError, match="max_iters"):
             sweep_k(boxes, [1], max_iters=-1)
+
+    @pytest.mark.parametrize("option", [{"restarts": 2**70}, {"max_iters": 2**70}])
+    def test_counts_past_their_bound_fail_before_any_clustering(self, monkeypatch, option):
+        def refuse(*args, **kwargs):
+            raise AssertionError("clustered")
+
+        monkeypatch.setattr(anchors_module, "_lloyd", refuse)
+        with pytest.raises(ValidationError, match=" pass MAX_"):
+            sweep_k(synthetic_aerial_corpus(n=50, seed=1), range(2, 6), **option)
 
     def test_too_many_ks_fail_before_any_clustering(self, monkeypatch):
         def refuse(*args, **kwargs):

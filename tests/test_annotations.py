@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -592,8 +593,8 @@ class TestColumnarMatchesOracle:
     def test_constructed_dataset(self, tmp_path):
         """A dataset built from the columns of Instance objects tiles as the loaded one does."""
         ds = oracle_load_dataset(write_json(tmp_path / "ann.json", random_payload(3)))
-        rebuilt = Dataset(ds.images, ds.categories, columns_of(ds.instances), ds.provenance,
-                          ds.clipped_instance_count)
+        rebuilt = Dataset(ds.images, ds.categories, columns_of(ds.instances),
+                          clipped_instance_count=ds.clipped_instance_count)
         assert_same_dataset(tile(rebuilt, 256, 64, 0.5), oracle_tile(ds, 256, 64, 0.5),
                             tmp_path)
 
@@ -907,6 +908,15 @@ class TestObjectsOnlyAtTheEdge:
         with pytest.raises(ValidationError,
                            match=r"^Dataset columns must be InstanceColumns, got tuple$"):
             Dataset((image,), instances, (cat,))
+
+    def test_the_one_constructor(self, tiny_dataset):
+        assert [f.name for f in dataclasses.fields(Dataset)] == [
+            "images", "categories", "columns", "clipped_instance_count"]
+        ds = tiny_dataset
+        with pytest.raises(TypeError):
+            Dataset(ds.images, ds.categories, ds.columns, "tiny.json")  # the old provenance slot
+        rebuilt = Dataset(ds.images, ds.categories, ds.columns, clipped_instance_count=1)
+        assert rebuilt == ds and rebuilt.clipped_instance_count == 1
 
     @pytest.mark.parametrize("bad_box, bad_area, message", [
         ((0, 0, math.nan, 1), 1.0, "instance row 1 has a non-finite box (0.0, 0.0, nan, 1.0)"),

@@ -10,11 +10,9 @@ from detforge.augment import (
     AUG2_SHORT_EDGES,
     AUG3_CROP_SIZE,
     AUG3_OUT_SIZE,
-    EVAL_RESIZE,
     AugmentationPipeline,
     ImageGeom,
     TransformRecord,
-    fixed_resize,
     hflip,
     random_crop_resize,
     replay,
@@ -246,22 +244,6 @@ class TestRandomCropResize:
         assert rng.random() == np.random.default_rng(0).random()  # the stream is untouched
 
 
-class TestFixedResize:
-    def test_doubles_an_800_square(self):
-        boxes, geom = fixed_resize([[10.0, 20.0, 30.0, 40.0]], ImageGeom(800, 800))
-        assert geom == ImageGeom(*EVAL_RESIZE)
-        assert boxes.tolist() == [[20.0, 40.0, 60.0, 80.0]]
-
-    def test_axes_scale_independently(self):
-        boxes, geom = fixed_resize([[0.0, 0.0, 100.0, 100.0]], ImageGeom(400, 200), 800, 800)
-        assert geom == ImageGeom(800, 800)
-        assert boxes.tolist() == [[0.0, 0.0, 200.0, 400.0]]
-
-    def test_rejects_nonpositive_output(self):
-        with pytest.raises(ValidationError):
-            fixed_resize(FIXTURE, GEOM, 0, 800)
-
-
 class TestBoxArrays:
     """Every transform takes any (N, 4) corner array-like and checks its rows."""
 
@@ -269,7 +251,6 @@ class TestBoxArrays:
         lambda b: hflip(b, GEOM),
         lambda b: short_edge_resize(b, GEOM, 640),
         lambda b: random_crop_resize(b, GEOM, 400, 800, np.random.default_rng(0)),
-        lambda b: fixed_resize(b, GEOM),
         lambda b: AugmentationPipeline(3, 0).apply(b, GEOM),
         lambda b: replay([], b, GEOM),
     ]
@@ -310,7 +291,6 @@ class TestPipelines:
         assert AUG1_SHORT_EDGES == (640, 672, 704, 736, 768, 800)
         assert AUG2_SHORT_EDGES == (800, 832, 864, 896, 928, 960)
         assert AUG3_CROP_SIZE == 400 and AUG3_OUT_SIZE == 800
-        assert EVAL_RESIZE == (1600, 1600)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValidationError):
@@ -537,12 +517,6 @@ def oracle_crop_resize_at(boxes, geom, crop_x, crop_y, crop_size, out_size, min_
     return out, ImageGeom(out_size, out_size)
 
 
-def oracle_fixed_resize(boxes, geom, out_w=1600, out_h=1600):
-    sx = float(out_w) / geom.width
-    sy = float(out_h) / geom.height
-    return [b.scaled(sx, sy) for b in boxes], ImageGeom(out_w, out_h)
-
-
 def oracle_drop_subpixel(boxes):
     return [b for b in boxes if b.width >= 1.0 and b.height >= 1.0]
 
@@ -738,9 +712,6 @@ class TestDifferentialAgainstObjectPath:
                 got, g = short_edge_resize(scene, geom, target)
                 want, wg = oracle_short_edge_resize(objects, geom, target)
                 assert bits(got) == bits(as_rows(want)) and g == wg
-            got, g = fixed_resize(scene, geom)
-            want, wg = oracle_fixed_resize(objects, geom)
-            assert bits(got) == bits(as_rows(want)) and g == wg
             for vis in (0.01, 0.25, 1.0):
                 record = TransformRecord("crop_resize", {
                     "crop_x": geom.width // 4, "crop_y": geom.height // 4, "crop_size": 200,
@@ -786,9 +757,6 @@ class TestDifferentialAgainstObjectPath:
         objects = [OracleBox(*row) for row in scene.tolist()]
         got, _ = short_edge_resize(scene, geom, 1000)
         want, _ = oracle_short_edge_resize(objects, geom, 1000)
-        assert bits(got) == bits(as_rows(want))
-        got, _ = fixed_resize(scene, geom)
-        want, _ = oracle_fixed_resize(objects, geom)
         assert bits(got) == bits(as_rows(want))
         record = {"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": 0, "crop_size": 10,
                                                     "out_size": 800, "min_visibility": 0.01}}

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -16,11 +17,13 @@ from detforge.anchors import (
     LevelAnchors,
     cluster_anchor_sizes,
     match_anchors,
+    sweep_k,
 )
 from detforge.annotations import tile
 from detforge.cli import _OPTIONS, _RUNNERS, build_parser, main, resolve_config
 from detforge.evaluation import coco_map
 from detforge.losses import focal_loss
+from oracles import synthetic_aerial_corpus
 
 
 def run(capsys, *argv):
@@ -49,6 +52,34 @@ def tiny_path(data_dir):
     return str(data_dir / "tiny.json")
 
 
+@pytest.fixture(scope="module")
+def corpus_ann(tmp_path_factory):
+    """``corpus_ann(n)``: the path of a COCO file of ``synthetic_aerial_corpus(n)``.
+
+    Every box sits at the origin of one image that holds them all, so the
+    loaded widths and heights are the corpus's bit for bit.
+    """
+    paths = {}
+
+    def write(n):
+        if n not in paths:
+            wh = synthetic_aerial_corpus(n=n)
+            side = int(wh.max()) + 1
+            coco = {
+                "images": [{"id": 1, "width": side, "height": side, "file_name": "corpus.png"}],
+                "annotations": [{"id": i, "image_id": 1, "category_id": 1, "bbox": [0, 0, w, h],
+                                 "area": w * h, "iscrowd": 0}
+                                for i, (w, h) in enumerate(wh.tolist(), 1)],
+                "categories": [{"id": 1, "name": "box"}],
+            }
+            path = tmp_path_factory.mktemp("corpus") / f"corpus-{n}.json"
+            path.write_text(json.dumps(coco))
+            paths[n] = str(path)
+        return paths[n]
+
+    return write
+
+
 class TestReports:
     def test_stats_report(self, capsys, tiny_path):
         report = run_json(capsys, "stats", "--ann", tiny_path)
@@ -67,10 +98,10 @@ class TestReports:
         assert report["provenance"]["paths.annotations"] == "flag"
         assert report["provenance"]["cluster.k"] == "default"
 
-    def test_reruns_are_byte_identical(self, capsys, tiny_path, data_dir):
+    def test_reruns_are_byte_identical(self, capsys, tiny_path, data_dir, corpus_ann):
         invocations = [
             ("stats", "--ann", tiny_path),
-            ("cluster", "--synthetic", "200", "--k", "3", "--seed", "17", "--restarts", "3"),
+            ("cluster", "--ann", corpus_ann(200), "--k", "3", "--seed", "17", "--restarts", "3"),
             ("match", "--ann", tiny_path, "--image-size", "128", "128"),
             ("eval", "--ann", str(data_dir / "eval_mixed_ann.json"),
              "--dets", str(data_dir / "eval_mixed_dets.json")),
@@ -142,11 +173,12 @@ class TestConfigResolution:
         ("anchors", ["--fmap", "10x10,5x5,3x3,2x2,1x1"], {"anchors": {"fmap_dims": [[10, 10]]}},
          "anchors.fmap_dims"),
         ("cluster", ["--init", "random"], {"cluster": {"init": "random"}}, "cluster.init"),
+        ("cluster", ["--synthetic", "10"], {"cluster": {"synthetic": 10}}, "cluster.synthetic"),
     ])
     def test_there_is_no_such_setting(self, capsys, tiny_path, tmp_path, command, flag,
                                       file_config, key):
         argv = {"stats": ["stats", "--ann", tiny_path], "anchors": ["anchors"],
-                "cluster": ["cluster", "--synthetic", "100"]}[command]
+                "cluster": ["cluster", "--ann", tiny_path]}[command]
         rc, out, _ = run(capsys, *argv, *flag)
         assert rc == 64 and out == ""
         if file_config is not None:
@@ -280,8 +312,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, block", [
         ("cluster", "cluster"), ("augment-replay", "augment"), ("loss-check", "loss"),
     ])
-    def test_negative_seed_is_one_line(self, capsys, tmp_path, tiny_path, command, block):
-        argv = {"cluster": ("cluster", "--synthetic", "200", "--k", "3"),
+    def test_negative_seed_is_one_line(self, capsys, tmp_path, tiny_path, corpus_ann, command,
+                                       block):
+        argv = {"cluster": ("cluster", "--ann", corpus_ann(200), "--k", "3"),
                 "augment-replay": ("augment-replay", "--ann", tiny_path),
                 "loss-check": ("loss-check",)}[command]
         want = f"detforge: config key '{block}.seed' must be non-negative, got -1\n"
@@ -483,9 +516,7 @@ class TestExitCodes:
          "--k-range 1:10000000000000: 10000000000000 values of k pass MAX_SWEEP_KS = 1024"),
         (["--k-range=-10000000000000:3"],
          "--k-range -10000000000000:3: 10000000000004 values of k pass MAX_SWEEP_KS = 1024"),
-        (["--synthetic", "10000000000000", "--k", "2"],
-         "a synthetic corpus of 10000000000000 boxes passes MAX_SYNTHETIC_BOXES = 1000000"),
-    ], ids=["k-range", "negative-k-range", "synthetic"])
+    ], ids=["k-range", "negative-k-range"])
     def test_counts_past_their_bound_fail_before_allocating(self, argv, message):
         # a fresh process limited to 2 GiB of address space, so a count that
         # is allocated before its check ends in MemoryError, not in this test
@@ -500,12 +531,25 @@ class TestExitCodes:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"detforge: {message}\n"
 
+    @pytest.mark.parametrize("flag, key, message", [
+        ("--restarts", "restarts", "1180591620717411303424 restarts pass MAX_RESTARTS = 1000"),
+        ("--max-iters", "max_iters",
+         "1180591620717411303424 iterations pass MAX_ITERS = 10000"),
+    ])
+    def test_restart_and_iteration_counts_are_bounded(self, capsys, tmp_path, tiny_path, flag,
+                                                      key, message):
+        # 2**70: a count that would never finish if it ran
+        want = f"detforge: {message}\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cluster": {key: 2**70}}))
+        for argv in ([flag, str(2**70)], ["--config", str(cfg)]):
+            t0 = time.perf_counter()
+            assert run_rejected(capsys, "cluster", "--ann", tiny_path, *argv) == want
+            assert time.perf_counter() - t0 < 1.0
+
     @pytest.mark.parametrize("argv, ignored, file_config, message", [
-        (["cluster", "--synthetic", "100", "--k-range", "2:3"], ["--k", "7"],
+        (["cluster", "--ann", "{tiny}", "--k-range", "2:3"], ["--k", "7"],
          {"cluster": {"k": 7}}, "cluster.k (--k) is ignored when cluster.k_range (--k-range)"),
-        (["cluster", "--synthetic", "100"], ["--ann", "/nonexistent.json"],
-         {"paths": {"annotations": "/nonexistent.json"}},
-         "paths.annotations (--ann) is ignored when cluster.synthetic (--synthetic)"),
         (["augment-replay", "--ann", "{tiny}", "--records", "R"], ["--records-out", "O"],
          {"paths": {"records_out": "O"}},
          "paths.records_out (--records-out) is ignored when paths.records (--records)"),
@@ -515,7 +559,7 @@ class TestExitCodes:
         (["augment-replay", "--ann", "{tiny}", "--records", "R"], ["--seed", "3"],
          {"augment": {"seed": 3}},
          "augment.seed (--seed) is ignored when paths.records (--records)"),
-    ], ids=["k", "ann", "records-out", "aug-id", "seed"])
+    ], ids=["k", "records-out", "aug-id", "seed"])
     def test_a_setting_the_command_ignores_is_rejected(self, capsys, tmp_path, tiny_path, argv,
                                                        ignored, file_config, message):
         argv = [a.format(tiny=tiny_path) for a in argv]
@@ -828,19 +872,27 @@ class TestSubcommands:
         assert 0.0 < result["mean_iou"] <= 1.0
         assert len(result["assignments"]) == 7
 
-    def test_cluster_sweep(self, capsys):
+    def test_cluster_reads_the_boxes_of_its_annotation_file(self, capsys, corpus_ann):
+        report = run_json(capsys, "cluster", "--ann", corpus_ann(200), "--k", "3", "--seed", "17",
+                          "--restarts", "3")
+        want = cluster_anchor_sizes(synthetic_aerial_corpus(n=200), k=3, seed=17, restarts=3)
+        assert report["result"] == json.loads(json.dumps(want.to_dict()))
+
+    def test_cluster_sweep(self, capsys, corpus_ann):
         report = run_json(
-            capsys, "cluster", "--synthetic", "150", "--k-range", "2:4", "--restarts", "2"
+            capsys, "cluster", "--ann", corpus_ann(150), "--k-range", "2:4", "--restarts", "2"
         )
         sweep = report["result"]["sweep"]
         assert [k for k, _ in sweep] == [2, 3, 4]
+        corpus = synthetic_aerial_corpus(n=150)
+        assert sweep == [[k, v] for k, v in sweep_k(corpus, [2, 3, 4], restarts=2)]
 
-    def test_cluster_sweep_honours_max_iters(self, capsys):
-        argv = ("cluster", "--synthetic", "150", "--k-range", "2:4", "--restarts", "2")
+    def test_cluster_sweep_honours_max_iters(self, capsys, corpus_ann):
+        argv = ("cluster", "--ann", corpus_ann(150), "--k-range", "2:4", "--restarts", "2")
         default = run_json(capsys, *argv)["result"]["sweep"]
         flagged = run_json(capsys, *argv, "--max-iters", "0")
         assert flagged["provenance"]["cluster.max_iters"] == "flag"
-        want = [[k, run_json(capsys, "cluster", "--synthetic", "150", "--k", str(k),
+        want = [[k, run_json(capsys, "cluster", "--ann", corpus_ann(150), "--k", str(k),
                              "--restarts", "2", "--max-iters", "0")["result"]["mean_iou"]]
                 for k in (2, 3, 4)]
         assert flagged["result"]["sweep"] == want != default

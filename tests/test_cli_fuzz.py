@@ -12,10 +12,14 @@ reads one, ``eval_mixed_dets.json`` as ``eval``'s ``--dets``, one line
 of ``golden/records-tiny.jsonl`` as ``augment-replay``'s ``--records``,
 and a config file for each subcommand. An image side or image size of
 ``2**70`` stays cheap: ``tile`` fails it at ``MAX_TILES``, ``match`` at
-``MAX_EDGE_ANCHORS``, and no other command walks its pixels. A restart
-count of ``2**70`` is the one mutation left out: it is a valid request
-for that many k-means restarts, not a malformed input, and would not
-finish.
+``MAX_EDGE_ANCHORS``, and no other command walks its pixels; a restart
+or iteration count of ``2**70`` fails at ``MAX_RESTARTS`` or
+``MAX_ITERS``.
+
+Command lines are fuzzed too: each annotation command line, ``anchors``
+and ``loss-check`` run with one of the subcommand's flags set to one of
+the replacement values as text. There the one carve-out is exit 64,
+where argparse prints its usage block before the one ``error:`` line.
 """
 
 import contextlib
@@ -95,8 +99,6 @@ def mutated(draw, doc):
         by_name.setdefault(name, []).append(path)
     path = draw(st.sampled_from(by_name[draw(st.sampled_from(list(by_name)))]))
     ops = ["delete", *REPLACEMENTS] if path else REPLACEMENTS
-    if path[-1:] == ("restarts",):
-        ops = [op for op in ops if op != 2**70]
     op = draw(st.sampled_from(ops))
     if not path:
         return copy.deepcopy(op)
@@ -116,8 +118,12 @@ def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_fuzz")
 
 
-def assert_contract(work_dir, argv):
-    """Run ``detforge ARGV`` in ``work_dir``, where relative output paths land."""
+def assert_contract(work_dir, argv, usage_block=False):
+    """Run ``detforge ARGV`` in ``work_dir``, where relative output paths land.
+
+    With ``usage_block``, exit 64 may print argparse's usage lines before
+    its one ``error:`` line, which must come last.
+    """
     err = io.StringIO()
     cwd = os.getcwd()
     os.chdir(work_dir)
@@ -128,7 +134,12 @@ def assert_contract(work_dir, argv):
         os.chdir(cwd)
     text = err.getvalue()
     assert code in (0, 1, 2, 64), (argv, code, text)
-    assert len(text.splitlines()) <= 1, (argv, text)
+    lines = text.splitlines()
+    if usage_block and code == 64:
+        assert [i for i, line in enumerate(lines) if "error:" in line] == [len(lines) - 1], (
+            argv, text)
+    else:
+        assert len(lines) <= 1, (argv, text)
     assert "Traceback" not in text, (argv, text)
 
 
@@ -175,3 +186,22 @@ def test_mutated_config(work_dir, command):
         assert_contract(work_dir, [command, "--config", config])
 
     run()
+
+
+# every command line above with its input named, plus the two commands
+# that read no annotation file
+COMMAND_LINES = [[command, "--ann", TINY, *rest] for command, *rest in ANN_COMMANDS]
+COMMAND_LINES += [["anchors"], ["loss-check"]]
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_mutated_command_line(work_dir, data):
+    argv = data.draw(st.sampled_from(COMMAND_LINES))
+    options = [(flag, tag) for _, tag, _, flag, commands, _ in cli._OPTIONS
+               if commands is None or argv[0] in commands]
+    flag, tag = data.draw(st.sampled_from(options))
+    value = str(data.draw(st.sampled_from(REPLACEMENTS)))
+    # a bool flag takes no value: setting it is the whole change
+    values = [] if tag == "bool" else [value] * cli._TAG_KWARGS[tag].get("nargs", 1)
+    assert_contract(work_dir, [*argv, flag, *values], usage_block=True)
