@@ -33,7 +33,6 @@ from .augment import (
     ImageGeom,
     TransformRecord,
     hflip,
-    random_crop_resize,
     replay,
     short_edge_resize,
 )

@@ -50,18 +50,18 @@ MAX_ITERS = 10_000
 
 @dataclass(frozen=True)
 class AnchorSpec:
-    """Anchor layout: sizes, h/w ratios, angle grid, strides, cell offset.
+    """Anchor layout: sizes, h/w ratios, angle grid and strides.
 
     With ``shared_sizes`` every level gets the full size list; otherwise
-    sizes pair with strides one to one. ``offset`` is the fraction of a
-    stride added to the cell origin to get the anchor center.
+    sizes pair with strides one to one. Anchors are centred in their
+    cells: cell (i, j) of a level with stride s has its centre at
+    ``((i + 0.5) * s, (j + 0.5) * s)``.
     """
 
     sizes: tuple = (16.0, 32.0, 64.0, 128.0, 256.0)
     aspect_ratios: tuple = (0.5, 1.0, 2.0)
     angles: tuple = (-90.0, 0.0, 90.0)
     strides: tuple = (4, 8, 16, 32, 64)
-    offset: float = 0.5
     shared_sizes: bool = False
 
     def __post_init__(self):
@@ -86,8 +86,6 @@ class AnchorSpec:
             raise ValidationError("angles must be multiples of 90 degrees")
         if not self.angles:
             raise ValidationError("at least one angle required")
-        if not 0.0 <= self.offset < 1.0:
-            raise ValidationError(f"offset must be in [0, 1), got {self.offset}")
         if not self.shared_sizes and len(self.sizes) != len(self.strides):
             raise ValidationError(
                 f"{len(self.sizes)} sizes for {len(self.strides)} levels; "
@@ -130,7 +128,6 @@ class LevelAnchors:
     start: int  # first row in AnchorSet.all_boxes()
     n_combo: int  # anchors per cell
     half: np.ndarray  # (n_combo, 2) read-only half-extents of one cell's anchors
-    offset: float  # fraction of a stride from a cell's origin to its centre
 
     @property
     def count(self) -> int:
@@ -155,8 +152,8 @@ class LevelAnchors:
         """
         cols = np.zeros((self.fmap_w, self.n_combo, 4))
         rows = np.zeros((self.fmap_h, self.n_combo, 4))
-        cx = ((np.arange(self.fmap_w) + self.offset) * self.stride)[:, None]
-        cy = ((np.arange(self.fmap_h) + self.offset) * self.stride)[:, None]
+        cx = ((np.arange(self.fmap_w) + 0.5) * self.stride)[:, None]
+        cy = ((np.arange(self.fmap_h) + 0.5) * self.stride)[:, None]
         cols[..., 0] = cx - self.half[:, 0]
         cols[..., 2] = cx + self.half[:, 0]
         rows[..., 1] = cy - self.half[:, 1]
@@ -227,7 +224,7 @@ def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
         ]) / 2.0
         half.flags.writeable = False
         levels.append(LevelAnchors(level=level, stride=stride, fmap_w=fw, fmap_h=fh, start=start,
-                                   n_combo=len(half), half=half, offset=spec.offset))
+                                   n_combo=len(half), half=half))
         start += levels[-1].count
     return AnchorSet(levels)
 

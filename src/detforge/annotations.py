@@ -38,6 +38,12 @@ from .geometry import BBox, clip_boxes
 # COCO size-bucket area thresholds (px^2), matching the APs/APm/APl split.
 SMALL_AREA_MAX = 32.0**2
 MEDIUM_AREA_MAX = 96.0**2
+# The size slices every report cuts by: (name, low area, high area), each [low, high).
+SIZE_SLICES = (
+    ("small", 0.0, SMALL_AREA_MAX),
+    ("medium", SMALL_AREA_MAX, MEDIUM_AREA_MAX),
+    ("large", MEDIUM_AREA_MAX, math.inf),
+)
 
 # The most tiles one ``tile`` call builds: each is an ImageRecord in memory,
 # so a million already take hundreds of MB. A larger job is tiled in parts.
@@ -621,18 +627,20 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
 def compute_stats(ds: Dataset) -> StatsReport:
     """Instance counts per category, size buckets, and per-image histogram.
 
-    Buckets split on instance area: small < ``SMALL_AREA_MAX`` <= medium <
-    ``MEDIUM_AREA_MAX`` <= large.
+    Buckets are the ``SIZE_SLICES`` of instance area.
     """
     c = ds.columns
+    names = [name for name, _, _ in SIZE_SLICES]
+    n_slices = len(names)
     counts = {cat.id: 0 for cat in ds.categories}
-    buckets = {cat.id: {"small": 0, "medium": 0, "large": 0} for cat in ds.categories}
-    bucket = np.where(c.area < SMALL_AREA_MAX, 0, np.where(c.area < MEDIUM_AREA_MAX, 1, 2))
+    buckets = {cat.id: dict.fromkeys(names, 0) for cat in ds.categories}
+    bounds = [high for _, _, high in SIZE_SLICES[:-1]]
+    bucket = np.searchsorted(bounds, c.area, side="right")
     cats, cat_row = np.unique(c.category_id, return_inverse=True)
-    tally = np.bincount(3 * cat_row + bucket, minlength=3 * len(cats)).reshape(-1, 3)
-    for cat_id, row in zip(cats.tolist(), tally.tolist()):
+    tally = np.bincount(n_slices * cat_row + bucket, minlength=n_slices * len(cats))
+    for cat_id, row in zip(cats.tolist(), tally.reshape(-1, n_slices).tolist()):
         counts[cat_id] = sum(row)
-        buckets[cat_id] = dict(zip(("small", "medium", "large"), row))
+        buckets[cat_id] = dict(zip(names, row))
 
     histogram: Dict[int, int] = {}
     for rows in ds.rows_by_image.values():

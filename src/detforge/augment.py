@@ -2,8 +2,10 @@
 
 Operates on box coordinates and image metadata only; pixel resampling is
 out of scope. Every random choice a pipeline makes is captured in a
-TransformRecord, and ``replay`` applies a record list deterministically,
-so any augmented result can be reproduced exactly from its records.
+TransformRecord, and ``replay`` applies a record list deterministically.
+A pipeline draws its records and then replays them, so ``replay`` is the
+only code that applies a transform, and any augmented result is
+reproduced exactly from its records.
 
 Boxes are any (N, 4) corner array-like in and (N, 4) float64 out. The
 arithmetic keeps the per-box scalar code's operand order (``min(v, hi)``
@@ -27,16 +29,19 @@ AUG1_SHORT_EDGES = (640, 672, 704, 736, 768, 800)
 AUG2_SHORT_EDGES = (800, 832, 864, 896, 928, 960)
 AUG3_CROP_SIZE = 400
 AUG3_OUT_SIZE = 800
+AUG3_MIN_VISIBILITY = 0.25
 
 
 @dataclass(frozen=True)
 class ImageGeom:
+    """An image's pixel size: two integers of at least 1, as ``ImageRecord`` holds."""
+
     width: int
     height: int
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(f"image size {self.width}x{self.height}")
+        for name in ("width", "height"):
+            object.__setattr__(self, name, check_count(f"image {name}", getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
@@ -95,20 +100,15 @@ def short_edge_resize(
     return np.where(hi < scaled, hi, scaled), new_geom
 
 
-def _check_crop(geom, crop_x, crop_y, crop_size, out_size, min_visibility) -> None:
-    """A crop is a positive square inside the image with min_visibility in (0, 1]."""
-    if crop_size <= 0 or out_size <= 0:
-        raise ValidationError(f"crop size {crop_size} and output size {out_size} must be positive")
+def _check_window(geom, crop_x, crop_y, crop_size) -> None:
+    """A crop window is a square inside the image."""
     if not (0 <= crop_x <= geom.width - crop_size and 0 <= crop_y <= geom.height - crop_size):
         raise ValidationError(
             f"crop {crop_size} at ({crop_x}, {crop_y}) exceeds image {geom.width}x{geom.height}"
         )
-    if not 0.0 < min_visibility <= 1.0:
-        raise ValidationError(f"min_visibility {min_visibility}")
 
 
-def _crop_resize_at(boxes, geom, crop_x, crop_y, crop_size, out_size, min_visibility):
-    b = _as_boxes(boxes)
+def _crop_resize_at(b, geom, crop_x, crop_y, crop_size, out_size, min_visibility):
     window = [float(crop_x), float(crop_y), float(crop_x + crop_size), float(crop_y + crop_size)]
     scale = float(out_size) / float(crop_size)
     clipped, keep = clip_boxes(b, window)
@@ -120,32 +120,6 @@ def _crop_resize_at(boxes, geom, crop_x, crop_y, crop_size, out_size, min_visibi
         shift = np.array([float(-crop_x), float(-crop_y)] * 2)
         out = (clipped[keep] + shift) * scale
     return out, ImageGeom(out_size, out_size)
-
-
-def random_crop_resize(
-    boxes, geom: ImageGeom, crop_size: int, out_size: int, rng: np.random.Generator,
-    min_visibility: float = 0.25,
-) -> Tuple[np.ndarray, ImageGeom, TransformRecord]:
-    """Crop a random square window and rescale it to out_size.
-
-    The origin is uniform over integer positions keeping the window
-    inside the image (x sampled before y). Boxes are clipped to the
-    window and dropped when the visible fraction falls below
-    ``min_visibility`` or either side ends up under one output pixel.
-    Origins are drawn as int64, so a side past that range fails.
-    """
-    boxes = _as_boxes(boxes)
-    _check_crop(geom, 0, 0, crop_size, out_size, min_visibility)
-    if max(geom.width, geom.height) - crop_size > _INT64.max:
-        raise ValidationError(
-            f"image {geom.width}x{geom.height} is too large to draw a crop origin in int64"
-        )
-    crop_x = int(rng.integers(0, geom.width - crop_size + 1))
-    crop_y = int(rng.integers(0, geom.height - crop_size + 1))
-    params = dict(crop_x=crop_x, crop_y=crop_y, crop_size=crop_size, out_size=out_size,
-                  min_visibility=min_visibility)
-    out, new_geom = _crop_resize_at(boxes, geom, **params)
-    return out, new_geom, TransformRecord("crop_resize", params)
 
 
 def _drop_subpixel(boxes: np.ndarray) -> np.ndarray:
@@ -160,7 +134,8 @@ class AugmentationPipeline:
 
     Recipe 1: coin-flip mirror, then short edge resized to one of
     640..800 in steps of 32. Recipe 2: the same with 800..960. Recipe 3:
-    coin-flip mirror, then a random 400 px crop rescaled to 800 px.
+    coin-flip mirror, then a random 400 px crop rescaled to 800 px,
+    keeping boxes with at least a quarter of their area in the window.
     Boxes that end below one pixel on either side are dropped from the
     output. Every call to ``apply`` consumes randomness from this
     instance's stream only; identical (seed, call sequence) gives
@@ -174,22 +149,39 @@ class AugmentationPipeline:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def apply(self, boxes, geom: ImageGeom) -> Tuple[np.ndarray, ImageGeom, List[TransformRecord]]:
+    def _draw(self, geom: ImageGeom) -> List[TransformRecord]:
+        """The records of one call, drawn from the stream in a fixed order.
+
+        The flip coin comes first, then the short-edge index, or the crop
+        origin's x then y. The crop origin is uniform over the integer
+        positions that keep the window inside the image; it is drawn as
+        int64, so a side past that range fails before the draw.
+        """
         records = []
         if self._rng.random() < 0.5:
-            boxes = hflip(boxes, geom)
             records.append(TransformRecord("flip", {"width": geom.width}))
         if self.aug_id in (1, 2):
             edges = AUG1_SHORT_EDGES if self.aug_id == 1 else AUG2_SHORT_EDGES
             target = int(edges[int(self._rng.integers(0, len(edges)))])
-            boxes, geom = short_edge_resize(boxes, geom, target)
             records.append(TransformRecord("resize", {"target_short_edge": target}))
-        else:
-            boxes, geom, record = random_crop_resize(
-                boxes, geom, AUG3_CROP_SIZE, AUG3_OUT_SIZE, self._rng
+            return records
+        _check_window(geom, 0, 0, AUG3_CROP_SIZE)
+        if max(geom.width, geom.height) - AUG3_CROP_SIZE > _INT64.max:
+            raise ValidationError(
+                f"image {geom.width}x{geom.height} is too large to draw a crop origin in int64"
             )
-            records.append(record)
-        return _drop_subpixel(boxes), geom, records
+        crop_x = int(self._rng.integers(0, geom.width - AUG3_CROP_SIZE + 1))
+        crop_y = int(self._rng.integers(0, geom.height - AUG3_CROP_SIZE + 1))
+        records.append(TransformRecord("crop_resize", {
+            "crop_x": crop_x, "crop_y": crop_y, "crop_size": AUG3_CROP_SIZE,
+            "out_size": AUG3_OUT_SIZE, "min_visibility": AUG3_MIN_VISIBILITY}))
+        return records
+
+    def apply(self, boxes, geom: ImageGeom) -> Tuple[np.ndarray, ImageGeom, List[TransformRecord]]:
+        """Draw this call's records and return ``replay``'s result on them, with the records."""
+        boxes = _as_boxes(boxes)
+        records = self._draw(geom)
+        return (*replay(records, boxes, geom), records)
 
 
 def replay(
@@ -197,8 +189,8 @@ def replay(
 ) -> Tuple[np.ndarray, ImageGeom]:
     """Apply recorded transforms in order, no randomness involved.
 
-    Mirrors pipeline behavior exactly, including the sub-pixel drop, so
-    replaying an ``apply`` call's records reproduces its output. Each
+    ``AugmentationPipeline.apply`` returns this function's result on the
+    records it draws, so replaying them reproduces its output. Each
     parameter must have the type the sampler writes, so the value applied
     is the value the record holds: ``crop_x`` and ``crop_y`` are integers
     of at least 0, ``crop_size``, ``out_size``, ``target_short_edge`` and
@@ -221,15 +213,17 @@ def replay(
             boxes, geom = short_edge_resize(boxes, geom, target)
         elif rec.kind == "crop_resize":
             lows = (("crop_x", 0), ("crop_y", 0), ("crop_size", 1), ("out_size", 1))
-            crop = {k: check_count(f"crop_resize {k}", p[k], low) for k, low in lows}
+            x, y, size, out_size = (check_count(f"crop_resize {k}", p[k], low) for k, low in lows)
             vis = p["min_visibility"]
             if isinstance(vis, bool) or not isinstance(vis, (int, float, np.integer, np.floating)):
                 raise ValidationError(
                     f"crop_resize min_visibility must be a real number, got {vis!r}"
                 )
-            crop["min_visibility"] = float(vis)
-            _check_crop(geom, **crop)
-            boxes, geom = _crop_resize_at(boxes, geom, **crop)
+            vis = float(vis)
+            _check_window(geom, x, y, size)
+            if not 0.0 < vis <= 1.0:
+                raise ValidationError(f"min_visibility {vis}")
+            boxes, geom = _crop_resize_at(boxes, geom, x, y, size, out_size, vis)
         else:
             raise ValidationError(f"unknown transform kind {rec.kind!r}")
     return _drop_subpixel(boxes), geom

@@ -115,7 +115,6 @@ _OPTIONS = (
     ("anchors.aspect_ratios", "floats", [0.5, 1.0, 2.0], "--ratios", _ANCHORS, {}),
     ("anchors.angles", "floats", [-90.0, 0.0, 90.0], "--angles", _ANCHORS, {}),
     ("anchors.strides", "ints", [4, 8, 16, 32, 64], "--strides", _ANCHORS, {}),
-    ("anchors.offset", "float", 0.5, "--offset", _ANCHORS, {}),
     ("anchors.shared_sizes", "bool", False, "--shared-sizes", _ANCHORS, {}),
     ("anchors.image_size", "pair", [800, 800], "--image-size", _ANCHORS, {}),
     ("cluster.k", "int", 4, "--k", ("cluster",), {}),
@@ -286,7 +285,6 @@ def _anchor_pieces(config):
         aspect_ratios=tuple(a["aspect_ratios"]),
         angles=tuple(a["angles"]),
         strides=tuple(a["strides"]),
-        offset=a["offset"],
         shared_sizes=a["shared_sizes"],
     )
     iw, ih = a["image_size"]

@@ -5,7 +5,8 @@ Average precision uses 101-point interpolation, 10 IoU thresholds
 size slices small/medium/large cut at areas 32^2 and 96^2. Classes with
 no ground truth in a slice carry the sentinel -1 and are excluded from
 means. Matching is greedy by descending score with ties broken by the
-detection's source index, so results are deterministic.
+detection's row, as COCOeval's stable sort breaks them, so results are
+deterministic.
 
 Detections load into read-only NumPy columns (:class:`DetectionColumns`)
 that ``coco_map`` reads directly.
@@ -25,8 +26,7 @@ from .annotations import (
     _INT64,
     _NUMBER,
     Dataset,
-    MEDIUM_AREA_MAX,
-    SMALL_AREA_MAX,
+    SIZE_SLICES,
     _gather,
     _head,
     _object_rule,
@@ -51,7 +51,6 @@ MAX_DETS_PER_IMAGE = 100
 _DETECTION_DTYPES = (
     ("image_id", np.int64),
     ("category_id", np.int64),
-    ("source_index", np.int64),
     ("boxes", np.float64),
     ("score", np.float64),
 )
@@ -69,16 +68,15 @@ def _column_checks(boxes: np.ndarray, score: np.ndarray):
 class DetectionColumns:
     """Detection fields as read-only NumPy columns, one row per detection.
 
-    ``image_id``, ``category_id`` and ``source_index`` are int64,
-    ``boxes`` is the (N, 4) float64 corner-form array and ``score``
-    float64. Each field is copied into a read-only array of its dtype.
-    Rows keep :func:`~detforge.annotations.box_rules` and a score in
-    [0, 1]; the first bad row is named.
+    ``image_id`` and ``category_id`` are int64, ``boxes`` is the (N, 4)
+    float64 corner-form array and ``score`` float64. Each field is copied
+    into a read-only array of its dtype. Rows keep
+    :func:`~detforge.annotations.box_rules` and a score in [0, 1]; the
+    first bad row is named.
     """
 
     image_id: np.ndarray
     category_id: np.ndarray
-    source_index: np.ndarray
     boxes: np.ndarray
     score: np.ndarray
 
@@ -172,8 +170,8 @@ def load_detections(path, data: Optional[bytes] = None) -> DetectionColumns:
     Ids must be JSON integers that fit an int64, ``bbox`` four finite
     numbers ``[x, y, w, h]`` with ``w, h >= 0``, finite corners
     ``x + w``, ``y + h`` and a finite area ``w * h``, and ``score`` a
-    number in [0, 1]. Row i's ``source_index`` is i. ``data``, when
-    given, is the file's content already read by the caller.
+    number in [0, 1]. ``data``, when given, is the file's content already
+    read by the caller.
 
     The rules run a whole column at a time (see
     :func:`~detforge.annotations.checked`); an invalid file fails on its
@@ -186,7 +184,6 @@ def load_detections(path, data: Optional[bytes] = None) -> DetectionColumns:
     return DetectionColumns(
         image_id=image_ids,
         category_id=category_ids,
-        source_index=np.arange(len(raw)),
         boxes=boxes,
         score=scores,
     )
@@ -245,12 +242,7 @@ def average_precision(flags, scores, n_gt: int) -> float:
     return _ranked_ap(flags[np.argsort(-scores.astype(np.float64), kind="stable")], n_gt)
 
 
-_SLICES = (
-    ("all", 0.0, math.inf),
-    ("small", 0.0, SMALL_AREA_MAX),
-    ("medium", SMALL_AREA_MAX, MEDIUM_AREA_MAX),
-    ("large", MEDIUM_AREA_MAX, math.inf),
-)
+_SLICES = (("all", 0.0, math.inf), *SIZE_SLICES)
 
 
 # Bounds on one lock-step chunk: the (image, class) groups it holds and
@@ -339,19 +331,19 @@ def _lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.n
 def _grouped_dets(dets: DetectionColumns, ds: Dataset, max_dets: int):
     """The kept detections as columns in (image, class) group order.
 
-    Each image's dets are ranked by (-score, source index) and cut to the
-    first ``max_dets`` (all when ``max_dets`` <= 0); a group keeps that
-    rank order. Returns ``(group_size, class_id, source, score, boxes)``,
-    ``group_size`` mapping each (image, class) key to its det count in
-    key order.
+    Each image's dets are ranked by (-score, row) and cut to the first
+    ``max_dets`` (all when ``max_dets`` <= 0); a group keeps that rank
+    order. Ties rank by row, as COCOeval's stable sort keeps input order.
+    Returns ``(group_size, class_id, source, score, boxes)``, ``source``
+    being each det's row and ``group_size`` mapping each (image, class)
+    key to its det count in key order.
     """
     n = len(dets)
-    image_id, class_id, source, score = (
-        dets.image_id, dets.category_id, dets.source_index, dets.score
-    )
+    image_id, class_id, score = dets.image_id, dets.category_id, dets.score
+    source = np.arange(n)
     check_references(ds, source, image_id, class_id, "detection")
 
-    ranked = np.lexsort((source, -score, image_id))
+    ranked = np.lexsort((-score, image_id))  # a stable sort: ties keep row order
     if max_dets > 0:
         # a det's rank in its image: its position less its image's first one
         ranked_image = image_id[ranked]
@@ -431,7 +423,7 @@ def coco_map(
         )
         flags[:, :, d_idx[d_valid]] = chunk_flags[:, :, d_valid]
 
-    # Pool per class in one (-score, source index) order; a stable sort
+    # Pool per class in one (-score, row) order; a stable sort
     # keeps image order, then rank order, between equal keys.
     order = np.lexsort((source, -scores))
     class_order = {c: order[class_id[order] == c] for c in class_ids}

@@ -112,7 +112,6 @@ class Detection:
     category_id: int
     bbox: BBox
     score: float
-    source_index: int
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
@@ -148,7 +147,6 @@ def detection_columns(dets: Sequence[Detection]) -> DetectionColumns:
     return DetectionColumns(
         image_id=[d.image_id for d in dets],
         category_id=[d.category_id for d in dets],
-        source_index=[d.source_index for d in dets],
         boxes=np.fromiter((v for d in dets for v in d.bbox.as_tuple()), np.float64, 4 * n),
         score=np.fromiter((d.score for d in dets), np.float64, n),
     )
@@ -157,13 +155,12 @@ def detection_columns(dets: Sequence[Detection]) -> DetectionColumns:
 def detections_of(columns: DetectionColumns) -> tuple:
     """The rows of ``columns`` as Detection objects."""
     return tuple(
-        Detection(image_id, category_id, BBox(*box), score, source_index)
-        for image_id, category_id, box, score, source_index in zip(
+        Detection(image_id, category_id, BBox(*box), score)
+        for image_id, category_id, box, score in zip(
             columns.image_id.tolist(),
             columns.category_id.tolist(),
             columns.boxes.tolist(),
             columns.score.tolist(),
-            columns.source_index.tolist(),
         )
     )
 
@@ -541,7 +538,6 @@ def oracle_load_detections(path) -> list:
                 category_id=entry["category_id"],
                 bbox=bbox,
                 score=float(entry["score"]),
-                source_index=i,
             )
         )
     return out
@@ -551,7 +547,7 @@ def assert_same_columns(got: DetectionColumns, want: Sequence[Detection]) -> Non
     """``got`` holds the fields of ``want`` bit for bit, so -0.0 stays -0.0."""
     want = detection_columns(want)
     assert len(got) == len(want)
-    for name in ("image_id", "category_id", "source_index", "boxes", "score"):
+    for name in ("image_id", "category_id", "boxes", "score"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name

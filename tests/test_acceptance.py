@@ -245,8 +245,7 @@ def test_criterion_6_evaluator_oracles_and_fp_monotonicity(data_dir):
     dets = load_detections(data_dir / "eval_mixed_dets.json")
 
     perfect = [
-        Detection(inst.image_id, inst.category_id, inst.bbox, 1.0, i)
-        for i, inst in enumerate(ds.instances)
+        Detection(inst.image_id, inst.category_id, inst.bbox, 1.0) for inst in ds.instances
     ]
     clean = coco_map(detection_columns(perfect), ds)
     assert clean.ap == 1.0 and clean.ap50 == 1.0 and clean.ap75 == 1.0
@@ -277,7 +276,6 @@ def test_criterion_6_evaluator_oracles_and_fp_monotonicity(data_dir):
             int(rng.choice([1, 2])),
             from_xywh(x, y, w, h),
             float(rng.uniform(0.9, 0.999)),
-            1000 + trial,
         )
         spiked = coco_map(detection_columns(detections_of(dets) + (fp,)), ds)
         for field in metric_fields:

@@ -50,8 +50,6 @@ class TestAnchorSpec:
         with pytest.raises(ValidationError):
             AnchorSpec(angles=(45.0,))
         with pytest.raises(ValidationError):
-            AnchorSpec(offset=1.0)
-        with pytest.raises(ValidationError):
             AnchorSpec(sizes=(16, 32), strides=(4, 8, 16))
 
     @pytest.mark.parametrize("sizes, ratios, message", [
@@ -165,7 +163,7 @@ class TestGenerateAnchors:
 
     @pytest.mark.parametrize(
         "spec",
-        [AnchorSpec(), AnchorSpec(shared_sizes=True, offset=0.25)],
+        [AnchorSpec(), AnchorSpec(shared_sizes=True, strides=(5, 11, 23, 40, 70))],
         ids=["default", "shared_sizes"],
     )
     def test_size_and_ratio_hold_for_every_anchor(self, spec):
@@ -179,12 +177,13 @@ class TestGenerateAnchors:
             measured = np.where(angles == 0.0, h / w, w / h)
             np.testing.assert_allclose(measured, ratios, rtol=1e-9)
             centers = (level.boxes[:, :2] + level.boxes[:, 2:]) / 2.0
-            np.testing.assert_allclose(centers, (cells + spec.offset) * level.stride)
+            np.testing.assert_allclose(centers, (cells + 0.5) * level.stride)
 
-    def test_offset_moves_the_center(self):
-        spec = AnchorSpec(sizes=(16,), aspect_ratios=(1.0,), angles=(0.0,), strides=(4,), offset=0.0)
-        out = generate_anchors(spec, [(1, 1)])
-        np.testing.assert_array_equal(out.levels[0].boxes[0], [-8.0, -8.0, 8.0, 8.0])
+    def test_anchors_sit_at_cell_centres(self):
+        spec = AnchorSpec(sizes=(16,), aspect_ratios=(1.0,), angles=(0.0,), strides=(4,))
+        out = generate_anchors(spec, [(2, 1)])
+        np.testing.assert_array_equal(out.levels[0].boxes,
+                                      [[-6.0, -6.0, 10.0, 10.0], [-2.0, -6.0, 14.0, 10.0]])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -236,8 +235,8 @@ def oracle_generate_boxes(spec, fmap_dims):
     for stride, (fw, fh), half in zip(spec.strides, fmap_dims, halves):
         stop = start + fw * fh * len(half)
         grid = boxes[start:stop].reshape(fh, fw, len(half), 4)
-        cx = ((np.arange(fw) + spec.offset) * stride)[None, :, None]
-        cy = ((np.arange(fh) + spec.offset) * stride)[:, None, None]
+        cx = ((np.arange(fw) + 0.5) * stride)[None, :, None]
+        cy = ((np.arange(fh) + 0.5) * stride)[:, None, None]
         grid[..., 0] = cx - half[:, 0]
         grid[..., 1] = cy - half[:, 1]
         grid[..., 2] = cx + half[:, 0]
@@ -249,9 +248,9 @@ def oracle_generate_boxes(spec, fmap_dims):
 class TestLazyAnchorBoxes:
     SPECS = [
         AnchorSpec(),
-        AnchorSpec(shared_sizes=True, sizes=(12, 40), offset=0.25),
-        AnchorSpec(offset=0.0, angles=(0.0,), strides=(5, 11, 23, 40, 70)),
-        AnchorSpec(sizes=(7.3,), aspect_ratios=(0.2, 1.0, 3.0), strides=(3,), offset=0.7),
+        AnchorSpec(shared_sizes=True, sizes=(12, 40)),
+        AnchorSpec(angles=(0.0,), strides=(5, 11, 23, 40, 70)),
+        AnchorSpec(sizes=(7.3,), aspect_ratios=(0.2, 1.0, 3.0), strides=(3,)),
     ]
 
     @pytest.mark.parametrize("spec", SPECS, ids=["default", "shared", "odd_strides", "one_level"])
@@ -306,7 +305,7 @@ class TestLazyAnchorBoxes:
         assert match_anchors(out, columns_of(gts), 0.5, 0.3, force_match=True).n_gt == 1
 
     def test_cell_boxes_are_rows_of_all_boxes(self):
-        spec = AnchorSpec(offset=0.25, aspect_ratios=(0.2, 1.0, 3.0))
+        spec = AnchorSpec(aspect_ratios=(0.2, 1.0, 3.0), strides=(3, 7, 13, 29, 61))
         out = generate_anchors(spec, _image_dims(spec, 90, 70))
         for lv in out.levels:
             x0, x1, y0, y1 = lv.fmap_w // 3, lv.fmap_w, lv.fmap_h // 2, lv.fmap_h
@@ -1248,10 +1247,10 @@ class TestMatchingAgainstDenseOracle:
         [
             (AnchorSpec(), 1.0),
             (AnchorSpec(shared_sizes=True, sizes=(12, 40)), 1.0),
-            (AnchorSpec(offset=0.0, angles=(0.0,), strides=(5, 11, 23, 40, 70)), 1.0),
-            (AnchorSpec(offset=0.25, aspect_ratios=(0.2, 1.0, 3.0)), 0.6),
+            (AnchorSpec(angles=(0.0,), strides=(5, 11, 23, 40, 70)), 1.0),
+            (AnchorSpec(aspect_ratios=(0.2, 1.0, 3.0)), 0.6),
         ],
-        ids=["default", "shared_sizes", "offset_0_odd_strides", "offset_0.25_partial_fmaps"],
+        ids=["default", "shared_sizes", "odd_strides", "partial_fmaps"],
     )
     def test_reports_equal_the_dense_path(self, spec, scale):
         rng = np.random.default_rng(spec.strides[0] + int(100 * scale) + len(spec.sizes))
@@ -1326,7 +1325,8 @@ class TestSparseCountEdges:
         assert (report.n_positive, report.n_negative, report.n_ignored) == (1, anchors.total - 1, 0)
         assert report.matched_per_gt == {1: 1}
 
-    @pytest.mark.parametrize("spec", [AnchorSpec(), AnchorSpec(offset=0.25, shared_sizes=True)],
+    @pytest.mark.parametrize("spec", [AnchorSpec(),
+                                      AnchorSpec(shared_sizes=True, strides=(5, 11, 23, 40, 70))],
                              ids=["default", "shared_sizes"])
     def test_equal_thresholds_on_random_scenes(self, spec):
         rng = np.random.default_rng(51)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from detforge import annotations
+from detforge import annotations, evaluation
 from detforge.anchors import AnchorSpec, generate_anchors, match_anchors
 from detforge.annotations import (
     Category,
@@ -17,6 +17,7 @@ from detforge.annotations import (
     Instance,
     InstanceColumns,
     MEDIUM_AREA_MAX,
+    SIZE_SLICES,
     SMALL_AREA_MAX,
     _EXPORT_BLOCK_ROWS,
     _tile_count,
@@ -184,6 +185,16 @@ class TestStats:
         )
         buckets = compute_stats(ds).per_category_size_buckets[1]
         assert buckets == {"small": 1, "medium": 1, "large": 1}
+
+    def test_stats_and_eval_read_one_slice_table(self):
+        assert SIZE_SLICES == (("small", 0.0, SMALL_AREA_MAX),
+                               ("medium", SMALL_AREA_MAX, MEDIUM_AREA_MAX),
+                               ("large", MEDIUM_AREA_MAX, math.inf))
+        assert evaluation._SLICES == (("all", 0.0, math.inf), *SIZE_SLICES)
+        ds = dataset_of(images=(ImageRecord(1, 9, 9, "x.png"),), instances=(),
+                        categories=(Category(1, "c"),))
+        buckets = compute_stats(ds).per_category_size_buckets[1]
+        assert list(buckets) == [name for name, _, _ in SIZE_SLICES]
 
     def test_empty_dataset(self):
         report = compute_stats(dataset_of(images=(), instances=(), categories=()))

@@ -4,7 +4,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from detforge import cli
+import detforge
+from detforge import augment, cli
 from detforge.augment import (
     AUG1_SHORT_EDGES,
     AUG2_SHORT_EDGES,
@@ -14,7 +15,6 @@ from detforge.augment import (
     ImageGeom,
     TransformRecord,
     hflip,
-    random_crop_resize,
     replay,
     short_edge_resize,
 )
@@ -141,107 +141,133 @@ class TestShortEdgeResize:
             short_edge_resize(FIXTURE, GEOM, target)
 
 
-class TestRandomCropResize:
+def crop_record(crop_x, crop_y, crop_size=400, out_size=800, min_visibility=0.25):
+    return TransformRecord("crop_resize", {"crop_x": crop_x, "crop_y": crop_y,
+                                           "crop_size": crop_size, "out_size": out_size,
+                                           "min_visibility": min_visibility})
+
+
+class TestImageGeom:
+    @pytest.mark.parametrize("width, height, message", [
+        (800.5, 600, r"^image width must be an integer, got 800\.5$"),
+        (True, 1, r"^image width must be an integer, got True$"),
+        (800, 0, r"^image height must be at least 1, got 0$"),
+        (800, np.int64(-3), r"^image height must be at least 1, got -3$"),
+    ], ids=["fractional", "bool", "zero", "negative"])
+    def test_sizes_are_integers_of_at_least_one(self, width, height, message):
+        """A size no record can hold fails when the geometry is built, not inside ``apply``."""
+        with pytest.raises(ValidationError, match=message):
+            ImageGeom(width, height)
+        geom = ImageGeom(np.int64(800), 600)
+        assert type(geom.width) is int and geom == ImageGeom(800, 600)
+
+
+class TestCropResizeReplay:
+    """A crop_resize record's window, scale, visibility cut and sub-pixel drop."""
+
     def test_degenerate_crop_is_pure_resize(self):
         geom = ImageGeom(400, 400)
         boxes = [[10.0, 10.0, 100.0, 60.0], [200.0, 200.0, 390.0, 399.0]]
-        out, new_geom, record = random_crop_resize(
-            boxes, geom, crop_size=400, out_size=800, rng=np.random.default_rng(0)
-        )
-        assert record.params["crop_x"] == 0 and record.params["crop_y"] == 0
+        out, new_geom = replay([crop_record(0, 0)], boxes, geom)
         assert new_geom == ImageGeom(800, 800)
         assert len(out) == len(boxes)
         np.testing.assert_allclose(out[0], (20.0, 20.0, 200.0, 120.0), rtol=1e-15)
 
     def test_inside_box_is_affine(self):
         """A box fully inside the window lands at (b - origin) * scale."""
-        rng = np.random.default_rng(5)
-        geom = ImageGeom(800, 600)
-        inner = np.array([350.0, 250.0, 370.0, 280.0])  # near the center, usually inside
-        out, _, record = random_crop_resize([inner], geom, 400, 800, rng, min_visibility=0.01)
-        ox, oy = record.params["crop_x"], record.params["crop_y"]
-        if len(out):  # only check when the draw kept it fully inside
-            window = np.array([ox, oy, ox + 400, oy + 400], dtype=float)
-            if (inner[:2] >= window[:2]).all() and (inner[2:] <= window[2:]).all():
-                expected = (inner + [-ox, -oy, -ox, -oy]) * 2.0
-                assert out[0].tolist() == expected.tolist()
+        inner = np.array([350.0, 250.0, 370.0, 280.0])
+        out, _ = replay([crop_record(200, 100, min_visibility=0.01)], [inner], GEOM)
+        assert out.tolist() == [((inner - [200.0, 100.0, 200.0, 100.0]) * 2.0).tolist()]
 
     def test_visibility_cut_drops_straddlers(self):
         """A box 25% inside the window survives at 0.25 and dies at 0.3."""
-        geom = ImageGeom(800, 600)
-        # seed 3 draws origin (325, 17) for a 400 crop on this geometry
-        probe = np.random.default_rng(3)
-        ox = int(probe.integers(0, geom.width - 400 + 1))
-        oy = int(probe.integers(0, geom.height - 400 + 1))
+        ox, oy = 325, 17
         # 40 wide, 30 of it past the left window edge: 10/40 visible
         straddler = [[float(ox - 30), float(oy + 50), float(ox + 10), float(oy + 70)]]
-
-        kept, _, _ = random_crop_resize(
-            straddler, geom, 400, 800, np.random.default_rng(3), min_visibility=0.25
-        )
+        kept, _ = replay([crop_record(ox, oy, min_visibility=0.25)], straddler, GEOM)
         assert len(kept) == 1
-        dropped, _, _ = random_crop_resize(
-            straddler, geom, 400, 800, np.random.default_rng(3), min_visibility=0.3
-        )
+        dropped, _ = replay([crop_record(ox, oy, min_visibility=0.3)], straddler, GEOM)
         assert dropped.shape == (0, 4)
 
     def test_subpixel_survivor_dropped(self):
         # 0.4 px wide after the 2x scale: clipped width 0.2 * 2 < 1
-        geom = ImageGeom(400, 400)
         sliver = [[10.0, 10.0, 10.2, 200.0]]
-        out, _, _ = random_crop_resize(
-            sliver, geom, 400, 800, np.random.default_rng(0), min_visibility=0.01
-        )
+        out, _ = replay([crop_record(0, 0, min_visibility=0.01)], sliver, ImageGeom(400, 400))
         assert out.shape == (0, 4)
+
+    def test_visibility_bounds(self):
+        for vis in (0.0, -0.25, 1.5):
+            with pytest.raises(ValidationError, match=rf"^min_visibility {vis}$"):
+                replay([crop_record(0, 0, min_visibility=vis)], FIXTURE, GEOM)
+        out, _ = replay([crop_record(0, 0, min_visibility=1)], FIXTURE, GEOM)
+        assert len(out) == 2  # the two boxes wholly inside the window
+
+
+class TestRecipeThreeDraw:
+    """Recipe 3's crop origin, drawn after the flip coin."""
+
+    def test_a_square_image_as_large_as_the_crop_is_pure_resize(self):
+        for seed in range(4):
+            _, geom, records = AugmentationPipeline(3, seed).apply(FIXTURE, ImageGeom(400, 400))
+            params = records[-1].params
+            assert (params["crop_x"], params["crop_y"]) == (0, 0)
+            assert geom == ImageGeom(800, 800)
 
     def test_origin_sampling_is_x_then_y(self):
         rng = np.random.default_rng(99)
+        rng.random()  # the flip coin
         expected_x = int(rng.integers(0, 800 - 400 + 1))
         expected_y = int(rng.integers(0, 600 - 400 + 1))
-        _, _, record = random_crop_resize(
-            FIXTURE, GEOM, 400, 800, np.random.default_rng(99)
-        )
-        assert record.params["crop_x"] == expected_x
-        assert record.params["crop_y"] == expected_y
+        _, _, records = AugmentationPipeline(3, 99).apply(FIXTURE, GEOM)
+        assert records[-1].params == {"crop_x": expected_x, "crop_y": expected_y,
+                                      "crop_size": 400, "out_size": 800, "min_visibility": 0.25}
 
     def test_seed_seventeen_repeats_byte_for_byte(self):
         runs = []
         for _ in range(2):
-            out, geom, record = random_crop_resize(
-                FIXTURE, GEOM, 400, 800, np.random.default_rng(17)
-            )
-            runs.append((bits(out), geom, record.to_dict()))
+            out, geom, records = AugmentationPipeline(3, 17).apply(FIXTURE, GEOM)
+            runs.append((bits(out), geom, [r.to_dict() for r in records]))
         assert runs[0] == runs[1]
 
     def test_crop_larger_than_image_rejected(self):
-        with pytest.raises(ValidationError):
-            random_crop_resize(FIXTURE, ImageGeom(300, 900), 400, 800, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=r"^crop 400 at \(0, 0\) exceeds image 300x900$"):
+            AugmentationPipeline(3, 0).apply(FIXTURE, ImageGeom(300, 900))
 
     def test_origins_past_int64_are_rejected(self):
         """NumPy draws the origin in int64; a wider image is a one-line error, not a crash."""
         widest = ImageGeom(2**63 - 1 + 400, 800)
-        _, geom, record = random_crop_resize(FIXTURE, widest, 400, 800, np.random.default_rng(0))
-        assert geom == ImageGeom(800, 800) and record.params["crop_x"] < 2**63
+        _, geom, records = AugmentationPipeline(3, 0).apply(FIXTURE, widest)
+        assert geom == ImageGeom(800, 800) and records[-1].params["crop_x"] < 2**63
         with pytest.raises(ValidationError, match=r"^image 1180591620717411303424x800 is too "
                                                   r"large to draw a crop origin in int64$"):
-            random_crop_resize(FIXTURE, ImageGeom(2**70, 800), 400, 800,
-                               np.random.default_rng(0))
+            AugmentationPipeline(3, 0).apply(FIXTURE, ImageGeom(2**70, 800))
 
-    def test_visibility_bounds(self):
-        with pytest.raises(ValidationError):
-            random_crop_resize(FIXTURE, GEOM, 400, 800, np.random.default_rng(0), min_visibility=0.0)
+    def test_bad_boxes_are_rejected_before_the_draw(self):
+        pipe = AugmentationPipeline(3, 0)
+        with pytest.raises(ValidationError, match=r"^box row 0 is inverted"):
+            pipe.apply([[5.0, 0.0, 4.0, 10.0]], GEOM)
+        assert pipe._rng.random() == np.random.default_rng(0).random()  # the stream is untouched
 
-    @pytest.mark.parametrize("boxes, crop_size, out_size, min_visibility", [
-        (FIXTURE, 0, 800, 0.25), (FIXTURE, -5, 800, 0.25), (FIXTURE, 400, 0, 0.25),
-        (FIXTURE, 400, 800, float("nan")), (FIXTURE, 400, 800, 1.5),
-        ([[5.0, 0.0, 4.0, 10.0]], 400, 800, 0.25),
-    ])
-    def test_bad_arguments_rejected_before_sampling(self, boxes, crop_size, out_size,
-                                                    min_visibility):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValidationError):
-            random_crop_resize(boxes, GEOM, crop_size, out_size, rng, min_visibility)
-        assert rng.random() == np.random.default_rng(0).random()  # the stream is untouched
+
+class TestReplayIsTheOneApplier:
+    def test_apply_returns_replay_of_the_records_it_draws(self, monkeypatch):
+        calls = []
+
+        def spy(records, boxes, geom):
+            calls.append((list(records), bits(boxes), geom))
+            return replay(records, boxes, geom)
+
+        monkeypatch.setattr(augment, "replay", spy)
+        for aug_id in (1, 2, 3):
+            out, geom, records = AugmentationPipeline(aug_id, 5).apply(FIXTURE, GEOM)
+            assert calls.pop() == (records, bits(FIXTURE), GEOM)
+            again, geom2 = replay(records, FIXTURE, GEOM)
+            assert bits(out) == bits(again) and geom == geom2
+        assert calls == []
+
+    def test_there_is_no_random_crop_resize(self):
+        assert not hasattr(detforge, "random_crop_resize")
+        assert not hasattr(augment, "random_crop_resize")
 
 
 class TestBoxArrays:
@@ -250,7 +276,7 @@ class TestBoxArrays:
     TRANSFORMS = [
         lambda b: hflip(b, GEOM),
         lambda b: short_edge_resize(b, GEOM, 640),
-        lambda b: random_crop_resize(b, GEOM, 400, 800, np.random.default_rng(0)),
+        lambda b: replay([crop_record(0, 0)], b, GEOM),
         lambda b: AugmentationPipeline(3, 0).apply(b, GEOM),
         lambda b: replay([], b, GEOM),
     ]
@@ -397,6 +423,9 @@ class TestReplay:
         ([TransformRecord("crop_resize", {"crop_x": 401, "crop_y": 0, "crop_size": 400,
                                           "out_size": 800, "min_visibility": 0.5})],
          r"^crop 400 at \(401, 0\) exceeds image 800x600$"),
+        ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 201, "crop_size": 400,
+                                          "out_size": 800, "min_visibility": 0.5})],
+         r"^crop 400 at \(0, 201\) exceeds image 800x600$"),
         ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": -1, "crop_size": 400,
                                           "out_size": 800, "min_visibility": 0.5})],
          r"^crop_resize crop_y must be at least 0, got -1$"),
@@ -407,7 +436,7 @@ class TestReplay:
                                           "out_size": 800, "min_visibility": 0.0})],
          r"^min_visibility 0\.0$"),
     ], ids=["flip-width", "flip-width-after-resize", "resize-negative", "crop-negative",
-            "out-zero", "window-right", "window-above", "visibility-nan", "visibility-zero"])
+            "out-zero", "window-right", "window-below", "window-above", "visibility-nan", "visibility-zero"])
     def test_records_checked_against_the_image_they_meet(self, records, message):
         with pytest.raises(ValidationError, match=message):
             replay(records, FIXTURE, GEOM)

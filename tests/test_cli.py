@@ -174,11 +174,14 @@ class TestConfigResolution:
          "anchors.fmap_dims"),
         ("cluster", ["--init", "random"], {"cluster": {"init": "random"}}, "cluster.init"),
         ("cluster", ["--synthetic", "10"], {"cluster": {"synthetic": 10}}, "cluster.synthetic"),
+        ("anchors", ["--offset", "0.5"], {"anchors": {"offset": 0.5}}, "anchors.offset"),
+        ("match", ["--offset", "0.5"], {"anchors": {"offset": 0.5}}, "anchors.offset"),
     ])
     def test_there_is_no_such_setting(self, capsys, tiny_path, tmp_path, command, flag,
                                       file_config, key):
         argv = {"stats": ["stats", "--ann", tiny_path], "anchors": ["anchors"],
-                "cluster": ["cluster", "--ann", tiny_path]}[command]
+                "cluster": ["cluster", "--ann", tiny_path],
+                "match": ["match", "--ann", tiny_path]}[command]
         rc, out, _ = run(capsys, *argv, *flag)
         assert rc == 64 and out == ""
         if file_config is not None:

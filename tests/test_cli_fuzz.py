@@ -20,6 +20,10 @@ Command lines are fuzzed too: each annotation command line, ``anchors``
 and ``loss-check`` run with one of the subcommand's flags set to one of
 the replacement values as text. There the one carve-out is exit 64,
 where argparse prints its usage block before the one ``error:`` line.
+
+Each ``cli.main`` call runs under a wall-clock guard: a call that runs
+past ``GUARD_SECONDS`` fails its test as ``CliHang`` instead of stalling
+the suite. Hypothesis checks its ``deadline`` only once a call returns.
 """
 
 import contextlib
@@ -28,6 +32,7 @@ import io
 import json
 import os
 import pathlib
+import signal
 
 import pytest
 
@@ -44,9 +49,12 @@ RECORDS = str(DATA / "golden" / "records-tiny.jsonl")
 
 REPLACEMENTS = [None, True, "x", -1, [], {}, 2**70, 1e308]
 FUZZ = settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+# The slowest passing call takes ~0.13 s on a shared 2-core machine; the
+# guard leaves room for a loaded one and still ends a hang within seconds.
+GUARD_SECONDS = 10.0
 
 ANCHORS = {"sizes": [16.0, 32.0, 64.0, 128.0, 256.0], "aspect_ratios": [0.5, 1.0, 2.0],
-           "angles": [-90.0, 0.0, 90.0], "strides": [4, 8, 16, 32, 64], "offset": 0.5,
+           "angles": [-90.0, 0.0, 90.0], "strides": [4, 8, 16, 32, 64],
            "shared_sizes": False, "image_size": [800, 800]}
 # a valid config file per subcommand, setting every input and knob it reads
 CONFIGS = {
@@ -118,6 +126,29 @@ def work_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_fuzz")
 
 
+class CliHang(BaseException):
+    """A ``cli.main`` call ran past ``GUARD_SECONDS``.
+
+    A BaseException, so neither the CLI's error handling nor Hypothesis'
+    shrinking, which would rerun the hang, catches it.
+    """
+
+
+@contextlib.contextmanager
+def wall_clock_guard(argv):
+    """Raise ``CliHang`` in the main thread if the body outlasts ``GUARD_SECONDS``."""
+    def expire(signum, frame):
+        raise CliHang(f"detforge {' '.join(argv)} ran past {GUARD_SECONDS:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, GUARD_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def assert_contract(work_dir, argv, usage_block=False):
     """Run ``detforge ARGV`` in ``work_dir``, where relative output paths land.
 
@@ -128,7 +159,8 @@ def assert_contract(work_dir, argv, usage_block=False):
     cwd = os.getcwd()
     os.chdir(work_dir)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                wall_clock_guard(argv):
             code = cli.main(argv)
     finally:
         os.chdir(cwd)

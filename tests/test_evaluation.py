@@ -44,8 +44,8 @@ from oracles import (
 )
 
 
-def det(image_id, cat, x, y, w, h, score, src=0):
-    return Detection(image_id, cat, from_xywh(x, y, w, h), score, src)
+def det(image_id, cat, x, y, w, h, score):
+    return Detection(image_id, cat, from_xywh(x, y, w, h), score)
 
 
 def box(x0, y0, x1, y1):
@@ -138,15 +138,16 @@ def scalar_coco_map(
     thresholds = (
         IOU_THRESHOLDS if iou_thresholds is None else tuple(float(t) for t in iou_thresholds)
     )
+    # each det with its list position, which breaks score ties
     by_image = defaultdict(list)
-    for d in dets:
-        by_image[d.image_id].append(d)
+    for pos, d in enumerate(dets):
+        by_image[d.image_id].append((pos, d))
     det_groups = defaultdict(list)
     n_detections = 0
     for image_id in sorted(by_image):
-        ranked = sorted(by_image[image_id], key=lambda d: (-d.score, d.source_index))
-        for d in ranked[: max_dets if max_dets > 0 else None]:
-            det_groups[(d.image_id, d.category_id)].append(d)
+        ranked = sorted(by_image[image_id], key=lambda p: (-p[1].score, p[0]))
+        for pos, d in ranked[: max_dets if max_dets > 0 else None]:
+            det_groups[(d.image_id, d.category_id)].append((pos, d))
             n_detections += 1
 
     gt_groups = defaultdict(list)
@@ -169,18 +170,18 @@ def scalar_coco_map(
             pooled = []
             for image_id in image_ids:
                 dts = [
-                    d
-                    for d in det_groups.get((image_id, cat), [])
+                    (pos, d)
+                    for pos, d in det_groups.get((image_id, cat), [])
                     if lo <= d.bbox.area < hi
                 ]
                 gts = gt_groups.get((image_id, cat), [])
                 gt_ignore = [g.ignore or not (lo <= g.area < hi) for g in gts]
                 flags = greedy_match(
-                    [d.bbox for d in dts], [g.bbox for g in gts], gt_ignore, thr
+                    [d.bbox for _, d in dts], [g.bbox for g in gts], gt_ignore, thr
                 )
                 pooled.extend(
-                    (d.score, d.source_index, int(f))
-                    for d, f in zip(dts, flags)
+                    (d.score, pos, int(f))
+                    for (pos, d), f in zip(dts, flags)
                     if f >= 0
                 )
             pooled.sort(key=lambda p: (-p[0], p[1]))
@@ -343,20 +344,24 @@ class TestDetectionColumns:
     def test_columns_are_read_only_with_fixed_dtypes(self, data_dir):
         c = load_detections(data_dir / "eval_mixed_dets.json")
         assert len(c) == 6
-        assert c.image_id.dtype == c.category_id.dtype == c.source_index.dtype == np.int64
+        assert c.image_id.dtype == c.category_id.dtype == np.int64
         assert c.boxes.shape == (6, 4) and c.boxes.dtype == c.score.dtype == np.float64
-        assert c.source_index.tolist() == list(range(6))
         with pytest.raises(ValueError):
             c.score[0] = 0.5
 
     def test_empty(self):
-        c = DetectionColumns(image_id=[], category_id=[], source_index=[], boxes=[], score=[])
+        c = DetectionColumns(image_id=[], category_id=[], boxes=[], score=[])
         assert len(c) == 0 and c.boxes.shape == (0, 4)
+
+    def test_there_is_no_source_index_column(self):
+        with pytest.raises(TypeError, match="source_index"):
+            DetectionColumns(image_id=[1], category_id=[1], boxes=[[0, 0, 1, 1]], score=[0.5],
+                             source_index=[0])
 
     def test_ragged_columns_are_rejected(self):
         with pytest.raises(ValidationError, match=r"^detection column 'score' has 2 rows$"):
-            DetectionColumns(image_id=[1], category_id=[1], source_index=[0],
-                             boxes=[[0, 0, 1, 1]], score=[0.5, 0.6])
+            DetectionColumns(image_id=[1], category_id=[1], boxes=[[0, 0, 1, 1]],
+                             score=[0.5, 0.6])
 
     @pytest.mark.parametrize("bad_box, bad_score, message", [
         ([0, 0, math.inf, 1], 0.5, "detection row 1 has a non-finite box (0.0, 0.0, inf, 1.0)"),
@@ -372,7 +377,7 @@ class TestDetectionColumns:
             "first-rule-of-row"])
     def test_bad_rows_are_rejected(self, bad_box, bad_score, message):
         with pytest.raises(ValidationError) as info:
-            DetectionColumns(image_id=[1, 1, 1], category_id=[1, 1, 1], source_index=[0, 1, 2],
+            DetectionColumns(image_id=[1, 1, 1], category_id=[1, 1, 1],
                              boxes=[[0, 0, 1, 1], bad_box, [9, 9, 0, 0]],
                              score=[0.5, bad_score, 2.0])
         assert str(info.value) == message
@@ -391,8 +396,8 @@ class TestDetectionColumns:
             except ValidationError:
                 loaded = False
             try:
-                DetectionColumns(image_id=[1], category_id=[1], source_index=[0],
-                                 boxes=[x, y, x + w, y + h], score=[0.5])
+                DetectionColumns(image_id=[1], category_id=[1], boxes=[x, y, x + w, y + h],
+                                 score=[0.5])
                 built = True
             except ValidationError:
                 built = False
@@ -400,7 +405,7 @@ class TestDetectionColumns:
 
     def test_nan_box_from_the_api_is_rejected(self, mixed_dataset):
         """A NaN width passes BBox's own check, but not the columns'."""
-        dets = [det(1, 1, 0, 0, 10, 10, 0.9, src=0), det(1, 1, 0, 0, math.nan, 10, 0.8, src=1)]
+        dets = [det(1, 1, 0, 0, 10, 10, 0.9), det(1, 1, 0, 0, math.nan, 10, 0.8)]
         with pytest.raises(ValidationError,
                            match=r"^detection row 1 has a non-finite box \(0\.0, 0\.0, nan, 10\.0\)$"):
             coco_map(detection_columns(dets), mixed_dataset)
@@ -443,7 +448,6 @@ class TestLoadDetections:
     def test_mixed_fixture(self, data_dir):
         dets = detections_of(load_detections(data_dir / "eval_mixed_dets.json"))
         assert len(dets) == 6
-        assert [d.source_index for d in dets] == list(range(6))
         assert dets[0].bbox == box(0, 0, 10, 10)
         assert dets[0].score == 0.9
 
@@ -672,8 +676,8 @@ class TestCocoMap:
 
     def test_perfect_detections_score_one(self, mixed_dataset):
         dets = [
-            Detection(inst.image_id, inst.category_id, inst.bbox, 1.0, i)
-            for i, inst in enumerate(mixed_dataset.instances)
+            Detection(inst.image_id, inst.category_id, inst.bbox, 1.0)
+            for inst in mixed_dataset.instances
         ]
         result = coco_map(detection_columns(dets), mixed_dataset)
         assert result.ap == 1.0
@@ -701,23 +705,22 @@ class TestCocoMap:
             coco_map(detection_columns([det(1, 99, 0, 0, 10, 10, 0.9)]), mixed_dataset)
         # the first offender in list order, not score order, is named, and
         # within one detection its image before its category
-        dets = [det(1, 1, 0, 0, 10, 10, 0.9, src=0), det(1, 99, 0, 0, 10, 10, 0.1, src=1),
-                det(999, 1, 0, 0, 10, 10, 0.95, src=2)]
+        dets = [det(1, 1, 0, 0, 10, 10, 0.9), det(1, 99, 0, 0, 10, 10, 0.1),
+                det(999, 1, 0, 0, 10, 10, 0.95)]
         with pytest.raises(DanglingReference,
                            match=r"^detection 1 references unknown category id 99$"):
             coco_map(detection_columns(dets), mixed_dataset)
-        dets[1] = det(998, 99, 0, 0, 10, 10, 0.1, src=1)
+        dets[1] = det(998, 99, 0, 0, 10, 10, 0.1)
         with pytest.raises(DanglingReference,
                            match=r"^detection 1 references unknown image id 998$"):
             coco_map(detection_columns(dets), mixed_dataset)
 
-    @pytest.mark.parametrize("field", ["image_id", "category_id", "source_index"])
+    @pytest.mark.parametrize("field", ["image_id", "category_id"])
     @pytest.mark.parametrize("value", [10**30, 2**63, -(2**63) - 1])
     def test_id_past_int64_is_a_one_line_error(self, mixed_dataset, field, value):
-        ids = {"image_id": 1, "category_id": 1, "source_index": 0, field: value}
-        dets = [det(1, 1, 0, 0, 10, 10, 0.9, src=1),
-                Detection(ids["image_id"], ids["category_id"], box(0, 0, 1, 1), 0.5,
-                          ids["source_index"])]
+        ids = {"image_id": 1, "category_id": 1, field: value}
+        dets = [det(1, 1, 0, 0, 10, 10, 0.9),
+                Detection(ids["image_id"], ids["category_id"], box(0, 0, 1, 1), 0.5)]
         with pytest.raises(ValidationError,
                            match=rf"^detection {field} is out of int64 range$"):
             coco_map(detection_columns(dets), mixed_dataset)
@@ -733,9 +736,9 @@ class TestCocoMap:
 
     def test_max_dets_keeps_top_scores_per_image(self, mixed_dataset):
         dets = [
-            det(1, 1, 0, 0, 10, 10, 0.9, src=0),         # true hit
-            det(1, 1, 300, 300, 10, 10, 0.8, src=1),      # fp
-            det(1, 1, 100, 100, 40, 40, 0.7, src=2),      # true hit, lowest score
+            det(1, 1, 0, 0, 10, 10, 0.9),         # true hit
+            det(1, 1, 300, 300, 10, 10, 0.8),      # fp
+            det(1, 1, 100, 100, 40, 40, 0.7),      # true hit, lowest score
         ]
         full = coco_map(detection_columns(dets), mixed_dataset)
         capped = coco_map(detection_columns(dets), mixed_dataset, max_dets=2)
@@ -745,7 +748,7 @@ class TestCocoMap:
 
     def test_high_scoring_fp_never_helps(self, mixed_dataset, mixed_detections):
         base = coco_map(detection_columns(mixed_detections), mixed_dataset)
-        spiked = mixed_detections + [det(1, 1, 500, 500, 20, 20, 0.99, src=50)]
+        spiked = mixed_detections + [det(1, 1, 500, 500, 20, 20, 0.99)]
         worse = coco_map(detection_columns(spiked), mixed_dataset)
         for field in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"):
             b, w = getattr(base, field), getattr(worse, field)
@@ -832,8 +835,8 @@ def random_case(rng, n_images, n_classes, max_gts, max_dets):
             else:
                 b, cat = rand_box(), int(rng.integers(1, n_classes + 1))
             score = float(rng.choice([0.0, 0.3, 0.5, 0.5, 0.9, 1.0]))
-            dets.append(Detection(image.id, cat, b, score, len(dets)))
-    order = rng.permutation(len(dets))  # source order need not follow images
+            dets.append(Detection(image.id, cat, b, score))
+    order = rng.permutation(len(dets))  # row order need not follow images
     dets = [dets[i] for i in order]
     return dataset_of(images, instances, categories), dets
 
@@ -860,19 +863,24 @@ class TestCocoMapAgainstScalarOracle:
                         mixed_dataset.categories)
         # the square ties at IoU 0.5 and takes the tall GT, so the tall det
         # that follows is left with the wide one (IoU 1/3): a miss at 0.5
-        dets = [Detection(1, 1, box(0, 0, 10, 10), 0.9, 0), Detection(1, 1, tall, 0.8, 1)]
+        dets = [Detection(1, 1, box(0, 0, 10, 10), 0.9), Detection(1, 1, tall, 0.8)]
         result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
         assert result.ap == pytest.approx(51.0 / 101.0, abs=1e-15)
         assert result.to_dict() == scalar_coco_map(dets, ds, iou_thresholds=[0.5]).to_dict()
 
-    def test_repeated_source_indices_keep_the_scalar_tie_order(self):
-        rng = np.random.default_rng(7)
-        for trial in range(25):
-            ds, dets = random_case(rng, 3, 2, 5, 8)
-            dets = [Detection(d.image_id, d.category_id, d.bbox, d.score, i % 3)
-                    for i, d in enumerate(dets)]
-            got = coco_map(detection_columns(dets), ds)
-            assert got.to_dict() == scalar_coco_map(dets, ds).to_dict()
+    def test_score_ties_rank_by_row_as_cocoeval(self):
+        """Equal scores keep their row order, as COCOeval's stable mergesort does."""
+        gt, miss = box(0, 0, 10, 10), box(100, 100, 110, 110)
+        ds = dataset_of((ImageRecord(1, 800, 800, "a.png"),),
+                        (Instance(1, 1, 1, gt, gt.area),), (Category(1, "car"),))
+        hit_first = [Detection(1, 1, gt, 0.5), Detection(1, 1, miss, 0.5)]
+        # the hit ranks first: precision 1 at recall 1
+        assert coco_map(detection_columns(hit_first), ds).ap == 1.0
+        # the miss ranks first: precision 1/2 at recall 1
+        assert coco_map(detection_columns(hit_first[::-1]), ds).ap == 0.5
+        for dets in (hit_first, hit_first[::-1]):
+            assert (coco_map(detection_columns(dets), ds).to_dict()
+                    == scalar_coco_map(dets, ds).to_dict())
 
     @pytest.mark.parametrize("groups, cells", [(1, 1 << 16), (3, 1 << 16), (128, 40)])
     def test_chunk_boundaries_change_nothing(self, monkeypatch, groups, cells):
@@ -1084,7 +1092,7 @@ def test_memory_is_bounded_without_a_whole_dataset_batch():
             jitter = rng.normal(0, 3, 4)
             b = from_xywh(g.bbox.x_min + jitter[0], g.bbox.y_min + jitter[1],
                           abs(g.bbox.width + jitter[2]), abs(g.bbox.height + jitter[3]))
-            dets.append(Detection(image.id, g.category_id, b, float(rng.random()), len(dets)))
+            dets.append(Detection(image.id, g.category_id, b, float(rng.random())))
     ds = dataset_of(images, instances, (Category(1, "a"), Category(2, "b")))
     tracemalloc.start()
     try:
@@ -1115,7 +1123,7 @@ class TestDeviationsFromCocoEval:
     def test_a_max_dets_caps_per_image_across_classes(self):
         car, truck = box(0, 0, 20, 20), box(100, 100, 140, 140)
         ds = self.dataset((1, car, car.area, False), (2, truck, truck.area, False))
-        dets = [Detection(1, 2, truck, 0.9, 0), Detection(1, 1, car, 0.8, 1)]
+        dets = [Detection(1, 2, truck, 0.9), Detection(1, 1, car, 0.8)]
         result = coco_map(detection_columns(dets), ds, max_dets=1)
         # the cap keeps only the truck; COCOeval caps per (image, class)
         # and would keep the car too, for per_class_ap {1: 1.0, 2: 1.0}
@@ -1126,7 +1134,7 @@ class TestDeviationsFromCocoEval:
     def test_b_out_of_slice_dets_are_dropped_before_matching(self):
         gt = box(0, 0, 30, 30)  # area 900: small
         ds = self.dataset((1, gt, gt.area, False))
-        dets = [Detection(1, 1, box(0, 0, 40, 40), 0.9, 0)]  # area 1600, IoU 0.5625
+        dets = [Detection(1, 1, box(0, 0, 40, 40), 0.9)]  # area 1600, IoU 0.5625
         result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
         # the medium det never meets the small GT in the small slice;
         # COCOeval matches it there and would report ap_small 1.0
@@ -1137,8 +1145,8 @@ class TestDeviationsFromCocoEval:
     def test_c_crowd_gt_is_scored_by_plain_iou(self):
         crowd, car = box(0, 0, 100, 100), box(200, 200, 220, 220)
         ds = self.dataset((1, crowd, crowd.area, True), (1, car, car.area, False))
-        dets = [Detection(1, 1, box(10, 10, 30, 30), 0.9, 0),  # IoU 0.04 with the crowd
-                Detection(1, 1, car, 0.8, 1)]
+        dets = [Detection(1, 1, box(10, 10, 30, 30), 0.9),  # IoU 0.04 with the crowd
+                Detection(1, 1, car, 0.8)]
         result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
         # the det inside the crowd region is a false positive ranked above
         # the hit; COCOeval scores a crowd GT by intersection over det
@@ -1149,7 +1157,7 @@ class TestDeviationsFromCocoEval:
     def test_d_slice_bounds_are_half_open(self):
         gt = box(0, 0, 32, 32)  # area exactly 32^2
         ds = self.dataset((1, gt, gt.area, False))
-        result = coco_map(detection_columns([Detection(1, 1, gt, 0.9, 0)]), ds)
+        result = coco_map(detection_columns([Detection(1, 1, gt, 0.9)]), ds)
         # [lo, hi) puts the GT in medium only; COCOeval's bounds are
         # inclusive, so it is small and medium there and ap_small is 1.0
         assert result.ap_small == -1.0
