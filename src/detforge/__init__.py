@@ -31,7 +31,6 @@ from .anchors import (
 from .augment import (
     AugmentationPipeline,
     ImageGeom,
-    TransformRecord,
     hflip,
     replay,
     short_edge_resize,

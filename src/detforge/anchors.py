@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import InstanceColumns, check_count, group_rows
+from .annotations import InstanceColumns, Report, check_count, group_rows
 from .errors import BadExtent, TooFewBoxes, ValidationError
 from .geometry import WhIouBlock, iou_matrix
 
@@ -230,7 +230,7 @@ def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
 
 
 @dataclass(frozen=True, eq=False)
-class ClusterResult:
+class ClusterResult(Report):
     """Outcome of one IoU k-means clustering run."""
 
     k: int
@@ -239,16 +239,6 @@ class ClusterResult:
     mean_iou: float
     iterations: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "centroids": self.centroids.tolist(),
-            "assignments": [int(a) for a in self.assignments],
-            "mean_iou": self.mean_iou,
-            "iterations": self.iterations,
-            "seed": self.seed,
-        }
 
 
 def _as_wh_array(boxes) -> np.ndarray:
@@ -446,7 +436,7 @@ def sweep_k(boxes, k_range: Iterable[int], seed: int = 0, restarts: int = 10,
 
 
 @dataclass(frozen=True, eq=False)
-class MatchReport:
+class MatchReport(Report):
     """Counts and recall from simulated anchor-to-GT threshold matching."""
 
     pos_iou: float
@@ -462,27 +452,6 @@ class MatchReport:
     matched_per_gt: dict  # matched-anchor count -> number of GTs
     unmatched_gt_ids: tuple
     zero_gt_denominator: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "pos_iou": self.pos_iou,
-            "neg_iou": self.neg_iou,
-            "force_match": self.force_match,
-            "n_anchors": self.n_anchors,
-            "n_positive": self.n_positive,
-            "n_negative": self.n_negative,
-            "n_ignored": self.n_ignored,
-            "n_gt": self.n_gt,
-            "recall": self.recall,
-            "per_class_recall": {
-                str(c): v for c, v in sorted(self.per_class_recall.items())
-            },
-            "matched_per_gt": {
-                str(c): v for c, v in sorted(self.matched_per_gt.items())
-            },
-            "unmatched_gt_ids": list(self.unmatched_gt_ids),
-            "zero_gt_denominator": self.zero_gt_denominator,
-        }
 
 
 def _gt_overlaps(anchors: AnchorSet, boxes: np.ndarray):

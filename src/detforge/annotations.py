@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -226,24 +226,35 @@ class Dataset:
         return {im.id: groups.get((im.id,), empty) for im in self.images}
 
 
+def _jsonable(value):
+    """``value`` as JSON types: arrays and tuples as lists, mapping keys as ``str``.
+
+    The CLI dumps with ``sort_keys``, which orders int keys numerically;
+    as strings they sort as text, so class 10 comes before class 2.
+    """
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    return value
+
+
+class Report:
+    """A result dataclass whose JSON form is its fields, by name."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _jsonable(getattr(self, f.name)) for f in dataclass_fields(self)}
+
+
 @dataclass(frozen=True)
-class StatsReport:
+class StatsReport(Report):
     per_category_counts: Dict[int, int]
     per_category_size_buckets: Dict[int, Dict[str, int]]
     per_image_histogram: Dict[int, int]
     total_instances: int
     clipped_instances: int
-
-    def to_dict(self) -> dict:
-        return {
-            "per_category_counts": {str(k): v for k, v in sorted(self.per_category_counts.items())},
-            "per_category_size_buckets": {
-                str(k): dict(v) for k, v in sorted(self.per_category_size_buckets.items())
-            },
-            "per_image_histogram": {str(k): v for k, v in sorted(self.per_image_histogram.items())},
-            "total_instances": self.total_instances,
-            "clipped_instances": self.clipped_instances,
-        }
 
 
 def group_rows(*columns: np.ndarray) -> Dict[tuple, np.ndarray]:

@@ -2,7 +2,8 @@
 
 Operates on box coordinates and image metadata only; pixel resampling is
 out of scope. Every random choice a pipeline makes is captured in a
-TransformRecord, and ``replay`` applies a record list deterministically.
+record, the JSON object ``{"kind": ..., "params": {...}}``, and
+``replay`` applies a record list deterministically.
 A pipeline draws its records and then replays them, so ``replay`` is the
 only code that applies a transform, and any augmented result is
 reproduced exactly from its records.
@@ -42,21 +43,6 @@ class ImageGeom:
     def __post_init__(self):
         for name in ("width", "height"):
             object.__setattr__(self, name, check_count(f"image {name}", getattr(self, name), 1))
-
-
-@dataclass(frozen=True)
-class TransformRecord:
-    """One applied transform with everything needed to replay it."""
-
-    kind: str  # flip | resize | crop_resize
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TransformRecord":
-        return TransformRecord(kind=d["kind"], params=dict(d["params"]))
 
 
 def _as_boxes(boxes) -> np.ndarray:
@@ -149,7 +135,7 @@ class AugmentationPipeline:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def _draw(self, geom: ImageGeom) -> List[TransformRecord]:
+    def _draw(self, geom: ImageGeom) -> List[dict]:
         """The records of one call, drawn from the stream in a fixed order.
 
         The flip coin comes first, then the short-edge index, or the crop
@@ -159,11 +145,11 @@ class AugmentationPipeline:
         """
         records = []
         if self._rng.random() < 0.5:
-            records.append(TransformRecord("flip", {"width": geom.width}))
+            records.append({"kind": "flip", "params": {"width": geom.width}})
         if self.aug_id in (1, 2):
             edges = AUG1_SHORT_EDGES if self.aug_id == 1 else AUG2_SHORT_EDGES
             target = int(edges[int(self._rng.integers(0, len(edges)))])
-            records.append(TransformRecord("resize", {"target_short_edge": target}))
+            records.append({"kind": "resize", "params": {"target_short_edge": target}})
             return records
         _check_window(geom, 0, 0, AUG3_CROP_SIZE)
         if max(geom.width, geom.height) - AUG3_CROP_SIZE > _INT64.max:
@@ -172,12 +158,12 @@ class AugmentationPipeline:
             )
         crop_x = int(self._rng.integers(0, geom.width - AUG3_CROP_SIZE + 1))
         crop_y = int(self._rng.integers(0, geom.height - AUG3_CROP_SIZE + 1))
-        records.append(TransformRecord("crop_resize", {
+        records.append({"kind": "crop_resize", "params": {
             "crop_x": crop_x, "crop_y": crop_y, "crop_size": AUG3_CROP_SIZE,
-            "out_size": AUG3_OUT_SIZE, "min_visibility": AUG3_MIN_VISIBILITY}))
+            "out_size": AUG3_OUT_SIZE, "min_visibility": AUG3_MIN_VISIBILITY}})
         return records
 
-    def apply(self, boxes, geom: ImageGeom) -> Tuple[np.ndarray, ImageGeom, List[TransformRecord]]:
+    def apply(self, boxes, geom: ImageGeom) -> Tuple[np.ndarray, ImageGeom, List[dict]]:
         """Draw this call's records and return ``replay``'s result on them, with the records."""
         boxes = _as_boxes(boxes)
         records = self._draw(geom)
@@ -185,10 +171,11 @@ class AugmentationPipeline:
 
 
 def replay(
-    records: Sequence[TransformRecord], boxes, geom: ImageGeom
+    records: Sequence[dict], boxes, geom: ImageGeom
 ) -> Tuple[np.ndarray, ImageGeom]:
     """Apply recorded transforms in order, no randomness involved.
 
+    A record is a ``{"kind": ..., "params": {...}}`` dict.
     ``AugmentationPipeline.apply`` returns this function's result on the
     records it draws, so replaying them reproduces its output. Each
     parameter must have the type the sampler writes, so the value applied
@@ -202,16 +189,16 @@ def replay(
     """
     boxes = _as_boxes(boxes)
     for rec in records:
-        p = rec.params
-        if rec.kind == "flip":
+        kind, p = rec["kind"], rec["params"]
+        if kind == "flip":
             width = check_count("flip width", p["width"], 1) if "width" in p else geom.width
             if width != geom.width:
                 raise ValidationError(f"flip width {width!r} is not the image width {geom.width}")
             boxes = hflip(boxes, geom)
-        elif rec.kind == "resize":
+        elif kind == "resize":
             target = check_count("resize target_short_edge", p["target_short_edge"], 1)
             boxes, geom = short_edge_resize(boxes, geom, target)
-        elif rec.kind == "crop_resize":
+        elif kind == "crop_resize":
             lows = (("crop_x", 0), ("crop_y", 0), ("crop_size", 1), ("out_size", 1))
             x, y, size, out_size = (check_count(f"crop_resize {k}", p[k], low) for k, low in lows)
             vis = p["min_visibility"]
@@ -225,5 +212,5 @@ def replay(
                 raise ValidationError(f"min_visibility {vis}")
             boxes, geom = _crop_resize_at(boxes, geom, x, y, size, out_size, vis)
         else:
-            raise ValidationError(f"unknown transform kind {rec.kind!r}")
+            raise ValidationError(f"unknown transform kind {kind!r}")
     return _drop_subpixel(boxes), geom

@@ -32,7 +32,7 @@ from .anchors import (
     match_anchors,
     sweep_k,
 )
-from .augment import AugmentationPipeline, ImageGeom, TransformRecord, replay
+from .augment import AugmentationPipeline, ImageGeom, replay
 from .errors import BadExtent, ConfigTypeError, UnknownConfigKey, ValidationError
 from .evaluation import coco_map, load_detections
 from .losses import (
@@ -412,7 +412,8 @@ def _read_records(path, text, image_ids) -> dict:
     """Map image id -> (line number, records) for a JSON-lines records file.
 
     ``text`` is the file's content. Every line must name one of
-    ``image_ids`` by its integer id.
+    ``image_ids`` by its integer id and hold a list of records, each an
+    object of exactly ``kind`` and ``params``, ``params`` an object.
     """
     per_image = {}
     start = 0
@@ -427,7 +428,14 @@ def _read_records(path, text, image_ids) -> dict:
             raise json.JSONDecodeError(f"{path}: {exc.msg}", text, line_start + exc.pos) from None
         try:
             image_id = entry["image_id"]
-            records = [TransformRecord.from_dict(d) for d in entry["records"]]
+            records = entry["records"]
+            if type(records) is not list:
+                raise TypeError(f"records must be a list, got {records!r}")
+            for i, record in enumerate(records):
+                if not (type(record) is dict and record.keys() == {"kind", "params"}
+                        and type(record["params"]) is dict):
+                    raise TypeError(f"record {i} must be an object of exactly kind and "
+                                    f"params, params an object, got {record!r}")
         except _RECORD_ERRORS as exc:
             raise _bad_records_line(path, lineno, exc)
         if type(image_id) is not int or image_id not in image_ids:
@@ -471,7 +479,6 @@ def _run_augment_replay(config, inputs):
                 raise _bad_records_line(records_path, lineno, exc)
         else:
             new_boxes, new_geom, records = pipe.apply(boxes, geom)
-        record_dicts = [r.to_dict() for r in records]
         rows.append(
             {
                 "image_id": image.id,
@@ -479,7 +486,7 @@ def _run_augment_replay(config, inputs):
                 "n_boxes_out": len(new_boxes),
                 "width": new_geom.width,
                 "height": new_geom.height,
-                "records": record_dicts,
+                "records": records,
             }
         )
     records_out = config["paths"]["records_out"]

@@ -26,6 +26,7 @@ from .annotations import (
     _INT64,
     _NUMBER,
     Dataset,
+    Report,
     SIZE_SLICES,
     _gather,
     _head,
@@ -90,7 +91,7 @@ class DetectionColumns:
 
 
 @dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Report):
     ap: float
     ap50: float
     ap75: float
@@ -100,19 +101,6 @@ class EvalResult:
     per_class_ap: dict
     n_gt: int
     n_detections: int
-
-    def to_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "ap50": self.ap50,
-            "ap75": self.ap75,
-            "ap_small": self.ap_small,
-            "ap_medium": self.ap_medium,
-            "ap_large": self.ap_large,
-            "per_class_ap": {str(c): v for c, v in sorted(self.per_class_ap.items())},
-            "n_gt": self.n_gt,
-            "n_detections": self.n_detections,
-        }
 
 
 def _detection_checks(raw: list):
@@ -334,14 +322,13 @@ def _grouped_dets(dets: DetectionColumns, ds: Dataset, max_dets: int):
     Each image's dets are ranked by (-score, row) and cut to the first
     ``max_dets`` (all when ``max_dets`` <= 0); a group keeps that rank
     order. Ties rank by row, as COCOeval's stable sort keeps input order.
-    Returns ``(group_size, class_id, source, score, boxes)``, ``source``
-    being each det's row and ``group_size`` mapping each (image, class)
-    key to its det count in key order.
+    Returns ``(group_size, class_id, rows, score, boxes)``, ``rows``
+    being each kept det's row and ``group_size`` mapping each (image,
+    class) key to its det count in key order.
     """
     n = len(dets)
     image_id, class_id, score = dets.image_id, dets.category_id, dets.score
-    source = np.arange(n)
-    check_references(ds, source, image_id, class_id, "detection")
+    check_references(ds, np.arange(n), image_id, class_id, "detection")
 
     ranked = np.lexsort((-score, image_id))  # a stable sort: ties keep row order
     if max_dets > 0:
@@ -351,7 +338,7 @@ def _grouped_dets(dets: DetectionColumns, ds: Dataset, max_dets: int):
     groups = group_rows(image_id[ranked], class_id[ranked])
     rows = ranked[np.concatenate([np.zeros(0, dtype=np.intp), *groups.values()])]
     group_size = {key: len(group) for key, group in groups.items()}
-    return group_size, class_id[rows], source[rows], score[rows], dets.boxes[rows]
+    return group_size, class_id[rows], rows, score[rows], dets.boxes[rows]
 
 
 def coco_map(
@@ -377,7 +364,7 @@ def coco_map(
         raise ValidationError(
             f"IoU thresholds must be finite and in [0, 1], got {list(thresholds)}"
         )
-    group_size, class_id, source, scores, det_boxes = _grouped_dets(dets, ds, max_dets)
+    group_size, class_id, det_rows, scores, det_boxes = _grouped_dets(dets, ds, max_dets)
     gt = ds.columns
     gt_groups = group_rows(gt.image_id, gt.category_id)
     class_ids = sorted(ds.category_by_id)
@@ -425,7 +412,7 @@ def coco_map(
 
     # Pool per class in one (-score, row) order; a stable sort
     # keeps image order, then rank order, between equal keys.
-    order = np.lexsort((source, -scores))
+    order = np.lexsort((det_rows, -scores))
     class_order = {c: order[class_id[order] == c] for c in class_ids}
     inst_live = ~gt.ignore & (lo <= gt.area) & (gt.area < hi)
     # per slice, each class with GT in it -> its AP at every threshold

@@ -13,7 +13,6 @@ from detforge.augment import (
     AUG3_OUT_SIZE,
     AugmentationPipeline,
     ImageGeom,
-    TransformRecord,
     hflip,
     replay,
     short_edge_resize,
@@ -25,8 +24,7 @@ from oracles import bits
 
 def round_trip(records):
     """Records through JSON text and back, as the CLI stores them."""
-    text = json.dumps([r.to_dict() for r in records])
-    return [TransformRecord.from_dict(d) for d in json.loads(text)]
+    return json.loads(json.dumps(records))
 
 
 FIXTURE = np.array([
@@ -142,9 +140,9 @@ class TestShortEdgeResize:
 
 
 def crop_record(crop_x, crop_y, crop_size=400, out_size=800, min_visibility=0.25):
-    return TransformRecord("crop_resize", {"crop_x": crop_x, "crop_y": crop_y,
-                                           "crop_size": crop_size, "out_size": out_size,
-                                           "min_visibility": min_visibility})
+    return {"kind": "crop_resize", "params": {"crop_x": crop_x, "crop_y": crop_y,
+                                               "crop_size": crop_size, "out_size": out_size,
+                                               "min_visibility": min_visibility}}
 
 
 class TestImageGeom:
@@ -209,7 +207,7 @@ class TestRecipeThreeDraw:
     def test_a_square_image_as_large_as_the_crop_is_pure_resize(self):
         for seed in range(4):
             _, geom, records = AugmentationPipeline(3, seed).apply(FIXTURE, ImageGeom(400, 400))
-            params = records[-1].params
+            params = records[-1]["params"]
             assert (params["crop_x"], params["crop_y"]) == (0, 0)
             assert geom == ImageGeom(800, 800)
 
@@ -219,14 +217,14 @@ class TestRecipeThreeDraw:
         expected_x = int(rng.integers(0, 800 - 400 + 1))
         expected_y = int(rng.integers(0, 600 - 400 + 1))
         _, _, records = AugmentationPipeline(3, 99).apply(FIXTURE, GEOM)
-        assert records[-1].params == {"crop_x": expected_x, "crop_y": expected_y,
+        assert records[-1]["params"] == {"crop_x": expected_x, "crop_y": expected_y,
                                       "crop_size": 400, "out_size": 800, "min_visibility": 0.25}
 
     def test_seed_seventeen_repeats_byte_for_byte(self):
         runs = []
         for _ in range(2):
             out, geom, records = AugmentationPipeline(3, 17).apply(FIXTURE, GEOM)
-            runs.append((bits(out), geom, [r.to_dict() for r in records]))
+            runs.append((bits(out), geom, records))
         assert runs[0] == runs[1]
 
     def test_crop_larger_than_image_rejected(self):
@@ -237,7 +235,7 @@ class TestRecipeThreeDraw:
         """NumPy draws the origin in int64; a wider image is a one-line error, not a crash."""
         widest = ImageGeom(2**63 - 1 + 400, 800)
         _, geom, records = AugmentationPipeline(3, 0).apply(FIXTURE, widest)
-        assert geom == ImageGeom(800, 800) and records[-1].params["crop_x"] < 2**63
+        assert geom == ImageGeom(800, 800) and records[-1]["params"]["crop_x"] < 2**63
         with pytest.raises(ValidationError, match=r"^image 1180591620717411303424x800 is too "
                                                   r"large to draw a crop origin in int64$"):
             AugmentationPipeline(3, 0).apply(FIXTURE, ImageGeom(2**70, 800))
@@ -328,7 +326,7 @@ class TestPipelines:
         boxes = np.array([[5.0, 5.0, 105.0, 55.0], [600.0, 700.0, 700.0, 790.0]])
         for seed in range(300):
             out, geom, records = AugmentationPipeline(1, seed).apply(boxes, square)
-            if len(records) == 1 and records[0].params.get("target_short_edge") == 800:
+            if len(records) == 1 and records[0]["params"].get("target_short_edge") == 800:
                 assert bits(out) == bits(boxes)
                 assert geom == square
                 return
@@ -353,7 +351,7 @@ class TestPipelines:
                 out_b = b.apply(FIXTURE, GEOM)
                 assert bits(out_a[0]) == bits(out_b[0])
                 assert out_a[1] == out_b[1]
-                assert [r.to_dict() for r in out_a[2]] == [r.to_dict() for r in out_b[2]]
+                assert out_a[2] == out_b[2]
 
     def test_outputs_always_inside_bounds_and_visible(self):
         rng_seeds = range(12)
@@ -391,49 +389,49 @@ class TestReplay:
 
     def test_json_round_trip_preserves_records(self):
         records = [
-            TransformRecord("flip", {"width": 800}),
-            TransformRecord("resize", {"target_short_edge": 736}),
+            {"kind": "flip", "params": {"width": 800}},
+            {"kind": "resize", "params": {"target_short_edge": 736}},
         ]
         loaded = round_trip(records)
-        assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+        assert loaded == records
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
-            replay([TransformRecord("rotate", {})], FIXTURE, GEOM)
+            replay([{"kind": "rotate", "params": {}}], FIXTURE, GEOM)
 
     def test_flip_without_width_flips_the_current_image(self):
-        out, _ = replay([TransformRecord("flip", {})], FIXTURE, GEOM)
+        out, _ = replay([{"kind": "flip", "params": {}}], FIXTURE, GEOM)
         assert bits(out) == bits(hflip(FIXTURE, GEOM))
 
     @pytest.mark.parametrize("records, message", [
-        ([TransformRecord("flip", {"width": 12345})],
+        ([{"kind": "flip", "params": {"width": 12345}}],
          r"^flip width 12345 is not the image width 800$"),
         # the second flip meets the 640-wide image the resize made
-        ([TransformRecord("resize", {"target_short_edge": 480}),
-          TransformRecord("flip", {"width": 800})],
+        ([{"kind": "resize", "params": {"target_short_edge": 480}},
+          {"kind": "flip", "params": {"width": 800}}],
          r"^flip width 800 is not the image width 640$"),
-        ([TransformRecord("resize", {"target_short_edge": -3})],
+        ([{"kind": "resize", "params": {"target_short_edge": -3}}],
          r"^resize target_short_edge must be at least 1, got -3$"),
-        ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": -5,
-                                          "out_size": 8, "min_visibility": 0.5})],
+        ([{"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": 0, "crop_size": -5,
+                                              "out_size": 8, "min_visibility": 0.5}}],
          r"^crop_resize crop_size must be at least 1, got -5$"),
-        ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400,
-                                          "out_size": 0, "min_visibility": 0.5})],
+        ([{"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": 0, "crop_size": 400,
+                                              "out_size": 0, "min_visibility": 0.5}}],
          r"^crop_resize out_size must be at least 1, got 0$"),
-        ([TransformRecord("crop_resize", {"crop_x": 401, "crop_y": 0, "crop_size": 400,
-                                          "out_size": 800, "min_visibility": 0.5})],
+        ([{"kind": "crop_resize", "params": {"crop_x": 401, "crop_y": 0, "crop_size": 400,
+                                              "out_size": 800, "min_visibility": 0.5}}],
          r"^crop 400 at \(401, 0\) exceeds image 800x600$"),
-        ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 201, "crop_size": 400,
-                                          "out_size": 800, "min_visibility": 0.5})],
+        ([{"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": 201, "crop_size": 400,
+                                              "out_size": 800, "min_visibility": 0.5}}],
          r"^crop 400 at \(0, 201\) exceeds image 800x600$"),
-        ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": -1, "crop_size": 400,
-                                          "out_size": 800, "min_visibility": 0.5})],
+        ([{"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": -1, "crop_size": 400,
+                                              "out_size": 800, "min_visibility": 0.5}}],
          r"^crop_resize crop_y must be at least 0, got -1$"),
-        ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400,
-                                          "out_size": 800, "min_visibility": float("nan")})],
+        ([{"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": 0, "crop_size": 400,
+                                              "out_size": 800, "min_visibility": float("nan")}}],
          r"^min_visibility nan$"),
-        ([TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400,
-                                          "out_size": 800, "min_visibility": 0.0})],
+        ([{"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": 0, "crop_size": 400,
+                                              "out_size": 800, "min_visibility": 0.0}}],
          r"^min_visibility 0\.0$"),
     ], ids=["flip-width", "flip-width-after-resize", "resize-negative", "crop-negative",
             "out-zero", "window-right", "window-below", "window-above", "visibility-nan", "visibility-zero"])
@@ -442,8 +440,9 @@ class TestReplay:
             replay(records, FIXTURE, GEOM)
 
     def test_crop_window_may_touch_the_image_border(self):
-        record = TransformRecord("crop_resize", {"crop_x": 400, "crop_y": 200, "crop_size": 400,
-                                                 "out_size": 800, "min_visibility": 1.0})
+        record = {"kind": "crop_resize", "params": {"crop_x": 400, "crop_y": 200,
+                                                    "crop_size": 400, "out_size": 800,
+                                                    "min_visibility": 1.0}}
         boxes = [[640.0, 210.0, 790.0, 360.0], [395.0, 295.0, 405.0, 305.0]]
         out, geom = replay([record], boxes, GEOM)
         assert geom == ImageGeom(800, 800)
@@ -690,7 +689,7 @@ class TestDifferentialAgainstObjectPath:
             assert bits(got) == bits(as_rows(want)), (aug_id, seed)
             assert np.array_equal(np.signbit(got), np.signbit(as_rows(want)))
             assert got_geom == want_geom
-            assert [r.to_dict() for r in records] == want_records
+            assert records == want_records
 
             again, again_geom = replay(round_trip(records), scene, geom)
             assert bits(again) == bits(got) and again_geom == got_geom
@@ -726,7 +725,7 @@ class TestDifferentialAgainstObjectPath:
             scene = hostile_scene(rng, geom, window)
             want, want_geom = oracle_replay(records, [OracleBox(*r) for r in scene.tolist()],
                                             geom)
-            got, got_geom = replay([TransformRecord.from_dict(r) for r in records], scene, geom)
+            got, got_geom = replay(records, scene, geom)
             assert bits(got) == bits(as_rows(want)), (trial, records)
             assert got_geom == want_geom
 
@@ -742,11 +741,11 @@ class TestDifferentialAgainstObjectPath:
                 want, wg = oracle_short_edge_resize(objects, geom, target)
                 assert bits(got) == bits(as_rows(want)) and g == wg
             for vis in (0.01, 0.25, 1.0):
-                record = TransformRecord("crop_resize", {
+                record = {"kind": "crop_resize", "params": {
                     "crop_x": geom.width // 4, "crop_y": geom.height // 4, "crop_size": 200,
-                    "out_size": 400, "min_visibility": vis})
+                    "out_size": 400, "min_visibility": vis}}
                 got, g = replay([record], scene, geom)
-                want, wg = oracle_replay([record.to_dict()], objects, geom)
+                want, wg = oracle_replay([record], objects, geom)
                 assert bits(got) == bits(as_rows(want)) and g == wg
 
     @pytest.mark.parametrize("kind, key, value", [
@@ -763,15 +762,15 @@ class TestDifferentialAgainstObjectPath:
         with pytest.raises(ValidationError, match=rf"^{kind} {key} is "):
             oracle_replay([record], objects, GEOM)
         with pytest.raises(ValidationError, match=rf"^{kind} {key} must be "):
-            replay([TransformRecord.from_dict(record)], FIXTURE, GEOM)
+            replay([record], FIXTURE, GEOM)
 
     def test_signed_zeros_survive_as_in_the_object_path(self):
         """-0.0 stays through min(v, hi); the crop's x + float(-0) turns it into 0.0."""
         scene = np.array([[-0.0, -0.0, 10.0, 10.0], [-0.0, -0.0, -0.0, -0.0]])
         resized, _ = short_edge_resize(scene, GEOM, 600)
         assert np.signbit(resized[:, :2]).all()
-        record = TransformRecord("crop_resize", {"crop_x": 0, "crop_y": 0, "crop_size": 400,
-                                                 "out_size": 400, "min_visibility": 0.25})
+        record = {"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": 0, "crop_size": 400,
+                                                    "out_size": 400, "min_visibility": 0.25}}
         _, crop_geom = replay([record], scene, GEOM)
         want, _ = oracle_crop_resize_at([OracleBox(*r) for r in scene.tolist()], GEOM,
                                         0, 0, 400, 400, 0.25)
@@ -789,7 +788,7 @@ class TestDifferentialAgainstObjectPath:
         assert bits(got) == bits(as_rows(want))
         record = {"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": 0, "crop_size": 10,
                                                     "out_size": 800, "min_visibility": 0.01}}
-        got, _ = replay([TransformRecord.from_dict(record)], scene, geom)
+        got, _ = replay([record], scene, geom)
         want, _ = oracle_replay([record], objects, geom)
         assert bits(got) == bits(as_rows(want))
 

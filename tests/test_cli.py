@@ -9,19 +9,22 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from detforge.anchors import (
     AnchorSet,
     AnchorSpec,
+    ClusterResult,
     LevelAnchors,
+    MatchReport,
     cluster_anchor_sizes,
     match_anchors,
     sweep_k,
 )
-from detforge.annotations import tile
+from detforge.annotations import StatsReport, tile
 from detforge.cli import _OPTIONS, _RUNNERS, build_parser, main, resolve_config
-from detforge.evaluation import coco_map
+from detforge.evaluation import EvalResult, coco_map
 from detforge.losses import focal_loss
 from oracles import synthetic_aerial_corpus
 
@@ -126,6 +129,32 @@ class TestReports:
         # one tiny.json box pokes past its image's right edge and is clamped
         report = run_json(capsys, "stats", "--ann", tiny_path)
         assert report["result"]["clipped_instances"] == 1
+
+    @pytest.mark.parametrize("result, mappings", [
+        (StatsReport(per_category_counts={2: 1, 10: 3},
+                     per_category_size_buckets={2: {"small": 1}, 10: {"small": 3}},
+                     per_image_histogram={2: 2, 10: 1}, total_instances=4, clipped_instances=0),
+         ("per_category_counts", "per_category_size_buckets", "per_image_histogram")),
+        (ClusterResult(k=2, centroids=np.array([[4.0, 5.0], [9.0, 8.0]]),
+                       assignments=np.array([1, 0, 1]), mean_iou=0.75, iterations=3, seed=0),
+         ()),
+        (MatchReport(pos_iou=0.7, neg_iou=0.3, force_match=True, n_anchors=9, n_positive=2,
+                     n_negative=6, n_ignored=1, n_gt=2, recall=0.5,
+                     per_class_recall={2: 1.0, 10: 0.0}, matched_per_gt={2: 1, 10: 1},
+                     unmatched_gt_ids=(7,), zero_gt_denominator=False),
+         ("per_class_recall", "matched_per_gt")),
+        (EvalResult(ap=0.5, ap50=0.75, ap75=0.25, ap_small=-1.0, ap_medium=0.5, ap_large=0.5,
+                    per_class_ap={2: 0.25, 10: 0.75}, n_gt=3, n_detections=4),
+         ("per_class_ap",)),
+    ], ids=["stats", "cluster", "match", "eval"])
+    def test_result_dict_holds_every_field(self, result, mappings):
+        """A new dataclass field reaches the report; int keys sort as the CLI's strings."""
+        blob = result.to_dict()
+        assert list(blob) == [f.name for f in dataclasses.fields(result)]
+        dumped = json.loads(json.dumps(blob, sort_keys=True, indent=2))
+        assert dumped == blob
+        for name in mappings:
+            assert list(dumped[name]) == ["10", "2"], name
 
 
 class TestConfigResolution:
@@ -437,6 +466,37 @@ class TestExitCodes:
         err = run_rejected(capsys, "augment-replay", "--ann", tiny_path,
                            "--records", str(records))
         assert err == f"detforge: {records} line 3: {detail}\n"
+
+    @pytest.mark.parametrize("records, detail", [
+        ([{"kind": "flip", "params": ["wi"]}],
+         "record 0 must be an object of exactly kind and params, params an object, "
+         "got {'kind': 'flip', 'params': ['wi']}"),
+        ([{"kind": "flip", "params": []}],
+         "record 0 must be an object of exactly kind and params, params an object, "
+         "got {'kind': 'flip', 'params': []}"),
+        ([{"kind": "flip", "params": {}}, {"kind": "flip", "params": [["width", 1000]]}],
+         "record 1 must be an object of exactly kind and params, params an object, "
+         "got {'kind': 'flip', 'params': [['width', 1000]]}"),
+        ([{"kind": "flip", "params": {}, "seed": 3}],
+         "record 0 must be an object of exactly kind and params, params an object, "
+         "got {'kind': 'flip', 'params': {}, 'seed': 3}"),
+        ([["flip", {"width": 1000}]],
+         "record 0 must be an object of exactly kind and params, params an object, "
+         "got ['flip', {'width': 1000}]"),
+        ({}, "records must be a list, got {}"),
+        ("", "records must be a list, got ''"),
+    ], ids=["params-string-list", "params-empty-list", "params-pair-list", "extra-key",
+            "record-list", "records-object", "records-string"])
+    def test_records_hold_kind_and_params_objects_only(self, capsys, tiny_path, tmp_path,
+                                                       records, detail):
+        """Each would replay on image 1, 1000 wide, if a list or extra key were let through."""
+        records_path = tmp_path / "records.jsonl"
+        records_path.write_text(json.dumps({"image_id": 2, "records": []}) + "\n"
+                                + json.dumps({"image_id": 1, "records": records}) + "\n")
+        err = run_rejected(capsys, "augment-replay", "--ann", tiny_path,
+                           "--records", str(records_path))
+        assert err == (f"detforge: {records_path} line 2: malformed records entry "
+                       f"(TypeError: {detail})\n")
 
     def test_second_records_line_for_an_image_is_rejected(self, capsys, tiny_path, tmp_path):
         records = tmp_path / "records.jsonl"
