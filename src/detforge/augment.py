@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .annotations import _INT64, check_count
+from .annotations import _FLOAT_MAX, _INT64, check_count
 from .errors import ValidationError
 from .geometry import clip_boxes
 
@@ -77,7 +77,7 @@ def short_edge_resize(
     """
     b = _as_boxes(boxes)
     s = target_short_edge / min(geom.width, geom.height)
-    if not 0 < s < np.inf:
+    if not 0 < s < np.inf or max(geom.width, geom.height) * s == np.inf:
         raise ValidationError(f"target short edge {target_short_edge}")
     new_geom = ImageGeom(max(1, int(round(geom.width * s))), max(1, int(round(geom.height * s))))
     hi = np.array([float(new_geom.width), float(new_geom.height)] * 2)
@@ -170,47 +170,69 @@ class AugmentationPipeline:
         return (*replay(records, boxes, geom), records)
 
 
+# Per record kind, its params in check order: an integer's least value, or None for a real.
+RECORD_PARAMS = {
+    "flip": {"width": 1},
+    "resize": {"target_short_edge": 1},
+    "crop_resize": {"crop_x": 0, "crop_y": 0, "crop_size": 1, "out_size": 1,
+                    "min_visibility": None},
+}
+
+
+def _checked_params(i: int, rec) -> Tuple[str, dict]:
+    """Record ``i``'s kind and params, checked against ``RECORD_PARAMS``."""
+    if not (isinstance(rec, dict) and rec.keys() == {"kind", "params"}):
+        raise ValidationError(
+            f"record {i} must be an object of exactly kind and params, got {rec!r}")
+    kind, p = rec["kind"], rec["params"]
+    if not (isinstance(kind, str) and kind in RECORD_PARAMS):
+        raise ValidationError(f"unknown transform kind {kind!r}")
+    table = RECORD_PARAMS[kind]
+    if not (isinstance(p, dict) and (p.keys() == table.keys() or kind == "flip" and not p)):
+        raise ValidationError(f"{kind} params must be an object of exactly {', '.join(table)}"
+                              f"{', or empty' if kind == 'flip' else ''}, got {p!r}")
+    params = {}
+    for key, low in table.items() if p else ():
+        name, value = f"{kind} {key}", p[key]
+        if low is not None:
+            value = check_count(name, value, low)
+        elif type(value) not in (int, float) and not isinstance(value, (np.integer, np.floating)):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+            raise ValidationError(f"{name} is out of float range")
+        params[key] = value if low is not None else float(value)
+    return kind, params
+
+
 def replay(
     records: Sequence[dict], boxes, geom: ImageGeom
 ) -> Tuple[np.ndarray, ImageGeom]:
     """Apply recorded transforms in order, no randomness involved.
 
-    A record is a ``{"kind": ..., "params": {...}}`` dict.
     ``AugmentationPipeline.apply`` returns this function's result on the
-    records it draws, so replaying them reproduces its output. Each
-    parameter must have the type the sampler writes, so the value applied
-    is the value the record holds: ``crop_x`` and ``crop_y`` are integers
-    of at least 0, ``crop_size``, ``out_size``, ``target_short_edge`` and
-    a flip's ``width`` integers of at least 1, and ``min_visibility`` a
-    real number; none is a bool. Each record is also checked against the
-    image it meets: a flip's ``width``, when given, must be that image's
-    width, and a crop window must lie inside it with ``min_visibility``
-    in (0, 1].
+    records it draws, so replaying them reproduces its output. A record
+    is an object of exactly ``kind`` and ``params``, ``params`` one of
+    exactly its kind's ``RECORD_PARAMS`` keys (a flip's ``width`` is
+    optional), each an integer of at least the table's value or, for
+    ``min_visibility``, a real number, as the sampler writes them; none is
+    a bool or past the float range. A flip's ``width`` must be the width
+    of the image it meets, and a crop window must lie inside that image
+    with ``min_visibility`` in (0, 1]. Any other record is a
+    ``ValidationError`` naming its field.
     """
     boxes = _as_boxes(boxes)
-    for rec in records:
-        kind, p = rec["kind"], rec["params"]
+    for i, rec in enumerate(records):
+        kind, p = _checked_params(i, rec)
         if kind == "flip":
-            width = check_count("flip width", p["width"], 1) if "width" in p else geom.width
-            if width != geom.width:
-                raise ValidationError(f"flip width {width!r} is not the image width {geom.width}")
+            if p.get("width", geom.width) != geom.width:
+                raise ValidationError(
+                    f"flip width {p['width']} is not the image width {geom.width}")
             boxes = hflip(boxes, geom)
         elif kind == "resize":
-            target = check_count("resize target_short_edge", p["target_short_edge"], 1)
-            boxes, geom = short_edge_resize(boxes, geom, target)
-        elif kind == "crop_resize":
-            lows = (("crop_x", 0), ("crop_y", 0), ("crop_size", 1), ("out_size", 1))
-            x, y, size, out_size = (check_count(f"crop_resize {k}", p[k], low) for k, low in lows)
-            vis = p["min_visibility"]
-            if isinstance(vis, bool) or not isinstance(vis, (int, float, np.integer, np.floating)):
-                raise ValidationError(
-                    f"crop_resize min_visibility must be a real number, got {vis!r}"
-                )
-            vis = float(vis)
-            _check_window(geom, x, y, size)
-            if not 0.0 < vis <= 1.0:
-                raise ValidationError(f"min_visibility {vis}")
-            boxes, geom = _crop_resize_at(boxes, geom, x, y, size, out_size, vis)
+            boxes, geom = short_edge_resize(boxes, geom, p["target_short_edge"])
         else:
-            raise ValidationError(f"unknown transform kind {kind!r}")
+            _check_window(geom, p["crop_x"], p["crop_y"], p["crop_size"])
+            if not 0.0 < p["min_visibility"] <= 1.0:
+                raise ValidationError(f"min_visibility {p['min_visibility']}")
+            boxes, geom = _crop_resize_at(boxes, geom, **p)
     return _drop_subpixel(boxes), geom

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import detforge
 from detforge import augment, cli
@@ -11,6 +15,7 @@ from detforge.augment import (
     AUG2_SHORT_EDGES,
     AUG3_CROP_SIZE,
     AUG3_OUT_SIZE,
+    RECORD_PARAMS,
     AugmentationPipeline,
     ImageGeom,
     hflip,
@@ -439,6 +444,44 @@ class TestReplay:
         with pytest.raises(ValidationError, match=message):
             replay(records, FIXTURE, GEOM)
 
+    @pytest.mark.parametrize("records, message", [
+        ([{"kind": "flip", "params": ["wi"]}],
+         "flip params must be an object of exactly width, or empty, got ['wi']"),
+        ([{"kind": "resize", "params": []}],
+         "resize params must be an object of exactly target_short_edge, got []"),
+        ([["flip", {}]], "record 0 must be an object of exactly kind and params, got ['flip', {}]"),
+        ([{"kind": "flip", "params": {}}, {"kind": "resize"}],
+         "record 1 must be an object of exactly kind and params, got {'kind': 'resize'}"),
+        ([{"kind": ["flip"], "params": {}}], "unknown transform kind ['flip']"),
+        ([{"kind": "resize", "params": {"target_short_edge": 640, "seed": 3}}],
+         "resize params must be an object of exactly target_short_edge, "
+         "got {'target_short_edge': 640, 'seed': 3}"),
+        ([{"kind": "crop_resize", "params": {"crop_x": 0, "crop_y": 0, "crop_size": 400,
+                                              "out_size": 800}}],
+         "crop_resize params must be an object of exactly crop_x, crop_y, crop_size, out_size, "
+         "min_visibility, got {'crop_x': 0, 'crop_y': 0, 'crop_size': 400, 'out_size': 800}"),
+        ([{"kind": "resize", "params": {"target_short_edge": 10**400}}],
+         "resize target_short_edge is out of float range"),
+        ([crop_record(0, 0, out_size=10**400)], "crop_resize out_size is out of float range"),
+        ([crop_record(0, 0, min_visibility=10**400)],
+         "crop_resize min_visibility is out of float range"),
+        # a target within the float range whose scaled 800 px side is not
+        ([{"kind": "resize", "params": {"target_short_edge": int(1.5e308)}}],
+         f"target short edge {int(1.5e308)}"),
+    ], ids=["flip-params-list", "resize-params-list", "record-list", "record-no-params",
+            "kind-list", "resize-extra-param", "crop-missing-param", "target-past-float",
+            "out-size-past-float", "visibility-past-float", "resized-side-past-float"])
+    def test_malformed_records_are_validation_errors(self, records, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            replay(records, FIXTURE, GEOM)
+
+    def test_drawn_records_hold_exactly_their_table_keys(self):
+        for aug_id in (1, 2, 3):
+            for seed in range(60):
+                for record in AugmentationPipeline(aug_id, seed).apply(FIXTURE, GEOM)[2]:
+                    assert record.keys() == {"kind", "params"}
+                    assert record["params"].keys() == RECORD_PARAMS[record["kind"]].keys()
+
     def test_crop_window_may_touch_the_image_border(self):
         record = {"kind": "crop_resize", "params": {"crop_x": 400, "crop_y": 200,
                                                     "crop_size": 400, "out_size": 800,
@@ -448,6 +491,58 @@ class TestReplay:
         assert geom == ImageGeom(800, 800)
         # only the box wholly inside the window clears min_visibility 1.0
         assert out.tolist() == [[480.0, 20.0, 780.0, 320.0]]
+
+
+# JSON values, with integers past int64 and past the float range among them
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                | st.sampled_from([0, 1, 400, 800, 1000, 2**70, int(1.5e308), 10**400, -10**400]))
+JSON = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+PARAM_NAMES = st.sampled_from(sorted({key for table in RECORD_PARAMS.values() for key in table}))
+# values of each param's type, in its range and just or far past it
+INTS = st.integers(-1, 400) | st.sampled_from([1000, 2**70, int(1.5e308), 10**400])
+REALS = st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), 10**400])
+KINDS = st.sampled_from(sorted(RECORD_PARAMS))
+# each kind's exact keys; a kind and params of any keys; any JSON value
+EXACT = KINDS.flatmap(lambda kind: st.fixed_dictionaries({"kind": st.just(kind), "params": (
+    st.fixed_dictionaries({key: REALS if low is None else INTS
+                           for key, low in RECORD_PARAMS[kind].items()}))}))
+ANY_KEYS = st.fixed_dictionaries({"kind": KINDS | JSON, "params": JSON | st.dictionaries(
+    PARAM_NAMES | st.text(max_size=4), INTS | REALS | JSON, max_size=6)})
+RECORDS = st.lists(EXACT, max_size=4) | st.lists(st.one_of(EXACT, ANY_KEYS, JSON), max_size=4)
+
+
+@pytest.fixture(scope="module")
+def image_one(data_dir):
+    """The boxes and size of ``tiny.json``'s image 1, 1000 x 800."""
+    ds = detforge.load_dataset(data_dir / "tiny.json")
+    image = ds.image_by_id[1]
+    return ds.columns.boxes[ds.rows_by_image[1]], ImageGeom(image.width, image.height)
+
+
+@pytest.fixture(scope="module")
+def records_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("records") / "records.jsonl"
+
+
+class TestArbitraryRecords:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(records=RECORDS)
+    def test_replay_and_augment_replay_agree(self, data_dir, image_one, records_file, records):
+        """``replay`` returns or raises ``ValidationError``; the CLI exits 0 or 1 to match."""
+        line = json.dumps({"image_id": 1, "records": records})
+        try:
+            replay(json.loads(line)["records"], *image_one)
+            want = 0
+        except ValidationError:
+            want = 1
+        records_file.write_text(line + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["augment-replay", "--ann", str(data_dir / "tiny.json"),
+                             "--records", str(records_file)])
+        assert code == want, err.getvalue()
+        assert len(err.getvalue().splitlines()) == want, err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -469,24 +469,28 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("records, detail", [
         ([{"kind": "flip", "params": ["wi"]}],
-         "record 0 must be an object of exactly kind and params, params an object, "
-         "got {'kind': 'flip', 'params': ['wi']}"),
+         "flip params must be an object of exactly width, or empty, got ['wi']"),
         ([{"kind": "flip", "params": []}],
-         "record 0 must be an object of exactly kind and params, params an object, "
-         "got {'kind': 'flip', 'params': []}"),
+         "flip params must be an object of exactly width, or empty, got []"),
         ([{"kind": "flip", "params": {}}, {"kind": "flip", "params": [["width", 1000]]}],
-         "record 1 must be an object of exactly kind and params, params an object, "
-         "got {'kind': 'flip', 'params': [['width', 1000]]}"),
+         "flip params must be an object of exactly width, or empty, got [['width', 1000]]"),
         ([{"kind": "flip", "params": {}, "seed": 3}],
-         "record 0 must be an object of exactly kind and params, params an object, "
+         "record 0 must be an object of exactly kind and params, "
          "got {'kind': 'flip', 'params': {}, 'seed': 3}"),
         ([["flip", {"width": 1000}]],
-         "record 0 must be an object of exactly kind and params, params an object, "
+         "record 0 must be an object of exactly kind and params, "
          "got ['flip', {'width': 1000}]"),
+        ([{"kind": "resize", "params": {"target_short_edge": 640, "seed": 3}}],
+         "resize params must be an object of exactly target_short_edge, "
+         "got {'target_short_edge': 640, 'seed': 3}"),
+        ([{"kind": "flip", "params": {"width": 1000, "seed": 3}}],
+         "flip params must be an object of exactly width, or empty, "
+         "got {'width': 1000, 'seed': 3}"),
         ({}, "records must be a list, got {}"),
         ("", "records must be a list, got ''"),
     ], ids=["params-string-list", "params-empty-list", "params-pair-list", "extra-key",
-            "record-list", "records-object", "records-string"])
+            "record-list", "resize-extra-param", "flip-extra-param", "records-object",
+            "records-string"])
     def test_records_hold_kind_and_params_objects_only(self, capsys, tiny_path, tmp_path,
                                                        records, detail):
         """Each would replay on image 1, 1000 wide, if a list or extra key were let through."""
@@ -495,8 +499,20 @@ class TestExitCodes:
                                 + json.dumps({"image_id": 1, "records": records}) + "\n")
         err = run_rejected(capsys, "augment-replay", "--ann", tiny_path,
                            "--records", str(records_path))
-        assert err == (f"detforge: {records_path} line 2: malformed records entry "
-                       f"(TypeError: {detail})\n")
+        assert err == f"detforge: {records_path} line 2: {detail}\n"
+
+    def test_line_format_errors_come_before_record_errors(self, capsys, tiny_path, tmp_path):
+        """The whole file's line format is checked first, then each image's records by id."""
+        records = tmp_path / "records.jsonl"
+        lines = [{"image_id": 2, "records": [["flip", {}]]}, {"image_id": 1, "records": [[]]}]
+        records.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        err = run_rejected(capsys, "augment-replay", "--ann", tiny_path, "--records", str(records))
+        assert err == (f"detforge: {records} line 2: record 0 must be an object of exactly kind "
+                       "and params, got []\n")
+        records.write_text("".join(json.dumps(line) + "\n" for line in lines)
+                           + json.dumps({"image_id": 3, "records": 5}) + "\n")
+        err = run_rejected(capsys, "augment-replay", "--ann", tiny_path, "--records", str(records))
+        assert err == f"detforge: {records} line 3: records must be a list, got 5\n"
 
     def test_second_records_line_for_an_image_is_rejected(self, capsys, tiny_path, tmp_path):
         records = tmp_path / "records.jsonl"
