@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import InstanceColumns, Report, check_count, group_rows
+from .annotations import InstanceColumns, Report, check_count, check_length, group_rows
 from .errors import BadExtent, TooFewBoxes, ValidationError
 from .geometry import WhIouBlock, iou_matrix
 
@@ -68,7 +68,7 @@ class AnchorSpec:
         object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
         object.__setattr__(self, "aspect_ratios", tuple(float(r) for r in self.aspect_ratios))
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        strides = tuple(check_count("strides", s, 1) for s in self.strides)
+        strides = tuple(check_length("strides", s, 1) for s in self.strides)
         object.__setattr__(self, "strides", strides)
         for name, values in (("sizes", self.sizes), ("aspect ratios", self.aspect_ratios)):
             if not values or not all(0.0 < v < math.inf for v in values):

@@ -65,8 +65,8 @@ class ImageRecord:
 
     def __post_init__(self):
         for name in ("width", "height"):
-            object.__setattr__(self, name, check_count(f"image {self.id} {name}",
-                                                       getattr(self, name), 1))
+            object.__setattr__(self, name, check_length(f"image {self.id} {name}",
+                                                        getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
@@ -391,6 +391,14 @@ def check_count(name: str, value, low: int) -> int:
     return int(value)
 
 
+def check_length(name: str, value, low: int) -> int:
+    """A pixel length (image side, stride, crop size): a ``check_count`` int that fits a float."""
+    value = check_count(name, value, low)
+    if value > _FLOAT_MAX:  # exact, so an int that a cast would round to the max fails
+        raise ValidationError(f"{name} is out of float range")
+    return value
+
+
 def _head(values, n, width: int = 1):
     """The values of the first ``n`` rows, ``width`` values a row; all of them when n is None."""
     return values if n is None else values[:n * width]
@@ -483,15 +491,7 @@ def _image_checks(images: list):
     widths, n = yield from _field_checks(images, n, "images", "width", int)
     heights, n = yield from _field_checks(images, n, "images", "height", int)
     names, n = yield from _field_checks(images, n, "images", "file_name", str)
-    for column in (widths, heights):
-        n = yield _range_flags(_head(column, n), 1, math.inf), lambda i: ValidationError(
-            f"image {ids[i]} has non-positive dimensions ({widths[i]}x{heights[i]})"
-        )
-    for key, column in (("width", widths), ("height", heights)):
-        n = yield _range_flags(_head(column, n), 1, _FLOAT_MAX), lambda i, key=key: (
-            ValidationError(f"images[{i}].{key} is out of float range")
-        )
-    # past row n a size may be non-positive, which ImageRecord rejects
+    # the last rule: each ImageRecord checks its sizes, so the first bad one raises here
     fields = itertools.islice(zip(ids, widths, heights, names), n)
     return [ImageRecord(*record) for record in fields]
 

@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .annotations import _FLOAT_MAX, _INT64, check_count
+from .annotations import _FLOAT_MAX, _INT64, check_length
 from .errors import ValidationError
 from .geometry import clip_boxes
 
@@ -35,14 +35,14 @@ AUG3_MIN_VISIBILITY = 0.25
 
 @dataclass(frozen=True)
 class ImageGeom:
-    """An image's pixel size: two integers of at least 1, as ``ImageRecord`` holds."""
+    """An image's pixel size: two pixel lengths of at least 1, as ``ImageRecord`` holds."""
 
     width: int
     height: int
 
     def __post_init__(self):
         for name in ("width", "height"):
-            object.__setattr__(self, name, check_count(f"image {name}", getattr(self, name), 1))
+            object.__setattr__(self, name, check_length(f"image {name}", getattr(self, name), 1))
 
 
 def _as_boxes(boxes) -> np.ndarray:
@@ -170,7 +170,7 @@ class AugmentationPipeline:
         return (*replay(records, boxes, geom), records)
 
 
-# Per record kind, its params in check order: an integer's least value, or None for a real.
+# Per record kind, its params in check order: a pixel length's least value, or None for a real.
 RECORD_PARAMS = {
     "flip": {"width": 1},
     "resize": {"target_short_edge": 1},
@@ -195,10 +195,10 @@ def _checked_params(i: int, rec) -> Tuple[str, dict]:
     for key, low in table.items() if p else ():
         name, value = f"{kind} {key}", p[key]
         if low is not None:
-            value = check_count(name, value, low)
+            value = check_length(name, value, low)
         elif type(value) not in (int, float) and not isinstance(value, (np.integer, np.floating)):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
-        if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+        elif isinstance(value, int) and abs(value) > _FLOAT_MAX:
             raise ValidationError(f"{name} is out of float range")
         params[key] = value if low is not None else float(value)
     return kind, params

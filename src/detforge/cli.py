@@ -402,8 +402,8 @@ def _read_records(path, text, image_ids) -> dict:
     """Map image id -> (line number, records) for a JSON-lines records file.
 
     ``text`` is the file's content. Only the line format is checked: each
-    line is an object whose integer ``image_id`` is in ``image_ids`` and on
-    no other line, and whose ``records`` is a list, which ``replay`` checks.
+    line is an object of exactly ``image_id``, an integer in ``image_ids``
+    and on no other line, and ``records``, a list, which ``replay`` checks.
     """
     per_image = {}
     start = 0
@@ -417,8 +417,8 @@ def _read_records(path, text, image_ids) -> dict:
             # re-raised against the whole file, so it names the file's line
             raise json.JSONDecodeError(f"{path}: {exc.msg}", text, line_start + exc.pos) from None
         where = f"{path} line {lineno}"
-        if not (type(entry) is dict and {"image_id", "records"} <= entry.keys()):
-            raise ValidationError(f"{where}: expected an object with image_id and records")
+        if not (type(entry) is dict and entry.keys() == {"image_id", "records"}):
+            raise ValidationError(f"{where}: expected an object of exactly image_id and records")
         image_id, records = entry["image_id"], entry["records"]
         if type(records) is not list:
             raise ValidationError(f"{where}: records must be a list, got {records!r}")

@@ -72,6 +72,7 @@ class TestAnchorSpec:
         (4.5, "strides must be an integer, got 4.5"),
         (True, "strides must be an integer, got True"),
         (0, "strides must be at least 1, got 0"),
+        pytest.param(10**400, "strides is out of float range", id="past-float"),
     ])
     def test_strides_are_positive_integers(self, stride, message):
         """A float stride once built the grid of its truncation without a word."""

@@ -955,6 +955,7 @@ class TestObjectsOnlyAtTheEdge:
         (100.5, "image 1 width must be an integer, got 100.5"),
         (True, "image 1 width must be an integer, got True"),
         (0, "image 1 width must be at least 1, got 0"),
+        pytest.param(10**400, "image 1 width is out of float range", id="past-float"),
     ])
     def test_image_sizes_are_positive_integers(self, width, message):
         """A float width once tiled into a file that load_dataset rejects."""

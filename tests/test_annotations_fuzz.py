@@ -14,6 +14,11 @@ agree on it: a clamped box whose ``w * h`` overflows fails with
 ``annotations[i].bbox: w * h of the clamped box is out of float range``,
 even when ``area`` is given (a missing ``area`` fails first, as
 infinite).
+
+An image size has no such difference: both loaders build an
+``ImageRecord``, whose one rule fails a size below 1 or past the float
+range with the same message, e.g. ``image 2 width must be at least 1,
+got 0`` or ``image 2 width is out of float range``.
 """
 
 import json
@@ -119,6 +124,20 @@ def assert_matches_oracle(path, values, work_dir):
         assert_same_dataset(got[1], want[1], work_dir)
     else:
         assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("key", ["width", "height"])
+@pytest.mark.parametrize("value", [0, -1, 10**400, int(FLOAT_MAX) * 2],
+                         ids=["zero", "negative", "1e400", "2max"])
+def test_bad_image_size_fails_as_the_oracle_does(work_dir, key, value):
+    """Both loaders reject a size below 1 or past the float range with one message."""
+    payload = json.loads(FIXTURES["tiny.json"])
+    payload["images"][1][key] = value
+    path = work_dir / "ann.json"
+    path.write_text(json.dumps(payload))
+    got, want = outcome(load_dataset, path), outcome(oracle_load_dataset, path)
+    assert got[0] is ValidationError
+    assert got == want
 
 
 @settings(max_examples=150, deadline=2000, derandomize=True, database=None)

@@ -156,7 +156,8 @@ class TestImageGeom:
         (True, 1, r"^image width must be an integer, got True$"),
         (800, 0, r"^image height must be at least 1, got 0$"),
         (800, np.int64(-3), r"^image height must be at least 1, got -3$"),
-    ], ids=["fractional", "bool", "zero", "negative"])
+        (10**400, 5, r"^image width is out of float range$"),
+    ], ids=["fractional", "bool", "zero", "negative", "past-float"])
     def test_sizes_are_integers_of_at_least_one(self, width, height, message):
         """A size no record can hold fails when the geometry is built, not inside ``apply``."""
         with pytest.raises(ValidationError, match=message):

@@ -408,6 +408,8 @@ class TestExitCodes:
         {"image_id": 2, "records": [{"kind": "resize", "params": {}}]},
         {"image_id": 2, "records": [{"kind": "crop_resize", "params": {
             "crop_x": 0, "crop_y": 0, "crop_size": 0, "out_size": 8, "min_visibility": 0.5}}]},
+        # an extra key would be read by nothing and dropped without a word
+        {"image_id": 2, "records": [{"kind": "flip", "params": {}}], "image": 2},
     ])
     def test_malformed_records_line_is_named(self, capsys, tiny_path, tmp_path, bad_line):
         good = {"image_id": 1, "records": [{"kind": "flip", "params": {}}]}
@@ -536,6 +538,7 @@ class TestExitCodes:
         (("--ratios", "inf"), "aspect ratios must be finite and positive, got [inf]"),
         (("--sizes", "1e150,32,64,128,256", "--ratios", "1e-320,1,2"),
          "the anchor of size 1e+150 and ratio 1e-320 has a non-finite extent or area"),
+        (("--strides", f"4,8,16,32,{10**400}"), "strides is out of float range"),
     ])
     def test_non_finite_anchors_are_one_line(self, capsys, tiny_path, command, flags, message):
         argv = [command, *flags] + (["--ann", tiny_path] if command == "match" else [])
@@ -825,7 +828,7 @@ class TestExitCodes:
         ann_path = tmp_path / "ann.json"
         ann_path.write_text(json.dumps(ann))
         err = run_rejected(capsys, "stats", "--ann", str(ann_path))
-        assert err == f"detforge: images[0].{key} is out of float range\n"
+        assert err == f"detforge: image 1 {key} is out of float range\n"
 
     @pytest.mark.parametrize("score", [10**400, -(10**400)], ids=["1e400", "-1e400"])
     def test_detection_score_past_float_range_is_named(self, capsys, tmp_path, data_dir,

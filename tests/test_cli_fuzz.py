@@ -3,9 +3,9 @@
 Each example takes one input file, deletes one key or array entry
 anywhere in its JSON, or replaces one value (the whole document
 included) with ``null``, ``true``, ``"x"``, ``-1``, ``[]``, ``{}``,
-``2**70`` or ``1e308``. It then runs ``cli.main`` in process. The exit
-code must be 0, 1, 2 or 64, stderr must hold at most one line, and no
-traceback may reach it.
+``2**70``, ``10**400`` or ``1e308``. It then runs ``cli.main`` in
+process. The exit code must be 0, 1, 2 or 64, stderr must hold at most
+one line, and no traceback may reach it.
 
 The inputs are ``tiny.json`` as the ``--ann`` of every subcommand that
 reads one, ``eval_mixed_dets.json`` as ``eval``'s ``--dets``, one line
@@ -14,7 +14,8 @@ and a config file for each subcommand. An image side or image size of
 ``2**70`` stays cheap: ``tile`` fails it at ``MAX_TILES``, ``match`` at
 ``MAX_EDGE_ANCHORS``, and no other command walks its pixels; a restart
 or iteration count of ``2**70`` fails at ``MAX_RESTARTS`` or
-``MAX_ITERS``.
+``MAX_ITERS``. ``10**400`` is past the float range, which every pixel
+length (an image side, a stride, a replayed size) must fit.
 
 Command lines are fuzzed too: each annotation command line, ``anchors``
 and ``loss-check`` run with one of the subcommand's flags set to one of
@@ -47,7 +48,7 @@ MIXED_ANN = str(DATA / "eval_mixed_ann.json")
 MIXED_DETS = str(DATA / "eval_mixed_dets.json")
 RECORDS = str(DATA / "golden" / "records-tiny.jsonl")
 
-REPLACEMENTS = [None, True, "x", -1, [], {}, 2**70, 1e308]
+REPLACEMENTS = [None, True, "x", -1, [], {}, 2**70, 10**400, 1e308]
 FUZZ = settings(max_examples=60, deadline=2000, derandomize=True, database=None)
 # The slowest passing call takes ~0.13 s on a shared 2-core machine; the
 # guard leaves room for a loaded one and still ends a hang within seconds.
