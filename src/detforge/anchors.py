@@ -193,29 +193,26 @@ class AnchorSet:
         return boxes
 
 
-def generate_anchors(spec: AnchorSpec, fmap_dims: Sequence) -> AnchorSet:
-    """Lay out anchors at every feature-map cell of every level.
+def generate_anchors(spec: AnchorSpec, width: int, height: int) -> AnchorSet:
+    """Lay out anchors at every feature-map cell of every level of one image.
 
-    ``fmap_dims`` is one (width, height) pair per stride. The anchor for
-    size s and ratio r has h = s*sqrt(r), w = s/sqrt(r), so its area is
-    s^2 and h/w = r; a 90-degree angle swaps the two. Rows follow the
-    layout ``LevelAnchors`` documents. Only the layout is built, in
-    memory independent of the anchor count; ``AnchorSet.all_boxes()``
-    builds the corners when a caller needs them all.
+    ``width`` and ``height`` are the image's pixel lengths. This is the
+    one owner of the feature-map rule: the level of stride s has
+    ceil(width / s) x ceil(height / s) cells, in integers, as float
+    division rounds past 2**53. The anchor for size s and ratio r has
+    h = s*sqrt(r), w = s/sqrt(r), so its area is s^2 and h/w = r; a
+    90-degree angle swaps the two. Rows follow the layout ``LevelAnchors``
+    documents. Only the layout is built, in memory independent of the
+    anchor count; ``AnchorSet.all_boxes()`` builds the corners when a
+    caller needs them all.
     """
-    if len(fmap_dims) != len(spec.strides):
-        raise ValidationError(
-            f"{len(fmap_dims)} feature maps for {len(spec.strides)} strides"
-        )
-    dims = [
-        (check_count(f"level {level} feature map width", fw, 1),
-         check_count(f"level {level} feature map height", fh, 1))
-        for level, (fw, fh) in enumerate(fmap_dims)
-    ]
+    width = check_length("image width", width, 1)
+    height = check_length("image height", height, 1)
     eff_angles = spec.effective_angles
     levels = []
     start = 0
-    for level, (stride, (fw, fh)) in enumerate(zip(spec.strides, dims)):
+    for level, stride in enumerate(spec.strides):
+        fw, fh = -(-width // stride), -(-height // stride)
         half = np.array([
             (s / np.sqrt(r), s * np.sqrt(r)) if a == 0.0 else (s * np.sqrt(r), s / np.sqrt(r))
             for s in spec.sizes_at(level)

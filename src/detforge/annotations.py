@@ -686,6 +686,7 @@ def tile(
 ) -> Dataset:
     """Split every image into fixed-size patches with re-expressed boxes.
 
+    ``tile_size`` and ``overlap`` are pixel lengths (``check_length``).
     Tile origins advance by ``tile_size - overlap``; the final tile per
     axis is shifted so it ends at the image border. A dataset that needs
     more than ``MAX_TILES`` tiles fails before any is built, naming the
@@ -700,7 +701,9 @@ def tile(
     shifted as ``x + (-ox)``, the scalar shift's operand order, so the
     boxes and areas are bit for bit the scalar ones (signed zeros included).
     """
-    if not (0 <= overlap < tile_size):
+    tile_size = check_length("tile_size", tile_size, 1)
+    overlap = check_length("overlap", overlap, 0)
+    if overlap >= tile_size:
         raise InvalidOverlap(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
     if not (0 < min_visibility <= 1):
         raise ValidationError(f"min_visibility must be in (0, 1], got {min_visibility}")

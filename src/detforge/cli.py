@@ -4,8 +4,9 @@ Every subcommand emits one JSON report, to stdout or to ``--out FILE``,
 that embeds the fully resolved configuration, per-field provenance
 (flag, file, or default), the tool version, and a sha256 of every input
 file, so a rerun with identical inputs produces byte-identical output.
-Reports carry no timestamps. ``anchors`` and ``match`` size each
-level's feature map as ceil(image / stride) from ``--image-size``.
+Reports carry no timestamps. ``anchors`` and ``match`` pass
+``--image-size`` to ``generate_anchors``, which owns the ceil(image /
+stride) feature-map rule.
 
 Exit codes: 0 success, 1 validation failure, 2 IO or parse failure,
 64 usage error.
@@ -278,18 +279,15 @@ def _require(config, block, key, flag):
     return value
 
 
-def _anchor_pieces(config):
+def _anchor_spec(config):
     a = config["anchors"]
-    spec = AnchorSpec(
+    return AnchorSpec(
         sizes=tuple(a["sizes"]),
         aspect_ratios=tuple(a["aspect_ratios"]),
         angles=tuple(a["angles"]),
         strides=tuple(a["strides"]),
         shared_sizes=a["shared_sizes"],
     )
-    iw, ih = a["image_size"]
-    # ceil(image / stride) in integers: float division rounds past 2**53
-    return spec, [(-(-iw // s), -(-ih // s)) for s in spec.strides]
 
 
 def _load_annotations(config, inputs):
@@ -351,8 +349,8 @@ def _run_cluster(config, inputs):
 
 def _run_anchors(config, inputs):
     """generate the anchor grid and report counts"""
-    spec, fmap_dims = _anchor_pieces(config)
-    anchor_set = generate_anchors(spec, fmap_dims)
+    spec = _anchor_spec(config)
+    anchor_set = generate_anchors(spec, *config["anchors"]["image_size"])
     return {
         "effective_angles": list(spec.effective_angles),
         "levels": [
@@ -372,8 +370,7 @@ def _run_anchors(config, inputs):
 def _run_match(config, inputs):
     """simulate anchor-to-GT matching on a dataset"""
     ds = _load_annotations(config, inputs)
-    spec, fmap_dims = _anchor_pieces(config)
-    anchor_set = generate_anchors(spec, fmap_dims)
+    anchor_set = generate_anchors(_anchor_spec(config), *config["anchors"]["image_size"])
     m = config["match"]
     report = match_anchors(
         anchor_set,

@@ -219,11 +219,10 @@ def test_criterion_5_small_anchor_sizes_recall_small_objects():
     assert sum(1 for g in gts if g.area < 32.0**2) == 10
 
     strides = (4, 8, 16, 32, 64)
-    dims = [(math.ceil(256 / s), math.ceil(256 / s)) for s in strides]
     fine_spec = AnchorSpec(sizes=(16, 32, 64, 128, 256), strides=strides)
     coarse_spec = AnchorSpec(sizes=(32, 64, 128, 256, 512), strides=strides)
-    fine = generate_anchors(fine_spec, dims)
-    coarse = generate_anchors(coarse_spec, dims)
+    fine = generate_anchors(fine_spec, 256, 256)
+    coarse = generate_anchors(coarse_spec, 256, 256)
 
     recall_fine = _brute_force_recall(fine, gts, pos_iou=0.5)
     recall_coarse = _brute_force_recall(coarse, gts, pos_iou=0.5)

@@ -24,6 +24,11 @@ from detforge.geometry import BBox, WhIouBlock, iou_matrix, wh_iou_matrix
 from oracles import columns_of, same_bits, synthetic_aerial_corpus
 
 
+def ceil_div(a, b):
+    """ceil(a / b) in integers: the cells of a side of ``a`` pixels at stride ``b``."""
+    return -(-a // b)
+
+
 class TestAnchorSpec:
     def test_defaults_are_valid(self):
         spec = AnchorSpec()
@@ -83,7 +88,7 @@ class TestAnchorSpec:
     def test_largest_finite_anchors_are_accepted(self):
         # s * s just below the float maximum, and a ratio that keeps both extents finite
         spec = AnchorSpec(sizes=(1.3e154,), aspect_ratios=(1e-300, 1e300), strides=(4,))
-        anchors = generate_anchors(spec, [(1, 1)])
+        anchors = generate_anchors(spec, 1, 1)
         assert np.isfinite(anchors.levels[0].half).all()
 
 
@@ -104,9 +109,9 @@ def row_layout(spec, level):
 class TestGenerateAnchors:
     def test_two_by_two_grid(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(1.0,), angles=(0.0,), strides=(4,))
-        out = generate_anchors(spec, [(2, 2)])
+        out = generate_anchors(spec, 8, 8)
         level = out.levels[0]
-        assert out.total == 4
+        assert out.total == ceil_div(8, 4) * ceil_div(8, 4) == 4
         np.testing.assert_array_equal(level.boxes[0], [-6.0, -6.0, 10.0, 10.0])
         # row-major walk, y outer
         cells = row_layout(spec, level)[0]
@@ -114,22 +119,29 @@ class TestGenerateAnchors:
         centers = (level.boxes[:, :2] + level.boxes[:, 2:]) / 2.0
         assert centers.tolist() == [[2, 2], [6, 2], [2, 6], [6, 6]]
 
-    @pytest.mark.parametrize("dims, message", [
-        ([(2.7, 2.7)] * 5, "level 0 feature map width must be an integer, got 2.7"),
-        ([(2, 2)] * 4 + [(2, False)], "level 4 feature map height must be an integer, got False"),
-        ([(2, 2), (3, 0)] + [(2, 2)] * 3, "level 1 feature map height must be at least 1, got 0"),
+    @pytest.mark.parametrize("width, height, message", [
+        (2.7, 8, "image width must be an integer, got 2.7"),
+        (8, False, "image height must be an integer, got False"),
+        (8, 0, "image height must be at least 1, got 0"),
+        pytest.param(10**400, 8, "image width is out of float range", id="past-float"),
     ])
-    def test_feature_map_sizes_are_positive_integers(self, dims, message):
-        """A float size once built the map of its truncation (2.7 -> 2x2) without a word."""
+    def test_image_sides_are_pixel_lengths(self, width, height, message):
+        """Each side is a pixel length, checked before any level is sized."""
         with pytest.raises(ValidationError) as exc:
-            generate_anchors(AnchorSpec(), dims)
+            generate_anchors(AnchorSpec(), width, height)
         assert str(exc.value) == message
-        # NumPy integers are integers
-        assert generate_anchors(AnchorSpec(), [(np.int64(2), np.int32(3))] * 5).total == 180
+
+    def test_numpy_integer_sides_are_accepted(self):
+        spec = AnchorSpec()
+        out = generate_anchors(spec, np.int64(8), np.int32(12))
+        assert [(lv.fmap_w, lv.fmap_h) for lv in out.levels] == [
+            (ceil_div(8, s), ceil_div(12, s)) for s in spec.strides]
+        assert all(type(lv.fmap_w) is int and type(lv.fmap_h) is int for lv in out.levels)
+        assert out.total == sum(ceil_div(8, s) * ceil_div(12, s) for s in spec.strides) * 3 * 2
 
     def test_ratio_family_preserves_area(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(0.5, 1.0, 2.0), angles=(0.0,), strides=(4,))
-        out = generate_anchors(spec, [(1, 1)])
+        out = generate_anchors(spec, 1, 1)
         boxes = out.levels[0].boxes
         assert boxes.shape[0] == 3
         w = boxes[:, 2] - boxes[:, 0]
@@ -139,7 +151,7 @@ class TestGenerateAnchors:
 
     def test_right_angles_collapse_to_one_swap(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(2.0,), angles=(-90.0, 0.0, 90.0), strides=(4,))
-        out = generate_anchors(spec, [(1, 1)])
+        out = generate_anchors(spec, 1, 1)
         boxes = out.levels[0].boxes
         assert boxes.shape[0] == 2
         w = boxes[:, 2] - boxes[:, 0]
@@ -150,17 +162,17 @@ class TestGenerateAnchors:
 
     def test_count_formula_per_level(self):
         spec = AnchorSpec()
-        dims = [(math.ceil(256 / s), math.ceil(256 / s)) for s in spec.strides]
-        out = generate_anchors(spec, dims)
-        for level, (fw, fh) in zip(out.levels, dims):
+        out = generate_anchors(spec, 256, 256)
+        for level, stride in zip(out.levels, spec.strides):
+            fw = fh = ceil_div(256, stride)
             expected = fw * fh * 1 * len(spec.aspect_ratios) * len(spec.effective_angles)
             assert level.count == expected
         assert out.total == sum(lv.count for lv in out.levels)
 
     def test_shared_sizes_multiplies_the_count(self):
         spec = AnchorSpec(shared_sizes=True)
-        out = generate_anchors(spec, [(4, 4)] * 5)
-        assert out.levels[0].count == 4 * 4 * 5 * 3 * 2
+        out = generate_anchors(spec, 16, 16)
+        assert out.levels[0].count == ceil_div(16, 4) * ceil_div(16, 4) * 5 * 3 * 2
 
     @pytest.mark.parametrize(
         "spec",
@@ -168,8 +180,7 @@ class TestGenerateAnchors:
         ids=["default", "shared_sizes"],
     )
     def test_size_and_ratio_hold_for_every_anchor(self, spec):
-        dims = [(math.ceil(192 / s), math.ceil(160 / s)) for s in spec.strides]
-        out = generate_anchors(spec, dims)
+        out = generate_anchors(spec, 192, 160)
         for level in out.levels:
             cells, sizes, ratios, angles = row_layout(spec, level)
             w = level.boxes[:, 2] - level.boxes[:, 0]
@@ -182,25 +193,18 @@ class TestGenerateAnchors:
 
     def test_anchors_sit_at_cell_centres(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(1.0,), angles=(0.0,), strides=(4,))
-        out = generate_anchors(spec, [(2, 1)])
+        out = generate_anchors(spec, 8, 4)
         np.testing.assert_array_equal(out.levels[0].boxes,
                                       [[-6.0, -6.0, 10.0, 10.0], [-2.0, -6.0, 14.0, 10.0]])
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            generate_anchors(AnchorSpec(), [(10, 10)])
-        spec = AnchorSpec(sizes=(16,), strides=(4,))
-        with pytest.raises(ValidationError):
-            generate_anchors(spec, [(0, 4)])
-
     def test_all_boxes_concatenates_levels(self):
         spec = AnchorSpec(sizes=(16, 32), aspect_ratios=(1.0,), angles=(0.0,), strides=(4, 8))
-        out = generate_anchors(spec, [(2, 2), (1, 1)])
-        assert out.all_boxes().shape == (5, 4)
+        out = generate_anchors(spec, 8, 8)
+        assert out.all_boxes().shape == (ceil_div(8, 4) ** 2 + ceil_div(8, 8) ** 2, 4) == (5, 4)
 
     def test_levels_are_read_only_views_of_one_array(self):
         spec = AnchorSpec()
-        out = generate_anchors(spec, _image_dims(spec, 100, 60))
+        out = generate_anchors(spec, 100, 60)
         boxes = out.all_boxes()
         for level in out.levels:
             np.testing.assert_array_equal(
@@ -246,25 +250,53 @@ def oracle_generate_boxes(spec, fmap_dims):
     return boxes
 
 
+def oracle_fmap_dims(spec, width, height):
+    """Each level's feature-map (width, height) for an image: ceil(side / stride) in integers."""
+    return [(ceil_div(width, s), ceil_div(height, s)) for s in spec.strides]
+
+
 class TestLazyAnchorBoxes:
     SPECS = [
         AnchorSpec(),
         AnchorSpec(shared_sizes=True, sizes=(12, 40)),
         AnchorSpec(angles=(0.0,), strides=(5, 11, 23, 40, 70)),
         AnchorSpec(sizes=(7.3,), aspect_ratios=(0.2, 1.0, 3.0), strides=(3,)),
+        AnchorSpec(sizes=(40, 25, 12), strides=(13, 7, 3)),
     ]
+    IDS = ["default", "shared", "odd_strides", "one_level", "descending_odd_strides"]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["default", "shared", "odd_strides", "one_level"])
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
     def test_all_boxes_equal_the_eager_fill_bit_for_bit(self, spec):
-        dims = _image_dims(spec, 203, 131)
-        got = generate_anchors(spec, dims).all_boxes()
-        want = oracle_generate_boxes(spec, dims)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(len(spec.strides) + spec.strides[0])
+        s = spec.strides[0]
+        # a 1x1 image, sides one past and one short of a stride multiple, then random sides
+        sizes = [(1, 1), (203, 131), (7 * s + 1, 5 * s - 1), *rng.integers(1, 400, size=(8, 2))]
+        for width, height in sizes:
+            dims = oracle_fmap_dims(spec, int(width), int(height))
+            out = generate_anchors(spec, width, height)
+            assert [(lv.fmap_w, lv.fmap_h) for lv in out.levels] == dims, (width, height)
+            got = out.all_boxes()
+            want = oracle_generate_boxes(spec, dims)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (width, height)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=IDS)
+    def test_a_side_past_two_to_the_53_is_laid_out_exactly(self, spec):
+        # float division would round 10**23 / 4 to 24999999999999997902848
+        for width, height in ((10**23, 9), (5, 10**23 + 1)):
+            dims = oracle_fmap_dims(spec, width, height)
+            out = generate_anchors(spec, width, height)
+            assert [(lv.fmap_w, lv.fmap_h) for lv in out.levels] == dims
+            n_combo = [len(spec.sizes_at(level)) * len(spec.aspect_ratios)
+                       * len(spec.effective_angles) for level in range(len(dims))]
+            counts = [fw * fh * n for (fw, fh), n in zip(dims, n_combo)]
+            assert [lv.count for lv in out.levels] == counts
+            assert [lv.start for lv in out.levels] == [sum(counts[:i]) for i in range(len(counts))]
+            assert out.total == sum(counts)
 
     def test_all_boxes_is_built_once_and_read_only(self, monkeypatch):
         spec = AnchorSpec()
-        out = generate_anchors(spec, _image_dims(spec, 100, 60))
+        out = generate_anchors(spec, 100, 60)
         calls = []
         fill = anchors_module.LevelAnchors.cell_boxes
 
@@ -285,7 +317,7 @@ class TestLazyAnchorBoxes:
         spec = AnchorSpec()
         gc.disable()
         try:
-            out = generate_anchors(spec, _image_dims(spec, 100, 60))
+            out = generate_anchors(spec, 100, 60)
             boxes = weakref.ref(out.all_boxes())
             level_boxes = weakref.ref(out.levels[0].boxes)
             del out
@@ -300,14 +332,14 @@ class TestLazyAnchorBoxes:
         monkeypatch.setattr(anchors_module.AnchorSet, "all_boxes", refuse)
         monkeypatch.setattr(anchors_module.LevelAnchors, "boxes", property(refuse))
         spec = AnchorSpec(shared_sizes=True)
-        out = generate_anchors(spec, _image_dims(spec, 300, 200))
+        out = generate_anchors(spec, 300, 200)
         assert out.total == sum(lv.count for lv in out.levels)
         gts = [gt(1, 1, 1, 10, 10, 60, 40), gt(2, 1, 1, 0, 0, 300, 200, ignore=True)]
         assert match_anchors(out, columns_of(gts), 0.5, 0.3, force_match=True).n_gt == 1
 
     def test_cell_boxes_are_rows_of_all_boxes(self):
         spec = AnchorSpec(aspect_ratios=(0.2, 1.0, 3.0), strides=(3, 7, 13, 29, 61))
-        out = generate_anchors(spec, _image_dims(spec, 90, 70))
+        out = generate_anchors(spec, 90, 70)
         for lv in out.levels:
             x0, x1, y0, y1 = lv.fmap_w // 3, lv.fmap_w, lv.fmap_h // 2, lv.fmap_h
             block = lv.cell_boxes(x0, x1, y0, y1)
@@ -1010,9 +1042,10 @@ def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=Fals
     )
 
 
-def small_grid(size=16, stride=4, fmap=(4, 4)):
+def small_grid(size=16, stride=4, image=(16, 16)):
+    """One level of one square anchor per cell, over a ``image`` (width, height) image."""
     spec = AnchorSpec(sizes=(size,), aspect_ratios=(1.0,), angles=(0.0,), strides=(stride,))
-    return generate_anchors(spec, [fmap])
+    return generate_anchors(spec, *image)
 
 
 def gt(inst_id, image_id, cat, x0, y0, x1, y1, ignore=False):
@@ -1077,20 +1110,26 @@ class TestMatching:
         gts = [gt(1, 1, 1, 0, 0, 16, 16)]
         # one anchor per cell: the bound counts cells along the longer side
         monkeypatch.setattr(anchors_module, "MAX_EDGE_ANCHORS", 8)
-        assert match_anchors(small_grid(fmap=(8, 3)), columns_of(gts)).n_gt == 1
-        assert match_anchors(small_grid(fmap=(3, 8)), columns_of(gts)).n_gt == 1
-        with pytest.raises(ValidationError, match=r"^level 0 has 9 cells x 1 anchors along "
-                                                  r"one side, past MAX_EDGE_ANCHORS = 8$"):
-            match_anchors(small_grid(fmap=(3, 9)), columns_of(gts))
-        # three anchors per cell: 2 x 3 fits on level 0, 3 x 3 does not on level 1
-        spec = AnchorSpec(sizes=(16.0, 32.0), angles=(0.0,), strides=(4, 8))
-        with pytest.raises(ValidationError, match=r"^level 1 has 3 cells x 3 anchors along "):
-            match_anchors(generate_anchors(spec, [(2, 2), (3, 1)]), columns_of(gts))
+        assert ceil_div(32, 4) == 8 and ceil_div(11, 4) == 3
+        assert match_anchors(small_grid(image=(32, 11)), columns_of(gts)).n_gt == 1
+        assert match_anchors(small_grid(image=(11, 32)), columns_of(gts)).n_gt == 1
+        with pytest.raises(ValidationError, match=rf"^level 0 has {ceil_div(33, 4)} cells x 1 "
+                                                  r"anchors along one side, past "
+                                                  r"MAX_EDGE_ANCHORS = 8$"):
+            match_anchors(small_grid(image=(11, 33)), columns_of(gts))
+        # three anchors per cell: with strides (8, 4) the finer level 1 is the longer one, so
+        # 2 x 3 fits on level 0 and 3 x 3 does not on level 1
+        spec = AnchorSpec(sizes=(16.0, 32.0), angles=(0.0,), strides=(8, 4))
+        assert (ceil_div(12, 8), ceil_div(12, 4)) == (2, 3)
+        with pytest.raises(ValidationError, match=rf"^level 1 has {ceil_div(12, 4)} cells x 3 "
+                                                  r"anchors along "):
+            match_anchors(generate_anchors(spec, 12, 4), columns_of(gts))
 
-    @pytest.mark.parametrize("side", [(1 << 21) + 1, 10**10, 25 * 10**21])
-    def test_a_grid_too_large_to_lay_out_fails_before_allocating(self, side):
-        anchors = small_grid(fmap=(1, side))
+    @pytest.mark.parametrize("height", [4 * (1 << 21) + 1, 4 * 10**10, 10**23])
+    def test_a_grid_too_large_to_lay_out_fails_before_allocating(self, height):
+        anchors = small_grid(image=(4, height))
         gts = columns_of([gt(1, 1, 1, 0, 0, 16, 16)])
+        side = ceil_div(height, 4)
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match=rf"^level 0 has {side} cells x 1 anchors "
@@ -1104,8 +1143,9 @@ class TestMatching:
 
     def test_a_grid_at_the_edge_bound_is_matched(self):
         assert anchors_module.MAX_EDGE_ANCHORS == 1 << 21
-        report = match_anchors(small_grid(fmap=(1 << 21, 1)), columns_of([]))
-        assert report.n_anchors == report.n_negative == 1 << 21
+        width = 4 * (1 << 21) - 3
+        report = match_anchors(small_grid(image=(width, 4)), columns_of([]))
+        assert report.n_anchors == report.n_negative == ceil_div(width, 4) == 1 << 21
 
     def test_force_match_rescues_a_stranded_gt(self):
         anchors = small_grid()
@@ -1146,14 +1186,15 @@ class TestMatching:
     def test_small_anchor_size_recalls_small_objects(self):
         """A 16-anchor grid recovers a 14x14 box that a 32 grid cannot."""
         target = columns_of([gt(1, 1, 1, 30, 30, 44, 44)])
-        fine = match_anchors(small_grid(size=16, fmap=(16, 16)), target, pos_iou=0.5, neg_iou=0.3)
-        coarse = match_anchors(small_grid(size=32, fmap=(16, 16)), target, pos_iou=0.5, neg_iou=0.3)
+        fine = match_anchors(small_grid(size=16, image=(64, 64)), target, pos_iou=0.5, neg_iou=0.3)
+        coarse = match_anchors(small_grid(size=32, image=(64, 64)), target, pos_iou=0.5,
+                               neg_iou=0.3)
         assert fine.recall == 1.0
         assert coarse.recall == 0.0
 
     def test_agrees_with_direct_reimplementation(self):
         rng = np.random.default_rng(33)
-        anchors = small_grid(size=12, stride=6, fmap=(5, 5))
+        anchors = small_grid(size=12, stride=6, image=(30, 30))
         boxes = anchors.all_boxes()
         for trial in range(10):
             gts = []
@@ -1208,14 +1249,6 @@ class TestMatching:
         assert all(isinstance(k, str) for k in blob["matched_per_gt"])
 
 
-def _image_dims(spec, width, height, scale=1.0):
-    """Feature-map sizes for an image; ``scale`` < 1 leaves its far side uncovered."""
-    return [
-        (max(1, math.ceil(scale * width / s)), max(1, math.ceil(scale * height / s)))
-        for s in spec.strides
-    ]
-
-
 def _random_gts(rng, width, height, n_images):
     """Boxes of many sizes, some on the border, some zero-area, some ignored,
     and one per image far from every anchor."""
@@ -1244,19 +1277,20 @@ class TestMatchingAgainstDenseOracle:
     THRESHOLDS = ((0.7, 0.3), (0.5, 0.4), (0.0, 0.0), (0.3, 0.0), (1.0, 0.5), (0.02, 0.01))
 
     @pytest.mark.parametrize(
-        "spec, scale",
+        "spec, cover",
         [
-            (AnchorSpec(), 1.0),
-            (AnchorSpec(shared_sizes=True, sizes=(12, 40)), 1.0),
-            (AnchorSpec(angles=(0.0,), strides=(5, 11, 23, 40, 70)), 1.0),
-            (AnchorSpec(aspect_ratios=(0.2, 1.0, 3.0)), 0.6),
+            (AnchorSpec(), 100),
+            (AnchorSpec(shared_sizes=True, sizes=(12, 40)), 100),
+            (AnchorSpec(angles=(0.0,), strides=(5, 11, 23, 40, 70)), 100),
+            (AnchorSpec(aspect_ratios=(0.2, 1.0, 3.0)), 60),
         ],
         ids=["default", "shared_sizes", "odd_strides", "partial_fmaps"],
     )
-    def test_reports_equal_the_dense_path(self, spec, scale):
-        rng = np.random.default_rng(spec.strides[0] + int(100 * scale) + len(spec.sizes))
+    def test_reports_equal_the_dense_path(self, spec, cover):
+        rng = np.random.default_rng(spec.strides[0] + cover + len(spec.sizes))
         width, height = 160, 120
-        anchors = generate_anchors(spec, _image_dims(spec, width, height, scale))
+        # a grid over the top-left ``cover`` percent of each side leaves the far side uncovered
+        anchors = generate_anchors(spec, width * cover // 100, height * cover // 100)
         for _ in range(3):
             gts = _random_gts(rng, width, height, n_images=int(rng.integers(1, 4)))
             for (pos, neg), force in itertools.product(self.THRESHOLDS, (False, True)):
@@ -1331,7 +1365,7 @@ class TestSparseCountEdges:
                              ids=["default", "shared_sizes"])
     def test_equal_thresholds_on_random_scenes(self, spec):
         rng = np.random.default_rng(51)
-        anchors = generate_anchors(spec, _image_dims(spec, 160, 120))
+        anchors = generate_anchors(spec, 160, 120)
         for _ in range(3):
             gts = _random_gts(rng, 160, 120, n_images=2)
             for thr, force in itertools.product((0.1, 0.4, 0.7), (False, True)):
@@ -1352,7 +1386,7 @@ def test_memory_is_bounded_without_a_dense_matrix():
     # more length-A float array (1 unit), the old max-IoU pair and label
     # masks (2.25 units) or a copy of all anchor boxes (4 units) exceed it.
     spec = AnchorSpec()
-    anchors = generate_anchors(spec, _image_dims(spec, 1024, 1024))
+    anchors = generate_anchors(spec, 1024, 1024)
     n_anchors = anchors.total
     rng = np.random.default_rng(7)
     xy = rng.uniform(0, 1000, size=(1000, 2))
@@ -1386,10 +1420,9 @@ def test_aerial_scene_matches_in_candidate_memory():
         gt(i + 1, 1, 1 + i % 3, x, y, min(x + w, 4000), min(y + h, 3000), ignore=i % 10 == 0)
         for i, ((x, y), (w, h)) in enumerate(zip(xy, wh))
     ])
-    dims = _image_dims(spec, 4000, 3000)
     tracemalloc.start()
     try:
-        anchors = generate_anchors(spec, dims)
+        anchors = generate_anchors(spec, 4000, 3000)
         report = match_anchors(anchors, gts, pos_iou=0.5, neg_iou=0.3, force_match=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1409,10 +1442,9 @@ def test_generate_anchors_allocates_one_box_array():
     # boxes (4 more units) or one per-anchor temporary of a level's size
     # (0.75 units for the stride-4 level) exceeds it.
     spec = AnchorSpec()
-    dims = _image_dims(spec, 1024, 1024)
     tracemalloc.start()
     try:
-        anchors = generate_anchors(spec, dims)
+        anchors = generate_anchors(spec, 1024, 1024)
         layout_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         anchors.all_boxes()

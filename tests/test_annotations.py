@@ -349,8 +349,21 @@ class TestTiling:
     def test_overlap_bounds(self, tiny_dataset):
         with pytest.raises(InvalidOverlap):
             tile(tiny_dataset, tile_size=800, overlap=800)
-        with pytest.raises(InvalidOverlap):
+        # an overlap is a pixel length of at least 0
+        with pytest.raises(ValidationError, match=r"^overlap must be at least 0, got -1$"):
             tile(tiny_dataset, tile_size=800, overlap=-1)
+
+    @pytest.mark.parametrize("tile_size, overlap, message", [
+        (500.5, 0, "tile_size must be an integer, got 500.5"),
+        (800, 200.0, "overlap must be an integer, got 200.0"),
+        (True, False, "tile_size must be an integer, got True"),
+        pytest.param(10**400, 200, "tile_size is out of float range", id="past-float"),
+    ])
+    def test_tile_sizes_are_pixel_lengths(self, tiny_dataset, tile_size, overlap, message):
+        """Unchecked, a float would reach ``range`` and ``True`` would cut 1-px tiles."""
+        with pytest.raises(ValidationError) as exc:
+            tile(tiny_dataset, tile_size=tile_size, overlap=overlap)
+        assert str(exc.value) == message
 
     def test_visibility_bounds(self, tiny_dataset):
         with pytest.raises(ValidationError):
@@ -879,7 +892,7 @@ class TestObjectsOnlyAtTheEdge:
         compute_stats(ds)
         compute_stats(tiled)
         export_dataset(tiled, tmp_path / "tiles.json")
-        anchors = generate_anchors(AnchorSpec(), [(800 // s, 800 // s) for s in (4, 8, 16, 32, 64)])
+        anchors = generate_anchors(AnchorSpec(), 800, 800)
         assert match_anchors(anchors, ds.columns).n_gt > 0
         assert calls == []
         # the counter does see the objects built for an API caller

@@ -539,6 +539,7 @@ class TestExitCodes:
         (("--sizes", "1e150,32,64,128,256", "--ratios", "1e-320,1,2"),
          "the anchor of size 1e+150 and ratio 1e-320 has a non-finite extent or area"),
         (("--strides", f"4,8,16,32,{10**400}"), "strides is out of float range"),
+        (("--image-size", str(10**400), "800"), "image width is out of float range"),
     ])
     def test_non_finite_anchors_are_one_line(self, capsys, tiny_path, command, flags, message):
         argv = [command, *flags] + (["--ann", tiny_path] if command == "match" else [])

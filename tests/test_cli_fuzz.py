@@ -15,7 +15,9 @@ and a config file for each subcommand. An image side or image size of
 ``MAX_EDGE_ANCHORS``, and no other command walks its pixels; a restart
 or iteration count of ``2**70`` fails at ``MAX_RESTARTS`` or
 ``MAX_ITERS``. ``10**400`` is past the float range, which every pixel
-length (an image side, a stride, a replayed size) must fit.
+length (an image side, an ``--image-size``, a stride, a ``--tile-size``
+or ``--overlap``, a replayed size) must fit: a pixel-length flag set
+to it must exit 1.
 
 Command lines are fuzzed too: each annotation command line, ``anchors``
 and ``loss-check`` run with one of the subcommand's flags set to one of
@@ -150,11 +152,28 @@ def wall_clock_guard(argv):
         signal.signal(signal.SIGALRM, previous)
 
 
+# the flags that take pixel lengths
+PIXEL_LENGTH_FLAGS = {"--image-size", "--strides", "--tile-size", "--overlap"}
+PAST_FLOAT = str(10**400)
+
+
+def past_float_length(argv) -> bool:
+    """Whether ``argv`` gives a pixel-length flag a value of ``10**400``."""
+    flag = None
+    for arg in argv:
+        if arg.startswith("--"):
+            flag = arg
+        elif flag in PIXEL_LENGTH_FLAGS and PAST_FLOAT in arg.split(","):
+            return True
+    return False
+
+
 def assert_contract(work_dir, argv, usage_block=False):
     """Run ``detforge ARGV`` in ``work_dir``, where relative output paths land.
 
     With ``usage_block``, exit 64 may print argparse's usage lines before
-    its one ``error:`` line, which must come last.
+    its one ``error:`` line, which must come last. A pixel-length flag
+    set to ``10**400`` must exit 1. Returns the exit code.
     """
     err = io.StringIO()
     cwd = os.getcwd()
@@ -167,6 +186,7 @@ def assert_contract(work_dir, argv, usage_block=False):
         os.chdir(cwd)
     text = err.getvalue()
     assert code in (0, 1, 2, 64), (argv, code, text)
+    assert code == 1 or not past_float_length(argv), (argv, code, text)
     lines = text.splitlines()
     if usage_block and code == 64:
         assert [i for i, line in enumerate(lines) if "error:" in line] == [len(lines) - 1], (
@@ -174,6 +194,7 @@ def assert_contract(work_dir, argv, usage_block=False):
     else:
         assert len(lines) <= 1, (argv, text)
     assert "Traceback" not in text, (argv, text)
+    return code
 
 
 def write(path, doc) -> str:
@@ -238,3 +259,15 @@ def test_mutated_command_line(work_dir, data):
     # a bool flag takes no value: setting it is the whole change
     values = [] if tag == "bool" else [value] * cli._TAG_KWARGS[tag].get("nargs", 1)
     assert_contract(work_dir, [*argv, flag, *values], usage_block=True)
+
+
+# each pixel-length flag once, set to 10**400
+@pytest.mark.parametrize("argv", [
+    ["anchors", "--image-size", PAST_FLOAT, "800"],
+    ["match", "--ann", TINY, "--strides", f"4,8,16,32,{PAST_FLOAT}"],
+    ["tile", "--ann", TINY, "--tile-size", PAST_FLOAT],
+    ["tile", "--ann", TINY, "--overlap", PAST_FLOAT],
+], ids=["image-size", "strides", "tile-size", "overlap"])
+def test_pixel_length_past_float_range_exits_1(work_dir, argv):
+    assert past_float_length(argv)
+    assert assert_contract(work_dir, argv) == 1
