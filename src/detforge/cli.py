@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Every subcommand emits one JSON report, to stdout or to ``--out FILE``,
-that embeds the fully resolved configuration, per-field provenance
-(flag, file, or default), the tool version, and a sha256 of every input
-file, so a rerun with identical inputs produces byte-identical output.
-Reports carry no timestamps. ``anchors`` and ``match`` pass
-``--image-size`` to ``generate_anchors``, which owns the ceil(image /
-stride) feature-map rule.
+that echoes the resolved settings its command reads, per-field
+provenance (flag, file, or default), the tool version, and a sha256 of
+every input file, so a rerun with identical inputs produces
+byte-identical output. One config file can serve the whole pipeline:
+the sections of other commands are type-checked and not echoed. An
+empty path is rejected. Reports carry no timestamps. ``anchors`` and
+``match`` pass ``--image-size`` to ``generate_anchors``, which owns the
+ceil(image / stride) feature-map rule.
 
 Exit codes: 0 success, 1 validation failure, 2 IO or parse failure,
 64 usage error.
@@ -139,10 +141,17 @@ _OPTIONS = (
 )
 _TAGS = {path: tag for path, tag, *_ in _OPTIONS}
 _FLAGS = {path: flag for path, _, _, flag, *_ in _OPTIONS}
+_BLOCKS = {path.split(".")[0] for path in _TAGS}
+
+
+def _options_for(command: str) -> list:
+    """The ``_OPTIONS`` rows of one subcommand: its flags and its settings."""
+    return [row for row in _OPTIONS if row[4] is None or command in row[4]]
+
 
 # Per subcommand: (setting, a setting the command ignores once the first is
 # set). Setting both by flag or config file is an error, not a report that
-# echoes a value nothing read.
+# echoes a value nothing read; left unset, the ignored one is not echoed.
 _OVERRIDES = {
     "cluster": (("cluster.k_range", "cluster.k"),),
     "augment-replay": (("paths.records", "paths.records_out"),
@@ -158,22 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, runner in _RUNNERS.items():
         p = sub.add_parser(name, help=runner.__doc__)
         p.add_argument("--config", help="JSON config file")
-        for path, tag, _, flag, commands, extra in _OPTIONS:
-            if commands is not None and name not in commands:
-                continue
+        for path, tag, _, flag, _, extra in _options_for(name):
             kwargs = {**_TAG_KWARGS[tag], **extra}
             if tag != "bool" and "choices" not in kwargs:
                 kwargs.setdefault("metavar", flag[2:].upper().replace("-", "_"))
             p.add_argument(flag, dest=path, default=None, **kwargs)
     return parser
-
-
-def _default_config() -> dict:
-    config = {}
-    for path, _, default, *_ in _OPTIONS:
-        block, key = path.split(".")
-        config.setdefault(block, {})[key] = copy.deepcopy(default)
-    return config
 
 
 _SCALAR_CHECKS = {
@@ -203,6 +202,9 @@ def _check(path: str, tag: str, value):
         return [_check(f"{path}[{i}]", element_tag, v) for i, v in enumerate(value)]
     if not _SCALAR_CHECKS[tag](value):
         raise ConfigTypeError(path, tag, value)
+    # every str setting is a path, and "" names no file
+    if tag == "str" and value == "":
+        raise ValidationError(f"config key {path!r} is an empty path")
     # every seed seeds a NumPy generator, which takes no negative integer
     if path.endswith(".seed") and value < 0:
         raise ValidationError(f"config key {path!r} must be non-negative, got {value}")
@@ -229,24 +231,30 @@ def _read_input(inputs: dict, name: str, path: str) -> bytes:
 def resolve_config(args) -> Tuple[dict, dict, dict]:
     """Merge defaults, config file, and flags; track per-field provenance.
 
-    Returns the config, the provenance of each setting and the report's
-    ``inputs`` map, which holds the config file's entry if one was read.
-    A setting that the command would ignore because of another one
-    (``_OVERRIDES``) fails when a flag or the file sets it.
+    Returns the config and the provenance of each setting the command
+    reads, and the report's ``inputs`` map, which holds the config file's
+    entry if one was read. The file's sections for other commands are
+    type-checked but not echoed. A setting that the command would ignore
+    because of another one (``_OVERRIDES``) fails when a flag or the file
+    sets it, and is left out when neither does.
     """
-    config = _default_config()
-    provenance = dict.fromkeys(_TAGS, "default")
+    rows = _options_for(args.command)
+    config, provenance = {}, {}
+    for path, _, default, *_ in rows:
+        block, key = path.split(".")
+        config.setdefault(block, {})[key] = copy.deepcopy(default)
+        provenance[path] = "default"
     settings = []
     inputs = {}
     config_path = getattr(args, "config", None)
-    if config_path:
+    if config_path is not None:
         file_config = json.loads(
             read_text(config_path, _read_input(inputs, "config", config_path))
         )
         if not isinstance(file_config, dict):
             raise ValidationError("config file must hold a JSON object")
         for block, node in file_config.items():
-            if block not in config:
+            if block not in _BLOCKS:
                 raise UnknownConfigKey(block)
             if not isinstance(node, dict):
                 raise ConfigTypeError(block, "object", node)
@@ -255,20 +263,27 @@ def resolve_config(args) -> Tuple[dict, dict, dict]:
                 if path not in _TAGS:
                     raise UnknownConfigKey(path)
                 settings.append((path, value, "file"))
-    settings += [(path, getattr(args, path, None), "flag") for path in _TAGS]
+    settings += [(path, getattr(args, path), "flag") for path, *_ in rows]
     for path, value, source in settings:
         if value is None:
             continue
-        block, key = path.split(".")
-        config[block][key] = _check(path, _TAGS[path], value)
-        provenance[path] = source
-    for setting, ignored in _OVERRIDES.get(getattr(args, "command", None), ()):
-        block, key = setting.split(".")
-        if config[block][key] is not None and provenance[ignored] != "default":
+        value = _check(path, _TAGS[path], value)
+        if path in provenance:
+            block, key = path.split(".")
+            config[block][key] = value
+            provenance[path] = source
+    for setting, ignored in _OVERRIDES.get(args.command, ()):
+        if provenance[setting] == "default":
+            continue
+        if provenance[ignored] != "default":
             raise ValidationError(
                 f"{ignored} ({_FLAGS[ignored]}) is ignored when {setting} "
                 f"({_FLAGS[setting]}) is set; set only one of them"
             )
+        block, key = ignored.split(".")
+        del config[block][key], provenance[ignored]
+        if not config[block]:
+            del config[block]
     return config, provenance, inputs
 
 
@@ -311,7 +326,7 @@ def _run_tile(config, inputs):
         min_visibility=t["min_visibility"],
     )
     export_path = config["paths"]["export_annotations"]
-    if export_path:
+    if export_path is not None:
         export_dataset(tiled, export_path)
     return {
         "n_source_images": len(ds.images),
@@ -434,7 +449,7 @@ def _run_augment_replay(config, inputs):
     ds = _load_annotations(config, inputs)
     records_path = config["paths"]["records"]
     rows = []
-    if records_path:
+    if records_path is not None:
         text = read_text(records_path, _read_input(inputs, "records", records_path))
         per_image = _read_records(records_path, text, ds.image_by_id)
         mode = "replay"
@@ -464,9 +479,9 @@ def _run_augment_replay(config, inputs):
                 "records": records,
             }
         )
-    records_out = config["paths"]["records_out"]
-    if records_out and mode == "sample":
-        with open(records_out, "w", encoding="utf-8") as fh:
+    # replay mode echoes no paths.records_out, so only sample mode reads it
+    if mode == "sample" and config["paths"]["records_out"] is not None:
+        with open(config["paths"]["records_out"], "w", encoding="utf-8") as fh:
             for row in rows:
                 entry = {"image_id": row["image_id"], "records": row["records"]}
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -532,7 +547,7 @@ def dispatch(args) -> int:
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out_path = config["paths"]["output"]
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -23,7 +23,7 @@ from detforge.anchors import (
     sweep_k,
 )
 from detforge.annotations import StatsReport, tile
-from detforge.cli import _OPTIONS, _RUNNERS, build_parser, main, resolve_config
+from detforge.cli import _OPTIONS, _RUNNERS, _options_for, build_parser, main, resolve_config
 from detforge.evaluation import EvalResult, coco_map
 from detforge.losses import focal_loss
 from oracles import synthetic_aerial_corpus
@@ -99,7 +99,9 @@ class TestReports:
         report = run_json(capsys, "stats", "--ann", tiny_path)
         assert report["config"]["paths"]["annotations"] == tiny_path
         assert report["provenance"]["paths.annotations"] == "flag"
-        assert report["provenance"]["cluster.k"] == "default"
+        # stats reads no cluster setting, so its report echoes none
+        assert "cluster" not in report["config"]
+        assert not any(path.startswith("cluster.") for path in report["provenance"])
 
     def test_reruns_are_byte_identical(self, capsys, tiny_path, data_dir, corpus_ann):
         invocations = [
@@ -305,11 +307,94 @@ class TestOptionsTable:
     def test_help_lists_every_flag(self, capsys, command):
         rc, out, _ = run(capsys, command, "--help")
         assert rc == 0
-        expected = {"--help", "--config"} | {
-            flag for _, _, _, flag, commands, _ in _OPTIONS
-            if commands is None or command in commands
-        }
+        expected = {"--help", "--config"} | {flag for _, _, _, flag, *_ in _options_for(command)}
         assert set(re.findall(r"--[\w-]+", out)) == expected
+
+
+def _leaves(config) -> set:
+    return {f"{block}.{key}" for block, node in config.items() for key in node}
+
+
+# the required inputs of each command, as flags
+REQUIRED = {command: ["--ann", "{tiny}"] for command in _RUNNERS}
+REQUIRED.update({"anchors": [], "loss-check": [],
+                 "eval": ["--ann", "{tiny}", "--dets", "{dets}"]})
+# one config file for the whole pipeline, with a section for every block
+SHARED_CONFIG = {
+    "paths": {"annotations": "{tiny}", "detections": "{dets}",
+              "export_annotations": "tiles.json", "records_out": "records.jsonl"},
+    "anchors": {"image_size": [128, 128]},
+    "cluster": {"k": 2, "restarts": 2},
+    "match": {"pos_iou": 0.5},
+    "augment": {"aug_id": 3},
+    "eval": {"max_dets": 50},
+    "tile": {"tile_size": 400},
+    "loss": {"gamma": 1.0},
+}
+
+
+class TestReportEcho:
+    """A report echoes the settings its command reads, and no others."""
+
+    @pytest.fixture
+    def fmt(self, tiny_path, data_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative output paths land here
+        names = {"tiny": tiny_path, "dets": str(data_dir / "tiny_perfect_dets.json")}
+        return lambda text: text.format(**names)
+
+    def test_the_shared_file_sets_every_block(self):
+        assert set(SHARED_CONFIG) == {path.split(".")[0] for path, *_ in _OPTIONS}
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["defaults", "shared-file"])
+    @pytest.mark.parametrize("command", list(_RUNNERS))
+    def test_config_and_provenance_are_the_command_rows(self, capsys, tmp_path, fmt, command,
+                                                        shared):
+        argv = [command, *map(fmt, REQUIRED[command])]
+        in_file = set()
+        if shared:
+            doc = {block: {key: fmt(v) if isinstance(v, str) else v for key, v in node.items()}
+                   for block, node in SHARED_CONFIG.items()}
+            cfg = tmp_path / "shared.json"
+            cfg.write_text(json.dumps(doc))
+            argv += ["--config", str(cfg)]
+            in_file = _leaves(doc)
+        report = run_json(capsys, *argv)
+        rows = {path for path, *_ in _options_for(command)}
+        assert _leaves(report["config"]) == set(report["provenance"]) == rows
+        flagged = {path for path, _, _, flag, *_ in _OPTIONS if flag in argv}
+        assert report["provenance"] == {
+            path: "flag" if path in flagged else "file" if path in in_file else "default"
+            for path in rows
+        }
+
+    @pytest.mark.parametrize("argv, ignored", [
+        (["cluster", "--ann", "{tiny}", "--k-range", "2:3"], {"cluster.k"}),
+        (["augment-replay", "--ann", "{tiny}", "--records", "{records}"],
+         {"paths.records_out", "augment.aug_id", "augment.seed"}),
+    ], ids=["k-range", "records"])
+    def test_a_setting_made_ignored_is_not_echoed(self, capsys, tiny_path, data_dir, argv,
+                                                  ignored):
+        records = data_dir / "golden" / "records-tiny.jsonl"
+        argv = [a.format(tiny=tiny_path, records=records) for a in argv]
+        report = run_json(capsys, *argv)
+        rows = {path for path, *_ in _options_for(argv[0])}
+        assert _leaves(report["config"]) == set(report["provenance"]) == rows - ignored
+        # a block left with no setting goes too
+        assert all(report["config"].values())
+
+    def test_another_commands_section_is_read_and_not_echoed(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cluster": {"k": 9}}))
+        report = run_json(capsys, "anchors", "--config", str(cfg))
+        assert "cluster" not in report["config"]
+        assert not any(path.startswith("cluster.") for path in report["provenance"])
+        assert report["inputs"]["config"]["path"] == str(cfg)
+
+    def test_another_commands_section_is_type_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cluster": {"k": "four"}}))
+        err = run_rejected(capsys, "anchors", "--config", str(cfg))
+        assert err == "detforge: config key 'cluster.k' expects int, got str\n"
 
 
 class TestExitCodes:
@@ -651,6 +736,33 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(file_config))
         assert run_rejected(capsys, *argv, "--config", str(cfg)) == want
+
+    @pytest.mark.parametrize("argv, file_config, code, message", [
+        (["augment-replay", "--ann", "{tiny}", "--records", ""], None, 1,
+         "config key 'paths.records' is an empty path"),
+        # sample mode reads --seed, but "" is not an unset --records
+        (["augment-replay", "--ann", "{tiny}", "--records", "", "--seed", "3"], None, 1,
+         "config key 'paths.records' is an empty path"),
+        (["stats", "--ann", "{tiny}", "--out", ""], None, 1,
+         "config key 'paths.output' is an empty path"),
+        (["tile", "--ann", "{tiny}", "--export-ann", ""], None, 1,
+         "config key 'paths.export_annotations' is an empty path"),
+        (["stats", "--ann", ""], None, 1, "config key 'paths.annotations' is an empty path"),
+        (["stats", "--config", "{cfg}"], {"paths": {"annotations": ""}}, 1,
+         "config key 'paths.annotations' is an empty path"),
+        # a path stats does not read is still checked
+        (["stats", "--ann", "{tiny}", "--config", "{cfg}"], {"paths": {"records": ""}}, 1,
+         "config key 'paths.records' is an empty path"),
+        (["stats", "--ann", "{tiny}", "--config", ""], None, 2,
+         "[Errno 2] No such file or directory: ''"),
+    ], ids=["records", "records-seed", "out", "export-ann", "ann", "file-ann",
+            "file-other-command", "config"])
+    def test_an_empty_path_is_one_line(self, capsys, tmp_path, tiny_path, argv, file_config,
+                                       code, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_config))
+        rc, out, err = run(capsys, *(a.format(tiny=tiny_path, cfg=cfg) for a in argv))
+        assert (rc, out, err) == (code, "", f"detforge: {message}\n")
 
     def test_box_area_past_float_range_is_one_line(self, capsys, tmp_path):
         # the image holds the box without clamping, so its area is 1e400

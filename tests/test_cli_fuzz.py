@@ -2,22 +2,23 @@
 
 Each example takes one input file, deletes one key or array entry
 anywhere in its JSON, or replaces one value (the whole document
-included) with ``null``, ``true``, ``"x"``, ``-1``, ``[]``, ``{}``,
-``2**70``, ``10**400`` or ``1e308``. It then runs ``cli.main`` in
-process. The exit code must be 0, 1, 2 or 64, stderr must hold at most
-one line, and no traceback may reach it.
+included) with ``null``, ``true``, ``"x"``, ``""``, ``-1``, ``[]``,
+``{}``, ``2**70``, ``10**400`` or ``1e308``. It then runs ``cli.main``
+in process. The exit code must be 0, 1, 2 or 64, stderr must hold at
+most one line, and no traceback may reach it.
 
 The inputs are ``tiny.json`` as the ``--ann`` of every subcommand that
 reads one, ``eval_mixed_dets.json`` as ``eval``'s ``--dets``, one line
 of ``golden/records-tiny.jsonl`` as ``augment-replay``'s ``--records``,
-and a config file for each subcommand. An image side or image size of
-``2**70`` stays cheap: ``tile`` fails it at ``MAX_TILES``, ``match`` at
-``MAX_EDGE_ANCHORS``, and no other command walks its pixels; a restart
-or iteration count of ``2**70`` fails at ``MAX_RESTARTS`` or
-``MAX_ITERS``. ``10**400`` is past the float range, which every pixel
-length (an image side, an ``--image-size``, a stride, a ``--tile-size``
-or ``--overlap``, a replayed size) must fit: a pixel-length flag set
-to it must exit 1.
+a config file for each subcommand, and one shared config file, the
+union of those, that every subcommand reads. An image side or image
+size of ``2**70`` stays cheap: ``tile`` fails it at ``MAX_TILES``,
+``match`` at ``MAX_EDGE_ANCHORS``, and no other command walks its
+pixels; a restart or iteration count of ``2**70`` fails at
+``MAX_RESTARTS`` or ``MAX_ITERS``. ``10**400`` is past the float range,
+which every pixel length (an image side, an ``--image-size``, a stride,
+a ``--tile-size`` or ``--overlap``, a replayed size) must fit: a
+pixel-length flag set to it must exit 1.
 
 Command lines are fuzzed too: each annotation command line, ``anchors``
 and ``loss-check`` run with one of the subcommand's flags set to one of
@@ -50,7 +51,7 @@ MIXED_ANN = str(DATA / "eval_mixed_ann.json")
 MIXED_DETS = str(DATA / "eval_mixed_dets.json")
 RECORDS = str(DATA / "golden" / "records-tiny.jsonl")
 
-REPLACEMENTS = [None, True, "x", -1, [], {}, 2**70, 10**400, 1e308]
+REPLACEMENTS = [None, True, "x", "", -1, [], {}, 2**70, 10**400, 1e308]
 FUZZ = settings(max_examples=60, deadline=2000, derandomize=True, database=None)
 # The slowest passing call takes ~0.13 s on a shared 2-core machine; the
 # guard leaves room for a loaded one and still ends a hang within seconds.
@@ -73,6 +74,13 @@ CONFIGS = {
              "eval": {"max_dets": 100, "iou_thresholds": [0.5, 0.75]}},
     "augment-replay": {"paths": {"annotations": TINY}, "augment": {"aug_id": 3, "seed": 0}},
     "loss-check": {"loss": {"gamma": 2.0, "seed": 0}},
+}
+# one config file for the whole pipeline: the union of the blocks above,
+# with eval on the detections of tiny.json
+SHARED_CONFIG = {
+    **{block: node for doc in CONFIGS.values() for block, node in doc.items()},
+    "paths": {"annotations": TINY, "detections": str(DATA / "tiny_perfect_dets.json"),
+              "export_annotations": "tiles.json"},
 }
 # the commands that read an annotation file, each after "--ann FILE"
 ANN_COMMANDS = [
@@ -231,13 +239,17 @@ def test_mutated_records_line(work_dir, data):
     assert_contract(work_dir, ["augment-replay", "--ann", TINY, "--records", str(records)])
 
 
-@pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_mutated_config(work_dir, command):
+@pytest.mark.parametrize("commands, doc", [
+    *[([command], CONFIGS[command]) for command in sorted(CONFIGS)],
+    (sorted(CONFIGS), SHARED_CONFIG),
+], ids=[*sorted(CONFIGS), "shared"])
+def test_mutated_config(work_dir, commands, doc):
     @FUZZ
-    @given(doc=mutated(CONFIGS[command]))
+    @given(doc=mutated(doc))
     def run(doc):
         config = write(work_dir / "config.json", doc)
-        assert_contract(work_dir, [command, "--config", config])
+        for command in commands:
+            assert_contract(work_dir, [command, "--config", config])
 
     run()
 
@@ -252,8 +264,7 @@ COMMAND_LINES += [["anchors"], ["loss-check"]]
 @given(data=st.data())
 def test_mutated_command_line(work_dir, data):
     argv = data.draw(st.sampled_from(COMMAND_LINES))
-    options = [(flag, tag) for _, tag, _, flag, commands, _ in cli._OPTIONS
-               if commands is None or argv[0] in commands]
+    options = [(flag, tag) for _, tag, _, flag, *_ in cli._options_for(argv[0])]
     flag, tag = data.draw(st.sampled_from(options))
     value = str(data.draw(st.sampled_from(REPLACEMENTS)))
     # a bool flag takes no value: setting it is the whole change
