@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import InstanceColumns, Report, check_count, check_length, group_rows
+from .annotations import (InstanceColumns, Report, check_count, check_length, check_real,
+                          group_rows)
 from .errors import BadExtent, TooFewBoxes, ValidationError
 from .geometry import WhIouBlock, iou_matrix
 
@@ -117,28 +118,20 @@ class LevelAnchors:
     box without scanning them all.
 
     The level holds only this layout; ``cell_boxes`` computes the
-    corners of any block of cells, and ``boxes`` builds the level's rows
-    of ``AnchorSet.all_boxes()`` on each read.
+    corners of any block of cells.
     """
 
     level: int
     stride: int
     fmap_w: int
     fmap_h: int
-    start: int  # first row in AnchorSet.all_boxes()
+    start: int  # index of the level's first anchor in the set
     n_combo: int  # anchors per cell
     half: np.ndarray  # (n_combo, 2) read-only half-extents of one cell's anchors
 
     @property
     def count(self) -> int:
         return self.fmap_w * self.fmap_h * self.n_combo
-
-    @property
-    def boxes(self) -> np.ndarray:
-        """A new read-only (count, 4) array of the level's corner rows."""
-        boxes = self.cell_boxes(0, self.fmap_w, 0, self.fmap_h).reshape(self.count, 4)
-        boxes.flags.writeable = False
-        return boxes
 
     @cached_property
     def _edges(self):
@@ -160,37 +153,26 @@ class LevelAnchors:
         rows[..., 3] = cy + self.half[:, 1]
         return cols, rows
 
-    def cell_boxes(self, x0: int, x1: int, y0: int, y1: int, out: np.ndarray | None = None):
+    def cell_boxes(self, x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
         """Corners of the anchors in cells [x0, x1) by [y0, y1), (y1-y0, x1-x0, n_combo, 4).
 
-        The one formula for anchor coordinates, which ``all_boxes()`` and
-        the matcher both use, so every caller gets the same bits. ``out``
-        receives the corners in place when given.
+        The one formula for anchor coordinates, so every caller gets the
+        same bits.
         """
         cols, rows = self._edges
-        return np.add(cols[None, x0:x1], rows[y0:y1, None], out=out)
+        return cols[None, x0:x1] + rows[y0:y1, None]
 
 
 class AnchorSet:
     """The anchors of one image, level by level, as a layout.
 
-    ``total`` is the anchor count A. Only ``all_boxes()`` and
-    ``LevelAnchors.boxes`` allocate per-anchor memory, on each call.
+    ``total`` is the anchor count A. No per-anchor array is kept or built:
+    ``LevelAnchors.cell_boxes`` gives the corners of any block of cells.
     """
 
     def __init__(self, levels: Sequence[LevelAnchors]):
         self.levels = tuple(levels)
         self.total = sum(lv.count for lv in self.levels)
-
-    def all_boxes(self) -> np.ndarray:
-        """A new read-only (A, 4) corner array, levels in order."""
-        boxes = np.empty((self.total, 4))
-        for lv in self.levels:
-            grid = boxes[lv.start:lv.start + lv.count]
-            lv.cell_boxes(0, lv.fmap_w, 0, lv.fmap_h,
-                          out=grid.reshape(lv.fmap_h, lv.fmap_w, lv.n_combo, 4))
-        boxes.flags.writeable = False
-        return boxes
 
 
 def generate_anchors(spec: AnchorSpec, width: int, height: int) -> AnchorSet:
@@ -203,8 +185,8 @@ def generate_anchors(spec: AnchorSpec, width: int, height: int) -> AnchorSet:
     h = s*sqrt(r), w = s/sqrt(r), so its area is s^2 and h/w = r; a
     90-degree angle swaps the two. Rows follow the layout ``LevelAnchors``
     documents. Only the layout is built, in memory independent of the
-    anchor count; ``AnchorSet.all_boxes()`` builds the corners when a
-    caller needs them all.
+    anchor count; ``LevelAnchors.cell_boxes`` builds the corners of the
+    cells a caller reads.
     """
     width = check_length("image width", width, 1)
     height = check_length("image height", height, 1)
@@ -459,11 +441,10 @@ def _gt_overlaps(anchors: AnchorSet, boxes: np.ndarray):
     whose centres lie within the level's largest anchor half-extents,
     padded by one cell on each side against rounding, found from the
     grid layout ``LevelAnchors`` documents; every other anchor has IoU 0
-    with the box. Indices ascend into ``anchors.all_boxes()``, but only
-    the candidates' corners are built, by ``LevelAnchors.cell_boxes``, the
-    formula that fills ``all_boxes()``; so the IoUs from ``iou_matrix``
-    equal the entries of the dense anchors-by-GT matrix bit for bit, and
-    memory stays O(candidates) per box.
+    with the box. Indices ascend over the set's anchors, levels in order,
+    and only the candidates' corners are built, by
+    ``LevelAnchors.cell_boxes``, the one anchor formula; so memory stays
+    O(candidates) per box. A candidate may still score IoU 0.
     """
     levels = []  # per level: the level and the first anchor index of each cell row
     ranges = []  # per level: (G, 4) cell ranges x0, y0, x1, y1
@@ -506,7 +487,10 @@ def match_anchors(
     overlaps an ignore-flagged GT at ``neg_iou`` or more is ignored
     instead of negative. With ``force_match`` each GT claims its single
     best anchor (ties to the lowest anchor index) as positive even below
-    the threshold.
+    the threshold, if that IoU is above 0. The thresholds are real
+    numbers, not bools, with ``0 < neg_iou <= pos_iou <= 1``, and
+    ``force_match`` is a bool; anything else is a ``ValidationError``. So
+    an anchor with IoU 0, which does not overlap the GT, never matches it.
 
     GTs are grouped by image id and each group is matched against the
     same anchor geometry, so the reported anchor counts total
@@ -522,15 +506,18 @@ def match_anchors(
     forced claims, and the negatives are every anchor outside the
     positives and the candidates at ``neg_iou`` of any GT, live or
     ignore-flagged. Memory per image is O(candidates) for A anchors and
-    G GTs, with no per-anchor array and no A x G matrix, and the result
-    is identical to scoring the dense anchors-by-GT IoU matrix. A level
+    G GTs, with no per-anchor array and no A x G matrix. A level
     with more than ``MAX_EDGE_ANCHORS`` anchors along one side of its
     grid fails, naming the level, before anything is allocated.
     """
-    if not 0.0 <= neg_iou <= pos_iou <= 1.0:
+    pos_iou = check_real("pos_iou", pos_iou)
+    neg_iou = check_real("neg_iou", neg_iou)
+    if not 0.0 < neg_iou <= pos_iou <= 1.0:
         raise ValidationError(
-            f"need 0 <= neg_iou <= pos_iou <= 1, got {neg_iou}, {pos_iou}"
+            f"need 0 < neg_iou <= pos_iou <= 1, got {neg_iou}, {pos_iou}"
         )
+    if not isinstance(force_match, bool):
+        raise ValidationError(f"force_match must be a bool, got {force_match!r}")
     for lv in anchors.levels:
         side = max(lv.fmap_w, lv.fmap_h)
         if side * lv.n_combo > MAX_EDGE_ANCHORS:
@@ -545,9 +532,8 @@ def match_anchors(
     matched = np.zeros(len(gts), dtype=np.int64)  # per live GT row: its positive anchors
     for rows in list(groups.values()) or [np.zeros(0, dtype=np.intp)]:
         crowd = gts.ignore[rows]
-        positive = []  # anchor indices at pos_iou, repeats allowed
+        positive = [np.zeros(0, dtype=np.int64)]  # anchors at pos_iou and claims, repeats allowed
         kept = []  # candidates at neg_iou of any GT, which cannot be negative
-        claims = []  # with force_match, each live GT's best anchor
         overlaps = _gt_overlaps(anchors, gts.boxes[rows])
         for g, ignore, (idx, vals) in zip(rows.tolist(), crowd.tolist(), overlaps):
             kept.append(idx[vals >= neg_iou])
@@ -556,23 +542,12 @@ def match_anchors(
             hit = vals >= pos_iou
             matched[g] = np.count_nonzero(hit)
             positive.append(idx[hit])
-            if force_match:
-                a = int(np.argmax(vals)) if vals.size else -1
-                # a GT that overlaps no anchor claims anchor 0, as argmax over zeros does
-                claim, v = (int(idx[a]), vals[a]) if a >= 0 and vals[a] > 0 else (0, 0.0)
-                claims.append(claim)
-                matched[g] += int(v < pos_iou)
-        if pos_iou == 0.0:
-            # anchors outside the candidate set have IoU 0 and match as well
-            matched[rows[~crowd]] = n_per_image
-            n_positive += n_per_image
-            continue
-
-        positive.append(np.array(claims, dtype=np.int64))
+            if force_match and vals.size and vals.max() > 0:
+                a = int(np.argmax(vals))  # candidates ascend, so ties go to the lowest index
+                positive.append(idx[[a]])  # a copy: a view would keep all of idx alive
+                matched[g] += int(vals[a] < pos_iou)
         positive = np.unique(np.concatenate(positive))
         n_positive += positive.size
-        if neg_iou == 0.0:
-            continue  # no IoU is below 0
         n_negative += n_per_image - np.unique(np.concatenate([positive] + kept)).size
 
     is_live = ~gts.ignore

@@ -399,6 +399,15 @@ def check_length(name: str, value, low: int) -> int:
     return value
 
 
+def check_real(name: str, value) -> float:
+    """``value`` as a float, if it is a non-bool real number that fits a float."""
+    if type(value) not in (int, float) and not isinstance(value, (np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+        raise ValidationError(f"{name} is out of float range")
+    return float(value)
+
+
 def _head(values, n, width: int = 1):
     """The values of the first ``n`` rows, ``width`` values a row; all of them when n is None."""
     return values if n is None else values[:n * width]
@@ -705,6 +714,7 @@ def tile(
     overlap = check_length("overlap", overlap, 0)
     if overlap >= tile_size:
         raise InvalidOverlap(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
+    min_visibility = check_real("min_visibility", min_visibility)
     if not (0 < min_visibility <= 1):
         raise ValidationError(f"min_visibility must be in (0, 1], got {min_visibility}")
     stride = tile_size - overlap

@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .annotations import _FLOAT_MAX, _INT64, check_length
+from .annotations import _INT64, check_count, check_length, check_real
 from .errors import ValidationError
 from .geometry import clip_boxes
 
@@ -129,6 +129,8 @@ class AugmentationPipeline:
     """
 
     def __init__(self, aug_id: int, seed: int):
+        aug_id = check_count("aug_id", aug_id, 1)
+        seed = check_count("seed", seed, 0)
         if aug_id not in (1, 2, 3):
             raise ValidationError(f"unknown augmentation id {aug_id}")
         self.aug_id = aug_id
@@ -194,13 +196,7 @@ def _checked_params(i: int, rec) -> Tuple[str, dict]:
     params = {}
     for key, low in table.items() if p else ():
         name, value = f"{kind} {key}", p[key]
-        if low is not None:
-            value = check_length(name, value, low)
-        elif type(value) not in (int, float) and not isinstance(value, (np.integer, np.floating)):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-        elif isinstance(value, int) and abs(value) > _FLOAT_MAX:
-            raise ValidationError(f"{name} is out of float range")
-        params[key] = value if low is not None else float(value)
+        params[key] = check_real(name, value) if low is None else check_length(name, value, low)
     return kind, params
 
 

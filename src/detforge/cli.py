@@ -342,8 +342,6 @@ def _run_cluster(config, inputs):
     c = config["cluster"]
     columns = _load_annotations(config, inputs).columns
     boxes = columns.boxes[:, 2:] - columns.boxes[:, :2]
-    if boxes.size == 0:
-        raise ValidationError("no instances to cluster")
     try:
         if c["k_range"] is not None:
             pairs = sweep_k(boxes, c["k_range"], seed=c["seed"], restarts=c["restarts"],

@@ -4,24 +4,28 @@ The scalar box helpers and the object-path loaders, tiler and exporter
 that the package's ``(N, 4)`` column code replaced live here, with the
 comparison helpers that check the columns against them and the builders
 that turn ``Instance`` and ``Detection`` objects into the columns the
-package takes, and the seeded box corpus the clustering tests read, so
-no test module imports another. Each oracle is a plain
-loop over ``BBox``, ``Instance`` or ``Detection`` objects; the package
-names they still use are the ``BBox`` and ``Instance`` value types,
-``Dataset`` and its records and columns, ``geometry.clip``,
-``Dataset.rows_by_image``, ``annotations._tile_origins``,
-``annotations.read_text`` and the error types.
+package takes, the dense anchor corners and matcher that the candidate
+matcher replaced, and the seeded box corpus the clustering tests read,
+so no test module imports another. Each oracle is a plain
+loop over ``BBox``, ``Instance`` or ``Detection`` objects, or one dense
+array; the package names they still use are the ``BBox`` and
+``Instance`` value types, ``Dataset`` and its records and columns,
+``geometry.clip``, ``geometry.iou_matrix``, ``Dataset.rows_by_image``,
+``annotations._tile_origins``, ``annotations.read_text``,
+``LevelAnchors.cell_boxes``, ``MatchReport`` and the error types.
 """
 
 import itertools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from detforge.anchors import AnchorSet, LevelAnchors, MatchReport
 from detforge.annotations import (
     MEDIUM_AREA_MAX,
     SMALL_AREA_MAX,
@@ -43,7 +47,7 @@ from detforge.errors import (
     ValidationError,
 )
 from detforge.evaluation import DetectionColumns
-from detforge.geometry import BBox, clip
+from detforge.geometry import BBox, clip, iou_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +555,107 @@ def assert_same_columns(got: DetectionColumns, want: Sequence[Detection]) -> Non
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Dense anchors: every corner of a grid, and the matcher that scores them all.
+
+
+def level_boxes(level: LevelAnchors) -> np.ndarray:
+    """The (count, 4) corners of one level's anchors, in row order."""
+    return level.cell_boxes(0, level.fmap_w, 0, level.fmap_h).reshape(level.count, 4)
+
+
+def all_boxes(anchors: AnchorSet) -> np.ndarray:
+    """The (A, 4) corners of every anchor of a set, levels in order."""
+    return np.concatenate([level_boxes(lv) for lv in anchors.levels])
+
+
+def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=False):
+    """The original matcher: one dense (A, G) IoU matrix per image.
+
+    Reference for ``match_anchors``, whose output must equal this one's
+    exactly; it needs O(A * G) memory, so only small fixtures can use it.
+    ``gts`` are ``Instance`` objects. A forced claim takes a GT's first
+    best anchor only when that IoU is above 0.
+    """
+    anchor_boxes = all_boxes(anchors)
+    n_per_image = anchor_boxes.shape[0]
+
+    groups = {}
+    for inst in gts:
+        groups.setdefault(inst.image_id, []).append(inst)
+
+    n_positive = n_negative = n_ignored = 0
+    recalled_by_class = Counter()
+    total_by_class = Counter()
+    per_gt_counts = []
+    unmatched = []
+
+    for image_id in sorted(groups) if groups else [None]:
+        insts = groups.get(image_id, [])
+        live = [i for i in insts if not i.ignore]
+        ignored_insts = [i for i in insts if i.ignore]
+
+        if live:
+            gt_arr = np.array([i.bbox.as_tuple() for i in live])
+            iou = iou_matrix(anchor_boxes, gt_arr)  # (A, G)
+            max_iou = iou.max(axis=1)
+        else:
+            iou = np.zeros((n_per_image, 0))
+            max_iou = np.zeros(n_per_image)
+
+        positive = max_iou >= pos_iou
+        matched_counts = (iou >= pos_iou).sum(axis=0) if live else np.zeros(0, dtype=int)
+
+        if force_match and live:
+            for g in range(len(live)):
+                a = int(np.argmax(iou[:, g]))
+                if iou[a, g] > 0:
+                    positive[a] = True
+                    if iou[a, g] < pos_iou:
+                        matched_counts[g] += 1
+
+        negative = ~positive & (max_iou < neg_iou)
+        if ignored_insts and negative.any():
+            ign_arr = np.array([i.bbox.as_tuple() for i in ignored_insts])
+            ign_max = iou_matrix(anchor_boxes, ign_arr).max(axis=1)
+            negative &= ign_max < neg_iou
+
+        n_positive += int(positive.sum())
+        n_negative += int(negative.sum())
+        n_ignored += n_per_image - int(positive.sum()) - int(negative.sum())
+
+        for inst, count in zip(live, matched_counts):
+            per_gt_counts.append(int(count))
+            total_by_class[inst.category_id] += 1
+            if count >= 1:
+                recalled_by_class[inst.category_id] += 1
+            else:
+                unmatched.append(inst.id)
+
+    n_gt = sum(total_by_class.values())
+    zero_denom = n_gt == 0
+    recall = 1.0 if zero_denom else sum(recalled_by_class.values()) / n_gt
+    per_class_recall = {
+        c: recalled_by_class[c] / total_by_class[c] for c in sorted(total_by_class)
+    }
+    n_images = max(1, len(groups))
+    return MatchReport(
+        pos_iou=pos_iou,
+        neg_iou=neg_iou,
+        force_match=force_match,
+        n_anchors=n_per_image * n_images,
+        n_positive=n_positive,
+        n_negative=n_negative,
+        n_ignored=n_ignored,
+        n_gt=n_gt,
+        recall=recall,
+        per_class_recall=per_class_recall,
+        matched_per_gt=dict(sorted(Counter(per_gt_counts).items())),
+        unmatched_gt_ids=tuple(sorted(unmatched)),
+        zero_gt_denominator=zero_denom,
+    )
 
 
 # ---------------------------------------------------------------------------

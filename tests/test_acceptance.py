@@ -45,6 +45,7 @@ from detforge.losses import (
 )
 from oracles import (
     Detection,
+    all_boxes,
     columns_of,
     dataset_of,
     detection_columns,
@@ -198,7 +199,7 @@ def test_criterion_4_clustering_vs_stored_exhaustive_oracle():
 
 
 def _brute_force_recall(anchor_set, gts, pos_iou):
-    boxes = anchor_set.all_boxes()
+    boxes = all_boxes(anchor_set)
     gt_arr = np.array([g.bbox.as_tuple() for g in gts])
     best = iou_matrix(boxes, gt_arr).max(axis=0)
     return float((best >= pos_iou).mean())

@@ -1,10 +1,7 @@
-import gc
 import itertools
 import json
 import math
 import tracemalloc
-import weakref
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +18,8 @@ from detforge.anchors import (
 from detforge.annotations import Instance
 from detforge.errors import BadExtent, TooFewBoxes, ValidationError
 from detforge.geometry import BBox, WhIouBlock, iou_matrix, wh_iou_matrix
-from oracles import columns_of, same_bits, synthetic_aerial_corpus
+from oracles import (all_boxes, columns_of, dense_match_anchors, level_boxes, same_bits,
+                     synthetic_aerial_corpus)
 
 
 def ceil_div(a, b):
@@ -111,12 +109,13 @@ class TestGenerateAnchors:
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(1.0,), angles=(0.0,), strides=(4,))
         out = generate_anchors(spec, 8, 8)
         level = out.levels[0]
+        boxes = level_boxes(level)
         assert out.total == ceil_div(8, 4) * ceil_div(8, 4) == 4
-        np.testing.assert_array_equal(level.boxes[0], [-6.0, -6.0, 10.0, 10.0])
+        np.testing.assert_array_equal(boxes[0], [-6.0, -6.0, 10.0, 10.0])
         # row-major walk, y outer
         cells = row_layout(spec, level)[0]
         assert cells.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
-        centers = (level.boxes[:, :2] + level.boxes[:, 2:]) / 2.0
+        centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
         assert centers.tolist() == [[2, 2], [6, 2], [2, 6], [6, 6]]
 
     @pytest.mark.parametrize("width, height, message", [
@@ -142,7 +141,7 @@ class TestGenerateAnchors:
     def test_ratio_family_preserves_area(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(0.5, 1.0, 2.0), angles=(0.0,), strides=(4,))
         out = generate_anchors(spec, 1, 1)
-        boxes = out.levels[0].boxes
+        boxes = level_boxes(out.levels[0])
         assert boxes.shape[0] == 3
         w = boxes[:, 2] - boxes[:, 0]
         h = boxes[:, 3] - boxes[:, 1]
@@ -152,7 +151,7 @@ class TestGenerateAnchors:
     def test_right_angles_collapse_to_one_swap(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(2.0,), angles=(-90.0, 0.0, 90.0), strides=(4,))
         out = generate_anchors(spec, 1, 1)
-        boxes = out.levels[0].boxes
+        boxes = level_boxes(out.levels[0])
         assert boxes.shape[0] == 2
         w = boxes[:, 2] - boxes[:, 0]
         h = boxes[:, 3] - boxes[:, 1]
@@ -183,40 +182,37 @@ class TestGenerateAnchors:
         out = generate_anchors(spec, 192, 160)
         for level in out.levels:
             cells, sizes, ratios, angles = row_layout(spec, level)
-            w = level.boxes[:, 2] - level.boxes[:, 0]
-            h = level.boxes[:, 3] - level.boxes[:, 1]
+            boxes = level_boxes(level)
+            w = boxes[:, 2] - boxes[:, 0]
+            h = boxes[:, 3] - boxes[:, 1]
             np.testing.assert_allclose(w * h, sizes**2, rtol=1e-6)
             measured = np.where(angles == 0.0, h / w, w / h)
             np.testing.assert_allclose(measured, ratios, rtol=1e-9)
-            centers = (level.boxes[:, :2] + level.boxes[:, 2:]) / 2.0
+            centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
             np.testing.assert_allclose(centers, (cells + 0.5) * level.stride)
 
     def test_anchors_sit_at_cell_centres(self):
         spec = AnchorSpec(sizes=(16,), aspect_ratios=(1.0,), angles=(0.0,), strides=(4,))
         out = generate_anchors(spec, 8, 4)
-        np.testing.assert_array_equal(out.levels[0].boxes,
+        np.testing.assert_array_equal(level_boxes(out.levels[0]),
                                       [[-6.0, -6.0, 10.0, 10.0], [-2.0, -6.0, 14.0, 10.0]])
 
     def test_all_boxes_concatenates_levels(self):
         spec = AnchorSpec(sizes=(16, 32), aspect_ratios=(1.0,), angles=(0.0,), strides=(4, 8))
         out = generate_anchors(spec, 8, 8)
-        assert out.all_boxes().shape == (ceil_div(8, 4) ** 2 + ceil_div(8, 8) ** 2, 4) == (5, 4)
+        assert all_boxes(out).shape == (ceil_div(8, 4) ** 2 + ceil_div(8, 8) ** 2, 4) == (5, 4)
 
-    def test_levels_are_read_only_views_of_one_array(self):
+    def test_levels_are_consecutive_rows_of_the_set(self):
         spec = AnchorSpec()
         out = generate_anchors(spec, 100, 60)
-        boxes = out.all_boxes()
+        boxes = all_boxes(out)
         for level in out.levels:
             np.testing.assert_array_equal(
-                level.boxes, boxes[level.start:level.start + level.count]
+                level_boxes(level), boxes[level.start:level.start + level.count]
             )
-            with pytest.raises(ValueError):
-                level.boxes[-1] = 0.0
         assert [lv.start for lv in out.levels] == list(
             np.cumsum([0] + [lv.count for lv in out.levels[:-1]])
         )
-        with pytest.raises(ValueError):
-            boxes[0, 0] = 1.0
 
 
 def oracle_generate_boxes(spec, fmap_dims):
@@ -275,7 +271,7 @@ class TestLazyAnchorBoxes:
             dims = oracle_fmap_dims(spec, int(width), int(height))
             out = generate_anchors(spec, width, height)
             assert [(lv.fmap_w, lv.fmap_h) for lv in out.levels] == dims, (width, height)
-            got = out.all_boxes()
+            got = all_boxes(out)
             want = oracle_generate_boxes(spec, dims)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (width, height)
@@ -294,46 +290,11 @@ class TestLazyAnchorBoxes:
             assert [lv.start for lv in out.levels] == [sum(counts[:i]) for i in range(len(counts))]
             assert out.total == sum(counts)
 
-    def test_all_boxes_is_built_once_and_read_only(self, monkeypatch):
-        spec = AnchorSpec()
-        out = generate_anchors(spec, 100, 60)
-        calls = []
-        fill = anchors_module.LevelAnchors.cell_boxes
-
-        def counted(self, *args, **kwargs):
-            calls.append(self.level)
-            return fill(self, *args, **kwargs)
-
-        monkeypatch.setattr(anchors_module.LevelAnchors, "cell_boxes", counted)
-        boxes = out.all_boxes()
-        assert calls == [lv.level for lv in out.levels]
-        out.all_boxes()
-        assert calls == [lv.level for lv in out.levels] * 2  # one fill per level per call
-        assert not boxes.flags.writeable
-        assert all(not lv.half.flags.writeable for lv in out.levels)
-
-    def test_boxes_are_freed_with_their_set(self):
-        # no reference cycle keeps the corner array alive until a collection
-        spec = AnchorSpec()
-        gc.disable()
-        try:
-            out = generate_anchors(spec, 100, 60)
-            boxes = weakref.ref(out.all_boxes())
-            level_boxes = weakref.ref(out.levels[0].boxes)
-            del out
-            assert boxes() is None and level_boxes() is None
-        finally:
-            gc.enable()
-
-    def test_layout_needs_no_boxes(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("anchor boxes built")
-
-        monkeypatch.setattr(anchors_module.AnchorSet, "all_boxes", refuse)
-        monkeypatch.setattr(anchors_module.LevelAnchors, "boxes", property(refuse))
+    def test_layout_needs_no_boxes(self):
         spec = AnchorSpec(shared_sizes=True)
         out = generate_anchors(spec, 300, 200)
         assert out.total == sum(lv.count for lv in out.levels)
+        assert all(not lv.half.flags.writeable for lv in out.levels)
         gts = [gt(1, 1, 1, 10, 10, 60, 40), gt(2, 1, 1, 0, 0, 300, 200, ignore=True)]
         assert match_anchors(out, columns_of(gts), 0.5, 0.3, force_match=True).n_gt == 1
 
@@ -344,7 +305,7 @@ class TestLazyAnchorBoxes:
             x0, x1, y0, y1 = lv.fmap_w // 3, lv.fmap_w, lv.fmap_h // 2, lv.fmap_h
             block = lv.cell_boxes(x0, x1, y0, y1)
             assert block.shape == (y1 - y0, x1 - x0, lv.n_combo, 4)
-            rows = lv.boxes.reshape(lv.fmap_h, lv.fmap_w, lv.n_combo, 4)[y0:y1, x0:x1]
+            rows = level_boxes(lv).reshape(lv.fmap_h, lv.fmap_w, lv.n_combo, 4)[y0:y1, x0:x1]
             assert block.tobytes() == np.ascontiguousarray(rows).tobytes()
 
 
@@ -957,95 +918,14 @@ class TestSweepPassesClusterOptions:
             sweep_k([(5, 5)], range(1, n + 1))
 
 
-def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=False):
-    """The original matcher: one dense (A, G) IoU matrix per image.
-
-    Reference for ``match_anchors``, whose output must equal this one's
-    exactly; it needs O(A * G) memory, so only small fixtures can use it.
-    """
-    anchor_boxes = anchors.all_boxes()
-    n_per_image = anchor_boxes.shape[0]
-
-    groups = {}
-    for inst in gts:
-        groups.setdefault(inst.image_id, []).append(inst)
-
-    n_positive = n_negative = n_ignored = 0
-    recalled_by_class = Counter()
-    total_by_class = Counter()
-    per_gt_counts = []
-    unmatched = []
-
-    for image_id in sorted(groups) if groups else [None]:
-        insts = groups.get(image_id, [])
-        live = [i for i in insts if not i.ignore]
-        ignored_insts = [i for i in insts if i.ignore]
-
-        if live:
-            gt_arr = np.array([i.bbox.as_tuple() for i in live])
-            iou = iou_matrix(anchor_boxes, gt_arr)  # (A, G)
-            max_iou = iou.max(axis=1)
-        else:
-            iou = np.zeros((n_per_image, 0))
-            max_iou = np.zeros(n_per_image)
-
-        positive = max_iou >= pos_iou
-        matched_counts = (iou >= pos_iou).sum(axis=0) if live else np.zeros(0, dtype=int)
-
-        if force_match and live:
-            for g in range(len(live)):
-                a = int(np.argmax(iou[:, g]))
-                if not positive[a]:
-                    positive[a] = True
-                if iou[a, g] < pos_iou:
-                    matched_counts[g] += 1
-
-        negative = ~positive & (max_iou < neg_iou)
-        if ignored_insts and negative.any():
-            ign_arr = np.array([i.bbox.as_tuple() for i in ignored_insts])
-            ign_max = iou_matrix(anchor_boxes, ign_arr).max(axis=1)
-            negative &= ign_max < neg_iou
-
-        n_positive += int(positive.sum())
-        n_negative += int(negative.sum())
-        n_ignored += n_per_image - int(positive.sum()) - int(negative.sum())
-
-        for inst, count in zip(live, matched_counts):
-            per_gt_counts.append(int(count))
-            total_by_class[inst.category_id] += 1
-            if count >= 1:
-                recalled_by_class[inst.category_id] += 1
-            else:
-                unmatched.append(inst.id)
-
-    n_gt = sum(total_by_class.values())
-    zero_denom = n_gt == 0
-    recall = 1.0 if zero_denom else sum(recalled_by_class.values()) / n_gt
-    per_class_recall = {
-        c: recalled_by_class[c] / total_by_class[c] for c in sorted(total_by_class)
-    }
-    n_images = max(1, len(groups))
-    return MatchReport(
-        pos_iou=pos_iou,
-        neg_iou=neg_iou,
-        force_match=force_match,
-        n_anchors=n_per_image * n_images,
-        n_positive=n_positive,
-        n_negative=n_negative,
-        n_ignored=n_ignored,
-        n_gt=n_gt,
-        recall=recall,
-        per_class_recall=per_class_recall,
-        matched_per_gt=dict(sorted(Counter(per_gt_counts).items())),
-        unmatched_gt_ids=tuple(sorted(unmatched)),
-        zero_gt_denominator=zero_denom,
-    )
-
-
 def small_grid(size=16, stride=4, image=(16, 16)):
     """One level of one square anchor per cell, over a ``image`` (width, height) image."""
     spec = AnchorSpec(sizes=(size,), aspect_ratios=(1.0,), angles=(0.0,), strides=(stride,))
     return generate_anchors(spec, *image)
+
+
+# each is a bad value for either threshold: outside (0, 1], not a real number, or a bool
+BAD_THRESHOLDS = (0, 0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, True, False, "0.7", None)
 
 
 def gt(inst_id, image_id, cat, x0, y0, x1, y1, ignore=False):
@@ -1092,11 +972,57 @@ class TestMatching:
         assert report.zero_gt_denominator is True
         assert report.n_negative == report.n_anchors == anchors.total
 
-    def test_zero_positive_threshold_claims_everything(self):
-        anchors = small_grid()
+    def test_the_smallest_thresholds_label_by_overlap_alone(self):
+        # an anchor is positive exactly when it overlaps the GT: on each axis
+        # the 16x16 anchors of cells 0-3 reach the box [0, 8], the other 12 do not
+        anchors = small_grid(image=(64, 64))
         report = match_anchors(anchors, columns_of([gt(1, 1, 1, 0, 0, 8, 8)]),
-                               pos_iou=0.0, neg_iou=0.0)
-        assert report.n_positive == report.n_anchors
+                               pos_iou=5e-324, neg_iou=5e-324)
+        assert (report.n_positive, report.n_negative, report.n_ignored) == (
+            16, anchors.total - 16, 0)
+        assert report.matched_per_gt == {16: 1}
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_a_gt_that_overlaps_no_anchor_stays_unrecalled(self, force):
+        anchors = small_grid()
+        report = match_anchors(anchors, columns_of([gt(1, 1, 1, 500, 500, 510, 510)]),
+                               pos_iou=5e-324, neg_iou=5e-324, force_match=force)
+        assert report.recall == 0.0 and report.unmatched_gt_ids == (1,)
+        assert (report.n_positive, report.n_negative) == (0, anchors.total)
+        assert report.matched_per_gt == {0: 1}
+
+    @pytest.mark.parametrize("pos, neg, force", [
+        *[(bad, 0.3, False) for bad in BAD_THRESHOLDS],
+        *[(0.7, bad, False) for bad in BAD_THRESHOLDS],
+        (0.3, 0.7, False),
+        (0.7, 0.3, "no"),
+        (0.7, 0.3, 1),
+    ])
+    def test_bad_thresholds_and_force_match_are_validation_errors(self, pos, neg, force):
+        with pytest.raises(ValidationError, match=r"^(pos_iou|neg_iou|force_match) must be "
+                                                  r"|^need 0 < neg_iou <= pos_iou <= 1, got "):
+            match_anchors(small_grid(), columns_of([gt(1, 1, 1, 0, 0, 8, 8)]), pos, neg,
+                          force_match=force)
+
+    def test_bad_threshold_messages(self):
+        gts = columns_of([gt(1, 1, 1, 0, 0, 8, 8)])
+        for kwargs, message in (
+            ({"pos_iou": "0.7"}, "pos_iou must be a real number, got '0.7'"),
+            ({"neg_iou": True}, "neg_iou must be a real number, got True"),
+            ({"neg_iou": -0.0}, "need 0 < neg_iou <= pos_iou <= 1, got -0.0, 0.7"),
+            ({"pos_iou": 10**400}, "pos_iou is out of float range"),
+            ({"force_match": "no"}, "force_match must be a bool, got 'no'"),
+        ):
+            with pytest.raises(ValidationError) as info:
+                match_anchors(small_grid(), gts, **kwargs)
+            assert str(info.value) == message
+
+    def test_integer_and_numpy_thresholds_echo_as_floats(self):
+        report = match_anchors(small_grid(), columns_of([gt(1, 1, 1, -2, -2, 14, 14)]),
+                               pos_iou=1, neg_iou=np.float32(0.5))
+        assert (report.pos_iou, report.neg_iou) == (1.0, 0.5)
+        assert type(report.pos_iou) is float and type(report.neg_iou) is float
+        assert report.recall == 1.0
 
     def test_threshold_order_enforced(self):
         anchors = small_grid()
@@ -1195,7 +1121,7 @@ class TestMatching:
     def test_agrees_with_direct_reimplementation(self):
         rng = np.random.default_rng(33)
         anchors = small_grid(size=12, stride=6, image=(30, 30))
-        boxes = anchors.all_boxes()
+        boxes = all_boxes(anchors)
         for trial in range(10):
             gts = []
             for i in range(int(rng.integers(1, 8))):
@@ -1273,8 +1199,9 @@ def _random_gts(rng, width, height, n_images):
 
 
 class TestMatchingAgainstDenseOracle:
-    # (0.02, 0.01) makes anchors that barely touch a GT decide the labels
-    THRESHOLDS = ((0.7, 0.3), (0.5, 0.4), (0.0, 0.0), (0.3, 0.0), (1.0, 0.5), (0.02, 0.01))
+    # (0.02, 0.01) makes anchors that barely touch a GT decide the labels, and
+    # (1e-12, 5e-324) every anchor that touches one at all
+    THRESHOLDS = ((0.7, 0.3), (0.5, 0.4), (1.0, 0.5), (0.02, 0.01), (1e-12, 5e-324))
 
     @pytest.mark.parametrize(
         "spec, cover",
@@ -1298,17 +1225,20 @@ class TestMatchingAgainstDenseOracle:
                 got = match_anchors(anchors, columns_of(gts), pos, neg, force_match=force)
                 assert got.to_dict() == want.to_dict(), (force, pos, neg)
 
-    def test_gt_overlapping_no_anchor_claims_anchor_zero(self):
+    def test_gt_overlapping_no_anchor_claims_nothing(self):
         anchors = small_grid()
         far = gt(1, 1, 1, 500, 500, 510, 510)
         on_anchor_zero = gt(2, 1, 1, -6, -6, 10, 10)
         for gts in ([far], [far, on_anchor_zero]):
-            for pos in (0.0, 0.5, 1.0):
-                got = match_anchors(anchors, columns_of(gts), pos, 0.0, force_match=True)
-                want = dense_match_anchors(anchors, gts, pos, 0.0, force_match=True)
+            for pos in (5e-324, 0.5, 1.0):
+                got = match_anchors(anchors, columns_of(gts), pos, 5e-324, force_match=True)
+                want = dense_match_anchors(anchors, gts, pos, 5e-324, force_match=True)
                 assert got.to_dict() == want.to_dict()
-        # anchor 0 is already positive, so the far GT's claim adds no anchor
-        assert match_anchors(anchors, columns_of([far, on_anchor_zero]), 1.0, 0.0,
+                assert got.unmatched_gt_ids == (1,)
+        # the far GT makes no positive; the GT on anchor 0 makes that one
+        assert match_anchors(anchors, columns_of([far]), 1.0, 5e-324,
+                             force_match=True).n_positive == 0
+        assert match_anchors(anchors, columns_of([far, on_anchor_zero]), 1.0, 5e-324,
                              force_match=True).n_positive == 1
 
     def test_non_finite_boxes_rejected(self):
@@ -1316,12 +1246,10 @@ class TestMatchingAgainstDenseOracle:
         bad = Instance(1, 1, 1, BBox(0.0, 0.0, float("nan"), 4.0), 0.0, False)
         with pytest.raises(ValidationError):
             match_anchors(anchors, columns_of([bad]))
-        # an ignore GT is checked too, even where no anchor is negative and
-        # its overlaps are never needed
+        # an ignore GT is checked too, though it never enters the recall
         bad_crowd = Instance(2, 1, 1, BBox(0.0, float("nan"), 4.0, 4.0), 0.0, True)
         with pytest.raises(ValidationError, match="finite"):
-            match_anchors(anchors, columns_of([gt(1, 1, 1, 0, 0, 8, 8), bad_crowd]),
-                          pos_iou=0.0, neg_iou=0.0)
+            match_anchors(anchors, columns_of([gt(1, 1, 1, 0, 0, 8, 8), bad_crowd]))
 
 
 class TestSparseCountEdges:
@@ -1331,9 +1259,9 @@ class TestSparseCountEdges:
     FAR = (-5000, -5000, -4990, -4990)  # reaches no anchor
 
     CASES = {
-        # a forced claim of anchor 0 by a GT that reaches no anchor
-        "far_gt_claims_anchor_zero": [gt(1, 1, 1, *FAR)],
-        "far_claim_beside_a_live_gt": [gt(1, 1, 1, *FAR), gt(2, 1, 2, 20, 20, 30, 30)],
+        # a GT that reaches no anchor, which no forced claim may take
+        "far_gt_claims_nothing": [gt(1, 1, 1, *FAR)],
+        "far_gt_beside_a_live_gt": [gt(1, 1, 1, *FAR), gt(2, 1, 2, 20, 20, 30, 30)],
         "crowd_only_image": [gt(1, 1, 1, 0, 0, 16, 16, ignore=True),
                              gt(2, 1, 1, 8, 4, 30, 12, ignore=True)],
         "crowd_only_beside_a_live_image": [gt(1, 1, 1, 0, 0, 16, 16, ignore=True),
@@ -1341,8 +1269,8 @@ class TestSparseCountEdges:
         "live_gts_reach_no_anchor": [gt(1, 1, 1, *FAR), gt(2, 1, 1, 900, 900, 910, 910),
                                      gt(3, 1, 1, 0, 0, 16, 16, ignore=True)],
     }
-    THRESHOLDS = ((0.7, 0.3), (0.5, 0.5), (0.3, 0.3), (1.0, 1.0), (0.02, 0.01), (0.3, 0.0),
-                  (0.0, 0.0))
+    THRESHOLDS = ((0.7, 0.3), (0.5, 0.5), (0.3, 0.3), (1.0, 1.0), (0.02, 0.01),
+                  (1e-12, 5e-324))
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_reports_equal_the_dense_path(self, case):
@@ -1353,12 +1281,13 @@ class TestSparseCountEdges:
             got = match_anchors(anchors, columns_of(gts), pos, neg, force_match=force)
             assert got.to_dict() == want.to_dict(), (pos, neg, force)
 
-    def test_claimed_anchor_zero_is_positive_not_negative(self):
+    def test_far_gt_claims_nothing(self):
         anchors = small_grid()
         report = match_anchors(anchors, columns_of([gt(1, 1, 1, *self.FAR)]), 0.7, 0.3,
                                force_match=True)
-        assert (report.n_positive, report.n_negative, report.n_ignored) == (1, anchors.total - 1, 0)
-        assert report.matched_per_gt == {1: 1}
+        assert (report.n_positive, report.n_negative, report.n_ignored) == (0, anchors.total, 0)
+        assert report.matched_per_gt == {0: 1}
+        assert report.recall == 0.0 and report.unmatched_gt_ids == (1,)
 
     @pytest.mark.parametrize("spec", [AnchorSpec(),
                                       AnchorSpec(shared_sizes=True, strides=(5, 11, 23, 40, 70))],
@@ -1432,26 +1361,17 @@ def test_aerial_scene_matches_in_candidate_memory():
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_generate_anchors_allocates_one_box_array():
+def test_generate_anchors_builds_only_the_layout():
     # The default 1024^2 grid (A = 523,776 anchors). ``generate_anchors``
     # builds only the layout, a few small arrays per level, so its peak
-    # stays below 0.05 units of A * 8 bytes. The first ``all_boxes()`` call
-    # allocates the one (A, 4) corner array (4 units) and fills it in place
-    # from per-level column and row tables of O(fmap_w + fmap_h) rows; a
-    # bound of 4.5 units leaves allocator slack, yet a second copy of the
-    # boxes (4 more units) or one per-anchor temporary of a level's size
-    # (0.75 units for the stride-4 level) exceeds it.
+    # stays below 0.05 units of A * 8 bytes.
     spec = AnchorSpec()
     tracemalloc.start()
     try:
         anchors = generate_anchors(spec, 1024, 1024)
         layout_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        anchors.all_boxes()
-        boxes_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     n_anchors = anchors.total
     assert n_anchors == 523_776
     assert layout_peak < 0.05 * n_anchors * 8, f"layout peak {layout_peak / 2**20:.2f} MiB"
-    assert boxes_peak < 4.5 * n_anchors * 8, f"peak {boxes_peak / 2**20:.1f} MiB"

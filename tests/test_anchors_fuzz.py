@@ -1,9 +1,13 @@
-"""Properties of the IoU k-means kernel on extreme but accepted extents.
+"""Properties of the IoU k-means kernel and of the matcher's thresholds.
 
 ``cluster_anchor_sizes`` accepts a (w, h) row only when w, h and w * h
 are positive finite floats. On such rows no (centroid, box) IoU is NaN,
 so the first-max assignment equals ``argmax``. A mean centroid's area
 may still overflow to inf; its IoU with every box is then 0.
+
+``match_anchors`` accepts thresholds only when both are non-bool real
+numbers with ``0 < neg_iou <= pos_iou <= 1``, and then reports what the
+dense anchors-by-GT oracle reports.
 """
 
 import json
@@ -16,9 +20,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from detforge import anchors as anchors_module  # noqa: E402
-from detforge.anchors import cluster_anchor_sizes  # noqa: E402
-from detforge.errors import BadExtent  # noqa: E402
-from detforge.geometry import wh_iou_matrix  # noqa: E402
+from detforge.anchors import (AnchorSpec, cluster_anchor_sizes, generate_anchors,  # noqa: E402
+                              match_anchors)
+from detforge.annotations import Instance  # noqa: E402
+from detforge.errors import BadExtent, ValidationError  # noqa: E402
+from detforge.geometry import BBox, wh_iou_matrix  # noqa: E402
+from oracles import columns_of, dense_match_anchors  # noqa: E402
 
 # 1e-300 .. 1e300: a product can underflow or overflow, a sum of 40 cannot
 EXTENT = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.999), st.integers(-300, 300))
@@ -78,3 +85,40 @@ def test_clustering_accepted_boxes_gives_a_finite_report(wh, data):
     result = cluster_anchor_sizes(wh, k, restarts=2)
     assert 0.0 <= result.mean_iou <= 1.0
     json.dumps(result.to_dict(), allow_nan=False)
+
+
+# one level of one 16x16 anchor per 4-px cell over a 16x16 image
+GRID = generate_anchors(AnchorSpec(sizes=(16,), aspect_ratios=(1.0,), angles=(0.0,),
+                                   strides=(4,)), 16, 16)
+# every float, the floats of [0, 1] again so that accepted pairs are common, and the edges
+THRESHOLD = st.one_of(st.floats(), st.floats(0.0, 1.0), st.sampled_from(
+    [0, 0.0, -0.0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), math.nan, math.inf, True]))
+
+
+@st.composite
+def scenes(draw):
+    """Up to four GTs over two images, some crowd, some zero-area, and one that
+    reaches no anchor."""
+    gts = []
+    for i in range(draw(st.integers(0, 4))):
+        x0, y0 = draw(st.floats(-10, 26)), draw(st.floats(-10, 26))
+        w, h = draw(st.floats(0, 24)), draw(st.floats(0, 24))
+        box = BBox(x0, y0, x0 + w, y0 + h)
+        gts.append(Instance(i + 1, draw(st.integers(1, 2)), 1, box, box.area,
+                            draw(st.booleans())))
+    far = BBox(500.0, 500.0, 510.0, 510.0)
+    return gts + [Instance(len(gts) + 1, 1, 2, far, far.area, False)]
+
+
+@settings(max_examples=150, deadline=5000, derandomize=True, database=None)
+@given(pos=THRESHOLD, neg=THRESHOLD, force=st.booleans(), gts=scenes())
+def test_thresholds_are_accepted_exactly_in_the_unit_interval(pos, neg, force, gts):
+    real = all(type(v) in (int, float) for v in (pos, neg))
+    if not (real and 0 < neg <= pos <= 1):
+        with pytest.raises(ValidationError):
+            match_anchors(GRID, columns_of(gts), pos, neg, force_match=force)
+        return
+    got = match_anchors(GRID, columns_of(gts), pos, neg, force_match=force)
+    want = dense_match_anchors(GRID, gts, float(pos), float(neg), force_match=force)
+    assert got.to_dict() == want.to_dict()
+    assert len(gts) in got.unmatched_gt_ids  # the far GT is never recalled

@@ -371,6 +371,17 @@ class TestTiling:
         with pytest.raises(ValidationError):
             tile(tiny_dataset, min_visibility=1.5)
 
+    @pytest.mark.parametrize("min_visibility, message", [
+        ("0.5", "min_visibility must be a real number, got '0.5'"),
+        (True, "min_visibility must be a real number, got True"),
+        (10**400, "min_visibility is out of float range"),
+    ])
+    def test_visibility_is_a_real_number(self, tiny_dataset, min_visibility, message):
+        """Unchecked, a string raised a bare ``TypeError`` and ``True`` tiled at 1.0."""
+        with pytest.raises(ValidationError) as exc:
+            tile(tiny_dataset, min_visibility=min_visibility)
+        assert str(exc.value) == message
+
     def test_ignore_flag_survives_tiling(self, tiny_dataset):
         out = tile(tiny_dataset, tile_size=800, overlap=200)
         assert any(i.ignore for i in out.instances)

