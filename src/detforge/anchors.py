@@ -9,8 +9,8 @@ collapse to the same rectangle and are deduplicated.
 ``cluster_anchor_sizes`` runs k-means over ground-truth (w, h) pairs
 with distance 1 - IoU and k-means++ seeding, the standard way to pick
 anchor sizes from data without training. ``match_anchors`` scores an
-anchor configuration by simulating threshold matching against annotated
-instance columns.
+anchor configuration by simulating threshold matching against an
+annotated dataset.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import (InstanceColumns, Report, check_count, check_length, check_real,
-                          group_rows)
+from .annotations import Dataset, Report, check_count, check_length, check_real, group_rows
 from .errors import BadExtent, TooFewBoxes, ValidationError
 from .geometry import WhIouBlock, iou_matrix
 
@@ -474,42 +473,44 @@ def _gt_overlaps(anchors: AnchorSet, boxes: np.ndarray):
 
 def match_anchors(
     anchors: AnchorSet,
-    gts: InstanceColumns,
+    ds: Dataset,
     pos_iou: float = 0.7,
     neg_iou: float = 0.3,
     force_match: bool = False,
 ) -> MatchReport:
-    """Label anchors positive/negative/ignored against ground truth.
+    """Label anchors positive/negative/ignored against a dataset's ground truth.
 
-    ``gts`` are instance columns. An anchor is positive when its best IoU
-    over non-ignore GTs reaches ``pos_iou``, negative when below
-    ``neg_iou``, ignored in between. An anchor that would be negative but
-    overlaps an ignore-flagged GT at ``neg_iou`` or more is ignored
-    instead of negative. With ``force_match`` each GT claims its single
-    best anchor (ties to the lowest anchor index) as positive even below
-    the threshold, if that IoU is above 0. The thresholds are real
-    numbers, not bools, with ``0 < neg_iou <= pos_iou <= 1``, and
-    ``force_match`` is a bool; anything else is a ``ValidationError``. So
-    an anchor with IoU 0, which does not overlap the GT, never matches it.
+    Every image of ``ds`` gets the same anchor geometry, so ``n_anchors``
+    is ``anchors.total`` times the number of images, with or without GTs.
+    An anchor is positive when its best IoU over its image's non-ignore
+    GTs reaches ``pos_iou``, negative when below ``neg_iou``, ignored in
+    between. An anchor that would be negative but overlaps an
+    ignore-flagged GT at ``neg_iou`` or more is ignored instead of
+    negative. With ``force_match`` each GT claims its single best anchor
+    (ties to the lowest anchor index) as positive even below the
+    threshold, if that IoU is above 0. The thresholds are real numbers,
+    not bools, with ``0 < neg_iou <= pos_iou <= 1``, and ``force_match``
+    is a bool; anything else, or a ``ds`` that is not a ``Dataset``, is a
+    ``ValidationError``. So an anchor with IoU 0, which does not overlap
+    the GT, never matches it.
 
-    GTs are grouped by image id and each group is matched against the
-    same anchor geometry, so the reported anchor counts total
-    per-image anchors times the number of images (one pass when there
-    are no GTs at all). A GT counts as recalled when at least one
-    positive anchor reaches ``pos_iou`` with it (or claims it via
-    force matching); ignore-flagged GTs never enter the recall
-    denominator. Every GT box keeps ``InstanceColumns``' box contract.
+    A GT counts as recalled when at least one positive anchor reaches
+    ``pos_iou`` with it (or claims it via force matching); ignore-flagged
+    GTs never enter the recall denominator.
 
-    IoU is computed only between each GT and the anchors of the grid
-    cells it can reach, and labels are counted from those candidates:
-    the positives are the distinct candidates at ``pos_iou`` plus the
-    forced claims, and the negatives are every anchor outside the
-    positives and the candidates at ``neg_iou`` of any GT, live or
-    ignore-flagged. Memory per image is O(candidates) for A anchors and
-    G GTs, with no per-anchor array and no A x G matrix. A level
-    with more than ``MAX_EDGE_ANCHORS`` anchors along one side of its
-    grid fails, naming the level, before anything is allocated.
+    Only images with GTs are matched. IoU is computed only between each
+    GT and the anchors of the grid cells it can reach, and labels are
+    counted from those candidates: the positives are the distinct
+    candidates at ``pos_iou`` plus the forced claims, and the negatives
+    are every anchor of every image outside its positives and its
+    candidates at ``neg_iou`` of any GT, live or ignore-flagged. Memory
+    per image is O(candidates) for A anchors and G GTs, with no
+    per-anchor array and no A x G matrix. A level with more than
+    ``MAX_EDGE_ANCHORS`` anchors along one side of its grid fails, naming
+    the level, before anything is allocated.
     """
+    if not isinstance(ds, Dataset):
+        raise ValidationError(f"ds must be a Dataset, got {type(ds).__name__}")
     pos_iou = check_real("pos_iou", pos_iou)
     neg_iou = check_real("neg_iou", neg_iou)
     if not 0.0 < neg_iou <= pos_iou <= 1.0:
@@ -525,12 +526,11 @@ def match_anchors(
                 f"level {lv.level} has {side} cells x {lv.n_combo} anchors along one side, "
                 f"past MAX_EDGE_ANCHORS = {MAX_EDGE_ANCHORS}"
             )
-    n_per_image = anchors.total
-    groups = group_rows(gts.image_id)
+    gts = ds.columns
 
-    n_positive = n_negative = 0
+    n_positive = n_not_negative = 0
     matched = np.zeros(len(gts), dtype=np.int64)  # per live GT row: its positive anchors
-    for rows in list(groups.values()) or [np.zeros(0, dtype=np.intp)]:
+    for rows in group_rows(gts.image_id).values():
         crowd = gts.ignore[rows]
         positive = [np.zeros(0, dtype=np.int64)]  # anchors at pos_iou and claims, repeats allowed
         kept = []  # candidates at neg_iou of any GT, which cannot be negative
@@ -548,7 +548,7 @@ def match_anchors(
                 matched[g] += int(vals[a] < pos_iou)
         positive = np.unique(np.concatenate(positive))
         n_positive += positive.size
-        n_negative += n_per_image - np.unique(np.concatenate([positive] + kept)).size
+        n_not_negative += np.unique(np.concatenate([positive] + kept)).size
 
     is_live = ~gts.ignore
     counts = matched[is_live]
@@ -559,7 +559,8 @@ def match_anchors(
     n_gt = len(counts)
     zero_denom = n_gt == 0
     values, freq = np.unique(counts, return_counts=True)
-    n_anchors = n_per_image * max(1, len(groups))
+    n_anchors = anchors.total * len(ds.images)
+    n_negative = n_anchors - n_not_negative
     return MatchReport(
         pos_iou=pos_iou,
         neg_iou=neg_iou,

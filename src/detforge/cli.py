@@ -387,7 +387,7 @@ def _run_match(config, inputs):
     m = config["match"]
     report = match_anchors(
         anchor_set,
-        ds.columns,
+        ds,
         pos_iou=m["pos_iou"],
         neg_iou=m["neg_iou"],
         force_match=m["force_match"],

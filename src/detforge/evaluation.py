@@ -36,6 +36,8 @@ from .annotations import (
     _type_flags,
     _xywh_checks,
     box_rules,
+    check_count,
+    check_real,
     check_references,
     checked,
     freeze_columns,
@@ -320,7 +322,7 @@ def _grouped_dets(dets: DetectionColumns, ds: Dataset, max_dets: int):
     """The kept detections as columns in (image, class) group order.
 
     Each image's dets are ranked by (-score, row) and cut to the first
-    ``max_dets`` (all when ``max_dets`` <= 0); a group keeps that rank
+    ``max_dets`` (all when ``max_dets`` is 0); a group keeps that rank
     order. Ties rank by row, as COCOeval's stable sort keeps input order.
     Returns ``(group_size, class_id, rows, score, boxes)``, ``rows``
     being each kept det's row and ``group_size`` mapping each (image,
@@ -349,14 +351,20 @@ def coco_map(
 ) -> EvalResult:
     """Score detections against a dataset over thresholds, classes, slices.
 
+    ``max_dets`` caps each image's detections, the highest scores kept:
+    a non-bool integer of at least 0, where 0 means no cap.
+    ``iou_thresholds``, the COCO ten when None, are non-bool real numbers
+    in [0, 1]. Anything else is a one-line ``ValidationError``.
+
     Size slices turn out-of-slice GTs into ignore entries and drop
     out-of-slice detections by their own box area before matching. The
     (image, class) groups are matched a bounded chunk at a time: each
     chunk gets one padded IoU block, and the greedy match of every slice
     and threshold runs on it in lock step.
     """
-    thresholds = (
-        IOU_THRESHOLDS if iou_thresholds is None else tuple(float(t) for t in iou_thresholds)
+    max_dets = check_count("max_dets", max_dets, 0)
+    thresholds = IOU_THRESHOLDS if iou_thresholds is None else tuple(
+        check_real(f"iou_thresholds[{i}]", t) for i, t in enumerate(iou_thresholds)
     )
     if not thresholds:
         raise ValidationError("at least one IoU threshold required")

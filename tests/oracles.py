@@ -146,6 +146,23 @@ def dataset_of(images, instances, categories, clipped_instance_count=0) -> Datas
     return ds
 
 
+def gt_dataset(instances: Sequence[Instance], n_empty: int = 0) -> Dataset:
+    """``instances`` as a Dataset, with one image per image id they name.
+
+    A list that names no image gets image 1, so an empty list is one
+    image without GTs; ``n_empty`` more images without GTs follow, with
+    the next free ids. Each named category id gets a category. Images
+    are 1 x 1 px: ``match_anchors`` takes the image size from its anchor
+    grid, not from the dataset.
+    """
+    instances = tuple(instances)
+    image_ids = sorted({i.image_id for i in instances}) or [1]
+    image_ids += range(image_ids[-1] + 1, image_ids[-1] + 1 + n_empty)
+    categories = sorted({i.category_id for i in instances})
+    return dataset_of([ImageRecord(i, 1, 1, f"{i}.png") for i in image_ids], instances,
+                      [Category(c, str(c)) for c in categories])
+
+
 def detection_columns(dets: Sequence[Detection]) -> DetectionColumns:
     n = len(dets)
     return DetectionColumns(
@@ -571,20 +588,18 @@ def all_boxes(anchors: AnchorSet) -> np.ndarray:
     return np.concatenate([level_boxes(lv) for lv in anchors.levels])
 
 
-def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=False):
+def dense_match_anchors(anchors, ds, pos_iou=0.7, neg_iou=0.3, force_match=False):
     """The original matcher: one dense (A, G) IoU matrix per image.
 
     Reference for ``match_anchors``, whose output must equal this one's
     exactly; it needs O(A * G) memory, so only small fixtures can use it.
-    ``gts`` are ``Instance`` objects. A forced claim takes a GT's first
-    best anchor only when that IoU is above 0.
+    It walks every image of the ``Dataset`` ``ds``, with or without GTs,
+    over its ``Instance`` objects. A forced claim takes a GT's first best
+    anchor only when that IoU is above 0.
     """
     anchor_boxes = all_boxes(anchors)
     n_per_image = anchor_boxes.shape[0]
-
-    groups = {}
-    for inst in gts:
-        groups.setdefault(inst.image_id, []).append(inst)
+    groups = instances_by_image(ds)
 
     n_positive = n_negative = n_ignored = 0
     recalled_by_class = Counter()
@@ -592,8 +607,8 @@ def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=Fals
     per_gt_counts = []
     unmatched = []
 
-    for image_id in sorted(groups) if groups else [None]:
-        insts = groups.get(image_id, [])
+    for image in ds.images:
+        insts = groups[image.id]
         live = [i for i in insts if not i.ignore]
         ignored_insts = [i for i in insts if i.ignore]
 
@@ -640,12 +655,11 @@ def dense_match_anchors(anchors, gts, pos_iou=0.7, neg_iou=0.3, force_match=Fals
     per_class_recall = {
         c: recalled_by_class[c] / total_by_class[c] for c in sorted(total_by_class)
     }
-    n_images = max(1, len(groups))
     return MatchReport(
         pos_iou=pos_iou,
         neg_iou=neg_iou,
         force_match=force_match,
-        n_anchors=n_per_image * n_images,
+        n_anchors=n_per_image * len(ds.images),
         n_positive=n_positive,
         n_negative=n_negative,
         n_ignored=n_ignored,

@@ -46,11 +46,11 @@ from detforge.losses import (
 from oracles import (
     Detection,
     all_boxes,
-    columns_of,
     dataset_of,
     detection_columns,
     detections_of,
     from_xywh,
+    gt_dataset,
     shifted,
     synthetic_aerial_corpus,
 )
@@ -230,8 +230,8 @@ def test_criterion_5_small_anchor_sizes_recall_small_objects():
     assert recall_fine >= recall_coarse
 
     # the library's matcher agrees with the brute-force scan
-    assert match_anchors(fine, columns_of(gts), pos_iou=0.5, neg_iou=0.3).recall == recall_fine
-    assert match_anchors(coarse, columns_of(gts), pos_iou=0.5, neg_iou=0.3).recall == recall_coarse
+    assert match_anchors(fine, gt_dataset(gts), pos_iou=0.5, neg_iou=0.3).recall == recall_fine
+    assert match_anchors(coarse, gt_dataset(gts), pos_iou=0.5, neg_iou=0.3).recall == recall_coarse
     ok(
         f"criterion 5: recall at pos_iou 0.5 with sizes (16..256) = "
         f"{recall_fine:.3f} >= {recall_coarse:.3f} with sizes (32..512) "

@@ -15,11 +15,11 @@ from detforge.anchors import (
     match_anchors,
     sweep_k,
 )
-from detforge.annotations import Instance
+from detforge.annotations import Category, Dataset, ImageRecord, Instance
 from detforge.errors import BadExtent, TooFewBoxes, ValidationError
 from detforge.geometry import BBox, WhIouBlock, iou_matrix, wh_iou_matrix
-from oracles import (all_boxes, columns_of, dense_match_anchors, level_boxes, same_bits,
-                     synthetic_aerial_corpus)
+from oracles import (all_boxes, columns_of, dense_match_anchors, gt_dataset, level_boxes,
+                     same_bits, synthetic_aerial_corpus)
 
 
 def ceil_div(a, b):
@@ -296,7 +296,7 @@ class TestLazyAnchorBoxes:
         assert out.total == sum(lv.count for lv in out.levels)
         assert all(not lv.half.flags.writeable for lv in out.levels)
         gts = [gt(1, 1, 1, 10, 10, 60, 40), gt(2, 1, 1, 0, 0, 300, 200, ignore=True)]
-        assert match_anchors(out, columns_of(gts), 0.5, 0.3, force_match=True).n_gt == 1
+        assert match_anchors(out, gt_dataset(gts), 0.5, 0.3, force_match=True).n_gt == 1
 
     def test_cell_boxes_are_rows_of_all_boxes(self):
         spec = AnchorSpec(aspect_ratios=(0.2, 1.0, 3.0), strides=(3, 7, 13, 29, 61))
@@ -937,7 +937,7 @@ class TestMatching:
     def test_anchor_shaped_gt_is_recalled_at_threshold_one(self):
         anchors = small_grid()
         # cell (1, 1) center (6, 6): the 16x16 anchor there spans [-2, 14]
-        report = match_anchors(anchors, columns_of([gt(1, 1, 1, -2, -2, 14, 14)]),
+        report = match_anchors(anchors, gt_dataset([gt(1, 1, 1, -2, -2, 14, 14)]),
                                pos_iou=1.0, neg_iou=0.3)
         assert report.recall == 1.0
         assert report.n_gt == 1
@@ -946,15 +946,33 @@ class TestMatching:
     def test_counts_partition_the_anchor_set(self):
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 16, 16), gt(2, 1, 2, 4, 4, 12, 12)]
-        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.2)
+        report = match_anchors(anchors, gt_dataset(gts), pos_iou=0.5, neg_iou=0.2)
         assert report.n_positive + report.n_negative + report.n_ignored == report.n_anchors
         assert report.n_anchors == anchors.total
 
     def test_two_images_double_the_anchor_total(self):
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 16, 16), gt(2, 2, 1, 0, 0, 16, 16)]
-        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.2)
+        report = match_anchors(anchors, gt_dataset(gts), pos_iou=0.5, neg_iou=0.2)
         assert report.n_anchors == 2 * anchors.total
+
+    def test_an_image_without_gts_adds_only_negatives(self):
+        anchors = small_grid()
+        live = gt(1, 1, 1, -2, -2, 14, 14)
+        alone = match_anchors(anchors, gt_dataset([live]), pos_iou=0.5, neg_iou=0.3)
+        ds = Dataset((ImageRecord(1, 16, 16, "a.png"), ImageRecord(2, 16, 16, "b.png")),
+                     (Category(1, "car"),), columns_of([live]))
+        report = match_anchors(anchors, ds, pos_iou=0.5, neg_iou=0.3)
+        # image 2 is laid out like image 1, and every one of its anchors is background
+        assert report.n_anchors == 2 * anchors.total
+        assert report.n_negative == alone.n_negative + anchors.total
+        assert (report.n_positive, report.n_ignored) == (alone.n_positive, alone.n_ignored)
+        assert report.recall == alone.recall == 1.0
+
+    def test_instance_columns_alone_are_a_one_line_error(self):
+        ds = gt_dataset([gt(1, 1, 1, 0, 0, 8, 8)])
+        with pytest.raises(ValidationError, match=r"^ds must be a Dataset, got InstanceColumns$"):
+            match_anchors(small_grid(), ds.columns)
 
     @pytest.mark.parametrize("field", ["id", "image_id", "category_id"])
     def test_id_past_int64_is_a_one_line_error(self, field):
@@ -963,11 +981,11 @@ class TestMatching:
                                           0, 0, 16, 16)]
         with pytest.raises(ValidationError,
                            match=rf"^instance column '{field}' holds a value out of int64 range$"):
-            match_anchors(small_grid(), columns_of(gts))
+            match_anchors(small_grid(), gt_dataset(gts))
 
     def test_no_ground_truth_convention(self):
         anchors = small_grid()
-        report = match_anchors(anchors, columns_of([]))
+        report = match_anchors(anchors, gt_dataset([]))
         assert report.recall == 1.0
         assert report.zero_gt_denominator is True
         assert report.n_negative == report.n_anchors == anchors.total
@@ -976,7 +994,7 @@ class TestMatching:
         # an anchor is positive exactly when it overlaps the GT: on each axis
         # the 16x16 anchors of cells 0-3 reach the box [0, 8], the other 12 do not
         anchors = small_grid(image=(64, 64))
-        report = match_anchors(anchors, columns_of([gt(1, 1, 1, 0, 0, 8, 8)]),
+        report = match_anchors(anchors, gt_dataset([gt(1, 1, 1, 0, 0, 8, 8)]),
                                pos_iou=5e-324, neg_iou=5e-324)
         assert (report.n_positive, report.n_negative, report.n_ignored) == (
             16, anchors.total - 16, 0)
@@ -985,7 +1003,7 @@ class TestMatching:
     @pytest.mark.parametrize("force", [False, True])
     def test_a_gt_that_overlaps_no_anchor_stays_unrecalled(self, force):
         anchors = small_grid()
-        report = match_anchors(anchors, columns_of([gt(1, 1, 1, 500, 500, 510, 510)]),
+        report = match_anchors(anchors, gt_dataset([gt(1, 1, 1, 500, 500, 510, 510)]),
                                pos_iou=5e-324, neg_iou=5e-324, force_match=force)
         assert report.recall == 0.0 and report.unmatched_gt_ids == (1,)
         assert (report.n_positive, report.n_negative) == (0, anchors.total)
@@ -1001,11 +1019,11 @@ class TestMatching:
     def test_bad_thresholds_and_force_match_are_validation_errors(self, pos, neg, force):
         with pytest.raises(ValidationError, match=r"^(pos_iou|neg_iou|force_match) must be "
                                                   r"|^need 0 < neg_iou <= pos_iou <= 1, got "):
-            match_anchors(small_grid(), columns_of([gt(1, 1, 1, 0, 0, 8, 8)]), pos, neg,
+            match_anchors(small_grid(), gt_dataset([gt(1, 1, 1, 0, 0, 8, 8)]), pos, neg,
                           force_match=force)
 
     def test_bad_threshold_messages(self):
-        gts = columns_of([gt(1, 1, 1, 0, 0, 8, 8)])
+        gts = gt_dataset([gt(1, 1, 1, 0, 0, 8, 8)])
         for kwargs, message in (
             ({"pos_iou": "0.7"}, "pos_iou must be a real number, got '0.7'"),
             ({"neg_iou": True}, "neg_iou must be a real number, got True"),
@@ -1018,7 +1036,7 @@ class TestMatching:
             assert str(info.value) == message
 
     def test_integer_and_numpy_thresholds_echo_as_floats(self):
-        report = match_anchors(small_grid(), columns_of([gt(1, 1, 1, -2, -2, 14, 14)]),
+        report = match_anchors(small_grid(), gt_dataset([gt(1, 1, 1, -2, -2, 14, 14)]),
                                pos_iou=1, neg_iou=np.float32(0.5))
         assert (report.pos_iou, report.neg_iou) == (1.0, 0.5)
         assert type(report.pos_iou) is float and type(report.neg_iou) is float
@@ -1028,33 +1046,33 @@ class TestMatching:
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 8, 8)]
         with pytest.raises(ValidationError):
-            match_anchors(anchors, columns_of(gts), pos_iou=0.3, neg_iou=0.7)
+            match_anchors(anchors, gt_dataset(gts), pos_iou=0.3, neg_iou=0.7)
         with pytest.raises(ValidationError):
-            match_anchors(anchors, columns_of(gts), pos_iou=1.2, neg_iou=0.3)
+            match_anchors(anchors, gt_dataset(gts), pos_iou=1.2, neg_iou=0.3)
 
     def test_a_level_past_the_edge_bound_is_named(self, monkeypatch):
         gts = [gt(1, 1, 1, 0, 0, 16, 16)]
         # one anchor per cell: the bound counts cells along the longer side
         monkeypatch.setattr(anchors_module, "MAX_EDGE_ANCHORS", 8)
         assert ceil_div(32, 4) == 8 and ceil_div(11, 4) == 3
-        assert match_anchors(small_grid(image=(32, 11)), columns_of(gts)).n_gt == 1
-        assert match_anchors(small_grid(image=(11, 32)), columns_of(gts)).n_gt == 1
+        assert match_anchors(small_grid(image=(32, 11)), gt_dataset(gts)).n_gt == 1
+        assert match_anchors(small_grid(image=(11, 32)), gt_dataset(gts)).n_gt == 1
         with pytest.raises(ValidationError, match=rf"^level 0 has {ceil_div(33, 4)} cells x 1 "
                                                   r"anchors along one side, past "
                                                   r"MAX_EDGE_ANCHORS = 8$"):
-            match_anchors(small_grid(image=(11, 33)), columns_of(gts))
+            match_anchors(small_grid(image=(11, 33)), gt_dataset(gts))
         # three anchors per cell: with strides (8, 4) the finer level 1 is the longer one, so
         # 2 x 3 fits on level 0 and 3 x 3 does not on level 1
         spec = AnchorSpec(sizes=(16.0, 32.0), angles=(0.0,), strides=(8, 4))
         assert (ceil_div(12, 8), ceil_div(12, 4)) == (2, 3)
         with pytest.raises(ValidationError, match=rf"^level 1 has {ceil_div(12, 4)} cells x 3 "
                                                   r"anchors along "):
-            match_anchors(generate_anchors(spec, 12, 4), columns_of(gts))
+            match_anchors(generate_anchors(spec, 12, 4), gt_dataset(gts))
 
     @pytest.mark.parametrize("height", [4 * (1 << 21) + 1, 4 * 10**10, 10**23])
     def test_a_grid_too_large_to_lay_out_fails_before_allocating(self, height):
         anchors = small_grid(image=(4, height))
-        gts = columns_of([gt(1, 1, 1, 0, 0, 16, 16)])
+        gts = gt_dataset([gt(1, 1, 1, 0, 0, 16, 16)])
         side = ceil_div(height, 4)
         tracemalloc.start()
         try:
@@ -1070,17 +1088,17 @@ class TestMatching:
     def test_a_grid_at_the_edge_bound_is_matched(self):
         assert anchors_module.MAX_EDGE_ANCHORS == 1 << 21
         width = 4 * (1 << 21) - 3
-        report = match_anchors(small_grid(image=(width, 4)), columns_of([]))
+        report = match_anchors(small_grid(image=(width, 4)), gt_dataset([]))
         assert report.n_anchors == report.n_negative == ceil_div(width, 4) == 1 << 21
 
     def test_force_match_rescues_a_stranded_gt(self):
         anchors = small_grid()
         stranded = gt(1, 1, 1, 0, 0, 3, 3)  # IoU with every 16x16 anchor is tiny
-        plain = match_anchors(anchors, columns_of([stranded]), pos_iou=0.7, neg_iou=0.3)
+        plain = match_anchors(anchors, gt_dataset([stranded]), pos_iou=0.7, neg_iou=0.3)
         assert plain.recall == 0.0
         assert plain.unmatched_gt_ids == (1,)
 
-        forced = match_anchors(anchors, columns_of([stranded]), pos_iou=0.7, neg_iou=0.3,
+        forced = match_anchors(anchors, gt_dataset([stranded]), pos_iou=0.7, neg_iou=0.3,
                                force_match=True)
         assert forced.recall == 1.0
         assert forced.n_positive == plain.n_positive + 1
@@ -1090,7 +1108,7 @@ class TestMatching:
         anchors = small_grid()
         crowd = gt(1, 1, 1, -2, -2, 14, 14, ignore=True)
         live = gt(2, 1, 1, 0, 0, 16, 16)
-        report = match_anchors(anchors, columns_of([crowd, live]), pos_iou=0.99, neg_iou=0.3)
+        report = match_anchors(anchors, gt_dataset([crowd, live]), pos_iou=0.99, neg_iou=0.3)
         assert report.n_gt == 1
         # anchors overlapping the crowd region sit out instead of training as background
         assert report.n_ignored > 0
@@ -1099,19 +1117,19 @@ class TestMatching:
     def test_matched_histogram_accounts_for_every_gt(self):
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 16, 16), gt(2, 1, 2, 30, 30, 46, 46), gt(3, 2, 1, 1, 1, 2, 2)]
-        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.2)
+        report = match_anchors(anchors, gt_dataset(gts), pos_iou=0.5, neg_iou=0.2)
         assert sum(report.matched_per_gt.values()) == report.n_gt == 3
 
     def test_per_class_recall_splits_by_category(self):
         anchors = small_grid()
         gts = [gt(1, 1, 1, 0, 0, 16, 16), gt(2, 1, 2, 1, 1, 3, 3)]
-        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.2)
+        report = match_anchors(anchors, gt_dataset(gts), pos_iou=0.5, neg_iou=0.2)
         assert report.per_class_recall == {1: 1.0, 2: 0.0}
         assert report.recall == 0.5
 
     def test_small_anchor_size_recalls_small_objects(self):
         """A 16-anchor grid recovers a 14x14 box that a 32 grid cannot."""
-        target = columns_of([gt(1, 1, 1, 30, 30, 44, 44)])
+        target = gt_dataset([gt(1, 1, 1, 30, 30, 44, 44)])
         fine = match_anchors(small_grid(size=16, image=(64, 64)), target, pos_iou=0.5, neg_iou=0.3)
         coarse = match_anchors(small_grid(size=32, image=(64, 64)), target, pos_iou=0.5,
                                neg_iou=0.3)
@@ -1132,7 +1150,7 @@ class TestMatching:
                        ignore=bool(rng.random() < 0.2))
                 )
             pos_thr, neg_thr = 0.5, 0.3
-            report = match_anchors(anchors, columns_of(gts), pos_iou=pos_thr, neg_iou=neg_thr)
+            report = match_anchors(anchors, gt_dataset(gts), pos_iou=pos_thr, neg_iou=neg_thr)
 
             n_pos = n_neg = n_ign = 0
             recalled = 0
@@ -1167,7 +1185,7 @@ class TestMatching:
 
     def test_report_serializes_with_string_keys(self):
         anchors = small_grid()
-        report = match_anchors(anchors, columns_of([gt(1, 1, 1, 0, 0, 16, 16)]),
+        report = match_anchors(anchors, gt_dataset([gt(1, 1, 1, 0, 0, 16, 16)]),
                                pos_iou=0.5, neg_iou=0.2)
         blob = json.loads(json.dumps(report.to_dict()))
         assert blob["n_anchors"] == anchors.total
@@ -1218,11 +1236,12 @@ class TestMatchingAgainstDenseOracle:
         width, height = 160, 120
         # a grid over the top-left ``cover`` percent of each side leaves the far side uncovered
         anchors = generate_anchors(spec, width * cover // 100, height * cover // 100)
-        for _ in range(3):
+        for n_empty in range(3):
             gts = _random_gts(rng, width, height, n_images=int(rng.integers(1, 4)))
+            ds = gt_dataset(gts, n_empty)
             for (pos, neg), force in itertools.product(self.THRESHOLDS, (False, True)):
-                want = dense_match_anchors(anchors, gts, pos, neg, force_match=force)
-                got = match_anchors(anchors, columns_of(gts), pos, neg, force_match=force)
+                want = dense_match_anchors(anchors, ds, pos, neg, force_match=force)
+                got = match_anchors(anchors, ds, pos, neg, force_match=force)
                 assert got.to_dict() == want.to_dict(), (force, pos, neg)
 
     def test_gt_overlapping_no_anchor_claims_nothing(self):
@@ -1230,26 +1249,27 @@ class TestMatchingAgainstDenseOracle:
         far = gt(1, 1, 1, 500, 500, 510, 510)
         on_anchor_zero = gt(2, 1, 1, -6, -6, 10, 10)
         for gts in ([far], [far, on_anchor_zero]):
+            ds = gt_dataset(gts)
             for pos in (5e-324, 0.5, 1.0):
-                got = match_anchors(anchors, columns_of(gts), pos, 5e-324, force_match=True)
-                want = dense_match_anchors(anchors, gts, pos, 5e-324, force_match=True)
+                got = match_anchors(anchors, ds, pos, 5e-324, force_match=True)
+                want = dense_match_anchors(anchors, ds, pos, 5e-324, force_match=True)
                 assert got.to_dict() == want.to_dict()
                 assert got.unmatched_gt_ids == (1,)
         # the far GT makes no positive; the GT on anchor 0 makes that one
-        assert match_anchors(anchors, columns_of([far]), 1.0, 5e-324,
+        assert match_anchors(anchors, gt_dataset([far]), 1.0, 5e-324,
                              force_match=True).n_positive == 0
-        assert match_anchors(anchors, columns_of([far, on_anchor_zero]), 1.0, 5e-324,
+        assert match_anchors(anchors, gt_dataset([far, on_anchor_zero]), 1.0, 5e-324,
                              force_match=True).n_positive == 1
 
     def test_non_finite_boxes_rejected(self):
         anchors = small_grid()
         bad = Instance(1, 1, 1, BBox(0.0, 0.0, float("nan"), 4.0), 0.0, False)
         with pytest.raises(ValidationError):
-            match_anchors(anchors, columns_of([bad]))
+            match_anchors(anchors, gt_dataset([bad]))
         # an ignore GT is checked too, though it never enters the recall
         bad_crowd = Instance(2, 1, 1, BBox(0.0, float("nan"), 4.0, 4.0), 0.0, True)
         with pytest.raises(ValidationError, match="finite"):
-            match_anchors(anchors, columns_of([gt(1, 1, 1, 0, 0, 8, 8), bad_crowd]))
+            match_anchors(anchors, gt_dataset([gt(1, 1, 1, 0, 0, 8, 8), bad_crowd]))
 
 
 class TestSparseCountEdges:
@@ -1272,18 +1292,19 @@ class TestSparseCountEdges:
     THRESHOLDS = ((0.7, 0.3), (0.5, 0.5), (0.3, 0.3), (1.0, 1.0), (0.02, 0.01),
                   (1e-12, 5e-324))
 
+    @pytest.mark.parametrize("n_empty", [0, 2])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_reports_equal_the_dense_path(self, case):
+    def test_reports_equal_the_dense_path(self, case, n_empty):
         anchors = small_grid()
-        gts = self.CASES[case]
+        ds = gt_dataset(self.CASES[case], n_empty)
         for (pos, neg), force in itertools.product(self.THRESHOLDS, (False, True)):
-            want = dense_match_anchors(anchors, gts, pos, neg, force_match=force)
-            got = match_anchors(anchors, columns_of(gts), pos, neg, force_match=force)
+            want = dense_match_anchors(anchors, ds, pos, neg, force_match=force)
+            got = match_anchors(anchors, ds, pos, neg, force_match=force)
             assert got.to_dict() == want.to_dict(), (pos, neg, force)
 
     def test_far_gt_claims_nothing(self):
         anchors = small_grid()
-        report = match_anchors(anchors, columns_of([gt(1, 1, 1, *self.FAR)]), 0.7, 0.3,
+        report = match_anchors(anchors, gt_dataset([gt(1, 1, 1, *self.FAR)]), 0.7, 0.3,
                                force_match=True)
         assert (report.n_positive, report.n_negative, report.n_ignored) == (0, anchors.total, 0)
         assert report.matched_per_gt == {0: 1}
@@ -1295,11 +1316,11 @@ class TestSparseCountEdges:
     def test_equal_thresholds_on_random_scenes(self, spec):
         rng = np.random.default_rng(51)
         anchors = generate_anchors(spec, 160, 120)
-        for _ in range(3):
-            gts = _random_gts(rng, 160, 120, n_images=2)
+        for n_empty in range(3):
+            ds = gt_dataset(_random_gts(rng, 160, 120, n_images=2), n_empty)
             for thr, force in itertools.product((0.1, 0.4, 0.7), (False, True)):
-                want = dense_match_anchors(anchors, gts, thr, thr, force_match=force)
-                got = match_anchors(anchors, columns_of(gts), thr, thr, force_match=force)
+                want = dense_match_anchors(anchors, ds, thr, thr, force_match=force)
+                got = match_anchors(anchors, ds, thr, thr, force_match=force)
                 assert got.to_dict() == want.to_dict(), (thr, force)
 
 
@@ -1326,7 +1347,7 @@ def test_memory_is_bounded_without_a_dense_matrix():
     ]
     tracemalloc.start()
     try:
-        report = match_anchors(anchors, columns_of(gts), pos_iou=0.5, neg_iou=0.3,
+        report = match_anchors(anchors, gt_dataset(gts), pos_iou=0.5, neg_iou=0.3,
                                force_match=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1345,7 +1366,7 @@ def test_aerial_scene_matches_in_candidate_memory():
     rng = np.random.default_rng(11)
     xy = rng.uniform(0, 1, size=(400, 2)) * [3950, 2950]
     wh = rng.uniform(6, 64, size=(400, 2))
-    gts = columns_of([
+    gts = gt_dataset([
         gt(i + 1, 1, 1 + i % 3, x, y, min(x + w, 4000), min(y + h, 3000), ignore=i % 10 == 0)
         for i, ((x, y), (w, h)) in enumerate(zip(xy, wh))
     ])

@@ -25,7 +25,7 @@ from detforge.anchors import (AnchorSpec, cluster_anchor_sizes, generate_anchors
 from detforge.annotations import Instance  # noqa: E402
 from detforge.errors import BadExtent, ValidationError  # noqa: E402
 from detforge.geometry import BBox, wh_iou_matrix  # noqa: E402
-from oracles import columns_of, dense_match_anchors  # noqa: E402
+from oracles import dense_match_anchors, gt_dataset  # noqa: E402
 
 # 1e-300 .. 1e300: a product can underflow or overflow, a sum of 40 cannot
 EXTENT = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.999), st.integers(-300, 300))
@@ -98,7 +98,7 @@ THRESHOLD = st.one_of(st.floats(), st.floats(0.0, 1.0), st.sampled_from(
 @st.composite
 def scenes(draw):
     """Up to four GTs over two images, some crowd, some zero-area, and one that
-    reaches no anchor."""
+    reaches no anchor, then up to two images without GTs, as a Dataset."""
     gts = []
     for i in range(draw(st.integers(0, 4))):
         x0, y0 = draw(st.floats(-10, 26)), draw(st.floats(-10, 26))
@@ -107,18 +107,19 @@ def scenes(draw):
         gts.append(Instance(i + 1, draw(st.integers(1, 2)), 1, box, box.area,
                             draw(st.booleans())))
     far = BBox(500.0, 500.0, 510.0, 510.0)
-    return gts + [Instance(len(gts) + 1, 1, 2, far, far.area, False)]
+    gts.append(Instance(len(gts) + 1, 1, 2, far, far.area, False))
+    return gt_dataset(gts, draw(st.integers(0, 2)))
 
 
 @settings(max_examples=150, deadline=5000, derandomize=True, database=None)
-@given(pos=THRESHOLD, neg=THRESHOLD, force=st.booleans(), gts=scenes())
-def test_thresholds_are_accepted_exactly_in_the_unit_interval(pos, neg, force, gts):
+@given(pos=THRESHOLD, neg=THRESHOLD, force=st.booleans(), ds=scenes())
+def test_thresholds_are_accepted_exactly_in_the_unit_interval(pos, neg, force, ds):
     real = all(type(v) in (int, float) for v in (pos, neg))
     if not (real and 0 < neg <= pos <= 1):
         with pytest.raises(ValidationError):
-            match_anchors(GRID, columns_of(gts), pos, neg, force_match=force)
+            match_anchors(GRID, ds, pos, neg, force_match=force)
         return
-    got = match_anchors(GRID, columns_of(gts), pos, neg, force_match=force)
-    want = dense_match_anchors(GRID, gts, float(pos), float(neg), force_match=force)
+    got = match_anchors(GRID, ds, pos, neg, force_match=force)
+    want = dense_match_anchors(GRID, ds, float(pos), float(neg), force_match=force)
     assert got.to_dict() == want.to_dict()
-    assert len(gts) in got.unmatched_gt_ids  # the far GT is never recalled
+    assert len(ds.columns) in got.unmatched_gt_ids  # the far GT is never recalled

@@ -904,7 +904,7 @@ class TestObjectsOnlyAtTheEdge:
         compute_stats(tiled)
         export_dataset(tiled, tmp_path / "tiles.json")
         anchors = generate_anchors(AnchorSpec(), 800, 800)
-        assert match_anchors(anchors, ds.columns).n_gt > 0
+        assert match_anchors(anchors, ds).n_gt > 0
         assert calls == []
         # the counter does see the objects built for an API caller
         assert len(tiled.instances) == len(tiled.columns) > 0

@@ -475,6 +475,11 @@ class TestExitCodes:
             err = run_rejected(capsys, "cluster", "--ann", str(ann_path), *extra)
             assert err.startswith(f"detforge: annotation 42: {detail}")
 
+    def test_negative_max_dets_is_one_line(self, capsys, tiny_path, data_dir):
+        err = run_rejected(capsys, "eval", "--ann", tiny_path,
+                           "--dets", str(data_dir / "tiny_perfect_dets.json"), "--max-dets", "-1")
+        assert err == "detforge: max_dets must be at least 0, got -1\n"
+
     @pytest.mark.parametrize("thresholds", ["nan", "2.0", "-1", "0.5,inf"])
     def test_iou_thresholds_outside_unit_interval(self, capsys, tiny_path, data_dir,
                                                   thresholds):
@@ -1165,6 +1170,33 @@ class TestSubcommands:
             == result["n_anchors"]
         )
         assert 0.0 <= result["recall"] <= 1.0
+
+    def test_tile_then_match_counts_the_anchors_of_every_tile(self, capsys, tiny_path,
+                                                             tmp_path):
+        tiles = tmp_path / "t256.json"
+        run_json(capsys, "tile", "--ann", tiny_path, "--tile-size", "256", "--overlap", "0",
+                 "--export-ann", str(tiles))
+        result = run_json(capsys, "match", "--ann", str(tiles),
+                          "--image-size", "256", "256")["result"]
+        # 36 tiles, 6 of them with GTs, each laid out with 32,736 anchors
+        assert len(json.loads(tiles.read_text())["images"]) == 36
+        assert result["n_anchors"] == 36 * 32_736 == 1_178_496
+        assert (result["n_positive"], result["n_negative"], result["n_ignored"]) == (
+            2, 1_177_872, 622)
+        assert result["recall"] == 1 / 7
+
+    def test_match_counts_the_anchors_of_images_without_gts(self, capsys, tmp_path):
+        ann = tmp_path / "empty.json"
+        ann.write_text(json.dumps({
+            "images": [{"id": i, "width": 800, "height": 800, "file_name": f"{i}.png"}
+                       for i in (1, 2, 3)],
+            "annotations": [],
+            "categories": [{"id": 1, "name": "car"}],
+        }))
+        result = run_json(capsys, "match", "--ann", str(ann))["result"]
+        # the default grid lays out 319,764 anchors on each 800x800 image
+        assert result["n_anchors"] == result["n_negative"] == 3 * 319_764 == 959_292
+        assert result["zero_gt_denominator"] is True
 
     def test_eval_perfect_detections(self, capsys, tiny_path, data_dir):
         report = run_json(

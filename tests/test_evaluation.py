@@ -734,6 +734,20 @@ class TestCocoMap:
         # the interval is closed: both ends are legal thresholds
         coco_map(detection_columns(mixed_detections), mixed_dataset, iou_thresholds=[0.0, 1.0])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_dets": True}, "max_dets must be an integer, got True"),
+        ({"max_dets": 1.5}, "max_dets must be an integer, got 1.5"),
+        ({"max_dets": "3"}, "max_dets must be an integer, got '3'"),
+        ({"max_dets": -1}, "max_dets must be at least 0, got -1"),
+        ({"iou_thresholds": ["0.5"]}, "iou_thresholds[0] must be a real number, got '0.5'"),
+        ({"iou_thresholds": [0.5, True]}, "iou_thresholds[1] must be a real number, got True"),
+    ])
+    def test_bad_settings_are_one_line_errors(self, mixed_dataset, mixed_detections, kwargs,
+                                              message):
+        with pytest.raises(ValidationError) as info:
+            coco_map(detection_columns(mixed_detections), mixed_dataset, **kwargs)
+        assert str(info.value) == message
+
     def test_max_dets_keeps_top_scores_per_image(self, mixed_dataset):
         dets = [
             det(1, 1, 0, 0, 10, 10, 0.9),         # true hit
@@ -1163,3 +1177,32 @@ class TestDeviationsFromCocoEval:
         assert result.ap_small == -1.0
         assert result.ap_medium == 1.0
         assert result.ap == 1.0
+
+    def test_e_an_out_of_slice_gt_absorbs_any_number_of_dets(self):
+        small, medium = box(0, 0, 30, 30), box(100, 100, 140, 140)  # areas 900 and 1600
+        ds = self.dataset((1, small, small.area, False), (1, medium, medium.area, False))
+        near = box(0, 0, 33, 33)  # area 1089, medium; IoU 900 / 1089 = 0.826 with the small GT
+        dets = [Detection(1, 1, near, 0.9), Detection(1, 1, near, 0.8),
+                Detection(1, 1, medium, 0.7)]
+        result = coco_map(detection_columns(dets), ds)
+        # in the medium slice the small GT is ignored and absorbs both near
+        # dets at the seven thresholds up to 0.8, leaving the hit alone (AP
+        # 1), and neither at 0.85-0.95, where they rank as two FPs above it
+        # (AP 1/3): (7 + 3 / 3) / 10. COCOeval lets a matched non-crowd GT
+        # absorb no second det (``gtm > 0 and not iscrowd``: continue), so
+        # the second near det is an FP there too (AP 1/2), and it would
+        # report ap_medium (7 / 2 + 3 / 3) / 10 = 0.45
+        assert result.ap_medium == 0.8
+
+    def test_f_an_iou_tie_between_live_gts_goes_to_the_lower_index(self):
+        left, right = box(0, 0, 10, 10), box(2, 0, 12, 10)
+        ds = self.dataset((1, left, left.area, False), (1, right, right.area, False))
+        dets = [Detection(1, 1, box(1, 0, 11, 10), 0.9),  # IoU 90 / 110 with both GTs
+                Detection(1, 1, left, 0.8)]  # IoU 1 with left, 80 / 120 with right
+        result = coco_map(detection_columns(dets), ds)
+        # at 0.75 the first det takes the left GT, the lower index, so the
+        # second, whose IoU with the right GT is 2/3, is an FP: AP 51 / 101.
+        # COCOeval skips a GT only when ``ious < iou``, so an equal IoU
+        # replaces the match and the first det takes the right GT, the last
+        # one; the second then takes the left and it would report ap75 1.0
+        assert result.ap75 == 51 / 101
