@@ -22,7 +22,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotations import Dataset, Report, check_count, check_length, check_real, group_rows
+from .annotations import (
+    Dataset,
+    Report,
+    check_count,
+    check_length,
+    check_real,
+    check_reals,
+    group_rows,
+)
 from .errors import BadExtent, TooFewBoxes, ValidationError
 from .geometry import WhIouBlock, iou_matrix
 
@@ -65,9 +73,10 @@ class AnchorSpec:
     shared_sizes: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(float(s) for s in self.sizes))
-        object.__setattr__(self, "aspect_ratios", tuple(float(r) for r in self.aspect_ratios))
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        for name in ("sizes", "aspect_ratios", "angles"):
+            object.__setattr__(self, name, check_reals(name, getattr(self, name)))
+        if not isinstance(self.shared_sizes, bool):
+            raise ValidationError(f"shared_sizes must be a bool, got {self.shared_sizes!r}")
         strides = tuple(check_length("strides", s, 1) for s in self.strides)
         object.__setattr__(self, "strides", strides)
         for name, values in (("sizes", self.sizes), ("aspect ratios", self.aspect_ratios)):

@@ -408,6 +408,15 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
+def check_reals(name: str, values) -> Tuple[float, ...]:
+    """``values`` as floats, if it is a list, tuple or 1-D array of ``check_real`` numbers."""
+    if isinstance(values, np.ndarray) and values.ndim != 1:  # its repr can span lines
+        raise ValidationError(f"{name} must be a list of real numbers, got a {values.ndim}-D array")
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValidationError(f"{name} must be a list of real numbers, got {values!r}")
+    return tuple(check_real(f"{name}[{i}]", v) for i, v in enumerate(values))
+
+
 def _head(values, n, width: int = 1):
     """The values of the first ``n`` rows, ``width`` values a row; all of them when n is None."""
     return values if n is None else values[:n * width]
@@ -644,6 +653,16 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
     )
 
 
+def slice_masks(area: np.ndarray, slices) -> np.ndarray:
+    """(len(slices), N) bool: row s marks the areas in slice s, ``[low, high)``.
+
+    The one area test of every size slice; slices may overlap or nest.
+    """
+    lo = np.array([low for _, low, _ in slices])[:, None]
+    hi = np.array([high for _, _, high in slices])[:, None]
+    return (lo <= area) & (area < hi)
+
+
 def compute_stats(ds: Dataset) -> StatsReport:
     """Instance counts per category, size buckets, and per-image histogram.
 
@@ -651,15 +670,13 @@ def compute_stats(ds: Dataset) -> StatsReport:
     """
     c = ds.columns
     names = [name for name, _, _ in SIZE_SLICES]
-    n_slices = len(names)
     counts = {cat.id: 0 for cat in ds.categories}
     buckets = {cat.id: dict.fromkeys(names, 0) for cat in ds.categories}
-    bounds = [high for _, _, high in SIZE_SLICES[:-1]]
-    bucket = np.searchsorted(bounds, c.area, side="right")
     cats, cat_row = np.unique(c.category_id, return_inverse=True)
-    tally = np.bincount(n_slices * cat_row + bucket, minlength=n_slices * len(cats))
-    for cat_id, row in zip(cats.tolist(), tally.reshape(-1, n_slices).tolist()):
-        counts[cat_id] = sum(row)
+    tally = np.array([np.bincount(cat_row[mask], minlength=len(cats))
+                      for mask in slice_masks(c.area, SIZE_SLICES)])
+    for cat_id, n, row in zip(cats.tolist(), np.bincount(cat_row).tolist(), tally.T.tolist()):
+        counts[cat_id] = n
         buckets[cat_id] = dict(zip(names, row))
 
     histogram: Dict[int, int] = {}

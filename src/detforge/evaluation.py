@@ -37,12 +37,13 @@ from .annotations import (
     _xywh_checks,
     box_rules,
     check_count,
-    check_real,
+    check_reals,
     check_references,
     checked,
     freeze_columns,
     group_rows,
     read_text,
+    slice_masks,
 )
 from .errors import MissingKey, ValidationError
 from .geometry import iou_matrix
@@ -235,10 +236,8 @@ def average_precision(flags, scores, n_gt: int) -> float:
 _SLICES = (("all", 0.0, math.inf), *SIZE_SLICES)
 
 
-# Bounds on one lock-step chunk: the (image, class) groups it holds and
-# the cells of its padded (groups, dets, GTs) IoU block. A group bigger
-# than the cell bound is matched alone.
-_CHUNK_GROUPS = 128
+# The bound on one lock-step chunk: the cells of its padded (groups,
+# dets, GTs) IoU block. A group bigger than the bound is matched alone.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -248,10 +247,7 @@ def _chunks(n_dets: np.ndarray, n_gts: np.ndarray):
     for i in np.argsort(-n_dets, kind="stable").tolist():
         g = max(g_max, int(n_gts[i]))
         # the chunk's first group has its most dets
-        if chunk and (
-            len(chunk) == _CHUNK_GROUPS
-            or (len(chunk) + 1) * int(n_dets[chunk[0]]) * g > _CHUNK_CELLS
-        ):
+        if chunk and (len(chunk) + 1) * int(n_dets[chunk[0]]) * g > _CHUNK_CELLS:
             yield chunk
             chunk, g = [], max(int(n_gts[i]), 1)
         chunk.append(i)
@@ -353,8 +349,8 @@ def coco_map(
 
     ``max_dets`` caps each image's detections, the highest scores kept:
     a non-bool integer of at least 0, where 0 means no cap.
-    ``iou_thresholds``, the COCO ten when None, are non-bool real numbers
-    in [0, 1]. Anything else is a one-line ``ValidationError``.
+    ``iou_thresholds``, the COCO ten when None, are a list of non-bool
+    real numbers in [0, 1]. Anything else is a one-line ``ValidationError``.
 
     Size slices turn out-of-slice GTs into ignore entries and drop
     out-of-slice detections by their own box area before matching. The
@@ -363,9 +359,8 @@ def coco_map(
     and threshold runs on it in lock step.
     """
     max_dets = check_count("max_dets", max_dets, 0)
-    thresholds = IOU_THRESHOLDS if iou_thresholds is None else tuple(
-        check_real(f"iou_thresholds[{i}]", t) for i, t in enumerate(iou_thresholds)
-    )
+    thresholds = (IOU_THRESHOLDS if iou_thresholds is None
+                  else check_reals("iou_thresholds", iou_thresholds))
     if not thresholds:
         raise ValidationError("at least one IoU threshold required")
     if not all(math.isfinite(t) and 0.0 <= t <= 1.0 for t in thresholds):
@@ -389,15 +384,13 @@ def coco_map(
     det_start = np.concatenate(([0], np.cumsum(n_det)))
     gt_start = np.concatenate(([0], np.cumsum(n_gt)))
 
-    lo = np.array([sl[1] for sl in _SLICES])[:, None]
-    hi = np.array([sl[2] for sl in _SLICES])[:, None]
     det_area = (det_boxes[:, 2] - det_boxes[:, 0]) * (det_boxes[:, 3] - det_boxes[:, 1])
-    det_in = (lo <= det_area) & (det_area < hi)
-    gt_area = gt.area[flat_gts]
-    gt_crowd = gt.ignore[flat_gts]
+    det_in = slice_masks(det_area, _SLICES)
+    # per slice, the non-crowd GTs in it
+    inst_live = ~gt.ignore & slice_masks(gt.area, _SLICES)
     # one trailing False column stands in for the GT padding of a chunk
     gt_live = np.zeros((len(_SLICES), len(flat_gts) + 1), dtype=bool)
-    gt_live[:, :-1] = ~gt_crowd & (lo <= gt_area) & (gt_area < hi)
+    gt_live[:, :-1] = inst_live[:, flat_gts]
 
     flags = np.full((len(_SLICES), len(thresholds), len(scores)), -1, dtype=np.int8)
     for chunk in _chunks(n_det, n_gt):
@@ -411,7 +404,7 @@ def coco_map(
         chunk_flags = _lockstep_flags(
             iou_matrix(det_boxes[d_idx], gt_boxes[g_idx]),
             n_det[rows],
-            det_in[:, d_idx] & d_valid,
+            det_in[:, d_idx],
             gt_live[:, g_idx],
             ~gt_live[:, g_idx] & g_valid,
             thresholds,
@@ -422,7 +415,6 @@ def coco_map(
     # keeps image order, then rank order, between equal keys.
     order = np.lexsort((det_rows, -scores))
     class_order = {c: order[class_id[order] == c] for c in class_ids}
-    inst_live = ~gt.ignore & (lo <= gt.area) & (gt.area < hi)
     # per slice, each class with GT in it -> its AP at every threshold
     table = [{} for _ in _SLICES]
     for c, idx in class_order.items():

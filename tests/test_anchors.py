@@ -83,6 +83,24 @@ class TestAnchorSpec:
             AnchorSpec(strides=(stride, 8, 16, 32, 64))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"aspect_ratios": "12"}, "aspect_ratios must be a list of real numbers, got '12'"),
+        ({"sizes": ("16",)}, "sizes[0] must be a real number, got '16'"),
+        ({"sizes": (True,)}, "sizes[0] must be a real number, got True"),
+        ({"angles": (False,)}, "angles[0] must be a real number, got False"),
+        ({"sizes": 16.0}, "sizes must be a list of real numbers, got 16.0"),
+        ({"shared_sizes": "no"}, "shared_sizes must be a bool, got 'no'"),
+    ])
+    def test_settings_have_their_types(self, kwargs, message):
+        """Each was once a string read by character, a bool used as a number or a bare error."""
+        with pytest.raises(ValidationError) as exc:
+            AnchorSpec(**kwargs)
+        assert str(exc.value) == message
+
+    def test_an_array_of_sizes_is_a_list(self):
+        spec = AnchorSpec(sizes=np.array([16, 32]), strides=(4, 8))
+        assert spec.sizes == (16.0, 32.0) and all(type(s) is float for s in spec.sizes)
+
     def test_largest_finite_anchors_are_accepted(self):
         # s * s just below the float maximum, and a ratio that keeps both extents finite
         spec = AnchorSpec(sizes=(1.3e154,), aspect_ratios=(1e-300, 1e300), strides=(4,))

@@ -25,6 +25,7 @@ from detforge.annotations import (
     compute_stats,
     export_dataset,
     load_dataset,
+    slice_masks,
     tile,
 )
 from detforge.errors import (
@@ -195,6 +196,36 @@ class TestStats:
                         categories=(Category(1, "c"),))
         buckets = compute_stats(ds).per_category_size_buckets[1]
         assert list(buckets) == [name for name, _, _ in SIZE_SLICES]
+
+    @pytest.mark.parametrize("area, stats_row, eval_row", [
+        (0.0, [1, 0, 0], [1, 1, 0, 0]),
+        (1023.0, [1, 0, 0], [1, 1, 0, 0]),
+        (math.nextafter(1024.0, 0.0), [1, 0, 0], [1, 1, 0, 0]),
+        (1024.0, [0, 1, 0], [1, 0, 1, 0]),
+        (9216.0, [0, 0, 1], [1, 0, 0, 1]),
+        (1e300, [0, 0, 1], [1, 0, 0, 1]),
+    ])
+    def test_slice_masks_are_half_open(self, area, stats_row, eval_row):
+        """Each slice holds its low bound and not its high one."""
+        areas = np.array([area])
+        assert slice_masks(areas, SIZE_SLICES)[:, 0].tolist() == list(map(bool, stats_row))
+        assert slice_masks(areas, evaluation._SLICES)[:, 0].tolist() == list(map(bool, eval_row))
+
+    def test_nested_slices_count_an_area_in_each(self, monkeypatch):
+        """A slice inside another counts its areas in both, as AI-TOD's sub-slices need."""
+        monkeypatch.setattr(annotations, "SIZE_SLICES", (*SIZE_SLICES, ("tiny", 0.0, 1024.0)))
+        ds = dataset_of(
+            images=(ImageRecord(1, 500, 500, "x.png"),),
+            instances=(
+                Instance(1, 1, 1, from_xywh(0, 0, 31, 33), 1023.0, False),
+                Instance(2, 1, 1, from_xywh(0, 0, 32, 32), 1024.0, False),
+            ),
+            categories=(Category(1, "c"),),
+        )
+        report = compute_stats(ds)
+        assert report.per_category_size_buckets[1] == {"small": 1, "medium": 1, "large": 0,
+                                                       "tiny": 1}
+        assert report.per_category_counts == {1: 2}
 
     def test_empty_dataset(self):
         report = compute_stats(dataset_of(images=(), instances=(), categories=()))

@@ -741,6 +741,12 @@ class TestCocoMap:
         ({"max_dets": -1}, "max_dets must be at least 0, got -1"),
         ({"iou_thresholds": ["0.5"]}, "iou_thresholds[0] must be a real number, got '0.5'"),
         ({"iou_thresholds": [0.5, True]}, "iou_thresholds[1] must be a real number, got True"),
+        ({"iou_thresholds": 0.5}, "iou_thresholds must be a list of real numbers, got 0.5"),
+        ({"iou_thresholds": "0.5"}, "iou_thresholds must be a list of real numbers, got '0.5'"),
+        ({"iou_thresholds": {0.5: 1}},
+         "iou_thresholds must be a list of real numbers, got {0.5: 1}"),
+        ({"iou_thresholds": np.full((2, 2), 0.5)},
+         "iou_thresholds must be a list of real numbers, got a 2-D array"),
     ])
     def test_bad_settings_are_one_line_errors(self, mixed_dataset, mixed_detections, kwargs,
                                               message):
@@ -896,14 +902,29 @@ class TestCocoMapAgainstScalarOracle:
             assert (coco_map(detection_columns(dets), ds).to_dict()
                     == scalar_coco_map(dets, ds).to_dict())
 
-    @pytest.mark.parametrize("groups, cells", [(1, 1 << 16), (3, 1 << 16), (128, 40)])
-    def test_chunk_boundaries_change_nothing(self, monkeypatch, groups, cells):
-        monkeypatch.setattr(evaluation, "_CHUNK_GROUPS", groups)
+    @pytest.mark.parametrize("cells", [1, 3, 40, 1 << 16])
+    def test_chunk_boundaries_change_nothing(self, monkeypatch, cells):
         monkeypatch.setattr(evaluation, "_CHUNK_CELLS", cells)
-        rng = np.random.default_rng(groups + cells)
+        rng = np.random.default_rng(cells)
         ds, dets = random_case(rng, n_images=12, n_classes=3, max_gts=8, max_dets=12)
         got = coco_map(detection_columns(dets), ds)
         assert got.to_dict() == scalar_coco_map(dets, ds).to_dict()
+
+    @pytest.mark.parametrize("cells", [1, 3, 40, 1 << 16])
+    def test_chunks_cover_every_group_once_within_the_cell_bound(self, monkeypatch, cells):
+        monkeypatch.setattr(evaluation, "_CHUNK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for trial in range(50):
+            n_groups = int(rng.integers(0, 40))
+            n_dets = rng.integers(1, 300, n_groups)
+            n_gts = rng.integers(0, 300, n_groups)
+            chunks = list(evaluation._chunks(n_dets, n_gts))
+            order = [i for chunk in chunks for i in chunk]
+            assert sorted(order) == list(range(n_groups)), f"trial {trial}"
+            assert (np.diff(n_dets[order]) <= 0).all(), f"trial {trial}"
+            for chunk in chunks:
+                padded = len(chunk) * n_dets[chunk].max() * max(n_gts[chunk].max(), 1)
+                assert len(chunk) == 1 or padded <= cells, f"trial {trial}"
 
     def test_padded_cells_of_a_chunk_are_never_read(self, monkeypatch):
         original = evaluation._lockstep_flags
@@ -916,7 +937,7 @@ class TestCocoMapAgainstScalarOracle:
                             thresholds)
 
         monkeypatch.setattr(evaluation, "_lockstep_flags", poisoned)
-        monkeypatch.setattr(evaluation, "_CHUNK_GROUPS", 5)
+        monkeypatch.setattr(evaluation, "_CHUNK_CELLS", 60)
         rng = np.random.default_rng(31)
         for trial in range(10):
             ds, dets = random_case(rng, n_images=6, n_classes=3, max_gts=6, max_dets=10)
@@ -1071,7 +1092,7 @@ class TestLockstepAgainstOracle:
             return original(*args)
 
         monkeypatch.setattr(evaluation, "_lockstep_flags", checked)
-        monkeypatch.setattr(evaluation, "_CHUNK_GROUPS", 4)
+        monkeypatch.setattr(evaluation, "_CHUNK_CELLS", 50)
         rng = np.random.default_rng(11)
         for _ in range(10):
             ds, dets = random_case(rng, n_images=8, n_classes=3, max_gts=6, max_dets=10)
