@@ -35,17 +35,7 @@ from .augment import (
     replay,
     short_edge_resize,
 )
-from .errors import (
-    ConfigTypeError,
-    DanglingReference,
-    DetforgeError,
-    InvalidOverlap,
-    MissingKey,
-    NegativeExtent,
-    TooFewBoxes,
-    UnknownConfigKey,
-    ValidationError,
-)
+from .errors import ValidationError
 from .evaluation import (
     DetectionColumns,
     EvalResult,

@@ -27,11 +27,12 @@ from .annotations import (
     Report,
     check_count,
     check_length,
+    check_list,
     check_real,
     check_reals,
     group_rows,
 )
-from .errors import BadExtent, TooFewBoxes, ValidationError
+from .errors import BadExtent, ValidationError
 from .geometry import WhIouBlock, iou_matrix
 
 # The most anchors along one side of a level's grid that ``match_anchors``
@@ -51,8 +52,9 @@ MAX_SWEEP_KS = 1024
 MAX_RESTARTS = 1000
 
 # The most Lloyd iterations one restart runs. Restarts on the benchmark's
-# 10k aerial boxes converge in 150-190 iterations, so the bound sits far
-# past convergence and still ends a restart whose assignments never settle.
+# 10k aerial boxes converge in 129-190 iterations (streams (0, r) for
+# r < 5 take 166, 190, 150, 134 and 129), so the bound sits far past
+# convergence and still ends a restart whose assignments never settle.
 MAX_ITERS = 10_000
 
 
@@ -77,7 +79,8 @@ class AnchorSpec:
             object.__setattr__(self, name, check_reals(name, getattr(self, name)))
         if not isinstance(self.shared_sizes, bool):
             raise ValidationError(f"shared_sizes must be a bool, got {self.shared_sizes!r}")
-        strides = tuple(check_length("strides", s, 1) for s in self.strides)
+        strides = check_list("strides", self.strides, "integers",
+                             lambda name, s: check_length(name, s, 1))
         object.__setattr__(self, "strides", strides)
         for name, values in (("sizes", self.sizes), ("aspect ratios", self.aspect_ratios)):
             if not values or not all(0.0 < v < math.inf for v in values):
@@ -374,7 +377,7 @@ def cluster_anchor_sizes(
     if max_iters > MAX_ITERS:
         raise ValidationError(f"{max_iters} iterations pass MAX_ITERS = {MAX_ITERS}")
     if wh.shape[0] < k:
-        raise TooFewBoxes(f"{wh.shape[0]} boxes for k={k}")
+        raise ValidationError(f"{wh.shape[0]} boxes for k={k}")
 
     block = WhIouBlock(wh)  # one per call: every seeding and restart reuses it
     best = None
@@ -480,6 +483,18 @@ def _gt_overlaps(anchors: AnchorSet, boxes: np.ndarray):
         yield np.concatenate(idx), iou_matrix(np.concatenate(corners), boxes[g])[:, 0]
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique(values)`` by a sort.
+
+    A bare ``np.unique`` imports ``numpy.ma`` on NumPy 2.4, some 8-16 ms
+    of every ``match`` process, where its ``return_*`` forms and a sort do not.
+    """
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def match_anchors(
     anchors: AnchorSet,
     ds: Dataset,
@@ -555,9 +570,9 @@ def match_anchors(
                 a = int(np.argmax(vals))  # candidates ascend, so ties go to the lowest index
                 positive.append(idx[[a]])  # a copy: a view would keep all of idx alive
                 matched[g] += int(vals[a] < pos_iou)
-        positive = np.unique(np.concatenate(positive))
+        positive = _distinct(np.concatenate(positive))
         n_positive += positive.size
-        n_not_negative += np.unique(np.concatenate([positive] + kept)).size
+        n_not_negative += _distinct(np.concatenate([positive] + kept)).size
 
     is_live = ~gts.ignore
     counts = matched[is_live]

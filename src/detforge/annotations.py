@@ -26,13 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DanglingReference,
-    InvalidOverlap,
-    MissingKey,
-    NegativeExtent,
-    ValidationError,
-)
+from .errors import ValidationError
 from .geometry import BBox, clip_boxes
 
 # COCO size-bucket area thresholds (px^2), matching the APs/APm/APl split.
@@ -315,7 +309,7 @@ def check_references(
     category_ids: np.ndarray,
     record_kind: str,
 ) -> None:
-    """Raise DanglingReference for the first record naming an unknown id.
+    """Raise a ``dangling`` error for the first record naming an unknown id.
 
     Records are rows of the aligned int64 columns; ``ids`` are the ids
     the message names. The first offender in row order is reported, and
@@ -326,7 +320,17 @@ def check_references(
     if bad.any():
         row = int(np.argmax(bad))
         kind, refs = ("image", image_ids) if bad_image[row] else ("category", category_ids)
-        raise DanglingReference(int(ids[row]), kind, int(refs[row]), record_kind)
+        raise dangling(record_kind, int(ids[row]), kind, int(refs[row]))
+
+
+def missing_key(key: str) -> ValidationError:
+    """The error for a required key that a file or record leaves out."""
+    return ValidationError(f"missing required key: {key!r}")
+
+
+def dangling(record_kind: str, record_id, ref_kind: str, ref_id) -> ValidationError:
+    """The error for a record that names an image or category id that does not exist."""
+    return ValidationError(f"{record_kind} {record_id} references unknown {ref_kind} id {ref_id}")
 
 
 _MISSING = object()
@@ -408,13 +412,22 @@ def check_real(name: str, value) -> float:
     return float(value)
 
 
-def check_reals(name: str, values) -> Tuple[float, ...]:
-    """``values`` as floats, if it is a list, tuple or 1-D array of ``check_real`` numbers."""
+def check_list(name: str, values, noun: str, check) -> tuple:
+    """``values`` as a tuple of ``check(f"{name}[i]", v)``, if it is a list, tuple or 1-D array.
+
+    A string, a mapping or a scalar fails whole, naming ``noun``, so none
+    is read one character or one key at a time.
+    """
     if isinstance(values, np.ndarray) and values.ndim != 1:  # its repr can span lines
-        raise ValidationError(f"{name} must be a list of real numbers, got a {values.ndim}-D array")
+        raise ValidationError(f"{name} must be a list of {noun}, got a {values.ndim}-D array")
     if not isinstance(values, (list, tuple, np.ndarray)):
-        raise ValidationError(f"{name} must be a list of real numbers, got {values!r}")
-    return tuple(check_real(f"{name}[{i}]", v) for i, v in enumerate(values))
+        raise ValidationError(f"{name} must be a list of {noun}, got {values!r}")
+    return tuple(check(f"{name}[{i}]", v) for i, v in enumerate(values))
+
+
+def check_reals(name: str, values) -> Tuple[float, ...]:
+    """``values`` as floats, if it is a ``check_list`` of ``check_real`` numbers."""
+    return check_list(name, values, "real numbers", check_real)
 
 
 def _head(values, n, width: int = 1):
@@ -473,7 +486,7 @@ def _field_checks(records, n, where: str, key: str, kind: type):
     """
     column = _gather(records, n, key)
     missing, wrong = _type_flags(column, {kind})
-    n = yield missing, lambda i: MissingKey(f"{where}[{i}].{key}")
+    n = yield missing, lambda i: missing_key(f"{where}[{i}].{key}")
     n = yield wrong, lambda i: ValidationError(
         f"{where}[{i}].{key} must be {_TYPE_NAMES[kind]}, got {type(column[i]).__name__}"
     )
@@ -541,14 +554,14 @@ def _annotation_checks(anns: list, row_of: Mapping[int, int], limits: np.ndarray
         )
     bboxes = _gather(anns, n, "bbox")
     missing, not_list = _type_flags(bboxes, {list})
-    n = yield missing, lambda i: MissingKey(f"annotations[{i}].bbox")
+    n = yield missing, lambda i: missing_key(f"annotations[{i}].bbox")
     xywh, n = yield from _xywh_checks(bboxes, not_list, n, "annotations")
-    n = yield _per_row(xywh[:, 2:] < 0, 2), lambda i: NegativeExtent(
-        ids[i], *xywh[i, 2:].tolist()
+    n = yield _per_row(xywh[:, 2:] < 0, 2), lambda i: ValidationError(
+        "annotation {} has negative extent: w={}, h={}".format(ids[i], *xywh[i, 2:].tolist())
     )
     image_rows = list(map(row_of.get, _head(image_ids, n)))
     n = yield None in image_rows and [row is None for row in image_rows], lambda i: (
-        DanglingReference(ids[i], "image", image_ids[i])
+        dangling("annotation", ids[i], "image", image_ids[i])
     )
 
     xywh = xywh[:n]
@@ -627,7 +640,7 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
         raise ValidationError(f"annotation file must hold a JSON object, got {type(raw).__name__}")
     for key in ("images", "annotations", "categories"):
         if key not in raw:
-            raise MissingKey(key)
+            raise missing_key(key)
         if not isinstance(raw[key], list):
             raise ValidationError(f"{key} must be an array, got {type(raw[key]).__name__}")
 
@@ -730,7 +743,7 @@ def tile(
     tile_size = check_length("tile_size", tile_size, 1)
     overlap = check_length("overlap", overlap, 0)
     if overlap >= tile_size:
-        raise InvalidOverlap(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
+        raise ValidationError(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
     min_visibility = check_real("min_visibility", min_visibility)
     if not (0 < min_visibility <= 1):
         raise ValidationError(f"min_visibility must be in (0, 1], got {min_visibility}")

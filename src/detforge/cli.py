@@ -36,7 +36,7 @@ from .anchors import (
     sweep_k,
 )
 from .augment import AugmentationPipeline, ImageGeom, replay
-from .errors import BadExtent, ConfigTypeError, UnknownConfigKey, ValidationError
+from .errors import BadExtent, ValidationError
 from .evaluation import coco_map, load_detections
 from .losses import (
     LogitsBatch,
@@ -185,6 +185,10 @@ _SCALAR_CHECKS = {
 _LIST_TAGS = {"floats": ("float", None), "ints": ("int", None), "pair": ("int", 2)}
 
 
+def _type_error(path: str, expected: str, value) -> ValidationError:
+    return ValidationError(f"config key {path!r} expects {expected}, got {type(value).__name__}")
+
+
 def _check(path: str, tag: str, value):
     """Type-check one setting, element by element for lists.
 
@@ -194,14 +198,14 @@ def _check(path: str, tag: str, value):
     if tag in _LIST_TAGS:
         element_tag, length = _LIST_TAGS[tag]
         if not isinstance(value, list):
-            raise ConfigTypeError(path, "list", value)
+            raise _type_error(path, "list", value)
         if length is not None and len(value) != length:
             raise ValidationError(
                 f"config key {path!r} expects {length} entries, got {len(value)}"
             )
         return [_check(f"{path}[{i}]", element_tag, v) for i, v in enumerate(value)]
     if not _SCALAR_CHECKS[tag](value):
-        raise ConfigTypeError(path, tag, value)
+        raise _type_error(path, tag, value)
     # every str setting is a path, and "" names no file
     if tag == "str" and value == "":
         raise ValidationError(f"config key {path!r} is an empty path")
@@ -255,13 +259,13 @@ def resolve_config(args) -> Tuple[dict, dict, dict]:
             raise ValidationError("config file must hold a JSON object")
         for block, node in file_config.items():
             if block not in _BLOCKS:
-                raise UnknownConfigKey(block)
+                raise ValidationError(f"unknown config key: {block!r}")
             if not isinstance(node, dict):
-                raise ConfigTypeError(block, "object", node)
+                raise _type_error(block, "object", node)
             for key, value in node.items():
                 path = f"{block}.{key}"
                 if path not in _TAGS:
-                    raise UnknownConfigKey(path)
+                    raise ValidationError(f"unknown config key: {path!r}")
                 settings.append((path, value, "file"))
     settings += [(path, getattr(args, path), "flag") for path, *_ in rows]
     for path, value, source in settings:

@@ -42,10 +42,11 @@ from .annotations import (
     checked,
     freeze_columns,
     group_rows,
+    missing_key,
     read_text,
     slice_masks,
 )
-from .errors import MissingKey, ValidationError
+from .errors import ValidationError
 from .geometry import iou_matrix
 
 IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
@@ -117,7 +118,7 @@ def _detection_checks(raw: list):
     columns = {key: _gather(raw, n, key) for key in kinds}
     flags = {key: _type_flags(columns[key], kinds[key]) for key in kinds}
     for key in kinds:
-        n = yield flags[key][0], lambda i, key=key: MissingKey(f"detections[{i}].{key}")
+        n = yield flags[key][0], lambda i, key=key: missing_key(f"detections[{i}].{key}")
     for key, kind in (("image_id", "an integer"), ("category_id", "an integer"),
                       ("score", "a number")):
         n = yield flags[key][1], lambda i, key=key, kind=kind: ValidationError(

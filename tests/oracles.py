@@ -39,13 +39,7 @@ from detforge.annotations import (
     export_dataset,
     read_text,
 )
-from detforge.errors import (
-    DanglingReference,
-    InvalidOverlap,
-    MissingKey,
-    NegativeExtent,
-    ValidationError,
-)
+from detforge.errors import ValidationError
 from detforge.evaluation import DetectionColumns
 from detforge.geometry import BBox, clip, iou_matrix
 
@@ -281,16 +275,18 @@ def oracle_check_dataset(images, instances, categories):
     category_ids = {c.id for c in categories}
     for inst in instances:
         if inst.image_id not in image_ids:
-            raise DanglingReference(inst.id, "image", inst.image_id)
+            raise ValidationError(
+                f"annotation {inst.id} references unknown image id {inst.image_id}")
         if inst.category_id not in category_ids:
-            raise DanglingReference(inst.id, "category", inst.category_id)
+            raise ValidationError(
+                f"annotation {inst.id} references unknown category id {inst.category_id}")
 
 
 def oracle_require(record, key, where):
     if not isinstance(record, dict):
         raise ValidationError(f"{where} must be an object, got {type(record).__name__}")
     if key not in record:
-        raise MissingKey(f"{where}.{key}")
+        raise ValidationError(f"missing required key: '{where}.{key}'")
     return record[key]
 
 
@@ -317,7 +313,7 @@ def oracle_load_dataset(path) -> Dataset:
         raise ValidationError(f"annotation file must hold a JSON object, got {type(raw).__name__}")
     for key in ("images", "annotations", "categories"):
         if key not in raw:
-            raise MissingKey(key)
+            raise ValidationError(f"missing required key: '{key}'")
         if not isinstance(raw[key], list):
             raise ValidationError(f"{key} must be an array, got {type(raw[key]).__name__}")
 
@@ -353,11 +349,11 @@ def oracle_load_dataset(path) -> Dataset:
         category_id = oracle_require_typed(rec, "category_id", where, int)
         x, y, w, h = oracle_parse_xywh(oracle_require(rec, "bbox", where), f"{where}.bbox")
         if w < 0 or h < 0:
-            raise NegativeExtent(ann_id, w, h)
+            raise ValidationError(f"annotation {ann_id} has negative extent: w={w}, h={h}")
         box = from_xywh(x, y, w, h)
         image = image_by_id.get(image_id)
         if image is None:
-            raise DanglingReference(ann_id, "image", image_id)
+            raise ValidationError(f"annotation {ann_id} references unknown image id {image_id}")
         bounds = BBox(0.0, 0.0, float(image.width), float(image.height))
         clamped = clamp(box, bounds)
         if clamped != box:
@@ -391,7 +387,7 @@ def oracle_load_dataset(path) -> Dataset:
 def oracle_tile(ds, tile_size=800, overlap=200, min_visibility=0.25) -> Dataset:
     """The original tiler: one scalar geometry.clip per (tile, instance) pair."""
     if not (0 <= overlap < tile_size):
-        raise InvalidOverlap(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
+        raise ValidationError(f"need 0 <= overlap < tile_size, got {overlap}/{tile_size}")
     if not (0 < min_visibility <= 1):
         raise ValidationError(f"min_visibility must be in (0, 1], got {min_visibility}")
     stride = tile_size - overlap
@@ -533,7 +529,7 @@ def oracle_load_detections(path) -> list:
             raise ValidationError(f"detections[{i}] must be an object, got {type(entry).__name__}")
         for key in ("image_id", "category_id", "bbox", "score"):
             if key not in entry:
-                raise MissingKey(f"detections[{i}].{key}")
+                raise ValidationError(f"missing required key: 'detections[{i}].{key}'")
         for key, kind, types in (
             ("image_id", "an integer", (int,)),
             ("category_id", "an integer", (int,)),

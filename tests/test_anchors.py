@@ -16,7 +16,7 @@ from detforge.anchors import (
     sweep_k,
 )
 from detforge.annotations import Category, Dataset, ImageRecord, Instance
-from detforge.errors import BadExtent, TooFewBoxes, ValidationError
+from detforge.errors import BadExtent, ValidationError
 from detforge.geometry import BBox, WhIouBlock, iou_matrix, wh_iou_matrix
 from oracles import (all_boxes, columns_of, dense_match_anchors, gt_dataset, level_boxes,
                      same_bits, synthetic_aerial_corpus)
@@ -72,10 +72,10 @@ class TestAnchorSpec:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("stride, message", [
-        (4.5, "strides must be an integer, got 4.5"),
-        (True, "strides must be an integer, got True"),
-        (0, "strides must be at least 1, got 0"),
-        pytest.param(10**400, "strides is out of float range", id="past-float"),
+        (4.5, "strides[0] must be an integer, got 4.5"),
+        (True, "strides[0] must be an integer, got True"),
+        (0, "strides[0] must be at least 1, got 0"),
+        pytest.param(10**400, "strides[0] is out of float range", id="past-float"),
     ])
     def test_strides_are_positive_integers(self, stride, message):
         """A float stride once built the grid of its truncation without a word."""
@@ -90,6 +90,10 @@ class TestAnchorSpec:
         ({"angles": (False,)}, "angles[0] must be a real number, got False"),
         ({"sizes": 16.0}, "sizes must be a list of real numbers, got 16.0"),
         ({"shared_sizes": "no"}, "shared_sizes must be a bool, got 'no'"),
+        ({"strides": 16}, "strides must be a list of integers, got 16"),
+        ({"strides": "48"}, "strides must be a list of integers, got '48'"),
+        ({"strides": {4: 1}}, "strides must be a list of integers, got {4: 1}"),
+        ({"strides": (4, "8", 16, 32, 64)}, "strides[1] must be an integer, got '8'"),
     ])
     def test_settings_have_their_types(self, kwargs, message):
         """Each was once a string read by character, a bool used as a number or a bare error."""
@@ -407,7 +411,7 @@ class TestClustering:
             assert best >= shuffled
 
     def test_too_few_boxes(self):
-        with pytest.raises(TooFewBoxes):
+        with pytest.raises(ValidationError, match=r"^1 boxes for k=2$"):
             cluster_anchor_sizes([(5, 5)], k=2)
 
     def test_rejects_bad_parameters(self):

@@ -48,6 +48,13 @@ def run_rejected(capsys, *argv):
     return err
 
 
+def one_box_file(image_id, bbox):
+    """A COCO file of one 8x8 image (id 1) and one box, annotation 7, on ``image_id``."""
+    return {"images": [{"id": 1, "width": 8, "height": 8, "file_name": "a.png"}],
+            "categories": [{"id": 1, "name": "c"}],
+            "annotations": [{"id": 7, "image_id": image_id, "category_id": 1, "bbox": bbox}]}
+
+
 @pytest.fixture
 def tiny_path(data_dir):
     return str(data_dir / "tiny.json")
@@ -626,7 +633,7 @@ class TestExitCodes:
         (("--ratios", "inf"), "aspect ratios must be finite and positive, got [inf]"),
         (("--sizes", "1e150,32,64,128,256", "--ratios", "1e-320,1,2"),
          "the anchor of size 1e+150 and ratio 1e-320 has a non-finite extent or area"),
-        (("--strides", f"4,8,16,32,{10**400}"), "strides is out of float range"),
+        (("--strides", f"4,8,16,32,{10**400}"), "strides[4] is out of float range"),
         (("--image-size", str(10**400), "800"), "image width is out of float range"),
     ])
     def test_non_finite_anchors_are_one_line(self, capsys, tiny_path, command, flags, message):
@@ -637,7 +644,7 @@ class TestExitCodes:
         assert err == f"detforge: {message}\n"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    @pytest.mark.parametrize("argv, file_config, message", [
+    @pytest.mark.parametrize("argv, file_json, message", [
         # cluster_anchor_sizes owns the rule that k needs k boxes
         (["cluster", "--ann", "{empty}"], None, "0 boxes for k=4"),
         (["cluster", "--ann", "{empty}", "--k-range", "3:5"], None, "0 boxes for k=3"),
@@ -649,21 +656,30 @@ class TestExitCodes:
          "need 0 < neg_iou <= pos_iou <= 1, got 0.3, nan"),
         (["match", "--ann", "{tiny}", "--pos-iou", "1.5"], None,
          "need 0 < neg_iou <= pos_iou <= 1, got 0.3, 1.5"),
-        (["match", "--ann", "{tiny}", "--config", "{cfg}"], {"match": {"force_match": "no"}},
+        (["match", "--ann", "{tiny}", "--config", "{file}"], {"match": {"force_match": "no"}},
          "config key 'match.force_match' expects bool, got str"),
-        (["match", "--ann", "{tiny}", "--config", "{cfg}"], {"match": {"pos_iou": True}},
+        (["match", "--ann", "{tiny}", "--config", "{file}"], {"match": {"pos_iou": True}},
          "config key 'match.pos_iou' expects float, got bool"),
+        (["stats", "--ann", "{file}"], {"images": [], "annotations": []},
+         "missing required key: 'categories'"),
+        (["stats", "--ann", "{file}"], one_box_file(image_id=2, bbox=[0, 0, 5, 5]),
+         "annotation 7 references unknown image id 2"),
+        (["stats", "--ann", "{file}"], one_box_file(image_id=1, bbox=[0, 0, -5, 5]),
+         "annotation 7 has negative extent: w=-5.0, h=5.0"),
+        (["tile", "--ann", "{tiny}", "--overlap", "900"], None,
+         "need 0 <= overlap < tile_size, got 900/800"),
     ], ids=["cluster-empty", "k-range-empty", "neg-iou-0", "negative-zero", "pos-iou-nan",
-            "pos-iou-1.5", "force-match-str", "pos-iou-bool"])
-    def test_rejected_inputs_are_one_line(self, capsys, tmp_path, tiny_path, argv, file_config,
+            "pos-iou-1.5", "force-match-str", "pos-iou-bool", "missing-key", "dangling-image",
+            "negative-extent", "overlap-past-tile"])
+    def test_rejected_inputs_are_one_line(self, capsys, tmp_path, tiny_path, argv, file_json,
                                           message):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"images": [{"id": 1, "width": 8, "height": 8,
                                                  "file_name": "a.png"}],
                                      "annotations": [], "categories": []}))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(file_config))
-        argv = [a.format(empty=empty, tiny=tiny_path, cfg=cfg) for a in argv]
+        file = tmp_path / "file.json"
+        file.write_text(json.dumps(file_json))
+        argv = [a.format(empty=empty, tiny=tiny_path, file=file) for a in argv]
         assert run_rejected(capsys, *argv) == f"detforge: {message}\n"
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
@@ -1197,6 +1213,17 @@ class TestSubcommands:
         # the default grid lays out 319,764 anchors on each 800x800 image
         assert result["n_anchors"] == result["n_negative"] == 3 * 319_764 == 959_292
         assert result["zero_gt_denominator"] is True
+
+    def test_match_does_not_import_numpy_ma(self, tiny_path, tmp_path):
+        """A bare ``np.unique`` imports ``numpy.ma``, some 8-16 ms of a fresh process."""
+        code = ("import sys; from detforge.cli import main; "
+                "rc = main(['match', '--ann', sys.argv[1], '--out', sys.argv[2]]); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, tiny_path, str(tmp_path / "match.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout == "0 False\n", proc.stderr
 
     def test_eval_perfect_detections(self, capsys, tiny_path, data_dir):
         report = run_json(
