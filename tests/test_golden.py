@@ -40,6 +40,8 @@ def _cases():
             f"match-{name}-default": ("match",) + ann,
             f"match-{name}-force": ("match",) + ann + ("--force-match",),
             f"match-{name}-thresholds": ("match",) + ann + ("--pos-iou", "0.5", "--neg-iou", "0.3"),
+            f"match-{name}-shared": ("match",) + ann + (
+                "--shared-sizes", "--sizes", "24,48,96,192", "--pos-iou", "0.5"),
             f"stats-{name}": ("stats",) + ann,
             f"tile-{name}-default": ("tile",) + ann + ("--export-ann", EXPORT),
             f"tile-{name}-small": ("tile",) + ann + (
