@@ -62,10 +62,13 @@ MAX_ITERS = 10_000
 class AnchorSpec:
     """Anchor layout: sizes, h/w ratios, angle grid and strides.
 
-    With ``shared_sizes`` every level gets the full size list; otherwise
-    sizes pair with strides one to one. Anchors are centred in their
-    cells: cell (i, j) of a level with stride s has its centre at
-    ``((i + 0.5) * s, (j + 0.5) * s)``.
+    ``level_shapes`` is the one anchor-shape table: per stride, a read-only
+    (n_l, 2) float64 array of (w, h), built once from the fields. Rows run
+    size-major (every size with ``shared_sizes``, else the level's own),
+    then ratio, then effective angle. Size s and ratio r give w = s/sqrt(r),
+    h = s*sqrt(r), so the area is s^2 and h/w = r; a 90-degree angle swaps
+    the two. Anchors are centred in their cells: cell (i, j) of a level
+    with stride s has its centre at ``((i + 0.5) * s, (j + 0.5) * s)``.
     """
 
     sizes: tuple = (16.0, 32.0, 64.0, 128.0, 256.0)
@@ -85,10 +88,12 @@ class AnchorSpec:
         for name, values in (("sizes", self.sizes), ("aspect ratios", self.aspect_ratios)):
             if not values or not all(0.0 < v < math.inf for v in values):
                 raise ValidationError(f"{name} must be finite and positive, got {list(values)}")
-        for s in self.sizes:
-            for r in self.aspect_ratios:
+        extents = [[(s / math.sqrt(r), s * math.sqrt(r)) for r in self.aspect_ratios]
+                   for s in self.sizes]  # per size, the (w, h) of each ratio
+        for s, ratio_wh in zip(self.sizes, extents):
+            for r, (w, h) in zip(self.aspect_ratios, ratio_wh):
                 # Python floats overflow to inf without a warning
-                if not all(map(math.isfinite, (s / math.sqrt(r), s * math.sqrt(r), s * s))):
+                if not all(map(math.isfinite, (w, h, s * s))):
                     raise ValidationError(
                         f"the anchor of size {s!r} and ratio {r!r} has a non-finite extent or area"
                     )
@@ -103,14 +108,19 @@ class AnchorSpec:
                 f"{len(self.sizes)} sizes for {len(self.strides)} levels; "
                 "set shared_sizes to reuse one list everywhere"
             )
+        angles = self.effective_angles
+        rows = [[(w, h) if a == 0.0 else (h, w) for w, h in ratio_wh for a in angles]
+                for ratio_wh in extents]  # per size
+        if self.shared_sizes:
+            rows = [sum(rows, [])] * len(self.strides)
+        object.__setattr__(self, "level_shapes", tuple(map(np.array, rows)))
+        for table in self.level_shapes:
+            table.flags.writeable = False
 
     @property
     def effective_angles(self) -> tuple:
         """Angles folded mod 180 and deduplicated, sorted ascending."""
         return tuple(sorted({a % 180.0 for a in self.angles}))
-
-    def sizes_at(self, level: int) -> tuple:
-        return self.sizes if self.shared_sizes else (self.sizes[level],)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,35 +128,31 @@ class LevelAnchors:
     """The anchors of one pyramid level: rows ``start`` onward of the set.
 
     Rows are laid out cell by cell, row-major over the feature map (y
-    outer, x inner), with the same ``n_combo`` combos in the same order
-    in every cell; the anchor of combo c in cell (i, j) is level row
-    ``(j * fmap_w + i) * n_combo + c`` and is centred at the centre of
-    cell (0, 0) plus ``(i, j) * stride``. Combos run size-major, then
-    ratio, then angle: with R aspect ratios and E effective angles,
-    combo c has size ``sizes_at(level)[c // (R * E)]``, ratio
-    ``aspect_ratios[c // E % R]`` and angle ``effective_angles[c % E]``.
-    ``match_anchors`` relies on this layout to find the anchors near a
-    box without scanning them all.
+    outer, x inner), with the same C = ``len(half)`` combos in the same
+    order in every cell; the anchor of combo c in cell (i, j) is level
+    row ``(j * fmap_w + i) * C + c`` and is centred at the centre of
+    cell (0, 0) plus ``(i, j) * stride``. Combo c is row c of its
+    level's ``AnchorSpec.level_shapes`` table. ``match_anchors`` relies
+    on this layout to find the anchors near a box without scanning them
+    all.
 
     The level holds only this layout; ``cell_boxes`` computes the
     corners of any block of cells.
     """
 
-    level: int
     stride: int
     fmap_w: int
     fmap_h: int
     start: int  # index of the level's first anchor in the set
-    n_combo: int  # anchors per cell
-    half: np.ndarray  # (n_combo, 2) read-only half-extents of one cell's anchors
+    half: np.ndarray  # (C, 2) read-only half-extents of one cell's anchors
 
     @property
     def count(self) -> int:
-        return self.fmap_w * self.fmap_h * self.n_combo
+        return self.fmap_w * self.fmap_h * len(self.half)
 
     @cached_property
     def _edges(self):
-        """Corner terms per cell column and per cell row, each (n, n_combo, 4).
+        """Corner terms per cell column and per cell row, each (n, C, 4).
 
         Column i holds (cx - w/2, 0, cx + w/2, 0) and row j holds
         (0, cy - h/2, 0, cy + h/2) for the cell centre (cx, cy) and every
@@ -154,8 +160,8 @@ class LevelAnchors:
         Adding 0 leaves every difference and sum as it was, so the corners
         are exactly the ``centre +- half`` values.
         """
-        cols = np.zeros((self.fmap_w, self.n_combo, 4))
-        rows = np.zeros((self.fmap_h, self.n_combo, 4))
+        cols = np.zeros((self.fmap_w, len(self.half), 4))
+        rows = np.zeros((self.fmap_h, len(self.half), 4))
         cx = ((np.arange(self.fmap_w) + 0.5) * self.stride)[:, None]
         cy = ((np.arange(self.fmap_h) + 0.5) * self.stride)[:, None]
         cols[..., 0] = cx - self.half[:, 0]
@@ -165,7 +171,7 @@ class LevelAnchors:
         return cols, rows
 
     def cell_boxes(self, x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
-        """Corners of the anchors in cells [x0, x1) by [y0, y1), (y1-y0, x1-x0, n_combo, 4).
+        """Corners of the anchors in cells [x0, x1) by [y0, y1), (y1-y0, x1-x0, C, 4).
 
         The one formula for anchor coordinates, so every caller gets the
         same bits.
@@ -192,29 +198,23 @@ def generate_anchors(spec: AnchorSpec, width: int, height: int) -> AnchorSet:
     ``width`` and ``height`` are the image's pixel lengths. This is the
     one owner of the feature-map rule: the level of stride s has
     ceil(width / s) x ceil(height / s) cells, in integers, as float
-    division rounds past 2**53. The anchor for size s and ratio r has
-    h = s*sqrt(r), w = s/sqrt(r), so its area is s^2 and h/w = r; a
-    90-degree angle swaps the two. Rows follow the layout ``LevelAnchors``
-    documents. Only the layout is built, in memory independent of the
-    anchor count; ``LevelAnchors.cell_boxes`` builds the corners of the
-    cells a caller reads.
+    division rounds past 2**53. Each cell gets the anchors of its level's
+    ``spec.level_shapes`` table, in the layout ``LevelAnchors`` documents.
+    Only the layout is built, in memory independent of the anchor count;
+    ``LevelAnchors.cell_boxes`` builds the corners of the cells a caller
+    reads.
     """
+    if not isinstance(spec, AnchorSpec):
+        raise ValidationError(f"spec must be an AnchorSpec, got {type(spec).__name__}")
     width = check_length("image width", width, 1)
     height = check_length("image height", height, 1)
-    eff_angles = spec.effective_angles
     levels = []
     start = 0
-    for level, stride in enumerate(spec.strides):
+    for stride, shapes in zip(spec.strides, spec.level_shapes):
         fw, fh = -(-width // stride), -(-height // stride)
-        half = np.array([
-            (s / np.sqrt(r), s * np.sqrt(r)) if a == 0.0 else (s * np.sqrt(r), s / np.sqrt(r))
-            for s in spec.sizes_at(level)
-            for r in spec.aspect_ratios
-            for a in eff_angles
-        ]) / 2.0
+        half = shapes / 2.0
         half.flags.writeable = False
-        levels.append(LevelAnchors(level=level, stride=stride, fmap_w=fw, fmap_h=fh, start=start,
-                                   n_combo=len(half), half=half))
+        levels.append(LevelAnchors(stride=stride, fmap_w=fw, fmap_h=fh, start=start, half=half))
         start += levels[-1].count
     return AnchorSet(levels)
 
@@ -469,7 +469,7 @@ def _gt_overlaps(anchors: AnchorSet, boxes: np.ndarray):
         hi = np.ceil((boxes[:, 2:] + half - centre) / lv.stride) + 2
         lo = np.clip(lo, 0, dims).astype(np.int64)
         hi = np.clip(hi, lo, dims).astype(np.int64)
-        row_start = lv.start + np.arange(lv.fmap_h) * (lv.fmap_w * lv.n_combo)
+        row_start = lv.start + np.arange(lv.fmap_h) * (lv.fmap_w * len(lv.half))
         levels.append((lv, row_start))
         ranges.append(np.concatenate([lo, hi], axis=1))
     ranges = np.stack(ranges, axis=1)
@@ -477,7 +477,7 @@ def _gt_overlaps(anchors: AnchorSet, boxes: np.ndarray):
         idx, corners = [], []
         for (lv, row_start), (x0, y0, x1, y1) in zip(levels, ranges[g].tolist()):
             # a row of cells is one contiguous run of anchor indices
-            runs = row_start[y0:y1, None] + np.arange(x0 * lv.n_combo, x1 * lv.n_combo)
+            runs = row_start[y0:y1, None] + np.arange(x0 * len(lv.half), x1 * len(lv.half))
             idx.append(runs.ravel())
             corners.append(lv.cell_boxes(x0, x1, y0, y1).reshape(-1, 4))
         yield np.concatenate(idx), iou_matrix(np.concatenate(corners), boxes[g])[:, 0]
@@ -514,8 +514,8 @@ def match_anchors(
     (ties to the lowest anchor index) as positive even below the
     threshold, if that IoU is above 0. The thresholds are real numbers,
     not bools, with ``0 < neg_iou <= pos_iou <= 1``, and ``force_match``
-    is a bool; anything else, or a ``ds`` that is not a ``Dataset``, is a
-    ``ValidationError``. So an anchor with IoU 0, which does not overlap
+    is a bool; anything else, or ``anchors`` or ``ds`` not an ``AnchorSet``
+    or ``Dataset``, is a ``ValidationError``. So an anchor with IoU 0, which does not overlap
     the GT, never matches it.
 
     A GT counts as recalled when at least one positive anchor reaches
@@ -533,6 +533,8 @@ def match_anchors(
     ``MAX_EDGE_ANCHORS`` anchors along one side of its grid fails, naming
     the level, before anything is allocated.
     """
+    if not isinstance(anchors, AnchorSet):
+        raise ValidationError(f"anchors must be an AnchorSet, got {type(anchors).__name__}")
     if not isinstance(ds, Dataset):
         raise ValidationError(f"ds must be a Dataset, got {type(ds).__name__}")
     pos_iou = check_real("pos_iou", pos_iou)
@@ -543,11 +545,11 @@ def match_anchors(
         )
     if not isinstance(force_match, bool):
         raise ValidationError(f"force_match must be a bool, got {force_match!r}")
-    for lv in anchors.levels:
+    for level, lv in enumerate(anchors.levels):
         side = max(lv.fmap_w, lv.fmap_h)
-        if side * lv.n_combo > MAX_EDGE_ANCHORS:
+        if side * len(lv.half) > MAX_EDGE_ANCHORS:
             raise ValidationError(
-                f"level {lv.level} has {side} cells x {lv.n_combo} anchors along one side, "
+                f"level {level} has {side} cells x {len(lv.half)} anchors along one side, "
                 f"past MAX_EDGE_ANCHORS = {MAX_EDGE_ANCHORS}"
             )
     gts = ds.columns

@@ -372,13 +372,13 @@ def _run_anchors(config, inputs):
         "effective_angles": list(spec.effective_angles),
         "levels": [
             {
-                "level": lv.level,
+                "level": level,
                 "stride": lv.stride,
                 "fmap_w": lv.fmap_w,
                 "fmap_h": lv.fmap_h,
                 "count": lv.count,
             }
-            for lv in anchor_set.levels
+            for level, lv in enumerate(anchor_set.levels)
         ],
         "total": anchor_set.total,
     }

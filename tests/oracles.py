@@ -4,7 +4,8 @@ The scalar box helpers and the object-path loaders, tiler and exporter
 that the package's ``(N, 4)`` column code replaced live here, with the
 comparison helpers that check the columns against them and the builders
 that turn ``Instance`` and ``Detection`` objects into the columns the
-package takes, the dense anchor corners and matcher that the candidate
+package takes, the anchor-shape loop that ``AnchorSpec.level_shapes``
+replaced, the dense anchor corners and matcher that the candidate
 matcher replaced, and the seeded box corpus the clustering tests read,
 so no test module imports another. Each oracle is a plain
 loop over ``BBox``, ``Instance`` or ``Detection`` objects, or one dense
@@ -568,6 +569,42 @@ def assert_same_columns(got: DetectionColumns, want: Sequence[Detection]) -> Non
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Anchor shapes: the size, ratio and angle loop that ``generate_anchors`` ran.
+
+
+def oracle_level_combos(spec) -> list:
+    """Per stride, the (size, ratio, angle) of each anchor in a cell, in row order.
+
+    With ``shared_sizes`` every level takes every size, otherwise the
+    level's own; combos run size-major, then ratio, then each distinct
+    angle mod 180, ascending.
+    """
+    angles = sorted({a % 180.0 for a in spec.angles})
+    return [
+        [(s, r, a)
+         for s in (spec.sizes if spec.shared_sizes else (spec.sizes[level],))
+         for r in spec.aspect_ratios
+         for a in angles]
+        for level in range(len(spec.strides))
+    ]
+
+
+def oracle_level_shapes(spec) -> list:
+    """Per stride, the (n_l, 2) anchor (w, h) of ``oracle_level_combos``.
+
+    Size s and ratio r give (s / sqrt(r), s * sqrt(r)); a 90-degree
+    angle swaps the two.
+    """
+    return [
+        np.array([
+            (s / np.sqrt(r), s * np.sqrt(r)) if a == 0.0 else (s * np.sqrt(r), s / np.sqrt(r))
+            for s, r, a in combos
+        ])
+        for combos in oracle_level_combos(spec)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from detforge.annotations import Category, Dataset, ImageRecord, Instance
 from detforge.errors import BadExtent, ValidationError
 from detforge.geometry import BBox, WhIouBlock, iou_matrix, wh_iou_matrix
 from oracles import (all_boxes, columns_of, dense_match_anchors, gt_dataset, level_boxes,
-                     same_bits, synthetic_aerial_corpus)
+                     oracle_level_combos, oracle_level_shapes, same_bits,
+                     synthetic_aerial_corpus)
 
 
 def ceil_div(a, b):
@@ -38,12 +39,40 @@ class TestAnchorSpec:
         assert AnchorSpec(angles=(180.0,)).effective_angles == (0.0,)
         assert AnchorSpec(angles=(270.0, 90.0)).effective_angles == (90.0,)
 
-    def test_sizes_at_level(self):
-        spec = AnchorSpec(sizes=(8, 16), strides=(4, 8))
-        assert spec.sizes_at(0) == (8.0,)
-        assert spec.sizes_at(1) == (16.0,)
-        shared = AnchorSpec(sizes=(8, 16, 32), strides=(4, 8), shared_sizes=True)
-        assert shared.sizes_at(1) == (8.0, 16.0, 32.0)
+    def test_level_shapes_by_hand(self):
+        """Rows run size-major, then ratio, then angle; ratio 4 halves w and doubles h."""
+        spec = AnchorSpec(sizes=(8, 16), aspect_ratios=(1.0, 4.0), angles=(0.0, 90.0),
+                          strides=(4, 8))
+        own = [[[8, 8], [8, 8], [4, 16], [16, 4]], [[16, 16], [16, 16], [8, 32], [32, 8]]]
+        assert [table.tolist() for table in spec.level_shapes] == own
+        shared = AnchorSpec(sizes=(8, 16), aspect_ratios=(1.0, 4.0), angles=(0.0, 90.0),
+                            strides=(4, 8), shared_sizes=True)
+        assert [table.tolist() for table in shared.level_shapes] == [own[0] + own[1]] * 2
+        assert all(table.dtype == np.float64 for table in spec.level_shapes + shared.level_shapes)
+
+    ANGLE_SETS = [(0.0,), (90.0,), (0.0, 90.0), (-90.0, 0.0, 90.0), (180.0, 270.0)]
+
+    @pytest.mark.parametrize("angles", ANGLE_SETS, ids=str)
+    @pytest.mark.parametrize("shared", [False, True], ids=["per_level", "shared"])
+    def test_level_shapes_equal_the_combo_loop_bit_for_bit(self, angles, shared):
+        rng = np.random.default_rng([len(angles), int(angles[-1]), shared])
+        for _ in range(20):
+            n_levels = int(rng.integers(1, 6))
+            n_sizes = int(rng.integers(1, 5)) if shared else n_levels
+            spec = AnchorSpec(
+                sizes=tuple(rng.uniform(1.0, 512.0, size=n_sizes)),
+                aspect_ratios=tuple(rng.uniform(0.1, 10.0, size=int(rng.integers(1, 5)))),
+                angles=angles,
+                strides=tuple(rng.integers(1, 128, size=n_levels).tolist()),
+                shared_sizes=shared,
+            )
+            want = oracle_level_shapes(spec)
+            assert len(spec.level_shapes) == len(want) == n_levels
+            for got, expected in zip(spec.level_shapes, want):
+                assert got.shape == expected.shape and got.dtype == np.float64
+                assert got.tobytes() == expected.tobytes(), spec
+                with pytest.raises(ValueError):
+                    got[0, 0] = 1.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError):
@@ -112,18 +141,17 @@ class TestAnchorSpec:
         assert np.isfinite(anchors.levels[0].half).all()
 
 
-def row_layout(spec, level):
-    """Each row's cell (i, j), size, ratio and angle, as ``LevelAnchors`` documents them."""
-    sizes, ratios, angles = spec.sizes_at(level.level), spec.aspect_ratios, spec.effective_angles
-    n_ratio, n_angle = len(ratios), len(angles)
-    assert level.n_combo == len(sizes) * n_ratio * n_angle
-    cell, combo = np.divmod(np.arange(level.count), level.n_combo)
-    return (
-        np.stack([cell % level.fmap_w, cell // level.fmap_w], axis=1),
-        np.array(sizes)[combo // (n_ratio * n_angle)],
-        np.array(ratios)[combo // n_angle % n_ratio],
-        np.array(angles)[combo % n_angle],
-    )
+def row_layout(spec, out, index):
+    """Each row's cell (i, j), size, ratio and angle of level ``index`` of ``out``.
+
+    Combo c of a cell is combo c of the level's ``oracle_level_combos``,
+    as ``LevelAnchors`` documents.
+    """
+    level = out.levels[index]
+    combos = np.array(oracle_level_combos(spec)[index])
+    assert len(level.half) == len(combos)
+    cell, combo = np.divmod(np.arange(level.count), len(combos))
+    return (np.stack([cell % level.fmap_w, cell // level.fmap_w], axis=1), *combos[combo].T)
 
 
 class TestGenerateAnchors:
@@ -135,7 +163,7 @@ class TestGenerateAnchors:
         assert out.total == ceil_div(8, 4) * ceil_div(8, 4) == 4
         np.testing.assert_array_equal(boxes[0], [-6.0, -6.0, 10.0, 10.0])
         # row-major walk, y outer
-        cells = row_layout(spec, level)[0]
+        cells = row_layout(spec, out, 0)[0]
         assert cells.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
         centers = (boxes[:, :2] + boxes[:, 2:]) / 2.0
         assert centers.tolist() == [[2, 2], [6, 2], [2, 6], [6, 6]]
@@ -184,10 +212,9 @@ class TestGenerateAnchors:
     def test_count_formula_per_level(self):
         spec = AnchorSpec()
         out = generate_anchors(spec, 256, 256)
-        for level, stride in zip(out.levels, spec.strides):
+        for level, stride, shapes in zip(out.levels, spec.strides, oracle_level_shapes(spec)):
             fw = fh = ceil_div(256, stride)
-            expected = fw * fh * 1 * len(spec.aspect_ratios) * len(spec.effective_angles)
-            assert level.count == expected
+            assert level.count == fw * fh * len(shapes)
         assert out.total == sum(lv.count for lv in out.levels)
 
     def test_shared_sizes_multiplies_the_count(self):
@@ -202,8 +229,8 @@ class TestGenerateAnchors:
     )
     def test_size_and_ratio_hold_for_every_anchor(self, spec):
         out = generate_anchors(spec, 192, 160)
-        for level in out.levels:
-            cells, sizes, ratios, angles = row_layout(spec, level)
+        for index, level in enumerate(out.levels):
+            cells, sizes, ratios, angles = row_layout(spec, out, index)
             boxes = level_boxes(level)
             w = boxes[:, 2] - boxes[:, 0]
             h = boxes[:, 3] - boxes[:, 1]
@@ -243,16 +270,7 @@ def oracle_generate_boxes(spec, fmap_dims):
     Every level's corners are written into one (A, 4) array at once, from
     the cell centres plus or minus each combo's half-extents.
     """
-    eff_angles = spec.effective_angles
-    halves = [
-        np.array([
-            (s / np.sqrt(r), s * np.sqrt(r)) if a == 0.0 else (s * np.sqrt(r), s / np.sqrt(r))
-            for s in spec.sizes_at(level)
-            for r in spec.aspect_ratios
-            for a in eff_angles
-        ]) / 2.0
-        for level in range(len(fmap_dims))
-    ]
+    halves = [shapes / 2.0 for shapes in oracle_level_shapes(spec)]
     boxes = np.empty((sum(fw * fh * len(h) for (fw, fh), h in zip(fmap_dims, halves)), 4))
     start = 0
     for stride, (fw, fh), half in zip(spec.strides, fmap_dims, halves):
@@ -305,9 +323,8 @@ class TestLazyAnchorBoxes:
             dims = oracle_fmap_dims(spec, width, height)
             out = generate_anchors(spec, width, height)
             assert [(lv.fmap_w, lv.fmap_h) for lv in out.levels] == dims
-            n_combo = [len(spec.sizes_at(level)) * len(spec.aspect_ratios)
-                       * len(spec.effective_angles) for level in range(len(dims))]
-            counts = [fw * fh * n for (fw, fh), n in zip(dims, n_combo)]
+            counts = [fw * fh * len(shapes)
+                      for (fw, fh), shapes in zip(dims, oracle_level_shapes(spec))]
             assert [lv.count for lv in out.levels] == counts
             assert [lv.start for lv in out.levels] == [sum(counts[:i]) for i in range(len(counts))]
             assert out.total == sum(counts)
@@ -326,8 +343,8 @@ class TestLazyAnchorBoxes:
         for lv in out.levels:
             x0, x1, y0, y1 = lv.fmap_w // 3, lv.fmap_w, lv.fmap_h // 2, lv.fmap_h
             block = lv.cell_boxes(x0, x1, y0, y1)
-            assert block.shape == (y1 - y0, x1 - x0, lv.n_combo, 4)
-            rows = level_boxes(lv).reshape(lv.fmap_h, lv.fmap_w, lv.n_combo, 4)[y0:y1, x0:x1]
+            assert block.shape == (y1 - y0, x1 - x0, len(lv.half), 4)
+            rows = level_boxes(lv).reshape(lv.fmap_h, lv.fmap_w, len(lv.half), 4)[y0:y1, x0:x1]
             assert block.tobytes() == np.ascontiguousarray(rows).tobytes()
 
 
@@ -995,6 +1012,16 @@ class TestMatching:
         ds = gt_dataset([gt(1, 1, 1, 0, 0, 8, 8)])
         with pytest.raises(ValidationError, match=r"^ds must be a Dataset, got InstanceColumns$"):
             match_anchors(small_grid(), ds.columns)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda ds: match_anchors(AnchorSpec(), ds), "anchors must be an AnchorSet, got AnchorSpec"),
+        (lambda ds: generate_anchors({"sizes": (16,)}, 8, 8), "spec must be an AnchorSpec, got dict"),
+    ], ids=["spec-for-anchor-set", "dict-for-spec"])
+    def test_a_wrong_argument_type_is_a_one_line_error(self, call, message):
+        """Each was a bare AttributeError on the first attribute the function read."""
+        with pytest.raises(ValidationError) as exc:
+            call(gt_dataset([gt(1, 1, 1, 0, 0, 8, 8)]))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("field", ["id", "image_id", "category_id"])
     def test_id_past_int64_is_a_one_line_error(self, field):
