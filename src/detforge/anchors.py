@@ -185,10 +185,13 @@ class AnchorSet:
 
     ``total`` is the anchor count A. No per-anchor array is kept or built:
     ``LevelAnchors.cell_boxes`` gives the corners of any block of cells.
+    At least one level is required.
     """
 
     def __init__(self, levels: Sequence[LevelAnchors]):
         self.levels = tuple(levels)
+        if not self.levels:
+            raise ValidationError("an AnchorSet needs at least one level")
         self.total = sum(lv.count for lv in self.levels)
 
 

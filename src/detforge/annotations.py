@@ -32,7 +32,8 @@ from .geometry import BBox, clip_boxes
 # COCO size-bucket area thresholds (px^2), matching the APs/APm/APl split.
 SMALL_AREA_MAX = 32.0**2
 MEDIUM_AREA_MAX = 96.0**2
-# The size slices every report cuts by: (name, low area, high area), each [low, high).
+# The size slices every report cuts by: (name, low area, high area), each
+# [low, high] as in COCOeval, so an area of exactly 32^2 or 96^2 is in two.
 SIZE_SLICES = (
     ("small", 0.0, SMALL_AREA_MAX),
     ("medium", SMALL_AREA_MAX, MEDIUM_AREA_MAX),
@@ -667,19 +668,24 @@ def load_dataset(path, data: Optional[bytes] = None) -> Dataset:
 
 
 def slice_masks(area: np.ndarray, slices) -> np.ndarray:
-    """(len(slices), N) bool: row s marks the areas in slice s, ``[low, high)``.
+    """(len(slices), N) bool: row s marks the areas in slice s, ``[low, high]``.
 
-    The one area test of every size slice; slices may overlap or nest.
+    The one area test of every size slice. Both bounds are closed, as
+    COCOeval's area ranges are, so neighbouring slices share their
+    boundary area; slices may also overlap or nest.
     """
     lo = np.array([low for _, low, _ in slices])[:, None]
     hi = np.array([high for _, _, high in slices])[:, None]
-    return (lo <= area) & (area < hi)
+    return (lo <= area) & (area <= hi)
 
 
 def compute_stats(ds: Dataset) -> StatsReport:
     """Instance counts per category, size buckets, and per-image histogram.
 
-    Buckets are the ``SIZE_SLICES`` of instance area.
+    Buckets are the ``SIZE_SLICES`` of instance area, tested by
+    :func:`slice_masks`: an instance counts in every bucket whose closed
+    bounds hold its area, so one of area exactly 32^2 or 96^2 counts in
+    two, as COCOeval's size ranges would take it.
     """
     c = ds.columns
     names = [name for name, _, _ in SIZE_SLICES]

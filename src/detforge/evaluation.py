@@ -1,12 +1,13 @@
-"""Detection evaluation following the COCO protocol.
+"""Detection evaluation following the COCO protocol, by COCOeval's rules.
 
 Average precision uses 101-point interpolation, 10 IoU thresholds
-(0.50 to 0.95 in steps of 0.05), at most 100 detections per image, and
-size slices small/medium/large cut at areas 32^2 and 96^2. Classes with
-no ground truth in a slice carry the sentinel -1 and are excluded from
-means. Matching is greedy by descending score with ties broken by the
-detection's row, as COCOeval's stable sort breaks them, so results are
-deterministic.
+(0.50 to 0.95 in steps of 0.05), at most 100 detections per image and
+class, and size slices small/medium/large cut at areas 32^2 and 96^2.
+Classes with no ground truth in a slice carry the sentinel -1 and are
+excluded from means. Matching is greedy by descending score, ties broken
+by the detection's row, and each class pools its detections in
+(-score, image id, row) order, as pycocotools' ``COCOeval`` ranks them,
+so results are deterministic.
 
 Detections load into read-only NumPy columns (:class:`DetectionColumns`)
 that ``coco_map`` reads directly.
@@ -23,6 +24,7 @@ import numpy as np
 
 from .annotations import (
     _FLOAT_MAX,
+    _clamp_corners,
     _INT64,
     _NUMBER,
     Dataset,
@@ -47,9 +49,15 @@ from .annotations import (
     slice_masks,
 )
 from .errors import ValidationError
-from .geometry import iou_matrix
+from .geometry import ioa, iou_matrix
 
-IOU_THRESHOLDS = tuple((50 + 5 * i) / 100.0 for i in range(10))
+# COCOeval's threshold and recall grids, built with its own np.linspace
+# calls: 0.9 is 0.8999999999999999, and 10 recall levels are one ulp
+# above k / 100, so a recall of exactly k / 100 does not reach them.
+IOU_THRESHOLDS = tuple(
+    np.linspace(0.5, 0.95, int(np.round((0.95 - 0.5) / 0.05)) + 1, endpoint=True).tolist()
+)
+_RECALL_GRID = np.linspace(0.0, 1.00, int(np.round((1.00 - 0.0) / 0.01)) + 1, endpoint=True)
 MAX_DETS_PER_IMAGE = 100
 
 
@@ -181,10 +189,6 @@ def load_detections(path, data: Optional[bytes] = None) -> DetectionColumns:
     )
 
 
-# the recall levels of 101-point interpolation
-_RECALL_GRID = np.arange(101) / 100.0
-
-
 def _ranked_ap(flags: np.ndarray, n_gt: int) -> float:
     """101-point interpolated AP of 1-D bool TP ``flags`` in rank order.
 
@@ -238,7 +242,7 @@ _SLICES = (("all", 0.0, math.inf), *SIZE_SLICES)
 
 
 # The bound on one lock-step chunk: the cells of its padded (groups,
-# dets, GTs) IoU block. A group bigger than the bound is matched alone.
+# dets, GTs) overlap block. A group bigger than the bound is matched alone.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -257,87 +261,99 @@ def _chunks(n_dets: np.ndarray, n_gts: np.ndarray):
         yield chunk
 
 
-def _lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.ndarray:
-    """Greedy-match flags for a chunk of groups, every slice and threshold.
+def _lockstep_flags(overlaps, n_dets, det_in, live, outside, crowd, thresholds) -> np.ndarray:
+    """COCOeval's greedy-match flags for a chunk of groups, every slice and threshold.
 
-    ``ious`` is the (N, D, G) IoU block of N groups sorted by descending
-    det count ``n_dets``, each padded at the tail of both axes. Padded
-    cells may hold any value: no step reads a padded det, and a padded
-    GT is neither live nor absorbing. Per slice, ``in_slice`` (S, N, D)
-    marks the dets that take part, ``live`` (S, N, G) the GTs a det may
-    match and ``absorbing`` (S, N, G) the ignore GTs (crowd or out of
-    the slice). Returns (S, T, N, D) flags:
-    1 TP, 0 FP, -1 excluded (absorbed, out of the slice, or padding).
+    ``overlaps`` is the (N, D, G) block of N groups sorted by descending
+    det count ``n_dets``, each padded at the tail of both axes: a det's
+    IoU with a non-crowd GT, its IoA with a crowd one. Padded cells may
+    hold any value: no step reads a padded det, and a padded GT is in
+    none of the masks. ``det_in`` (S, N, D) marks the dets inside each
+    slice by area; ``live`` (S, N, G) the non-crowd GTs inside it and
+    ``outside`` (S, N, G) those outside it; ``crowd`` (N, G) the crowd
+    GTs. Returns (S, T, N, D) flags: 1 TP, 0 FP, -1 ignored (matched to
+    a GT outside the slice or to a crowd one, unmatched outside the
+    slice, or padding).
 
-    Step k matches the k-th det of every group at once; each takes the
-    unmatched live GT with the highest IoU at or above the threshold,
-    ties to the lowest GT index, or failing that is absorbed if it
-    reaches the threshold against an ignore GT. Only the groups with
-    more than k dets, a prefix, take part in step k.
+    Step k matches the k-th det of every group at once, by COCOeval's
+    ``evaluateImg`` at each threshold t, read as ``min(t, 1 - 1e-10)``:
+    the det takes the unmatched live GT of highest overlap at or above
+    t, or failing that the GT of highest overlap among the unmatched
+    outside ones and every crowd one. Ties go to the last GT, as an
+    equal value replaces COCOeval's match. A taken non-crowd GT is
+    matched; a crowd one can take any number of dets.
 
     What does not depend on the match state is computed once per chunk:
-    a det is absorbed when its best IoU against an ignore GT reaches the
-    threshold, so each flag starts at -1 (absorbed, out of the slice or
-    padding) or 0, and a step only writes its hits. The one state is
-    ``avail``, the live GTs not yet matched. A step visits only the
-    (slice, group) lanes whose det is in the slice and reaches the
-    lowest threshold against some live GT; no other lane can match.
+    a det that reaches a crowd GT is ignored at any state, and so is an
+    unmatched det outside the slice, so each flag starts at -1 or 0. The
+    one state is ``avail``, the GTs still to take. A step visits only the
+    groups whose det reaches the lowest threshold against some non-crowd
+    GT, in every slice; no other det can change its flag or the state.
     """
-    n_slices, n_groups, d_max = in_slice.shape
-    thr = np.asarray(thresholds, dtype=np.float64)
-    in_slice = in_slice & (np.arange(d_max) < n_dets[:, None])
-    # each det's best IoU per slice against its ignore and its live GTs;
-    # over the leading axis of a (G, S, N, D) view the reduction runs as
-    # elementwise maxima, much faster than over a short trailing G axis
-    per_gt = np.broadcast_to(ious.transpose(2, 0, 1)[:, None],
-                             (ious.shape[2], n_slices, n_groups, d_max))
-    best_ignore = per_gt.max(axis=0, where=absorbing.transpose(2, 0, 1)[..., None], initial=-1.0)
-    best_live = per_gt.max(axis=0, where=live.transpose(2, 0, 1)[..., None], initial=-1.0)
-    excluded = best_ignore[:, None] >= thr[:, None, None]
-    excluded |= ~in_slice[:, None]
-    flags = np.where(excluded, np.int8(-1), np.int8(0))
-    # the lanes that can match, in step order: (k, slice, group)
-    step, lane_s, lane_g = np.nonzero((in_slice & (best_live >= thr.min())).transpose(2, 0, 1))
+    d_max, n_gt = det_in.shape[2], overlaps.shape[2]
+    thr = np.minimum(np.asarray(thresholds, dtype=np.float64), 1 - 1e-10)
+    d_valid = np.arange(d_max) < n_dets[:, None]
+    # The GT axis leads: a reduction over a leading axis runs as
+    # elementwise steps, much faster than over a short trailing one.
+    per_gt = overlaps.transpose(2, 0, 1)
+    live, outside = (m.transpose(2, 1, 0)[..., None] for m in (live, outside))
+    crowd = crowd.T
+    # each det's best overlap against the crowd and the non-crowd GTs
+    solid = (live | outside).any(axis=(2, 3))
+    best_crowd = per_gt.max(axis=0, where=crowd[:, :, None], initial=-1.0)
+    best_solid = per_gt.max(axis=0, where=solid[:, :, None], initial=-1.0)
+    flags = np.negative((best_crowd >= thr[:, None, None]) | ~(det_in & d_valid)[:, None],
+                        dtype=np.int8)
+    # the groups whose det can take a non-crowd GT, in step order
+    step, lane_g = np.nonzero(((best_solid >= thr.min()) & d_valid).T)
     bounds = np.searchsorted(step, np.arange(d_max + 1)).tolist()
-    avail = np.repeat(live[:, None], len(thr), axis=1)
+    # (GT, group, slice, threshold): the GTs still to take
+    avail = np.repeat(live | outside | crowd[:, :, None, None], len(thr), axis=3)
+    gt_index = np.arange(n_gt)[:, None]
     for k in range(d_max):
         a, b = bounds[k], bounds[k + 1]
         if a == b:
             continue
-        s, g = lane_s[a:b], lane_g[a:b]
-        v = ious[g, k][:, None]
-        cand = (v >= thr[:, None]) & avail[s, :, g]
-        best = np.where(cand, v, -1.0).argmax(axis=-1)
-        lane, t = np.nonzero(cand.any(axis=-1))
-        s, g = s[lane], g[lane]
-        avail[s, t, g, best[lane, t]] = False
-        flags[s, t, g, k] = 1
+        g = lane_g[a:b]
+        v = per_gt[:, g, k]
+        # each GT's place by descending overlap, the last GT first among
+        # equals: a det takes the GT of least place it can take
+        order = np.lexsort((np.broadcast_to(-gt_index, v.shape), -v), axis=0)
+        # int32 halves the step's (GT, group, slice, threshold) blocks
+        place = order.argsort(axis=0).astype(np.int32)[..., None, None]
+        cand = (v[..., None, None] >= thr) & avail[:, g]
+        first_live = np.where(cand & live[:, g], place, n_gt).min(axis=0)
+        hit = first_live < n_gt
+        first = np.where(hit, first_live, np.where(cand, place, n_gt).min(axis=0))
+        lane, s, t = np.nonzero(first < n_gt)
+        best, hit, g = order[first[lane, s, t], lane], hit[lane, s, t], g[lane]
+        avail[best, g, s, t] = crowd[best, g]  # a crowd GT stays open
+        flags[s, t, g, k] = np.where(hit, np.int8(1), np.int8(-1))
     return flags
 
 
 def _grouped_dets(dets: DetectionColumns, ds: Dataset, max_dets: int):
     """The kept detections as columns in (image, class) group order.
 
-    Each image's dets are ranked by (-score, row) and cut to the first
-    ``max_dets`` (all when ``max_dets`` is 0); a group keeps that rank
-    order. Ties rank by row, as COCOeval's stable sort keeps input order.
-    Returns ``(group_size, class_id, rows, score, boxes)``, ``rows``
-    being each kept det's row and ``group_size`` mapping each (image,
-    class) key to its det count in key order.
+    Each (image, class) group's dets are ranked by (-score, row), as
+    COCOeval's stable sort ranks them, and cut to the first ``max_dets``
+    (all when ``max_dets`` is 0). Each kept box is clipped into its image
+    by ``annotations._clamp_corners``, the rule the loader clamps GT
+    boxes by. Returns ``(group_size, class_id, score, boxes)``,
+    ``group_size`` mapping each (image, class) key to its det count in
+    key order.
     """
-    n = len(dets)
-    image_id, class_id, score = dets.image_id, dets.category_id, dets.score
-    check_references(ds, np.arange(n), image_id, class_id, "detection")
-
-    ranked = np.lexsort((-score, image_id))  # a stable sort: ties keep row order
-    if max_dets > 0:
-        # a det's rank in its image: its position less its image's first one
-        ranked_image = image_id[ranked]
-        ranked = ranked[np.arange(n) - np.searchsorted(ranked_image, ranked_image) < max_dets]
-    groups = group_rows(image_id[ranked], class_id[ranked])
-    rows = ranked[np.concatenate([np.zeros(0, dtype=np.intp), *groups.values()])]
-    group_size = {key: len(group) for key, group in groups.items()}
-    return group_size, class_id[rows], rows, score[rows], dets.boxes[rows]
+    check_references(ds, np.arange(len(dets)), dets.image_id, dets.category_id, "detection")
+    ranked = np.argsort(-dets.score, kind="stable")  # ties keep row order
+    groups = group_rows(dets.image_id[ranked], dets.category_id[ranked])
+    kept = [group[:max_dets or None] for group in groups.values()]
+    rows = ranked[np.concatenate([np.zeros(0, dtype=np.intp), *kept])]
+    group_size = {key: len(group) for key, group in zip(groups, kept)}
+    limits = {im.id: (float(im.width), float(im.height)) * 2 for im in ds.images}
+    hi = np.array([limits[image_id] for image_id, _ in group_size], dtype=np.float64)
+    hi = np.repeat(hi.reshape(-1, 4), list(group_size.values()), axis=0)
+    boxes = _clamp_corners(dets.boxes[rows], hi)
+    return group_size, dets.category_id[rows], dets.score[rows], boxes
 
 
 def coco_map(
@@ -348,16 +364,21 @@ def coco_map(
 ) -> EvalResult:
     """Score detections against a dataset over thresholds, classes, slices.
 
-    ``max_dets`` caps each image's detections, the highest scores kept:
-    a non-bool integer of at least 0, where 0 means no cap.
-    ``iou_thresholds``, the COCO ten when None, are a list of non-bool
-    real numbers in [0, 1]. Anything else is a one-line ``ValidationError``.
+    ``max_dets`` caps each (image, class) group's detections, the
+    highest scores kept: a non-bool integer of at least 0, where 0 means
+    no cap. ``iou_thresholds``, the COCO ten when None, are a list of
+    non-bool real numbers in [0, 1]. Anything else is a one-line
+    ``ValidationError``.
 
-    Size slices turn out-of-slice GTs into ignore entries and drop
-    out-of-slice detections by their own box area before matching. The
-    (image, class) groups are matched a bounded chunk at a time: each
-    chunk gets one padded IoU block, and the greedy match of every slice
-    and threshold runs on it in lock step.
+    Scoring follows COCOeval's ``evaluateImg`` and ``accumulate``. Each
+    detection is clipped into its image, as its GTs were at load, and
+    then matched in every size slice: a GT outside the slice, or a crowd
+    GT scored by intersection over the det's area, turns the det that
+    takes it into an ignored one, and only an unmatched det outside the
+    slice, by its box area, is ignored for lying there. The (image,
+    class) groups are matched a bounded chunk at a time: each chunk gets
+    one padded overlap block, and the greedy match of every slice and
+    threshold runs on it in lock step.
     """
     max_dets = check_count("max_dets", max_dets, 0)
     thresholds = (IOU_THRESHOLDS if iou_thresholds is None
@@ -368,7 +389,7 @@ def coco_map(
         raise ValidationError(
             f"IoU thresholds must be finite and in [0, 1], got {list(thresholds)}"
         )
-    group_size, class_id, det_rows, scores, det_boxes = _grouped_dets(dets, ds, max_dets)
+    group_size, class_id, scores, det_boxes = _grouped_dets(dets, ds, max_dets)
     gt = ds.columns
     gt_groups = group_rows(gt.image_id, gt.category_id)
     class_ids = sorted(ds.category_by_id)
@@ -389,9 +410,13 @@ def coco_map(
     det_in = slice_masks(det_area, _SLICES)
     # per slice, the non-crowd GTs in it
     inst_live = ~gt.ignore & slice_masks(gt.area, _SLICES)
-    # one trailing False column stands in for the GT padding of a chunk
-    gt_live = np.zeros((len(_SLICES), len(flat_gts) + 1), dtype=bool)
-    gt_live[:, :-1] = inst_live[:, flat_gts]
+    # per slice, each flat GT live or outside, or a crowd one; one
+    # trailing column of none stands in for the GT padding of a chunk
+    live = np.zeros((len(_SLICES), len(flat_gts) + 1), dtype=bool)
+    live[:, :-1] = inst_live[:, flat_gts]
+    crowd = np.append(gt.ignore[flat_gts], False)
+    outside = ~live & ~crowd
+    outside[:, -1] = False
 
     flags = np.full((len(_SLICES), len(thresholds), len(scores)), -1, dtype=np.int8)
     for chunk in _chunks(n_det, n_gt):
@@ -402,19 +427,28 @@ def coco_map(
         g_valid = np.arange(g_max) < n_gt[rows, None]
         d_idx = np.where(d_valid, det_start[rows, None] + np.arange(d_max), 0)
         g_idx = np.where(g_valid, gt_start[rows, None] + np.arange(g_max), len(flat_gts))
+        chunk_dets, chunk_gts, chunk_crowd = det_boxes[d_idx], gt_boxes[g_idx], crowd[g_idx]
+        overlaps = iou_matrix(chunk_dets, chunk_gts)
+        # COCOeval scores a crowd GT by intersection over the det's area
+        crowded = chunk_crowd.any(axis=1)
+        overlaps[crowded] = np.where(chunk_crowd[crowded, None],
+                                     ioa(chunk_dets[crowded], chunk_gts[crowded]), overlaps[crowded])
         chunk_flags = _lockstep_flags(
-            iou_matrix(det_boxes[d_idx], gt_boxes[g_idx]),
+            overlaps,
             n_det[rows],
             det_in[:, d_idx],
-            gt_live[:, g_idx],
-            ~gt_live[:, g_idx] & g_valid,
+            live[:, g_idx],
+            outside[:, g_idx],
+            chunk_crowd,
             thresholds,
         )
         flags[:, :, d_idx[d_valid]] = chunk_flags[:, :, d_valid]
 
-    # Pool per class in one (-score, row) order; a stable sort
-    # keeps image order, then rank order, between equal keys.
-    order = np.lexsort((det_rows, -scores))
+    # Pool per class in (-score, image id, row) order, as COCOeval's
+    # per-image lists, joined in image id order and stable-sorted, pool
+    # them: the dets run in (image, class) group order, each group in
+    # (-score, row) order, and a stable sort keeps that between ties.
+    order = np.argsort(-scores, kind="stable")
     class_order = {c: order[class_id[order] == c] for c in class_ids}
     # per slice, each class with GT in it -> its AP at every threshold
     table = [{} for _ in _SLICES]

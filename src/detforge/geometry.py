@@ -110,23 +110,50 @@ def iou_matrix(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
     whose ``w * h`` overflows gets a ``RuntimeWarning`` and scores 0,
     even against itself.
     """
+    boxes1, boxes2, inter, scratch = _intersections(boxes1, boxes2)
+    return _iou_of(inter, _areas(boxes1), _areas(boxes2), union=scratch)
+
+
+def ioa(boxes1: np.ndarray, boxes2: np.ndarray) -> np.ndarray:
+    """Pairwise intersection over the area of each ``boxes1`` box.
+
+    Shapes and stacking are those of :func:`iou_matrix`. This is how
+    COCOeval scores a detection against a crowd region: the share of the
+    detection the region covers. A zero-area ``boxes1`` box scores 0
+    against everything, with no warning. Every box must keep
+    ``annotations.box_rules``.
+    """
+    boxes1, _, inter, _ = _intersections(boxes1, boxes2)
+    area1 = _areas(boxes1)[..., :, None]
+    # a box without area has no intersection either, so its row stays 0
+    return np.divide(inter, area1, out=inter, where=area1 > 0)
+
+
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
+
+
+def _intersections(boxes1, boxes2):
+    """``(boxes1, boxes2, inter, scratch)``: both read as (..., N, 4) float64 stacks.
+
+    ``inter`` is the (..., N, M) intersection areas and ``scratch`` a
+    spare array of that shape. In-place steps keep at most three such
+    arrays alive; each is the same elementwise operation as its
+    out-of-place form.
+    """
     boxes1 = np.asarray(boxes1, dtype=np.float64)
     boxes2 = np.asarray(boxes2, dtype=np.float64)
     if boxes1.ndim < 3:
         boxes1 = boxes1.reshape(-1, 4)
     if boxes2.ndim < 3:
         boxes2 = boxes2.reshape(-1, 4)
-    area1 = (boxes1[..., 2] - boxes1[..., 0]) * (boxes1[..., 3] - boxes1[..., 1])
-    area2 = (boxes2[..., 2] - boxes2[..., 0]) * (boxes2[..., 3] - boxes2[..., 1])
-    # In-place steps keep at most three (..., N, M) arrays alive; each is
-    # the same elementwise operation as its out-of-place form.
     ix = np.minimum(boxes1[..., :, None, 2], boxes2[..., None, :, 2])
     ix -= np.maximum(boxes1[..., :, None, 0], boxes2[..., None, :, 0])
     iy = np.minimum(boxes1[..., :, None, 3], boxes2[..., None, :, 3])
     iy -= np.maximum(boxes1[..., :, None, 1], boxes2[..., None, :, 1])
     inter = np.clip(ix, 0.0, None, out=ix)
     inter *= np.clip(iy, 0.0, None, out=iy)
-    return _iou_of(inter, area1, area2, union=iy)
+    return boxes1, boxes2, inter, iy
 
 
 def _area_range(area: np.ndarray) -> Tuple[float, float]:

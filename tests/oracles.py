@@ -78,6 +78,18 @@ def clamp(b: BBox, bounds: BBox) -> BBox:
     )
 
 
+def oracle_ioa(a: BBox, b: BBox) -> float:
+    """Intersection over the area of ``a``, as COCOeval's ``bbIou`` scores a crowd ``b``.
+
+    No overlap, or an ``a`` without area, scores 0.
+    """
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0 or iy <= 0 or a.area <= 0:
+        return 0.0
+    return ix * iy / a.area
+
+
 def from_xywh(x: float, y: float, w: float, h: float) -> BBox:
     """Corner-form box from top-left corner plus extents."""
     if w < 0 or h < 0:
@@ -465,18 +477,15 @@ def oracle_export_bytes(ds) -> bytes:
 
 
 def oracle_stats(ds) -> dict:
-    """The original per-instance statistics loop."""
+    """The original per-instance statistics loop, with COCOeval's closed size bounds."""
     counts = {c.id: 0 for c in ds.categories}
     buckets = {c.id: {"small": 0, "medium": 0, "large": 0} for c in ds.categories}
     for inst in ds.instances:
         counts[inst.category_id] += 1
-        if inst.area < SMALL_AREA_MAX:
-            bucket = "small"
-        elif inst.area < MEDIUM_AREA_MAX:
-            bucket = "medium"
-        else:
-            bucket = "large"
-        buckets[inst.category_id][bucket] += 1
+        a = buckets[inst.category_id]
+        a["small"] += inst.area <= SMALL_AREA_MAX
+        a["medium"] += SMALL_AREA_MAX <= inst.area <= MEDIUM_AREA_MAX
+        a["large"] += MEDIUM_AREA_MAX <= inst.area
     histogram = {}
     for insts in instances_by_image(ds).values():
         histogram[len(insts)] = histogram.get(len(insts), 0) + 1

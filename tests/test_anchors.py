@@ -8,6 +8,7 @@ import pytest
 
 from detforge import anchors as anchors_module
 from detforge.anchors import (
+    AnchorSet,
     AnchorSpec,
     MatchReport,
     cluster_anchor_sizes,
@@ -15,7 +16,7 @@ from detforge.anchors import (
     match_anchors,
     sweep_k,
 )
-from detforge.annotations import Category, Dataset, ImageRecord, Instance
+from detforge.annotations import Category, Dataset, ImageRecord, Instance, load_dataset
 from detforge.errors import BadExtent, ValidationError
 from detforge.geometry import BBox, WhIouBlock, iou_matrix, wh_iou_matrix
 from oracles import (all_boxes, columns_of, dense_match_anchors, gt_dataset, level_boxes,
@@ -1022,6 +1023,12 @@ class TestMatching:
         with pytest.raises(ValidationError) as exc:
             call(gt_dataset([gt(1, 1, 1, 0, 0, 8, 8)]))
         assert str(exc.value) == message
+
+    def test_an_anchor_set_without_levels_is_a_one_line_error(self, data_dir):
+        """``match_anchors`` on one ended in a bare ValueError from ``np.stack``."""
+        with pytest.raises(ValidationError) as exc:
+            match_anchors(AnchorSet([]), load_dataset(data_dir / "tiny.json"))
+        assert str(exc.value) == "an AnchorSet needs at least one level"
 
     @pytest.mark.parametrize("field", ["id", "image_id", "category_id"])
     def test_id_past_int64_is_a_one_line_error(self, field):

@@ -171,8 +171,8 @@ class TestStats:
             assert sum(report.per_category_size_buckets[cat_id].values()) == n
         assert sum(k * v for k, v in report.per_image_histogram.items()) == 7
 
-    def test_boundary_areas_round_up(self):
-        """Areas exactly on a bucket edge land in the coarser bucket."""
+    def test_boundary_areas_count_in_both_buckets(self):
+        """Areas exactly on a bucket edge count in both buckets, as COCOeval's ranges hold them."""
         ds = dataset_of(
             images=(ImageRecord(1, 500, 500, "x.png"),),
             instances=(
@@ -183,7 +183,7 @@ class TestStats:
             categories=(Category(1, "c"),),
         )
         buckets = compute_stats(ds).per_category_size_buckets[1]
-        assert buckets == {"small": 1, "medium": 1, "large": 1}
+        assert buckets == {"small": 2, "medium": 2, "large": 1}
 
     def test_stats_and_eval_read_one_slice_table(self):
         assert SIZE_SLICES == (("small", 0.0, SMALL_AREA_MAX),
@@ -199,12 +199,13 @@ class TestStats:
         (0.0, [1, 0, 0], [1, 1, 0, 0]),
         (1023.0, [1, 0, 0], [1, 1, 0, 0]),
         (math.nextafter(1024.0, 0.0), [1, 0, 0], [1, 1, 0, 0]),
-        (1024.0, [0, 1, 0], [1, 0, 1, 0]),
-        (9216.0, [0, 0, 1], [1, 0, 0, 1]),
+        (1024.0, [1, 1, 0], [1, 1, 1, 0]),
+        (math.nextafter(1024.0, math.inf), [0, 1, 0], [1, 0, 1, 0]),
+        (9216.0, [0, 1, 1], [1, 0, 1, 1]),
         (1e300, [0, 0, 1], [1, 0, 0, 1]),
     ])
-    def test_slice_masks_are_half_open(self, area, stats_row, eval_row):
-        """Each slice holds its low bound and not its high one."""
+    def test_slice_masks_are_closed(self, area, stats_row, eval_row):
+        """Each slice holds both its bounds, as COCOeval's area ranges do."""
         areas = np.array([area])
         assert slice_masks(areas, SIZE_SLICES)[:, 0].tolist() == list(map(bool, stats_row))
         assert slice_masks(areas, evaluation._SLICES)[:, 0].tolist() == list(map(bool, eval_row))
@@ -221,8 +222,8 @@ class TestStats:
             categories=(Category(1, "c"),),
         )
         report = compute_stats(ds)
-        assert report.per_category_size_buckets[1] == {"small": 1, "medium": 1, "large": 0,
-                                                       "tiny": 1}
+        assert report.per_category_size_buckets[1] == {"small": 2, "medium": 1, "large": 0,
+                                                       "tiny": 2}
         assert report.per_category_counts == {1: 2}
 
     def test_empty_dataset(self):

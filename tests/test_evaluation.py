@@ -35,10 +35,12 @@ from oracles import (
     Detection,
     assert_same_columns,
     bbox_grid,
+    clamp,
     dataset_of,
     detection_columns,
     detections_of,
     from_xywh,
+    oracle_ioa,
     oracle_load_detections,
     shifted,
 )
@@ -53,9 +55,9 @@ def box(x0, y0, x1, y1):
 
 
 # ------------------------------------------------------------------ oracle
-# The scalar evaluator that coco_map replaced: per (class, slice,
-# threshold) it walks every image and greedy-matches with scalar IoU.
-# coco_map must agree with it exactly.
+# pycocotools' COCOeval, step for step: evaluateImg's scan per (image,
+# class, slice, threshold) over scalar overlaps, and accumulate's pooling
+# per class. coco_map must agree with it exactly.
 
 
 def greedy_match(
@@ -63,44 +65,45 @@ def greedy_match(
     gt_boxes: Sequence[BBox],
     gt_ignore: Optional[Sequence[bool]],
     iou_thr: float,
+    gt_crowd: Optional[Sequence[bool]] = None,
 ) -> np.ndarray:
-    """Flags per detection: 1 TP, 0 FP, -1 excluded by an ignore GT.
+    """COCOeval's ``evaluateImg`` match at one threshold.
 
-    Detections must already be sorted by descending score (ties by
-    ascending source index). Each detection takes the unmatched
-    non-ignore GT with the highest IoU at or above the threshold, ties
-    to the lowest GT index. A detection with no such match that still
-    reaches the threshold against some ignore-flagged GT is excluded
-    from scoring; ignore GTs can absorb any number of detections.
+    Flags per detection: 1 matched to a live GT, -1 matched to an ignore
+    GT, 0 unmatched. Detections must already be in rank order.
+    ``gt_ignore`` marks the GTs that do not count (crowd, or outside the
+    size slice) and ``gt_crowd`` the crowd ones among them, which are
+    scored by intersection over the det's area and stay open after a
+    match. The GTs are stable-sorted ignore last; each det scans them
+    from ``min(thr, 1 - 1e-10)`` up, skips a matched non-crowd GT, stops
+    at the first ignore GT once it holds a live one, and takes any GT
+    whose overlap is not below the best so far, so ties go to the last.
     """
-    if gt_ignore is None:
-        gt_ignore = [False] * len(gt_boxes)
+    n = len(gt_boxes)
+    gt_ignore = [False] * n if gt_ignore is None else gt_ignore
+    gt_crowd = [False] * n if gt_crowd is None else gt_crowd
+    order = sorted(range(n), key=lambda j: gt_ignore[j])
     flags = np.zeros(len(det_boxes), dtype=np.int8)
-    matched = [False] * len(gt_boxes)
+    matched = [False] * n
     for i, db in enumerate(det_boxes):
-        best_j = -1
-        best_v = -1.0
-        for j, gb in enumerate(gt_boxes):
-            if gt_ignore[j] or matched[j]:
+        best_v, m = min(iou_thr, 1 - 1e-10), -1
+        for j in order:
+            if matched[j] and not gt_crowd[j]:
                 continue
-            v = iou(db, gb)
-            if v >= iou_thr and v > best_v:
-                best_v = v
-                best_j = j
-        if best_j >= 0:
-            flags[i] = 1
-            matched[best_j] = True
-            continue
-        absorbed = any(
-            gt_ignore[j] and iou(db, gb) >= iou_thr
-            for j, gb in enumerate(gt_boxes)
-        )
-        flags[i] = -1 if absorbed else 0
+            if m > -1 and not gt_ignore[m] and gt_ignore[j]:
+                break
+            v = oracle_ioa(db, gt_boxes[j]) if gt_crowd[j] else iou(db, gt_boxes[j])
+            if v < best_v:
+                continue
+            best_v, m = v, j
+        if m > -1:
+            flags[i] = -1 if gt_ignore[m] else 1
+            matched[m] = True
     return flags
 
 
 def oracle_average_precision(flags, scores, n_gt: int) -> float:
-    """The original AP: a stable re-sort, cumsums of TPs and FPs, a fresh grid.
+    """The original AP: a stable re-sort, cumsums of TPs and FPs, COCOeval's recall grid.
 
     ``evaluation.average_precision`` and ``evaluation._ranked_ap`` must
     give its bits on every input it accepts.
@@ -122,7 +125,7 @@ def oracle_average_precision(flags, scores, n_gt: int) -> float:
     recall = tp / n_gt
     precision = tp / (tp + fp)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    grid = np.arange(101) / 100.0
+    grid = np.linspace(0.0, 1.00, int(np.round((1.00 - 0.0) / 0.01)) + 1, endpoint=True)
     idx = np.searchsorted(recall, grid, side="left")
     inside = idx < len(recall)
     values = np.where(inside, envelope[np.minimum(idx, len(recall) - 1)], 0.0)
@@ -135,61 +138,60 @@ def scalar_coco_map(
     max_dets: int = MAX_DETS_PER_IMAGE,
     iou_thresholds: Optional[Sequence[float]] = None,
 ) -> EvalResult:
+    """COCOeval's ``evaluate`` and ``accumulate`` over Detection and Instance objects.
+
+    Per (image, class), the dets in list order are stable-sorted by
+    -score and cut to ``max_dets`` (0: no cap), and each box is clamped
+    into its image, as the loader clamps GTs. Per slice ``[lo, hi]`` a
+    GT is ignored when crowd or when its ``area`` is outside, and an
+    unmatched det is ignored when its box area is outside. Per class,
+    each image's flags are joined in image-id order and stable-sorted by
+    -score. Two steps keep coco_map's arithmetic, so that both agree bit
+    for bit: precision is TPs over rank, without COCOeval's
+    ``np.spacing(1)``, and the mean runs over recall levels, then
+    thresholds, then classes.
+    """
     thresholds = (
         IOU_THRESHOLDS if iou_thresholds is None else tuple(float(t) for t in iou_thresholds)
     )
-    # each det with its list position, which breaks score ties
-    by_image = defaultdict(list)
-    for pos, d in enumerate(dets):
-        by_image[d.image_id].append((pos, d))
+    image_ids = sorted(ds.image_by_id)
+    class_ids = sorted(ds.category_by_id)
     det_groups = defaultdict(list)
-    n_detections = 0
-    for image_id in sorted(by_image):
-        ranked = sorted(by_image[image_id], key=lambda p: (-p[1].score, p[0]))
-        for pos, d in ranked[: max_dets if max_dets > 0 else None]:
-            det_groups[(d.image_id, d.category_id)].append((pos, d))
-            n_detections += 1
-
+    for d in dets:
+        det_groups[(d.image_id, d.category_id)].append(d)
+    kept = {}
+    for (image_id, cat), group in det_groups.items():
+        image = ds.image_by_id[image_id]
+        bounds = box(0, 0, image.width, image.height)
+        ranked = sorted(group, key=lambda d: -d.score)[: max_dets if max_dets > 0 else None]
+        kept[(image_id, cat)] = [(d.score, clamp(d.bbox, bounds)) for d in ranked]
     gt_groups = defaultdict(list)
     for inst in ds.instances:
         gt_groups[(inst.image_id, inst.category_id)].append(inst)
-    class_ids = sorted(ds.category_by_id)
-    image_ids = sorted(ds.image_by_id)
 
     def class_threshold_aps(cat: int, lo: float, hi: float):
-        n_gt = sum(
-            1
-            for image_id in image_ids
-            for g in gt_groups.get((image_id, cat), [])
-            if not g.ignore and lo <= g.area < hi
-        )
+        n_gt = sum(1 for g in ds.instances
+                   if g.category_id == cat and not g.ignore and lo <= g.area <= hi)
         if n_gt == 0:
             return None
         aps = []
         for thr in thresholds:
             pooled = []
             for image_id in image_ids:
-                dts = [
-                    (pos, d)
-                    for pos, d in det_groups.get((image_id, cat), [])
-                    if lo <= d.bbox.area < hi
-                ]
+                dts = kept.get((image_id, cat), [])
                 gts = gt_groups.get((image_id, cat), [])
-                gt_ignore = [g.ignore or not (lo <= g.area < hi) for g in gts]
                 flags = greedy_match(
-                    [d.bbox for _, d in dts], [g.bbox for g in gts], gt_ignore, thr
+                    [b for _, b in dts], [g.bbox for g in gts],
+                    [g.ignore or not lo <= g.area <= hi for g in gts], thr,
+                    [g.ignore for g in gts],
                 )
                 pooled.extend(
-                    (d.score, pos, int(f))
-                    for (pos, d), f in zip(dts, flags)
-                    if f >= 0
+                    (score, int(f)) for (score, b), f in zip(dts, flags)
+                    if f == 1 or (f == 0 and lo <= b.area <= hi)
                 )
-            pooled.sort(key=lambda p: (-p[0], p[1]))
-            aps.append(
-                oracle_average_precision(
-                    [p[2] for p in pooled], [p[0] for p in pooled], n_gt
-                )
-            )
+            pooled.sort(key=lambda p: -p[0])
+            aps.append(oracle_average_precision(
+                [f for _, f in pooled], [score for score, _ in pooled], n_gt))
         return aps
 
     def mean_or_sentinel(values):
@@ -237,7 +239,7 @@ def scalar_coco_map(
         ap_large=slice_ap["large"],
         per_class_ap=per_class_all,
         n_gt=sum(1 for inst in ds.instances if not inst.ignore),
-        n_detections=n_detections,
+        n_detections=sum(len(group) for group in kept.values()),
     )
 
 
@@ -496,10 +498,38 @@ class TestGreedyMatch:
         flags = greedy_match([box(0, 0, 10, 10)], gts, [True, False], 0.5)
         assert flags.tolist() == [1]
 
-    def test_ignore_gt_absorbs_many(self):
+    def test_live_gt_preferred_over_a_closer_ignore_gt(self):
+        # the ignore GT overlaps at 1.0, the live one only at 0.5: the scan
+        # holds the live one when it reaches the ignore GTs, and stops there
+        gts = [box(0, 0, 10, 10), box(0, 0, 10, 20)]
+        flags = greedy_match([box(0, 0, 10, 10)], gts, [True, False], 0.5)
+        assert flags.tolist() == [1]
+
+    def test_a_crowd_gt_absorbs_many_and_an_ignore_gt_one(self):
         dets = [box(0, 0, 10, 10), box(1, 1, 11, 11), box(2, 2, 12, 12)]
-        flags = greedy_match(dets, [box(0, 0, 12, 12)], [True], 0.3)
-        assert flags.tolist() == [-1, -1, -1]
+        region = [box(0, 0, 12, 12)]
+        assert greedy_match(dets, region, [True], 0.3, [True]).tolist() == [-1, -1, -1]
+        assert greedy_match(dets, region, [True], 0.3).tolist() == [-1, 0, 0]
+
+    def test_a_crowd_gt_scores_by_intersection_over_the_det_area(self):
+        # IoU 100 / 10000 = 0.01, but the region covers the whole det
+        dets = [box(10, 10, 20, 20)]
+        region = [box(0, 0, 100, 100)]
+        assert greedy_match(dets, region, [True], 0.5, [True]).tolist() == [-1]
+        assert greedy_match(dets, region, [True], 0.5).tolist() == [0]
+
+    def test_an_iou_tie_goes_to_the_last_gt(self):
+        # the det ties with both GTs at 90 / 110; it takes the right one,
+        # which leaves the left one to the exact second det
+        left, right = box(0, 0, 10, 10), box(2, 0, 12, 10)
+        flags = greedy_match([box(1, 0, 11, 10), left], [left, right], None, 0.75)
+        assert flags.tolist() == [1, 1]
+
+    def test_a_threshold_of_one_takes_an_overlap_just_below_it(self):
+        near = box(0, 0, 1, 1 + 1e-11)  # IoU 1 / (1 + 1e-11), above 1 - 1e-10
+        assert greedy_match([near], [box(0, 0, 1, 1)], None, 1.0).tolist() == [1]
+        far = box(0, 0, 1, 1 + 1e-9)
+        assert greedy_match([far], [box(0, 0, 1, 1)], None, 1.0).tolist() == [0]
 
     def test_highest_iou_gt_wins(self):
         # det overlaps both GTs; it must take the closer one, freeing the
@@ -513,38 +543,34 @@ class TestGreedyMatch:
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(55)
-        for trial in range(200):
+        for trial in range(300):
             n_det = int(rng.integers(0, 8))
             n_gt = int(rng.integers(0, 6))
-            dets = []
-            for _ in range(n_det):
-                x, y = rng.uniform(0, 60, 2)
-                w, h = rng.uniform(4, 30, 2)
-                dets.append(box(x, y, x + w, y + h))
-            gts = []
-            for _ in range(n_gt):
-                x, y = rng.uniform(0, 60, 2)
-                w, h = rng.uniform(4, 30, 2)
-                gts.append(box(x, y, x + w, y + h))
-            ignore = [bool(rng.random() < 0.25) for _ in gts]
-            thr = float(rng.choice([0.3, 0.5, 0.75]))
+            corners = rng.choice([0.0, 4.0, 8.0], (n_det + n_gt, 2))
+            sides = rng.choice([4.0, 8.0, 12.0], (n_det + n_gt, 2))
+            boxes = [box(x, y, x + w, y + h) for (x, y), (w, h) in zip(corners, sides)]
+            dets, gts = boxes[:n_det], boxes[n_det:]
+            crowd = [bool(rng.random() < 0.2) for _ in gts]
+            ignore = [c or bool(rng.random() < 0.25) for c in crowd]
+            thr = float(rng.choice([0.3, 0.5, 0.75, 1.0]))
 
-            got = greedy_match(dets, gts, ignore, thr).tolist()
+            got = greedy_match(dets, gts, ignore, thr, crowd).tolist()
 
+            # the best open GT by (overlap, index), live ones first
             matched = [False] * n_gt
             want = []
             for d in dets:
-                candidates = [
-                    (iou(d, g), j)
-                    for j, g in enumerate(gts)
-                    if not ignore[j] and not matched[j] and iou(d, g) >= thr
-                ]
-                if candidates:
-                    best = max(candidates, key=lambda t: (t[0], -t[1]))
-                    matched[best[1]] = True
-                    want.append(1)
-                elif any(ignore[j] and iou(d, gts[j]) >= thr for j in range(n_gt)):
-                    want.append(-1)
+                overlap = [oracle_ioa(d, g) if c else iou(d, g) for g, c in zip(gts, crowd)]
+                for pool in (False, True):
+                    candidates = [
+                        (overlap[j], j) for j in range(n_gt)
+                        if ignore[j] == pool and (crowd[j] or not matched[j])
+                        and overlap[j] >= min(thr, 1 - 1e-10)
+                    ]
+                    if candidates:
+                        matched[max(candidates)[1]] = True
+                        want.append(-1 if pool else 1)
+                        break
                 else:
                     want.append(0)
             assert got == want, f"trial {trial}"
@@ -659,7 +685,9 @@ class TestCocoMap:
         assert (result.ap, result.ap_large, result.ap_small) == (1.0, 1.0, -1.0)
 
     def test_thresholds_are_the_coco_ladder(self):
-        assert IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+        # COCOeval's np.linspace ladder: 0.9 comes out one ulp low
+        assert IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85,
+                                  0.8999999999999999, 0.95)
         assert MAX_DETS_PER_IMAGE == 100
 
     def test_hand_traced_fixture(self, mixed_dataset, mixed_detections):
@@ -817,7 +845,9 @@ def random_case(rng, n_images, n_classes, max_gts, max_dets):
     exact slice-boundary areas (32^2, 96^2) are common; extents include
     zero. Scores come from a short list, so ties are common too. GTs are
     sometimes crowd, sometimes duplicated, and sometimes carry an
-    ``area`` that is not their box area (zero among them).
+    ``area`` that is not their box area (zero among them). Some images
+    are small enough that boxes cross their border: GTs are clamped into
+    the image, as the loader clamps them, and detections are not.
     """
     extents = (0, 1, 8, 16, 32, 33, 64, 96, 97)
     corners = (0, 8, 16, 32)
@@ -827,7 +857,8 @@ def random_case(rng, n_images, n_classes, max_gts, max_dets):
         w, h = rng.choice(extents, 2)
         return from_xywh(float(x), float(y), float(w), float(h))
 
-    images = tuple(ImageRecord(i, 200, 200, f"{i}.png") for i in range(1, n_images + 1))
+    images = tuple(ImageRecord(i, *(int(v) for v in rng.choice([40, 100, 200], 2)), f"{i}.png")
+                   for i in range(1, n_images + 1))
     categories = tuple(Category(c, f"c{c}") for c in range(1, n_classes + 1))
     instances = []
     for image in images:
@@ -838,6 +869,7 @@ def random_case(rng, n_images, n_classes, max_gts, max_dets):
                 # corner: a square det on that corner ties between them
                 t = instances[-1].bbox
                 b = t if rng.random() < 0.5 else from_xywh(t.x_min, t.y_min, t.height, t.width)
+            b = clamp(b, box(0, 0, image.width, image.height))
             area = float(rng.choice([b.area, b.area, SMALL_AREA_MAX, MEDIUM_AREA_MAX,
                                      rng.uniform(0, 12000), 0.0]))
             instances.append(Instance(len(instances) + 1, image.id,
@@ -879,17 +911,26 @@ class TestCocoMapAgainstScalarOracle:
                            iou_thresholds=thresholds)
             assert got.to_dict() == want.to_dict(), f"trial {trial}"
 
-    def test_iou_tie_goes_to_the_lowest_gt_index(self, mixed_dataset):
+    def test_iou_tie_goes_to_the_last_gt_index(self, mixed_dataset):
         tall, wide = box(0, 0, 10, 20), box(0, 0, 20, 10)
         ds = dataset_of(mixed_dataset.images[:1],
                         (Instance(1, 1, 1, tall, tall.area), Instance(2, 1, 1, wide, wide.area)),
                         mixed_dataset.categories)
-        # the square ties at IoU 0.5 and takes the tall GT, so the tall det
-        # that follows is left with the wide one (IoU 1/3): a miss at 0.5
+        # the square ties at IoU 0.5 and takes the wide GT, the last one,
+        # so the tall det that follows takes the tall GT: both hit
         dets = [Detection(1, 1, box(0, 0, 10, 10), 0.9), Detection(1, 1, tall, 0.8)]
         result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
+        assert result.ap == 1.0
+        # with the GTs swapped the square takes the tall one: a miss at 0.5
+        swapped = dataset_of(mixed_dataset.images[:1],
+                             (Instance(1, 1, 1, wide, wide.area),
+                              Instance(2, 1, 1, tall, tall.area)),
+                             mixed_dataset.categories)
+        result = coco_map(detection_columns(dets), swapped, iou_thresholds=[0.5])
         assert result.ap == pytest.approx(51.0 / 101.0, abs=1e-15)
-        assert result.to_dict() == scalar_coco_map(dets, ds, iou_thresholds=[0.5]).to_dict()
+        for gts in (ds, swapped):
+            assert (coco_map(detection_columns(dets), gts, iou_thresholds=[0.5]).to_dict()
+                    == scalar_coco_map(dets, gts, iou_thresholds=[0.5]).to_dict())
 
     def test_score_ties_rank_by_row_as_cocoeval(self):
         """Equal scores keep their row order, as COCOeval's stable mergesort does."""
@@ -932,12 +973,12 @@ class TestCocoMapAgainstScalarOracle:
     def test_padded_cells_of_a_chunk_are_never_read(self, monkeypatch):
         original = evaluation._lockstep_flags
 
-        def poisoned(ious, n_dets, in_slice, live, absorbing, thresholds):
-            # a padded GT is neither live nor absorbing in any slice
-            padded = (~(live | absorbing).any(axis=0)[:, None, :]
-                      | (np.arange(ious.shape[1]) >= n_dets[:, None])[:, :, None])
-            return original(np.where(padded, 1.0, ious), n_dets, in_slice, live, absorbing,
-                            thresholds)
+        def poisoned(overlaps, n_dets, det_in, live, outside, crowd, thresholds):
+            # a padded GT is in none of the masks
+            padded = (~((live | outside).any(axis=0) | crowd)[:, None, :]
+                      | (np.arange(overlaps.shape[1]) >= n_dets[:, None])[:, :, None])
+            return original(np.where(padded, 1.0, overlaps), n_dets, det_in, live, outside,
+                            crowd, thresholds)
 
         monkeypatch.setattr(evaluation, "_lockstep_flags", poisoned)
         monkeypatch.setattr(evaluation, "_CHUNK_CELLS", 60)
@@ -983,46 +1024,43 @@ class TestCocoMapAgainstScalarOracle:
 
 
 # -------------------------------------------------------- lock-step oracle
-# The lock-step matcher before its match-state-free terms moved out of
-# the rank loop: every step recomputes reach, absorption and the flag
-# write for every (slice, group) lane. _lockstep_flags must return the
-# same int8 flags.
+# The lock-step matcher's chunk, one (slice, threshold, group) at a time
+# by COCOeval's evaluateImg scan over the chunk's overlap block.
+# _lockstep_flags must return the same int8 flags.
 
 
-def oracle_lockstep_flags(ious, n_dets, in_slice, live, absorbing, thresholds) -> np.ndarray:
+def oracle_lockstep_flags(overlaps, n_dets, det_in, live, outside, crowd,
+                          thresholds) -> np.ndarray:
     """Greedy-match flags for a chunk of groups, every slice and threshold.
 
-    ``ious`` is the (N, D, G) IoU block of N groups sorted by descending
-    det count ``n_dets``, each padded at the tail of both axes. Padded
-    cells may hold any value: no step reads a padded det, and a padded
-    GT is neither live nor absorbing. Per slice, ``in_slice`` (S, N, D)
-    marks the dets that take part, ``live`` (S, N, G) the GTs a det may
-    match and ``absorbing`` (S, N, G) the ignore GTs (crowd or out of
-    the slice). Returns (S, T, N, D) flags:
-    1 TP, 0 FP, -1 excluded (absorbed, out of the slice, or padding).
-
-    Step k matches the k-th det of every group at once; each takes the
-    unmatched live GT with the highest IoU at or above the threshold,
-    ties to the lowest GT index, or failing that is absorbed if it
-    reaches the threshold against an ignore GT. Only the groups with
-    more than k dets, a prefix, take part in step k.
+    The arguments are ``_lockstep_flags``': the (N, D, G) ``overlaps``,
+    the groups' det counts, ``det_in`` (S, N, D), ``live`` and
+    ``outside`` (S, N, G) and ``crowd`` (N, G). Returns (S, T, N, D)
+    flags: 1 TP, 0 FP, -1 ignored or padding.
     """
-    n_slices, n_groups, d_max = in_slice.shape
-    thr = np.asarray(thresholds, dtype=np.float64)[:, None, None]
-    flags = np.full((n_slices, len(thr), n_groups, d_max), -1, dtype=np.int8)
-    matched = np.zeros((n_slices, len(thr), n_groups, ious.shape[2]), dtype=bool)
-    for k in range(d_max):
-        n = int(np.count_nonzero(n_dets > k))
-        v = ious[:n, k]
-        reach = v >= thr
-        cand = reach & live[:, None, :n] & ~matched[:, :, :n]
-        best = np.where(cand, v, -1.0).argmax(axis=-1)
-        here = in_slice[:, None, :n, k]
-        hit = cand.any(axis=-1) & here
-        s, t, g = np.nonzero(hit)
-        matched[s, t, g, best[hit]] = True
-        absorbed = (reach & absorbing[:, None, :n]).any(axis=-1)
-        flags[:, :, :n, k] = np.where(hit, 1, np.where(absorbed | ~here, -1, 0))
+    n_slices, n_groups, d_max = det_in.shape
+    flags = np.full((n_slices, len(thresholds), n_groups, d_max), -1, dtype=np.int8)
+    for s, (t, thr), n in itertools.product(range(n_slices), enumerate(thresholds),
+                                            range(n_groups)):
+        gts = [j for j in range(overlaps.shape[2])
+               if live[s, n, j] or outside[s, n, j] or crowd[n, j]]
+        ignore = {j: not live[s, n, j] for j in gts}
+        matched = set()
+        for k in range(n_dets[n]):
+            best, m = min(thr, 1 - 1e-10), -1
+            for j in sorted(gts, key=ignore.get):
+                if j in matched and not crowd[n, j]:
+                    continue
+                if m > -1 and not ignore[m] and ignore[j]:
+                    break
+                if overlaps[n, k, j] < best:
+                    continue
+                best, m = overlaps[n, k, j], j
+            if m > -1:
+                matched.add(m)
+                flags[s, t, n, k] = -1 if ignore[m] else 1
+            else:
+                flags[s, t, n, k] = 0 if det_in[s, n, k] else -1
     return flags
 
 
@@ -1030,10 +1068,11 @@ def random_chunk(rng, n_groups: int, d_max: int, g_max: int):
     """Inputs of one lock-step chunk for four slices, with hostile padding.
 
     Det counts descend from ``d_max``; some groups have no GT and some
-    only crowd GTs. IoUs mix exact thresholds, ties and random values.
-    Padded cells hold NaN or high IoUs, and dets past a group's count
-    may be marked in the slice: only ``n_dets`` says they are padding.
-    Returns ``(ious, n_dets, in_slice, live, absorbing)``.
+    only crowd GTs. Overlaps mix exact thresholds, ties and random
+    values. Padded cells hold NaN or high overlaps, and dets past a
+    group's count may be marked in the slice: only ``n_dets`` says they
+    are padding. Returns ``(overlaps, n_dets, det_in, live, outside,
+    crowd)``.
     """
     n_dets = np.sort(rng.integers(1, d_max + 1, n_groups))[::-1]
     n_dets[0] = d_max
@@ -1042,15 +1081,15 @@ def random_chunk(rng, n_groups: int, d_max: int, g_max: int):
     g = max(int(n_gts.max()), 1)
     d_valid = np.arange(d_max) < n_dets[:, None]
     g_valid = np.arange(g) < n_gts[:, None]
-    values = np.concatenate([[0.0, 0.05, 0.5, 0.5, 0.75, 0.95, 1.0], rng.random(5)])
+    values = np.concatenate([[0.0, 0.05, 0.5, 0.5, 0.75, 0.95, 1.0, 1 - 1e-11], rng.random(5)])
     padding = rng.choice([np.nan, 0.9, 1.0], (n_groups, d_max, g))
-    ious = np.where(d_valid[:, :, None] & g_valid[:, None, :],
-                    rng.choice(values, (n_groups, d_max, g)), padding)
-    crowd = (rng.random((n_groups, g)) < 0.2) | (rng.random((n_groups, 1)) < 0.2)
+    overlaps = np.where(d_valid[:, :, None] & g_valid[:, None, :],
+                        rng.choice(values, (n_groups, d_max, g)), padding)
+    crowd = ((rng.random((n_groups, g)) < 0.2) | (rng.random((n_groups, 1)) < 0.2)) & g_valid
     live = ~crowd & (rng.random((4, n_groups, g)) < 0.7) & g_valid
-    absorbing = ~live & g_valid
-    in_slice = rng.random((4, n_groups, d_max)) < 0.7
-    return ious, n_dets, in_slice, live, absorbing
+    outside = ~crowd & ~live & g_valid
+    det_in = rng.random((4, n_groups, d_max)) < 0.7
+    return overlaps, n_dets, det_in, live, outside, crowd
 
 
 class TestLockstepAgainstOracle:
@@ -1142,91 +1181,198 @@ def test_memory_is_bounded_without_a_whole_dataset_batch():
     assert peak < 8_000_000, peak
 
 
-class TestDeviationsFromCocoEval:
-    """Where coco_map knowingly differs from pycocotools' COCOeval.
+class TestCocoEvalRules:
+    """Cases where an easier rule and pycocotools' COCOeval part ways.
 
-    Each fixture is traced by hand and pins today's value; the comment
-    gives what COCOeval would report instead.
+    pycocotools is not a dependency, so each value is traced by hand
+    from COCOeval's ``evaluateImg`` and ``accumulate``; the comment gives
+    the trace and what the easier rule would report.
     """
 
-    def dataset(self, *gts):
-        """One 800x800 image, classes 1 and 2; each GT is (cat, box, area, crowd)."""
+    def dataset(self, *gts, images=1):
+        """800x800 images, classes 1 and 2; each GT is (cat, box, area, crowd) on image 1."""
         return dataset_of(
-            (ImageRecord(1, 800, 800, "a.png"),),
+            tuple(ImageRecord(i, 800, 800, f"{i}.png") for i in range(1, images + 1)),
             tuple(Instance(i + 1, 1, cat, b, area, crowd)
                   for i, (cat, b, area, crowd) in enumerate(gts)),
             (Category(1, "car"), Category(2, "truck")),
         )
 
-    def test_a_max_dets_caps_per_image_across_classes(self):
+    def test_a_max_dets_caps_each_image_and_class(self):
         car, truck = box(0, 0, 20, 20), box(100, 100, 140, 140)
         ds = self.dataset((1, car, car.area, False), (2, truck, truck.area, False))
         dets = [Detection(1, 2, truck, 0.9), Detection(1, 1, car, 0.8)]
         result = coco_map(detection_columns(dets), ds, max_dets=1)
-        # the cap keeps only the truck; COCOeval caps per (image, class)
-        # and would keep the car too, for per_class_ap {1: 1.0, 2: 1.0}
-        assert result.n_detections == 1
-        assert result.per_class_ap == {1: 0.0, 2: 1.0}
-        assert result.ap == 0.5
+        # each (image, class) keeps its best det, so both hit; a cap per
+        # image across classes would keep only the truck: {1: 0.0, 2: 1.0}
+        assert result.n_detections == 2
+        assert result.per_class_ap == {1: 1.0, 2: 1.0}
+        assert result.ap == 1.0
 
-    def test_b_out_of_slice_dets_are_dropped_before_matching(self):
+    def test_b_an_out_of_slice_det_matches_before_it_is_ignored(self):
         gt = box(0, 0, 30, 30)  # area 900: small
         ds = self.dataset((1, gt, gt.area, False))
         dets = [Detection(1, 1, box(0, 0, 40, 40), 0.9)]  # area 1600, IoU 0.5625
         result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
-        # the medium det never meets the small GT in the small slice;
-        # COCOeval matches it there and would report ap_small 1.0
+        # the medium det matches the small GT in the small slice, and only
+        # an unmatched det is ignored for its area; dropping it before the
+        # match would leave the GT missed, ap_small 0.0. In the medium
+        # slice it takes the GT that slice ignores, and no GT is live there
         assert result.ap == 1.0
-        assert result.ap_small == 0.0
+        assert result.ap_small == 1.0
         assert result.ap_medium == -1.0
 
-    def test_c_crowd_gt_is_scored_by_plain_iou(self):
+    def test_c_a_crowd_gt_scores_by_intersection_over_the_det_area(self):
         crowd, car = box(0, 0, 100, 100), box(200, 200, 220, 220)
         ds = self.dataset((1, crowd, crowd.area, True), (1, car, car.area, False))
         dets = [Detection(1, 1, box(10, 10, 30, 30), 0.9),  # IoU 0.04 with the crowd
                 Detection(1, 1, car, 0.8)]
         result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
-        # the det inside the crowd region is a false positive ranked above
-        # the hit; COCOeval scores a crowd GT by intersection over det
-        # area (here 1.0), would ignore that det and report ap 1.0
-        assert result.ap == 0.5
+        # the crowd region covers the whole first det (IoA 1.0), so it is
+        # ignored and the hit ranks alone; by plain IoU it would be an FP
+        # ranked above the hit, ap 0.5
+        assert result.ap == 1.0
         assert result.n_gt == 1
 
-    def test_d_slice_bounds_are_half_open(self):
+    def test_d_slice_bounds_are_closed(self):
         gt = box(0, 0, 32, 32)  # area exactly 32^2
         ds = self.dataset((1, gt, gt.area, False))
         result = coco_map(detection_columns([Detection(1, 1, gt, 0.9)]), ds)
-        # [lo, hi) puts the GT in medium only; COCOeval's bounds are
-        # inclusive, so it is small and medium there and ap_small is 1.0
-        assert result.ap_small == -1.0
+        # [lo, hi] puts the GT in small and in medium; [lo, hi) would put
+        # it in medium only, ap_small -1.0
+        assert result.ap_small == 1.0
         assert result.ap_medium == 1.0
         assert result.ap == 1.0
 
-    def test_e_an_out_of_slice_gt_absorbs_any_number_of_dets(self):
+    def test_e_an_out_of_slice_gt_absorbs_one_det(self):
         small, medium = box(0, 0, 30, 30), box(100, 100, 140, 140)  # areas 900 and 1600
         ds = self.dataset((1, small, small.area, False), (1, medium, medium.area, False))
         near = box(0, 0, 33, 33)  # area 1089, medium; IoU 900 / 1089 = 0.826 with the small GT
         dets = [Detection(1, 1, near, 0.9), Detection(1, 1, near, 0.8),
                 Detection(1, 1, medium, 0.7)]
         result = coco_map(detection_columns(dets), ds)
-        # in the medium slice the small GT is ignored and absorbs both near
-        # dets at the seven thresholds up to 0.8, leaving the hit alone (AP
-        # 1), and neither at 0.85-0.95, where they rank as two FPs above it
-        # (AP 1/3): (7 + 3 / 3) / 10. COCOeval lets a matched non-crowd GT
-        # absorb no second det (``gtm > 0 and not iscrowd``: continue), so
-        # the second near det is an FP there too (AP 1/2), and it would
-        # report ap_medium (7 / 2 + 3 / 3) / 10 = 0.45
-        assert result.ap_medium == 0.8
+        # in the medium slice the small GT is ignored. At the seven
+        # thresholds up to 0.8 the first near det takes it and is ignored;
+        # a matched non-crowd GT takes no second det (``gtm > 0 and not
+        # iscrowd``: continue), so the second near det is an FP ranked
+        # above the hit (AP 1/2). At 0.85-0.95 both are FPs (AP 1/3):
+        # (7 / 2 + 3 / 3) / 10. If the GT absorbed any number of dets,
+        # the hit would rank alone up to 0.8 and ap_medium would be 0.8
+        assert result.ap_medium == 0.45
 
-    def test_f_an_iou_tie_between_live_gts_goes_to_the_lower_index(self):
+    def test_f_an_iou_tie_between_live_gts_goes_to_the_last(self):
         left, right = box(0, 0, 10, 10), box(2, 0, 12, 10)
         ds = self.dataset((1, left, left.area, False), (1, right, right.area, False))
         dets = [Detection(1, 1, box(1, 0, 11, 10), 0.9),  # IoU 90 / 110 with both GTs
                 Detection(1, 1, left, 0.8)]  # IoU 1 with left, 80 / 120 with right
         result = coco_map(detection_columns(dets), ds)
-        # at 0.75 the first det takes the left GT, the lower index, so the
-        # second, whose IoU with the right GT is 2/3, is an FP: AP 51 / 101.
         # COCOeval skips a GT only when ``ious < iou``, so an equal IoU
-        # replaces the match and the first det takes the right GT, the last
-        # one; the second then takes the left and it would report ap75 1.0
-        assert result.ap75 == 51 / 101
+        # replaces the match: at 0.75 the first det takes the right GT and
+        # the second the left. Ties to the lower index would leave the
+        # second det with the right GT at IoU 2/3, an FP: ap75 51 / 101
+        assert result.ap75 == 1.0
+
+    @pytest.mark.parametrize("rows", [(0, 1), (1, 0)])
+    def test_h_score_ties_across_images_rank_by_image_id(self, rows):
+        gt = box(0, 0, 10, 10)
+        ds = self.dataset((1, gt, gt.area, False), images=2)
+        hit, miss = Detection(1, 1, gt, 0.5), Detection(2, 1, gt, 0.5)
+        dets = [(miss, hit)[i] for i in rows]
+        result = coco_map(detection_columns(dets), ds)
+        # each image's list, joined in image id order and stable-sorted by
+        # -score, puts image 1's hit first in either file order. Ranking
+        # ties by file row would put the miss first when it is row 0: 0.5
+        assert result.ap == 1.0
+        assert result.to_dict() == scalar_coco_map(dets, ds).to_dict()
+
+    def test_i_the_recall_grid_is_cocoevals_linspace(self):
+        gts = [(1, box(20 * j, 0, 20 * j + 10, 10), 100.0, False) for j in range(10)]
+        ds = self.dataset(*gts)
+        hits = [Detection(1, 1, b, 0.99 - 0.01 * j) for j, (_, b, _, _) in enumerate(gts)]
+        dets = hits[:7] + [Detection(1, 1, box(500, 500, 510, 510), 0.925)] + hits[7:]
+        result = coco_map(detection_columns(dets), ds, iou_thresholds=[0.5])
+        # ranks TP x 7, FP, TP x 3: recall 0.7 at precision 1, then 10/11
+        # up to recall 1. np.linspace's level 70 is one ulp above 0.7, so
+        # recall 0.7 does not reach it: (70 + 31 * 10 / 11) / 101. On the
+        # grid arange(101) / 100 level 70 is 0.7: (71 + 30 * 10 / 11) / 101
+        assert result.ap == 0.9720972097209719
+        assert evaluation._RECALL_GRID[70] == np.nextafter(0.7, 1.0)
+        assert IOU_THRESHOLDS[8] == np.nextafter(0.9, 0.0)
+
+    def test_g_a_detection_is_clipped_into_its_image(self, tmp_path):
+        """The one remaining difference: COCOeval scores the raw box, which would miss at 0.75."""
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({
+            "images": [{"id": 1, "width": 100, "height": 100, "file_name": "a.png"}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1,
+                             "bbox": [80, 0, 40, 40]}],
+            "categories": [{"id": 1, "name": "c"}],
+        }))
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([{"image_id": 1, "category_id": 1,
+                                     "bbox": [80, 0, 40, 40], "score": 0.9}]))
+        # the GT is clamped to 20 x 40 at load; the raw det has IoU 0.5
+        # with it, the clipped det 1.0
+        result = coco_map(load_detections(dets), load_dataset(ann))
+        assert (result.ap, result.ap_small, result.ap_medium) == (1.0, 1.0, -1.0)
+
+
+def aerial_coco(rng, n_images=30, per_image=20, width=640, height=480) -> dict:
+    """A COCO dict like the benchmark's: every 20th box crosses the border, 2% are crowd.
+
+    Each ``area`` is the raw ``w * h``, so a GT that crosses the border
+    can fall in another slice than its clamped box.
+    """
+    annotations = []
+    for image_id in range(1, n_images + 1):
+        for j in range(per_image):
+            w, h = np.exp(rng.uniform(np.log(4), np.log(200), 2))
+            if j % 20 == 0:  # straddle the right or bottom border
+                x, y = (width - w / 2, rng.uniform(0, height - h)) if j % 40 == 0 else \
+                       (rng.uniform(0, width - w), height - h / 3)
+            else:
+                x, y = rng.uniform(0, width - w), rng.uniform(0, height - h)
+            annotations.append({
+                "id": len(annotations) + 1, "image_id": image_id,
+                "category_id": int(rng.integers(1, 4)),
+                "bbox": [float(x), float(y), float(w), float(h)],
+                "area": float(w * h), "iscrowd": int(rng.random() < 0.02),
+            })
+    return {
+        "images": [{"id": i, "width": width, "height": height, "file_name": f"{i}.png"}
+                   for i in range(1, n_images + 1)],
+        "annotations": annotations,
+        "categories": [{"id": c, "name": f"c{c}"} for c in range(1, 4)],
+    }
+
+
+class TestPerfectDetectorScoresOne:
+    """A detector that returns the dataset's own boxes scores 1.0 in every slice with GTs."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_loaded_live_boxes(self, tmp_path, seed):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps(aerial_coco(np.random.default_rng(seed))))
+        ds = load_dataset(path)
+        c = ds.columns
+        live = ~c.ignore
+        dets = DetectionColumns(image_id=c.image_id[live], category_id=c.category_id[live],
+                                boxes=c.boxes[live], score=np.ones(int(live.sum())))
+        result = coco_map(dets, ds, max_dets=0)
+        assert ds.clipped_instance_count > 0
+        for field in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"):
+            assert getattr(result, field) == 1.0, field
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_raw_annotation_boxes(self, tmp_path, seed):
+        coco = aerial_coco(np.random.default_rng(100 + seed))
+        ann, dets = tmp_path / "ann.json", tmp_path / "dets.json"
+        ann.write_text(json.dumps(coco))
+        dets.write_text(json.dumps([
+            {"image_id": a["image_id"], "category_id": a["category_id"], "bbox": a["bbox"],
+             "score": 1.0}
+            for a in coco["annotations"] if not a["iscrowd"]
+        ]))
+        result = coco_map(load_detections(dets), load_dataset(ann), max_dets=0)
+        for field in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"):
+            assert getattr(result, field) == 1.0, field

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,7 @@ from detforge import (
     iou_matrix,
     wh_iou_matrix,
 )
-from detforge.geometry import WhIouBlock
+from detforge.geometry import WhIouBlock, ioa
 from oracles import clamp, from_xywh, same_bits, scaled, shifted, to_xywh
 
 
@@ -197,6 +199,33 @@ class TestStackedIouMatrix:
         assert same_bits(iou_matrix(flat, flat.reshape(2, 4)),
                          oracle_iou_matrix(flat, flat))
         assert iou_matrix(flat, flat).shape == (2, 2)
+
+
+class TestIoa:
+    def test_known_values(self):
+        region = (0.0, 0.0, 20.0, 20.0)
+        dets = [(5, 5, 15, 15), (10, 0, 30, 20), (30, 30, 40, 40), (0, 0, 40, 40)]
+        # inside, half inside, outside, a quarter inside; IoU would read
+        # 0.25, 1/3, 0 and 0.25
+        assert ioa(dets, [region]).ravel().tolist() == [1.0, 0.5, 0.0, 0.25]
+
+    def test_a_zero_area_detection_scores_zero_without_a_warning(self):
+        region = [(0.0, 0.0, 20.0, 20.0)]
+        dets = [(5, 5, 5, 15), (5, 5, 15, 5), (0, 0, 0, 0), (20, 20, 20, 20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ioa(dets, region).ravel().tolist() == [0.0] * 4
+
+    def test_stack_equals_its_slices(self):
+        rng = np.random.default_rng(8)
+        xy = rng.uniform(0, 50, (3, 4, 2))
+        dets = np.concatenate([xy, xy + rng.uniform(0, 30, (3, 4, 2))], axis=-1)
+        xy = rng.uniform(0, 50, (3, 5, 2))
+        regions = np.concatenate([xy, xy + rng.uniform(0, 30, (3, 5, 2))], axis=-1)
+        stacked = ioa(dets, regions)
+        assert stacked.shape == (3, 4, 5)
+        for i in range(3):
+            assert same_bits(stacked[i], ioa(dets[i], regions[i]))
 
 
 def test_wh_iou_matrix_agrees_with_scalar():
