@@ -52,8 +52,9 @@ MAX_SWEEP_KS = 1024
 MAX_RESTARTS = 1000
 
 # The most Lloyd iterations one restart runs. Restarts on the benchmark's
-# 10k aerial boxes converge in 129-190 iterations (streams (0, r) for
-# r < 5 take 166, 190, 150, 134 and 129), so the bound sits far past
+# 10k aerial boxes at k=9 stop in 30-62 iterations (streams (0, r) for
+# r < 5 take 62, 59, 48, 30 and 34), and every one repeats an assignment
+# within 72 even without the patience stop, so the bound sits far past
 # convergence and still ends a restart whose assignments never settle.
 MAX_ITERS = 10_000
 
@@ -230,7 +231,9 @@ class ClusterResult(Report):
     centroids: np.ndarray  # read-only (k, 2) widths and heights, sorted by area ascending
     assignments: np.ndarray
     mean_iou: float
-    iterations: int
+    iterations: int  # iterations the winning restart ran, its seeding's assignment first
+    best_iteration: int  # the iterate it returns
+    converged: bool  # False only when max_iters ended it
     seed: int
 
 
@@ -300,14 +303,71 @@ def _plus_plus_init(block: WhIouBlock, k: int, rng: np.random.Generator) -> np.n
     return np.stack([block.w[chosen], block.h[chosen]], axis=1)
 
 
-def _lloyd(block: WhIouBlock, centroids: np.ndarray, max_iters: int):
-    """Assignment/update loop; returns (centroids, assignments, iterations, mean IoU).
+class _ClusterMedians:
+    """Per-coordinate cluster medians of one fixed (n, 2) box set, by sorted order.
 
-    IoU blocks are (k, n), centroids by boxes: the wh-IoU is symmetric bit
-    for bit, and row-wise reductions over n boxes beat k-wide ones.
-    ``block``, on the boxes, and the ``_first_max`` buffers serve every
-    iteration. The mean IoU is each box's IoU with its assigned centroid,
-    read from the last block, which is that of the returned centroids.
+    Each coordinate of ``block``'s boxes is argsorted once. A call sorts
+    the cluster labels, read in each coordinate's value order, with one
+    stable argsort; labels take the smallest integer type that holds k,
+    which NumPy radix-sorts. A cluster of m boxes then holds m consecutive
+    ranks in value order, and its median is the mean of its two middle
+    values, ``(lo + hi) / 2``, as ``np.median`` computes it, bit for bit.
+    Where ``lo + hi`` passes the float range the median is
+    ``lo / 2 + hi / 2``, the halving ``geometry._iou_of`` uses.
+    """
+
+    def __init__(self, block: WhIouBlock):
+        self._orders = [np.argsort(v, kind="stable") for v in (block.w, block.h)]
+        self._values = [v[order] for v, order in zip((block.w, block.h), self._orders)]
+
+    def __call__(self, assignment: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+        """Write each occupied cluster's medians into its ``centroids`` row; return the mask."""
+        k = len(centroids)
+        counts = np.bincount(assignment, minlength=k)
+        occupied = counts > 0
+        m = counts[occupied]
+        start = (np.cumsum(counts) - counts)[occupied]
+        lo_rank, hi_rank = start + (m - 1) // 2, start + m // 2
+        labels = assignment.astype(np.min_scalar_type(k))
+        for j, (order, values) in enumerate(zip(self._orders, self._values)):
+            ranked = np.argsort(labels[order], kind="stable")
+            lo, hi = values[ranked[lo_rank]], values[ranked[hi_rank]]
+            with np.errstate(over="ignore"):  # the halved form replaces an overflowed sum
+                total = lo + hi
+            centroids[occupied, j] = np.where(np.isfinite(total), total / 2, lo / 2 + hi / 2)
+        return occupied
+
+
+# How many iterations a restart runs past its best one before it stops.
+# The median update does not raise the mean IoU at every step: near its
+# best a restart can trade boxes between neighbouring clusters for tens of
+# iterations without repeating an assignment. On the benchmark's 10k
+# aerial boxes (k=9, streams (0, r) for r < 5) a new best can come 3
+# iterations after the last one (stream (0, 1): 0.7330 with a patience of
+# 2, 0.7340 from 3), while a patience of 10 adds 50 iterations over the
+# five restarts and picks the same winner.
+PATIENCE = 5
+
+
+def _lloyd(block: WhIouBlock, medians: _ClusterMedians, centroids: np.ndarray, max_iters: int):
+    """Median-update loop from seeded centroids; returns its best iterate.
+
+    Iterate t has the centroids c_t, the assignment a_t, which is
+    ``_first_max`` of their IoU block, and the score s_t, the mean IoU of
+    each box with its assigned centroid; the seeding is t = 1. A step moves
+    each occupied cluster's centroid to the per-coordinate median of its
+    boxes (``medians``, built on ``block``'s boxes) and re-seeds empty
+    clusters to the currently worst-fit boxes. The loop stops when an
+    assignment repeats the one before it, ``PATIENCE`` iterations after
+    the best one, or after ``max_iters`` steps.
+
+    Returns ``(centroids, assignment, iterations, best_iteration,
+    converged, mean_iou)``: the first iterate with the highest score, the
+    iterations run, the best one's number, False only when ``max_iters``
+    ended the loop, and the best score. IoU blocks are (k, n), centroids
+    by boxes: the wh-IoU is symmetric bit for bit, and row-wise reductions
+    over n boxes beat k-wide ones. ``block`` and the ``_first_max``
+    buffers serve every iteration.
     """
     k, n = centroids.shape[0], len(block.w)
     rows = np.arange(n)
@@ -315,24 +375,14 @@ def _lloyd(block: WhIouBlock, centroids: np.ndarray, max_iters: int):
     score = np.empty((k, n), dtype=np.min_scalar_type(k))
     iou = block(centroids)
     assignment = _first_max(iou, hit, score)
-    iterations = 1
+    iterations = best_iteration = 1
+    best = centroids.copy(), assignment, float(iou[assignment, rows].mean())
+    converged = False
     for _ in range(max_iters):
-        # bincount sums each cluster in box order, as the row-wise mean does
-        counts = np.bincount(assignment, minlength=k)
-        occupied = counts > 0
-        for j, weights in enumerate((block.w, block.h)):
-            sums = np.bincount(assignment, weights=weights, minlength=k)
-            over = ~np.isfinite(sums)
-            if over.any():
-                # a sum past the float range: divide each box by its cluster's
-                # count before summing; clusters with finite sums keep their bits
-                shares = np.bincount(assignment, weights=weights / counts[assignment], minlength=k)
-                centroids[over, j] = shares[over]
-            ok = occupied & ~over
-            centroids[ok, j] = sums[ok] / counts[ok]
-        # re-seed empty clusters to the currently worst-fit boxes
+        occupied = medians(assignment, centroids)
         iou = block(centroids)
         if not occupied.all():
+            # re-seed empty clusters to the currently worst-fit boxes
             dist = 1.0 - iou[assignment, rows]
             for c in np.flatnonzero(~occupied):
                 worst = int(np.argmax(dist))
@@ -341,10 +391,16 @@ def _lloyd(block: WhIouBlock, centroids: np.ndarray, max_iters: int):
             iou = block(centroids)
         new_assignment = _first_max(iou, hit, score)
         iterations += 1
-        if np.array_equal(new_assignment, assignment):
+        mean_iou = float(iou[new_assignment, rows].mean())
+        if mean_iou > best[2]:
+            best, best_iteration = (centroids.copy(), new_assignment, mean_iou), iterations
+        if (np.array_equal(new_assignment, assignment)
+                or iterations - best_iteration >= PATIENCE):
+            converged = True
             break
         assignment = new_assignment
-    return centroids, assignment, iterations, float(iou[assignment, rows].mean())
+    centroids, assignment, mean_iou = best
+    return centroids, assignment, iterations, best_iteration, converged, mean_iou
 
 
 # a centroid's area may overflow to inf; its IoU with every box is then 0
@@ -361,8 +417,12 @@ def cluster_anchor_sizes(
     Each restart is seeded k-means++ style, with weight 1 - IoU to the
     nearest centroid chosen so far. Assignment sends each box to its
     max-IoU centroid (ties to the lowest index); the update step is the
-    per-coordinate mean; clusters that end up empty are re-seeded to the
-    boxes farthest from their centroids.
+    per-coordinate median, which, unlike the mean, is not pulled toward
+    the few large boxes of an aerial size mix; clusters that end up empty
+    are re-seeded to the boxes farthest from their centroids. A restart
+    keeps its best iterate and stops on a repeated assignment,
+    ``PATIENCE`` iterations after its best one, or after ``max_iters``
+    updates (see ``_lloyd``); ``converged`` is False only in the last case.
     Restart r uses the stream seeded by (seed, r), and the restart with
     the highest mean IoU wins, earliest on ties. Centroids are returned
     sorted by area ascending with assignments remapped to match. Every
@@ -383,16 +443,17 @@ def cluster_anchor_sizes(
         raise ValidationError(f"{wh.shape[0]} boxes for k={k}")
 
     block = WhIouBlock(wh)  # one per call: every seeding and restart reuses it
+    medians = _ClusterMedians(block)  # likewise one per call
     best = None
     for r in range(restarts):
         centroids = _plus_plus_init(block, k, np.random.default_rng([seed, r]))
-        result = _lloyd(block, centroids, max_iters)  # mean IoU last
-        if best is None or result[3] > best[3]:
+        result = _lloyd(block, medians, centroids, max_iters)  # mean IoU last
+        if best is None or result[-1] > best[-1]:
             best = result
 
     # sorting permutes the centroids, not any box's IoU with its own, so
     # the mean IoU stays the restart's
-    centroids, assignment, iterations, mean_iou = best
+    centroids, assignment, iterations, best_iteration, converged, mean_iou = best
     order = np.lexsort((centroids[:, 1], centroids[:, 0], centroids.prod(axis=1)))
     centroids = centroids[order]
     centroids.flags.writeable = False
@@ -405,6 +466,8 @@ def cluster_anchor_sizes(
         assignments=assignment,
         mean_iou=mean_iou,
         iterations=iterations,
+        best_iteration=best_iteration,
+        converged=converged,
         seed=seed,
     )
 
@@ -413,16 +476,21 @@ def sweep_k(boxes, k_range: Iterable[int], seed: int = 0, restarts: int = 10,
             max_iters: int = 100):
     """Cluster at each k and report (k, mean_iou) sorted by k.
 
-    More than ``MAX_SWEEP_KS`` distinct values of k, and restart or
-    iteration counts past their bounds, fail before any clustering.
+    More than ``MAX_SWEEP_KS`` distinct values of k, a largest k past the
+    box count, and restart or iteration counts past their bounds, fail
+    before any clustering. A k past the box count fails as its own
+    clustering would, naming the smallest such k.
     """
     ks = sorted(set(check_count("k", k, 1) for k in k_range))
     if not ks:
         raise ValidationError("empty k range")
     if len(ks) > MAX_SWEEP_KS:
         raise ValidationError(f"{len(ks)} values of k pass MAX_SWEEP_KS = {MAX_SWEEP_KS}")
+    wh = _as_wh_array(boxes)
+    if len(wh) < ks[-1]:
+        raise ValidationError(f"{len(wh)} boxes for k={min(k for k in ks if k > len(wh))}")
     return [
-        (k, cluster_anchor_sizes(boxes, k, seed=seed, max_iters=max_iters,
+        (k, cluster_anchor_sizes(wh, k, seed=seed, max_iters=max_iters,
                                  restarts=restarts).mean_iou)
         for k in ks
     ]

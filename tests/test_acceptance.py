@@ -56,8 +56,12 @@ from oracles import (
 )
 
 # stored: best mean IoU over 1,000 seeded restarts (streams (0,r) for
-# r in 0..999) of k=4 on synthetic_aerial_corpus(n=2000, seed=7)
-CLUSTER_ORACLE_MEAN_IOU = 0.625060956340398
+# r in 0..999) of k=4 on synthetic_aerial_corpus(n=2000, seed=7), that is
+# cluster_anchor_sizes(corpus, k=4, seed=0, restarts=1000). Recomputed by
+# that procedure when the update rule became the per-coordinate median
+# with a best-iterate stop; under the mean update, which returned each
+# restart's last iterate, it was 0.625060956340398.
+CLUSTER_ORACLE_MEAN_IOU = 0.649199316840813
 
 
 def ok(line):

@@ -517,36 +517,49 @@ def oracle_wh_iou_matrix(wh1, wh2):
 
 
 def oracle_lloyd(wh, centroids, max_iters):
-    """The original Lloyd loop: one mask and row mean per cluster.
+    """The plain median-update loop: one mask and ``np.median`` per cluster.
 
     Reference for ``anchors._lloyd``, whose output must equal this one's
-    bit for bit. The mean IoU of each box with its centroid is computed
-    afresh after the loop, as ``cluster_anchor_sizes`` once did.
+    bit for bit. Assignments are ``np.argmax`` over the original wh-IoU
+    body, each iterate's score is computed afresh, and the loop keeps the
+    first iterate with the highest score and stops on a repeated
+    assignment, ``PATIENCE`` iterations after the best one, or at the cap.
     """
-    k = centroids.shape[0]
-    assignment = np.argmax(oracle_wh_iou_matrix(wh, centroids), axis=1)
-    iterations = 1
+    k, rows = centroids.shape[0], np.arange(len(wh))
+
+    def assign(cents):
+        iou = oracle_wh_iou_matrix(wh, cents)
+        assignment = np.argmax(iou, axis=1)
+        return assignment, float(iou[rows, assignment].mean())
+
+    assignment, score = assign(centroids)
+    best = centroids.copy(), assignment, score
+    iterations = best_iteration = 1
+    converged = False
     for _ in range(max_iters):
         for c in range(k):
             mask = assignment == c
             if mask.any():
-                centroids[c] = wh[mask].mean(axis=0)
-        iou = oracle_wh_iou_matrix(wh, centroids)
+                centroids[c] = np.median(wh[mask], axis=0)
         occupied = np.bincount(assignment, minlength=k) > 0
         if not occupied.all():
-            dist = 1.0 - iou[np.arange(len(wh)), assignment]
+            iou = oracle_wh_iou_matrix(wh, centroids)
+            dist = 1.0 - iou[rows, assignment]
             for c in np.flatnonzero(~occupied):
                 worst = int(np.argmax(dist))
                 centroids[c] = wh[worst]
                 dist[worst] = -1.0
-            iou = oracle_wh_iou_matrix(wh, centroids)
-        new_assignment = np.argmax(iou, axis=1)
+        new_assignment, score = assign(centroids)
         iterations += 1
-        if np.array_equal(new_assignment, assignment):
+        if score > best[2]:
+            best, best_iteration = (centroids.copy(), new_assignment, score), iterations
+        if (np.array_equal(new_assignment, assignment)
+                or iterations - best_iteration >= anchors_module.PATIENCE):
+            converged = True
             break
         assignment = new_assignment
-    mean_iou = float(oracle_wh_iou_matrix(wh, centroids)[np.arange(len(wh)), assignment].mean())
-    return centroids, assignment, iterations, mean_iou
+    centroids, assignment, score = best
+    return centroids, assignment, iterations, best_iteration, converged, score
 
 
 def oracle_plus_plus_init(wh, k, rng):
@@ -575,9 +588,14 @@ def _block_wh(block):
     return np.stack([block.w, block.h], axis=1)
 
 
+def _cluster_medians(wh):
+    """The sorted-order median update over the (n, 2) boxes ``wh``."""
+    return anchors_module._ClusterMedians(WhIouBlock(wh))
+
+
 @pytest.fixture()
 def oracle_clustering(monkeypatch):
-    """Swap the original seeding and Lloyd loop into the anchors module.
+    """Swap the original seeding and the plain median loop into the anchors module.
 
     Both run on the original wh-IoU body, over the boxes of the block
     ``cluster_anchor_sizes`` passes them.
@@ -585,8 +603,8 @@ def oracle_clustering(monkeypatch):
     def patch():
         monkeypatch.setattr(anchors_module, "_plus_plus_init", lambda block, k, rng: (
             oracle_plus_plus_init(_block_wh(block), k, rng)))
-        monkeypatch.setattr(anchors_module, "_lloyd", lambda block, centroids, max_iters: (
-            oracle_lloyd(_block_wh(block), centroids, max_iters)))
+        monkeypatch.setattr(anchors_module, "_lloyd", lambda block, medians, centroids, iters: (
+            oracle_lloyd(_block_wh(block), centroids, iters)))
     return patch
 
 
@@ -663,6 +681,126 @@ class TestFirstMax:
         assert got.dtype == np.intp
 
 
+class TestSortedOrderMedian:
+    @pytest.mark.parametrize("corpus", [_random_wh, _integer_wh, _duplicate_wh, _elongated_wh])
+    def test_equals_np_median_per_cluster(self, corpus):
+        rng = np.random.default_rng(60)
+        seen = set()
+        for _ in range(30):
+            n, k = int(rng.integers(1, 300)), int(rng.integers(1, 12))
+            wh = corpus(rng, n)
+            assignment = rng.integers(0, k, size=n)
+            assignment[rng.integers(n)] = k  # cluster k holds one box
+            before = rng.random((k + 2, 2))  # and cluster k + 1 none
+            centroids = before.copy()
+            occupied = _cluster_medians(wh)(assignment, centroids)
+            counts = np.bincount(assignment, minlength=k + 2)
+            assert occupied.tolist() == (counts > 0).tolist()
+            for c, m in enumerate(counts.tolist()):
+                want = np.median(wh[assignment == c], axis=0) if m else before[c]
+                assert same_bits(centroids[c], want)
+                seen.add(min(m, 2 + m % 2))
+        assert seen == {0, 1, 2, 3}  # empty, one box, even and odd counts
+
+    @pytest.mark.parametrize("k", [255, 256, 300])
+    def test_labels_past_the_small_integer_range(self, k):
+        rng = np.random.default_rng(61)
+        wh = _integer_wh(rng, 2000)
+        assignment = rng.permutation(np.arange(2000) % k)  # every cluster occupied
+        centroids = np.zeros((k, 2))
+        assert _cluster_medians(wh)(assignment, centroids).all()
+        want = np.array([np.median(wh[assignment == c], axis=0) for c in range(k)])
+        assert same_bits(centroids, want)
+
+
+def _scripted_lloyd(script, max_iters):
+    """``_lloyd`` over two boxes and k = 2, with scripted iterates.
+
+    ``script`` lists each iterate's (assignment, score), the seeding's
+    first: the block's t-th call returns an IoU block that scores both
+    boxes at that score under that assignment. The update writes t + 1
+    into every centroid, so the centroids returned name their iterate.
+    """
+    blocks = []
+    for assignment, score in script:
+        iou = np.zeros((2, 2))
+        iou[assignment, [0, 1]] = score
+        blocks.append(iou)
+
+    class Block:
+        w = h = np.ones(2)
+        calls = iter(blocks)
+
+        def __call__(self, centroids):
+            return next(self.calls)
+
+    def update(assignment, centroids):
+        centroids += 1.0
+        return np.ones(2, dtype=bool)
+
+    return anchors_module._lloyd(Block(), update, np.ones((2, 2)), max_iters)
+
+
+class TestBestIterateStop:
+    def test_patience_ends_a_restart_five_iterations_after_its_best(self):
+        assert anchors_module.PATIENCE == 5
+        # no assignment repeats the one before it; iterate 2 is the first best
+        flip = [([0, 1], 0.5), ([1, 0], 0.9)] + [([0, 1], 0.9), ([1, 0], 0.8)] * 3 + [([0, 1], 1.0)]
+        centroids, assignment, iterations, best_iteration, converged, mean_iou = (
+            _scripted_lloyd(flip, 100))
+        assert (iterations, best_iteration, converged) == (7, 2, True)
+        assert iterations == best_iteration + 5
+        assert centroids.tolist() == [[2.0, 2.0]] * 2
+        assert assignment.tolist() == [1, 0]
+        assert mean_iou == 0.9
+
+    def test_a_repeated_assignment_ends_a_restart_at_its_own_score(self):
+        script = [([0, 1], 0.5), ([1, 0], 0.6), ([1, 0], 0.7), ([0, 1], 1.0)]
+        out = _scripted_lloyd(script, 100)
+        assert out[2:] == (3, 3, True, 0.7)
+        assert out[0].tolist() == [[3.0, 3.0]] * 2
+
+    def test_the_cap_ends_a_climbing_restart_unconverged(self):
+        script = [([t % 2, 1 - t % 2], t / 10) for t in range(1, 9)]
+        for max_iters in (0, 1, 3):
+            out = _scripted_lloyd(script, max_iters)
+            assert out[2:] == (max_iters + 1, max_iters + 1, False, (max_iters + 1) / 10)
+
+    @pytest.mark.parametrize("corpus, k, max_iters", [
+        (synthetic_aerial_corpus(n=2000, seed=7), 4, 100),
+        (synthetic_aerial_corpus(n=3000, seed=16), 9, 100),
+        (synthetic_aerial_corpus(n=3000, seed=16), 9, 10),
+        (_duplicate_wh(np.random.default_rng(62), 400), 6, 100),
+    ])
+    def test_the_reported_mean_iou_is_the_best_of_every_iterate(self, monkeypatch, corpus, k,
+                                                               max_iters):
+        scores = []
+        first_max = anchors_module._first_max
+
+        def spy(iou, *buffers):
+            # each box's IoU with its first-max centroid: the iterate's score
+            scores.append(float(iou.max(axis=0).mean()))
+            return first_max(iou, *buffers)
+
+        monkeypatch.setattr(anchors_module, "_first_max", spy)
+        block = WhIouBlock(corpus)
+        medians = anchors_module._ClusterMedians(block)
+        rows = np.arange(len(corpus))
+        for r in range(4):
+            start = anchors_module._plus_plus_init(block, k, np.random.default_rng([0, r]))
+            scores.clear()
+            centroids, assignment, iterations, best_iteration, converged, mean_iou = (
+                anchors_module._lloyd(block, medians, start, max_iters))
+            assert len(scores) == iterations
+            assert all(mean_iou >= s for s in scores)
+            assert best_iteration == scores.index(mean_iou) + 1
+            assert iterations - best_iteration <= anchors_module.PATIENCE
+            assert converged or iterations == max_iters + 1
+            iou = block(centroids)
+            assert same_bits(first_max(iou), assignment)
+            assert float(iou[assignment, rows].mean()) == mean_iou
+
+
 class TestVectorizedClusteringMatchesOracle:
     def test_wh_iou_matrix_is_bit_identical(self):
         rng = np.random.default_rng(30)
@@ -722,9 +860,11 @@ class TestVectorizedClusteringMatchesOracle:
         reseeds = []
         for start in starts:
             calls.clear()
-            out = anchors_module._lloyd(CountingBlock(wh), start.copy(), 100)
+            block = CountingBlock(wh)
+            out = anchors_module._lloyd(block, anchors_module._ClusterMedians(block),
+                                        start.copy(), 100)
             want = oracle_lloyd(wh, start.copy(), 100)
-            assert len(out) == len(want) == 4
+            assert len(out) == len(want) == 6
             for a, b in zip(out, want):
                 np.testing.assert_array_equal(a, b)
             # one IoU block per iteration, plus one per iteration that re-seeds
@@ -745,9 +885,11 @@ class TestVectorizedClusteringMatchesOracle:
         block = WhIouBlock(wh)
         start = anchors_module._plus_plus_init(block, 9, np.random.default_rng([0, 0]))
         assert same_bits(start, oracle_plus_plus_init(wh, 9, np.random.default_rng([0, 0])))
-        out = anchors_module._lloyd(block, start.copy(), 30)
+        out = anchors_module._lloyd(block, anchors_module._ClusterMedians(block),
+                                    start.copy(), 30)
         want = oracle_lloyd(wh, start.copy(), 30)
         assert out[2] == want[2] == 31  # the cap, plus the initial assignment
+        assert out[4] is want[4] is False  # still climbing when the cap cut it
         for a, b in zip(out, want, strict=True):
             np.testing.assert_array_equal(a, b)
 
@@ -852,13 +994,16 @@ class TestBoxExtentsNeedAPositiveFiniteArea:
             assert 0.0 <= result.mean_iou <= 1.0
             json.dumps(result.to_dict(), allow_nan=False)
 
-    def test_cluster_sum_past_the_float_range_gives_a_finite_mean(self):
-        # 1e308 + 1e308 overflows; the mean of the three widths does not
-        result = cluster_anchor_sizes([[1e308, 1e-300], [1e308, 1e-300], [3, 4]], 1)
-        ((w, h),) = result.centroids.tolist()
-        assert w == 1e308 / 3 + 1e308 / 3 + 3 / 3
-        assert h == (1e-300 + 1e-300 + 4) / 3  # a finite sum keeps its bits
-        json.dumps(result.to_dict(), allow_nan=False)
+    def test_middle_pair_past_the_float_range_gives_a_finite_median(self):
+        # 1e308 + 1.5e308 overflows, and np.median with it; their halves do not
+        wh = np.array([[1e308, 1e-300], [1.5e308, 3e-300]])
+        centroids = np.zeros((1, 2))
+        _cluster_medians(wh)(np.zeros(2, dtype=np.intp), centroids)
+        ((w, h),) = centroids.tolist()
+        assert w == 1e308 / 2 + 1.5e308 / 2
+        assert h == (1e-300 + 3e-300) / 2  # a finite pair keeps its bits
+        with np.errstate(over="ignore"):
+            assert np.median(wh, axis=0)[0] == math.inf
 
     def test_identical_huge_boxes_have_mean_iou_one(self):
         # each area is finite, but two of them sum past the float range
@@ -866,12 +1011,13 @@ class TestBoxExtentsNeedAPositiveFiniteArea:
         assert tuple(result.centroids[0].tolist()) == (1.7e308, 1.0)
         assert result.mean_iou == 1.0
 
-    def test_finite_sums_keep_the_bincount_mean(self):
-        wh = np.array([[1e307, 2.0], [3e307, 5.0], [7.0, 1e-300], [2.0, 2.0]])
-        result = cluster_anchor_sizes(wh, 1, restarts=1)
-        assert tuple(result.centroids[0].tolist()) == (
-            (1e307 + 3e307 + 7.0 + 2.0) / 4, (2.0 + 5.0 + 1e-300 + 2.0) / 4
-        )
+    def test_finite_middle_pairs_keep_the_np_median_bits(self):
+        wh = np.array([[1e307, 2.0], [3e307, 5.0], [7.0, 1e-300], [2.0, 2.0], [5e-324, 3e300]])
+        # an even count, an odd one, and a pair of the least subnormal, which halving would zero
+        for boxes in (wh[:4], wh, np.array([[5e-324, 1e300], [5e-324, 3e300]])):
+            centroids = np.zeros((1, 2))
+            _cluster_medians(boxes)(np.zeros(len(boxes), dtype=np.intp), centroids)
+            assert same_bits(centroids[0], np.median(boxes, axis=0))
 
 
 class TestOneBlockPerClustering:
@@ -947,6 +1093,18 @@ class TestSweepPassesClusterOptions:
         monkeypatch.setattr(anchors_module, "_lloyd", refuse)
         with pytest.raises(ValidationError, match=" pass MAX_"):
             sweep_k(synthetic_aerial_corpus(n=50, seed=1), range(2, 6), **option)
+
+    def test_a_k_past_the_box_count_fails_before_any_clustering(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("seeded")
+
+        monkeypatch.setattr(anchors_module, "_plus_plus_init", refuse)
+        boxes = [(5, 5), (9, 9), (20, 30)]
+        with pytest.raises(ValidationError, match="^3 boxes for k=4$"):
+            sweep_k(boxes, [1, 2, 3, 4], restarts=2)
+        # the message is that of the first k the sweep could not cluster
+        with pytest.raises(ValidationError, match="^3 boxes for k=5$"):
+            sweep_k(boxes, [7, 1, 5], restarts=2)
 
     def test_too_many_ks_fail_before_any_clustering(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -143,7 +143,8 @@ class TestReports:
                      per_image_histogram={2: 2, 10: 1}, total_instances=4, clipped_instances=0),
          ("per_category_counts", "per_category_size_buckets", "per_image_histogram")),
         (ClusterResult(k=2, centroids=np.array([[4.0, 5.0], [9.0, 8.0]]),
-                       assignments=np.array([1, 0, 1]), mean_iou=0.75, iterations=3, seed=0),
+                       assignments=np.array([1, 0, 1]), mean_iou=0.75, iterations=3,
+                       best_iteration=2, converged=True, seed=0),
          ()),
         (MatchReport(pos_iou=0.7, neg_iou=0.3, force_match=True, n_anchors=9, n_positive=2,
                      n_negative=6, n_ignored=1, n_gt=2, recall=0.5,
