@@ -56,11 +56,9 @@ from .losses import (
     LogitsBatch,
     LossOutput,
     class_weights,
-    cross_entropy,
     focal_loss,
     grad_check,
     smooth_l1,
-    weighted_cross_entropy,
 )
 
 __version__ = "0.1.0"

@@ -233,7 +233,7 @@ class ClusterResult(Report):
     mean_iou: float
     iterations: int  # iterations the winning restart ran, its seeding's assignment first
     best_iteration: int  # the iterate it returns
-    converged: bool  # False only when max_iters ended it
+    converged: bool  # False when max_iters cut any restart, not only the winning one
     seed: int
 
 
@@ -422,13 +422,14 @@ def cluster_anchor_sizes(
     are re-seeded to the boxes farthest from their centroids. A restart
     keeps its best iterate and stops on a repeated assignment,
     ``PATIENCE`` iterations after its best one, or after ``max_iters``
-    updates (see ``_lloyd``); ``converged`` is False only in the last case.
-    Restart r uses the stream seeded by (seed, r), and the restart with
-    the highest mean IoU wins, earliest on ties. Centroids are returned
-    sorted by area ascending with assignments remapped to match. Every
-    box needs a positive finite width, height and area (``BadExtent``).
-    More than ``MAX_RESTARTS`` restarts or ``MAX_ITERS`` iterations fail
-    before any seeding.
+    updates (see ``_lloyd``). Restart r uses the stream seeded by
+    (seed, r), and the restart with the highest mean IoU wins, earliest on
+    ties. ``iterations`` and ``best_iteration`` describe the winning
+    restart; ``converged`` is False when ``max_iters`` cut any restart,
+    the winner or not. Centroids are returned sorted by area ascending
+    with assignments remapped to match. Every box needs a positive finite
+    width, height and area (``BadExtent``). More than ``MAX_RESTARTS``
+    restarts or ``MAX_ITERS`` iterations fail before any seeding.
     """
     wh = _as_wh_array(boxes)
     k = check_count("k", k, 1)
@@ -444,16 +445,17 @@ def cluster_anchor_sizes(
 
     block = WhIouBlock(wh)  # one per call: every seeding and restart reuses it
     medians = _ClusterMedians(block)  # likewise one per call
-    best = None
+    best, converged = None, True
     for r in range(restarts):
         centroids = _plus_plus_init(block, k, np.random.default_rng([seed, r]))
         result = _lloyd(block, medians, centroids, max_iters)  # mean IoU last
+        converged = converged and result[4]
         if best is None or result[-1] > best[-1]:
             best = result
 
     # sorting permutes the centroids, not any box's IoU with its own, so
     # the mean IoU stays the restart's
-    centroids, assignment, iterations, best_iteration, converged, mean_iou = best
+    centroids, assignment, iterations, best_iteration, _, mean_iou = best
     order = np.lexsort((centroids[:, 1], centroids[:, 0], centroids.prod(axis=1)))
     centroids = centroids[order]
     centroids.flags.writeable = False

@@ -38,15 +38,7 @@ from .anchors import (
 from .augment import AugmentationPipeline, ImageGeom, replay
 from .errors import BadExtent, ValidationError
 from .evaluation import coco_map, load_detections
-from .losses import (
-    LogitsBatch,
-    class_weights,
-    cross_entropy,
-    focal_loss,
-    grad_check,
-    smooth_l1,
-    weighted_cross_entropy,
-)
+from .losses import LogitsBatch, class_weights, focal_loss, grad_check, smooth_l1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -511,8 +503,8 @@ def _run_loss_check(config, inputs):
 
     checks = {}
     for name, fn, arg in (
-        ("cross_entropy", cross_entropy, batch),
-        ("weighted_cross_entropy", lambda b: weighted_cross_entropy(b, weights), batch),
+        ("cross_entropy", lambda b: focal_loss(b, 0.0), batch),
+        ("weighted_cross_entropy", lambda b: focal_loss(b, 0.0, weights), batch),
         ("focal", lambda b: focal_loss(b, gamma), batch),
         ("smooth_l1", lambda p: smooth_l1(p, target), pred),
     ):

@@ -6,14 +6,16 @@ comparison helpers that check the columns against them and the builders
 that turn ``Instance`` and ``Detection`` objects into the columns the
 package takes, the anchor-shape loop that ``AnchorSpec.level_shapes``
 replaced, the dense anchor corners and matcher that the candidate
-matcher replaced, and the seeded box corpus the clustering tests read,
-so no test module imports another. Each oracle is a plain
-loop over ``BBox``, ``Instance`` or ``Detection`` objects, or one dense
-array; the package names they still use are the ``BBox`` and
-``Instance`` value types, ``Dataset`` and its records and columns,
-``geometry.clip``, ``geometry.iou_matrix``, ``Dataset.rows_by_image``,
+matcher replaced, the three softmax losses that ``focal_loss``
+replaced, and the seeded box corpus the clustering tests read, so no
+test module imports another. Each oracle is a plain loop over ``BBox``,
+``Instance`` or ``Detection`` objects, or one dense array; the package
+names they still use are the ``BBox`` and ``Instance`` value types,
+``Dataset`` and its records and columns, ``geometry.clip``,
+``geometry.iou_matrix``, ``Dataset.rows_by_image``,
 ``annotations._tile_origins``, ``annotations.read_text``,
-``LevelAnchors.cell_boxes``, ``MatchReport`` and the error types.
+``LevelAnchors.cell_boxes``, ``MatchReport``, the ``LogitsBatch``,
+``ClassWeights`` and ``LossOutput`` value types and the error types.
 """
 
 import itertools
@@ -43,6 +45,7 @@ from detforge.annotations import (
 from detforge.errors import ValidationError
 from detforge.evaluation import DetectionColumns
 from detforge.geometry import BBox, clip, iou_matrix
+from detforge.losses import ClassWeights, LogitsBatch, LossOutput
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +715,80 @@ def dense_match_anchors(anchors, ds, pos_iou=0.7, neg_iou=0.3, force_match=False
         unmatched_gt_ids=tuple(sorted(unmatched)),
         zero_gt_denominator=zero_denom,
     )
+
+
+# ---------------------------------------------------------------------------
+# The three softmax losses that ``losses.focal_loss`` replaced, each with its
+# own log-softmax, target gather, residual and reduction, as they were.
+
+
+def _log_softmax(values: np.ndarray) -> np.ndarray:
+    shifted = values - values.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _one_hot_residual(softmax: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """softmax - onehot(target), the raw CE gradient per sample."""
+    residual = softmax.copy()
+    residual[np.arange(len(targets)), targets] -= 1.0
+    return residual
+
+
+def oracle_cross_entropy(batch: LogitsBatch) -> LossOutput:
+    """Mean softmax cross entropy: mean_i of -log softmax(z_i)[t_i]."""
+    logp = _log_softmax(batch.values)
+    per_sample = -logp[np.arange(batch.n), batch.targets]
+    grad = _one_hot_residual(np.exp(logp), batch.targets) / batch.n
+    return LossOutput(float(per_sample.mean()), grad)
+
+
+def oracle_weighted_cross_entropy(batch: LogitsBatch, weights: ClassWeights) -> LossOutput:
+    """Cross entropy scaled per sample by the weight of its target class.
+
+    Reduction normalizes by the sum of applied weights, sum_i w_{t_i},
+    keeping the loss scale comparable across batches with different class
+    mixes; a batch whose applied weights sum to zero yields loss 0.
+    """
+    if weights.w.shape[0] != batch.c:
+        raise ValidationError(
+            f"{weights.w.shape[0]} weights for {batch.c} classes"
+        )
+    logp = _log_softmax(batch.values)
+    per_sample = -logp[np.arange(batch.n), batch.targets]
+    applied = weights.w[batch.targets]
+    denom = applied.sum()
+    if denom == 0:
+        return LossOutput(0.0, np.zeros_like(batch.values))
+    grad = applied[:, None] * _one_hot_residual(np.exp(logp), batch.targets) / denom
+    return LossOutput(float((applied * per_sample).sum() / denom), grad)
+
+
+def oracle_focal_loss(batch: LogitsBatch, gamma: float = 2.0) -> LossOutput:
+    """Cross entropy modulated by (1 - p_t)^gamma, mean reduction.
+
+    p_t is the softmax probability of the target class. gamma = 0
+    reproduces plain cross entropy bit for bit. The gradient includes the
+    derivative of the modulating factor:
+
+        d/dz_j = [(1-p)^g - g (1-p)^(g-1) p log p] (softmax_j - onehot_j) / n
+    """
+    if not 0 <= gamma < np.inf:
+        raise ValidationError(f"gamma must be finite and non-negative, got {gamma}")
+    logp = _log_softmax(batch.values)
+    logp_t = logp[np.arange(batch.n), batch.targets]
+    p_t = np.exp(logp_t)
+    one_minus = np.clip(1.0 - p_t, 0.0, 1.0)
+
+    modulator = one_minus**gamma  # 0**0 == 1, so gamma = 0 degrades to CE
+    per_sample = -modulator * logp_t
+    factor = modulator
+    if gamma > 0:
+        with np.errstate(divide="ignore"):
+            pow_gm1 = np.where(one_minus > 0, one_minus ** (gamma - 1.0), 0.0)
+        # g (1-p)^(g-1) p log p -> 0 as p -> 1; the where() pins that limit
+        factor = modulator - gamma * pow_gm1 * p_t * logp_t
+    grad = factor[:, None] * _one_hot_residual(np.exp(logp), batch.targets) / batch.n
+    return LossOutput(float(per_sample.mean()), grad)
 
 
 # ---------------------------------------------------------------------------

@@ -766,6 +766,22 @@ class TestBestIterateStop:
             out = _scripted_lloyd(script, max_iters)
             assert out[2:] == (max_iters + 1, max_iters + 1, False, (max_iters + 1) / 10)
 
+    def test_a_losing_restart_cut_by_the_cap_leaves_the_result_unconverged(self):
+        corpus = synthetic_aerial_corpus(n=10_000, seed=3)
+        block = WhIouBlock(corpus)
+        start = anchors_module._plus_plus_init(block, 9, np.random.default_rng([0, 1]))
+        cut = anchors_module._lloyd(block, anchors_module._ClusterMedians(block), start, 100)
+        assert (cut[2], cut[4]) == (101, False)  # stream (0, 1) runs to the cap
+
+        alone = cluster_anchor_sizes(corpus, 9, restarts=1)
+        both = cluster_anchor_sizes(corpus, 9, restarts=2)
+        assert alone.converged is True and both.converged is False
+        assert both.mean_iou == alone.mean_iou > cut[-1]  # stream (0, 0) wins
+        # iterations and best_iteration still describe the winning restart
+        assert (both.iterations, both.best_iteration) == (alone.iterations, alone.best_iteration)
+        assert (both.iterations, both.best_iteration) == (52, 50)
+        assert same_bits(both.centroids, alone.centroids)
+
     @pytest.mark.parametrize("corpus, k, max_iters", [
         (synthetic_aerial_corpus(n=2000, seed=7), 4, 100),
         (synthetic_aerial_corpus(n=3000, seed=16), 9, 100),

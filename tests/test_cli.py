@@ -23,8 +23,13 @@ from detforge.anchors import (
 from detforge.annotations import StatsReport, tile
 from detforge.cli import _OPTIONS, _RUNNERS, _options_for, build_parser, main, resolve_config
 from detforge.evaluation import EvalResult, coco_map
-from detforge.losses import focal_loss
-from oracles import synthetic_aerial_corpus
+from detforge.losses import LogitsBatch, class_weights, focal_loss, grad_check, smooth_l1
+from oracles import (
+    oracle_cross_entropy,
+    oracle_focal_loss,
+    oracle_weighted_cross_entropy,
+    synthetic_aerial_corpus,
+)
 
 
 def run(capsys, *argv):
@@ -1286,6 +1291,30 @@ class TestSubcommands:
         assert result["passed"] is True
         for entry in result["checks"].values():
             assert entry["max_rel_err"] < 1e-6
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 5.0])
+    def test_loss_check_matches_the_replaced_losses(self, capsys, gamma):
+        """Each check equals the one the three replaced losses give on the seeded batch."""
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n, c = 48, 5
+            batch = LogitsBatch(rng.normal(0.0, 1.0, (n, c)), rng.integers(0, c, n))
+            weights = class_weights(np.bincount(batch.targets, minlength=c) + 1)
+            pred = rng.normal(0.0, 1.0, 24)
+            target = rng.normal(0.0, 1.0, 24)
+            expected = {}
+            for name, fn, arg in (
+                ("cross_entropy", oracle_cross_entropy, batch),
+                ("weighted_cross_entropy", lambda b: oracle_weighted_cross_entropy(b, weights),
+                 batch),
+                ("focal", lambda b: oracle_focal_loss(b, gamma), batch),
+                ("smooth_l1", lambda p: smooth_l1(p, target), pred),
+            ):
+                expected[name] = {"value": fn(arg).value,
+                                  "max_rel_err": grad_check(fn, arg, step=1e-4)}
+            result = run_json(capsys, "loss-check", "--seed", str(seed),
+                              "--gamma", str(gamma))["result"]
+            assert result["checks"] == expected, seed
 
     def test_module_entry_point(self, tiny_path):
         proc = subprocess.run(
