@@ -43,7 +43,6 @@ from .annotations import (
     check_references,
     checked,
     freeze_columns,
-    group_rows,
     missing_key,
     read_text,
     slice_masks,
@@ -241,119 +240,130 @@ def average_precision(flags, scores, n_gt: int) -> float:
 _SLICES = (("all", 0.0, math.inf), *SIZE_SLICES)
 
 
-# The bound on one lock-step chunk: the cells of its padded (groups,
-# dets, GTs) overlap block. A group bigger than the bound is matched alone.
-_CHUNK_CELLS = 1 << 16
+# The bound on one batch of groups: the cells of its (det, GT) cross
+# products. A group bigger than the bound is matched alone.
+_BATCH_PAIRS = 1 << 14
 
 
-def _chunks(n_dets: np.ndarray, n_gts: np.ndarray):
-    """Group indices by descending det count, cut into bounded chunks."""
-    chunk, g_max = [], 1
-    for i in np.argsort(-n_dets, kind="stable").tolist():
-        g = max(g_max, int(n_gts[i]))
-        # the chunk's first group has its most dets
-        if chunk and (len(chunk) + 1) * int(n_dets[chunk[0]]) * g > _CHUNK_CELLS:
-            yield chunk
-            chunk, g = [], max(int(n_gts[i]), 1)
-        chunk.append(i)
-        g_max = g
-    if chunk:
-        yield chunk
+def _batches(n_pairs: np.ndarray):
+    """Runs ``(a, b)`` of consecutive groups of at most ``_BATCH_PAIRS`` pairs, or of one group."""
+    ends = np.concatenate(([0], np.cumsum(n_pairs)))
+    a = 0
+    while a < len(n_pairs):
+        b = max(int(np.searchsorted(ends, ends[a] + _BATCH_PAIRS, side="right")) - 1, a + 1)
+        yield a, b
+        a = b
 
 
-def _lockstep_flags(overlaps, n_dets, det_in, live, outside, crowd, thresholds) -> np.ndarray:
-    """COCOeval's greedy-match flags for a chunk of groups, every slice and threshold.
+def _ranges(counts: np.ndarray) -> np.ndarray:
+    """``0 .. c - 1`` for each count ``c``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    ``overlaps`` is the (N, D, G) block of N groups sorted by descending
-    det count ``n_dets``, each padded at the tail of both axes: a det's
-    IoU with a non-crowd GT, its IoA with a crowd one. Padded cells may
-    hold any value: no step reads a padded det, and a padded GT is in
-    none of the masks. ``det_in`` (S, N, D) marks the dets inside each
-    slice by area; ``live`` (S, N, G) the non-crowd GTs inside it and
-    ``outside`` (S, N, G) those outside it; ``crowd`` (N, G) the crowd
-    GTs. Returns (S, T, N, D) flags: 1 TP, 0 FP, -1 ignored (matched to
-    a GT outside the slice or to a crowd one, unmatched outside the
-    slice, or padding).
 
-    Step k matches the k-th det of every group at once, by COCOeval's
-    ``evaluateImg`` at each threshold t, read as ``min(t, 1 - 1e-10)``:
-    the det takes the unmatched live GT of highest overlap at or above
-    t, or failing that the GT of highest overlap among the unmatched
-    outside ones and every crowd one. Ties go to the last GT, as an
-    equal value replaces COCOeval's match. A taken non-crowd GT is
-    matched; a crowd one can take any number of dets.
+def _cross_pairs(n_dets: np.ndarray, n_gts: np.ndarray):
+    """Every (det, GT) cell of each group, det-major: ``(det, gt, rank)`` indices.
 
-    What does not depend on the match state is computed once per chunk:
-    a det that reaches a crowd GT is ignored at any state, and so is an
-    unmatched det outside the slice, so each flag starts at -1 or 0. The
-    one state is ``avail``, the GTs still to take. A step visits only the
-    groups whose det reaches the lowest threshold against some non-crowd
-    GT, in every slice; no other det can change its flag or the state.
+    Groups hold ``n_dets`` dets and ``n_gts`` GTs, laid out one group
+    after another; ``rank`` is the det's place in its group.
     """
-    d_max, n_gt = det_in.shape[2], overlaps.shape[2]
+    cells = n_dets * n_gts
+    group = np.repeat(np.arange(len(cells)), cells)
+    rank, column = np.divmod(_ranges(cells), n_gts[group])
+    det = (np.cumsum(n_dets) - n_dets)[group] + rank
+    return det, (np.cumsum(n_gts) - n_gts)[group] + column, rank
+
+
+def _pair_flags(det, gt, rank, overlap, det_in, live, crowd, thresholds) -> np.ndarray:
+    """COCOeval's greedy-match flags for a batch of groups, every slice and threshold.
+
+    Each candidate pair is a ``det`` index, a ``gt`` index, the det's
+    ``rank`` in its (image, class) group and their ``overlap``: the IoU
+    with a non-crowd GT, the IoA with a crowd one. A GT's pairs all come
+    from the dets of its own group, and a group's dets have distinct
+    ranks. ``det_in`` (S, dets) marks the dets inside each slice by area,
+    ``live`` (S, GTs) the non-crowd GTs inside it and ``crowd`` (GTs,)
+    the crowd GTs; every other GT lies outside the slice. Returns
+    (S, T, dets) flags: 1 TP, 0 FP, -1 ignored (matched to a GT outside
+    the slice or to a crowd one, or unmatched outside the slice).
+
+    Step k matches the rank-k det of every group at once, by COCOeval's
+    ``evaluateImg`` at each threshold t, read as ``min(t, 1 - 1e-10)``:
+    the det takes the open live GT of highest overlap at or above t, or
+    failing that the GT of highest overlap among the open outside ones
+    and every crowd one. Ties go to the last GT, as an equal value
+    replaces COCOeval's match. A taken non-crowd GT closes; a crowd one
+    can take any number of dets. Only the pairs that reach the lowest
+    threshold are stepped: no other pair is ever taken, so an unstepped
+    det keeps its unmatched flag, 0 inside the slice and -1 outside.
+    """
     thr = np.minimum(np.asarray(thresholds, dtype=np.float64), 1 - 1e-10)
-    d_valid = np.arange(d_max) < n_dets[:, None]
-    # The GT axis leads: a reduction over a leading axis runs as
-    # elementwise steps, much faster than over a short trailing one.
-    per_gt = overlaps.transpose(2, 0, 1)
-    live, outside = (m.transpose(2, 1, 0)[..., None] for m in (live, outside))
-    crowd = crowd.T
-    # each det's best overlap against the crowd and the non-crowd GTs
-    solid = (live | outside).any(axis=(2, 3))
-    best_crowd = per_gt.max(axis=0, where=crowd[:, :, None], initial=-1.0)
-    best_solid = per_gt.max(axis=0, where=solid[:, :, None], initial=-1.0)
-    flags = np.negative((best_crowd >= thr[:, None, None]) | ~(det_in & d_valid)[:, None],
-                        dtype=np.int8)
-    # the groups whose det can take a non-crowd GT, in step order
-    step, lane_g = np.nonzero(((best_solid >= thr.min()) & d_valid).T)
-    bounds = np.searchsorted(step, np.arange(d_max + 1)).tolist()
-    # (GT, group, slice, threshold): the GTs still to take
-    avail = np.repeat(live | outside | crowd[:, :, None, None], len(thr), axis=3)
-    gt_index = np.arange(n_gt)[:, None]
-    for k in range(d_max):
-        a, b = bounds[k], bounds[k + 1]
-        if a == b:
-            continue
-        g = lane_g[a:b]
-        v = per_gt[:, g, k]
-        # each GT's place by descending overlap, the last GT first among
-        # equals: a det takes the GT of least place it can take
-        order = np.lexsort((np.broadcast_to(-gt_index, v.shape), -v), axis=0)
-        # int32 halves the step's (GT, group, slice, threshold) blocks
-        place = order.argsort(axis=0).astype(np.int32)[..., None, None]
-        cand = (v[..., None, None] >= thr) & avail[:, g]
-        first_live = np.where(cand & live[:, g], place, n_gt).min(axis=0)
-        hit = first_live < n_gt
-        first = np.where(hit, first_live, np.where(cand, place, n_gt).min(axis=0))
-        lane, s, t = np.nonzero(first < n_gt)
-        best, hit, g = order[first[lane, s, t], lane], hit[lane, s, t], g[lane]
-        avail[best, g, s, t] = crowd[best, g]  # a crowd GT stays open
-        flags[s, t, g, k] = np.where(hit, np.int8(1), np.int8(-1))
-    return flags
+    keep = overlap >= thr.min()
+    # by step and det, each det's pairs by descending overlap and the last
+    # GT first among equals: a det takes the first pair it can take
+    order = np.lexsort((-gt[keep], -overlap[keep], det[keep], rank[keep]))
+    det, gt, rank, overlap = (x[keep][order] for x in (det, gt, rank, overlap))
+    n = len(det)
+    # each pair's (slice) preference: its place, and after every live
+    # pair of its det when its GT is not live there
+    pref = np.arange(n)[:, None, None] + n * ~live[:, gt].T[:, :, None]
+    reach = overlap[:, None, None] >= thr
+    solid = ~crowd[gt][:, None, None]
+    # (det, slice, threshold) flags, and (GT, slice, threshold): the GTs still open
+    flags = np.repeat(np.negative(~det_in.T, dtype=np.int8)[:, :, None], len(thr), axis=2)
+    avail = np.ones((len(crowd), len(det_in), len(thr)), dtype=bool)
+    # the bounds of each det's pairs, and where each step's dets start
+    seg = np.append(np.flatnonzero(np.diff(det, prepend=-1)), n)
+    steps = np.append(np.searchsorted(seg, np.flatnonzero(np.diff(rank, prepend=-1))), len(seg) - 1)
+    for i, j in zip(steps[:-1].tolist(), steps[1:].tolist()):
+        a, b = seg[i], seg[j]
+        # a step's pairs hold distinct GTs: one det per group
+        rows, dets = gt[a:b], det[seg[i:j]]
+        still = avail[rows]
+        cand = reach[a:b] & still
+        key = np.where(cand, pref[a:b], 2 * n)
+        first = np.minimum.reduceat(key, seg[i:j] - a, axis=0)
+        taken = cand & (key == np.repeat(first, np.diff(seg[i:j + 1]), axis=0))
+        avail[rows] = still & ~(taken & solid[a:b])  # a crowd GT stays open
+        flags[dets] = np.where(first < n, 1, np.where(first < 2 * n, -1, flags[dets]))
+    return flags.transpose(1, 2, 0)
+
+
+def _group_keys(ds: Dataset, image_id: np.ndarray, category_id: np.ndarray) -> np.ndarray:
+    """Each row's (image, class) group as one int64, ascending by image id, then class id.
+
+    Every id must be the dataset's. ``key // len(ds.categories)`` is the
+    image's place in id order.
+    """
+    image_ids = np.sort(np.array([im.id for im in ds.images], dtype=np.int64))
+    class_ids = np.sort(np.array([c.id for c in ds.categories], dtype=np.int64))
+    return (np.searchsorted(image_ids, image_id) * len(class_ids)
+            + np.searchsorted(class_ids, category_id))
 
 
 def _grouped_dets(dets: DetectionColumns, ds: Dataset, max_dets: int):
     """The kept detections as columns in (image, class) group order.
 
-    Each (image, class) group's dets are ranked by (-score, row), as
-    COCOeval's stable sort ranks them, and cut to the first ``max_dets``
-    (all when ``max_dets`` is 0). Each kept box is clipped into its image
-    by ``annotations._clamp_corners``, the rule the loader clamps GT
-    boxes by. Returns ``(group_size, class_id, score, boxes)``,
-    ``group_size`` mapping each (image, class) key to its det count in
-    key order.
+    Groups run by image id, then class id. Each group's dets are ranked
+    by (-score, row), as COCOeval's stable sort ranks them, and cut to
+    the first ``max_dets`` (all when ``max_dets`` is 0). Each kept box is
+    clipped into its image by ``annotations._clamp_corners``, the rule
+    the loader clamps GT boxes by. Returns ``(groups, n_dets, class_id,
+    score, boxes)``: each group's ``_group_keys`` key and kept det count,
+    then the kept dets' columns.
     """
     check_references(ds, np.arange(len(dets)), dets.image_id, dets.category_id, "detection")
-    ranked = np.argsort(-dets.score, kind="stable")  # ties keep row order
-    groups = group_rows(dets.image_id[ranked], dets.category_id[ranked])
-    kept = [group[:max_dets or None] for group in groups.values()]
-    rows = ranked[np.concatenate([np.zeros(0, dtype=np.intp), *kept])]
-    group_size = {key: len(group) for key, group in zip(groups, kept)}
-    limits = {im.id: (float(im.width), float(im.height)) * 2 for im in ds.images}
-    hi = np.array([limits[image_id] for image_id, _ in group_size], dtype=np.float64)
-    hi = np.repeat(hi.reshape(-1, 4), list(group_size.values()), axis=0)
-    boxes = _clamp_corners(dets.boxes[rows], hi)
-    return group_size, dets.category_id[rows], dets.score[rows], boxes
+    key = _group_keys(ds, dets.image_id, dets.category_id)
+    ranked = np.lexsort((-dets.score, key))  # score ties keep row order
+    groups, n_dets = np.unique(key, return_counts=True)
+    if max_dets:
+        cap = min(max_dets, len(dets))  # a cap past int64 cuts nothing
+        ranked = ranked[_ranges(n_dets) < cap]
+        n_dets = np.minimum(n_dets, cap)
+    images = sorted(ds.images, key=lambda im: im.id)
+    sides = np.array([(im.width, im.height) * 2 for im in images], dtype=np.float64).reshape(-1, 4)
+    hi = sides[key[ranked] // len(ds.categories)]
+    boxes = _clamp_corners(dets.boxes[ranked], hi)
+    return groups, n_dets, dets.category_id[ranked], dets.score[ranked], boxes
 
 
 def coco_map(
@@ -376,9 +386,11 @@ def coco_map(
     GT scored by intersection over the det's area, turns the det that
     takes it into an ignored one, and only an unmatched det outside the
     slice, by its box area, is ignored for lying there. The (image,
-    class) groups are matched a bounded chunk at a time: each chunk gets
-    one padded overlap block, and the greedy match of every slice and
-    threshold runs on it in lock step.
+    class) groups are matched a batch at a time, bounded by the
+    (det, GT) pairs of their cross products: one stacked overlap call
+    scores a batch's pairs, and the greedy match of every slice and
+    threshold steps over detection rank on the pairs that reach the
+    lowest threshold.
     """
     max_dets = check_count("max_dets", max_dets, 0)
     thresholds = (IOU_THRESHOLDS if iou_thresholds is None
@@ -389,20 +401,19 @@ def coco_map(
         raise ValidationError(
             f"IoU thresholds must be finite and in [0, 1], got {list(thresholds)}"
         )
-    group_size, class_id, scores, det_boxes = _grouped_dets(dets, ds, max_dets)
+    groups, n_det, class_id, scores, det_boxes = _grouped_dets(dets, ds, max_dets)
     gt = ds.columns
-    gt_groups = group_rows(gt.image_id, gt.category_id)
     class_ids = sorted(ds.category_by_id)
 
-    # Flat GT rows in the dets' (image, class) group order; only groups
-    # with dets are matched.
-    no_rows = np.zeros(0, dtype=np.intp)
-    group_gts = [gt_groups.get(key, no_rows) for key in group_size]
-    flat_gts = np.concatenate([no_rows, *group_gts])
-    # one trailing box stands in for the GT padding of a chunk
-    gt_boxes = np.concatenate([gt.boxes[flat_gts], np.zeros((1, 4))])
-    n_det = np.array(list(group_size.values()), dtype=np.int64)
-    n_gt = np.array([len(rows) for rows in group_gts], dtype=np.int64)
+    # Flat GT rows in the dets' (image, class) group order, each group in
+    # row order; only groups with dets are matched.
+    gt_keys = _group_keys(ds, gt.image_id, gt.category_id)
+    gt_rows = np.argsort(gt_keys, kind="stable")
+    gt_keys = gt_keys[gt_rows]
+    first = np.searchsorted(gt_keys, groups)
+    n_gt = np.searchsorted(gt_keys, groups, side="right") - first
+    flat_gts = gt_rows[np.repeat(first, n_gt) + _ranges(n_gt)]
+    gt_boxes, crowd = gt.boxes[flat_gts], gt.ignore[flat_gts]
     det_start = np.concatenate(([0], np.cumsum(n_det)))
     gt_start = np.concatenate(([0], np.cumsum(n_gt)))
 
@@ -410,39 +421,19 @@ def coco_map(
     det_in = slice_masks(det_area, _SLICES)
     # per slice, the non-crowd GTs in it
     inst_live = ~gt.ignore & slice_masks(gt.area, _SLICES)
-    # per slice, each flat GT live or outside, or a crowd one; one
-    # trailing column of none stands in for the GT padding of a chunk
-    live = np.zeros((len(_SLICES), len(flat_gts) + 1), dtype=bool)
-    live[:, :-1] = inst_live[:, flat_gts]
-    crowd = np.append(gt.ignore[flat_gts], False)
-    outside = ~live & ~crowd
-    outside[:, -1] = False
+    live = inst_live[:, flat_gts]
 
-    flags = np.full((len(_SLICES), len(thresholds), len(scores)), -1, dtype=np.int8)
-    for chunk in _chunks(n_det, n_gt):
-        rows = np.array(chunk)
-        d_max = int(n_det[rows].max())
-        g_max = max(int(n_gt[rows].max()), 1)
-        d_valid = np.arange(d_max) < n_det[rows, None]
-        g_valid = np.arange(g_max) < n_gt[rows, None]
-        d_idx = np.where(d_valid, det_start[rows, None] + np.arange(d_max), 0)
-        g_idx = np.where(g_valid, gt_start[rows, None] + np.arange(g_max), len(flat_gts))
-        chunk_dets, chunk_gts, chunk_crowd = det_boxes[d_idx], gt_boxes[g_idx], crowd[g_idx]
-        overlaps = iou_matrix(chunk_dets, chunk_gts)
+    flags = np.empty((len(_SLICES), len(thresholds), len(scores)), dtype=np.int8)
+    for a, b in _batches(n_det * n_gt):
+        d0, d1, g0, g1 = det_start[a], det_start[b], gt_start[a], gt_start[b]
+        det, gt_col, rank = _cross_pairs(n_det[a:b], n_gt[a:b])
+        pair_dets, pair_gts = det_boxes[d0 + det, None], gt_boxes[g0 + gt_col, None]
+        overlap = iou_matrix(pair_dets, pair_gts)[:, 0, 0]
         # COCOeval scores a crowd GT by intersection over the det's area
-        crowded = chunk_crowd.any(axis=1)
-        overlaps[crowded] = np.where(chunk_crowd[crowded, None],
-                                     ioa(chunk_dets[crowded], chunk_gts[crowded]), overlaps[crowded])
-        chunk_flags = _lockstep_flags(
-            overlaps,
-            n_det[rows],
-            det_in[:, d_idx],
-            live[:, g_idx],
-            outside[:, g_idx],
-            chunk_crowd,
-            thresholds,
-        )
-        flags[:, :, d_idx[d_valid]] = chunk_flags[:, :, d_valid]
+        on_crowd = crowd[g0 + gt_col]
+        overlap[on_crowd] = ioa(pair_dets[on_crowd], pair_gts[on_crowd])[:, 0, 0]
+        flags[:, :, d0:d1] = _pair_flags(det, gt_col, rank, overlap, det_in[:, d0:d1],
+                                         live[:, g0:g1], crowd[g0:g1], thresholds)
 
     # Pool per class in (-score, image id, row) order, as COCOeval's
     # per-image lists, joined in image id order and stable-sorted, pool

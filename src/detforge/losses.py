@@ -19,6 +19,15 @@ from .annotations import check_real
 from .errors import ValidationError
 
 
+def _floats(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array; a one-line error when NumPy cannot read it as floats."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, objects, text
+        raise ValidationError(f"{name} must be real numbers; NumPy cannot read "
+                              f"this {type(values).__name__} as floats") from None
+
+
 @dataclass(frozen=True, eq=False)
 class LogitsBatch:
     """A batch of raw class scores with integer class targets.
@@ -32,11 +41,7 @@ class LogitsBatch:
     targets: np.ndarray
 
     def __post_init__(self):
-        try:
-            values = np.asarray(self.values, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # ragged rows, objects, text
-            raise ValidationError("logits must be real numbers; NumPy cannot read "
-                                  f"this {type(self.values).__name__} as floats") from None
+        values = _floats("logits", self.values)
         try:
             targets = np.asarray(self.targets)
         except ValueError:  # ragged nesting
@@ -73,7 +78,7 @@ class ClassWeights:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        w = _floats("weights", self.w)
         if w.ndim != 1:
             raise ValidationError(f"weights must be 1-D, got shape {w.shape}")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -97,7 +102,7 @@ def class_weights(counts) -> ClassWeights:
     the correctly rounded value of the exact ratio and the weights sum to
     c - 1 up to one final rounding.
     """
-    counts = np.asarray(counts, dtype=np.float64)
+    counts = _floats("counts", counts)
     if counts.ndim != 1 or counts.size == 0:
         raise ValidationError("counts must be a non-empty 1-D vector")
     if not np.all(np.isfinite(counts)):
@@ -170,21 +175,30 @@ def smooth_l1(pred, target, beta: float = 1.0) -> LossOutput:
     Per element: 0.5 d^2 / beta for |d| < beta, else |d| - 0.5 beta, with
     d = pred - target. Value and slope agree at |d| = beta. An empty
     input yields loss 0, as an empty batch does in :func:`focal_loss`.
+    ``pred`` and ``target`` must be finite, and so must the loss, each
+    step of its sum included.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    pred, target = _floats("pred", pred), _floats("target", target)
     if pred.shape != target.shape:
         raise ValidationError(f"shape mismatch: {pred.shape} vs {target.shape}")
     beta = check_real("beta", beta)
     if not 0 < beta < np.inf:
         raise ValidationError(f"beta must be finite and positive, got {beta}")
-    d = pred - target
-    ad = np.abs(d)
-    quadratic = ad < beta
-    per_elem = np.where(quadratic, 0.5 * d * d / beta, ad - 0.5 * beta)
+    if not (np.isfinite(pred).all() and np.isfinite(target).all()):
+        raise ValidationError("pred and target must be finite")
     size = max(pred.size, 1)
-    grad = np.where(quadratic, d / beta, np.sign(d)) / size
-    return LossOutput(float(per_elem.sum() / size), grad)
+    # np.where drops the overflows of the branch it does not take; one it
+    # keeps leaves the loss non-finite
+    with np.errstate(over="ignore"):
+        d = pred - target
+        ad = np.abs(d)
+        quadratic = ad < beta
+        per_elem = np.where(quadratic, 0.5 * d * d / beta, ad - 0.5 * beta)
+        value = per_elem.sum() / size
+        grad = np.where(quadratic, d / beta, np.sign(d)) / size
+    if not np.isfinite(value):  # a finite loss has a finite d, so a finite grad
+        raise ValidationError("smooth_l1 of pred and target is out of float range")
+    return LossOutput(float(value), grad)
 
 
 def grad_check(

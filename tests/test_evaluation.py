@@ -946,48 +946,28 @@ class TestCocoMapAgainstScalarOracle:
             assert (coco_map(detection_columns(dets), ds).to_dict()
                     == scalar_coco_map(dets, ds).to_dict())
 
-    @pytest.mark.parametrize("cells", [1, 3, 40, 1 << 16])
-    def test_chunk_boundaries_change_nothing(self, monkeypatch, cells):
-        monkeypatch.setattr(evaluation, "_CHUNK_CELLS", cells)
-        rng = np.random.default_rng(cells)
+    @pytest.mark.parametrize("pairs", [1, 3, 40, 1 << 14])
+    def test_batch_boundaries_change_nothing(self, monkeypatch, pairs):
+        monkeypatch.setattr(evaluation, "_BATCH_PAIRS", pairs)
+        rng = np.random.default_rng(pairs)
         ds, dets = random_case(rng, n_images=12, n_classes=3, max_gts=8, max_dets=12)
         got = coco_map(detection_columns(dets), ds)
         assert got.to_dict() == scalar_coco_map(dets, ds).to_dict()
 
-    @pytest.mark.parametrize("cells", [1, 3, 40, 1 << 16])
-    def test_chunks_cover_every_group_once_within_the_cell_bound(self, monkeypatch, cells):
-        monkeypatch.setattr(evaluation, "_CHUNK_CELLS", cells)
-        rng = np.random.default_rng(cells)
+    @pytest.mark.parametrize("pairs", [1, 3, 40, 1 << 14])
+    def test_batches_cover_every_group_once_within_the_pair_bound(self, monkeypatch, pairs):
+        monkeypatch.setattr(evaluation, "_BATCH_PAIRS", pairs)
+        rng = np.random.default_rng(pairs)
         for trial in range(50):
             n_groups = int(rng.integers(0, 40))
-            n_dets = rng.integers(1, 300, n_groups)
-            n_gts = rng.integers(0, 300, n_groups)
-            chunks = list(evaluation._chunks(n_dets, n_gts))
-            order = [i for chunk in chunks for i in chunk]
-            assert sorted(order) == list(range(n_groups)), f"trial {trial}"
-            assert (np.diff(n_dets[order]) <= 0).all(), f"trial {trial}"
-            for chunk in chunks:
-                padded = len(chunk) * n_dets[chunk].max() * max(n_gts[chunk].max(), 1)
-                assert len(chunk) == 1 or padded <= cells, f"trial {trial}"
-
-    def test_padded_cells_of_a_chunk_are_never_read(self, monkeypatch):
-        original = evaluation._lockstep_flags
-
-        def poisoned(overlaps, n_dets, det_in, live, outside, crowd, thresholds):
-            # a padded GT is in none of the masks
-            padded = (~((live | outside).any(axis=0) | crowd)[:, None, :]
-                      | (np.arange(overlaps.shape[1]) >= n_dets[:, None])[:, :, None])
-            return original(np.where(padded, 1.0, overlaps), n_dets, det_in, live, outside,
-                            crowd, thresholds)
-
-        monkeypatch.setattr(evaluation, "_lockstep_flags", poisoned)
-        monkeypatch.setattr(evaluation, "_CHUNK_CELLS", 60)
-        rng = np.random.default_rng(31)
-        for trial in range(10):
-            ds, dets = random_case(rng, n_images=6, n_classes=3, max_gts=6, max_dets=10)
-            want = scalar_coco_map(dets, ds, iou_thresholds=(0.0, 0.5))
-            assert coco_map(detection_columns(dets), ds, iou_thresholds=(0.0, 0.5)).to_dict() == \
-                want.to_dict(), f"trial {trial}"
+            n_pairs = rng.integers(1, 300, n_groups) * rng.integers(0, 300, n_groups)
+            batches = list(evaluation._batches(n_pairs))
+            assert [i for a, b in batches for i in range(a, b)] == list(range(n_groups)), \
+                f"trial {trial}"
+            for a, b in batches:
+                assert b - a == 1 or n_pairs[a:b].sum() <= pairs, f"trial {trial}"
+                # a batch ends only where the next group would pass the bound
+                assert b == n_groups or n_pairs[a:b + 1].sum() > pairs, f"trial {trial}"
 
     def test_fixtures_match(self, mixed_dataset, mixed_detections, tiny_dataset, data_dir):
         tiny_dets = detections_of(load_detections(data_dir / "tiny_perfect_dets.json"))
@@ -1024,19 +1004,21 @@ class TestCocoMapAgainstScalarOracle:
 
 
 # -------------------------------------------------------- lock-step oracle
-# The lock-step matcher's chunk, one (slice, threshold, group) at a time
-# by COCOeval's evaluateImg scan over the chunk's overlap block.
-# _lockstep_flags must return the same int8 flags.
+# The greedy match of a chunk of groups, one (slice, threshold, group) at
+# a time by COCOeval's evaluateImg scan over the chunk's padded overlap
+# block. _pair_flags, given the chunk's (det, GT) pairs, must return the
+# same int8 flags on every valid det.
 
 
 def oracle_lockstep_flags(overlaps, n_dets, det_in, live, outside, crowd,
                           thresholds) -> np.ndarray:
     """Greedy-match flags for a chunk of groups, every slice and threshold.
 
-    The arguments are ``_lockstep_flags``': the (N, D, G) ``overlaps``,
-    the groups' det counts, ``det_in`` (S, N, D), ``live`` and
-    ``outside`` (S, N, G) and ``crowd`` (N, G). Returns (S, T, N, D)
-    flags: 1 TP, 0 FP, -1 ignored or padding.
+    The arguments are a chunk's: the (N, D, G) ``overlaps`` of N groups
+    padded at the tail of both axes, the groups' det counts, ``det_in``
+    (S, N, D), ``live`` and ``outside`` (S, N, G) and ``crowd`` (N, G);
+    a padded GT is in none of the masks. Returns (S, T, N, D) flags: 1
+    TP, 0 FP, -1 ignored or padding.
     """
     n_slices, n_groups, d_max = det_in.shape
     flags = np.full((n_slices, len(thresholds), n_groups, d_max), -1, dtype=np.int8)
@@ -1092,16 +1074,65 @@ def random_chunk(rng, n_groups: int, d_max: int, g_max: int):
     return overlaps, n_dets, det_in, live, outside, crowd
 
 
+def pairs_of_chunk(overlaps, n_dets, det_in, live, outside, crowd):
+    """``_pair_flags``' arguments for a chunk: every valid (det, GT) cell as a pair.
+
+    The (group, det) slot ``(n, k)`` becomes det ``n * D + k`` of rank
+    ``k`` and the (group, GT) slot ``(n, j)`` GT ``n * G + j``; padded
+    dets get flags too, and padded GTs are in no pair.
+    """
+    n_groups, d_max, g_max = overlaps.shape
+    g_valid = crowd | live[0] | outside[0]
+    d_valid = np.arange(d_max) < n_dets[:, None]
+    n, k, j = np.nonzero(d_valid[:, :, None] & g_valid[:, None, :])
+    return (n * d_max + k, n * g_max + j, k, overlaps[n, k, j],
+            det_in.reshape(len(det_in), -1), live.reshape(len(live), -1), crowd.ravel())
+
+
+def chunk_of_pairs(det, gt, rank, overlap, det_in, live, crowd):
+    """The chunk of a batch of ``_pair_flags`` arguments, and each det's (group, place) in it.
+
+    A det's group starts at ``det - rank`` of its pairs, and a GT's group
+    is that of the dets it pairs with, its place counted from the
+    group's lowest GT. A det without a pair has no GT and is a group of
+    its own. Returns ``(chunk, (group, place))``.
+    """
+    n_slices, n = det_in.shape
+    heads = np.unique(np.concatenate([det - rank, np.setdiff1d(np.arange(n), det)]))
+    group = np.searchsorted(heads, np.arange(n), side="right") - 1
+    place = np.arange(n) - heads[group]
+    gt_group = np.zeros(len(crowd), dtype=np.intp)
+    gt_group[gt] = group[det]
+    gt_head = np.full(len(heads), len(crowd))
+    np.minimum.at(gt_head, gt_group, np.arange(len(crowd)))
+    column = np.arange(len(crowd)) - gt_head[gt_group]
+    shape = (len(heads), int(column.max(initial=0)) + 1)
+    overlaps = np.zeros((len(heads), int(place.max()) + 1, shape[1]))
+    overlaps[group[det], rank, column[gt]] = overlap
+    chunk_det_in = np.zeros((n_slices, *overlaps.shape[:2]), dtype=bool)
+    chunk_det_in[:, group, place] = det_in
+    chunk_live, chunk_crowd, g_valid = (np.zeros((n_slices, *shape), dtype=bool),
+                                        np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool))
+    chunk_live[:, gt_group, column] = live
+    chunk_crowd[gt_group, column] = crowd
+    g_valid[gt_group, column] = True
+    chunk = (overlaps, np.bincount(group), chunk_det_in, chunk_live,
+             g_valid & ~chunk_live & ~chunk_crowd, chunk_crowd)
+    return chunk, (group, place)
+
+
 class TestLockstepAgainstOracle:
-    """_lockstep_flags against oracle_lockstep_flags, bit for bit."""
+    """_pair_flags against oracle_lockstep_flags, bit for bit."""
 
     THRESHOLDS = [IOU_THRESHOLDS, (0.0,), (1.0,), (0.0, 1.0), (0.75, 0.5, 0.75), (1.0, 0.0)]
 
     def check(self, *args):
-        want = oracle_lockstep_flags(*args)
-        got = evaluation._lockstep_flags(*args)
-        assert got.dtype == np.int8 and got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
+        *chunk, thresholds = args
+        want = oracle_lockstep_flags(*chunk, thresholds)
+        got = evaluation._pair_flags(*pairs_of_chunk(*chunk), thresholds)
+        assert got.dtype == np.int8 and got.shape == (*want.shape[:2], np.prod(want.shape[2:]))
+        d_valid = np.arange(want.shape[3]) < chunk[1][:, None]
+        np.testing.assert_array_equal(got.reshape(want.shape)[..., d_valid], want[..., d_valid])
 
     @pytest.mark.parametrize("thresholds", THRESHOLDS)
     def test_random_chunks(self, thresholds):
@@ -1122,27 +1153,41 @@ class TestLockstepAgainstOracle:
     def test_a_single_group_past_the_cell_bound(self):
         rng = np.random.default_rng(4)
         chunk = random_chunk(rng, n_groups=1, d_max=300, g_max=250)
-        assert chunk[0].size > evaluation._CHUNK_CELLS
+        assert chunk[0].size > evaluation._BATCH_PAIRS
         self.check(*chunk, (0.75, 0.5, 0.75))
 
-    def test_every_chunk_of_random_cases(self, monkeypatch):
-        chunks = []
-        original = evaluation._lockstep_flags
+    def test_a_det_whose_better_gt_an_earlier_det_took(self):
+        # one group: det 0 takes GT 0 (0.9 over 0.6). Det 1 would take
+        # GT 0 too (0.8 over 0.7), but it is taken, so det 1 takes GT 1
+        # at 0.5 and misses at 0.75
+        overlaps = np.array([[[0.9, 0.6], [0.8, 0.7]]])
+        chunk = (overlaps, np.array([2]), np.ones((1, 1, 2), dtype=bool),
+                 np.ones((1, 1, 2), dtype=bool), np.zeros((1, 1, 2), dtype=bool),
+                 np.zeros((1, 2), dtype=bool))
+        flags = evaluation._pair_flags(*pairs_of_chunk(*chunk), (0.5, 0.75))
+        np.testing.assert_array_equal(flags, [[[1, 1], [1, 0]]])
+        self.check(*chunk, (0.5, 0.75))
+
+    def test_every_batch_of_random_cases(self, monkeypatch):
+        batches = []
+        original = evaluation._pair_flags
 
         def checked(*args):
-            chunks.append(args)
+            batches.append(args)
             return original(*args)
 
-        monkeypatch.setattr(evaluation, "_lockstep_flags", checked)
-        monkeypatch.setattr(evaluation, "_CHUNK_CELLS", 50)
+        monkeypatch.setattr(evaluation, "_pair_flags", checked)
+        monkeypatch.setattr(evaluation, "_BATCH_PAIRS", 20)
         rng = np.random.default_rng(11)
         for _ in range(10):
             ds, dets = random_case(rng, n_images=8, n_classes=3, max_gts=6, max_dets=10)
             coco_map(detection_columns(dets), ds, iou_thresholds=(0.95, 0.0, 0.5, 0.5))
-        monkeypatch.setattr(evaluation, "_lockstep_flags", original)
-        assert len(chunks) > 20
-        for args in chunks:
-            self.check(*args)
+        monkeypatch.setattr(evaluation, "_pair_flags", original)
+        assert len(batches) > 20
+        for *pairs, thresholds in batches:
+            chunk, (group, place) = chunk_of_pairs(*pairs)
+            want = oracle_lockstep_flags(*chunk, thresholds)[:, :, group, place]
+            np.testing.assert_array_equal(original(*pairs, thresholds), want)
 
 
 def test_memory_is_bounded_without_a_whole_dataset_batch():
@@ -1152,8 +1197,8 @@ def test_memory_is_bounded_without_a_whole_dataset_batch():
     # = 8 MB on top of everything else, so a peak under 8 MB rules that
     # out. What coco_map must keep is O(dets): a (4, 10, 20000) int8 flag
     # array (0.8 MB), a few arrays and reference lists of 20,000 entries
-    # (0.16 MB each), plus one chunk of at most 2^16 padded IoU cells
-    # (0.5 MB) and its masks; it measures about 4.5 MB.
+    # (0.16 MB each), plus one batch of at most 2^14 (det, GT) pairs
+    # and its per-pair arrays; it measures about 5.0 MB.
     rng = np.random.default_rng(3)
     images = tuple(ImageRecord(i, 1000, 1000, f"{i}.png") for i in range(1, 201))
     instances, dets = [], []

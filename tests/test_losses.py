@@ -346,6 +346,14 @@ class TestArguments:
         (lambda b: focal_loss(b.values), "batch must be a LogitsBatch, got ndarray"),
         (lambda b: smooth_l1([1.0], [0.0], beta="1"), "beta must be a real number, got '1'"),
         (lambda b: grad_check(focal_loss, b, step="x"), "step must be a real number, got 'x'"),
+        (lambda b: class_weights(["a", 1]),
+         "counts must be real numbers; NumPy cannot read this list as floats"),
+        (lambda b: ClassWeights(["x"]),
+         "weights must be real numbers; NumPy cannot read this list as floats"),
+        (lambda b: smooth_l1(["a"], [0.0]),
+         "pred must be real numbers; NumPy cannot read this list as floats"),
+        (lambda b: smooth_l1([0.0], "b"),
+         "target must be real numbers; NumPy cannot read this str as floats"),
     ])
     def test_rejected(self, call, message):
         with pytest.raises(ValidationError) as info:
@@ -425,6 +433,30 @@ class TestSmoothL1:
         with pytest.raises(ValidationError,
                            match=f"^beta must be finite and positive, got {beta}$"):
             smooth_l1(np.zeros(3), np.zeros(3), beta=beta)
+
+    @pytest.mark.parametrize("pred, target", [
+        ([np.inf], [0.0]), ([0.0], [np.nan]), ([1.0, -np.inf], [0.0, 0.0]),
+    ])
+    def test_non_finite_inputs_rejected(self, pred, target):
+        with pytest.raises(ValidationError, match="^pred and target must be finite$"):
+            smooth_l1(pred, target)
+
+    @pytest.mark.parametrize("pred, target, beta", [
+        ([1e308], [-1e308], 1.0),  # the difference overflows
+        ([1.7e308, 1.7e308], [0.0, 0.0], 1.0),  # the sum overflows
+        ([1e160], [0.0], 1e300),  # the square overflows
+    ])
+    def test_an_overflowing_loss_is_rejected(self, pred, target, beta):
+        with pytest.raises(ValidationError,
+                           match="^smooth_l1 of pred and target is out of float range$"):
+            smooth_l1(pred, target, beta=beta)
+
+    def test_the_branch_not_taken_never_overflows(self):
+        # the square of a huge linear-region difference, and the slope
+        # over a tiny beta, are dropped without a warning
+        assert smooth_l1([1e200], [0.0]).value == 1e200
+        out = smooth_l1([1e10], [0.0], beta=1e-300)
+        assert out.value == 1e10 and out.grad.tolist() == [1.0]
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(17)
